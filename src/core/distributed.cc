@@ -356,22 +356,6 @@ DistributedControlPlane::rackWorkerCountFor(const topo::PowerSystem &system)
     return rack_count;
 }
 
-namespace {
-
-std::vector<std::set<topo::NodeId>>
-edgeNodeSets(const std::vector<std::map<topo::NodeId, std::size_t>>
-                 &owners)
-{
-    std::vector<std::set<topo::NodeId>> sets(owners.size());
-    for (std::size_t t = 0; t < owners.size(); ++t) {
-        for (const auto &[node, rack] : owners[t])
-            sets[t].insert(node);
-    }
-    return sets;
-}
-
-} // namespace
-
 DistributedControlPlane::DistributedControlPlane(
     const topo::PowerSystem &system, ctrl::TreePolicy policy,
     std::vector<std::uint32_t> agg_levels)

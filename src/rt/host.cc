@@ -242,6 +242,10 @@ WorkerHost::publishStats()
         static_cast<double>(stats_.subBudgetsMissed));
     statGauges_["catch_up_periods"].set(
         static_cast<double>(stats_.catchUpPeriods));
+    statGauges_["co_hosted_frames"].set(
+        static_cast<double>(stats_.coHostedFrames));
+    statGauges_["co_hosted_bytes"].set(
+        static_cast<double>(stats_.coHostedBytes));
 }
 
 void
@@ -265,7 +269,8 @@ WorkerHost::setTelemetry(telemetry::Registry *registry,
          {"periods_run", "budgets_applied", "default_budgets",
           "stale_reuses", "metrics_lost", "orphan_frames",
           "corrupt_frames", "summaries_sent", "sub_budgets_applied",
-          "sub_budgets_missed", "catch_up_periods"}) {
+          "sub_budgets_missed", "catch_up_periods", "co_hosted_frames",
+          "co_hosted_bytes"}) {
         telemetry::Labels ls = base;
         ls.emplace_back("stat", stat);
         statGauges_[stat] = registry_->gauge(
@@ -334,6 +339,10 @@ WorkerHost::healthJson() const
                                         stats_.defaultBudgets)));
     stats.emplace("catchUpPeriods", util::Json(static_cast<double>(
                                         stats_.catchUpPeriods)));
+    stats.emplace("coHostedFrames", util::Json(static_cast<double>(
+                                        stats_.coHostedFrames)));
+    stats.emplace("coHostedBytes", util::Json(static_cast<double>(
+                                       stats_.coHostedBytes)));
 
     util::Json::Object member;
     member.emplace("generation",
@@ -408,6 +417,7 @@ WorkerHost::init(std::uint64_t seed)
     const auto policy = policy::treePolicy(scenario_.service.policy);
 
     std::map<std::size_t, std::map<std::size_t, topo::NodeId>> want;
+    roles_.assign(plan_.workers.size(), RoleRef{});
     for (const net::Transport::Endpoint ep : locals_) {
         const core::TreePlan::Worker &w = plan_.workers[ep];
         if (w.isLeaf()) {
@@ -419,7 +429,8 @@ WorkerHost::init(std::uint64_t seed)
                 std::make_unique<core::RackWorker>(system, policy);
             for (const auto &[tree, node] : leaf.edges)
                 leaf.rack->addEdge(tree, node);
-            leafIndex_[ep] = leaves_.size();
+            roles_[ep] = {RoleRef::Kind::Leaf,
+                          static_cast<std::uint32_t>(leaves_.size())};
             leaves_.push_back(std::move(leaf));
             want[ep] = partition[ep];
         } else {
@@ -448,7 +459,21 @@ WorkerHost::init(std::uint64_t seed)
                          return a.tier < b.tier;
                      });
     for (std::size_t i = 0; i < aggs_.size(); ++i)
-        aggIndex_[aggs_[i].ep] = i;
+        roles_[aggs_[i].ep] = {RoleRef::Kind::Agg,
+                               static_cast<std::uint32_t>(i)};
+}
+
+void
+WorkerHost::post(net::Transport::Endpoint from, net::Transport::Endpoint to,
+                 std::vector<std::uint8_t> bytes)
+{
+    if (roles_[to].kind != RoleRef::Kind::None) {
+        ++stats_.coHostedFrames;
+        stats_.coHostedBytes += bytes.size();
+        inbox_.push_back({to, std::move(bytes)});
+        return;
+    }
+    transport_->send(from, to, std::move(bytes));
 }
 
 void
@@ -492,20 +517,18 @@ WorkerHost::dispatch(net::Transport::Endpoint to,
         ++stats_.orphanFrames;
         return;
     }
+    const RoleRef ref = roles_[to];
     // Heartbeats are pure epoch beacons: a parent pings the children
     // it closed a gather without, so a worker whose parent has moved
     // on — one lost frame, or a whole process behind the fleet —
     // can close out early instead of riding deadlines. The header has
     // been consumed; there is nothing to route or hold.
     if (frame.type == net::MsgType::Heartbeat) {
-        const auto leaf_beacon = leafIndex_.find(to);
-        if (leaf_beacon != leafIndex_.end()) {
-            auto &ep = leaves_[leaf_beacon->second].beaconEpoch;
+        if (ref.kind == RoleRef::Kind::Leaf) {
+            auto &ep = leaves_[ref.slot].beaconEpoch;
             ep = std::max(ep, frame.epoch);
-        }
-        const auto agg_beacon = aggIndex_.find(to);
-        if (agg_beacon != aggIndex_.end()) {
-            auto &ep = aggs_[agg_beacon->second].beaconEpoch;
+        } else if (ref.kind == RoleRef::Kind::Agg) {
+            auto &ep = aggs_[ref.slot].beaconEpoch;
             ep = std::max(ep, frame.epoch);
         }
         return;
@@ -519,19 +542,17 @@ WorkerHost::dispatch(net::Transport::Endpoint to,
             ++stats_.orphanFrames;
         return;
     }
-    const auto leaf_it = leafIndex_.find(to);
-    if (leaf_it != leafIndex_.end()) {
+    switch (ref.kind) {
+    case RoleRef::Kind::Leaf:
         if (frame.epoch != epoch
             || frame.type != net::MsgType::Budget) {
             ++stats_.orphanFrames;
             return;
         }
-        leafApplyBudget(leaves_[leaf_it->second], frame);
+        leafApplyBudget(leaves_[ref.slot], frame);
         return;
-    }
-    const auto agg_it = aggIndex_.find(to);
-    if (agg_it != aggIndex_.end()) {
-        AggRole &role = aggs_[agg_it->second];
+    case RoleRef::Kind::Agg: {
+        AggRole &role = aggs_[ref.slot];
         const std::uint16_t parent_sender =
             role.parent == plan_.rootEndpoint()
                 ? net::kRoomSender
@@ -541,6 +562,9 @@ WorkerHost::dispatch(net::Transport::Endpoint to,
         else
             role.agg->noteUpFrame(frame, stats_);
         return;
+    }
+    case RoleRef::Kind::None:
+        break;
     }
     ++stats_.orphanFrames;
 }
@@ -582,10 +606,9 @@ WorkerHost::adoptMembership(net::Transport::Endpoint to,
     ack.generation = membership_.generation();
     ack.endpoint = me;
     ack.state = static_cast<net::WireUnitState>(membership_.state(me));
-    transport_->send(to, plan_.rootEndpoint(),
-                     net::encodeMembershipAck(
-                         stampMeta(me, epoch, plan_.workers[to].tier),
-                         ack));
+    post(to, plan_.rootEndpoint(),
+         net::encodeMembershipAck(
+             stampMeta(me, epoch, plan_.workers[to].tier), ack));
     ++stats_.membershipAcksSent;
 }
 
@@ -643,11 +666,10 @@ WorkerHost::aggSendUp(AggRole &role, std::uint32_t epoch)
     // the gap and fast-forward. Free of charge on a lossless run —
     // a complete gather has no silent children.
     for (const std::uint32_t child : role.agg->silentChildren()) {
-        transport_->send(
-            role.ep, static_cast<net::Transport::Endpoint>(child),
-            net::encodeHeartbeat(
-                stampMeta(static_cast<std::uint16_t>(role.ep), epoch,
-                          role.tier)));
+        post(role.ep, static_cast<net::Transport::Endpoint>(child),
+             net::encodeHeartbeat(
+                 stampMeta(static_cast<std::uint16_t>(role.ep), epoch,
+                           role.tier)));
     }
     const auto summaries = role.agg->closeGather(stats_, events_);
     reportChildHealth(role, epoch);
@@ -666,12 +688,11 @@ WorkerHost::aggSendUp(AggRole &role, std::uint32_t epoch)
         return;
     }
     for (const auto &msg : summaries) {
-        transport_->send(
-            role.ep, role.parent,
-            net::encodeSummary(
-                stampMeta(static_cast<std::uint16_t>(role.ep), epoch,
-                          role.tier),
-                msg));
+        post(role.ep, role.parent,
+             net::encodeSummary(
+                 stampMeta(static_cast<std::uint16_t>(role.ep), epoch,
+                           role.tier),
+                 msg));
         ++stats_.summariesSent;
     }
 }
@@ -690,9 +711,8 @@ WorkerHost::aggSendDown(AggRole &role, std::uint32_t epoch)
         auto bytes = down.leafChild
                          ? net::encodeBudget(meta, down.msg)
                          : net::encodeSubBudget(meta, down.msg);
-        transport_->send(
-            role.ep, static_cast<net::Transport::Endpoint>(down.child),
-            std::move(bytes));
+        post(role.ep, static_cast<net::Transport::Endpoint>(down.child),
+             std::move(bytes));
     }
     if (tracer_) {
         tracer_->end(role.downSpan);
@@ -777,11 +797,11 @@ WorkerHost::runPeriod(std::uint32_t epoch)
             msg.tree = static_cast<std::uint16_t>(tree);
             msg.edgeNode = static_cast<std::uint32_t>(node);
             msg.metrics = leaf.rack->computeMetrics(tree, node);
-            tp.send(leaf.ep, leaf.parent,
-                    net::encodeMetrics(
-                        stampMeta(static_cast<std::uint16_t>(leaf.ep),
-                                  epoch, 0),
-                        msg));
+            post(leaf.ep, leaf.parent,
+                 net::encodeMetrics(
+                     stampMeta(static_cast<std::uint16_t>(leaf.ep),
+                               epoch, 0),
+                     msg));
         }
     }
     simNow_ = advanced;
@@ -798,11 +818,18 @@ WorkerHost::runPeriod(std::uint32_t epoch)
     }
     holdback_ = std::move(keep);
 
-    // ---- the event loop: one drain pass services every hosted role;
-    // each role advances on completeness, with the tier-staggered §4.5
-    // deadline cascade as the degraded-mode timeout.
+    // ---- the event loop: one pass takes the in-memory inbox, then one
+    // transport drain, and services every hosted role; each role
+    // advances on completeness, with the tier-staggered §4.5 deadline
+    // cascade as the degraded-mode timeout. Frames a pass posts to
+    // co-hosted roles wait in inbox_ for the next pass.
     for (;;) {
-        for (const auto &delivery : tp.drain(locals_)) {
+        batch_.clear();
+        batch_.swap(inbox_);
+        for (auto &delivery : tp.drain(locals_))
+            batch_.push_back(std::move(delivery));
+        bool progressed = !batch_.empty();
+        for (const auto &delivery : batch_) {
             const auto frame = net::decodeFrame(delivery.frame);
             if (!frame) {
                 ++stats_.corruptFrames;
@@ -829,12 +856,16 @@ WorkerHost::runPeriod(std::uint32_t epoch)
             const bool expired = lagging || role.beaconEpoch >= epoch;
             if (!role.upDone
                 && (role.agg->upComplete() || expired
-                    || now >= gather_close(role.tier)))
+                    || now >= gather_close(role.tier))) {
                 aggSendUp(role, epoch);
+                progressed = true;
+            }
             if (role.upDone && !role.downDone
                 && (role.agg->downComplete() || expired
-                    || now >= down_close(role.tier)))
+                    || now >= down_close(role.tier))) {
                 aggSendDown(role, epoch);
+                progressed = true;
+            }
             all_done = all_done && role.upDone && role.downDone;
         }
         bool leaves_done = true;
@@ -862,6 +893,11 @@ WorkerHost::runPeriod(std::uint32_t epoch)
             }
             break;
         }
+        // Sleep only after a pass that changed nothing: a phase it
+        // closed may have posted to the inbox, and the frames it
+        // delivered may have more right behind them.
+        if (progressed)
+            continue;
         const double remaining = leaf_close - tp.nowMs();
         tp.advanceBy(remaining > 0.0
                          ? std::min(remaining, kPollSliceMs)

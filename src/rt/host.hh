@@ -39,6 +39,19 @@
  * until it rejoins — at which point held-back frames replay and real
  * budgets flow again.
  *
+ * Roles that share a host exchange frames in memory: a send whose
+ * destination is hosted here is appended, encoded, to a host-owned
+ * inbox instead of going to the transport, and every event-loop pass
+ * takes the inbox first and then drains the transport. Both kinds of
+ * frame then go through the same decodeFrame() and dispatch() path —
+ * CRC, seq/epoch checks, holdback and trace hops included — so where
+ * a role lives never changes what it decides. The transport (and any
+ * fault injection on it) carries only the frames whose destination
+ * lives in another process; RuntimeStats::coHostedFrames counts the
+ * rest. The loop sleeps one poll slice only after a pass that neither
+ * delivered a frame nor closed a gather or budget phase, so a tier
+ * hop inside one process costs no sleep.
+ *
  * Host mode deliberately runs none of the 2-level failover machinery:
  * leaves do not stream checkpoints (nothing in a deep tree consumes
  * them) and no Rehome frames exist — a restarted process rejoins with
@@ -279,6 +292,10 @@ class WorkerHost
      *  once Left. */
     Watts membershipClamp(net::Transport::Endpoint ep, std::size_t tree,
                           topo::NodeId node, Watts watts) const;
+    /** Send @p bytes on link @p from -> @p to: into the in-memory
+     *  inbox when @p to is hosted here, on the transport otherwise. */
+    void post(net::Transport::Endpoint from, net::Transport::Endpoint to,
+              std::vector<std::uint8_t> bytes);
     void leafApplyBudget(LeafRole &leaf, const net::Frame &frame);
     void closeLeaf(LeafRole &leaf, std::uint32_t epoch);
     void aggSendUp(AggRole &role, std::uint32_t epoch);
@@ -309,9 +326,20 @@ class WorkerHost
     std::vector<LeafRole> leaves_;
     /** Hosted aggregators in ascending tier order (root last). */
     std::vector<AggRole> aggs_;
-    /** Endpoint -> index into leaves_ / aggs_ (one map each). */
-    std::map<net::Transport::Endpoint, std::size_t> leafIndex_;
-    std::map<net::Transport::Endpoint, std::size_t> aggIndex_;
+    /** What an endpoint is to this host, and its index into leaves_
+     *  or aggs_. */
+    struct RoleRef
+    {
+        enum class Kind : std::uint8_t { None, Leaf, Agg };
+        Kind kind = Kind::None;
+        std::uint32_t slot = 0;
+    };
+    /** Every plan endpoint (dense 0..workers-1) -> its hosted role. */
+    std::vector<RoleRef> roles_;
+    /** Frames posted to hosted endpoints, not yet dispatched. */
+    std::vector<net::Transport::Delivery> inbox_;
+    /** One pass's frames (inbox, then transport); reused per pass. */
+    std::vector<net::Transport::Delivery> batch_;
     std::map<std::pair<std::size_t, topo::NodeId>, Watts>
         lastEdgeBudgets_;
 

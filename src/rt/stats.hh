@@ -74,6 +74,12 @@ struct RuntimeStats
      *  process — the laggard fast-forwards back into sync instead of
      *  riding deadlines ever further behind. */
     std::size_t catchUpPeriods = 0;
+    /** Host: frames one hosted role sent another, delivered in memory
+     *  instead of on the transport (transport framesSent plus this is
+     *  every frame the roles exchanged). */
+    std::size_t coHostedFrames = 0;
+    /** Host: encoded bytes of those frames. */
+    std::size_t coHostedBytes = 0;
 };
 
 /** Room-side liveness state of one rack worker. */

@@ -265,8 +265,9 @@ TEST(MessagePlane, TotalLossFallsBackToDefaultBudgets)
     // the edge limit), split per the edge's own shifting controller —
     // every live leaf gets at least its floor covered in aggregate.
     for (const auto &[ref, in] : inputs) {
-        if (in.live)
+        if (in.live) {
             EXPECT_GE(dist.leafBudget(ref), 0.0);
+        }
     }
     Watts total = 0.0, floor_total = 0.0;
     for (const auto &[ref, in] : inputs) {

@@ -325,23 +325,60 @@ TEST(SafetyAuditor, FlagsOverdrawAndKeepsTheWorstSubject)
 
 // ------------------------------- host-mode telemetry export (UDP)
 
-// One WorkerHost hosting the whole depth-3 plan over real loopback
-// sockets, telemetry attached: every period must land in the tracer
+// The depth-3 plan split over two WorkerHosts cross-wired over real
+// loopback sockets, telemetry attached: process 0 hosts leaves 0-1,
+// row aggregator 4 and the root; process 1 hosts leaves 2-3 and row
+// aggregator 5, so the rowB summary and SubBudget cross a socket while
+// the rest travel in memory. Every period must land in the tracer
 // with cross-tier hop spans, the hop-latency histograms must fill,
 // and /healthz must report the safety auditor clean.
 TEST(HostObservability, DeepPlanExportsHopsTracesAndHealth)
 {
     SKIP_WITHOUT_NET();
+    const char *transport =
+        R"({"backend":"udp","gatherDeadlineMs":40,
+            "budgetDeadlineMs":40,"retryTimeoutMs":10})";
+    config::WorkerPeers peers = depth3Peers();
+    for (const std::uint32_t ep : {2u, 3u, 5u})
+        peers.processOf[ep] = 1;
     telemetry::Registry registry;
     telemetry::PeriodTracer tracer;
-    rt::WorkerHost host(
-        loadDepth3(R"({"backend":"udp","gatherDeadlineMs":40,
-            "budgetDeadlineMs":40,"retryTimeoutMs":10})"),
-        depth3Peers(), /*process=*/0, /*seed=*/1);
+    rt::WorkerHost host(loadDepth3(transport), peers, /*process=*/0,
+                        /*seed=*/1);
+    telemetry::Registry peer_registry;
+    telemetry::PeriodTracer peer_tracer;
+    rt::WorkerHost peer(loadDepth3(transport), peers, /*process=*/1,
+                        /*seed=*/1);
+    for (const auto ep : peer.endpoints()) {
+        host.udp()->setPeer(
+            ep, net::UdpPeer{"127.0.0.1", peer.udp()->boundPort(ep)});
+    }
+    for (const auto ep : host.endpoints()) {
+        peer.udp()->setPeer(
+            ep, net::UdpPeer{"127.0.0.1", host.udp()->boundPort(ep)});
+    }
     host.setTelemetry(&registry, &tracer);
+    peer.setTelemetry(&peer_registry, &peer_tracer);
     ASSERT_NE(host.serveHttp(0), 0);
 
-    ASSERT_EQ(host.runPeriods(6), 6u);
+    std::thread peer_loop([&peer] { peer.runPeriods(6); });
+    const std::size_t ran = host.runPeriods(6);
+    peer_loop.join();
+    ASSERT_EQ(ran, 6u);
+    EXPECT_EQ(peer.lastEpoch(), 6u);
+    // Both directions of the cut link used the sockets; the peer's
+    // SubBudget hops can only have come over one.
+    EXPECT_GT(host.transport().stats().framesSent, 0u);
+    EXPECT_GT(peer.transport().stats().framesSent, 0u);
+    EXPECT_GT(peer.stats().coHostedFrames, 0u);
+    std::uint64_t socket_hops = 0;
+    for (const auto &series : peer_registry.snapshot()) {
+        if (series.name == "capmaestro_hop_latency_ms"
+            && series.histogram
+            && labelValue(series.labels, "kind") == "sub_budget")
+            socket_hops += series.histogram->count;
+    }
+    EXPECT_GT(socket_hops, 0u);
     EXPECT_EQ(host.stats().periodsRun, 6u);
     EXPECT_GT(host.stats().budgetsApplied, 0u);
     EXPECT_EQ(host.safetyAuditor().violations(), 0u);

@@ -14,8 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -629,6 +632,122 @@ TEST(WorkerHost, LateStarterFastForwardsAndRejoinsTheFleet)
     EXPECT_EQ(fleet.lastEpoch(), 20u);
     EXPECT_EQ(late.lastEpoch(), 20u);
     EXPECT_GT(late.stats().budgetsApplied, 0u);
+}
+
+// A WorkerHost delivers frames between roles it hosts itself through
+// an in-memory inbox, and only frames bound for another process reach
+// the transport. Where a role runs must not change what it decides:
+// the lossless depth-3 plan run as one host and split over three
+// cross-wired UDP hosts must apply bit-identical budgets, and the
+// frame accounting must add up — co-hosted plus transport frames are
+// every frame the roles exchanged, and the transports carry exactly
+// the links the split cuts.
+TEST(WorkerHost, CoHostingIsInvisibleToAllocation)
+{
+    SKIP_WITHOUT_NET();
+    constexpr std::size_t kPeriods = 10;
+    constexpr std::uint64_t kSeed = 5;
+    const std::string scenario_json = depth4Scenario();
+    // Generous deadlines: completeness paces a lossless run, so they
+    // only matter if a loaded box deschedules a host thread.
+    auto load = [&scenario_json] {
+        auto s = config::loadScenario(util::parseJson(scenario_json));
+        config::applyTransportJson(
+            s.service,
+            util::parseJson(R"({"backend":"udp","gatherDeadlineMs":500,
+                "budgetDeadlineMs":500,"retryTimeoutMs":10})"));
+        return s;
+    };
+    config::WorkerPeers peers;
+    peers.periodMs = kPeriodMs;
+    peers.originMs = unixNowMs();
+    peers.aggLevels = {1};
+    for (std::uint32_t e = 0; e < 13; ++e)
+        peers.peers[e] = net::UdpPeer{"127.0.0.1", 0};
+
+    // (a) every role in one host.
+    rt::WorkerHost whole(load(), peers, /*process=*/0, kSeed);
+    ASSERT_EQ(whole.endpoints().size(), 13u);
+    ASSERT_EQ(whole.runPeriods(kPeriods), kPeriods);
+
+    // (b) the --processes layout over 3 hosts: leaves in contiguous
+    // chunks, every interior worker with its first child.
+    const core::TreePlan &plan = whole.plan();
+    ASSERT_EQ(plan.tiers(), 3u);
+    constexpr std::uint32_t kHosts = 3;
+    for (std::uint32_t e = 0; e < plan.workers.size(); ++e) {
+        peers.processOf[e] =
+            e < plan.leafWorkers
+                ? static_cast<std::uint32_t>(e * kHosts
+                                             / plan.leafWorkers)
+                : peers.processOf.at(plan.workers[e].children.front());
+    }
+    std::size_t cut_per_period = 0;
+    for (const core::TreePlan::Worker &w : plan.workers) {
+        if (!w.isRoot()
+            && peers.processOf.at(w.endpoint)
+                   != peers.processOf.at(w.parent))
+            cut_per_period += 2 * w.stations.size(); // up + down
+    }
+    ASSERT_GT(cut_per_period, 0u);
+
+    std::vector<std::unique_ptr<rt::WorkerHost>> split;
+    for (std::uint32_t p = 0; p < kHosts; ++p)
+        split.push_back(
+            std::make_unique<rt::WorkerHost>(load(), peers, p, kSeed));
+    for (auto &dst : split) {
+        for (auto &src : split) {
+            if (dst == src)
+                continue;
+            for (const auto ep : src->endpoints()) {
+                dst->udp()->setPeer(
+                    ep, net::UdpPeer{"127.0.0.1",
+                                     src->udp()->boundPort(ep)});
+            }
+        }
+    }
+    std::vector<std::thread> threads;
+    for (auto &host : split)
+        threads.emplace_back([&host] { host->runPeriods(kPeriods); });
+    for (std::thread &t : threads)
+        t.join();
+
+    // Lossless in both shapes.
+    EXPECT_EQ(whole.stats().defaultBudgets, 0u);
+    EXPECT_EQ(whole.stats().staleReuses, 0u);
+    std::map<std::pair<std::size_t, topo::NodeId>, Watts> merged;
+    std::size_t split_transport = 0;
+    std::size_t split_co_hosted = 0;
+    for (const auto &host : split) {
+        EXPECT_EQ(host->lastEpoch(), kPeriods);
+        EXPECT_EQ(host->stats().defaultBudgets, 0u);
+        EXPECT_EQ(host->stats().staleReuses, 0u);
+        EXPECT_GT(host->stats().coHostedFrames, 0u);
+        split_transport += host->transport().stats().framesSent;
+        split_co_hosted += host->stats().coHostedFrames;
+        for (const auto &[edge, watts] : host->lastEdgeBudgets())
+            merged.emplace(edge, watts);
+    }
+
+    // Bit-identical budgets on every edge.
+    const auto &expect = whole.lastEdgeBudgets();
+    ASSERT_FALSE(expect.empty());
+    ASSERT_EQ(merged.size(), expect.size());
+    for (const auto &[edge, watts] : expect) {
+        const auto found = merged.find(edge);
+        ASSERT_NE(found, merged.end());
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(watts),
+                  std::bit_cast<std::uint64_t>(found->second))
+            << "tree " << edge.first << " node " << edge.second;
+    }
+
+    // The single host sent no datagram; its in-memory traffic is the
+    // split deployment's transport plus in-memory traffic.
+    EXPECT_EQ(whole.transport().stats().framesSent, 0u);
+    EXPECT_EQ(whole.stats().coHostedFrames,
+              split_transport + split_co_hosted);
+    // The split's transports carry exactly the cut links.
+    EXPECT_EQ(split_transport, cut_per_period * kPeriods);
 }
 
 // ------------------------------------------- elasticity lockstep soak

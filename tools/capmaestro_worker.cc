@@ -438,13 +438,15 @@ runHost(config::LoadedScenario scenario,
                  "applied, %zu defaults, %zu stale, %zu lost, %zu "
                  "summaries, %zu sub-budgets applied, %zu missed, "
                  "%zu catch-ups, %zu orphan + %zu corrupt frames, "
-                 "%zu frames / %zu bytes sent\n",
+                 "%zu frames / %zu bytes sent, %zu frames / %zu bytes "
+                 "co-hosted\n",
                  process, ran, stats.budgetsApplied,
                  stats.defaultBudgets, stats.staleReuses,
                  stats.metricsLost, stats.summariesSent,
                  stats.subBudgetsApplied, stats.subBudgetsMissed,
                  stats.catchUpPeriods, stats.orphanFrames,
-                 stats.corruptFrames, net.framesSent, net.bytesSent);
+                 stats.corruptFrames, net.framesSent, net.bytesSent,
+                 stats.coHostedFrames, stats.coHostedBytes);
     host.eventLog().printJsonl(std::cout);
 
     if (telemetry_dir != nullptr)
