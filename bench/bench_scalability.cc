@@ -409,6 +409,10 @@ struct HostResult
     std::uint64_t periods = 0;
     std::uint64_t frames = 0;
     std::uint64_t bytes = 0;
+    /** Frames and bytes between roles of one host, delivered in
+     *  memory (frames + coHostedFrames is every frame exchanged). */
+    std::uint64_t coHostedFrames = 0;
+    std::uint64_t coHostedBytes = 0;
     std::uint64_t budgetsApplied = 0;
     std::uint64_t defaults = 0;
     std::uint64_t stale = 0;
@@ -444,6 +448,8 @@ runSweepChild(const SweepConfig &cfg, config::WorkerPeers peers,
     r.periods = host.stats().periodsRun;
     r.frames = host.transport().stats().framesSent;
     r.bytes = host.transport().stats().bytesSent;
+    r.coHostedFrames = host.stats().coHostedFrames;
+    r.coHostedBytes = host.stats().coHostedBytes;
     r.budgetsApplied = host.stats().budgetsApplied;
     r.defaults = host.stats().defaultBudgets;
     r.stale = host.stats().staleReuses;
@@ -537,6 +543,8 @@ runSweepConfig(const SweepConfig &cfg, int port_base)
         row.total.periods += r.periods;
         row.total.frames += r.frames;
         row.total.bytes += r.bytes;
+        row.total.coHostedFrames += r.coHostedFrames;
+        row.total.coHostedBytes += r.coHostedBytes;
         row.total.budgetsApplied += r.budgetsApplied;
         row.total.defaults += r.defaults;
         row.total.stale += r.stale;
@@ -689,6 +697,10 @@ appendTrajectory(const std::string &path,
             static_cast<double>(row.total.frames) / periods);
         o["bytes_per_period"] = util::Json(
             static_cast<double>(row.total.bytes) / periods);
+        o["co_hosted_frames_per_period"] = util::Json(
+            static_cast<double>(row.total.coHostedFrames) / periods);
+        o["co_hosted_bytes_per_period"] = util::Json(
+            static_cast<double>(row.total.coHostedBytes) / periods);
         o["budgets_applied"] = util::Json(
             static_cast<double>(row.total.budgetsApplied));
         o["default_budgets"] =

@@ -134,9 +134,12 @@ cmake --build build-asan -j --target \
 echo
 echo "== sanitizers: ASan+UBSan run of the telemetry tier =="
 # The observability tier (label "telemetry"): registry/tracer units,
-# the closed-loop trace contract, and the export tools end to end.
+# the closed-loop trace contract, the scrape plane and both runtimes'
+# shared observability module (test_observability), and the export
+# tools end to end.
 cmake --build build-asan -j --target \
-    test_telemetry capmaestro_run capmaestro_trace capmaestro_audit
+    test_telemetry test_observability capmaestro_run capmaestro_trace \
+    capmaestro_audit
 (cd build-asan && ctest -L telemetry --output-on-failure -j)
 build-asan/tools/capmaestro_run configs/dual_feed_spo.json \
     --duration=32 --drop-rate=0.1 \
@@ -150,7 +153,8 @@ echo "== sanitizers: ASan+UBSan run of the workload tier =="
 # placement policies, SLO accounting, the closed-loop priority path,
 # and the bench_workload smoke sweep. Its Sim/UDP equivalence test
 # skips itself under CAPMAESTRO_NO_NET=1 like the socket tiers.
-cmake --build build-asan -j --target test_workload bench_workload
+cmake --build build-asan -j --target test_workload bench_workload \
+    capmaestro_gen
 (cd build-asan && ctest -L workload --output-on-failure -j)
 
 echo

@@ -192,13 +192,6 @@ class AggregatorRole
         return childOfStation_;
     }
 
-    /** Human-readable station subject ("tree.node"), as used by the
-     *  event log — shared with the fleet health rollup. */
-    std::string subjectOf(std::size_t tree, topo::NodeId node) const
-    {
-        return stationSubject(tree, node);
-    }
-
   private:
     const topo::PowerSystem &system_;
     bool root_ = false;

@@ -1,7 +1,6 @@
 #include "rt/host.hh"
 
 #include <algorithm>
-#include <chrono>
 
 #include "policy/policy.hh"
 #include "util/logging.hh"
@@ -15,42 +14,6 @@ constexpr double kPollSliceMs = 2.0;
 
 /** Next-epoch frames held back before the host drops the excess. */
 constexpr std::size_t kHoldbackCap = 65536;
-
-/** Hop spans recorded per period trace (a 10k-leaf gather would
- *  otherwise swamp the trace arena). */
-constexpr std::size_t kMaxHopSpansPerPeriod = 256;
-
-/** Completed period traces retained for /tracez. */
-constexpr std::size_t kTracezPeriods = 32;
-
-/** Unix realtime clock in milliseconds (cross-process comparable on
- *  one machine, unlike UdpTransport's per-process monotonic origin). */
-double
-unixNowMs()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::system_clock::now().time_since_epoch())
-        .count();
-}
-
-const char *
-hopKindName(net::MsgType type)
-{
-    switch (type) {
-    case net::MsgType::Metrics:
-        return "metrics";
-    case net::MsgType::Budget:
-        return "budget";
-    case net::MsgType::Summary:
-        return "summary";
-    case net::MsgType::SubBudget:
-        return "sub_budget";
-    case net::MsgType::Heartbeat:
-        return "heartbeat";
-    default:
-        return "other";
-    }
-}
 
 } // namespace
 
@@ -84,199 +47,33 @@ WorkerHost::WorkerHost(config::LoadedScenario scenario,
 
 WorkerHost::~WorkerHost() = default;
 
-double
-WorkerHost::hopClockMs() const
-{
-    // UdpTransport's nowMs() is relative to each process's start, so
-    // cross-process hop latency needs the shared realtime clock; the
-    // sim transport's virtual clock is already shared by every host
-    // driven over it.
-    return ownedTransport_ ? unixNowMs() : transport_->nowMs();
-}
-
 net::FrameMeta
 WorkerHost::stampMeta(std::uint16_t sender, std::uint32_t epoch,
                       std::uint32_t tier)
 {
     net::FrameMeta meta(sender, epoch, seq_++);
     meta.wireVersion = wireVersion_;
-    if (obs_) {
-        net::TraceContext trace;
-        trace.traceId = static_cast<std::uint16_t>(epoch & 0xFFFF);
-        trace.originTier = static_cast<std::uint8_t>(tier);
-        trace.sendMs = hopClockMs();
-        meta.trace = trace;
-    }
+    obs_.stamp(meta, static_cast<std::uint8_t>(tier));
     return meta;
-}
-
-void
-WorkerHost::recordHop(const net::Frame &frame, std::uint32_t to_tier)
-{
-    if (!frame.trace.has_value())
-        return;
-    const double latency =
-        std::max(0.0, hopClockMs() - frame.trace->sendMs);
-    const std::uint32_t from_tier = frame.trace->originTier;
-    if (registry_) {
-        const auto key =
-            std::make_tuple(static_cast<std::uint8_t>(frame.type),
-                            from_tier, to_tier);
-        auto it = hopHist_.find(key);
-        if (it == hopHist_.end()) {
-            telemetry::Labels ls{
-                {"process", std::to_string(process_)},
-                {"kind", hopKindName(frame.type)},
-                {"from_tier", std::to_string(from_tier)},
-                {"to_tier", std::to_string(to_tier)}};
-            it = hopHist_
-                     .emplace(key,
-                              registry_->histogram(
-                                  "capmaestro_hop_latency_ms", 0.0,
-                                  100.0, 64, std::move(ls),
-                                  "Per-hop frame latency measured "
-                                  "from the wire trace context"))
-                     .first;
-        }
-        it->second.observe(latency);
-    }
-    if (tracer_ && tracer_->inPeriod()
-        && hopSpans_ < kMaxHopSpansPerPeriod) {
-        ++hopSpans_;
-        const auto span = tracer_->begin("hop");
-        tracer_->str(span, "kind", hopKindName(frame.type));
-        tracer_->num(span, "from", frame.sender);
-        tracer_->str(span, "from_tier", std::to_string(from_tier));
-        tracer_->str(span, "to_tier", std::to_string(to_tier));
-        tracer_->num(span, "latencyMs", latency);
-        tracer_->num(span, "traceId", frame.trace->traceId);
-        tracer_->end(span);
-    }
-}
-
-void
-WorkerHost::auditDown(AggRole &role, std::uint32_t epoch,
-                      const std::vector<AggregatorRole::DownMsg> &downs)
-{
-    if (!obs_)
-        return;
-    const AggregatorRole &agg = *role.agg;
-    const std::vector<Watts> &reserved = agg.reservedFloors();
-    for (const auto &[tree, top] : agg.stations()) {
-        (void)top;
-        Watts granted = 0.0;
-        if (agg.isRoot()) {
-            granted = agg.rootBudgets()[tree];
-        } else {
-            const auto sub = agg.receivedBudget(tree);
-            if (!sub.has_value())
-                continue; // nothing granted, nothing committed
-            granted = *sub;
-        }
-        Watts committed = 0.0;
-        for (const AggregatorRole::DownMsg &down : downs) {
-            if (down.msg.tree == tree)
-                committed += down.msg.budget;
-        }
-        const std::string subject = scenario_.system->tree(tree).name()
-                                    + "@w" + std::to_string(role.ep);
-        if (!auditor_.audit(epoch, subject, granted, committed,
-                            reserved[tree])) {
-            events_.record(static_cast<Seconds>(epoch),
-                           core::EventKind::SafetyViolation, subject,
-                           committed + reserved[tree] - granted);
-        }
-    }
-}
-
-void
-WorkerHost::reportChildHealth(AggRole &role, std::uint32_t epoch)
-{
-    if (!obs_)
-        return;
-    // Worst state per child endpoint across its stations (the health
-    // enum is ordered by severity).
-    std::map<std::uint32_t, telemetry::UnitHealth> worst;
-    const auto &owners = role.agg->childStations();
-    for (const auto &[key, health] : role.agg->stationHealth()) {
-        const auto owner = owners.find(key);
-        if (owner == owners.end())
-            continue;
-        telemetry::UnitHealth h = telemetry::UnitHealth::Live;
-        if (health == AggregatorRole::StationHealth::Stale)
-            h = telemetry::UnitHealth::Stale;
-        else if (health == AggregatorRole::StationHealth::Lost)
-            h = telemetry::UnitHealth::Lost;
-        const auto [it, inserted] = worst.emplace(owner->second, h);
-        if (!inserted && static_cast<int>(h) > static_cast<int>(it->second))
-            it->second = h;
-    }
-    for (const auto &[child, h] : worst)
-        fleetHealth_.report("w" + std::to_string(child), h, epoch);
-}
-
-void
-WorkerHost::publishStats()
-{
-    if (statGauges_.empty())
-        return;
-    statGauges_["periods_run"].set(
-        static_cast<double>(stats_.periodsRun));
-    statGauges_["budgets_applied"].set(
-        static_cast<double>(stats_.budgetsApplied));
-    statGauges_["default_budgets"].set(
-        static_cast<double>(stats_.defaultBudgets));
-    statGauges_["stale_reuses"].set(
-        static_cast<double>(stats_.staleReuses));
-    statGauges_["metrics_lost"].set(
-        static_cast<double>(stats_.metricsLost));
-    statGauges_["orphan_frames"].set(
-        static_cast<double>(stats_.orphanFrames));
-    statGauges_["corrupt_frames"].set(
-        static_cast<double>(stats_.corruptFrames));
-    statGauges_["summaries_sent"].set(
-        static_cast<double>(stats_.summariesSent));
-    statGauges_["sub_budgets_applied"].set(
-        static_cast<double>(stats_.subBudgetsApplied));
-    statGauges_["sub_budgets_missed"].set(
-        static_cast<double>(stats_.subBudgetsMissed));
-    statGauges_["catch_up_periods"].set(
-        static_cast<double>(stats_.catchUpPeriods));
-    statGauges_["co_hosted_frames"].set(
-        static_cast<double>(stats_.coHostedFrames));
-    statGauges_["co_hosted_bytes"].set(
-        static_cast<double>(stats_.coHostedBytes));
 }
 
 void
 WorkerHost::setTelemetry(telemetry::Registry *registry,
                          telemetry::PeriodTracer *tracer)
 {
-    registry_ = registry;
-    tracer_ = tracer;
-    obs_ = registry_ != nullptr || tracer_ != nullptr;
-    if (!registry_)
-        return;
     const telemetry::Labels base{
         {"process", std::to_string(process_)}};
-    periodsCounter_ = registry_->counter(
-        "capmaestro_host_periods_total", base,
-        "Control periods completed by this host process");
-    catchUpCounter_ = registry_->counter(
-        "capmaestro_host_catch_up_periods_total", base,
-        "Periods closed early to rejoin the fleet epoch");
-    for (const char *stat :
-         {"periods_run", "budgets_applied", "default_budgets",
-          "stale_reuses", "metrics_lost", "orphan_frames",
-          "corrupt_frames", "summaries_sent", "sub_budgets_applied",
-          "sub_budgets_missed", "catch_up_periods", "co_hosted_frames",
-          "co_hosted_bytes"}) {
-        telemetry::Labels ls = base;
-        ls.emplace_back("stat", stat);
-        statGauges_[stat] = registry_->gauge(
-            "capmaestro_host_stat", std::move(ls),
-            "Cumulative RuntimeStats counter mirror");
-    }
+    obs_.attach(registry, tracer, *transport_, ownedTransport_ != nullptr,
+                base, /*aggregating=*/true);
+    obs_.mirrorGauges("capmaestro_host_stat");
+    obs_.mirrorCounter(&RuntimeStats::periodsRun,
+                       "capmaestro_host_periods_total",
+                       "Control periods completed by this host process");
+    obs_.mirrorCounter(&RuntimeStats::catchUpPeriods,
+                       "capmaestro_host_catch_up_periods_total",
+                       "Periods closed early to rejoin the fleet epoch");
+    if (!registry)
+        return;
     // Hosted-endpoint census per tier, so a scraper sees the layout.
     std::map<std::uint32_t, std::size_t> perTier;
     for (const net::Transport::Endpoint ep : locals_)
@@ -284,104 +81,31 @@ WorkerHost::setTelemetry(telemetry::Registry *registry,
     for (const auto &[tier, count] : perTier) {
         telemetry::Labels ls = base;
         ls.emplace_back("tier", std::to_string(tier));
-        registry_
+        registry
             ->gauge("capmaestro_host_endpoints", std::move(ls),
                     "Endpoints hosted by this process, per tier")
             .set(static_cast<double>(count));
     }
-    fleetHealth_.setTelemetry(registry_, base);
-    auditor_.setTelemetry(registry_, base);
-    publishStats();
 }
 
 std::uint16_t
 WorkerHost::serveHttp(std::uint16_t port)
 {
-    if (!http_.listen(port))
-        return 0;
-    http_.handle("/metrics", [this] {
-        net::HttpResponse resp;
-        resp.contentType = "text/plain; version=0.0.4; charset=utf-8";
-        resp.body = registry_ ? registry_->renderPrometheus() : "";
-        return resp;
-    });
-    http_.handle("/healthz", [this] {
-        net::HttpResponse resp;
-        resp.contentType = "application/json";
-        resp.body = util::serializeJson(healthJson(), 0) + "\n";
-        return resp;
-    });
-    http_.handle("/tracez", [this] {
-        net::HttpResponse resp;
-        resp.contentType = "application/json";
-        resp.body = tracer_ ? util::serializeJson(
-                        tracer_->lastJson(kTracezPeriods), 0)
-                            : "[]";
-        resp.body += "\n";
-        return resp;
-    });
-    return http_.port();
+    return obs_.serveHttp(port, [this] { return healthJson(); });
 }
 
 util::Json
 WorkerHost::healthJson() const
 {
-    util::Json::Object stats;
-    stats.emplace("orphanFrames", util::Json(static_cast<double>(
-                                      stats_.orphanFrames)));
-    stats.emplace("corruptFrames", util::Json(static_cast<double>(
-                                       stats_.corruptFrames)));
-    stats.emplace("staleReuses", util::Json(static_cast<double>(
-                                     stats_.staleReuses)));
-    stats.emplace("metricsLost", util::Json(static_cast<double>(
-                                     stats_.metricsLost)));
-    stats.emplace("defaultBudgets", util::Json(static_cast<double>(
-                                        stats_.defaultBudgets)));
-    stats.emplace("catchUpPeriods", util::Json(static_cast<double>(
-                                        stats_.catchUpPeriods)));
-    stats.emplace("coHostedFrames", util::Json(static_cast<double>(
-                                        stats_.coHostedFrames)));
-    stats.emplace("coHostedBytes", util::Json(static_cast<double>(
-                                       stats_.coHostedBytes)));
-
-    util::Json::Object member;
-    member.emplace("generation",
-                   util::Json(static_cast<double>(
-                       membership_.generation())));
-    member.emplace("joining",
-                   util::Json(static_cast<double>(membership_.countOf(
-                       membership::UnitState::Joining))));
-    member.emplace("draining",
-                   util::Json(static_cast<double>(membership_.countOf(
-                       membership::UnitState::Draining))));
-    member.emplace("left",
-                   util::Json(static_cast<double>(membership_.countOf(
-                       membership::UnitState::Left))));
-    member.emplace("shadowPeriods",
-                   util::Json(static_cast<double>(
-                       stats_.shadowPeriods)));
-
-    util::Json::Object out;
-    out.emplace("ok", util::Json(auditor_.violations() == 0));
-    out.emplace("process",
-                util::Json(static_cast<double>(process_)));
-    out.emplace("lastEpoch",
-                util::Json(static_cast<double>(lastEpoch_)));
-    out.emplace("periods",
-                util::Json(static_cast<double>(stats_.periodsRun)));
+    util::Json::Object out =
+        obs_.health(membership_, lastEpoch_, /*aggregating=*/true);
+    out.emplace("process", util::Json(static_cast<double>(process_)));
     out.emplace("endpoints",
                 util::Json(static_cast<double>(locals_.size())));
     out.emplace("leaves",
                 util::Json(static_cast<double>(leaves_.size())));
     out.emplace("aggregators",
                 util::Json(static_cast<double>(aggs_.size())));
-    out.emplace("generation",
-                util::Json(static_cast<double>(
-                    membership_.generation())));
-    out.emplace("stats", util::Json(std::move(stats)));
-    out.emplace("membership", util::Json(std::move(member)));
-    out.emplace("fleet", fleetHealth_.toJson());
-    out.emplace("safety", auditor_.toJson());
     return util::Json(std::move(out));
 }
 
@@ -502,8 +226,10 @@ WorkerHost::dispatch(net::Transport::Endpoint to,
 {
     if (frame.epoch > maxSeenEpoch_)
         maxSeenEpoch_ = frame.epoch;
-    if (obs_)
-        recordHop(frame, plan_.workers[to].tier);
+    if (obs_.on()) {
+        obs_.recordHop(frame,
+                       static_cast<std::uint8_t>(plan_.workers[to].tier));
+    }
     // The membership plane is epoch-free (the table generation is its
     // clock), so its frames bypass holdback and every epoch check.
     // Host mode is replica-only: deltas are adopted and acked; acks
@@ -672,14 +398,12 @@ WorkerHost::aggSendUp(AggRole &role, std::uint32_t epoch)
                            role.tier)));
     }
     const auto summaries = role.agg->closeGather(stats_, events_);
-    reportChildHealth(role, epoch);
-    if (tracer_) {
-        tracer_->end(role.gatherSpan);
-        role.downSpan = tracer_->begin("down");
-        tracer_->num(role.downSpan, "tier",
-                     static_cast<double>(role.tier));
-        tracer_->num(role.downSpan, "worker",
-                     static_cast<double>(role.ep));
+    obs_.reportChildren(*role.agg, epoch);
+    if (telemetry::PeriodTracer *tracer = obs_.tracer()) {
+        tracer->end(role.gatherSpan);
+        role.downSpan = tracer->begin("down");
+        tracer->num(role.downSpan, "tier", static_cast<double>(role.tier));
+        tracer->num(role.downSpan, "worker", static_cast<double>(role.ep));
     }
     if (role.agg->isRoot()) {
         // The root's down half follows immediately: its inputs are the
@@ -705,7 +429,10 @@ WorkerHost::aggSendDown(AggRole &role, std::uint32_t epoch)
         role.agg->isRoot() ? net::kRoomSender
                            : static_cast<std::uint16_t>(role.ep);
     const auto downs = role.agg->computeDown(stats_);
-    auditDown(role, epoch, downs);
+    if (obs_.on()) {
+        obs_.auditSplit(epoch, *scenario_.system,
+                        "w" + std::to_string(role.ep), *role.agg, downs);
+    }
     for (const AggregatorRole::DownMsg &down : downs) {
         const auto meta = stampMeta(sender, epoch, role.tier);
         auto bytes = down.leafChild
@@ -714,8 +441,8 @@ WorkerHost::aggSendDown(AggRole &role, std::uint32_t epoch)
         post(role.ep, static_cast<net::Transport::Endpoint>(down.child),
              std::move(bytes));
     }
-    if (tracer_) {
-        tracer_->end(role.downSpan);
+    if (telemetry::PeriodTracer *tracer = obs_.tracer()) {
+        tracer->end(role.downSpan);
         role.downSpan = telemetry::PeriodTracer::kNoSpan;
     }
 }
@@ -741,18 +468,10 @@ WorkerHost::runPeriod(std::uint32_t epoch)
                      * proto.budgetDeadlineMs;
     };
 
-    if (tracer_) {
-        tracer_->noteSimTime(simNow_);
-        tracer_->beginPeriod(epoch);
-        tracer_->periodStr("role",
-                           "host" + std::to_string(process_));
-        tracer_->periodNum("process",
-                           static_cast<double>(process_));
-        tracer_->periodNum("epoch", static_cast<double>(epoch));
-        tracer_->periodNum("traceId",
-                           static_cast<double>(epoch & 0xFFFF));
-    }
-    hopSpans_ = 0;
+    telemetry::PeriodTracer *tracer = obs_.tracer();
+    obs_.beginPeriod(epoch, simNow_, "host" + std::to_string(process_));
+    if (tracer)
+        tracer->periodNum("process", static_cast<double>(process_));
 
     // ---- reset the per-epoch role state before any frame (including
     // a held-back one) can land.
@@ -762,12 +481,12 @@ WorkerHost::runPeriod(std::uint32_t epoch)
         role.downDone = false;
         role.gatherSpan = telemetry::PeriodTracer::kNoSpan;
         role.downSpan = telemetry::PeriodTracer::kNoSpan;
-        if (tracer_) {
-            role.gatherSpan = tracer_->begin("gather");
-            tracer_->num(role.gatherSpan, "tier",
-                         static_cast<double>(role.tier));
-            tracer_->num(role.gatherSpan, "worker",
-                         static_cast<double>(role.ep));
+        if (tracer) {
+            role.gatherSpan = tracer->begin("gather");
+            tracer->num(role.gatherSpan, "tier",
+                        static_cast<double>(role.tier));
+            tracer->num(role.gatherSpan, "worker",
+                        static_cast<double>(role.ep));
         }
     }
     for (LeafRole &leaf : leaves_) {
@@ -775,10 +494,10 @@ WorkerHost::runPeriod(std::uint32_t epoch)
         leaf.done = false;
     }
     leafSpan_ = telemetry::PeriodTracer::kNoSpan;
-    if (tracer_ && !leaves_.empty()) {
-        leafSpan_ = tracer_->begin("leaf_budget_wait");
-        tracer_->num(leafSpan_, "leaves",
-                     static_cast<double>(leaves_.size()));
+    if (tracer && !leaves_.empty()) {
+        leafSpan_ = tracer->begin("leaf_budget_wait");
+        tracer->num(leafSpan_, "leaves",
+                    static_cast<double>(leaves_.size()));
     }
 
     // ---- plants + upstream metrics for every hosted leaf. Host mode
@@ -879,17 +598,15 @@ WorkerHost::runPeriod(std::uint32_t epoch)
         }
         if (leaves_done
             && leafSpan_ != telemetry::PeriodTracer::kNoSpan) {
-            tracer_->end(leafSpan_);
+            tracer->end(leafSpan_);
             leafSpan_ = telemetry::PeriodTracer::kNoSpan;
         }
-        if (http_.listening())
-            http_.poll();
+        obs_.poll();
         if (all_done) {
             if (lagging) {
                 ++stats_.catchUpPeriods;
-                catchUpCounter_.inc();
-                if (tracer_)
-                    tracer_->periodNum("catchUp", 1.0);
+                if (tracer)
+                    tracer->periodNum("catchUp", 1.0);
             }
             break;
         }
@@ -906,12 +623,8 @@ WorkerHost::runPeriod(std::uint32_t epoch)
 
     lastEpoch_ = epoch;
     ++stats_.periodsRun;
-    periodsCounter_.inc();
-    publishStats();
-    if (tracer_)
-        tracer_->endPeriod();
-    if (http_.listening())
-        http_.poll();
+    obs_.publishStats();
+    obs_.endPeriod();
 }
 
 std::size_t

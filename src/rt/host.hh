@@ -57,6 +57,11 @@
  * them) and no Rehome frames exist — a restarted process rejoins with
  * a fresh plant while its parents ride stale -> reserve, as documented
  * in rt/aggregator.hh.
+ *
+ * Observability is the shared rt::Observability (rt/observe.hh), the
+ * same plane a WorkerRuntime owns; the host adds only its per-tier
+ * endpoint census, the RuntimeStats gauge mirror, its period and
+ * catch-up counters, and per-role gather/down spans.
  */
 
 #ifndef CAPMAESTRO_RT_HOST_HH
@@ -68,7 +73,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "config/loader.hh"
@@ -76,15 +80,12 @@
 #include "core/events.hh"
 #include "core/tree_plan.hh"
 #include "membership/table.hh"
-#include "net/http_endpoint.hh"
 #include "net/udp_transport.hh"
 #include "net/wire.hh"
 #include "rt/aggregator.hh"
+#include "rt/observe.hh"
 #include "rt/plant.hh"
 #include "rt/stats.hh"
-#include "telemetry/health.hh"
-#include "telemetry/registry.hh"
-#include "telemetry/trace.hh"
 
 namespace capmaestro::rt {
 
@@ -155,13 +156,14 @@ class WorkerHost
     }
 
     /**
-     * Attach telemetry sinks (either may be null). Registers host
-     * counters labeled {process}, per-hop latency histograms labeled
-     * {kind, from_tier, to_tier}, fleet health gauges, and the safety
-     * auditor's counters on @p registry, and records one span trace
-     * per period on @p tracer. Attaching telemetry also turns on wire
-     * trace-context stamping (wire v5) for every frame this host
-     * sends — purely observational: payloads, send counts, and every
+     * Attach telemetry sinks (either may be null; both null detaches).
+     * Everything is labeled {process}: the shared plane's series (hop
+     * latency, fleet health, safety auditor, transport; see
+     * rt/observe.hh), the RuntimeStats mirror capmaestro_host_stat,
+     * and the host's own period/catch-up counters and per-tier
+     * endpoint census. @p tracer gets one span trace per period.
+     * Attaching also turns on wire trace-context stamping (wire v5) —
+     * purely observational: payloads, send counts, and every
      * allocation decision are bit-identical with tracing off.
      */
     void setTelemetry(telemetry::Registry *registry,
@@ -176,7 +178,7 @@ class WorkerHost
     std::uint16_t serveHttp(std::uint16_t port);
 
     /** Bound HTTP port (0 when not serving). */
-    std::uint16_t httpPort() const { return http_.port(); }
+    std::uint16_t httpPort() const { return obs_.httpPort(); }
 
     /** /healthz document (process, epoch, stats, fleet, safety). */
     util::Json healthJson() const;
@@ -184,13 +186,13 @@ class WorkerHost
     /** Health rollup over the child workers this host observes. */
     const telemetry::FleetHealthRegistry &fleetHealth() const
     {
-        return fleetHealth_;
+        return obs_.fleetHealth();
     }
 
     /** Online budget-conservation auditor over the hosted fragments. */
     const telemetry::SafetyAuditor &safetyAuditor() const
     {
-        return auditor_;
+        return obs_.auditor();
     }
 
     /**
@@ -263,22 +265,9 @@ class WorkerHost
 
     void init(std::uint64_t seed);
     void runPeriod(std::uint32_t epoch);
-    /** Sender-side clock for trace contexts: unix realtime ms on UDP
-     *  (cross-process comparable on one box), the shared virtual
-     *  transport clock otherwise. */
-    double hopClockMs() const;
     /** Frame meta for a send, trace-stamped when telemetry is on. */
     net::FrameMeta stampMeta(std::uint16_t sender, std::uint32_t epoch,
                              std::uint32_t tier);
-    /** Record the receive side of a traced hop (histogram + span). */
-    void recordHop(const net::Frame &frame, std::uint32_t to_tier);
-    /** Audit one fragment's committed budgets against its grant. */
-    void auditDown(AggRole &role, std::uint32_t epoch,
-                   const std::vector<AggregatorRole::DownMsg> &downs);
-    /** Fold this epoch's gather outcomes into the health rollup. */
-    void reportChildHealth(AggRole &role, std::uint32_t epoch);
-    /** Refresh the stats gauge family from stats_. */
-    void publishStats();
     /** Route one delivered frame to its hosted role (or hold it back
      *  for the next epoch). */
     void dispatch(net::Transport::Endpoint to, const net::Frame &frame,
@@ -351,24 +340,8 @@ class WorkerHost
     };
     std::vector<HeldFrame> holdback_;
 
-    // -------- observability plane (all inert until configured)
-    telemetry::Registry *registry_ = nullptr;
-    telemetry::PeriodTracer *tracer_ = nullptr;
-    /** Stamp wire trace contexts on every send. */
-    bool obs_ = false;
-    telemetry::FleetHealthRegistry fleetHealth_;
-    telemetry::SafetyAuditor auditor_;
-    net::HttpEndpoint http_;
-    telemetry::Counter periodsCounter_;
-    telemetry::Counter catchUpCounter_;
-    /** stat name -> gauge mirroring RuntimeStats, labeled {process}. */
-    std::map<std::string, telemetry::Gauge> statGauges_;
-    /** (kind, from tier, to tier) -> hop latency histogram. */
-    std::map<std::tuple<std::uint8_t, std::uint32_t, std::uint32_t>,
-             telemetry::HistogramMetric>
-        hopHist_;
-    /** Hop spans recorded this period (bounded per period). */
-    std::size_t hopSpans_ = 0;
+    // -------- observability (all inert until configured)
+    Observability obs_{stats_, events_};
     /** Host-level span over the leaves' budget-wait phase. */
     telemetry::PeriodTracer::SpanId leafSpan_ =
         telemetry::PeriodTracer::kNoSpan;

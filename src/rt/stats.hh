@@ -11,6 +11,7 @@
 #define CAPMAESTRO_RT_STATS_HH
 
 #include <cstddef>
+#include <iterator>
 
 namespace capmaestro::rt {
 
@@ -81,6 +82,54 @@ struct RuntimeStats
     /** Host: encoded bytes of those frames. */
     std::size_t coHostedBytes = 0;
 };
+
+/** One RuntimeStats field: its camelCase name (the /healthz `stats`
+ *  key; the stat gauge label is its snake_case form) and its member. */
+struct StatField
+{
+    const char *name;
+    std::size_t RuntimeStats::*member;
+};
+
+#define CAPMAESTRO_STAT_FIELD(f) StatField{#f, &RuntimeStats::f}
+/** Every RuntimeStats field, in declaration order: the one list the
+ *  health document and the stat gauges are built from. */
+inline constexpr StatField kStatFields[] = {
+    CAPMAESTRO_STAT_FIELD(periodsRun),
+    CAPMAESTRO_STAT_FIELD(budgetsApplied),
+    CAPMAESTRO_STAT_FIELD(defaultBudgets),
+    CAPMAESTRO_STAT_FIELD(staleReuses),
+    CAPMAESTRO_STAT_FIELD(metricsLost),
+    CAPMAESTRO_STAT_FIELD(failovers),
+    CAPMAESTRO_STAT_FIELD(orphanFrames),
+    CAPMAESTRO_STAT_FIELD(corruptFrames),
+    CAPMAESTRO_STAT_FIELD(retries),
+    CAPMAESTRO_STAT_FIELD(checkpointsSent),
+    CAPMAESTRO_STAT_FIELD(checkpointsStored),
+    CAPMAESTRO_STAT_FIELD(rehomesSent),
+    CAPMAESTRO_STAT_FIELD(rehomesApplied),
+    CAPMAESTRO_STAT_FIELD(rehomesDeclined),
+    CAPMAESTRO_STAT_FIELD(clampedPeriods),
+    CAPMAESTRO_STAT_FIELD(restartsDetected),
+    CAPMAESTRO_STAT_FIELD(rehomed),
+    CAPMAESTRO_STAT_FIELD(summariesSent),
+    CAPMAESTRO_STAT_FIELD(subBudgetsApplied),
+    CAPMAESTRO_STAT_FIELD(subBudgetsMissed),
+    CAPMAESTRO_STAT_FIELD(membershipDeltasSent),
+    CAPMAESTRO_STAT_FIELD(membershipAcksSent),
+    CAPMAESTRO_STAT_FIELD(membershipDeltasApplied),
+    CAPMAESTRO_STAT_FIELD(membershipCommits),
+    CAPMAESTRO_STAT_FIELD(shadowPeriods),
+    CAPMAESTRO_STAT_FIELD(catchUpPeriods),
+    CAPMAESTRO_STAT_FIELD(coHostedFrames),
+    CAPMAESTRO_STAT_FIELD(coHostedBytes),
+};
+#undef CAPMAESTRO_STAT_FIELD
+
+// A field added to RuntimeStats must be added to the table too.
+static_assert(sizeof(RuntimeStats)
+                  == std::size(kStatFields) * sizeof(std::size_t),
+              "kStatFields must list every RuntimeStats field");
 
 /** Room-side liveness state of one rack worker. */
 enum class RackState { Live, Dead, Rehoming };

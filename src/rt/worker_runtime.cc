@@ -30,47 +30,52 @@ constexpr double kPollSliceMs = 2.0;
  */
 constexpr double kLockstepWaitMs = 150.0;
 
-/** Hop spans recorded per period before the rest only feed the
- *  histogram — keeps retransmission storms from bloating traces. */
-constexpr std::size_t kMaxHopSpansPerPeriod = 256;
-
-/** Completed period traces the /tracez endpoint serves. */
-constexpr std::size_t kTracezPeriods = 32;
-
 /** Minimum shadow periods between a join announcement and its commit:
  *  one full broadcast/ack round trip plus one settled period, so the
  *  unit demonstrably holds the clamp before its first real grant. */
 constexpr std::uint32_t kShadowPeriodsMin = 2;
 
-/** Unix realtime in fractional milliseconds — the cross-process hop
- *  clock (UdpTransport's nowMs() is per-process-relative). */
-double
-unixRealMs()
+/** This runtime's capmaestro_rt_* and membership counters, each the
+ *  mirror of one RuntimeStats field. */
+struct CounterSpec
 {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::system_clock::now().time_since_epoch())
-        .count();
-}
-
-const char *
-hopKindName(net::MsgType type)
-{
-    switch (type) {
-    case net::MsgType::Metrics:   return "metrics";
-    case net::MsgType::Budget:    return "budget";
-    case net::MsgType::Summary:   return "summary";
-    case net::MsgType::SubBudget: return "sub_budget";
-    case net::MsgType::Heartbeat: return "heartbeat";
-    default:                      return "other";
-    }
-}
-
-/** Tier label for hop metrics (0xFF is the 2-level room's marker). */
-std::string
-tierLabel(std::uint8_t tier)
-{
-    return tier == 0xFF ? "room" : std::to_string(tier);
-}
+    std::size_t RuntimeStats::*field;
+    const char *name;
+    const char *help;
+};
+constexpr CounterSpec kCounters[] = {
+    {&RuntimeStats::periodsRun, "capmaestro_rt_periods_total",
+     "Control periods completed by this worker"},
+    {&RuntimeStats::checkpointsSent, "capmaestro_rt_checkpoints_sent_total",
+     "Plant-state checkpoints sent upstream"},
+    {&RuntimeStats::rehomesSent, "capmaestro_rt_rehomes_sent_total",
+     "Rehome frames sent to re-homing racks"},
+    {&RuntimeStats::rehomesApplied, "capmaestro_rt_rehomes_applied_total",
+     "Rehome checkpoints replayed into the local plant"},
+    {&RuntimeStats::rehomesDeclined, "capmaestro_rt_rehomes_declined_total",
+     "Rehome frames declined (local state already intact)"},
+    {&RuntimeStats::clampedPeriods, "capmaestro_rt_clamped_periods_total",
+     "Periods ridden on the Pcap_min clamp after a replay"},
+    {&RuntimeStats::failovers, "capmaestro_rt_failovers_total",
+     "Rack workers declared dead by heartbeat silence"},
+    {&RuntimeStats::restartsDetected, "capmaestro_rt_restarts_detected_total",
+     "Dead or reincarnated rack instances detected"},
+    {&RuntimeStats::rehomed, "capmaestro_rt_rehomed_total",
+     "Racks promoted back to Live after a checkpoint ack"},
+    {&RuntimeStats::defaultBudgets, "capmaestro_rt_default_budgets_total",
+     "Edges that fell back to the Pcap_min default budget"},
+    {&RuntimeStats::membershipDeltasSent,
+     "capmaestro_membership_deltas_sent_total",
+     "Membership snapshots broadcast by the root"},
+    {&RuntimeStats::membershipAcksSent,
+     "capmaestro_membership_acks_sent_total",
+     "Membership generations acked back to the root"},
+    {&RuntimeStats::membershipCommits, "capmaestro_membership_commits_total",
+     "Two-phase membership transitions committed (root view)"},
+    {&RuntimeStats::shadowPeriods,
+     "capmaestro_membership_shadow_periods_total",
+     "Periods ridden on the Pcap_min clamp while Joining/Draining"},
+};
 
 } // namespace
 
@@ -139,7 +144,7 @@ WorkerRuntime::init(std::uint64_t seed)
                         hops * (proto.gatherDeadlineMs
                                 + proto.budgetDeadlineMs));
         }
-        if (epochAt(unixNowMs()) > 1000000) {
+        if (epochAt(static_cast<std::uint64_t>(unixNowMs())) > 1000000) {
             util::fatal("rt: peers.originMs is too far in the past; "
                         "regenerate the peer table");
         }
@@ -228,15 +233,6 @@ WorkerRuntime::buildRoom()
     rackHealth_.assign(rackCount_, RackHealth{});
 }
 
-std::uint64_t
-WorkerRuntime::unixNowMs() const
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-}
-
 std::uint32_t
 WorkerRuntime::epochAt(std::uint64_t unix_ms) const
 {
@@ -256,9 +252,8 @@ WorkerRuntime::sleepUntil(std::uint64_t unix_ms)
             return false;
         // Scrapes are answered from the idle slice between period
         // windows — the bulk of a wall-paced daemon's time.
-        if (http_.listening())
-            http_.poll();
-        const std::uint64_t now = unixNowMs();
+        obs_.poll();
+        const auto now = static_cast<std::uint64_t>(unixNowMs());
         if (now >= unix_ms)
             return true;
         const std::uint64_t wait =
@@ -283,24 +278,18 @@ WorkerRuntime::runPeriods(std::size_t max_periods)
         }
         // The next epoch that has not yet begun; its window start is
         // the shared wall-clock boundary every process sleeps to.
-        const std::uint32_t epoch = epochAt(unixNowMs()) + 1;
+        const std::uint32_t epoch =
+            epochAt(static_cast<std::uint64_t>(unixNowMs())) + 1;
         const std::uint64_t start =
             peers_.originMs
             + static_cast<std::uint64_t>(
                   static_cast<double>(epoch - 1) * peers_.periodMs);
         if (!sleepUntil(start))
             break;
-        if (tracer_) {
-            // Wall mode owns its period traces (lockstep harnesses
-            // drive the tracer themselves). One trace per epoch,
-            // stitchable across processes by {epoch, traceId}.
-            tracer_->noteSimTime(static_cast<double>(simNow_));
-            tracer_->beginPeriod(epoch);
-            tracer_->periodStr("role", roleName());
-            tracer_->periodNum("epoch", static_cast<double>(epoch));
-            tracer_->periodNum("traceId",
-                               static_cast<double>(epoch & 0xFFFF));
-        }
+        // Wall mode owns its period traces (lockstep harnesses drive
+        // the tracer themselves).
+        obs_.beginPeriod(epoch, static_cast<double>(simNow_),
+                         roleName());
         if (role_ < rackCount_)
             runRackPeriod(epoch);
         else if (room_)
@@ -308,10 +297,6 @@ WorkerRuntime::runPeriods(std::size_t max_periods)
         else
             runAggregatorPeriod(epoch);
         finishPeriod(epoch);
-        if (tracer_)
-            tracer_->endPeriod();
-        if (http_.listening())
-            http_.poll();
         ++done;
     }
     return done;
@@ -322,243 +307,41 @@ WorkerRuntime::finishPeriod(std::uint32_t epoch)
 {
     lastEpoch_ = epoch;
     ++stats_.periodsRun;
-    mPeriods_.inc();
-    hopSpans_ = 0;
+    obs_.publishStats();
+    obs_.endPeriod();
 }
 
 // ===================================================================
 // Observability plane
 // ===================================================================
 
-double
-WorkerRuntime::hopClockMs() const
-{
-    return ownedTransport_ ? unixRealMs() : transport_->nowMs();
-}
-
 net::FrameMeta
 WorkerRuntime::stampMeta(std::uint16_t sender, std::uint32_t epoch)
 {
     net::FrameMeta meta(sender, epoch, seq_++);
     meta.wireVersion = wireVersion_;
-    if (obs_) {
-        net::TraceContext ctx;
-        ctx.traceId = static_cast<std::uint16_t>(epoch & 0xFFFF);
-        ctx.originTier =
-            room_ ? std::uint8_t{0xFF}
-                  : static_cast<std::uint8_t>(plan_.workers[role_].tier);
-        ctx.sendMs = hopClockMs();
-        meta.trace = ctx;
-    }
+    obs_.stamp(meta, traceTier());
     return meta;
-}
-
-void
-WorkerRuntime::recordHop(const net::Frame &frame)
-{
-    if (!obs_ || !frame.trace)
-        return;
-    const net::TraceContext &ctx = *frame.trace;
-    const double latency = std::max(0.0, hopClockMs() - ctx.sendMs);
-    const std::pair<std::uint8_t, std::uint8_t> key{
-        static_cast<std::uint8_t>(frame.type), ctx.originTier};
-    auto hist = hopHist_.find(key);
-    if (hist == hopHist_.end() && registry_) {
-        hist =
-            hopHist_
-                .emplace(
-                    key,
-                    registry_->histogram(
-                        "capmaestro_hop_latency_ms", 0.0, 100.0, 64,
-                        {{"role", roleName()},
-                         {"kind", hopKindName(frame.type)},
-                         {"from_tier", tierLabel(ctx.originTier)},
-                         {"to_tier",
-                          tierLabel(room_
-                                        ? std::uint8_t{0xFF}
-                                        : static_cast<std::uint8_t>(
-                                              plan_.workers[role_]
-                                                  .tier))},
-                         {"process", "rt"}},
-                        "Per-hop frame latency from the sender's "
-                        "trace stamp to receipt"))
-                .first;
-    }
-    if (hist != hopHist_.end())
-        hist->second.observe(latency);
-    if (tracer_ && tracer_->inPeriod()
-        && hopSpans_ < kMaxHopSpansPerPeriod) {
-        ++hopSpans_;
-        const auto span = tracer_->begin("hop");
-        tracer_->str(span, "kind", hopKindName(frame.type));
-        tracer_->str(span, "from_tier", tierLabel(ctx.originTier));
-        tracer_->num(span, "latencyMs", latency);
-        tracer_->num(span, "traceId",
-                     static_cast<double>(ctx.traceId));
-        tracer_->end(span);
-    }
-}
-
-void
-WorkerRuntime::auditDowns(
-    std::uint32_t epoch,
-    const std::vector<AggregatorRole::DownMsg> &downs)
-{
-    if (!obs_ || !agg_)
-        return;
-    std::map<std::size_t, Watts> committed;
-    for (const AggregatorRole::DownMsg &down : downs)
-        committed[down.msg.tree] += down.msg.budget;
-    const auto &reserved = agg_->reservedFloors();
-    for (const auto &[tree, top] : agg_->stations()) {
-        (void)top;
-        Watts granted = 0.0;
-        if (agg_->isRoot()) {
-            granted = agg_->rootBudgets()[tree];
-        } else {
-            const auto sub = agg_->receivedBudget(tree);
-            if (!sub)
-                continue; // no grant arrived: nothing was split
-            granted = *sub;
-        }
-        const Watts floor =
-            tree < reserved.size() ? reserved[tree] : 0.0;
-        const std::string subject =
-            scenario_.system->tree(tree).name() + "@" + roleName();
-        if (!auditor_.audit(epoch, subject, granted, committed[tree],
-                            floor)) {
-            events_.record(static_cast<Seconds>(epoch),
-                           core::EventKind::SafetyViolation, subject,
-                           committed[tree] + floor - granted);
-        }
-    }
-}
-
-void
-WorkerRuntime::reportStationHealth(std::uint32_t epoch)
-{
-    if (!obs_ || !agg_)
-        return;
-    // Worst station state per child worker: a child is only as healthy
-    // as its most degraded station.
-    std::map<std::uint32_t, telemetry::UnitHealth> worst;
-    for (const auto &[key, health] : agg_->stationHealth()) {
-        const auto owner = agg_->childStations().find(key);
-        if (owner == agg_->childStations().end())
-            continue;
-        telemetry::UnitHealth uh = telemetry::UnitHealth::Live;
-        if (health == AggregatorRole::StationHealth::Stale)
-            uh = telemetry::UnitHealth::Stale;
-        else if (health == AggregatorRole::StationHealth::Lost)
-            uh = telemetry::UnitHealth::Lost;
-        auto [it, inserted] = worst.emplace(owner->second, uh);
-        if (!inserted && static_cast<std::uint8_t>(uh)
-                             > static_cast<std::uint8_t>(it->second))
-            it->second = uh;
-    }
-    for (const auto &[child, uh] : worst)
-        fleetHealth_.report("w" + std::to_string(child), uh, epoch);
 }
 
 std::uint16_t
 WorkerRuntime::serveHttp(std::uint16_t port)
 {
-    http_.handle("/metrics", [this] {
-        net::HttpResponse resp;
-        resp.contentType = "text/plain; version=0.0.4; charset=utf-8";
-        resp.body = registry_ ? registry_->renderPrometheus() : "";
-        return resp;
-    });
-    http_.handle("/healthz", [this] {
-        net::HttpResponse resp;
-        resp.contentType = "application/json";
-        resp.body = util::serializeJson(healthJson(), 0) + "\n";
-        return resp;
-    });
-    http_.handle("/tracez", [this] {
-        net::HttpResponse resp;
-        resp.contentType = "application/json";
-        resp.body =
-            (tracer_
-                 ? util::serializeJson(
-                       tracer_->lastJson(kTracezPeriods), 0)
-                 : std::string("[]"))
-            + "\n";
-        return resp;
-    });
-    if (!http_.listen(port))
-        return 0;
-    return http_.port();
+    return obs_.serveHttp(port, [this] { return healthJson(); });
 }
 
 util::Json
 WorkerRuntime::healthJson() const
 {
-    util::Json::Object obj;
-    obj.emplace("ok", util::Json(auditor_.violations() == 0));
-    obj.emplace("role", util::Json(roleName()));
-    obj.emplace("tier",
+    util::Json::Object out =
+        obs_.health(membership_, lastEpoch_, room_ || agg_,
+                    static_cast<std::uint16_t>(role_));
+    out.emplace("role", util::Json(roleName()));
+    out.emplace("tier",
                 util::Json(room_ ? -1.0
                                  : static_cast<double>(
                                        plan_.workers[role_].tier)));
-    obj.emplace("lastEpoch",
-                util::Json(static_cast<double>(lastEpoch_)));
-    obj.emplace("periods",
-                util::Json(static_cast<double>(stats_.periodsRun)));
-    util::Json::Object st;
-    st.emplace("budgetsApplied",
-               util::Json(static_cast<double>(stats_.budgetsApplied)));
-    st.emplace("defaultBudgets",
-               util::Json(static_cast<double>(stats_.defaultBudgets)));
-    st.emplace("staleReuses",
-               util::Json(static_cast<double>(stats_.staleReuses)));
-    st.emplace("metricsLost",
-               util::Json(static_cast<double>(stats_.metricsLost)));
-    st.emplace("failovers",
-               util::Json(static_cast<double>(stats_.failovers)));
-    st.emplace("rehomed",
-               util::Json(static_cast<double>(stats_.rehomed)));
-    st.emplace("orphanFrames",
-               util::Json(static_cast<double>(stats_.orphanFrames)));
-    st.emplace("corruptFrames",
-               util::Json(static_cast<double>(stats_.corruptFrames)));
-    st.emplace("retries",
-               util::Json(static_cast<double>(stats_.retries)));
-    st.emplace(
-        "summariesSent",
-        util::Json(static_cast<double>(stats_.summariesSent)));
-    st.emplace(
-        "subBudgetsApplied",
-        util::Json(static_cast<double>(stats_.subBudgetsApplied)));
-    obj.emplace("stats", util::Json(std::move(st)));
-    obj.emplace("generation",
-                util::Json(static_cast<double>(
-                    membership_.generation())));
-    util::Json::Object mem;
-    mem.emplace("generation",
-                util::Json(static_cast<double>(
-                    membership_.generation())));
-    mem.emplace("self",
-                util::Json(std::string(membership::unitStateName(
-                    membership_.state(
-                        static_cast<std::uint16_t>(role_))))));
-    mem.emplace("joining",
-                util::Json(static_cast<double>(membership_.countOf(
-                    membership::UnitState::Joining))));
-    mem.emplace("draining",
-                util::Json(static_cast<double>(membership_.countOf(
-                    membership::UnitState::Draining))));
-    mem.emplace("left",
-                util::Json(static_cast<double>(membership_.countOf(
-                    membership::UnitState::Left))));
-    mem.emplace("shadowPeriods",
-                util::Json(static_cast<double>(stats_.shadowPeriods)));
-    obj.emplace("membership", util::Json(std::move(mem)));
-    if (room_ || agg_) {
-        obj.emplace("fleet", fleetHealth_.toJson());
-        obj.emplace("safety", auditor_.toJson());
-    }
-    return util::Json(std::move(obj));
+    return util::Json(std::move(out));
 }
 
 // ===================================================================
@@ -598,7 +381,6 @@ WorkerRuntime::buildUpstreamFrames(std::uint32_t epoch)
     up.push_back(
         net::encodeCheckpoint(stampMeta(me, epoch), lastCheckpoint_));
     ++stats_.checkpointsSent;
-    mCheckpoints_.inc();
     return up;
 }
 
@@ -640,7 +422,6 @@ WorkerRuntime::processDownFrame(
                    scenario_.service.protocol.heartbeatFailAfter)) {
             rehomeAckEpoch_ = epoch;
             ++stats_.rehomesDeclined;
-            mRehomesDeclined_.inc();
             events_.record(static_cast<Seconds>(epoch),
                            core::EventKind::RehomeDeclined,
                            "worker" + std::to_string(role_),
@@ -716,7 +497,6 @@ WorkerRuntime::replayCheckpoint(const net::CheckpointMsg &msg,
     rehomeAckEpoch_ = epoch;
     replayedThisPeriod_ = true;
     ++stats_.rehomesApplied;
-    mRehomesApplied_.inc();
     events_.record(static_cast<Seconds>(epoch),
                    core::EventKind::CheckpointReplayed,
                    "worker" + std::to_string(role_),
@@ -744,7 +524,6 @@ WorkerRuntime::finishRackPeriod(
         rack_->applyBudget(tree, node, fallback);
         lastEdgeBudgets_[{tree, node}] = fallback;
         ++stats_.defaultBudgets;
-        mDefaultBudgets_.inc();
         events_.record(static_cast<Seconds>(epoch),
                        core::EventKind::DefaultBudgetApplied,
                        system.tree(tree).name() + "."
@@ -780,10 +559,8 @@ WorkerRuntime::finishRackPeriod(
         }
         if (shadow) {
             ++stats_.shadowPeriods;
-            mShadowPeriods_.inc();
         } else {
             ++stats_.clampedPeriods;
-            mClampedPeriods_.inc();
         }
     }
 
@@ -841,7 +618,7 @@ WorkerRuntime::runRackPeriod(std::uint32_t epoch)
                 ++stats_.corruptFrames;
                 continue;
             }
-            recordHop(*frame);
+            obs_.recordHop(*frame, traceTier());
             processDownFrame(*frame, epoch, applied);
         }
         if (applied.size() == myEdges_.size())
@@ -884,7 +661,7 @@ WorkerRuntime::stepDownstream(std::uint32_t epoch)
                 ++stats_.corruptFrames;
                 continue;
             }
-            recordHop(*frame);
+            obs_.recordHop(*frame, traceTier());
             rehomed |= processDownFrame(*frame, epoch, applied);
         }
         // A Rehome ends the period: the room withholds budgets from a
@@ -966,7 +743,6 @@ WorkerRuntime::beginRehoming(std::size_t rack, std::uint32_t epoch)
     // must ack a Rehome sent this round.
     h.lastAckEpoch = 0;
     ++stats_.restartsDetected;
-    mRestartsDetected_.inc();
     events_.record(static_cast<Seconds>(epoch),
                    core::EventKind::WorkerRestartDetected,
                    "worker" + std::to_string(rack),
@@ -1029,7 +805,7 @@ WorkerRuntime::roomGather(std::uint32_t epoch, bool paced)
                 ++stats_.orphanFrames;
                 continue;
             }
-            recordHop(*frame);
+            obs_.recordHop(*frame, traceTier());
             if (frame->sender < rackCount_)
                 noteRackFrame(frame->sender, frame->seq, epoch);
             if (frame->type == net::MsgType::Metrics) {
@@ -1086,7 +862,6 @@ WorkerRuntime::roomLiveness(std::uint32_t epoch)
             } else if (++h.missed >= proto.heartbeatFailAfter) {
                 h.state = RackState::Dead;
                 ++stats_.failovers;
-                mFailovers_.inc();
                 events_.record(static_cast<Seconds>(epoch),
                                core::EventKind::WorkerFailover,
                                "worker" + std::to_string(r), -1.0);
@@ -1104,7 +879,6 @@ WorkerRuntime::roomLiveness(std::uint32_t epoch)
                 h.missed = 0;
                 h.rehomeEpoch = 0;
                 ++stats_.rehomed;
-                mRehomed_.inc();
                 events_.record(static_cast<Seconds>(epoch),
                                core::EventKind::WorkerRehomed,
                                "worker" + std::to_string(r),
@@ -1113,7 +887,6 @@ WorkerRuntime::roomLiveness(std::uint32_t epoch)
                 if (++h.missed >= proto.heartbeatFailAfter) {
                     h.state = RackState::Dead;
                     ++stats_.failovers;
-                    mFailovers_.inc();
                     events_.record(static_cast<Seconds>(epoch),
                                    core::EventKind::WorkerFailover,
                                    "worker" + std::to_string(r), -1.0);
@@ -1123,35 +896,21 @@ WorkerRuntime::roomLiveness(std::uint32_t epoch)
             }
             break;
         }
-    }
-    mDeadRacks_.set(static_cast<double>(deadOrRehomingCount()));
-
-    // ---- fleet rollup: the liveness ladder as operational health.
-    // A Live rack that went unheard this period is riding the stale
-    // cache — visibly degraded even before the failover threshold.
-    if (obs_) {
-        for (std::size_t r = 0; r < rackCount_; ++r) {
-            const auto ms =
-                membership_.state(static_cast<std::uint16_t>(r));
-            if (ms == membership::UnitState::Joining
-                || ms == membership::UnitState::Left)
-                continue; // not a liveness subject; see above
-            telemetry::UnitHealth uh = telemetry::UnitHealth::Live;
-            switch (rackHealth_[r].state) {
-            case RackState::Live:
-                uh = heard_.count(r) ? telemetry::UnitHealth::Live
-                                     : telemetry::UnitHealth::Stale;
-                break;
-            case RackState::Dead:
-                uh = telemetry::UnitHealth::Lost;
-                break;
-            case RackState::Rehoming:
-                uh = telemetry::UnitHealth::Rehoming;
-                break;
-            }
-            fleetHealth_.report("rack" + std::to_string(r), uh, epoch);
+        // ---- fleet rollup: the liveness ladder as operational health.
+        // A Live rack that went unheard this period is riding the stale
+        // cache — visibly degraded even before the failover threshold.
+        if (obs_.on()) {
+            using telemetry::UnitHealth;
+            const UnitHealth uh =
+                h.state == RackState::Dead       ? UnitHealth::Lost
+                : h.state == RackState::Rehoming ? UnitHealth::Rehoming
+                : heard                          ? UnitHealth::Live
+                                                 : UnitHealth::Stale;
+            obs_.fleetHealth().report("rack" + std::to_string(r), uh,
+                                      epoch);
         }
     }
+    gauges_.deadRacks.set(static_cast<double>(deadOrRehomingCount()));
 }
 
 void
@@ -1274,18 +1033,11 @@ WorkerRuntime::roomComputeAndSend(std::uint32_t epoch, bool paced)
     // enforces this by construction; the auditor re-checks the
     // committed numbers so a bookkeeping regression surfaces as a
     // counter, not a breaker overdraw.
-    if (obs_) {
+    if (obs_.on()) {
         for (std::size_t t = 0; t < system.trees().size(); ++t) {
-            const std::string subject = system.tree(t).name() + "@room";
-            if (!auditor_.audit(epoch, subject,
-                                scenario_.rootBudgets[t], committed[t],
-                                reserved[t])) {
-                events_.record(static_cast<Seconds>(epoch),
-                               core::EventKind::SafetyViolation,
-                               subject,
-                               committed[t] + reserved[t]
-                                   - scenario_.rootBudgets[t]);
-            }
+            obs_.audit(epoch, system.tree(t).name() + "@room",
+                       scenario_.rootBudgets[t], committed[t],
+                       reserved[t]);
         }
     }
 
@@ -1309,7 +1061,6 @@ WorkerRuntime::roomComputeAndSend(std::uint32_t epoch, bool paced)
         if (h.rehomeEpoch == 0)
             h.rehomeEpoch = epoch;
         ++stats_.rehomesSent;
-        mRehomesSent_.inc();
     }
 
     // ---- membership snapshots ride the same down window, single-shot
@@ -1354,13 +1105,16 @@ WorkerRuntime::stepRoom(std::uint32_t epoch)
 {
     if (pacing_ != Pacing::Lockstep || !isRoom())
         util::fatal("rt: stepRoom() needs the lockstep room runtime");
+    telemetry::PeriodTracer *tracer = obs_.tracer();
+    const auto span = tracer ? tracer->begin("rt.room")
+                             : telemetry::PeriodTracer::kNoSpan;
+    if (tracer)
+        tracer->num(span, "epoch", static_cast<double>(epoch));
     if (agg_) {
         // Deep root: one step covers both halves — by the lockstep
         // driving order every aggregator below has already stepped up,
         // and will step down after.
         net::Transport &tp = *transport_;
-        const auto span = tracer_ ? tracer_->begin("rt.room")
-                                  : telemetry::PeriodTracer::kNoSpan;
         agg_->beginEpoch(epoch);
         const double start = tp.nowMs();
         for (;;) {
@@ -1372,41 +1126,34 @@ WorkerRuntime::stepRoom(std::uint32_t epoch)
             tp.advanceBy(kPollSliceMs);
         }
         agg_->closeGather(stats_, events_);
-        reportStationHealth(epoch);
+        obs_.reportChildren(*agg_, epoch);
         membershipTick(epoch);
         for (const auto &[child, frame] :
              encodeDownFrames(epoch, agg_->computeDown(stats_))) {
             tp.send(role_, child, frame);
         }
         broadcastMembership(epoch);
-        if (tracer_) {
-            tracer_->num(span, "epoch", static_cast<double>(epoch));
-            tracer_->end(span);
+    } else {
+        roomGather(epoch, /*paced=*/false);
+        roomLiveness(epoch);
+        membershipTick(epoch);
+        roomComputeAndSend(epoch, /*paced=*/false);
+        if (tracer) {
+            tracer->num(span, "freshEdges",
+                        static_cast<double>(fresh_.size()));
+            tracer->num(span, "degradedRacks",
+                        static_cast<double>(deadOrRehomingCount()));
+            std::string states;
+            for (const RackHealth &h : rackHealth_) {
+                states += h.state == RackState::Live
+                              ? 'L'
+                              : (h.state == RackState::Dead ? 'D' : 'R');
+            }
+            tracer->str(span, "rackStates", std::move(states));
         }
-        finishPeriod(epoch);
-        return;
     }
-    const auto span = tracer_ ? tracer_->begin("rt.room")
-                              : telemetry::PeriodTracer::kNoSpan;
-    roomGather(epoch, /*paced=*/false);
-    roomLiveness(epoch);
-    membershipTick(epoch);
-    roomComputeAndSend(epoch, /*paced=*/false);
-    if (tracer_) {
-        tracer_->num(span, "epoch", static_cast<double>(epoch));
-        tracer_->num(span, "freshEdges",
-                     static_cast<double>(fresh_.size()));
-        tracer_->num(span, "degradedRacks",
-                     static_cast<double>(deadOrRehomingCount()));
-        std::string states;
-        for (const RackHealth &h : rackHealth_) {
-            states += h.state == RackState::Live
-                          ? 'L'
-                          : (h.state == RackState::Dead ? 'D' : 'R');
-        }
-        tracer_->str(span, "rackStates", std::move(states));
-        tracer_->end(span);
-    }
+    if (tracer)
+        tracer->end(span);
     finishPeriod(epoch);
 }
 
@@ -1427,7 +1174,7 @@ WorkerRuntime::aggDrainOnce(bool down_phase)
             ++stats_.corruptFrames;
             continue;
         }
-        recordHop(*frame);
+        obs_.recordHop(*frame, traceTier());
         // Membership frames never reach the aggregator state machine:
         // the replica plane is epoch-free and root-addressed.
         if (frame->type == net::MsgType::MembershipDelta) {
@@ -1470,7 +1217,8 @@ WorkerRuntime::encodeDownFrames(
     const std::uint16_t sender =
         isRoom() ? net::kRoomSender
                  : static_cast<std::uint16_t>(role_);
-    auditDowns(epoch, downs);
+    if (obs_.on())
+        obs_.auditSplit(epoch, *scenario_.system, roleName(), *agg_, downs);
     std::vector<
         std::pair<net::Transport::Endpoint, std::vector<std::uint8_t>>>
         out;
@@ -1516,7 +1264,7 @@ WorkerRuntime::runAggregatorPeriod(std::uint32_t epoch)
         tp.advanceBy(std::min(remaining, kPollSliceMs));
     }
     const auto summaries = agg_->closeGather(stats_, events_);
-    reportStationHealth(epoch);
+    obs_.reportChildren(*agg_, epoch);
     if (isRoom())
         membershipTick(epoch);
 
@@ -1603,7 +1351,7 @@ WorkerRuntime::stepAggregatorUp(std::uint32_t epoch)
     for (const auto &frame :
          encodeUpFrames(epoch, agg_->closeGather(stats_, events_)))
         tp.send(role_, parentEp_, frame);
-    reportStationHealth(epoch);
+    obs_.reportChildren(*agg_, epoch);
 }
 
 void
@@ -1768,7 +1516,6 @@ WorkerRuntime::broadcastMembership(std::uint32_t epoch)
             net::encodeMembershipDelta(
                 stampMeta(net::kRoomSender, epoch), delta));
         ++stats_.membershipDeltasSent;
-        mMembershipDeltas_.inc();
     }
 }
 
@@ -1801,7 +1548,6 @@ WorkerRuntime::membershipTick(std::uint32_t epoch)
         if (!membership_.commit(ep))
             continue;
         ++stats_.membershipCommits;
-        mMembershipCommits_.inc();
         events_.record(static_cast<Seconds>(epoch),
                        core::EventKind::MembershipCommitted,
                        "worker" + std::to_string(ep),
@@ -1814,8 +1560,8 @@ WorkerRuntime::membershipTick(std::uint32_t epoch)
                 rackHealth_[ep] = RackHealth{};
         }
     }
-    mMembershipGen_.set(static_cast<double>(membership_.generation()));
-    mMembershipPending_.set(static_cast<double>(
+    gauges_.membershipGen.set(static_cast<double>(membership_.generation()));
+    gauges_.membershipPending.set(static_cast<double>(
         membership_.countOf(membership::UnitState::Joining)
         + membership_.countOf(membership::UnitState::Draining)));
 
@@ -1829,7 +1575,7 @@ WorkerRuntime::membershipTick(std::uint32_t epoch)
                 && !membershipFloorReleased(ep)))
             ++shadowed;
     }
-    auditor_.noteShadowUnits(shadowed);
+    obs_.auditor().noteShadowUnits(shadowed);
 }
 
 void
@@ -1876,7 +1622,6 @@ WorkerRuntime::sendMembershipAck(std::uint32_t epoch)
         static_cast<net::Transport::Endpoint>(plan_.rootEndpoint()),
         net::encodeMembershipAck(stampMeta(me, epoch), ack));
     ++stats_.membershipAcksSent;
-    mMembershipAcks_.inc();
 }
 
 void
@@ -1921,87 +1666,23 @@ void
 WorkerRuntime::setTelemetry(telemetry::Registry *registry,
                             telemetry::PeriodTracer *tracer)
 {
-    registry_ = registry;
-    tracer_ = tracer;
-    obs_ = registry_ != nullptr || tracer_ != nullptr;
-    transport_->setTelemetry(registry);
-    if (!registry_) {
-        hopHist_.clear();
-        mPeriods_ = {};
-        mCheckpoints_ = {};
-        mRehomesSent_ = {};
-        mRehomesApplied_ = {};
-        mRehomesDeclined_ = {};
-        mClampedPeriods_ = {};
-        mFailovers_ = {};
-        mRestartsDetected_ = {};
-        mRehomed_ = {};
-        mDefaultBudgets_ = {};
-        mDeadRacks_ = {};
-        mMembershipDeltas_ = {};
-        mMembershipAcks_ = {};
-        mMembershipCommits_ = {};
-        mShadowPeriods_ = {};
-        mMembershipGen_ = {};
-        mMembershipPending_ = {};
-        return;
-    }
     const telemetry::Labels ls{
         {"role", roleName()},
         {"tier", std::to_string(plan_.workers[role_].tier)}};
-    if (room_ || agg_) {
-        fleetHealth_.setTelemetry(registry_, ls);
-        auditor_.setTelemetry(registry_, ls);
-    }
-    mPeriods_ = registry_->counter(
-        "capmaestro_rt_periods_total", ls,
-        "Control periods completed by this worker");
-    mCheckpoints_ = registry_->counter(
-        "capmaestro_rt_checkpoints_sent_total", ls,
-        "Plant-state checkpoints sent upstream");
-    mRehomesSent_ = registry_->counter(
-        "capmaestro_rt_rehomes_sent_total", ls,
-        "Rehome frames sent to re-homing racks");
-    mRehomesApplied_ = registry_->counter(
-        "capmaestro_rt_rehomes_applied_total", ls,
-        "Rehome checkpoints replayed into the local plant");
-    mRehomesDeclined_ = registry_->counter(
-        "capmaestro_rt_rehomes_declined_total", ls,
-        "Rehome frames declined (local state already intact)");
-    mClampedPeriods_ = registry_->counter(
-        "capmaestro_rt_clamped_periods_total", ls,
-        "Periods ridden on the Pcap_min clamp after a replay");
-    mFailovers_ = registry_->counter(
-        "capmaestro_rt_failovers_total", ls,
-        "Rack workers declared dead by heartbeat silence");
-    mRestartsDetected_ = registry_->counter(
-        "capmaestro_rt_restarts_detected_total", ls,
-        "Dead or reincarnated rack instances detected");
-    mRehomed_ = registry_->counter(
-        "capmaestro_rt_rehomed_total", ls,
-        "Racks promoted back to Live after a checkpoint ack");
-    mDefaultBudgets_ = registry_->counter(
-        "capmaestro_rt_default_budgets_total", ls,
-        "Edges that fell back to the Pcap_min default budget");
-    mDeadRacks_ = registry_->gauge(
+    obs_.attach(registry, tracer, *transport_, ownedTransport_ != nullptr,
+                ls, room_ || agg_);
+    for (const CounterSpec &spec : kCounters)
+        obs_.mirrorCounter(spec.field, spec.name, spec.help);
+    gauges_ = {};
+    if (!registry)
+        return;
+    gauges_.deadRacks = registry->gauge(
         "capmaestro_rt_degraded_racks", ls,
         "Racks currently Dead or Rehoming (room view)");
-    mMembershipDeltas_ = registry_->counter(
-        "capmaestro_membership_deltas_sent_total", ls,
-        "Membership snapshots broadcast by the root");
-    mMembershipAcks_ = registry_->counter(
-        "capmaestro_membership_acks_sent_total", ls,
-        "Membership generations acked back to the root");
-    mMembershipCommits_ = registry_->counter(
-        "capmaestro_membership_commits_total", ls,
-        "Two-phase membership transitions committed (root view)");
-    mShadowPeriods_ = registry_->counter(
-        "capmaestro_membership_shadow_periods_total", ls,
-        "Periods ridden on the Pcap_min clamp while Joining/Draining");
-    mMembershipGen_ = registry_->gauge(
+    gauges_.membershipGen = registry->gauge(
         "capmaestro_membership_generation", ls,
         "Current membership table generation");
-    mMembershipPending_ = registry_->gauge(
+    gauges_.membershipPending = registry->gauge(
         "capmaestro_membership_pending_units", ls,
         "Units with an uncommitted transition (Joining or Draining)");
 }

@@ -86,6 +86,10 @@
  *
  * Every degraded decision lands in the runtime's EventLog with the
  * epoch as its timestamp, mirroring ClosedLoopSim's audit trail.
+ * Observability is the shared rt::Observability (rt/observe.hh), the
+ * same plane a WorkerHost owns; the runtime adds only its
+ * capmaestro_rt_* and membership series, the 2-level room's per-rack
+ * health and audit, and the rt.room span.
  */
 
 #ifndef CAPMAESTRO_RT_WORKER_RUNTIME_HH
@@ -110,15 +114,12 @@
 #include "device/server.hh"
 #include "device/workload.hh"
 #include "membership/table.hh"
-#include "net/http_endpoint.hh"
 #include "net/udp_transport.hh"
 #include "net/wire.hh"
 #include "rt/aggregator.hh"
+#include "rt/observe.hh"
 #include "rt/plant.hh"
 #include "rt/stats.hh"
-#include "telemetry/health.hh"
-#include "telemetry/registry.hh"
-#include "telemetry/trace.hh"
 #include "util/json.hh"
 
 namespace capmaestro::rt {
@@ -342,13 +343,15 @@ class WorkerRuntime
     }
 
     /**
-     * Attach a metrics registry and (optionally) a period tracer.
-     * Counters are labeled {role=rackN|aggN|room, tier=K}; the
-     * transport is instrumented too. nullptr detaches. With telemetry
-     * attached, outgoing frames carry the v5 trace context and
-     * incoming stamped frames feed per-hop latency histograms — both
-     * purely observational (see net/wire.hh: allocations stay
-     * bit-identical either way).
+     * Attach a metrics registry and (optionally) a period tracer;
+     * nullptr detaches. Everything is labeled {role=rackN|aggN|room,
+     * tier=K}: the shared plane's series (hop latency, transport, and
+     * on aggregating roles fleet health and the safety auditor; see
+     * rt/observe.hh) and this runtime's capmaestro_rt_* and membership
+     * counters. With telemetry attached, outgoing frames carry the v5
+     * trace context and incoming stamped frames feed per-hop latency
+     * histograms — both purely observational (see net/wire.hh:
+     * allocations stay bit-identical either way).
      */
     void setTelemetry(telemetry::Registry *registry,
                       telemetry::PeriodTracer *tracer = nullptr);
@@ -362,7 +365,7 @@ class WorkerRuntime
     std::uint16_t serveHttp(std::uint16_t port);
 
     /** Bound scrape port (0 when serveHttp() was never called). */
-    std::uint16_t httpPort() const { return http_.port(); }
+    std::uint16_t httpPort() const { return obs_.httpPort(); }
 
     /** The /healthz document (valid any time). */
     util::Json healthJson() const;
@@ -370,13 +373,13 @@ class WorkerRuntime
     /** Room view: per-rack health rollup (empty on non-room roles). */
     const telemetry::FleetHealthRegistry &fleetHealth() const
     {
-        return fleetHealth_;
+        return obs_.fleetHealth();
     }
 
     /** Online budget-conservation auditor (room and aggregators). */
     const telemetry::SafetyAuditor &safetyAuditor() const
     {
-        return auditor_;
+        return obs_.auditor();
     }
 
     /**
@@ -428,28 +431,18 @@ class WorkerRuntime
     void computeNominalFloors();
 
     std::uint32_t epochAt(std::uint64_t unix_ms) const;
-    std::uint64_t unixNowMs() const;
     /** Sleep until @p unix_ms, checking stop_; false when stopped. */
     bool sleepUntil(std::uint64_t unix_ms);
 
-    // ---- observability plane (all no-ops until setTelemetry())
-    /** Clock the trace context's send timestamp uses: unix realtime
-     *  over UDP (cross-process), the shared transport clock otherwise
-     *  — either way, sender and receiver of a hop agree. */
-    double hopClockMs() const;
     /** Frame header for one send; stamps the trace context when
      *  telemetry is attached. Consumes seq_ identically either way. */
     net::FrameMeta stampMeta(std::uint16_t sender, std::uint32_t epoch);
-    /** Feed one received frame's trace context (when stamped) into the
-     *  per-hop latency histogram and, inside an open period, a span. */
-    void recordHop(const net::Frame &frame);
-    /** Online §4.5 audit of a deep fragment's split (room/aggregator):
-     *  committed + reserved floors must not exceed the grant. */
-    void auditDowns(std::uint32_t epoch,
-                    const std::vector<AggregatorRole::DownMsg> &downs);
-    /** Roll this period's gather outcomes into the health registry
-     *  (deep roles: worst station state per child worker). */
-    void reportStationHealth(std::uint32_t epoch);
+    /** This worker's tier in trace contexts and hop labels. */
+    std::uint8_t traceTier() const
+    {
+        return room_ ? Observability::kRoomTier
+                     : static_cast<std::uint8_t>(plan_.workers[role_].tier);
+    }
 
     void runRackPeriod(std::uint32_t epoch);
     void runRoomPeriod(std::uint32_t epoch);
@@ -597,38 +590,16 @@ class WorkerRuntime
         fresh_;
     std::string stateDir_;
 
-    // -------- telemetry (null-safe no-op handles when detached)
-    telemetry::Registry *registry_ = nullptr;
-    telemetry::PeriodTracer *tracer_ = nullptr;
-    /** Telemetry attached: stamp trace contexts, record hops, audit. */
-    bool obs_ = false;
-    net::HttpEndpoint http_;
-    telemetry::FleetHealthRegistry fleetHealth_;
-    telemetry::SafetyAuditor auditor_;
-    /** (msg type, origin tier) -> hop latency histogram, registered
-     *  lazily on the first stamped frame of that shape. */
-    std::map<std::pair<std::uint8_t, std::uint8_t>,
-             telemetry::HistogramMetric>
-        hopHist_;
-    /** Hop spans recorded in the current period (bounded). */
-    std::size_t hopSpans_ = 0;
-    telemetry::Counter mPeriods_;
-    telemetry::Counter mCheckpoints_;
-    telemetry::Counter mRehomesSent_;
-    telemetry::Counter mRehomesApplied_;
-    telemetry::Counter mRehomesDeclined_;
-    telemetry::Counter mClampedPeriods_;
-    telemetry::Counter mFailovers_;
-    telemetry::Counter mRestartsDetected_;
-    telemetry::Counter mRehomed_;
-    telemetry::Counter mDefaultBudgets_;
-    telemetry::Gauge mDeadRacks_;
-    telemetry::Counter mMembershipDeltas_;
-    telemetry::Counter mMembershipAcks_;
-    telemetry::Counter mMembershipCommits_;
-    telemetry::Counter mShadowPeriods_;
-    telemetry::Gauge mMembershipGen_;
-    telemetry::Gauge mMembershipPending_;
+    // -------- observability (inert until setTelemetry())
+    Observability obs_{stats_, events_};
+    /** Gauges beyond the RuntimeStats counter mirrors (null-safe
+     *  no-op handles while detached). */
+    struct Gauges
+    {
+        telemetry::Gauge deadRacks;
+        telemetry::Gauge membershipGen;
+        telemetry::Gauge membershipPending;
+    } gauges_;
 };
 
 } // namespace capmaestro::rt

@@ -58,6 +58,11 @@ void
 FleetHealthRegistry::setTelemetry(Registry *registry,
                                   const Labels &labels)
 {
+    liveGauge_ = {};
+    staleGauge_ = {};
+    lostGauge_ = {};
+    rehomingGauge_ = {};
+    degradedGauge_ = {};
     if (!registry)
         return;
     auto labeled = [&labels](const char *state) {
@@ -133,6 +138,8 @@ FleetHealthRegistry::toJson() const
 void
 SafetyAuditor::setTelemetry(Registry *registry, const Labels &labels)
 {
+    auditsCounter_ = {};
+    violationsCounter_ = {};
     if (!registry)
         return;
     auditsCounter_ = registry->counter(

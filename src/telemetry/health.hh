@@ -92,8 +92,8 @@ class FleetHealthRegistry
     /**
      * Publish the rollup as gauges on @p registry with @p labels:
      * capmaestro_fleet_units{state=...} per state and
-     * capmaestro_fleet_degraded_fraction. Call once; report() keeps
-     * the gauges current afterwards.
+     * capmaestro_fleet_degraded_fraction; report() keeps the gauges
+     * current afterwards. A null @p registry drops the handles.
      */
     void setTelemetry(Registry *registry, const Labels &labels);
 
@@ -126,7 +126,8 @@ class SafetyAuditor
 
     /**
      * Register counters capmaestro_safety_audits_total and
-     * capmaestro_safety_violations_total on @p registry.
+     * capmaestro_safety_violations_total on @p registry (null drops
+     * the handles).
      */
     void setTelemetry(Registry *registry, const Labels &labels);
 

@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests for the live observability plane (PR 8): the poll-driven HTTP
- * scrape endpoint, the fleet health rollup and online safety auditor,
+ * Tests for the live observability plane: the poll-driven HTTP scrape
+ * endpoint, the fleet health rollup and online safety auditor,
  * telemetry export from a deep-plan WorkerHost (hop latency
- * histograms + stitched period traces), and the acceptance invariant
- * that attaching the whole plane — wire-v5 trace contexts included —
- * changes not a single bit of any leaf budget on a lossless plane.
+ * histograms + stitched period traces) and from lockstep
+ * WorkerRuntimes, the shared plane's schema and detach contract on
+ * both runtimes, and the acceptance invariant that attaching the
+ * whole plane — wire-v5 trace contexts included — changes not a
+ * single bit of any leaf budget on a lossless plane.
  *
  * Set CAPMAESTRO_NO_NET=1 to skip the socket-bound tests (the HTTP
  * endpoint and the UDP host run); the sim-transport tests always run.
@@ -16,6 +18,8 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -31,6 +35,7 @@
 #include "net/http_endpoint.hh"
 #include "net/transport.hh"
 #include "rt/host.hh"
+#include "rt/worker_runtime.hh"
 #include "telemetry/health.hh"
 #include "telemetry/registry.hh"
 #include "telemetry/trace.hh"
@@ -285,6 +290,15 @@ TEST(FleetHealth, RollupCountsStatesAndDegradedFraction)
         }
     }
     EXPECT_TRUE(saw_live);
+
+    // A null registry drops the gauges: later reports leave it alone.
+    fleet.setTelemetry(nullptr, {});
+    fleet.report("rack0", telemetry::UnitHealth::Lost, 4);
+    EXPECT_DOUBLE_EQ(
+        registry.gauge("capmaestro_fleet_degraded_fraction",
+                       {{"role", "room"}})
+            .value(),
+        0.5);
 }
 
 // ------------------------------------------------- safety auditor
@@ -321,6 +335,16 @@ TEST(SafetyAuditor, FlagsOverdrawAndKeepsTheWorstSubject)
             counted = series.value;
     }
     EXPECT_DOUBLE_EQ(counted, 2.0);
+
+    // A null registry drops the counters: later audits leave it alone.
+    auditor.setTelemetry(nullptr, {});
+    EXPECT_FALSE(auditor.audit(5, "X@room", 1000.0, 1100.0, 0.0));
+    EXPECT_EQ(auditor.violations(), 3u);
+    EXPECT_DOUBLE_EQ(registry
+                         .counter("capmaestro_safety_violations_total",
+                                  {{"role", "room"}})
+                         .value(),
+                     2.0);
 }
 
 // ------------------------------- host-mode telemetry export (UDP)
@@ -439,6 +463,12 @@ TEST(HostObservability, DeepPlanExportsHopsTracesAndHealth)
     EXPECT_NE(prom.find("capmaestro_hop_latency_ms_bucket"),
               std::string::npos);
     EXPECT_NE(prom.find("le=\"+Inf\""), std::string::npos);
+    // The host's own sockets are instrumented too, with the series a
+    // one-role daemon exports (udp_smoke.sh greps the delivered one).
+    EXPECT_NE(prom.find("\ncapmaestro_transport_frames_sent_total "),
+              std::string::npos);
+    EXPECT_NE(prom.find("\ncapmaestro_transport_frames_delivered_total "),
+              std::string::npos);
 }
 
 // ------------------------- bit-identity acceptance (sim, lossless)
@@ -492,4 +522,329 @@ TEST(HostObservability, TelemetryIsBitInvisibleOnALosslessPlane)
     }
     EXPECT_EQ(dark.stats().budgetsApplied, lit.stats().budgetsApplied);
     EXPECT_EQ(dark.stats().defaultBudgets, lit.stats().defaultBudgets);
+}
+
+// -------------------- the shared plane on both runtimes (sim, lossless)
+
+namespace {
+
+constexpr const char *kSimTransport =
+    R"({"backend":"sim","gatherDeadlineMs":40,
+        "budgetDeadlineMs":40,"retryTimeoutMs":10})";
+
+/** Peer table for the depth-3 scenario's plan at @p agg_levels. */
+config::WorkerPeers
+lockstepPeers(std::vector<std::uint32_t> agg_levels)
+{
+    config::WorkerPeers peers;
+    peers.aggLevels = std::move(agg_levels);
+    const std::uint32_t workers = peers.aggLevels.empty() ? 5 : 7;
+    for (std::uint32_t e = 0; e < workers; ++e)
+        peers.peers[e] = net::UdpPeer{"127.0.0.1", 0};
+    return peers;
+}
+
+} // namespace
+
+// The rigs live outside the anonymous namespace so the typed tests are
+// named SharedObservability.<test><HostRig|RuntimeRig>.
+
+/**
+ * One lockstep WorkerRuntime per endpoint of the depth-3 scenario's
+ * plan, sharing one lossless SimTransport and driven in tier order:
+ * leaves up, aggregators up (ascending), root, aggregators down
+ * (descending), leaves down. With a tracer attached, the rig opens
+ * and closes one trace period per epoch, as a lockstep harness does.
+ */
+class LockstepFleet
+{
+  public:
+    explicit LockstepFleet(std::vector<std::uint32_t> agg_levels = {1})
+    {
+        const config::WorkerPeers peers = lockstepPeers(agg_levels);
+        for (std::uint32_t e = 0; e < peers.peers.size(); ++e) {
+            runtimes_.push_back(std::make_unique<rt::WorkerRuntime>(
+                loadDepth3(kSimTransport), peers, e, /*seed=*/7, net_,
+                rt::Pacing::Lockstep));
+        }
+    }
+
+    void setTelemetry(telemetry::Registry *registry,
+                      telemetry::PeriodTracer *tracer)
+    {
+        tracer_ = tracer;
+        for (auto &runtime : runtimes_)
+            runtime->setTelemetry(registry, tracer);
+    }
+
+    void run(std::size_t periods)
+    {
+        const std::size_t leaves = runtimes_.front()->rackCount();
+        rt::WorkerRuntime &root = *runtimes_.back();
+        for (std::size_t i = 0; i < periods; ++i) {
+            const std::uint32_t epoch = ++epoch_;
+            if (tracer_)
+                tracer_->beginPeriod(epoch);
+            for (std::size_t e = 0; e < leaves; ++e)
+                runtimes_[e]->stepUpstream(epoch);
+            for (std::size_t e = leaves; e + 1 < runtimes_.size(); ++e)
+                runtimes_[e]->stepAggregatorUp(epoch);
+            root.stepRoom(epoch);
+            for (std::size_t e = runtimes_.size() - 1; e-- > leaves;)
+                runtimes_[e]->stepAggregatorDown(epoch);
+            for (std::size_t e = 0; e < leaves; ++e)
+                runtimes_[e]->stepDownstream(epoch);
+            if (tracer_)
+                tracer_->endPeriod();
+        }
+    }
+
+    const std::vector<std::unique_ptr<rt::WorkerRuntime>> &runtimes() const
+    {
+        return runtimes_;
+    }
+
+    /** Every leaf's applied budgets, merged. */
+    std::map<std::pair<std::size_t, topo::NodeId>, Watts>
+    edgeBudgets() const
+    {
+        std::map<std::pair<std::size_t, topo::NodeId>, Watts> all;
+        for (const auto &runtime : runtimes_) {
+            for (const auto &[edge, budget] : runtime->lastEdgeBudgets())
+                all.emplace(edge, budget);
+        }
+        return all;
+    }
+
+  private:
+    net::SimTransport net_;
+    std::vector<std::unique_ptr<rt::WorkerRuntime>> runtimes_;
+    telemetry::PeriodTracer *tracer_ = nullptr;
+    std::uint32_t epoch_ = 0;
+};
+
+/** The depth-3 plan as one WorkerHost over a lossless SimTransport. */
+struct HostRig
+{
+    net::SimTransport net;
+    rt::WorkerHost host{loadDepth3(kSimTransport), depth3Peers(),
+                        /*process=*/0, /*seed=*/7, net};
+
+    void setTelemetry(telemetry::Registry *registry,
+                      telemetry::PeriodTracer *tracer)
+    {
+        host.setTelemetry(registry, tracer);
+    }
+    void run(std::size_t periods) { host.runPeriods(periods); }
+    /** (document, aggregating owner) per /healthz endpoint. */
+    std::vector<std::pair<util::Json, bool>> health() const
+    {
+        return {{host.healthJson(), true}};
+    }
+};
+
+/** The depth-3 plan as lockstep WorkerRuntimes, one per endpoint. */
+struct RuntimeRig
+{
+    LockstepFleet fleet;
+
+    void setTelemetry(telemetry::Registry *registry,
+                      telemetry::PeriodTracer *tracer)
+    {
+        fleet.setTelemetry(registry, tracer);
+    }
+    void run(std::size_t periods) { fleet.run(periods); }
+    std::vector<std::pair<util::Json, bool>> health() const
+    {
+        std::vector<std::pair<util::Json, bool>> docs;
+        for (const auto &runtime : fleet.runtimes()) {
+            docs.emplace_back(runtime->healthJson(),
+                              runtime->isRoom()
+                                  || runtime->isAggregator());
+        }
+        return docs;
+    }
+};
+
+namespace {
+
+/** Every series' value (histograms: sample count), keyed by name and
+ *  labels. */
+std::map<std::string, double>
+seriesValues(const telemetry::Registry &registry)
+{
+    std::map<std::string, double> out;
+    for (const auto &series : registry.snapshot()) {
+        std::string key = series.name;
+        for (const auto &[name, value] : series.labels)
+            key += "," + name + "=" + value;
+        out[key] = series.histogram
+                       ? static_cast<double>(series.histogram->count)
+                       : series.value;
+    }
+    return out;
+}
+
+template <typename Rig>
+class SharedObservability : public ::testing::Test
+{
+};
+
+using Rigs = ::testing::Types<HostRig, RuntimeRig>;
+TYPED_TEST_SUITE(SharedObservability, Rigs);
+
+} // namespace
+
+// Both runtimes build /healthz from the one plane: the same `stats`
+// block (every RuntimeStats field, under its camelCase name), the same
+// membership block, and fleet + safety on every aggregating owner.
+TYPED_TEST(SharedObservability, HealthzCarriesOneSchema)
+{
+    TypeParam rig;
+    telemetry::Registry registry;
+    rig.setTelemetry(&registry, nullptr);
+    rig.run(3);
+
+    std::set<std::string> fields;
+    for (const rt::StatField &field : rt::kStatFields)
+        fields.insert(field.name);
+    ASSERT_EQ(fields.size(), std::size(rt::kStatFields));
+    EXPECT_TRUE(fields.count("coHostedFrames"));
+    EXPECT_TRUE(fields.count("retries"));
+
+    for (const auto &[doc, aggregating] : rig.health()) {
+        EXPECT_TRUE(doc.at("ok").asBool());
+        EXPECT_DOUBLE_EQ(doc.numberOr("lastEpoch", -1.0), 3.0);
+        EXPECT_DOUBLE_EQ(doc.numberOr("periods", -1.0), 3.0);
+        std::set<std::string> keys;
+        for (const auto &[key, value] : doc.at("stats").asObject())
+            keys.insert(key);
+        EXPECT_EQ(keys, fields);
+        const util::Json &members = doc.at("membership");
+        for (const char *key :
+             {"generation", "joining", "draining", "left",
+              "shadowPeriods"})
+            EXPECT_NE(members.find(key), nullptr) << key;
+        EXPECT_EQ(doc.find("fleet") != nullptr, aggregating);
+        EXPECT_EQ(doc.find("safety") != nullptr, aggregating);
+    }
+}
+
+// Detaching must drop every handle into the registry: afterwards the
+// registry no longer moves, and destroying it is safe while the
+// runtime keeps running (a use-after-free under ASan otherwise).
+TYPED_TEST(SharedObservability, DetachDropsEveryRegistryHandle)
+{
+    TypeParam rig;
+    auto registry = std::make_unique<telemetry::Registry>();
+    telemetry::PeriodTracer tracer;
+    rig.setTelemetry(registry.get(), &tracer);
+    rig.run(2);
+    const auto attached = seriesValues(*registry);
+    double moved = 0.0;
+    for (const auto &[key, value] : attached)
+        moved += value;
+    EXPECT_GT(moved, 0.0);
+
+    rig.setTelemetry(nullptr, nullptr);
+    rig.run(3);
+    EXPECT_EQ(seriesValues(*registry), attached);
+
+    registry.reset();
+    rig.run(3);
+    for (const auto &[doc, aggregating] : rig.health())
+        EXPECT_DOUBLE_EQ(doc.numberOr("periods", -1.0), 8.0);
+}
+
+// Lockstep WorkerRuntimes export through the same plane as the host:
+// hop histograms labeled {role, tier, kind, from_tier, to_tier}, hop
+// spans, clean audits on every aggregating role, and /healthz — all
+// without moving a budget bit against a dark fleet, in the 2-level
+// and the depth-3 plan.
+TEST(RuntimeObservability, LockstepRuntimesExportHopsHealthAndAudits)
+{
+    for (const std::vector<std::uint32_t> &levels :
+         {std::vector<std::uint32_t>{}, std::vector<std::uint32_t>{1}}) {
+        SCOPED_TRACE(levels.empty() ? "2-level" : "depth-3");
+        LockstepFleet dark(levels);
+        LockstepFleet lit(levels);
+        telemetry::Registry registry;
+        telemetry::PeriodTracer tracer;
+        lit.setTelemetry(&registry, &tracer);
+        dark.run(5);
+        lit.run(5);
+
+        std::set<std::string> kinds;
+        for (const auto &series : registry.snapshot()) {
+            if (series.name != "capmaestro_hop_latency_ms")
+                continue;
+            ASSERT_TRUE(series.histogram);
+            EXPECT_GT(series.histogram->count, 0u);
+            for (const char *label :
+                 {"role", "tier", "kind", "from_tier", "to_tier"})
+                EXPECT_FALSE(labelValue(series.labels, label).empty())
+                    << label;
+            EXPECT_TRUE(labelValue(series.labels, "process").empty());
+            kinds.insert(labelValue(series.labels, "kind"));
+        }
+        EXPECT_TRUE(kinds.count("metrics"));
+        EXPECT_TRUE(kinds.count("budget"));
+        EXPECT_EQ(kinds.count("summary"), levels.empty() ? 0u : 1u);
+        EXPECT_EQ(kinds.count("sub_budget"), levels.empty() ? 0u : 1u);
+
+        bool saw_hop = false;
+        const util::Json last = tracer.lastJson(1);
+        ASSERT_EQ(last.asArray().size(), 1u);
+        for (const util::Json &span :
+             last.asArray().back().at("spans").asArray()) {
+            if (span.stringOr("name", "") != "hop")
+                continue;
+            saw_hop = true;
+            const util::Json &attrs = span.at("attrs");
+            for (const char *key : {"kind", "from_tier", "to_tier"})
+                EXPECT_FALSE(attrs.stringOr(key, "").empty()) << key;
+            for (const char *key : {"from", "latencyMs", "traceId"})
+                EXPECT_GE(attrs.numberOr(key, -1.0), 0.0) << key;
+        }
+        EXPECT_TRUE(saw_hop);
+
+        std::size_t aggregating = 0;
+        for (const auto &runtime : lit.runtimes()) {
+            const util::Json health = runtime->healthJson();
+            EXPECT_TRUE(health.at("ok").asBool());
+            EXPECT_NE(health.find("stats"), nullptr);
+            EXPECT_FALSE(
+                health.at("membership").stringOr("self", "").empty());
+            if (!runtime->isRoom() && !runtime->isAggregator()) {
+                EXPECT_EQ(health.find("fleet"), nullptr);
+                continue;
+            }
+            ++aggregating;
+            ASSERT_NE(health.find("fleet"), nullptr);
+            ASSERT_NE(health.find("safety"), nullptr);
+            EXPECT_GT(runtime->safetyAuditor().audits(), 0u);
+            EXPECT_EQ(runtime->safetyAuditor().violations(), 0u);
+            EXPECT_GT(runtime->fleetHealth().unitCount(), 0u);
+            EXPECT_DOUBLE_EQ(runtime->fleetHealth().degradedFraction(),
+                             0.0);
+        }
+        EXPECT_EQ(aggregating, levels.empty() ? 1u : 3u);
+
+        const auto a = dark.edgeBudgets();
+        const auto b = lit.edgeBudgets();
+        ASSERT_EQ(a.size(), b.size());
+        ASSERT_FALSE(a.empty());
+        for (const auto &[edge, budget] : a) {
+            const auto found = b.find(edge);
+            ASSERT_NE(found, b.end());
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(budget),
+                      std::bit_cast<std::uint64_t>(found->second))
+                << "tree " << edge.first << " node " << edge.second;
+        }
+        for (std::size_t e = 0; e < lit.runtimes().size(); ++e) {
+            EXPECT_EQ(lit.runtimes()[e]->stats().defaultBudgets, 0u);
+            EXPECT_EQ(dark.runtimes()[e]->stats().budgetsApplied,
+                      lit.runtimes()[e]->stats().budgetsApplied);
+        }
+    }
 }
