@@ -5,9 +5,53 @@
 # parsing paths that handle untrusted bytes.
 #
 # Usage: scripts/check.sh [--tier1-only]
+#        scripts/check.sh --perf <baseline-records-dir>
+#
+# --perf skips the test tiers and compares performance instead: it runs
+# every workload of BENCHMARK.json for 3 seeds (the benchmark's own
+# run_seconds, tracing off), copies the records of those runs into
+# .bench_build/perf-<git sha>/, and exits with the verdict of
+# `perfbench/run.py --report <baseline> <new>`: nonzero when a workload
+# has an incorrect run, a spread or a median drift beyond its bound.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if [[ "${1:-}" == "--perf" ]]; then
+    baseline="${2:-}"
+    if [[ -z "$baseline" || ! -d "$baseline" ]]; then
+        echo "usage: scripts/check.sh --perf <baseline-records-dir>" >&2
+        exit 2
+    fi
+    read -r seconds workloads < <(python3 -c '
+import json
+spec = json.load(open("BENCHMARK.json"))
+print(spec["run_seconds"], " ".join(w["name"] for w in spec["workloads"]))')
+    sha="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+    if [[ -n "$(git status --porcelain -- src 2>/dev/null)" ]]; then
+        sha="$sha-dirty"
+    fi
+    out=".bench_build/perf-$sha"
+    mkdir -p .bench_build/results
+    rm -rf "$out"
+    mkdir -p "$out"
+    # Records written after this marker are the ones this run made.
+    marker="$(mktemp -p .bench_build)"
+    trap 'rm -f "$marker"' EXIT
+    echo "== perf: $workloads x seeds 1 2 3, ${seconds} s each =="
+    for workload in $workloads; do
+        for seed in 1 2 3; do
+            python3 perfbench/run.py --workload "$workload" --seed "$seed" \
+                --seconds "$seconds" --trace 0 | tail -n 1
+        done
+    done
+    find .bench_build/results -name '*.json' -newer "$marker" \
+        -exec cp {} "$out/" \;
+    echo "== perf: $baseline vs $out =="
+    rc=0
+    python3 perfbench/run.py --report "$baseline" "$out" || rc=$?
+    exit "$rc"
+fi
 
 echo "== tier 1: full build + test suite =="
 # The tier-1 build is rebuilt from clean, one job per CPU, so every

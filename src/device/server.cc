@@ -44,6 +44,11 @@ ServerModel::ServerModel(ServerSpec spec)
       states_(spec_.supplies.size(), SupplyState::Ok)
 {
     validateSpec();
+    const double ratio =
+        (spec_.capMin - spec_.idle) / (spec_.capMax - spec_.idle);
+    minPerformance_ = std::pow(ratio, 1.0 / spec_.gamma);
+    minPerformancePow_ = std::pow(minPerformance_, spec_.gamma);
+    refreshPower();
 }
 
 void
@@ -88,6 +93,7 @@ void
 ServerModel::setUtilization(Fraction u)
 {
     utilization_ = util::clamp(u, 0.0, 1.0);
+    refreshPower();
     updateStandby();
 }
 
@@ -95,6 +101,7 @@ void
 ServerModel::setEnforcedCapAc(Watts cap)
 {
     enforcedCapAc_ = cap;
+    refreshPower();
     updateStandby();
 }
 
@@ -104,32 +111,17 @@ ServerModel::demandAcAt(Fraction u) const
     return fanPower(spec_.idle, spec_.capMax, u);
 }
 
-Fraction
-ServerModel::minPerformance() const
+void
+ServerModel::refreshPower()
 {
-    const double ratio =
-        (spec_.capMin - spec_.idle) / (spec_.capMax - spec_.idle);
-    return std::pow(ratio, 1.0 / spec_.gamma);
-}
-
-Watts
-ServerModel::floorAc() const
-{
-    const Watts demand = demandAc();
-    const double phi_min = minPerformance();
-    return spec_.idle + (demand - spec_.idle) * std::pow(phi_min,
-                                                         spec_.gamma);
-}
-
-Watts
-ServerModel::actualAc() const
-{
+    demandAc_ = demandAcAt(utilization_);
+    floorAc_ = spec_.idle + (demandAc_ - spec_.idle) * minPerformancePow_;
     if (workingSupplies() == 0)
-        return 0.0; // dark: no supply can deliver power
-    const Watts demand = demandAc();
-    if (enforcedCapAc_ == kNoCap || enforcedCapAc_ >= demand)
-        return demand;
-    return util::clamp(enforcedCapAc_, floorAc(), demand);
+        actualAc_ = 0.0; // dark: no supply can deliver power
+    else if (enforcedCapAc_ == kNoCap || enforcedCapAc_ >= demandAc_)
+        actualAc_ = demandAc_;
+    else
+        actualAc_ = util::clamp(enforcedCapAc_, floorAc_, demandAc_);
 }
 
 Watts
@@ -170,6 +162,7 @@ ServerModel::setSupplyState(std::size_t s, SupplyState state)
         util::panic("server %s: bad supply index %zu", spec_.name.c_str(),
                     s);
     states_[s] = state;
+    refreshPower();
     std::size_t ok = 0;
     for (auto st : states_)
         ok += (st == SupplyState::Ok) ? 1 : 0;
@@ -260,6 +253,8 @@ ServerModel::updateStandby()
                 st = SupplyState::Ok;
         }
     }
+    // A wake can bring a dark server (no Ok supply) back to life.
+    refreshPower();
 }
 
 } // namespace capmaestro::dev

@@ -131,7 +131,7 @@ class ServerModel
     static constexpr Watts kNoCap = -1.0;
 
     /** Uncapped AC power demand at the current utilization. */
-    Watts demandAc() const { return demandAcAt(utilization_); }
+    Watts demandAc() const { return demandAc_; }
 
     /** Uncapped AC power demand at utilization @p u (Fan et al. curve). */
     Watts demandAcAt(Fraction u) const;
@@ -140,10 +140,10 @@ class ServerModel
      * Lowest AC power reachable by throttling at the current utilization
      * (full throttle applied to the present workload).
      */
-    Watts floorAc() const;
+    Watts floorAc() const { return floorAc_; }
 
     /** Actual total AC power drawn right now (demand clipped by the cap). */
-    Watts actualAc() const;
+    Watts actualAc() const { return actualAc_; }
 
     /** Actual DC power drawn (actualAc x blended efficiency). */
     Watts actualDc() const;
@@ -188,7 +188,7 @@ class ServerModel
     Fraction blendedEfficiency() const;
 
     /** Throttle fraction floor: performance at the capMin operating point. */
-    Fraction minPerformance() const;
+    Fraction minPerformance() const { return minPerformance_; }
 
   private:
     ServerSpec spec_;
@@ -196,7 +196,19 @@ class ServerModel
     Watts enforcedCapAc_ = kNoCap;
     std::vector<SupplyState> states_;
 
+    // Derived power, cached: the plant reads it many times per change.
+    // Every mutation of utilization_, enforcedCapAc_ or states_ must be
+    // followed by refreshPower(), so the getters stay plain loads.
+    Fraction minPerformance_ = 1.0;
+    /** minPerformance_^gamma: the demand fraction left at full throttle. */
+    double minPerformancePow_ = 1.0;
+    Watts demandAc_ = 0.0;
+    Watts floorAc_ = 0.0;
+    Watts actualAc_ = 0.0;
+
     void validateSpec() const;
+    /** Recompute demandAc_, floorAc_ and actualAc_ from the state. */
+    void refreshPower();
     /** Re-evaluate hot-spare standby entry/exit from the current load. */
     void updateStandby();
 };

@@ -1,5 +1,6 @@
 #include "sim/closed_loop.hh"
 
+#include <algorithm>
 #include <string>
 
 #include "util/logging.hh"
@@ -33,13 +34,30 @@ ClosedLoopSim::ClosedLoopSim(std::unique_ptr<topo::PowerSystem> system,
         plants_.push_back(std::move(plant));
     }
 
+    // One flat slot per server supply for the per-tick AC samples.
+    supplyBase_.reserve(plants_.size());
+    std::size_t supplies = 0;
+    for (const auto &plant : plants_) {
+        supplyBase_.push_back(supplies);
+        supplies += plant.server->supplyCount();
+    }
+    supplyAc_.assign(supplies, 0.0);
+    budgetSeries_.resize(plants_.size());
+
     // Arm a trip integrator on every rated non-leaf node.
     for (std::size_t t = 0; t < system_->trees().size(); ++t) {
-        system_->tree(t).forEach([&](const topo::TopoNode &n) {
-            if (n.kind != topo::NodeKind::SupplyPort
-                && n.rating != topo::kUnlimited) {
-                breakers_.push_back(
-                    {t, n.id, topo::TripIntegrator(n.rating)});
+        const auto &tree = system_->tree(t);
+        tree.forEach([&](const topo::TopoNode &n) {
+            if (n.kind == topo::NodeKind::SupplyPort
+                || n.rating == topo::kUnlimited)
+                return;
+            auto &bw = breakers_.emplace_back(
+                t, n.id, tree.name() + "." + n.name, n.rating);
+            for (const auto &ref : tree.suppliesUnder(n.id)) {
+                const auto id = static_cast<std::size_t>(ref.server);
+                const auto supply = static_cast<std::size_t>(ref.supply);
+                if (supply < plants_[id].server->supplyCount())
+                    bw.supplies.push_back(supplyBase_[id] + supply);
             }
         });
     }
@@ -188,47 +206,78 @@ ClosedLoopSim::supplySeries(std::size_t id, std::size_t supply,
            + what;
 }
 
+void
+ClosedLoopSim::sampleSupplyAc()
+{
+    for (std::size_t i = 0; i < plants_.size(); ++i) {
+        const auto &server = *plants_[i].server;
+        Watts *out = supplyAc_.data() + supplyBase_[i];
+        for (std::size_t s = 0; s < server.supplyCount(); ++s)
+            out[s] = server.supplyAc(s);
+    }
+}
+
 Watts
-ClosedLoopSim::nodeLoad(std::size_t tree, topo::NodeId node) const
+ClosedLoopSim::nodeLoad(const BreakerWatch &bw) const
 {
     Watts load = 0.0;
-    if (system_->feedFailed(system_->tree(tree).feed()))
+    if (system_->feedFailed(system_->tree(bw.tree).feed()))
         return 0.0;
-    for (const auto &ref : system_->tree(tree).suppliesUnder(node)) {
-        const auto &plant = plants_[static_cast<std::size_t>(ref.server)];
-        if (static_cast<std::size_t>(ref.supply)
-            < plant.server->supplyCount()) {
-            load += plant.server->supplyAc(
-                static_cast<std::size_t>(ref.supply));
+    for (const std::size_t k : bw.supplies)
+        load += supplyAc_[k];
+    return load;
+}
+
+void
+ClosedLoopSim::internStateSeries()
+{
+    serverSeries_.resize(plants_.size());
+    for (std::size_t i = 0; i < plants_.size(); ++i) {
+        auto &ids = serverSeries_[i];
+        ids.power = recorder_.intern(serverSeries(i, "power"));
+        ids.throughput = recorder_.intern(serverSeries(i, "throughput"));
+        ids.dcCap = recorder_.intern(serverSeries(i, "dcCap"));
+        ids.throttle = recorder_.intern(serverSeries(i, "throttle"));
+        for (std::size_t s = 0; s < plants_[i].server->supplyCount(); ++s) {
+            ids.supplyPower.push_back(
+                recorder_.intern(supplySeries(i, s, "power")));
         }
     }
-    return load;
+    for (auto &bw : breakers_)
+        bw.series = recorder_.intern(bw.name + ".power");
+}
+
+stats::SeriesId
+ClosedLoopSim::budgetSeries(std::size_t id, std::size_t supply)
+{
+    auto &ids = budgetSeries_[id];
+    while (ids.size() <= supply) {
+        ids.push_back(
+            recorder_.intern(supplySeries(id, ids.size(), "budget")));
+    }
+    return ids[supply];
 }
 
 void
 ClosedLoopSim::recordState()
 {
+    if (serverSeries_.empty())
+        internStateSeries();
     for (std::size_t i = 0; i < plants_.size(); ++i) {
         const auto &plant = plants_[i];
-        recorder_.record(serverSeries(i, "power"), now_,
-                         plant.server->actualAc());
-        recorder_.record(serverSeries(i, "throughput"), now_,
+        const auto &ids = serverSeries_[i];
+        recorder_.record(ids.power, now_, plant.server->actualAc());
+        recorder_.record(ids.throughput, now_,
                          plant.server->normalizedThroughput());
-        recorder_.record(serverSeries(i, "dcCap"), now_,
-                         plant.nm->appliedDcCap());
-        recorder_.record(serverSeries(i, "throttle"), now_,
+        recorder_.record(ids.dcCap, now_, plant.nm->appliedDcCap());
+        recorder_.record(ids.throttle, now_,
                          plant.server->throttleLevel());
-        for (std::size_t s = 0; s < plant.server->supplyCount(); ++s) {
-            recorder_.record(supplySeries(i, s, "power"), now_,
-                             plant.server->supplyAc(s));
-        }
+        const Watts *ac = supplyAc_.data() + supplyBase_[i];
+        for (std::size_t s = 0; s < ids.supplyPower.size(); ++s)
+            recorder_.record(ids.supplyPower[s], now_, ac[s]);
     }
-    for (auto &bw : breakers_) {
-        const auto &tree = system_->tree(bw.tree);
-        recorder_.record(tree.name() + "." + tree.node(bw.node).name
-                             + ".power",
-                         now_, nodeLoad(bw.tree, bw.node));
-    }
+    for (const auto &bw : breakers_)
+        recorder_.record(bw.series, now_, bw.load);
 }
 
 void
@@ -300,19 +349,15 @@ ClosedLoopSim::controlPeriodTick()
             events_log_.record(now_, kind, std::move(subject), d.value);
         }
         for (std::size_t i = 0; i < plants_.size(); ++i) {
-            for (std::size_t s = 0;
-                 s < alloc.servers[i].supplyBudget.size(); ++s) {
-                recorder_.record(supplySeries(i, s, "budget"), now_,
-                                 alloc.servers[i].supplyBudget[s]);
-            }
+            const auto &budgets = alloc.servers[i].supplyBudget;
+            for (std::size_t s = 0; s < budgets.size(); ++s)
+                recorder_.record(budgetSeries(i, s), now_, budgets[s]);
         }
     }
     if (manualMode_) {
         for (const auto &[id, budgets] : manualBudgets_) {
-            for (std::size_t s = 0; s < budgets.size(); ++s) {
-                recorder_.record(supplySeries(id, s, "budget"), now_,
-                                 budgets[s]);
-            }
+            for (std::size_t s = 0; s < budgets.size(); ++s)
+                recorder_.record(budgetSeries(id, s), now_, budgets[s]);
         }
     }
 }
@@ -356,12 +401,12 @@ ClosedLoopSim::tick()
                       >= service_->config().emergencyMinSpacing) {
         // Emergency fast path: any rated node above its continuous
         // limit triggers an immediate out-of-cycle period.
-        bool over_limit = false;
-        for (const auto &bw : breakers_) {
-            const auto &n = system_->tree(bw.tree).node(bw.node);
-            if (nodeLoad(bw.tree, bw.node) > n.limit())
-                over_limit = true;
-        }
+        sampleSupplyAc();
+        const bool over_limit = std::any_of(
+            breakers_.begin(), breakers_.end(), [&](const BreakerWatch &bw) {
+                return nodeLoad(bw)
+                       > system_->tree(bw.tree).node(bw.node).limit();
+            });
         if (over_limit) {
             events_log_.record(now_, core::EventKind::EmergencyPeriod,
                                "fleet");
@@ -378,12 +423,13 @@ ClosedLoopSim::tick()
     if (traffic_)
         traffic_->endTick(*this, now_);
 
-    // Breaker protection with overload-window event tracking.
+    // Breaker protection with overload-window event tracking. The
+    // samples taken here are also the ones recordState() records.
+    sampleSupplyAc();
     for (auto &bw : breakers_) {
-        const Watts load = nodeLoad(bw.tree, bw.node);
-        const std::string name =
-            system_->tree(bw.tree).name() + "."
-            + system_->tree(bw.tree).node(bw.node).name;
+        const Watts load = nodeLoad(bw);
+        bw.load = load;
+        const std::string &name = bw.name;
         const bool over = load > bw.integrator.rating();
         if (over && !bw.overloaded) {
             events_log_.record(now_, core::EventKind::BreakerOverloadBegan,

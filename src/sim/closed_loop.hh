@@ -19,8 +19,10 @@
 #define CAPMAESTRO_SIM_CLOSED_LOOP_HH
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/events.hh"
@@ -200,13 +202,41 @@ class ClosedLoopSim
         std::unique_ptr<dev::Workload> workload;
     };
 
+    static constexpr stats::SeriesId kNoSeries =
+        std::numeric_limits<stats::SeriesId>::max();
+
     /** Trip integrators for every rated interior node, per tree. */
     struct BreakerWatch
     {
+        BreakerWatch(std::size_t tree_index, topo::NodeId node_id,
+                     std::string series_name, Watts rating)
+            : tree(tree_index), node(node_id),
+              name(std::move(series_name)), integrator(rating)
+        {
+        }
+
         std::size_t tree;
         topo::NodeId node;
+        /** "<tree>.<node>", the event subject and series prefix. */
+        std::string name;
+        /** Indices into supplyAc_ of the supplies under the node, in
+         *  PowerTree::suppliesUnder order. */
+        std::vector<std::size_t> supplies;
         topo::TripIntegrator integrator;
         bool overloaded = false;
+        /** Load at the last protection pass; recordState() records it. */
+        Watts load = 0.0;
+        stats::SeriesId series = kNoSeries;
+    };
+
+    /** Per-server series handles, interned on the first recordState(). */
+    struct ServerSeries
+    {
+        stats::SeriesId power = kNoSeries;
+        stats::SeriesId throughput = kNoSeries;
+        stats::SeriesId dcCap = kNoSeries;
+        stats::SeriesId throttle = kNoSeries;
+        std::vector<stats::SeriesId> supplyPower;
     };
 
     std::unique_ptr<topo::PowerSystem> system_;
@@ -216,6 +246,14 @@ class ClosedLoopSim
     std::multimap<Seconds, std::function<void()>> events_;
     core::EventLog events_log_;
     std::vector<BreakerWatch> breakers_;
+    /** Offset of each server's first supply in supplyAc_. */
+    std::vector<std::size_t> supplyBase_;
+    /** Every supply's AC draw, sampled by sampleSupplyAc(). */
+    std::vector<Watts> supplyAc_;
+    /** Empty until the first recordState(). */
+    std::vector<ServerSeries> serverSeries_;
+    /** Per-server "budget" series handles, interned on first record. */
+    std::vector<std::vector<stats::SeriesId>> budgetSeries_;
     std::map<std::size_t, std::vector<Watts>> manualBudgets_;
     bool manualMode_ = false;
     Seconds now_ = 0;
@@ -229,7 +267,13 @@ class ClosedLoopSim
     void tick();
     void controlPeriodTick();
     void recordState();
-    Watts nodeLoad(std::size_t tree, topo::NodeId node) const;
+    void internStateSeries();
+    /** Handle of the "budget" series of one server supply. */
+    stats::SeriesId budgetSeries(std::size_t id, std::size_t supply);
+    /** Refresh supplyAc_ from the server models. */
+    void sampleSupplyAc();
+    /** Load on a breaker from the last sampleSupplyAc(). */
+    Watts nodeLoad(const BreakerWatch &bw) const;
 };
 
 } // namespace capmaestro::sim

@@ -10,27 +10,39 @@ namespace {
 const std::vector<SeriesPoint> kEmptySeries;
 } // namespace
 
+SeriesId
+TimeSeriesRecorder::intern(const std::string &name)
+{
+    const auto [it, added] =
+        ids_.try_emplace(name, static_cast<SeriesId>(points_.size()));
+    if (added)
+        points_.emplace_back();
+    return it->second;
+}
+
 void
 TimeSeriesRecorder::record(const std::string &name, Seconds time,
                            double value)
 {
-    series_[name].push_back({time, value});
+    record(intern(name), time, value);
 }
 
 const std::vector<SeriesPoint> &
 TimeSeriesRecorder::series(const std::string &name) const
 {
-    auto it = series_.find(name);
-    return it == series_.end() ? kEmptySeries : it->second;
+    auto it = ids_.find(name);
+    return it == ids_.end() ? kEmptySeries : points_[it->second];
 }
 
 std::vector<std::string>
 TimeSeriesRecorder::names() const
 {
     std::vector<std::string> out;
-    out.reserve(series_.size());
-    for (const auto &[name, pts] : series_)
-        out.push_back(name);
+    out.reserve(ids_.size());
+    for (const auto &[name, id] : ids_) {
+        if (!points_[id].empty())
+            out.push_back(name);
+    }
     return out;
 }
 
@@ -94,23 +106,31 @@ TimeSeriesRecorder::settleTime(const std::string &name, Seconds from,
 void
 TimeSeriesRecorder::printCsv(std::ostream &os) const
 {
-    // Collect the union of all timestamps.
-    std::set<Seconds> times;
-    for (const auto &[name, pts] : series_)
-        for (const auto &p : pts)
-            times.insert(p.time);
-
+    // Columns in name order, skipping series without points.
+    std::vector<const std::vector<SeriesPoint> *> columns;
+    columns.reserve(ids_.size());
     os << "time";
-    for (const auto &[name, pts] : series_)
+    for (const auto &[name, id] : ids_) {
+        if (points_[id].empty())
+            continue;
+        columns.push_back(&points_[id]);
         os << ',' << name;
+    }
     os << '\n';
 
-    // Per-series cursor walk keeps this O(total points).
-    std::map<std::string, std::size_t> cursor;
+    // Collect the union of all timestamps.
+    std::set<Seconds> times;
+    for (const auto *pts : columns)
+        for (const auto &p : *pts)
+            times.insert(p.time);
+
+    // Per-column cursor walk keeps this O(total points).
+    std::vector<std::size_t> cursor(columns.size(), 0);
     for (Seconds t : times) {
         os << t;
-        for (const auto &[name, pts] : series_) {
-            std::size_t &i = cursor[name];
+        for (std::size_t c = 0; c < columns.size(); ++c) {
+            const auto &pts = *columns[c];
+            std::size_t &i = cursor[c];
             while (i < pts.size() && pts[i].time < t)
                 ++i;
             os << ',';
@@ -125,7 +145,8 @@ TimeSeriesRecorder::printCsv(std::ostream &os) const
 void
 TimeSeriesRecorder::clear()
 {
-    series_.clear();
+    ids_.clear();
+    points_.clear();
 }
 
 } // namespace capmaestro::stats

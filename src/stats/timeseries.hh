@@ -6,6 +6,7 @@
 #ifndef CAPMAESTRO_STATS_TIMESERIES_HH
 #define CAPMAESTRO_STATS_TIMESERIES_HH
 
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <ostream>
@@ -23,15 +24,37 @@ struct SeriesPoint
     double value = 0.0;
 };
 
+/** Handle of one series in a TimeSeriesRecorder (see intern()). */
+using SeriesId = std::uint32_t;
+
 /**
  * A collection of named series sampled on a shared simulated clock.
  * Series lengths may differ (not every series is sampled every tick).
+ *
+ * Hot recording paths intern a name once and record through the
+ * handle, which skips building and looking up the name per sample.
+ * A series exists for the queries below only once it has a point: an
+ * interned but never recorded series is invisible to names(), series()
+ * and printCsv().
  */
 class TimeSeriesRecorder
 {
   public:
+    /**
+     * Handle for series @p name, creating it (empty) when new. Handles
+     * stay valid until clear().
+     */
+    SeriesId intern(const std::string &name);
+
     /** Record @p value for series @p name at simulated @p time. */
     void record(const std::string &name, Seconds time, double value);
+
+    /** Record @p value for the series behind handle @p id, which
+     *  intern() returned since the last clear(). */
+    void record(SeriesId id, Seconds time, double value)
+    {
+        points_[id].push_back({time, value});
+    }
 
     /** All points of one series (empty when the name is unknown). */
     const std::vector<SeriesPoint> &series(const std::string &name) const;
@@ -62,11 +85,14 @@ class TimeSeriesRecorder
     /** Emit CSV: time plus one column per series (blank when missing). */
     void printCsv(std::ostream &os) const;
 
-    /** Drop all series. */
+    /** Drop all series and invalidate every handle. */
     void clear();
 
   private:
-    std::map<std::string, std::vector<SeriesPoint>> series_;
+    /** Name -> handle; its sorted order is the order of names()/CSV. */
+    std::map<std::string, SeriesId> ids_;
+    /** Points per handle. */
+    std::vector<std::vector<SeriesPoint>> points_;
 };
 
 } // namespace capmaestro::stats

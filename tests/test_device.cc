@@ -3,7 +3,8 @@
  * Unit tests for the device module: the Fan et al. power curve, the
  * gamma throughput model (calibrated against the paper's measurements),
  * supply load splitting and failure, node-manager actuation dynamics,
- * sensors, and workload profiles.
+ * sensors, and workload profiles; the cached server power is checked
+ * bit for bit against closed-form reference copies.
  */
 
 #include <gtest/gtest.h>
@@ -11,11 +12,15 @@
 #include <cmath>
 #include <fstream>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "device/node_manager.hh"
 #include "device/sensor.hh"
 #include "device/server.hh"
 #include "device/workload.hh"
+#include "util/logging.hh"
+#include "util/numeric.hh"
 #include "util/random.hh"
 
 namespace cd = capmaestro::dev;
@@ -435,4 +440,340 @@ TEST(Workload, NoisyWrapsInner)
     for (capmaestro::Seconds t = 0; t < 400; ++t)
         sum += w.utilizationAt(t);
     EXPECT_NEAR(sum / 400.0, 0.5, 0.02);
+}
+
+namespace {
+
+/**
+ * Reference model: ServerModel's power arithmetic as closed forms
+ * recomputed on every read (the model caches it). Mutators mirror the
+ * model's, including the hot-spare standby transitions, so the two can
+ * be driven in lockstep and compared bit for bit.
+ */
+class ReferenceServer
+{
+  public:
+    explicit ReferenceServer(cd::ServerSpec spec)
+        : spec_(std::move(spec)),
+          states_(spec_.supplies.size(), cd::SupplyState::Ok)
+    {
+    }
+
+    void setUtilization(double u)
+    {
+        utilization_ = capmaestro::util::clamp(u, 0.0, 1.0);
+        updateStandby();
+    }
+    void setEnforcedCapAc(double cap)
+    {
+        cap_ = cap;
+        updateStandby();
+    }
+    void setSupplyState(std::size_t s, cd::SupplyState state)
+    {
+        states_[s] = state;
+    }
+
+    cd::SupplyState supplyState(std::size_t s) const { return states_[s]; }
+
+    double demandAc() const
+    {
+        return cd::fanPower(spec_.idle, spec_.capMax, utilization_);
+    }
+    double minPerformance() const
+    {
+        const double ratio =
+            (spec_.capMin - spec_.idle) / (spec_.capMax - spec_.idle);
+        return std::pow(ratio, 1.0 / spec_.gamma);
+    }
+    double floorAc() const
+    {
+        const double demand = demandAc();
+        return spec_.idle + (demand - spec_.idle)
+                                * std::pow(minPerformance(), spec_.gamma);
+    }
+    std::size_t workingSupplies() const
+    {
+        std::size_t ok = 0;
+        for (auto st : states_)
+            ok += (st == cd::SupplyState::Ok) ? 1 : 0;
+        return ok;
+    }
+    double actualAc() const
+    {
+        if (workingSupplies() == 0)
+            return 0.0;
+        const double demand = demandAc();
+        if (cap_ == cd::ServerModel::kNoCap || cap_ >= demand)
+            return demand;
+        return capmaestro::util::clamp(cap_, floorAc(), demand);
+    }
+    double effectiveShare(std::size_t s) const
+    {
+        if (states_[s] != cd::SupplyState::Ok)
+            return 0.0;
+        double ok_sum = 0.0;
+        for (std::size_t i = 0; i < states_.size(); ++i) {
+            if (states_[i] == cd::SupplyState::Ok)
+                ok_sum += spec_.supplies[i].loadShare;
+        }
+        if (ok_sum <= 0.0)
+            return 0.0;
+        return spec_.supplies[s].loadShare / ok_sum;
+    }
+    double supplyAc(std::size_t s) const
+    {
+        return actualAc() * effectiveShare(s);
+    }
+    double blendedEfficiency() const
+    {
+        double eff = 0.0, total = 0.0;
+        for (std::size_t i = 0; i < states_.size(); ++i) {
+            const double share = effectiveShare(i);
+            if (share <= 0.0)
+                continue;
+            eff += share * spec_.supplies[i].efficiencyAtLoad(supplyAc(i));
+            total += share;
+        }
+        if (total <= 0.0)
+            return spec_.supplies.front().efficiency;
+        return eff / total;
+    }
+    double actualDc() const { return actualAc() * blendedEfficiency(); }
+    double performance() const
+    {
+        if (workingSupplies() == 0)
+            return 0.0;
+        const double demand = demandAc();
+        const double actual = actualAc();
+        if (actual >= demand - 1e-9)
+            return 1.0;
+        const double span = demand - spec_.idle;
+        if (span <= 1e-9)
+            return 1.0;
+        const double ratio = capmaestro::util::clamp(
+            (actual - spec_.idle) / span, 0.0, 1.0);
+        return std::pow(ratio, 1.0 / spec_.gamma);
+    }
+
+  private:
+    cd::ServerSpec spec_;
+    double utilization_ = 0.0;
+    double cap_ = cd::ServerModel::kNoCap;
+    std::vector<cd::SupplyState> states_;
+
+    void updateStandby()
+    {
+        if (!spec_.hotSpareEnabled || states_.size() < 2)
+            return;
+        const double load = actualAc();
+        if (load < spec_.standbyThreshold) {
+            if (workingSupplies() >= 2) {
+                std::size_t victim = states_.size();
+                double min_share = 2.0;
+                for (std::size_t i = 0; i < states_.size(); ++i) {
+                    if (states_[i] == cd::SupplyState::Ok
+                        && spec_.supplies[i].loadShare < min_share) {
+                        min_share = spec_.supplies[i].loadShare;
+                        victim = i;
+                    }
+                }
+                if (victim < states_.size())
+                    states_[victim] = cd::SupplyState::Standby;
+            }
+        } else {
+            for (auto &st : states_) {
+                if (st == cd::SupplyState::Standby)
+                    st = cd::SupplyState::Ok;
+            }
+        }
+    }
+};
+
+/** Every getter of @p model equals the reference, bit for bit. */
+void
+expectSameAsReference(const cd::ServerModel &model,
+                      const ReferenceServer &ref)
+{
+    ASSERT_EQ(model.workingSupplies(), ref.workingSupplies());
+    for (std::size_t s = 0; s < model.supplyCount(); ++s) {
+        ASSERT_EQ(model.supplyState(s), ref.supplyState(s)) << "supply " << s;
+        ASSERT_EQ(model.effectiveShare(s), ref.effectiveShare(s))
+            << "supply " << s;
+        ASSERT_EQ(model.supplyAc(s), ref.supplyAc(s)) << "supply " << s;
+    }
+    ASSERT_EQ(model.demandAc(), ref.demandAc());
+    ASSERT_EQ(model.floorAc(), ref.floorAc());
+    ASSERT_EQ(model.actualAc(), ref.actualAc());
+    ASSERT_EQ(model.actualDc(), ref.actualDc());
+    ASSERT_EQ(model.blendedEfficiency(), ref.blendedEfficiency());
+    ASSERT_EQ(model.minPerformance(), ref.minPerformance());
+    ASSERT_EQ(model.performance(), ref.performance());
+    ASSERT_EQ(model.throttleLevel(), 1.0 - ref.performance());
+    ASSERT_EQ(model.normalizedThroughput(), ref.performance());
+}
+
+/** Specs covering flat and curved efficiency, 1-3 supplies, hot spare. */
+std::vector<cd::ServerSpec>
+cacheSpecs()
+{
+    std::vector<cd::ServerSpec> specs;
+    specs.push_back(testbedSpec());
+
+    cd::ServerSpec mismatch = testbedSpec();
+    mismatch.name = "mismatch";
+    mismatch.supplies = {{0.65, 0.93}, {0.35, 0.95}};
+    specs.push_back(mismatch);
+
+    cd::ServerSpec curved = testbedSpec();
+    curved.name = "curved";
+    curved.gamma = 1.9;
+    curved.supplies = {{0.47, 0.94}, {0.53, 0.94}};
+    for (auto &s : curved.supplies)
+        s.ratedPower = 400.0;
+    specs.push_back(curved);
+
+    cd::ServerSpec single = testbedSpec();
+    single.name = "single";
+    single.supplies = {{1.0, 0.92}};
+    specs.push_back(single);
+
+    cd::ServerSpec spare = testbedSpec();
+    spare.name = "spare";
+    spare.supplies = {{0.4, 0.94}, {0.3, 0.94}, {0.3, 0.91}};
+    spare.hotSpareEnabled = true;
+    spare.standbyThreshold = 330.0;
+    specs.push_back(spare);
+
+    cd::ServerSpec spare_curved = curved;
+    spare_curved.name = "spareCurved";
+    spare_curved.hotSpareEnabled = true;
+    spare_curved.standbyThreshold = 300.0;
+    specs.push_back(spare_curved);
+
+    // A zero threshold wakes standby supplies at any load, even on a
+    // dark server (load 0), which brings it back to life.
+    cd::ServerSpec spare_zero = testbedSpec();
+    spare_zero.name = "spareZero";
+    spare_zero.hotSpareEnabled = true;
+    spare_zero.standbyThreshold = 0.0;
+    specs.push_back(spare_zero);
+    return specs;
+}
+
+} // namespace
+
+TEST(ServerModel, CachedPowerMatchesClosedFormsBitForBit)
+{
+    // Seeded random setter sequences: utilization (including values
+    // clamped at both ends), caps (kNoCap, below the floor, between
+    // floor and demand, above demand), supply fail/restore/standby, and
+    // priority changes. Every getter must equal the reference after
+    // every call. Dark-server warnings are expected here; mute them.
+    const auto level = capmaestro::util::logLevel();
+    capmaestro::util::setLogLevel(capmaestro::util::LogLevel::Silent);
+    struct RestoreLevel
+    {
+        capmaestro::util::LogLevel level;
+        ~RestoreLevel() { capmaestro::util::setLogLevel(level); }
+    } restore{level};
+    for (const auto &spec : cacheSpecs()) {
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+            SCOPED_TRACE(spec.name + " seed " + std::to_string(seed));
+            cd::ServerModel model(spec);
+            ReferenceServer ref(spec);
+            ASSERT_NO_FATAL_FAILURE(expectSameAsReference(model, ref));
+            capmaestro::util::Rng rng(seed);
+            for (int step = 0; step < 400; ++step) {
+                SCOPED_TRACE("step " + std::to_string(step));
+                const double pick = rng.uniform(0.0, 1.0);
+                if (pick < 0.35) {
+                    const double u = rng.uniform(-0.1, 1.1);
+                    model.setUtilization(u);
+                    ref.setUtilization(u);
+                } else if (pick < 0.75) {
+                    const double r = rng.uniform(0.0, 1.0);
+                    double cap = cd::ServerModel::kNoCap;
+                    if (r < 0.2)
+                        cap = rng.uniform(0.0, model.floorAc());
+                    else if (r < 0.5)
+                        cap = model.floorAc();
+                    else if (r < 0.85)
+                        cap = rng.uniform(model.floorAc(),
+                                          spec.capMax * 1.1);
+                    model.setEnforcedCapAc(cap);
+                    ref.setEnforcedCapAc(cap);
+                } else if (pick < 0.95) {
+                    const auto s = static_cast<std::size_t>(rng.uniformInt(
+                        0, static_cast<std::int64_t>(spec.supplies.size())
+                               - 1));
+                    const double r = rng.uniform(0.0, 1.0);
+                    // Failures are rarer than restores so the server is
+                    // only sometimes dark.
+                    const cd::SupplyState state =
+                        r < 0.3   ? cd::SupplyState::Failed
+                        : r < 0.4 ? cd::SupplyState::Standby
+                                  : cd::SupplyState::Ok;
+                    model.setSupplyState(s, state);
+                    ref.setSupplyState(s, state);
+                } else {
+                    model.setPriority(static_cast<capmaestro::Priority>(
+                        step % 3));
+                }
+                ASSERT_NO_FATAL_FAILURE(expectSameAsReference(model, ref));
+            }
+        }
+    }
+}
+
+TEST(ServerModel, CachedPowerFollowsDarkServerAndStandby)
+{
+    // Scripted walk through the cases a random sequence may miss: all
+    // supplies failed (dark), restore, and hot-spare entry and exit
+    // driven by both utilization and cap changes.
+    cd::ServerSpec spec = testbedSpec();
+    spec.hotSpareEnabled = true;
+    spec.standbyThreshold = 300.0;
+    cd::ServerModel model(spec);
+    ReferenceServer ref(spec);
+    auto both = [&](auto &&fn) {
+        fn(model);
+        fn(ref);
+        expectSameAsReference(model, ref);
+    };
+    both([](auto &m) { m.setUtilization(0.05); }); // light: park one
+    EXPECT_EQ(model.workingSupplies(), 1u);
+    both([](auto &m) { m.setUtilization(0.9); }); // heavy: wake it
+    EXPECT_EQ(model.workingSupplies(), 2u);
+    both([&](auto &m) { m.setEnforcedCapAc(spec.idle); }); // cap: park
+    EXPECT_EQ(model.workingSupplies(), 1u);
+    both([](auto &m) { m.setEnforcedCapAc(cd::ServerModel::kNoCap); });
+    EXPECT_EQ(model.workingSupplies(), 2u);
+    both([](auto &m) { m.setSupplyState(0, cd::SupplyState::Failed); });
+    both([](auto &m) { m.setSupplyState(1, cd::SupplyState::Failed); });
+    EXPECT_EQ(model.actualAc(), 0.0);
+    EXPECT_EQ(model.performance(), 0.0);
+    both([](auto &m) { m.setUtilization(0.5); }); // dark stays dark
+    EXPECT_EQ(model.actualAc(), 0.0);
+    both([](auto &m) { m.setSupplyState(1, cd::SupplyState::Ok); });
+    EXPECT_GT(model.actualAc(), 0.0);
+    both([](auto &m) { m.setSupplyState(0, cd::SupplyState::Standby); });
+    both([](auto &m) { m.setUtilization(0.95); }); // wakes the standby
+    EXPECT_EQ(model.workingSupplies(), 2u);
+
+    // A standby wake that ends a dark spell must refresh the power.
+    spec.standbyThreshold = 0.0;
+    cd::ServerModel waking(spec);
+    ReferenceServer waking_ref(spec);
+    waking.setSupplyState(0, cd::SupplyState::Standby);
+    waking.setSupplyState(1, cd::SupplyState::Failed);
+    waking_ref.setSupplyState(0, cd::SupplyState::Standby);
+    waking_ref.setSupplyState(1, cd::SupplyState::Failed);
+    expectSameAsReference(waking, waking_ref);
+    EXPECT_EQ(waking.actualAc(), 0.0);
+    waking.setUtilization(0.6);
+    waking_ref.setUtilization(0.6);
+    expectSameAsReference(waking, waking_ref);
+    EXPECT_EQ(waking.workingSupplies(), 1u);
+    EXPECT_EQ(waking.actualAc(), waking.demandAc());
 }

@@ -215,6 +215,7 @@ TEST(TimeSeries, CsvUnionOfTimestamps)
     EXPECT_NE(s.find("time,a,b"), std::string::npos);
     // t=1 line has an empty cell for 'a'.
     EXPECT_NE(s.find("1,,5"), std::string::npos);
+    EXPECT_EQ(s, "time,a,b\n0,1,\n1,,5\n2,2,\n");
 }
 
 TEST(TimeSeries, NamesSortedAndClear)
@@ -228,4 +229,77 @@ TEST(TimeSeries, NamesSortedAndClear)
     EXPECT_EQ(names[1], "z");
     rec.clear();
     EXPECT_TRUE(rec.names().empty());
+}
+
+TEST(TimeSeries, HandleAndNameReachTheSameSeries)
+{
+    cs::TimeSeriesRecorder rec;
+    const cs::SeriesId id = rec.intern("S0.power");
+    EXPECT_EQ(rec.intern("S0.power"), id);
+    rec.record(id, 0, 10.0);
+    rec.record("S0.power", 1, 20.0);
+    rec.record(id, 2, 30.0);
+    const auto &pts = rec.series("S0.power");
+    ASSERT_EQ(pts.size(), 3u);
+    EXPECT_EQ(pts[0].value, 10.0);
+    EXPECT_EQ(pts[1].value, 20.0);
+    EXPECT_EQ(pts[2].time, 2);
+    EXPECT_DOUBLE_EQ(rec.mean("S0.power", 0, 2), 20.0);
+    EXPECT_DOUBLE_EQ(rec.max("S0.power", 0, 1), 20.0);
+    EXPECT_EQ(rec.settleTime("S0.power", 0, 30.0, 0.5), 2);
+    // A name recorded first and interned later keeps its handle.
+    rec.record("S1.power", 0, 1.0);
+    const cs::SeriesId later = rec.intern("S1.power");
+    EXPECT_NE(later, id);
+    rec.record(later, 1, 2.0);
+    EXPECT_EQ(rec.series("S1.power").size(), 2u);
+}
+
+TEST(TimeSeries, InternedButEmptySeriesStayInvisible)
+{
+    cs::TimeSeriesRecorder rec;
+    rec.intern("quiet");
+    rec.record("loud", 0, 1.0);
+    const auto names = rec.names();
+    ASSERT_EQ(names.size(), 1u);
+    EXPECT_EQ(names[0], "loud");
+    EXPECT_TRUE(rec.series("quiet").empty());
+    EXPECT_DOUBLE_EQ(rec.last("quiet", -1.0), -1.0);
+    EXPECT_DOUBLE_EQ(rec.mean("quiet", 0, 10), 0.0);
+    EXPECT_EQ(rec.settleTime("quiet", 0, 0.0, 1.0), -1);
+    std::ostringstream os;
+    rec.printCsv(os);
+    EXPECT_EQ(os.str(), "time,loud\n0,1\n");
+
+    // An interned-only recorder prints just the header.
+    cs::TimeSeriesRecorder only;
+    only.intern("quiet");
+    EXPECT_TRUE(only.names().empty());
+    std::ostringstream empty;
+    only.printCsv(empty);
+    EXPECT_EQ(empty.str(), "time\n");
+}
+
+TEST(TimeSeries, ClearResetsNamesPointsAndHandles)
+{
+    cs::TimeSeriesRecorder rec;
+    const cs::SeriesId a = rec.intern("a");
+    rec.record(a, 0, 1.0);
+    rec.record("b", 0, 2.0);
+    rec.intern("c");
+    rec.clear();
+    EXPECT_TRUE(rec.names().empty());
+    EXPECT_TRUE(rec.series("a").empty());
+    EXPECT_TRUE(rec.series("b").empty());
+    std::ostringstream os;
+    rec.printCsv(os);
+    EXPECT_EQ(os.str(), "time\n");
+    // Handles start over: the first intern after clear()
+    // reuses the first handle for a fresh, empty series.
+    const cs::SeriesId again = rec.intern("z");
+    EXPECT_EQ(again, a);
+    rec.record(again, 5, 3.0);
+    EXPECT_TRUE(rec.series("a").empty());
+    ASSERT_EQ(rec.series("z").size(), 1u);
+    EXPECT_EQ(rec.series("z")[0].time, 5);
 }
