@@ -5,7 +5,8 @@
  *
  *   1. google-benchmark microbenchmarks — metrics gathering /
  *      budgeting cost per controller vs. fan-out, full-tree
- *      allocation, message-plane iteration, closed-loop period —
+ *      allocation, message-plane iteration, closed-loop period,
+ *      and the wire codec (CRC-32, Metrics encode/decode) —
  *      each tagged with fleet / tiers / processes counters so
  *      BENCH_scalability.json entries stay comparable PR-over-PR.
  *
@@ -53,6 +54,7 @@
 #include "core/tree_plan.hh"
 #include "core/worker.hh"
 #include "device/workload.hh"
+#include "net/wire.hh"
 #include "rt/host.hh"
 #include "sim/capacity.hh"
 #include "sim/datacenter.hh"
@@ -252,6 +254,76 @@ BM_ControlPeriod(benchmark::State &state)
     tagScale(state, 4, 2, 1);
 }
 BENCHMARK(BM_ControlPeriod)->Unit(benchmark::kMicrosecond);
+
+/** CRC-32 over an n-byte buffer: the frame checksum, computed once per
+ *  encode and once per decode. */
+void
+BM_Crc32(benchmark::State &state)
+{
+    util::Rng rng(11);
+    std::vector<std::uint8_t> buffer(
+        static_cast<std::size_t>(state.range(0)));
+    for (auto &b : buffer)
+        b = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            net::crc32(buffer.data(), buffer.size()));
+    }
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+    tagScale(state, 1, 1, 1);
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(256)->Arg(4096);
+
+/** One edge controller's Metrics message with @p classes priority
+ *  classes (a leaf carries 1-2, a mid-tier summary ~10). */
+net::MetricsMsg
+makeMetricsMsg(std::size_t classes)
+{
+    util::Rng rng(13);
+    net::MetricsMsg msg;
+    msg.tree = 1;
+    msg.edgeNode = 42;
+    for (std::size_t c = 0; c < classes; ++c) {
+        const Watts lo = rng.uniform(100.0, 300.0);
+        msg.metrics.accumulate(static_cast<Priority>(c), lo, lo + 50.0,
+                               lo + 60.0);
+    }
+    msg.metrics.setConstraint(400.0 * static_cast<double>(classes));
+    return msg;
+}
+
+/** Encode one Metrics frame (header, payload, CRC, one allocation). */
+void
+BM_EncodeMetrics(benchmark::State &state)
+{
+    const auto msg =
+        makeMetricsMsg(static_cast<std::size_t>(state.range(0)));
+    const net::FrameMeta meta{7, 1000, 1};
+    std::size_t frame_bytes = 0;
+    for (auto _ : state) {
+        const auto frame = net::encodeMetrics(meta, msg);
+        frame_bytes = frame.size();
+        benchmark::DoNotOptimize(frame.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["frame_bytes"] = static_cast<double>(frame_bytes);
+    tagScale(state, 1, 1, 1);
+}
+BENCHMARK(BM_EncodeMetrics)->Arg(1)->Arg(2)->Arg(10);
+
+/** Decode (and fully validate) one Metrics frame. */
+void
+BM_DecodeMetrics(benchmark::State &state)
+{
+    const auto frame = net::encodeMetrics(
+        net::FrameMeta{7, 1000, 1},
+        makeMetricsMsg(static_cast<std::size_t>(state.range(0))));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(net::decodeFrame(frame));
+    state.counters["frame_bytes"] = static_cast<double>(frame.size());
+    tagScale(state, 1, 1, 1);
+}
+BENCHMARK(BM_DecodeMetrics)->Arg(1)->Arg(2)->Arg(10);
 
 // ---------------------------------------------------------------------
 // Multi-process deep-tree sweep.

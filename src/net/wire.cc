@@ -1,5 +1,6 @@
 #include "net/wire.hh"
 
+#include <array>
 #include <bit>
 #include <cstring>
 
@@ -13,12 +14,26 @@ namespace {
  *  limit: the paper expects ~10 priority levels per center). */
 constexpr std::size_t kMaxClasses = 1024;
 
+/** Fixed bytes of a Metrics-layout payload (tree u16 + edge node u32
+ *  + constraint f64 + count u16). */
+constexpr std::size_t kMetricsFixedBytes = 2 + 4 + 8 + 2;
+
 /** Encoded size of one ClassMetrics record (i32 + 3 x f64). */
 constexpr std::size_t kClassBytes = 4 + 3 * 8;
 
-static_assert(kMaxClasses * kClassBytes + 16 <= kMaxPayloadBytes,
+static_assert(kMaxClasses * kClassBytes + kMetricsFixedBytes
+                      + kTraceContextBytes
+                  <= kMaxPayloadBytes,
               "the largest legitimate Metrics payload must fit under "
               "the frame-size cap");
+
+/** Bytes of a Budget-layout payload (tree u16 + edge node u32 +
+ *  budget f64). */
+constexpr std::size_t kBudgetBytes = 2 + 4 + 8;
+
+/** Fixed bytes of a Checkpoint-layout payload (simNow f64 +
+ *  rehomeAckEpoch u32 + count u16). */
+constexpr std::size_t kCheckpointFixedBytes = 8 + 4 + 2;
 
 /** Fixed bytes of one checkpoint server record (before supplies). */
 constexpr std::size_t kCheckpointServerBytes = 4 + 1 + 3 * 8 + 2;
@@ -26,38 +41,49 @@ constexpr std::size_t kCheckpointServerBytes = 4 + 1 + 3 * 8 + 2;
 /** Bytes of one checkpoint supply slice (3 x f64). */
 constexpr std::size_t kCheckpointSupplyBytes = 3 * 8;
 
+/** Fixed bytes of a MembershipDelta payload (generation u32 + count
+ *  u16). */
+constexpr std::size_t kMembershipDeltaFixedBytes = 4 + 2;
+
 /** Bytes of one membership-table row (endpoint u16 + state u8 +
  *  sinceGeneration u32). */
 constexpr std::size_t kMembershipEntryBytes = 2 + 1 + 4;
 
-static_assert(kMaxMembershipEntries * kMembershipEntryBytes + 6
+static_assert(kMaxMembershipEntries * kMembershipEntryBytes
+                      + kMembershipDeltaFixedBytes + kTraceContextBytes
                   <= kMaxPayloadBytes,
               "the largest legitimate MembershipDelta payload must fit "
               "under the frame-size cap");
 
+/** Bytes of a MembershipAck payload (generation u32 + endpoint u16 +
+ *  state u8). */
+constexpr std::size_t kMembershipAckBytes = 4 + 2 + 1;
+
 // ------------------------------------------------------------- writing
 
+/** Little-endian writer over a buffer its encoder sized exactly up
+ *  front, so no write checks bounds or grows anything. */
 class Writer
 {
   public:
+    explicit Writer(std::uint8_t *out) : out_(out) {}
+
     void
     u8(std::uint8_t v)
     {
-        bytes_.push_back(v);
+        *out_++ = v;
     }
 
     void
     u16(std::uint16_t v)
     {
-        bytes_.push_back(static_cast<std::uint8_t>(v));
-        bytes_.push_back(static_cast<std::uint8_t>(v >> 8));
+        put(v, 2);
     }
 
     void
     u32(std::uint32_t v)
     {
-        for (int i = 0; i < 4; ++i)
-            bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+        put(v, 4);
     }
 
     void
@@ -69,19 +95,18 @@ class Writer
     void
     f64(double v)
     {
-        const auto raw = std::bit_cast<std::uint64_t>(v);
-        for (int i = 0; i < 8; ++i)
-            bytes_.push_back(static_cast<std::uint8_t>(raw >> (8 * i)));
-    }
-
-    std::vector<std::uint8_t> &
-    bytes()
-    {
-        return bytes_;
+        put(std::bit_cast<std::uint64_t>(v), 8);
     }
 
   private:
-    std::vector<std::uint8_t> bytes_;
+    void
+    put(std::uint64_t v, int bytes)
+    {
+        for (int i = 0; i < bytes; ++i)
+            *out_++ = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+
+    std::uint8_t *out_;
 };
 
 // ------------------------------------------------------------- reading
@@ -171,9 +196,63 @@ class Reader
     bool ok_ = true;
 };
 
+// ----------------------------------------------------------------- crc
+
+/** Reflected IEEE 802.3 CRC-32 polynomial. */
+constexpr std::uint32_t kCrcPolynomial = 0xEDB88320u;
+
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/**
+ * Slicing-by-8 tables for kCrcPolynomial. Table 0 is the classic
+ * byte-at-a-time table; table k maps a byte to its CRC contribution
+ * with k more bytes still to come, so eight lookups fold eight bytes.
+ */
+constexpr CrcTables
+makeCrcTables()
+{
+    CrcTables t{};
+    for (std::uint32_t b = 0; b < 256; ++b) {
+        std::uint32_t crc = b;
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc >> 1) ^ ((crc & 1u) != 0 ? kCrcPolynomial : 0u);
+        t[0][b] = crc;
+    }
+    for (std::size_t k = 1; k < t.size(); ++k) {
+        for (std::size_t b = 0; b < 256; ++b)
+            t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xFFu];
+    }
+    return t;
+}
+
+constexpr CrcTables kCrcTables = makeCrcTables();
+
+static_assert(kCrcTables[0][1] == 0x77073096u
+                  && kCrcTables[0][255] == 0x2D02EF8Du,
+              "CRC table 0 must be the standard IEEE table");
+
+/** Little-endian u32 from four bytes at any alignment. */
+constexpr std::uint32_t
+load32(const std::uint8_t *p)
+{
+    return static_cast<std::uint32_t>(p[0])
+           | static_cast<std::uint32_t>(p[1]) << 8
+           | static_cast<std::uint32_t>(p[2]) << 16
+           | static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+// ------------------------------------------------------------- framing
+
+/**
+ * Encode one frame into a single allocation of its exact size: the
+ * header, the optional trace context, the payload @p write_payload
+ * puts through its Writer (exactly @p payload_size bytes), then the
+ * CRC over everything before it.
+ */
+template <typename WritePayload>
 std::vector<std::uint8_t>
-seal(MsgType type, const FrameMeta &meta,
-     const std::vector<std::uint8_t> &payload)
+seal(MsgType type, const FrameMeta &meta, std::size_t payload_size,
+     const WritePayload &write_payload)
 {
     if (meta.wireVersion != kWireVersion
         && meta.wireVersion != kWireCompatVersion) {
@@ -188,29 +267,27 @@ seal(MsgType type, const FrameMeta &meta,
                     "version %u",
                     kWireVersion);
     }
-    Writer w;
+    const std::size_t ctx_size =
+        meta.trace.has_value() ? kTraceContextBytes : 0;
+    const std::size_t covered = kHeaderSize + ctx_size + payload_size;
+    std::vector<std::uint8_t> bytes(covered + kCrcSize);
+    Writer w(bytes.data());
     w.u16(kWireMagic);
     w.u8(meta.wireVersion);
     w.u8(static_cast<std::uint8_t>(type));
     w.u16(meta.sender);
     w.u32(meta.epoch);
     w.u32(meta.seq);
-    w.u16(static_cast<std::uint16_t>(payload.size()));
+    w.u16(static_cast<std::uint16_t>(payload_size));
+    w.u8(static_cast<std::uint8_t>(ctx_size));
     if (meta.trace.has_value()) {
-        w.u8(static_cast<std::uint8_t>(kTraceContextBytes));
         w.u16(meta.trace->traceId);
         w.u8(meta.trace->originTier);
         w.f64(meta.trace->sendMs);
-    } else {
-        w.u8(0);
     }
-    auto &bytes = w.bytes();
-    bytes.insert(bytes.end(), payload.begin(), payload.end());
-    const std::uint32_t crc = crc32(bytes.data(), bytes.size());
-    Writer tail;
-    tail.u32(crc);
-    bytes.insert(bytes.end(), tail.bytes().begin(), tail.bytes().end());
-    return std::move(bytes);
+    write_payload(w);
+    Writer(bytes.data() + covered).u32(crc32(bytes.data(), covered));
+    return bytes;
 }
 
 } // namespace
@@ -218,13 +295,20 @@ seal(MsgType type, const FrameMeta &meta,
 std::uint32_t
 crc32(const std::uint8_t *data, std::size_t size)
 {
-    // Reflected IEEE 802.3 polynomial, bitwise (table-free) form.
+    // Slicing-by-8: fold eight bytes per step with one lookup in each
+    // table, then finish the last size % 8 bytes one at a time.
+    const CrcTables &t = kCrcTables;
     std::uint32_t crc = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < size; ++i) {
-        crc ^= data[i];
-        for (int bit = 0; bit < 8; ++bit)
-            crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
+    for (; size >= 8; data += 8, size -= 8) {
+        const std::uint32_t lo = crc ^ load32(data);
+        const std::uint32_t hi = load32(data + 4);
+        crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu]
+              ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24]
+              ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu]
+              ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
     }
+    for (; size > 0; ++data, --size)
+        crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xFFu];
     return ~crc;
 }
 
@@ -234,29 +318,39 @@ std::vector<std::uint8_t>
 sealMetricsPayload(MsgType type, const FrameMeta &meta,
                    const MetricsMsg &msg)
 {
-    Writer p;
-    p.u16(msg.tree);
-    p.u32(msg.edgeNode);
-    p.f64(msg.metrics.constraint());
-    p.u16(static_cast<std::uint16_t>(msg.metrics.classes().size()));
-    for (const auto &c : msg.metrics.classes()) {
-        p.i32(c.priority);
-        p.f64(c.capMin);
-        p.f64(c.demand);
-        p.f64(c.request);
+    const auto &classes = msg.metrics.classes();
+    // The decoder drops a payload over kMaxClasses, and the u16 count
+    // would wrap past 65535: refuse rather than emit either frame.
+    if (classes.size() > kMaxClasses) {
+        util::fatal("wire: metrics with %zu classes exceeds the "
+                    "%zu-class bound",
+                    classes.size(), kMaxClasses);
     }
-    return seal(type, meta, p.bytes());
+    return seal(type, meta,
+                kMetricsFixedBytes + classes.size() * kClassBytes,
+                [&](Writer &p) {
+                    p.u16(msg.tree);
+                    p.u32(msg.edgeNode);
+                    p.f64(msg.metrics.constraint());
+                    p.u16(static_cast<std::uint16_t>(classes.size()));
+                    for (const auto &c : classes) {
+                        p.i32(c.priority);
+                        p.f64(c.capMin);
+                        p.f64(c.demand);
+                        p.f64(c.request);
+                    }
+                });
 }
 
 std::vector<std::uint8_t>
 sealBudgetPayload(MsgType type, const FrameMeta &meta,
                   const BudgetMsg &msg)
 {
-    Writer p;
-    p.u16(msg.tree);
-    p.u32(msg.edgeNode);
-    p.f64(msg.budget);
-    return seal(type, meta, p.bytes());
+    return seal(type, meta, kBudgetBytes, [&](Writer &p) {
+        p.u16(msg.tree);
+        p.u32(msg.edgeNode);
+        p.f64(msg.budget);
+    });
 }
 
 std::vector<std::uint8_t>
@@ -268,10 +362,7 @@ sealCheckpointPayload(MsgType type, const FrameMeta &meta,
                     "%zu-server bound",
                     msg.servers.size(), kMaxCheckpointServers);
     }
-    Writer p;
-    p.f64(msg.simNow);
-    p.u32(msg.rehomeAckEpoch);
-    p.u16(static_cast<std::uint16_t>(msg.servers.size()));
+    std::size_t payload_size = kCheckpointFixedBytes;
     for (const auto &srv : msg.servers) {
         if (srv.supplies.size() > kMaxCheckpointSupplies) {
             util::fatal("wire: checkpoint server %u with %zu supplies "
@@ -279,47 +370,39 @@ sealCheckpointPayload(MsgType type, const FrameMeta &meta,
                         srv.serverId, srv.supplies.size(),
                         kMaxCheckpointSupplies);
         }
-        p.u32(srv.serverId);
-        p.u8(static_cast<std::uint8_t>(
-            (srv.integratorPrimed ? 0x01 : 0x00)
-            | (srv.spoPinned ? 0x02 : 0x00)));
-        p.f64(srv.integratorDc);
-        p.f64(srv.demandEstimate);
-        p.f64(srv.avgThrottle);
-        p.u16(static_cast<std::uint16_t>(srv.supplies.size()));
-        for (const auto &sup : srv.supplies) {
-            p.f64(sup.lastBudget);
-            p.f64(sup.share);
-            p.f64(sup.avgAc);
-        }
+        payload_size += kCheckpointServerBytes
+                        + srv.supplies.size() * kCheckpointSupplyBytes;
     }
-    if (p.bytes().size() > kMaxPayloadBytes) {
+    // A trace context shares the frame cap with the payload.
+    const std::size_t payload_cap =
+        kMaxPayloadBytes
+        - (meta.trace.has_value() ? kTraceContextBytes : 0);
+    if (payload_size > payload_cap) {
         util::fatal("wire: checkpoint payload of %zu bytes exceeds the "
                     "%zu-byte frame cap; partition the topology into "
                     "smaller racks",
-                    p.bytes().size(), kMaxPayloadBytes);
+                    payload_size, payload_cap);
     }
-    return seal(type, meta, p.bytes());
-}
-
-std::vector<std::uint8_t>
-sealMembershipDeltaPayload(const FrameMeta &meta,
-                           const MembershipDeltaMsg &msg)
-{
-    if (msg.entries.size() > kMaxMembershipEntries) {
-        util::fatal("wire: membership delta with %zu entries exceeds "
-                    "the %zu-entry bound",
-                    msg.entries.size(), kMaxMembershipEntries);
-    }
-    Writer p;
-    p.u32(msg.generation);
-    p.u16(static_cast<std::uint16_t>(msg.entries.size()));
-    for (const MembershipEntry &entry : msg.entries) {
-        p.u16(entry.endpoint);
-        p.u8(static_cast<std::uint8_t>(entry.state));
-        p.u32(entry.sinceGeneration);
-    }
-    return seal(MsgType::MembershipDelta, meta, p.bytes());
+    return seal(type, meta, payload_size, [&](Writer &p) {
+        p.f64(msg.simNow);
+        p.u32(msg.rehomeAckEpoch);
+        p.u16(static_cast<std::uint16_t>(msg.servers.size()));
+        for (const auto &srv : msg.servers) {
+            p.u32(srv.serverId);
+            p.u8(static_cast<std::uint8_t>(
+                (srv.integratorPrimed ? 0x01 : 0x00)
+                | (srv.spoPinned ? 0x02 : 0x00)));
+            p.f64(srv.integratorDc);
+            p.f64(srv.demandEstimate);
+            p.f64(srv.avgThrottle);
+            p.u16(static_cast<std::uint16_t>(srv.supplies.size()));
+            for (const auto &sup : srv.supplies) {
+                p.f64(sup.lastBudget);
+                p.f64(sup.share);
+                p.f64(sup.avgAc);
+            }
+        }
+    });
 }
 
 /** Parse a MembershipDelta payload; false on malformation. The count
@@ -505,24 +588,41 @@ encodeRehome(const FrameMeta &meta, const CheckpointMsg &msg)
 std::vector<std::uint8_t>
 encodeHeartbeat(const FrameMeta &meta)
 {
-    return seal(MsgType::Heartbeat, meta, {});
+    return seal(MsgType::Heartbeat, meta, 0, [](Writer &) {});
 }
 
 std::vector<std::uint8_t>
 encodeMembershipDelta(const FrameMeta &meta,
                       const MembershipDeltaMsg &msg)
 {
-    return sealMembershipDeltaPayload(meta, msg);
+    if (msg.entries.size() > kMaxMembershipEntries) {
+        util::fatal("wire: membership delta with %zu entries exceeds "
+                    "the %zu-entry bound",
+                    msg.entries.size(), kMaxMembershipEntries);
+    }
+    return seal(MsgType::MembershipDelta, meta,
+                kMembershipDeltaFixedBytes
+                    + msg.entries.size() * kMembershipEntryBytes,
+                [&](Writer &p) {
+                    p.u32(msg.generation);
+                    p.u16(static_cast<std::uint16_t>(msg.entries.size()));
+                    for (const MembershipEntry &entry : msg.entries) {
+                        p.u16(entry.endpoint);
+                        p.u8(static_cast<std::uint8_t>(entry.state));
+                        p.u32(entry.sinceGeneration);
+                    }
+                });
 }
 
 std::vector<std::uint8_t>
 encodeMembershipAck(const FrameMeta &meta, const MembershipAckMsg &msg)
 {
-    Writer p;
-    p.u32(msg.generation);
-    p.u16(msg.endpoint);
-    p.u8(static_cast<std::uint8_t>(msg.state));
-    return seal(MsgType::MembershipAck, meta, p.bytes());
+    return seal(MsgType::MembershipAck, meta, kMembershipAckBytes,
+                [&](Writer &p) {
+                    p.u32(msg.generation);
+                    p.u16(msg.endpoint);
+                    p.u8(static_cast<std::uint8_t>(msg.state));
+                });
 }
 
 std::optional<Frame>

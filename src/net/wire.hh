@@ -125,7 +125,10 @@ constexpr std::size_t kCrcSize = 4;
  */
 constexpr std::size_t kMaxFrameBytes = 32768;
 
-/** Largest payload length a frame may declare. */
+/** Largest payload length a frame may declare. A present trace
+ *  context comes out of the same kMaxFrameBytes, so a traced frame's
+ *  payload must also fit in kMaxPayloadBytes - kTraceContextBytes
+ *  (only a Checkpoint can get that large; its encoder checks). */
 constexpr std::size_t kMaxPayloadBytes =
     kMaxFrameBytes - kHeaderSize - kCrcSize;
 

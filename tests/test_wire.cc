@@ -1436,3 +1436,191 @@ TEST(Wire, MembershipDeltaTrailingGarbageRejected)
     refreshCrc(bytes);
     EXPECT_FALSE(net::decodeFrame(bytes).has_value());
 }
+
+// ------------------------------------ pinned encodings
+
+namespace {
+
+/** Metrics with @p classes classes at strictly descending (partly
+ *  negative) priorities. */
+MetricsMsg
+metricsWithClasses(std::size_t classes)
+{
+    MetricsMsg msg;
+    msg.tree = 5;
+    msg.edgeNode = 0x01020304;
+    msg.metrics.setConstraint(4096.5 + 0.1);
+    auto &out = msg.metrics.classes();
+    for (std::size_t i = 0; i < classes; ++i) {
+        ctrl::ClassMetrics c;
+        c.priority = static_cast<Priority>(classes - i) - 8;
+        c.capMin = 100.0 + 0.375 * static_cast<double>(i);
+        c.demand = 250.0 - 0.125 * static_cast<double>(i);
+        c.request = 260.0 + 1.0 / 3.0 + static_cast<double>(i);
+        out.push_back(c);
+    }
+    return msg;
+}
+
+/** 64-bit FNV-1a over each frame's length and bytes, in order. */
+class FrameDigest
+{
+  public:
+    void
+    add(const std::vector<std::uint8_t> &frame)
+    {
+        const std::uint64_t size = frame.size();
+        for (int i = 0; i < 8; ++i)
+            byte(static_cast<std::uint8_t>(size >> (8 * i)));
+        for (const std::uint8_t b : frame)
+            byte(b);
+        ++frames_;
+    }
+
+    std::uint64_t value() const { return hash_; }
+    std::size_t frames() const { return frames_; }
+
+  private:
+    void
+    byte(std::uint8_t b)
+    {
+        hash_ ^= b;
+        hash_ *= 0x100000001B3ULL;
+    }
+
+    std::uint64_t hash_ = 0xCBF29CE484222325ULL;
+    std::size_t frames_ = 0;
+};
+
+} // namespace
+
+TEST(Wire, EncodedBytesArePinned)
+{
+    // Round trips cannot see an encoder and decoder that drift
+    // together; this digest pins the exact bytes of every message
+    // type, with and without a trace context, under the current
+    // version and (for the data-plane types) the compat version. A
+    // new digest means a wire-format change, which bumps kWireVersion.
+    BudgetMsg budget;
+    budget.tree = 4;
+    budget.edgeNode = 0xA0B0C0D0;
+    budget.budget = 512.25 + 0.1;
+    net::MembershipAckMsg ack;
+    ack.generation = 0xCAFE0001;
+    ack.endpoint = 513;
+    ack.state = net::WireUnitState::Draining;
+    const std::vector<MetricsMsg> metrics = {
+        metricsWithClasses(0), metricsWithClasses(1),
+        metricsWithClasses(3), metricsWithClasses(1024),
+        sampleMetrics()};
+
+    FrameDigest digest;
+    std::uint32_t seq = 1;
+    for (const std::uint8_t version :
+         {net::kWireVersion, net::kWireCompatVersion}) {
+        for (const bool traced : {false, true}) {
+            const auto meta = [&] {
+                FrameMeta m{0x1234, 0x00ABCDEF, seq++};
+                if (traced)
+                    m.trace = sampleContext();
+                m.wireVersion = version;
+                return m;
+            };
+            for (const auto &msg : metrics) {
+                digest.add(net::encodeMetrics(meta(), msg));
+                digest.add(net::encodePinnedSummary(meta(), msg));
+                digest.add(net::encodeSummary(meta(), msg));
+            }
+            digest.add(net::encodeBudget(meta(), budget));
+            digest.add(net::encodeSpoBudget(meta(), budget));
+            digest.add(net::encodeSubBudget(meta(), budget));
+            digest.add(net::encodeHeartbeat(meta()));
+            digest.add(net::encodeCheckpoint(meta(), sampleCheckpoint()));
+            digest.add(net::encodeRehome(meta(), sampleCheckpoint()));
+            digest.add(net::encodeCheckpoint(meta(), net::CheckpointMsg{}));
+            if (version == net::kWireVersion) {
+                digest.add(net::encodeMembershipDelta(
+                    meta(), sampleMembershipDelta()));
+                digest.add(net::encodeMembershipDelta(
+                    meta(), net::MembershipDeltaMsg{}));
+                digest.add(net::encodeMembershipAck(meta(), ack));
+            }
+        }
+    }
+    EXPECT_EQ(digest.frames(), 2u * (15 + 7 + 3) + 2u * (15 + 7));
+    EXPECT_EQ(digest.value(), 0xA57396D1C2A171C4ULL)
+        << std::hex << "digest 0x" << digest.value();
+}
+
+namespace {
+
+/** Bitwise reflected IEEE CRC-32: the definition the table form must
+ *  reproduce. */
+std::uint32_t
+referenceCrc32(const std::uint8_t *data, std::size_t size)
+{
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+        crc ^= data[i];
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
+    }
+    return ~crc;
+}
+
+} // namespace
+
+TEST(Wire, Crc32MatchesBitwiseReference)
+{
+    // Every length 0-300 at every start offset 0-7: covers the 8-byte
+    // table path, each tail length, and unaligned input.
+    EXPECT_EQ(net::crc32(nullptr, 0), 0u);
+    util::Rng rng(0xC3C32);
+    std::vector<std::uint8_t> buffer(300 + 8);
+    for (std::size_t len = 0; len <= 300; ++len) {
+        for (std::size_t offset = 0; offset < 8; ++offset) {
+            for (auto &b : buffer)
+                b = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+            const std::uint8_t *data = buffer.data() + offset;
+            ASSERT_EQ(net::crc32(data, len), referenceCrc32(data, len))
+                << "length " << len << " offset " << offset;
+        }
+    }
+}
+
+TEST(WireDeath, MetricsOverClassBoundIsFatal)
+{
+    // The decoder drops any Metrics-layout frame over kMaxClasses
+    // (1024) classes, and the u16 count field would wrap past 65535:
+    // the encoder refuses both instead of emitting a frame no peer
+    // accepts.
+    const auto over = metricsWithClasses(1025);
+    const FrameMeta meta{1, 2, 3};
+    EXPECT_EXIT(net::encodeMetrics(meta, over),
+                testing::ExitedWithCode(1), "1025 classes");
+    EXPECT_EXIT(net::encodeSummary(meta, over),
+                testing::ExitedWithCode(1), "1025 classes");
+    EXPECT_EXIT(net::encodePinnedSummary(meta, over),
+                testing::ExitedWithCode(1), "1025 classes");
+    EXPECT_EXIT(net::encodeMetrics(meta, metricsWithClasses(65536)),
+                testing::ExitedWithCode(1), "65536 classes");
+}
+
+TEST(WireDeath, TracedCheckpointOverFrameCapIsFatal)
+{
+    // A checkpoint payload of exactly kMaxPayloadBytes fills the frame
+    // cap on its own; a trace context on top would push the frame past
+    // the cap every decoder enforces, so the encoder refuses it.
+    net::CheckpointMsg msg;
+    for (std::uint32_t id = 0; id < 147; ++id) {
+        net::CheckpointServer srv;
+        srv.serverId = id;
+        srv.supplies.resize(id < 146 ? 8 : 6);
+        msg.servers.push_back(srv);
+    }
+    const auto untraced = net::encodeCheckpoint(FrameMeta{1, 2, 3}, msg);
+    ASSERT_EQ(untraced.size(), net::kMaxFrameBytes);
+    EXPECT_TRUE(net::decodeFrame(untraced).has_value());
+    EXPECT_EXIT(net::encodeCheckpoint(metaWithContext(1, 2, 3), msg),
+                testing::ExitedWithCode(1), "exceeds the 32736-byte");
+}
