@@ -33,6 +33,8 @@ AggregatorRole::AggregatorRole(
             childOfStation_[{tree, node}] = c;
     }
 
+    awaited_ = childOfStation_.size();
+
     // Per child station: the summed nominal floor of the edges beneath
     // it — what the subtree unilaterally enforces when budgets stop
     // flowing to it, and therefore what must be reserved out of this
@@ -75,6 +77,27 @@ AggregatorRole::stationSubject(std::size_t tree, topo::NodeId node) const
 }
 
 void
+AggregatorRole::setChildViews(std::map<std::uint32_t, ChildView> views)
+{
+    views_ = std::move(views);
+    awaited_ = 0;
+    for (const auto &[key, child] : childOfStation_) {
+        (void)key;
+        const auto view = views_.find(child);
+        if (view == views_.end() || view->second.awaited)
+            ++awaited_;
+    }
+}
+
+bool
+AggregatorRole::grantedWithoutMetrics(std::uint32_t child) const
+{
+    const auto view = views_.find(child);
+    return view != views_.end() && view->second.trusted
+           && view->second.member;
+}
+
+void
 AggregatorRole::beginEpoch(std::uint32_t epoch)
 {
     epoch_ = epoch;
@@ -99,7 +122,7 @@ AggregatorRole::noteUpFrame(const net::Frame &frame,
     case net::MsgType::Checkpoint:
         // Leaf children stream plant checkpoints regardless of who
         // their parent is; aggregators are stateless and drop them
-        // (re-homing is the 2-level room's machinery).
+        // (the WorkerRuntime owning a root stores its leaf children's).
         return true;
     case net::MsgType::Metrics:
     case net::MsgType::Summary: {
@@ -129,7 +152,7 @@ AggregatorRole::noteUpFrame(const net::Frame &frame,
 bool
 AggregatorRole::upComplete() const
 {
-    return fresh_.size() >= childOfStation_.size();
+    return fresh_.size() >= awaited_;
 }
 
 std::vector<std::uint32_t>
@@ -153,11 +176,25 @@ AggregatorRole::silentChildren() const
 std::vector<net::MetricsMsg>
 AggregatorRole::closeGather(RuntimeStats &stats, core::EventLog &events)
 {
+    const auto reserve = [this](const auto &key) {
+        const auto floor = stationFloor_.find(key);
+        if (floor != stationFloor_.end())
+            reserved_[key.first] += floor->second;
+    };
     for (const auto &[key, child] : childOfStation_) {
-        (void)child;
         const auto [tree, node] = key;
+        const auto view = views_.find(child);
+        const ChildView seen =
+            view != views_.end() ? view->second : ChildView{};
+        if (!seen.member) {
+            // Excluded by design, not by degradation: no ladder, no
+            // events, only the floor covering the unit's clamp.
+            if (!seen.released)
+                reserve(key);
+            continue;
+        }
         const auto got = fresh_.find(key);
-        if (got != fresh_.end()) {
+        if (got != fresh_.end() && seen.trusted) {
             boundary_[tree][node] = got->second;
             cache_[key] = {got->second, epoch_, true};
             stationHealth_[key] = StationHealth::Fresh;
@@ -173,26 +210,27 @@ AggregatorRole::closeGather(RuntimeStats &stats, core::EventLog &events)
             && age <= static_cast<std::uint32_t>(staleAgeCapPeriods_);
         if (stale_ok) {
             stationHealth_[key] = StationHealth::Stale;
-            boundary_[tree][node] = cached->second.metrics;
+            if (seen.trusted)
+                boundary_[tree][node] = cached->second.metrics;
             ++stats.staleReuses;
             events.record(static_cast<Seconds>(epoch_),
                           core::EventKind::StaleMetricsReused,
                           stationSubject(tree, node),
                           static_cast<double>(age));
         } else {
-            // The station's subtree is on its own this period: exclude
-            // it from the boundary and reserve its floor out of the
-            // budget before the split (see the class comment).
             stationHealth_[key] = StationHealth::Lost;
             ++stats.metricsLost;
             events.record(static_cast<Seconds>(epoch_),
                           core::EventKind::MetricsLost,
                           stationSubject(tree, node),
                           static_cast<double>(age));
-            const auto floor = stationFloor_.find(key);
-            if (floor != stationFloor_.end())
-                reserved_[tree] += floor->second;
         }
+        // No usable metrics (untrusted child, or the cache ran dry):
+        // the station's subtree is on its own this period, so it is
+        // left out of the boundary and its floor is reserved out of
+        // the budget before the split (see the class comment).
+        if (!seen.trusted || !stale_ok)
+            reserve(key);
     }
 
     std::vector<net::MetricsMsg> out;
@@ -263,13 +301,18 @@ AggregatorRole::computeDown(RuntimeStats &stats)
             splits = frag_->budgetDown(tree, usable);
         }
         for (const auto &[node, watts] : splits) {
-            // Excluded stations get no grant — their floor was
-            // reserved, and sending a budget computed from empty
-            // metrics would undercut the subtree's own fallback.
-            if (!boundary_[tree].count(node))
-                continue;
             const auto owner = childOfStation_.find({tree, node});
             if (owner == childOfStation_.end())
+                continue;
+            // Excluded stations get no grant — their floor was
+            // reserved, and sending a budget computed from empty
+            // metrics would undercut the subtree's own fallback. A
+            // trusted member in the owner's view is the exception: it
+            // is granted its split every period, as the 2-level room
+            // always granted its Live racks (0 W when its metrics were
+            // lost; the rack's floor stays reserved).
+            if (!boundary_[tree].count(node)
+                && !grantedWithoutMetrics(owner->second))
                 continue;
             DownMsg down;
             down.child = owner->second;

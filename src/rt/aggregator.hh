@@ -4,16 +4,16 @@
  * (core::TreePlan): the frame-level state machine between a
  * core::RoomWorker fragment and the wire.
  *
- * An AggregatorRole serves both the interior tiers and the root of a
- * deep plan. Each epoch it gathers per-class summaries from its child
- * workers (Metrics frames from leaf children, Summary frames from
- * aggregator children), assembles the fragment boundary with the same
- * §4.5 stale-metric fallback the 2-level room applies per edge, merges
- * the boundary up to its top station, and forwards one Summary per
- * tree to its parent. On the way down it accepts one SubBudget per
- * tree from the parent (the root computes from the scenario's root
- * budgets instead), splits it over the child stations, and hands the
- * per-child messages back to the caller for transmission.
+ * An AggregatorRole serves both the interior tiers and the root of
+ * every plan, the 2-level one included. Each epoch it gathers
+ * per-class summaries from its child workers (Metrics frames from leaf
+ * children, Summary frames from aggregator children), assembles the
+ * fragment boundary with the §4.5 stale-metric fallback, merges the
+ * boundary up to its top station, and forwards one Summary per tree to
+ * its parent. On the way down it accepts one SubBudget per tree from
+ * the parent (the root computes from the scenario's root budgets
+ * instead), splits it over the child stations, and hands the per-child
+ * messages back to the caller for transmission.
  *
  * Degraded-mode contract: a child station with no usable metrics
  * (nothing fresh, stale cache expired) is excluded from the boundary
@@ -25,13 +25,31 @@
  * the local grant (rather than propagating the exclusion upward) is
  * conservative: the parent may have granted the lost subtree nothing,
  * in which case live children are under-allocated for a period. Safety
- * over efficiency, exactly like the 2-level room's reserve.
+ * over efficiency. This stale -> lost -> reserve ladder is the only
+ * one in the rt runtimes; every hop of every plan depth runs it.
+ *
+ * Child view: the owner of a root may describe how it sees each of
+ * its leaf children this epoch (setChildViews()) — the input a root
+ * with leaf children needs for failover and elasticity. A child that is not awaited
+ * (declared dead, or committed out of the membership) does not hold
+ * up upComplete(). An untrusted child (a restarted or re-homing
+ * instance) still runs the stale -> lost ladder, but its metrics are
+ * neither used nor cached and its floor is reserved. A child outside
+ * the committed membership skips the ladder and logs nothing; its
+ * floor is reserved unless the owner says it was released. A trusted
+ * member with a view is granted its split every period, even one whose
+ * metrics were lost (0 W; its floor stays reserved), as the 2-level
+ * room granted its Live racks. Without a view (interior aggregators,
+ * aggregator children of a root, every WorkerHost role) every child is
+ * an awaited, trusted member that gets no grant without metrics.
  *
  * Aggregators are deliberately stateless beyond the metric cache: no
  * checkpoint streaming, no re-homing. A killed-and-restarted
  * aggregator rejoins silently — its parent rides the stale cache, then
  * reserves; its children ride Pcap_min defaults until budgets flow
- * again. (Leaf plant recovery remains the 2-level room's machinery.)
+ * again. Leaf plant recovery (rack liveness, checkpoints, Rehome) is
+ * the job of the WorkerRuntime that owns the root, for the root's leaf
+ * children, and reaches this class only through the child view.
  */
 
 #ifndef CAPMAESTRO_RT_AGGREGATOR_HH
@@ -92,6 +110,28 @@ class AggregatorRole
     /** Child worker endpoints. */
     const std::set<std::uint32_t> &children() const { return children_; }
 
+    /** How the owner sees one child worker (see the class comment). */
+    struct ChildView
+    {
+        /** upComplete() waits for the child's stations. */
+        bool awaited = true;
+        /** Fresh metrics from the child feed the boundary and cache;
+         *  a trusted member with a view is granted its split even in a
+         *  period without metrics. */
+        bool trusted = true;
+        /** The child is inside the committed membership. */
+        bool member = true;
+        /** Non-member only: its floor no longer needs reserving. */
+        bool released = false;
+    };
+
+    /**
+     * Replace the child view (children absent from @p views keep the
+     * default). Takes effect for upComplete() at once and for the next
+     * closeGather(); stays until replaced.
+     */
+    void setChildViews(std::map<std::uint32_t, ChildView> views);
+
     /** Reset the per-epoch gather/budget state. */
     void beginEpoch(std::uint32_t epoch);
 
@@ -102,7 +142,7 @@ class AggregatorRole
      */
     bool noteUpFrame(const net::Frame &frame, RuntimeStats &stats);
 
-    /** Every expected child station has fresh metrics this epoch. */
+    /** Every awaited child station has fresh metrics this epoch. */
     bool upComplete() const;
 
     /** Child endpoints from whom no station reported this epoch.
@@ -210,6 +250,13 @@ class AggregatorRole
     std::unique_ptr<core::RoomWorker> frag_;
     std::vector<Watts> rootBudgets_;
     int staleAgeCapPeriods_ = 0;
+    /** A view marks @p child a trusted member (see computeDown()). */
+    bool grantedWithoutMetrics(std::uint32_t child) const;
+
+    /** Owner's child view (empty: every child at the default). */
+    std::map<std::uint32_t, ChildView> views_;
+    /** Child stations upComplete() waits for. */
+    std::size_t awaited_ = 0;
 
     /** Stale-metrics cache per (tree, child station). */
     struct CachedMetrics

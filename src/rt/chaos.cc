@@ -135,7 +135,7 @@ LockstepDeployment::LockstepDeployment(
     for (std::uint32_t e = static_cast<std::uint32_t>(rackCount_);
          e < plan_.rootEndpoint(); ++e)
         aggs_.push_back(makeRuntime(e));
-    room_ = makeRuntime(plan_.rootEndpoint());
+    root_ = makeRuntime(plan_.rootEndpoint());
 }
 
 LockstepDeployment::~LockstepDeployment() = default;
@@ -167,7 +167,7 @@ LockstepDeployment::scriptJoiner(std::uint32_t rack)
     if (rack >= rackCount_)
         util::fatal("chaos: joiner %u is not a rack role", rack);
     racks_[rack].reset();
-    room_->membershipMarkAbsent(rack);
+    root_->membershipMarkAbsent(rack);
 }
 
 void
@@ -181,7 +181,7 @@ LockstepDeployment::setWorkerWireVersion(std::uint32_t role,
     else if (role < plan_.rootEndpoint())
         runtime = aggs_[role - rackCount_].get();
     else
-        runtime = room_.get();
+        runtime = root_.get();
     if (runtime != nullptr)
         runtime->setWireVersion(version);
 }
@@ -199,9 +199,9 @@ LockstepDeployment::apply(const ChaosEvent &event, std::uint32_t epoch)
     case ChaosEvent::Kind::Restart:
         if (event.a < rackCount_ && !racks_[event.a]) {
             racks_[event.a] = makeRuntime(event.a);
-            // Deep plans run no re-homing handshake: recovery-latency
-            // accounting is a 2-level (room liveness) property.
-            if (plan_.tiers() == 2)
+            // Only the root re-homes, and only its leaf children:
+            // recovery latency is measured for racks reporting to it.
+            if (reportsToRoot(event.a))
                 pendingRecovery_[event.a] = epoch;
         } else if (event.a < plan_.rootEndpoint()
                    && !aggs_[event.a - rackCount_]) {
@@ -221,11 +221,11 @@ LockstepDeployment::apply(const ChaosEvent &event, std::uint32_t epoch)
             // protocol's own broadcast/ack/commit takes it Live.
             racks_[event.a] = makeRuntime(event.a);
             racks_[event.a]->beginShadow();
-            room_->membershipBeginJoin(event.a);
+            root_->membershipBeginJoin(event.a);
         }
         break;
     case ChaosEvent::Kind::Drain:
-        room_->membershipBeginDrain(event.a);
+        root_->membershipBeginDrain(event.a);
         break;
     case ChaosEvent::Kind::Upgrade:
         setWorkerWireVersion(event.a, net::kWireVersion);
@@ -278,7 +278,7 @@ LockstepDeployment::logLine(std::uint32_t epoch) const
         // Membership overrides liveness in the state column. On a
         // static table every rack is Live and none of these fire, so
         // the line stays bit-identical to a pre-elasticity run.
-        switch (room_->membership().state(static_cast<std::uint16_t>(r))) {
+        switch (root_->membership().state(static_cast<std::uint16_t>(r))) {
         case membership::UnitState::Joining:
             line += 'J';
             continue;
@@ -291,12 +291,13 @@ LockstepDeployment::logLine(std::uint32_t epoch) const
         case membership::UnitState::Live:
             break;
         }
-        if (plan_.tiers() > 2) {
-            // Deep plans keep no room-side liveness; alive is alive.
+        if (!reportsToRoot(r)) {
+            // Liveness is the root's view of its leaf children; a rack
+            // under an aggregator that is alive is alive.
             line += 'L';
             continue;
         }
-        switch (room_->rackState(r)) {
+        switch (root_->rackState(r)) {
         case RackState::Live:
             line += 'L';
             break;
@@ -315,10 +316,10 @@ LockstepDeployment::logLine(std::uint32_t epoch) const
     }
     // Generation suffix only when the table ever moved, so static
     // runs keep their exact pre-elasticity log format.
-    if (room_->membershipGeneration() > 1) {
-        line += " g=" + std::to_string(room_->membershipGeneration());
+    if (root_->membershipGeneration() > 1) {
+        line += " g=" + std::to_string(root_->membershipGeneration());
     }
-    const auto &rs = room_->stats();
+    const auto &rs = root_->stats();
     line += " fo=" + std::to_string(rs.failovers)
             + " rd=" + std::to_string(rs.restartsDetected)
             + " rh=" + std::to_string(rs.rehomed);
@@ -361,7 +362,7 @@ LockstepDeployment::run(std::uint32_t epochs)
             if (agg)
                 agg->stepAggregatorUp(epoch);
         }
-        room_->stepRoom(epoch);
+        root_->stepRoom(epoch);
         for (auto it = aggs_.rbegin(); it != aggs_.rend(); ++it) {
             if (*it)
                 (*it)->stepAggregatorDown(epoch);
@@ -386,7 +387,7 @@ LockstepDeployment::run(std::uint32_t epochs)
         for (auto it = pendingRecovery_.begin();
              it != pendingRecovery_.end();) {
             if (racks_[it->first]
-                && room_->rackState(it->first) == RackState::Live) {
+                && root_->rackState(it->first) == RackState::Live) {
                 const std::uint32_t took = epoch - it->second + 1;
                 report.maxRecoveryPeriods =
                     std::max(report.maxRecoveryPeriods, took);

@@ -212,7 +212,7 @@ class LockstepDeployment
     std::size_t rackCount() const { return rackCount_; }
 
     /** The room runtime. */
-    WorkerRuntime &room() { return *room_; }
+    WorkerRuntime &room() { return *root_; }
 
     /** Rack runtime @p r, or nullptr while killed. */
     WorkerRuntime *rack(std::size_t r) { return racks_[r].get(); }
@@ -240,6 +240,11 @@ class LockstepDeployment
     /** Audit this epoch's applied budgets; "" when safe. */
     std::string auditSafety() const;
     std::string logLine(std::uint32_t epoch) const;
+    /** Rack @p rack's parent is the root (which tracks its liveness). */
+    bool reportsToRoot(std::size_t rack) const
+    {
+        return plan_.workers[rack].parent == plan_.rootEndpoint();
+    }
 
     std::string scenarioJson_;
     ChaosBackend backend_;
@@ -258,7 +263,7 @@ class LockstepDeployment
     std::vector<std::unique_ptr<WorkerRuntime>> racks_;
     /** Interior aggregators, indexed by endpoint - rackCount_. */
     std::vector<std::unique_ptr<WorkerRuntime>> aggs_;
-    std::unique_ptr<WorkerRuntime> room_;
+    std::unique_ptr<WorkerRuntime> root_;
 
     ChaosScheduler chaos_;
     std::uint32_t nextEpoch_ = 1;

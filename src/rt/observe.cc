@@ -29,13 +29,6 @@ hopKindName(net::MsgType type)
     }
 }
 
-/** Tier label for hop metrics and spans ("room" for the 2-level room). */
-std::string
-tierLabel(std::uint8_t tier)
-{
-    return tier == Observability::kRoomTier ? "room" : std::to_string(tier);
-}
-
 /** "coHostedFrames" -> "co_hosted_frames". */
 std::string
 snakeCase(const char *camel)
@@ -151,8 +144,8 @@ Observability::recordHop(const net::Frame &frame, std::uint8_t to_tier)
         if (it == hopHist_.end()) {
             telemetry::Labels ls = labels_;
             ls.emplace_back("kind", hopKindName(frame.type));
-            ls.emplace_back("from_tier", tierLabel(ctx.originTier));
-            ls.emplace_back("to_tier", tierLabel(to_tier));
+            ls.emplace_back("from_tier", std::to_string(ctx.originTier));
+            ls.emplace_back("to_tier", std::to_string(to_tier));
             it = hopHist_
                      .emplace(key,
                               registry_->histogram(
@@ -170,8 +163,8 @@ Observability::recordHop(const net::Frame &frame, std::uint8_t to_tier)
         const auto span = tracer_->begin("hop");
         tracer_->str(span, "kind", hopKindName(frame.type));
         tracer_->num(span, "from", frame.sender);
-        tracer_->str(span, "from_tier", tierLabel(ctx.originTier));
-        tracer_->str(span, "to_tier", tierLabel(to_tier));
+        tracer_->str(span, "from_tier", std::to_string(ctx.originTier));
+        tracer_->str(span, "to_tier", std::to_string(to_tier));
         tracer_->num(span, "latencyMs", latency);
         tracer_->num(span, "traceId", ctx.traceId);
         tracer_->end(span);
@@ -246,8 +239,9 @@ Observability::auditSplit(std::uint32_t epoch,
 }
 
 void
-Observability::reportChildren(const AggregatorRole &agg,
-                              std::uint32_t epoch)
+Observability::reportChildren(
+    const AggregatorRole &agg, std::uint32_t epoch,
+    const std::map<std::uint32_t, telemetry::UnitHealth> &overrides)
 {
     if (!on_)
         return;
@@ -268,8 +262,12 @@ Observability::reportChildren(const AggregatorRole &agg,
         if (!inserted && h > it->second)
             it->second = h;
     }
-    for (const auto &[child, h] : worst)
-        fleetHealth_.report("w" + std::to_string(child), h, epoch);
+    for (const auto &[child, h] : worst) {
+        const auto over = overrides.find(child);
+        fleetHealth_.report("w" + std::to_string(child),
+                            over != overrides.end() ? over->second : h,
+                            epoch);
+    }
 }
 
 std::uint16_t

@@ -52,9 +52,6 @@ double unixNowMs();
 class Observability
 {
   public:
-    /** Trace tier of the 2-level room (label "room"). */
-    static constexpr std::uint8_t kRoomTier = 0xFF;
-
     /** Observes the owner's @p stats; SafetyViolation events go to
      *  @p events. */
     Observability(const RuntimeStats &stats, core::EventLog &events)
@@ -125,8 +122,12 @@ class Observability
                     const std::vector<AggregatorRole::DownMsg> &downs);
 
     /** Roll a fragment's gather outcome up per child worker "w<ep>",
-     *  at its worst station's state. */
-    void reportChildren(const AggregatorRole &agg, std::uint32_t epoch);
+     *  at its worst station's state; a child in @p overrides (the
+     *  root's rack liveness) reports that state instead. */
+    void reportChildren(
+        const AggregatorRole &agg, std::uint32_t epoch,
+        const std::map<std::uint32_t, telemetry::UnitHealth> &overrides =
+            {});
 
     telemetry::FleetHealthRegistry &fleetHealth() { return fleetHealth_; }
     const telemetry::FleetHealthRegistry &fleetHealth() const

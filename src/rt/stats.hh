@@ -131,7 +131,7 @@ static_assert(sizeof(RuntimeStats)
                   == std::size(kStatFields) * sizeof(std::size_t),
               "kStatFields must list every RuntimeStats field");
 
-/** Room-side liveness state of one rack worker. */
+/** The root's liveness state of one of its leaf (rack) children. */
 enum class RackState { Live, Dead, Rehoming };
 
 /** How the period schedule is driven. */

@@ -160,8 +160,6 @@ WorkerRuntime::init(std::uint64_t seed)
 
     if (role_ < rackCount_)
         buildRack(seed);
-    else if (isRoom() && plan_.tiers() == 2)
-        buildRoom();
     else
         buildAggregator();
 }
@@ -211,26 +209,14 @@ WorkerRuntime::buildAggregator()
         policy::treePolicy(scenario_.service.policy), nominalFloor_,
         scenario_.service.protocol,
         isRoom() ? scenario_.rootBudgets : std::vector<Watts>{});
-}
-
-void
-WorkerRuntime::buildRoom()
-{
-    const auto &system = *scenario_.system;
-    const auto partition =
-        core::DistributedControlPlane::partitionEdges(system);
-    std::vector<std::set<topo::NodeId>> edge_nodes(
-        system.trees().size());
-    for (std::size_t r = 0; r < partition.size(); ++r) {
-        for (const auto &[tree, node] : partition[r]) {
-            edge_nodes[tree].insert(node);
-            edgeOwner_[{tree, node}] = r;
+    // The root keeps liveness, checkpoints and re-homing for its leaf
+    // children: every rack at depth 2, none in a balanced deep plan.
+    if (isRoom()) {
+        for (const std::uint32_t child : agg_->children()) {
+            if (child < rackCount_)
+                rackHealth_[child] = RackHealth{};
         }
     }
-    room_ = std::make_unique<core::RoomWorker>(
-        system, std::move(edge_nodes),
-        policy::treePolicy(scenario_.service.policy));
-    rackHealth_.assign(rackCount_, RackHealth{});
 }
 
 std::uint32_t
@@ -292,8 +278,6 @@ WorkerRuntime::runPeriods(std::size_t max_periods)
                          roleName());
         if (role_ < rackCount_)
             runRackPeriod(epoch);
-        else if (room_)
-            runRoomPeriod(epoch);
         else
             runAggregatorPeriod(epoch);
         finishPeriod(epoch);
@@ -334,13 +318,10 @@ util::Json
 WorkerRuntime::healthJson() const
 {
     util::Json::Object out =
-        obs_.health(membership_, lastEpoch_, room_ || agg_,
+        obs_.health(membership_, lastEpoch_, agg_ != nullptr,
                     static_cast<std::uint16_t>(role_));
     out.emplace("role", util::Json(roleName()));
-    out.emplace("tier",
-                util::Json(room_ ? -1.0
-                                 : static_cast<double>(
-                                       plan_.workers[role_].tier)));
+    out.emplace("tier", util::Json(static_cast<double>(traceTier())));
     return util::Json(std::move(out));
 }
 
@@ -513,8 +494,8 @@ WorkerRuntime::finishRackPeriod(
     // ---- §4.5 default budgets for edges the room never reached.
     // Clamped to the config-nominal floor: the live defaultBudget is
     // built from measured shares, and sensor noise must not let a
-    // unilateral fallback creep above the floor the room reserves for
-    // this edge when it stops budgeting us (see roomComputeAndSend).
+    // unilateral fallback creep above the floor the parent reserves for
+    // this edge when it stops budgeting us (see rt/aggregator.hh).
     for (const auto &[tree, node] : myEdges_) {
         if (applied.count({tree, node}))
             continue;
@@ -677,30 +658,19 @@ WorkerRuntime::stepDownstream(std::uint32_t epoch)
 }
 
 // ===================================================================
-// Room phases
+// Aggregator and root phases
 // ===================================================================
 
 void
-WorkerRuntime::noteRackFrame(std::size_t rack, std::uint32_t seq,
-                             std::uint32_t epoch)
+WorkerRuntime::noteRackFrame(const net::Frame &frame, std::uint32_t epoch)
 {
+    const auto it = rackHealth_.find(frame.sender);
+    if (it == rackHealth_.end() || frame.epoch != epoch)
+        return; // not a leaf child of the root, or a stray epoch
+    const std::uint32_t rack = frame.sender;
+    RackHealth &h = it->second;
     heard_.insert(rack);
-    RackHealth &h = rackHealth_[rack];
     const auto ms = membership_.state(static_cast<std::uint16_t>(rack));
-    if (ms == membership::UnitState::Joining
-        || ms == membership::UnitState::Left) {
-        // Shadow traffic: seen, but outside the liveness contract.
-        // Drop the sequence baseline so the commit starts a fresh
-        // instance view instead of mis-reading the joiner's early
-        // frames as a restart.
-        h.seqSeen = false;
-        return;
-    }
-    if (!h.seqSeen) {
-        h.seqSeen = true;
-        h.maxSeq = seq;
-        return;
-    }
     // A restarted process begins again at sequence 0. A regression no
     // larger than one upstream batch (heartbeat + one metrics frame
     // per edge + checkpoint) is normal: the rack's blind bounded
@@ -712,30 +682,39 @@ WorkerRuntime::noteRackFrame(std::size_t rack, std::uint32_t seq,
     // ever missed. (A restart after a single period is below the
     // detection threshold; it is picked up one period later once the
     // old instance's higher sequence numbers dominate.)
-    if (seq + rackBatchSize(rack) < h.maxSeq) {
+    const auto batch =
+        static_cast<std::uint32_t>(plan_.workers[rack].stations.size())
+        + 2;
+    if (ms == membership::UnitState::Joining
+        || ms == membership::UnitState::Left) {
+        // Shadow traffic: seen, but outside the liveness contract.
+        // Drop the sequence baseline so the commit starts a fresh
+        // instance view instead of mis-reading the joiner's early
+        // frames as a restart.
+        h.seqSeen = false;
+    } else if (!h.seqSeen) {
+        h.seqSeen = true;
+        h.maxSeq = frame.seq;
+    } else if (frame.seq + batch < h.maxSeq) {
         if (h.state == RackState::Live)
             beginRehoming(rack, epoch);
-        h.maxSeq = seq;
-        return;
+        h.maxSeq = frame.seq;
+    } else {
+        h.maxSeq = std::max(h.maxSeq, frame.seq);
     }
-    h.maxSeq = std::max(h.maxSeq, seq);
-}
-
-std::uint32_t
-WorkerRuntime::rackBatchSize(std::size_t rack) const
-{
-    std::uint32_t edges = 0;
-    for (const auto &[key, owner] : edgeOwner_) {
-        if (owner == rack)
-            ++edges;
+    if (frame.type == net::MsgType::Checkpoint) {
+        h.lastAckEpoch =
+            std::max(h.lastAckEpoch, frame.checkpoint.rehomeAckEpoch);
+        checkpoints_[rack] = frame.checkpoint;
+        ++stats_.checkpointsStored;
+        persistCheckpoint(rack);
     }
-    return edges + 2;
 }
 
 void
-WorkerRuntime::beginRehoming(std::size_t rack, std::uint32_t epoch)
+WorkerRuntime::beginRehoming(std::uint32_t rack, std::uint32_t epoch)
 {
-    RackHealth &h = rackHealth_[rack];
+    RackHealth &h = rackHealth_.at(rack);
     h.state = RackState::Rehoming;
     h.missed = 0;
     h.rehomeEpoch = 0;
@@ -753,7 +732,8 @@ std::size_t
 WorkerRuntime::deadOrRehomingCount() const
 {
     std::size_t n = 0;
-    for (const RackHealth &h : rackHealth_) {
+    for (const auto &[rack, h] : rackHealth_) {
+        (void)rack;
         if (h.state != RackState::Live)
             ++n;
     }
@@ -761,89 +741,17 @@ WorkerRuntime::deadOrRehomingCount() const
 }
 
 void
-WorkerRuntime::roomGather(std::uint32_t epoch, bool paced)
+WorkerRuntime::rackLiveness(std::uint32_t epoch)
 {
     const auto &proto = scenario_.service.protocol;
-    net::Transport &tp = *transport_;
-    heard_.clear();
-    fresh_.clear();
-
-    // Dead racks send nothing; neither do racks committed out of the
-    // membership (Left). Everyone else (including re-homing racks,
-    // whose plants run on default budgets, and Joining/Draining racks
-    // in their shadow periods) is expected.
-    std::size_t expected = 0;
-    for (const auto &[key, rack] : edgeOwner_) {
-        if (rackHealth_[rack].state == RackState::Dead)
-            continue;
-        if (membership_.state(static_cast<std::uint16_t>(rack))
-            == membership::UnitState::Left)
-            continue;
-        ++expected;
-    }
-
-    const double start = tp.nowMs();
-    const double gather_deadline = start + proto.gatherDeadlineMs;
-    for (;;) {
-        for (const auto &bytes : tp.poll(role_)) {
-            const auto frame = net::decodeFrame(bytes);
-            if (!frame) {
-                ++stats_.corruptFrames;
-                continue;
-            }
-            // Membership frames ride ahead of the epoch check: the
-            // generation, not the epoch, orders that plane.
-            if (frame->type == net::MsgType::MembershipAck) {
-                noteMembershipAck(*frame);
-                continue;
-            }
-            if (frame->type == net::MsgType::MembershipDelta) {
-                ++stats_.orphanFrames; // the root owns the table
-                continue;
-            }
-            if (frame->epoch != epoch) {
-                ++stats_.orphanFrames;
-                continue;
-            }
-            obs_.recordHop(*frame, traceTier());
-            if (frame->sender < rackCount_)
-                noteRackFrame(frame->sender, frame->seq, epoch);
-            if (frame->type == net::MsgType::Metrics) {
-                fresh_[{frame->metrics.tree,
-                        static_cast<topo::NodeId>(
-                            frame->metrics.edgeNode)}] =
-                    frame->metrics.metrics;
-            } else if (frame->type == net::MsgType::Checkpoint
-                       && frame->sender < rackCount_) {
-                RackHealth &h = rackHealth_[frame->sender];
-                h.lastAckEpoch = std::max(
-                    h.lastAckEpoch, frame->checkpoint.rehomeAckEpoch);
-                checkpoints_[frame->sender] = frame->checkpoint;
-                ++stats_.checkpointsStored;
-                persistCheckpoint(frame->sender);
-            }
-        }
-        if (fresh_.size() >= expected)
-            break;
-        const double now = tp.nowMs();
-        if (paced) {
-            if (now >= gather_deadline)
-                break;
-            tp.advanceBy(std::min(gather_deadline - now, kPollSliceMs));
-        } else {
-            if (now - start >= kLockstepWaitMs)
-                break;
-            tp.advanceBy(kPollSliceMs);
-        }
-    }
-}
-
-void
-WorkerRuntime::roomLiveness(std::uint32_t epoch)
-{
-    const auto &proto = scenario_.service.protocol;
-    for (std::size_t r = 0; r < rackCount_; ++r) {
-        RackHealth &h = rackHealth_[r];
+    const auto fail = [&](std::uint32_t r, RackHealth &h) {
+        h.state = RackState::Dead;
+        ++stats_.failovers;
+        events_.record(static_cast<Seconds>(epoch),
+                       core::EventKind::WorkerFailover,
+                       "worker" + std::to_string(r), -1.0);
+    };
+    for (auto &[r, h] : rackHealth_) {
         const auto ms =
             membership_.state(static_cast<std::uint16_t>(r));
         if (ms == membership::UnitState::Joining
@@ -857,15 +765,10 @@ WorkerRuntime::roomLiveness(std::uint32_t epoch)
         const bool heard = heard_.count(r) != 0;
         switch (h.state) {
         case RackState::Live:
-            if (heard) {
+            if (heard)
                 h.missed = 0;
-            } else if (++h.missed >= proto.heartbeatFailAfter) {
-                h.state = RackState::Dead;
-                ++stats_.failovers;
-                events_.record(static_cast<Seconds>(epoch),
-                               core::EventKind::WorkerFailover,
-                               "worker" + std::to_string(r), -1.0);
-            }
+            else if (++h.missed >= proto.heartbeatFailAfter)
+                fail(r, h);
             break;
         case RackState::Dead:
             // Any frame means a (restarted) instance is back.
@@ -883,286 +786,59 @@ WorkerRuntime::roomLiveness(std::uint32_t epoch)
                                core::EventKind::WorkerRehomed,
                                "worker" + std::to_string(r),
                                static_cast<double>(epoch));
-            } else if (!heard) {
-                if (++h.missed >= proto.heartbeatFailAfter) {
-                    h.state = RackState::Dead;
-                    ++stats_.failovers;
-                    events_.record(static_cast<Seconds>(epoch),
-                                   core::EventKind::WorkerFailover,
-                                   "worker" + std::to_string(r), -1.0);
-                }
-            } else {
+            } else if (heard) {
                 h.missed = 0;
+            } else if (++h.missed >= proto.heartbeatFailAfter) {
+                fail(r, h);
             }
             break;
-        }
-        // ---- fleet rollup: the liveness ladder as operational health.
-        // A Live rack that went unheard this period is riding the stale
-        // cache — visibly degraded even before the failover threshold.
-        if (obs_.on()) {
-            using telemetry::UnitHealth;
-            const UnitHealth uh =
-                h.state == RackState::Dead       ? UnitHealth::Lost
-                : h.state == RackState::Rehoming ? UnitHealth::Rehoming
-                : heard                          ? UnitHealth::Live
-                                                 : UnitHealth::Stale;
-            obs_.fleetHealth().report("rack" + std::to_string(r), uh,
-                                      epoch);
         }
     }
     gauges_.deadRacks.set(static_cast<double>(deadOrRehomingCount()));
 }
 
 void
-WorkerRuntime::roomComputeAndSend(std::uint32_t epoch, bool paced)
+WorkerRuntime::refreshChildViews()
 {
-    const auto &system = *scenario_.system;
-    const auto &proto = scenario_.service.protocol;
-    net::Transport &tp = *transport_;
-
-    // ---- assemble per-tree edge metrics with the §4.5 stale cache.
-    // Fresh metrics are trusted only from racks the room considers
-    // Live: a reincarnated instance's fresh-plant numbers would poison
-    // the allocation, and its liveness must not be double-counted as
-    // both the dead instance (stale) and the new one (fresh) within
-    // the same epoch window.
-    // A non-Live rack's edges are excluded from the allocation
-    // entirely (their nominal floor is reserved out of the tree budget
-    // below instead), but they still ride the stale -> lost event
-    // accounting so the degradation is visible in the audit trail.
-    std::vector<std::map<topo::NodeId, ctrl::NodeMetrics>> tree_metrics(
-        system.trees().size());
-    std::vector<Watts> reserved(system.trees().size(), 0.0);
-    for (const auto &[key, rack] : edgeOwner_) {
-        const auto [tree, node] = key;
-        // A rack outside the committed membership (Joining, Draining,
-        // or Left) is excluded from allocation *by design*, not by
-        // degradation: no stale/lost events, just the conservative
-        // floor reservation that covers its unilateral clamp — unless
-        // the unit acked its Left commit (or was never deployed), in
-        // which case no watts flow there and nothing is reserved.
-        if (!membership_.isLive(static_cast<std::uint16_t>(rack))) {
-            if (!membershipFloorReleased(
-                    static_cast<std::uint16_t>(rack)))
-                reserved[tree] += nominalFloor_.at(key);
-            continue;
-        }
-        const bool trusted =
-            rackHealth_[rack].state == RackState::Live;
-        const auto got = fresh_.find(key);
-        if (got != fresh_.end() && trusted) {
-            tree_metrics[tree][node] = got->second;
-            metricCache_[key] = {got->second, epoch, true};
-            continue;
-        }
-        const std::string subject =
-            system.tree(tree).name() + "."
-            + system.tree(tree).node(node).name;
-        const auto cached = metricCache_.find(key);
-        const std::uint32_t age =
-            cached != metricCache_.end() && cached->second.valid
-                ? epoch - cached->second.epoch
-                : 0;
-        const bool stale_ok =
-            cached != metricCache_.end() && cached->second.valid
-            && age <= static_cast<std::uint32_t>(
-                   proto.staleAgeCapPeriods);
-        if (stale_ok) {
-            if (trusted)
-                tree_metrics[tree][node] = cached->second.metrics;
-            ++stats_.staleReuses;
-            events_.record(static_cast<Seconds>(epoch),
-                           core::EventKind::StaleMetricsReused, subject,
-                           static_cast<double>(age));
-        } else {
-            ++stats_.metricsLost;
-            events_.record(static_cast<Seconds>(epoch),
-                           core::EventKind::MetricsLost, subject,
-                           static_cast<double>(age));
-        }
-        // No allocation will be computed for this edge — either its
-        // rack is untrusted (dead, partitioned, or replaying) or even
-        // the stale cache ran dry. The rack rides its unilateral
-        // Pcap_min fallback in both cases, so its nominal floor comes
-        // out of the tree budget before the Live edges divide it.
-        if (!trusted || !stale_ok)
-            reserved[tree] += nominalFloor_.at(key);
-    }
-
-    // ---- upper-tree compute + downstream budgets, blind bounded
-    // retransmission (racks dedup by the applied set). Dead and
-    // re-homing racks get no budgets: their edges ride the Pcap_min
-    // defaults until the room trusts their metrics again.
-    struct PendingDown
-    {
-        std::size_t rack;
-        std::vector<std::uint8_t> frame;
-    };
-    std::vector<PendingDown> pending;
-    std::vector<Watts> committed(system.trees().size(), 0.0);
-    for (std::size_t t = 0; t < system.trees().size(); ++t) {
-        // Reserve the nominal Pcap_min floor of every edge the room is
-        // not budgeting this period: that rack may be riding exactly
-        // that fallback right now (killed-but-enforcing, partitioned,
-        // or replaying a checkpoint), and the sum of its unilateral
-        // floor plus what we hand the Live edges must never exceed the
-        // tree's supply budget.
-        const Watts usable = std::max(
-            0.0, scenario_.rootBudgets[t] - reserved[t]);
-        const auto edge_budgets =
-            room_->iterate(t, tree_metrics[t], usable);
-        for (const auto &[node, budget] : edge_budgets) {
-            const std::size_t rack = edgeOwner_.at({t, node});
-            if (rackHealth_[rack].state != RackState::Live
-                || !membership_.isLive(
-                       static_cast<std::uint16_t>(rack)))
-                continue;
-            net::BudgetMsg msg;
-            msg.tree = static_cast<std::uint16_t>(t);
-            msg.edgeNode = static_cast<std::uint32_t>(node);
-            msg.budget = budget;
-            committed[t] += budget;
-            pending.push_back(
-                {rack, net::encodeBudget(
-                           stampMeta(net::kRoomSender, epoch), msg)});
-        }
-    }
-
-    // ---- online §4.5 audit: what flowed down plus the reserved
-    // floors must never exceed the tree's supply budget. The allocator
-    // enforces this by construction; the auditor re-checks the
-    // committed numbers so a bookkeeping regression surfaces as a
-    // counter, not a breaker overdraw.
-    if (obs_.on()) {
-        for (std::size_t t = 0; t < system.trees().size(); ++t) {
-            obs_.audit(epoch, system.tree(t).name() + "@room",
-                       scenario_.rootBudgets[t], committed[t],
-                       reserved[t]);
-        }
-    }
-
-    // ---- Rehome frames for re-homing racks heard this epoch: replay
-    // the stored checkpoint into the new instance. An empty checkpoint
-    // (none ever stored) still completes the handshake — the rack
-    // simply keeps its fresh plant.
-    for (std::size_t r = 0; r < rackCount_; ++r) {
-        RackHealth &h = rackHealth_[r];
-        if (h.state != RackState::Rehoming || !heard_.count(r))
-            continue;
-        if (!membership_.isLive(static_cast<std::uint16_t>(r)))
-            continue; // shadow units get no replay until committed
-        const auto stored = checkpoints_.find(r);
-        const net::CheckpointMsg msg = stored != checkpoints_.end()
-                                           ? stored->second
-                                           : net::CheckpointMsg{};
-        pending.push_back(
-            {r, net::encodeRehome(stampMeta(net::kRoomSender, epoch),
-                                  msg)});
-        if (h.rehomeEpoch == 0)
-            h.rehomeEpoch = epoch;
-        ++stats_.rehomesSent;
-    }
-
-    // ---- membership snapshots ride the same down window, single-shot
-    // per period (ack-gated: a lost broadcast is repaired next period).
-    broadcastMembership(epoch);
-
-    const double budget_start = tp.nowMs();
-    const double budget_deadline =
-        budget_start + proto.budgetDeadlineMs;
-    for (const PendingDown &down : pending) {
-        tp.send(role_, static_cast<net::Transport::Endpoint>(down.rack),
-                down.frame);
-    }
-    if (!paced)
+    // Only the root's leaf children get a view: liveness and membership
+    // are rack-level ideas (a Left rack applies zero watts). Aggregator
+    // children keep the default, as interior tiers do for every child.
+    if (rackHealth_.empty())
         return;
-    for (int attempt = 1; attempt < proto.maxAttempts; ++attempt) {
-        const double next =
-            budget_start + attempt * proto.retryTimeoutMs;
-        if (next >= budget_deadline)
-            break;
-        tp.advanceTo(next);
-        for (const PendingDown &down : pending) {
-            tp.send(role_,
-                    static_cast<net::Transport::Endpoint>(down.rack),
-                    down.frame);
-            ++stats_.retries;
-        }
+    std::map<std::uint32_t, AggregatorRole::ChildView> views;
+    for (const auto &[child, health] : rackHealth_) {
+        const auto ep = static_cast<std::uint16_t>(child);
+        AggregatorRole::ChildView &view = views[child];
+        // Dead children send nothing; neither do children committed
+        // out of the membership. Everyone else (re-homing racks, whose
+        // plants run on default budgets, and Joining/Draining units in
+        // their shadow periods) is waited for.
+        view.awaited =
+            health.state != RackState::Dead
+            && membership_.state(ep) != membership::UnitState::Left;
+        // Fresh metrics are trusted only from a Live instance: a
+        // reincarnated one's fresh-plant numbers would poison the
+        // allocation, and its liveness must not be double-counted as
+        // both the dead instance (stale) and the new one (fresh).
+        view.trusted = health.state == RackState::Live;
+        view.member = membership_.isLive(ep);
+        view.released = membershipFloorReleased(ep);
+    }
+    agg_->setChildViews(std::move(views));
+}
+
+void
+WorkerRuntime::aggBeginEpoch(std::uint32_t epoch)
+{
+    agg_->beginEpoch(epoch);
+    if (isRoom()) {
+        heard_.clear();
+        refreshChildViews();
     }
 }
 
 void
-WorkerRuntime::runRoomPeriod(std::uint32_t epoch)
-{
-    roomGather(epoch, /*paced=*/true);
-    roomLiveness(epoch);
-    membershipTick(epoch);
-    roomComputeAndSend(epoch, /*paced=*/true);
-}
-
-void
-WorkerRuntime::stepRoom(std::uint32_t epoch)
-{
-    if (pacing_ != Pacing::Lockstep || !isRoom())
-        util::fatal("rt: stepRoom() needs the lockstep room runtime");
-    telemetry::PeriodTracer *tracer = obs_.tracer();
-    const auto span = tracer ? tracer->begin("rt.room")
-                             : telemetry::PeriodTracer::kNoSpan;
-    if (tracer)
-        tracer->num(span, "epoch", static_cast<double>(epoch));
-    if (agg_) {
-        // Deep root: one step covers both halves — by the lockstep
-        // driving order every aggregator below has already stepped up,
-        // and will step down after.
-        net::Transport &tp = *transport_;
-        agg_->beginEpoch(epoch);
-        const double start = tp.nowMs();
-        for (;;) {
-            aggDrainOnce(/*down_phase=*/false);
-            if (agg_->upComplete())
-                break;
-            if (tp.nowMs() - start >= kLockstepWaitMs)
-                break;
-            tp.advanceBy(kPollSliceMs);
-        }
-        agg_->closeGather(stats_, events_);
-        obs_.reportChildren(*agg_, epoch);
-        membershipTick(epoch);
-        for (const auto &[child, frame] :
-             encodeDownFrames(epoch, agg_->computeDown(stats_))) {
-            tp.send(role_, child, frame);
-        }
-        broadcastMembership(epoch);
-    } else {
-        roomGather(epoch, /*paced=*/false);
-        roomLiveness(epoch);
-        membershipTick(epoch);
-        roomComputeAndSend(epoch, /*paced=*/false);
-        if (tracer) {
-            tracer->num(span, "freshEdges",
-                        static_cast<double>(fresh_.size()));
-            tracer->num(span, "degradedRacks",
-                        static_cast<double>(deadOrRehomingCount()));
-            std::string states;
-            for (const RackHealth &h : rackHealth_) {
-                states += h.state == RackState::Live
-                              ? 'L'
-                              : (h.state == RackState::Dead ? 'D' : 'R');
-            }
-            tracer->str(span, "rackStates", std::move(states));
-        }
-    }
-    if (tracer)
-        tracer->end(span);
-    finishPeriod(epoch);
-}
-
-// ===================================================================
-// Aggregator phases (deep plans)
-// ===================================================================
-
-void
-WorkerRuntime::aggDrainOnce(bool down_phase)
+WorkerRuntime::aggDrainOnce(std::uint32_t epoch, bool down_phase)
 {
     const std::uint16_t parent_sender =
         parentEp_ == plan_.rootEndpoint()
@@ -1188,11 +864,52 @@ WorkerRuntime::aggDrainOnce(bool down_phase)
         // Late child retransmissions during the down phase are still
         // absorbed (and deduped) by the gather side rather than counted
         // as orphans; the boundary for this epoch is already closed.
-        if (down_phase && frame->type == net::MsgType::SubBudget)
+        if (down_phase && frame->type == net::MsgType::SubBudget) {
             agg_->noteDownFrame(*frame, parent_sender, stats_);
-        else
+        } else {
+            noteRackFrame(*frame, epoch);
             agg_->noteUpFrame(*frame, stats_);
+        }
     }
+}
+
+void
+WorkerRuntime::aggCollect(std::uint32_t epoch, bool down_phase,
+                          double close)
+{
+    net::Transport &tp = *transport_;
+    for (;;) {
+        aggDrainOnce(epoch, down_phase);
+        if (down_phase ? agg_->downComplete() : agg_->upComplete())
+            break;
+        const double remaining = close - tp.nowMs();
+        if (remaining <= 0.0)
+            break;
+        tp.advanceBy(std::min(remaining, kPollSliceMs));
+    }
+}
+
+std::vector<net::MetricsMsg>
+WorkerRuntime::aggCloseGather(std::uint32_t epoch)
+{
+    std::map<std::uint32_t, telemetry::UnitHealth> overrides;
+    if (isRoom()) {
+        // The root's own bookkeeping between gather and close: rack
+        // liveness from this gather, the membership commit gate, then
+        // the child view both imply.
+        rackLiveness(epoch);
+        membershipTick(epoch);
+        refreshChildViews();
+        for (const auto &[rack, h] : rackHealth_) {
+            if (h.state == RackState::Dead)
+                overrides[rack] = telemetry::UnitHealth::Lost;
+            else if (h.state == RackState::Rehoming)
+                overrides[rack] = telemetry::UnitHealth::Rehoming;
+        }
+    }
+    auto summaries = agg_->closeGather(stats_, events_);
+    obs_.reportChildren(*agg_, epoch, overrides);
+    return summaries;
 }
 
 std::vector<std::vector<std::uint8_t>>
@@ -1236,6 +953,33 @@ WorkerRuntime::encodeDownFrames(
 }
 
 void
+WorkerRuntime::appendRehomeFrames(
+    std::uint32_t epoch,
+    std::vector<std::pair<net::Transport::Endpoint,
+                          std::vector<std::uint8_t>>> &down)
+{
+    // Replay the stored checkpoint into the new instance. An empty
+    // checkpoint (none ever stored) still completes the handshake —
+    // the rack simply keeps its fresh plant. Shadow units get no
+    // replay until committed.
+    for (auto &[rack, h] : rackHealth_) {
+        if (h.state != RackState::Rehoming || !heard_.count(rack)
+            || !membership_.isLive(static_cast<std::uint16_t>(rack)))
+            continue;
+        const auto stored = checkpoints_.find(rack);
+        down.emplace_back(
+            static_cast<net::Transport::Endpoint>(rack),
+            net::encodeRehome(stampMeta(net::kRoomSender, epoch),
+                              stored != checkpoints_.end()
+                                  ? stored->second
+                                  : net::CheckpointMsg{}));
+        if (h.rehomeEpoch == 0)
+            h.rehomeEpoch = epoch;
+        ++stats_.rehomesSent;
+    }
+}
+
+void
 WorkerRuntime::runAggregatorPeriod(std::uint32_t epoch)
 {
     const auto &proto = scenario_.service.protocol;
@@ -1247,26 +991,17 @@ WorkerRuntime::runAggregatorPeriod(std::uint32_t epoch)
     // Tier-staggered §4.5 schedule: the tier-k receiver's gather
     // closes at start + k x gather; SubBudgets cascade back down one
     // budget window per hop after every gather has closed. With two
-    // tiers this is exactly the flat room schedule.
+    // tiers this is the flat schedule: the root gathers for one
+    // window and retransmits budgets until the leaves' budget
+    // deadline.
     const double gather_close =
         start + my_tier * proto.gatherDeadlineMs;
     const double gather_all_end =
         start + (tiers - 1.0) * proto.gatherDeadlineMs;
 
-    agg_->beginEpoch(epoch);
-    for (;;) {
-        aggDrainOnce(/*down_phase=*/false);
-        if (agg_->upComplete())
-            break;
-        const double remaining = gather_close - tp.nowMs();
-        if (remaining <= 0.0)
-            break;
-        tp.advanceBy(std::min(remaining, kPollSliceMs));
-    }
-    const auto summaries = agg_->closeGather(stats_, events_);
-    obs_.reportChildren(*agg_, epoch);
-    if (isRoom())
-        membershipTick(epoch);
+    aggBeginEpoch(epoch);
+    aggCollect(epoch, /*down_phase=*/false, gather_close);
+    const auto summaries = aggCloseGather(epoch);
 
     if (!isRoom()) {
         // ---- forward this subtree's summaries, blind bounded
@@ -1291,31 +1026,25 @@ WorkerRuntime::runAggregatorPeriod(std::uint32_t epoch)
         }
 
         // ---- collect SubBudgets until this tier's down deadline.
-        const double down_close =
-            gather_all_end
-            + (tiers - 1.0 - my_tier) * proto.budgetDeadlineMs;
-        for (;;) {
-            aggDrainOnce(/*down_phase=*/true);
-            if (agg_->downComplete())
-                break;
-            const double remaining = down_close - tp.nowMs();
-            if (remaining <= 0.0)
-                break;
-            tp.advanceBy(std::min(remaining, kPollSliceMs));
-        }
+        aggCollect(epoch, /*down_phase=*/true,
+                   gather_all_end
+                       + (tiers - 1.0 - my_tier) * proto.budgetDeadlineMs);
     }
 
     // ---- split down, blind bounded retransmission until the direct
     // children's own down deadline (their tier is ours minus one).
-    const auto downs =
-        encodeDownFrames(epoch, agg_->computeDown(stats_));
+    auto downs = encodeDownFrames(epoch, agg_->computeDown(stats_));
+    if (isRoom())
+        appendRehomeFrames(epoch, downs);
     const double child_close =
         gather_all_end + (tiers - my_tier) * proto.budgetDeadlineMs;
     const double down_start = tp.nowMs();
-    if (isRoom())
-        broadcastMembership(epoch);
     for (const auto &[child, frame] : downs)
         tp.send(role_, child, frame);
+    // Membership snapshots ride the same down window, single-shot per
+    // period (ack-gated: a lost broadcast is repaired next period).
+    if (isRoom())
+        broadcastMembership(epoch);
     for (int attempt = 1; attempt < proto.maxAttempts; ++attempt) {
         const double next = down_start + attempt * proto.retryTimeoutMs;
         if (next >= child_close)
@@ -1329,6 +1058,32 @@ WorkerRuntime::runAggregatorPeriod(std::uint32_t epoch)
 }
 
 void
+WorkerRuntime::stepRoom(std::uint32_t epoch)
+{
+    if (pacing_ != Pacing::Lockstep || !isRoom())
+        util::fatal("rt: stepRoom() needs the lockstep room runtime");
+    telemetry::PeriodTracer *tracer = obs_.tracer();
+    const auto span = tracer ? tracer->begin("rt.room")
+                             : telemetry::PeriodTracer::kNoSpan;
+    if (tracer)
+        tracer->num(span, "epoch", static_cast<double>(epoch));
+    // One step covers both halves: by the lockstep driving order every
+    // child has already stepped up, and will step down after.
+    net::Transport &tp = *transport_;
+    aggBeginEpoch(epoch);
+    aggCollect(epoch, /*down_phase=*/false, tp.nowMs() + kLockstepWaitMs);
+    aggCloseGather(epoch);
+    auto downs = encodeDownFrames(epoch, agg_->computeDown(stats_));
+    appendRehomeFrames(epoch, downs);
+    for (const auto &[child, frame] : downs)
+        tp.send(role_, child, frame);
+    broadcastMembership(epoch);
+    if (tracer)
+        tracer->end(span);
+    finishPeriod(epoch);
+}
+
+void
 WorkerRuntime::stepAggregatorUp(std::uint32_t epoch)
 {
     if (pacing_ != Pacing::Lockstep || !isAggregator()) {
@@ -1336,22 +1091,12 @@ WorkerRuntime::stepAggregatorUp(std::uint32_t epoch)
             "rt: stepAggregatorUp() needs a lockstep aggregator");
     }
     net::Transport &tp = *transport_;
-    agg_->beginEpoch(epoch);
-    const double start = tp.nowMs();
-    for (;;) {
-        aggDrainOnce(/*down_phase=*/false);
-        if (agg_->upComplete())
-            break;
-        if (tp.nowMs() - start >= kLockstepWaitMs)
-            break;
-        tp.advanceBy(kPollSliceMs);
-    }
+    aggBeginEpoch(epoch);
+    aggCollect(epoch, /*down_phase=*/false, tp.nowMs() + kLockstepWaitMs);
     // Single-shot sends, mirroring stepUpstream(): injected loss in a
     // chaos script must actually cost the frame.
-    for (const auto &frame :
-         encodeUpFrames(epoch, agg_->closeGather(stats_, events_)))
+    for (const auto &frame : encodeUpFrames(epoch, aggCloseGather(epoch)))
         tp.send(role_, parentEp_, frame);
-    obs_.reportChildren(*agg_, epoch);
 }
 
 void
@@ -1362,15 +1107,7 @@ WorkerRuntime::stepAggregatorDown(std::uint32_t epoch)
             "rt: stepAggregatorDown() needs a lockstep aggregator");
     }
     net::Transport &tp = *transport_;
-    const double start = tp.nowMs();
-    for (;;) {
-        aggDrainOnce(/*down_phase=*/true);
-        if (agg_->downComplete())
-            break;
-        if (tp.nowMs() - start >= kLockstepWaitMs)
-            break;
-        tp.advanceBy(kPollSliceMs);
-    }
+    aggCollect(epoch, /*down_phase=*/true, tp.nowMs() + kLockstepWaitMs);
     for (const auto &[child, frame] :
          encodeDownFrames(epoch, agg_->computeDown(stats_)))
         tp.send(role_, child, frame);
@@ -1406,8 +1143,8 @@ WorkerRuntime::membershipBeginJoin(std::uint32_t endpoint)
     // slot; the joiner must ack its own announcement.
     memberAckGen_.erase(ep);
     joinAnnounceEpoch_[ep] = lastEpoch_;
-    if (endpoint < rackHealth_.size())
-        rackHealth_[endpoint] = RackHealth{};
+    if (const auto h = rackHealth_.find(endpoint); h != rackHealth_.end())
+        h->second = RackHealth{};
     events_.record(static_cast<Seconds>(lastEpoch_),
                    core::EventKind::MembershipJoinBegan,
                    "worker" + std::to_string(endpoint),
@@ -1556,8 +1293,8 @@ WorkerRuntime::membershipTick(std::uint32_t epoch)
             joinAnnounceEpoch_.erase(ep);
             // Fresh liveness ledger: the adopted unit starts Live with
             // a clean sequence baseline and zero failover credit.
-            if (ep < rackHealth_.size())
-                rackHealth_[ep] = RackHealth{};
+            if (const auto h = rackHealth_.find(ep); h != rackHealth_.end())
+                h->second = RackHealth{};
         }
     }
     gauges_.membershipGen.set(static_cast<double>(membership_.generation()));
@@ -1657,9 +1394,11 @@ WorkerRuntime::lastServerBudgets(std::size_t server_id) const
 RackState
 WorkerRuntime::rackState(std::size_t r) const
 {
-    if (!isRoom() || r >= rackHealth_.size())
-        util::fatal("rt: rackState() needs the room runtime");
-    return rackHealth_[r].state;
+    const auto h = rackHealth_.find(static_cast<std::uint32_t>(r));
+    if (h == rackHealth_.end())
+        util::fatal("rt: rackState() needs the root runtime and one of "
+                    "its leaf children");
+    return h->second.state;
 }
 
 void
@@ -1670,7 +1409,7 @@ WorkerRuntime::setTelemetry(telemetry::Registry *registry,
         {"role", roleName()},
         {"tier", std::to_string(plan_.workers[role_].tier)}};
     obs_.attach(registry, tracer, *transport_, ownedTransport_ != nullptr,
-                ls, room_ || agg_);
+                ls, agg_ != nullptr);
     for (const CounterSpec &spec : kCounters)
         obs_.mirrorCounter(spec.field, spec.name, spec.help);
     gauges_ = {};
@@ -1731,7 +1470,8 @@ WorkerRuntime::persistCheckpoint(std::size_t rack)
 void
 WorkerRuntime::loadPersistedCheckpoints()
 {
-    for (std::size_t r = 0; r < rackCount_; ++r) {
+    for (const auto &[r, health] : rackHealth_) {
+        (void)health;
         std::ifstream is(checkpointPath(r), std::ios::binary);
         if (!is)
             continue;
@@ -1740,8 +1480,7 @@ WorkerRuntime::loadPersistedCheckpoints()
             std::istreambuf_iterator<char>());
         const auto frame = net::decodeFrame(bytes);
         if (!frame || frame->type != net::MsgType::Checkpoint) {
-            util::warn("rt: ignoring corrupt checkpoint for rack %zu",
-                       r);
+            util::warn("rt: ignoring corrupt checkpoint for rack %u", r);
             continue;
         }
         checkpoints_[r] = frame->checkpoint;

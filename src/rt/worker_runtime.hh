@@ -24,17 +24,19 @@
  *          collect budgets until the budget deadline; edges with no
  *          budget fall back to the Pcap_min default. Budgets feed the
  *          per-server PI loops exactly as in the monolithic service.
- *   room:  collect metrics until the gather deadline (stale-cache
- *          fallback per §4.5), run the upper-tree controllers, then
- *          send per-edge budgets with the same blind bounded
- *          retransmission.
+ *   room:  the plan's root, an AggregatorRole like every deeper root:
+ *          collect metrics until the gather deadline, run the §4.5
+ *          stale -> lost -> reserve ladder and the upper-tree
+ *          controllers, then send per-edge budgets with the same blind
+ *          bounded retransmission.
  *
- * Failover (the gap PR 4 documented, now closed): every rack streams a
- * compact checkpoint of its recoverable plant state — per-server
- * capping-integrator value, SPO pin flags, and last-period summaries —
- * to the room each period. The room keeps the latest checkpoint per
- * rack (optionally persisted under a state directory for supervisor
- * restarts) and runs a per-rack liveness state machine:
+ * Failover: every rack streams a compact checkpoint of its
+ * recoverable plant state — per-server capping-integrator value, SPO
+ * pin flags, and last-period summaries — to its parent each period.
+ * The root keeps the latest checkpoint per leaf child (optionally
+ * persisted under a state directory for supervisor restarts) and runs
+ * a per-rack liveness state machine over its leaf children — every
+ * rack at depth 2, none in a balanced deep plan:
  *
  *   Live ──(heartbeatFailAfter missed)──> Dead: WorkerFailover, the
  *        rack's edges ride the stale -> lost degradation, budgets stop
@@ -46,7 +48,7 @@
  *        to Rehoming — its fresh-plant metrics are never trusted, and
  *        its liveness is never double-counted against the stale
  *        accounting of the instance that died.
- *   Rehoming: the room withholds budgets (the rack rides its Pcap_min
+ *   Rehoming: the root withholds budgets (the rack rides its Pcap_min
  *        defaults — the clamp §4.5 requires until fresh metrics exist)
  *        and sends the stored checkpoint as a Rehome frame each period
  *        the rack is heard. The rack replays it (restoring integrator
@@ -59,6 +61,15 @@
  *        bounded: detection takes at most heartbeatFailAfter periods,
  *        replay + ack two more, so a supervisor restart re-joins
  *        within heartbeatFailAfter + restart delay + 2 periods.
+ *
+ * Liveness and membership reach the allocation through one input: the
+ * root's per-epoch view of its leaf children
+ * (AggregatorRole::setChildViews). A Dead or Left rack is not waited
+ * for; a non-Live instance is untrusted (its metrics are neither used
+ * nor cached, its floor is reserved); a rack outside the committed
+ * membership skips the ladder and keeps its floor reserved until its
+ * departure is acked. Aggregator children get no view: one that is
+ * absent or drained still runs, and so do the racks below it.
  *
  * The §4.4 SPO round is still skipped here (it needs fleet-wide
  * stranded-power detection); the checkpoint carries the pin flags for
@@ -79,17 +90,16 @@
  * fragment. Wall pacing staggers the deadlines by tier so a tier-k
  * receiver's gather closes at window start + k x gatherDeadlineMs and
  * budgets cascade back down symmetrically — with no aggLevels this
- * degenerates to exactly the 2-level schedule above. Deep mode keeps
- * the stale -> reserve degradation at every hop but not the
- * checkpoint/re-homing machinery (aggregators are stateless; see
- * rt/aggregator.hh for the recovery contract).
+ * degenerates to the 2-level schedule above. Every hop runs the same
+ * stale -> reserve ladder; interior aggregators are stateless and run
+ * no liveness (see rt/aggregator.hh for the recovery contract).
  *
  * Every degraded decision lands in the runtime's EventLog with the
  * epoch as its timestamp, mirroring ClosedLoopSim's audit trail.
  * Observability is the shared rt::Observability (rt/observe.hh), the
  * same plane a WorkerHost owns; the runtime adds only its
- * capmaestro_rt_* and membership series, the 2-level room's per-rack
- * health and audit, and the rt.room span.
+ * capmaestro_rt_* and membership series, the root's rack-liveness
+ * override of the fleet rollup, and the rt.room span.
  */
 
 #ifndef CAPMAESTRO_RT_WORKER_RUNTIME_HH
@@ -257,7 +267,8 @@ class WorkerRuntime
         return lastEdgeBudgets_;
     }
 
-    /** Room only: liveness state of rack @p r. */
+    /** Root only: liveness state of leaf child @p r (a rack that
+     *  reports to the root; fatal otherwise). */
     RackState rackState(std::size_t r) const;
 
     // ---- membership / elasticity plane (see membership/table.hh).
@@ -370,7 +381,7 @@ class WorkerRuntime
     /** The /healthz document (valid any time). */
     util::Json healthJson() const;
 
-    /** Room view: per-rack health rollup (empty on non-room roles). */
+    /** Per-child health rollup (empty on rack roles). */
     const telemetry::FleetHealthRegistry &fleetHealth() const
     {
         return obs_.fleetHealth();
@@ -392,15 +403,7 @@ class WorkerRuntime
     void setStateDir(const std::string &dir);
 
   private:
-    /** Room's cache of the last received metrics per edge. */
-    struct CachedMetrics
-    {
-        ctrl::NodeMetrics metrics;
-        std::uint32_t epoch = 0;
-        bool valid = false;
-    };
-
-    /** Room's per-rack liveness and re-homing bookkeeping. */
+    /** Root's per-rack liveness and re-homing bookkeeping. */
     struct RackHealth
     {
         RackState state = RackState::Live;
@@ -440,18 +443,15 @@ class WorkerRuntime
     /** This worker's tier in trace contexts and hop labels. */
     std::uint8_t traceTier() const
     {
-        return room_ ? Observability::kRoomTier
-                     : static_cast<std::uint8_t>(plan_.workers[role_].tier);
+        return static_cast<std::uint8_t>(plan_.workers[role_].tier);
     }
 
     void runRackPeriod(std::uint32_t epoch);
-    void runRoomPeriod(std::uint32_t epoch);
-    /** Wall pacing, deep plans: one aggregator/root period (gather up,
-     *  forward, collect SubBudgets, split down) on the tier-staggered
-     *  deadline schedule. */
+    /** Wall pacing: one aggregator/root period (gather up, forward,
+     *  collect SubBudgets, split down) on the tier-staggered deadline
+     *  schedule. */
     void runAggregatorPeriod(std::uint32_t epoch);
     void buildRack(std::uint64_t seed);
-    void buildRoom();
     void buildAggregator();
 
     // ---- rack phase helpers (shared by Wall and Lockstep pacing)
@@ -468,31 +468,48 @@ class WorkerRuntime
         std::uint32_t epoch,
         const std::set<std::pair<std::size_t, topo::NodeId>> &applied);
 
-    // ---- aggregator phase helpers (deep plans)
+    // ---- aggregator and root phase helpers
+    /** Open @p epoch's gather (the root also resets what it heard and
+     *  refreshes the child view). */
+    void aggBeginEpoch(std::uint32_t epoch);
     /** Drain one poll pass into agg_: SubBudgets feed the down phase
      *  when @p down_phase, everything else the gather. */
-    void aggDrainOnce(bool down_phase);
+    void aggDrainOnce(std::uint32_t epoch, bool down_phase);
+    /** Drain until the phase is complete or the transport clock
+     *  reaches @p close. */
+    void aggCollect(std::uint32_t epoch, bool down_phase, double close);
+    /** Close the gather (the root first runs rack liveness and the
+     *  membership commit gate and sets the child view they imply) and
+     *  roll the outcome up into fleet health. Returns the Summary
+     *  messages for the parent. */
+    std::vector<net::MetricsMsg> aggCloseGather(std::uint32_t epoch);
     /** Heartbeat + this worker's Summary frames for the parent. */
     std::vector<std::vector<std::uint8_t>>
     encodeUpFrames(std::uint32_t epoch,
                    const std::vector<net::MetricsMsg> &summaries);
-    /** (child endpoint, encoded Budget/SubBudget) per computed split. */
+    /** (child endpoint, encoded frame) per computed split: Budget or
+     *  SubBudget. */
     std::vector<std::pair<net::Transport::Endpoint,
                           std::vector<std::uint8_t>>>
     encodeDownFrames(std::uint32_t epoch,
                      const std::vector<AggregatorRole::DownMsg> &downs);
 
-    // ---- room phase helpers
-    void roomGather(std::uint32_t epoch, bool paced);
-    void noteRackFrame(std::size_t rack, std::uint32_t seq,
-                       std::uint32_t epoch);
-    /** Frames in one of rack @p rack's upstream batches (heartbeat +
-     *  one metrics frame per owned edge + checkpoint) — the sequence
-     *  regression a retransmitted batch can legitimately show. */
-    std::uint32_t rackBatchSize(std::size_t rack) const;
-    void beginRehoming(std::size_t rack, std::uint32_t epoch);
-    void roomLiveness(std::uint32_t epoch);
-    void roomComputeAndSend(std::uint32_t epoch, bool paced);
+    // ---- root: liveness and re-homing of its leaf children
+    /** Note one received frame for rack liveness: restart detection
+     *  by sequence regression, and the rack's streamed checkpoint.
+     *  No-op unless the sender is a leaf child of the root. */
+    void noteRackFrame(const net::Frame &frame, std::uint32_t epoch);
+    void beginRehoming(std::uint32_t rack, std::uint32_t epoch);
+    void rackLiveness(std::uint32_t epoch);
+    /** Hand agg_ the view of the leaf children that liveness and
+     *  membership imply now (no-op without leaf children). */
+    void refreshChildViews();
+    /** Append a Rehome per re-homing rack heard this epoch to the
+     *  down frames. */
+    void appendRehomeFrames(
+        std::uint32_t epoch,
+        std::vector<std::pair<net::Transport::Endpoint,
+                              std::vector<std::uint8_t>>> &down);
     void persistCheckpoint(std::size_t rack);
     void loadPersistedCheckpoints();
     std::string checkpointPath(std::size_t rack) const;
@@ -571,23 +588,14 @@ class WorkerRuntime
     std::map<std::pair<std::size_t, topo::NodeId>, Watts>
         lastEdgeBudgets_;
 
-    // -------- aggregator / deep-root state
+    // -------- aggregator / root state
     std::unique_ptr<AggregatorRole> agg_;
-
-    // -------- room state (2-level deployments)
-    std::unique_ptr<core::RoomWorker> room_;
-    /** (tree, edge node) -> owning rack, full partition view. */
-    std::map<std::pair<std::size_t, topo::NodeId>, std::size_t>
-        edgeOwner_;
-    std::vector<RackHealth> rackHealth_;
-    std::map<std::pair<std::size_t, topo::NodeId>, CachedMetrics>
-        metricCache_;
-    /** Latest checkpoint per rack. */
+    /** Root: liveness per leaf child (empty elsewhere). */
+    std::map<std::uint32_t, RackHealth> rackHealth_;
+    /** Root: latest checkpoint per leaf child. */
     std::map<std::size_t, net::CheckpointMsg> checkpoints_;
-    /** Per-epoch gather results (cleared by roomGather). */
-    std::set<std::size_t> heard_;
-    std::map<std::pair<std::size_t, topo::NodeId>, ctrl::NodeMetrics>
-        fresh_;
+    /** Root: leaf children heard this epoch. */
+    std::set<std::uint32_t> heard_;
     std::string stateDir_;
 
     // -------- observability (inert until setTelemetry())

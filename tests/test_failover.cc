@@ -20,12 +20,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
+#include "config/loader.hh"
 #include "core/events.hh"
 #include "net/transport.hh"
+#include "net/wire.hh"
 #include "rt/chaos.hh"
+#include "test_support.hh"
+#include "telemetry/health.hh"
+#include "util/json.hh"
 
 using namespace capmaestro;
 
@@ -389,6 +401,36 @@ TEST(DeepChaos, MidTierAggregatorKillStaysSafeOnSim)
     EXPECT_EQ(report.recoveries, 0u);
 }
 
+TEST(DeepChaos, AggregatorOutsideTheMembershipKeepsItsFloorReserved)
+{
+    // Membership is a rack-level idea: a rack committed Left applies
+    // zero watts, which is what lets the root release its floor. An
+    // aggregator listed absent (endpoint 4) or drained (endpoint 5)
+    // keeps running, and so do the racks beneath it, so the root must
+    // keep budgeting it like any member. Were its floor released, its
+    // racks would ride their Pcap_min defaults on top of a split of
+    // the whole tree budget. The budget is tight enough that this
+    // overcommits.
+    std::string json = deepScenario();
+    const std::string full = R"("totalPerPhase": 3200)";
+    json.replace(json.find(full), full.size(), R"("totalPerPhase": 1200)");
+    rt::LockstepDeployment dep(json, rt::ChaosBackend::Sim,
+                               net::TransportConfig{}, /*seed=*/313,
+                               /*agg_levels=*/{1});
+    dep.room().membershipMarkAbsent(4);
+    dep.chaos().at(3, rt::ChaosEvent::Kind::Drain, 5);
+    const auto report = dep.run(16);
+
+    EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(dep.room().membership().state(5),
+              membership::UnitState::Left);
+    // Every rack kept getting real budgets through both aggregators.
+    for (std::size_t r = 0; r < dep.rackCount(); ++r) {
+        ASSERT_NE(dep.rack(r), nullptr);
+        EXPECT_EQ(dep.rack(r)->stats().defaultBudgets, 0u) << r;
+    }
+}
+
 TEST(DeepChaos, SimSameSeedDeepRunsAreBitReproducible)
 {
     // Depth-3 chaos must replay bit-for-bit on the Sim backend, same
@@ -563,6 +605,41 @@ TEST(Elasticity, UdpJoinDrainRollingUpgradeStaysSafe)
     EXPECT_TRUE(dep.rack(2)->membership().isLive(2));
 }
 
+TEST(Elasticity, TwoLevelRootJoinsAndDrainsItsOwnRacks)
+{
+    // At depth 2 the joining and draining units are the root's own
+    // children, so the root's child view carries their membership:
+    // rack 1 boots absent (nothing reserved, nothing logged), joins
+    // through its shadow periods (floor reserved, no ladder events),
+    // then rack 0 drains out. Lossless, so any stale or lost event at
+    // the root would come from treating a non-member as a degraded
+    // member.
+    rt::LockstepDeployment dep(kScenario, rt::ChaosBackend::Sim,
+                               net::TransportConfig{}, /*seed=*/41);
+    dep.scriptJoiner(1);
+    dep.chaos().at(4, rt::ChaosEvent::Kind::Join, 1);
+    dep.chaos().at(14, rt::ChaosEvent::Kind::Drain, 0);
+    const auto report = dep.run(24);
+
+    EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.drained, 1u);
+    const auto &table = dep.room().membership();
+    EXPECT_EQ(table.state(1), membership::UnitState::Live);
+    EXPECT_EQ(table.state(0), membership::UnitState::Left);
+    EXPECT_EQ(table.transitionsPending(), 0u);
+    EXPECT_EQ(dep.room().stats().membershipCommits, 2u);
+
+    ASSERT_NE(dep.rack(1), nullptr);
+    EXPECT_GT(dep.rack(1)->stats().shadowPeriods, 0u);
+    EXPECT_GT(dep.rack(1)->stats().budgetsApplied, 0u);
+    EXPECT_EQ(dep.rack(0), nullptr);
+
+    const auto &root = dep.room();
+    EXPECT_EQ(root.stats().staleReuses, 0u);
+    EXPECT_EQ(root.stats().metricsLost, 0u);
+    EXPECT_EQ(root.stats().failovers, 0u);
+}
+
 TEST(Elasticity, StaticMembershipLeavesTheTraceFormatUntouched)
 {
     // The compatibility bar for the whole membership plane: a
@@ -591,4 +668,266 @@ TEST(Elasticity, StaticMembershipLeavesTheTraceFormatUntouched)
                       std::string::npos)
                 << line;
     }
+}
+
+// ------------------------------------ golden digests (refactor guard)
+
+namespace {
+
+using test_support::Fnv1a;
+
+/** One unit's final stats, applied edge budgets and event log. */
+void
+digestUnit(Fnv1a &h, const rt::WorkerRuntime &unit)
+{
+    for (const rt::StatField &field : rt::kStatFields)
+        h.u64(unit.stats().*field.member);
+    for (const auto &[edge, watts] : unit.lastEdgeBudgets()) {
+        h.u64(edge.first);
+        h.u64(edge.second);
+        h.u64(std::bit_cast<std::uint64_t>(watts));
+    }
+    // Sorted, so a refactor may reorder decisions inside one epoch
+    // but not change them.
+    std::vector<core::Event> events = unit.eventLog().events();
+    std::sort(events.begin(), events.end(),
+              [](const core::Event &a, const core::Event &b) {
+                  return std::tie(a.time, a.kind, a.subject, a.value)
+                         < std::tie(b.time, b.kind, b.subject, b.value);
+              });
+    h.u64(events.size());
+    for (const core::Event &e : events) {
+        h.u64(std::bit_cast<std::uint64_t>(e.time));
+        h.u64(static_cast<std::uint64_t>(e.kind));
+        h.str(e.subject);
+        h.u64(std::bit_cast<std::uint64_t>(e.value));
+    }
+}
+
+/** Digest of a finished run: its log plus every surviving unit. */
+std::uint64_t
+digestOf(rt::LockstepDeployment &dep, const rt::ChaosRunReport &report)
+{
+    Fnv1a h;
+    for (const std::string &line : report.log)
+        h.str(line);
+    for (std::uint32_t e = 0; e < dep.plan().workers.size(); ++e) {
+        const rt::WorkerRuntime *unit =
+            e < dep.rackCount()                  ? dep.rack(e)
+            : e < dep.plan().rootEndpoint() ? dep.aggregator(e)
+                                                 : &dep.room();
+        h.u64(unit != nullptr);
+        if (unit)
+            digestUnit(h, *unit);
+    }
+    return h.value();
+}
+
+#define EXPECT_DIGEST(dep, report, pinned)                            \
+    do {                                                              \
+        const std::uint64_t digest = digestOf(dep, report);           \
+        EXPECT_EQ(digest, pinned##ull)                                \
+            << "golden digest moved: 0x" << std::hex << digest;       \
+    } while (0)
+
+} // namespace
+
+// Pinned digests of four lockstep chaos runs on the Sim backend. Each
+// hashes the per-epoch log, every surviving unit's final RuntimeStats
+// and applied edge budgets (bit patterns), and each unit's event log.
+// They change only with an intended protocol change (docs/testing.md).
+
+TEST(LockstepGolden, TwoLevelKillRestartUnderLoss)
+{
+    net::TransportConfig faults;
+    faults.dropRate = 0.10;
+    faults.seed = 555;
+    rt::LockstepDeployment dep(kScenario, rt::ChaosBackend::Sim, faults,
+                               /*seed=*/31);
+    scriptStandardChaos(dep.chaos(), dep.rackCount());
+    const auto report = dep.run(45);
+    EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.recoveries, 2u);
+    EXPECT_DIGEST(dep, report, 0x9df812cf13ed2f68);
+}
+
+TEST(LockstepGolden, PartitionHealDeclinedReplay)
+{
+    rt::LockstepDeployment dep(kScenario, rt::ChaosBackend::Sim,
+                               net::TransportConfig{}, /*seed=*/23);
+    dep.chaos().at(6, rt::ChaosEvent::Kind::Partition, 0, 2);
+    dep.chaos().at(11, rt::ChaosEvent::Kind::Heal);
+    const auto report = dep.run(16);
+    EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    ASSERT_NE(dep.rack(0), nullptr);
+    EXPECT_EQ(dep.rack(0)->stats().rehomesDeclined, 1u);
+    EXPECT_DIGEST(dep, report, 0x33a302c55cdf5d49);
+}
+
+TEST(LockstepGolden, Depth4MidTierAggregatorKill)
+{
+    // Kill a pod aggregator (a direct child of the root) and a row
+    // aggregator beneath the other pod, then restart both.
+    rt::LockstepDeployment dep(test_support::depth4Scenario(),
+                               rt::ChaosBackend::Sim,
+                               net::TransportConfig{}, /*seed=*/311,
+                               /*agg_levels=*/{1, 2});
+    ASSERT_EQ(dep.plan().tiers(), 4u);
+    dep.chaos().at(6, rt::ChaosEvent::Kind::Kill, 12);
+    dep.chaos().at(8, rt::ChaosEvent::Kind::Kill, 10);
+    dep.chaos().at(12, rt::ChaosEvent::Kind::Restart, 12);
+    dep.chaos().at(14, rt::ChaosEvent::Kind::Restart, 10);
+    const auto report = dep.run(24);
+    EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_GE(dep.room().stats().staleReuses, 1u);
+    EXPECT_DIGEST(dep, report, 0xa8286d5e7b7a060c);
+}
+
+TEST(LockstepGolden, Depth4ElasticJoinDrainAggKill)
+{
+    // The script of WorkerRuntime.ElasticSoakJoinsDrainsAndAggKillStaySafe.
+    net::TransportConfig faults;
+    faults.dropRate = 0.10;
+    faults.seed = 1357;
+    rt::LockstepDeployment dep(test_support::depth4Scenario(),
+                               rt::ChaosBackend::Sim, faults,
+                               /*seed=*/2026, /*agg_levels=*/{1, 2});
+    dep.scriptJoiner(6);
+    dep.scriptJoiner(7);
+    dep.chaos().at(20, rt::ChaosEvent::Kind::Join, 6);
+    dep.chaos().at(22, rt::ChaosEvent::Kind::Kill, 11);
+    dep.chaos().at(26, rt::ChaosEvent::Kind::Restart, 11);
+    dep.chaos().at(50, rt::ChaosEvent::Kind::Join, 7);
+    dep.chaos().at(90, rt::ChaosEvent::Kind::Drain, 2);
+    const auto report = dep.run(200);
+    EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.drained, 1u);
+    EXPECT_DIGEST(dep, report, 0xd65b6a999a392668);
+}
+
+// ------------------------------------------- hostile upstream frames
+
+namespace {
+
+/** The 2-level testbed as three lockstep runtimes over one lossless
+ *  SimTransport, stepped by hand so a test can slip frames in between
+ *  the racks' upstream sends and the root's gather. */
+class ManualFleet
+{
+  public:
+    ManualFleet()
+    {
+        config::WorkerPeers peers;
+        peers.periodMs = 1000.0;
+        peers.originMs = 1;
+        for (std::uint32_t e = 0; e < 3; ++e)
+            peers.peers[e] = net::UdpPeer{"127.0.0.1", 0};
+        for (std::uint32_t e = 0; e < 3; ++e) {
+            units_.push_back(std::make_unique<rt::WorkerRuntime>(
+                config::loadScenario(util::parseJson(kScenario)), peers,
+                e, /*seed=*/5, net_, rt::Pacing::Lockstep));
+        }
+    }
+
+    /** One epoch; @p inject runs after the racks sent upstream. */
+    void step(const std::function<void(net::Transport &,
+                                       std::uint32_t)> &inject = {})
+    {
+        const std::uint32_t epoch = ++epoch_;
+        units_[0]->stepUpstream(epoch);
+        units_[1]->stepUpstream(epoch);
+        if (inject)
+            inject(net_, epoch);
+        units_[2]->stepRoom(epoch);
+        units_[0]->stepDownstream(epoch);
+        units_[1]->stepDownstream(epoch);
+    }
+
+    rt::WorkerRuntime &unit(std::size_t e) { return *units_[e]; }
+
+  private:
+    net::SimTransport net_;
+    std::vector<std::unique_ptr<rt::WorkerRuntime>> units_;
+    std::uint32_t epoch_ = 0;
+};
+
+} // namespace
+
+TEST(Failover, ForgedMetricsForAnotherRacksEdgeAreOrphaned)
+{
+    // Rack 0 claims rack 1's edge on tree X with empty metrics, after
+    // rack 1's own report. The root must drop it as an orphan: the
+    // allocation stays bit-identical to a clean run.
+    ManualFleet clean;
+    ManualFleet forged;
+    const auto scenario = config::loadScenario(util::parseJson(kScenario));
+    topo::NodeId right = topo::kNoNode;
+    scenario.system->tree(0).forEach([&](const topo::TopoNode &n) {
+        if (n.name == "rightCB")
+            right = n.id;
+    });
+    ASSERT_NE(right, topo::kNoNode);
+
+    for (int i = 0; i < 6; ++i) {
+        clean.step();
+        forged.step([&](net::Transport &tp, std::uint32_t epoch) {
+            net::MetricsMsg msg;
+            msg.tree = 0;
+            msg.edgeNode = static_cast<std::uint32_t>(right);
+            // A sequence number inside rack 0's current batch, so
+            // the root's restart detection sees nothing unusual.
+            tp.send(0, 2,
+                    net::encodeMetrics(
+                        net::FrameMeta(0, epoch, 4 * (epoch - 1)), msg));
+        });
+    }
+    for (std::size_t r = 0; r < 2; ++r) {
+        const auto &a = clean.unit(r).lastEdgeBudgets();
+        const auto &b = forged.unit(r).lastEdgeBudgets();
+        ASSERT_EQ(a.size(), b.size());
+        for (const auto &[edge, watts] : a) {
+            ASSERT_TRUE(b.count(edge));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(watts),
+                      std::bit_cast<std::uint64_t>(b.at(edge)))
+                << "rack " << r << " node " << edge.second;
+        }
+        EXPECT_EQ(clean.unit(r).stats().budgetsApplied,
+                  forged.unit(r).stats().budgetsApplied);
+    }
+    EXPECT_EQ(forged.unit(2).stats().orphanFrames,
+              clean.unit(2).stats().orphanFrames + 6u);
+}
+
+TEST(Failover, RootFleetRollupFollowsRackLiveness)
+{
+    // The 2-level root reports one fleet unit per child worker, "w<ep>",
+    // at its worst station's state — except that a Dead rack reads as
+    // lost and a Rehoming one as rehoming, whatever its stations did.
+    rt::LockstepDeployment dep(kScenario, rt::ChaosBackend::Sim,
+                               net::TransportConfig{}, /*seed=*/11);
+    dep.chaos().at(3, rt::ChaosEvent::Kind::Kill, 0);
+    dep.chaos().at(8, rt::ChaosEvent::Kind::Restart, 0);
+    const auto &fleet = dep.room().fleetHealth();
+    auto state = [&fleet](const char *unit) {
+        return fleet.units().at(unit).health;
+    };
+
+    dep.run(2);
+    EXPECT_EQ(fleet.units().size(), 2u);
+    EXPECT_EQ(state("w0"), telemetry::UnitHealth::Live);
+    EXPECT_EQ(dep.room().healthJson().numberOr("tier", -1.0), 1.0);
+
+    dep.run(1); // epoch 3: rack 0 silent, its stations ride the cache
+    EXPECT_EQ(state("w0"), telemetry::UnitHealth::Stale);
+    dep.run(2); // epoch 5: declared dead
+    ASSERT_EQ(dep.room().rackState(0), rt::RackState::Dead);
+    EXPECT_EQ(state("w0"), telemetry::UnitHealth::Lost);
+    EXPECT_EQ(state("w1"), telemetry::UnitHealth::Live);
+
+    dep.run(3); // epoch 8: the restarted instance is heard
+    ASSERT_EQ(dep.room().rackState(0), rt::RackState::Rehoming);
+    EXPECT_EQ(state("w0"), telemetry::UnitHealth::Rehoming);
+    dep.run(3);
+    ASSERT_EQ(dep.room().rackState(0), rt::RackState::Live);
+    EXPECT_EQ(state("w0"), telemetry::UnitHealth::Live);
 }

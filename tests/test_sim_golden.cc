@@ -19,9 +19,11 @@
 #include "config/loader.hh"
 #include "core/events.hh"
 #include "sim/closed_loop.hh"
+#include "test_support.hh"
 #include "util/json.hh"
 
 using namespace capmaestro;
+using test_support::Fnv1a;
 
 namespace {
 
@@ -96,30 +98,6 @@ const char *kScenario = R"({
 
 constexpr Seconds kFailAt = 100;
 constexpr Seconds kRunFor = 240;
-
-/** 64-bit FNV-1a over a byte stream. */
-class Fnv1a
-{
-  public:
-    void bytes(const void *data, std::size_t n)
-    {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < n; ++i) {
-            h_ ^= p[i];
-            h_ *= 0x100000001b3ull;
-        }
-    }
-    void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
-    void str(const std::string &s)
-    {
-        u64(s.size());
-        bytes(s.data(), s.size());
-    }
-    std::uint64_t value() const { return h_; }
-
-  private:
-    std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
 
 /** Digest of every recorded series and every event of @p sim. */
 std::uint64_t

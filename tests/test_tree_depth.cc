@@ -28,12 +28,17 @@
 #include <string>
 #include <vector>
 
+#include "config/loader.hh"
 #include "control/control_tree.hh"
 #include "core/distributed.hh"
 #include "core/tree_plan.hh"
 #include "net/transport.hh"
 #include "net/udp_transport.hh"
+#include "rt/chaos.hh"
+#include "rt/host.hh"
+#include "test_support.hh"
 #include "topology/power_system.hh"
+#include "util/json.hh"
 #include "util/random.hh"
 
 using namespace capmaestro;
@@ -386,5 +391,57 @@ TEST(TreeDepth, PlanShapesAreSound)
             }
         }
         EXPECT_EQ(seen_children.size(), plan.workers.size() - 1);
+    }
+}
+
+// The two rt engines, one protocol: on a lossless SimTransport a
+// lockstep WorkerRuntime deployment and a one-process WorkerHost
+// running the same scenario and seed must apply bit-identical edge
+// budgets every period, at every plan depth.
+TEST(TreeDepth, LockstepRuntimeAndHostApplyIdenticalBudgets)
+{
+    const std::string scenario_json = test_support::depth4Scenario();
+    constexpr std::uint64_t kSeed = 9;
+    for (const std::vector<std::uint32_t> &levels :
+         {std::vector<std::uint32_t>{}, std::vector<std::uint32_t>{1},
+          std::vector<std::uint32_t>{1, 2}}) {
+        SCOPED_TRACE("depth " + std::to_string(levels.size() + 2));
+        rt::LockstepDeployment lockstep(scenario_json,
+                                        rt::ChaosBackend::Sim,
+                                        net::TransportConfig{}, kSeed,
+                                        levels);
+
+        config::WorkerPeers peers;
+        peers.periodMs = 1000.0;
+        peers.aggLevels = levels;
+        for (std::uint32_t e = 0; e < lockstep.plan().workers.size(); ++e)
+            peers.peers[e] = net::UdpPeer{"127.0.0.1", 0};
+        net::SimTransport net;
+        rt::WorkerHost host(
+            config::loadScenario(util::parseJson(scenario_json)), peers,
+            /*process=*/0, kSeed, net);
+
+        for (std::uint32_t period = 1; period <= 20; ++period) {
+            SCOPED_TRACE("period " + std::to_string(period));
+            lockstep.run(1);
+            ASSERT_EQ(host.runPeriods(1), 1u);
+            std::map<std::pair<std::size_t, topo::NodeId>, Watts> merged;
+            for (std::size_t r = 0; r < lockstep.rackCount(); ++r) {
+                for (const auto &[edge, watts] :
+                     lockstep.rack(r)->lastEdgeBudgets())
+                    merged.emplace(edge, watts);
+            }
+            const auto &expect = host.lastEdgeBudgets();
+            ASSERT_FALSE(expect.empty());
+            ASSERT_EQ(merged.size(), expect.size());
+            for (const auto &[edge, watts] : expect) {
+                ASSERT_TRUE(merged.count(edge));
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(watts),
+                          std::bit_cast<std::uint64_t>(merged.at(edge)))
+                    << "tree " << edge.first << " node " << edge.second;
+            }
+        }
+        EXPECT_EQ(host.stats().defaultBudgets, 0u);
+        EXPECT_EQ(host.stats().staleReuses, 0u);
     }
 }

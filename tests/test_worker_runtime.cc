@@ -30,9 +30,11 @@
 #include "rt/chaos.hh"
 #include "rt/host.hh"
 #include "rt/worker_runtime.hh"
+#include "test_support.hh"
 #include "util/json.hh"
 
 using namespace capmaestro;
+using test_support::depth4Scenario;
 
 namespace {
 
@@ -423,78 +425,6 @@ TEST(WorkerRuntime, RejectsMalformedDeployments)
 }
 
 // ------------------------------------------- deep-tree lockstep soak
-
-namespace {
-
-/**
- * Depth-4 dual-feed scenario for agg_levels = {1, 2}: per tree,
- * root -> 2 pods -> 2 rows each -> 2 rack breakers each -> 2 supplies
- * each (16 servers, structurally parallel across both feeds). Worker
- * plan: 8 leaf workers (0-7), 4 row aggregators (8-11), 2 pod
- * aggregators (12-13), root (14).
- */
-std::string
-depth4Scenario()
-{
-    std::string trees;
-    for (int feed = 0; feed < 2; ++feed) {
-        std::string pods;
-        for (int pod = 0; pod < 2; ++pod) {
-            std::string rows;
-            for (int row = 0; row < 2; ++row) {
-                std::string racks;
-                for (int rack = 0; rack < 2; ++rack) {
-                    const int base =
-                        pod * 8 + row * 4 + rack * 2;
-                    racks += std::string(rack ? "," : "")
-                             + R"({ "kind": "breaker", "name": "rk)"
-                             + std::to_string(pod)
-                             + std::to_string(row)
-                             + std::to_string(rack)
-                             + R"(", "rating": 900, "children": [)"
-                             + R"({ "kind": "supply", "server": )"
-                             + std::to_string(base)
-                             + R"(, "supply": )"
-                             + std::to_string(feed) + "},"
-                             + R"({ "kind": "supply", "server": )"
-                             + std::to_string(base + 1)
-                             + R"(, "supply": )"
-                             + std::to_string(feed) + "}]}";
-                }
-                rows += std::string(row ? "," : "")
-                        + R"({ "kind": "breaker", "name": "row)"
-                        + std::to_string(pod) + std::to_string(row)
-                        + R"(", "rating": 1700, "children": [)"
-                        + racks + "]}";
-            }
-            pods += std::string(pod ? "," : "")
-                    + R"({ "kind": "breaker", "name": "pod)"
-                    + std::to_string(pod)
-                    + R"(", "rating": 3300, "children": [)" + rows
-                    + "]}";
-        }
-        trees += std::string(feed ? "," : "") + R"({ "feed": )"
-                 + std::to_string(feed) + R"(, "phase": 0, "name": ")"
-                 + (feed == 0 ? "X" : "Y") + R"(", "root": { "kind": )"
-                 + R"("breaker", "name": "top", "rating": 6400, )"
-                 + R"("children": [)" + pods + "]}}";
-    }
-    std::string servers;
-    for (int s = 0; s < 16; ++s) {
-        servers += std::string(s ? "," : "") + R"({ "name": "S)"
-                   + std::to_string(s) + R"(", "priority": )"
-                   + std::to_string(s % 3 == 0 ? 1 : 0)
-                   + R"(, "supplies": [{ "share": 0.5 }, )"
-                   + R"({ "share": 0.5 }], "workload": { "type": )"
-                   + R"("constant", "utilization": 0.6)"
-                   + std::to_string(50 + s) + " }}";
-    }
-    return R"({ "feeds": 2, "trees": [)" + trees + R"(], "servers": [)"
-           + servers + R"(], "service": { "policy": "global", )"
-           + R"("spo": false }, "budgets": { "totalPerPhase": 6400 }})";
-}
-
-} // namespace
 
 TEST(WorkerRuntime, Depth4LossySoakNeverOvershootsAndBoundsStaleReuse)
 {
