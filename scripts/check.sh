@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Repo verification: the tier-1 build + test line from ROADMAP.md, plus
-# an ASan+UBSan build of the net-layer tests (wire codec, transport,
-# message-plane protocol) to catch memory and UB bugs in the frame
-# parsing paths that handle untrusted bytes.
+# Repo verification: the tier-1 build + test line from ROADMAP.md, a
+# build (not a run) of the frozen perfbench/ benchmark, the multi-process
+# smokes, plus an ASan+UBSan build of the net-layer tests (wire codec,
+# transport, message-plane protocol) to catch memory and UB bugs in the
+# frame parsing paths that handle untrusted bytes.
 #
 # Usage: scripts/check.sh [--tier1-only]
 #        scripts/check.sh --perf <baseline-records-dir>
@@ -77,6 +78,16 @@ fi
 if [[ "${1:-}" == "--tier1-only" ]]; then
     exit 0
 fi
+
+echo
+echo "== perfbench tier: build the frozen benchmark (not run) =="
+# perfbench/ calls rt's plant helpers, nominalEdgeFloors and
+# WorkerHost's public API, and tier 1 never compiles it. Building
+# perfbench_plane here catches an rt change that breaks those calls
+# before the benchmark pipeline does. It gets a directory of its own:
+# .bench_build/perfbench belongs to perfbench/run.py.
+cmake -S perfbench -B build-perfbench > /dev/null
+cmake --build build-perfbench -j "$(nproc)" --target perfbench_plane
 
 echo
 echo "== udp tier: multi-process loopback smoke (capmaestro_worker) =="

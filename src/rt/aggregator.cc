@@ -1,6 +1,7 @@
 #include "rt/aggregator.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "util/logging.hh"
@@ -264,7 +265,13 @@ AggregatorRole::noteDownFrame(const net::Frame &frame,
         ++stats.orphanFrames;
         return false;
     }
-    if (received_.emplace(tree, frame.budget.budget).second)
+    // A non-finite or negative grant would poison every child's split.
+    const Watts watts = frame.budget.budget;
+    if (!std::isfinite(watts) || watts < 0.0) {
+        ++stats.corruptFrames;
+        return false;
+    }
+    if (received_.emplace(tree, watts).second)
         ++stats.subBudgetsApplied;
     return true;
 }

@@ -47,9 +47,17 @@
  * checkpoint streaming, no re-homing. A killed-and-restarted
  * aggregator rejoins silently — its parent rides the stale cache, then
  * reserves; its children ride Pcap_min defaults until budgets flow
- * again. Leaf plant recovery (rack liveness, checkpoints, Rehome) is
- * the job of the WorkerRuntime that owns the root, for the root's leaf
- * children, and reaches this class only through the child view.
+ * again. Leaf plant recovery is split in two: the leaf's half (replay
+ * or decline a Rehome, the post-replay clamp) is LeafRole's
+ * (rt/leaf.hh); the root's half (rack liveness, the checkpoint store,
+ * Rehome emission) is the WorkerRuntime that owns the root, for the
+ * root's leaf children, and reaches this class only through the child
+ * view.
+ *
+ * Input check: a SubBudget whose watts are NaN, infinite or negative
+ * would poison every child's split, so noteDownFrame() drops it
+ * (counted in corruptFrames). Unless a valid copy follows, that tree's
+ * subtree sees silence and rides its defaults.
  */
 
 #ifndef CAPMAESTRO_RT_AGGREGATOR_HH
@@ -164,7 +172,8 @@ class AggregatorRole
     /**
      * Feed one decoded downstream frame (a SubBudget from the parent,
      * whose sender id must be @p parent_sender). Duplicates keep the
-     * first-received value.
+     * first-received value; watts that are NaN, infinite or negative
+     * are dropped as corrupt.
      */
     bool noteDownFrame(const net::Frame &frame,
                        std::uint16_t parent_sender,

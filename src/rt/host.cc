@@ -135,28 +135,17 @@ WorkerHost::init(std::uint64_t seed)
     membership_ = membership::MembershipTable::allLive(
         plan_.workers.size());
 
-    nominalFloor_ = nominalEdgeFloors(system, scenario_);
-    const auto partition =
-        core::DistributedControlPlane::partitionEdges(system);
+    const auto nominal_floor = nominalEdgeFloors(system, scenario_);
     const auto policy = policy::treePolicy(scenario_.service.policy);
 
-    std::map<std::size_t, std::map<std::size_t, topo::NodeId>> want;
+    std::vector<std::uint32_t> leaf_eps;
     roles_.assign(plan_.workers.size(), RoleRef{});
     for (const net::Transport::Endpoint ep : locals_) {
         const core::TreePlan::Worker &w = plan_.workers[ep];
         if (w.isLeaf()) {
-            LeafRole leaf;
-            leaf.ep = ep;
-            leaf.parent = w.parent;
-            leaf.edges = partition[ep];
-            leaf.rack =
-                std::make_unique<core::RackWorker>(system, policy);
-            for (const auto &[tree, node] : leaf.edges)
-                leaf.rack->addEdge(tree, node);
             roles_[ep] = {RoleRef::Kind::Leaf,
-                          static_cast<std::uint32_t>(leaves_.size())};
-            leaves_.push_back(std::move(leaf));
-            want[ep] = partition[ep];
+                          static_cast<std::uint32_t>(leaf_eps.size())};
+            leaf_eps.push_back(ep);
         } else {
             AggRole role;
             role.ep = ep;
@@ -165,16 +154,16 @@ WorkerHost::init(std::uint64_t seed)
             // is never an out-of-range endpoint.
             role.parent = w.isRoot() ? ep : w.parent;
             role.agg = std::make_unique<AggregatorRole>(
-                system, plan_, ep, policy, nominalFloor_,
+                system, plan_, ep, policy, nominal_floor,
                 scenario_.service.protocol,
                 w.isRoot() ? scenario_.rootBudgets
                            : std::vector<Watts>{});
             aggs_.push_back(std::move(role));
         }
     }
-    auto plants = buildPlants(scenario_, system, want, seed);
-    for (LeafRole &leaf : leaves_)
-        leaf.plants = std::move(plants[leaf.ep]);
+    for (LeafRole &leaf : buildLeaves(scenario_, leaf_eps, nominal_floor,
+                                      seed))
+        leaves_.push_back(LeafSlot{std::move(leaf)});
 
     // Ascending tier order: within one drain pass a hosted child
     // closes (and sends) before its hosted parent checks completeness.
@@ -198,26 +187,6 @@ WorkerHost::post(net::Transport::Endpoint from, net::Transport::Endpoint to,
         return;
     }
     transport_->send(from, to, std::move(bytes));
-}
-
-void
-WorkerHost::leafApplyBudget(LeafRole &leaf, const net::Frame &frame)
-{
-    const std::size_t tree = frame.budget.tree;
-    const auto node = static_cast<topo::NodeId>(frame.budget.edgeNode);
-    const auto mine = leaf.edges.find(tree);
-    if (mine == leaf.edges.end() || mine->second != node) {
-        ++stats_.orphanFrames;
-        return;
-    }
-    if (leaf.applied.count({tree, node}))
-        return; // duplicate delivery
-    const Watts granted =
-        membershipClamp(leaf.ep, tree, node, frame.budget.budget);
-    leaf.rack->applyBudget(tree, node, granted);
-    lastEdgeBudgets_[{tree, node}] = granted;
-    leaf.applied.insert({tree, node});
-    ++stats_.budgetsApplied;
 }
 
 void
@@ -270,13 +239,12 @@ WorkerHost::dispatch(net::Transport::Endpoint to,
     }
     switch (ref.kind) {
     case RoleRef::Kind::Leaf:
-        if (frame.epoch != epoch
-            || frame.type != net::MsgType::Budget) {
-            ++stats_.orphanFrames;
+        // No hosted root sends Rehome: a hosted leaf takes Budgets only.
+        if (frame.type == net::MsgType::Budget) {
+            leaves_[ref.slot].leaf.noteDownFrame(frame, stats_, events_);
             return;
         }
-        leafApplyBudget(leaves_[ref.slot], frame);
-        return;
+        break;
     case RoleRef::Kind::Agg: {
         AggRole &role = aggs_[ref.slot];
         const std::uint16_t parent_sender =
@@ -336,51 +304,6 @@ WorkerHost::adoptMembership(net::Transport::Endpoint to,
          net::encodeMembershipAck(
              stampMeta(me, epoch, plan_.workers[to].tier), ack));
     ++stats_.membershipAcksSent;
-}
-
-Watts
-WorkerHost::membershipClamp(net::Transport::Endpoint ep,
-                            std::size_t tree, topo::NodeId node,
-                            Watts watts) const
-{
-    switch (membership_.state(static_cast<std::uint16_t>(ep))) {
-    case membership::UnitState::Live:
-        return watts;
-    case membership::UnitState::Left:
-        // The root released (or will release) this unit's floor on the
-        // strength of its Left ack; drawing anything would overdraw.
-        return 0.0;
-    default:
-        // Joining/Draining shadow: the unit's nominal floor is
-        // reserved root-side, so the floor is all it may draw.
-        return std::min(watts, nominalFloor_.at({tree, node}));
-    }
-}
-
-void
-WorkerHost::closeLeaf(LeafRole &leaf, std::uint32_t epoch)
-{
-    const auto &system = *scenario_.system;
-    for (const auto &[tree, node] : leaf.edges) {
-        if (leaf.applied.count({tree, node}))
-            continue;
-        const Watts fallback = membershipClamp(
-            leaf.ep, tree, node,
-            std::min(leaf.rack->defaultBudget(tree, node),
-                     nominalFloor_.at({tree, node})));
-        leaf.rack->applyBudget(tree, node, fallback);
-        lastEdgeBudgets_[{tree, node}] = fallback;
-        ++stats_.defaultBudgets;
-        events_.record(static_cast<Seconds>(epoch),
-                       core::EventKind::DefaultBudgetApplied,
-                       system.tree(tree).name() + "."
-                           + system.tree(tree).node(node).name,
-                       fallback);
-    }
-    if (!membership_.isLive(static_cast<std::uint16_t>(leaf.ep)))
-        ++stats_.shadowPeriods;
-    applyPlantBudgets(leaf.plants, *leaf.rack);
-    leaf.done = true;
 }
 
 void
@@ -469,7 +392,9 @@ WorkerHost::runPeriod(std::uint32_t epoch)
     };
 
     telemetry::PeriodTracer *tracer = obs_.tracer();
-    obs_.beginPeriod(epoch, simNow_, "host" + std::to_string(process_));
+    obs_.beginPeriod(epoch,
+                     leaves_.empty() ? 0.0 : leaves_.front().leaf.simNow(),
+                     "host" + std::to_string(process_));
     if (tracer)
         tracer->periodNum("process", static_cast<double>(process_));
 
@@ -489,10 +414,8 @@ WorkerHost::runPeriod(std::uint32_t epoch)
                         static_cast<double>(role.ep));
         }
     }
-    for (LeafRole &leaf : leaves_) {
-        leaf.applied.clear();
-        leaf.done = false;
-    }
+    for (LeafSlot &slot : leaves_)
+        slot.done = false;
     leafSpan_ = telemetry::PeriodTracer::kNoSpan;
     if (tracer && !leaves_.empty()) {
         leafSpan_ = tracer->begin("leaf_budget_wait");
@@ -501,29 +424,18 @@ WorkerHost::runPeriod(std::uint32_t epoch)
     }
 
     // ---- plants + upstream metrics for every hosted leaf. Host mode
-    // streams no checkpoints: deep plans have no re-homing consumer.
-    Seconds advanced = simNow_;
-    for (LeafRole &leaf : leaves_) {
-        Seconds now = simNow_;
-        advancePlants(leaf.plants, scenario_.service.controlPeriod,
-                      now);
-        advanced = now;
-        net::CheckpointMsg unused;
-        closePlantPeriods(leaf.plants, *scenario_.system, *leaf.rack,
-                          unused);
-        for (const auto &[tree, node] : leaf.edges) {
-            net::MetricsMsg msg;
-            msg.tree = static_cast<std::uint16_t>(tree);
-            msg.edgeNode = static_cast<std::uint32_t>(node);
-            msg.metrics = leaf.rack->computeMetrics(tree, node);
-            post(leaf.ep, leaf.parent,
+    // streams no checkpoints (deep plans have no re-homing consumer),
+    // so each leaf's checkpoint is dropped here.
+    for (LeafSlot &slot : leaves_) {
+        const net::Transport::Endpoint ep = slot.leaf.endpoint();
+        slot.leaf.advance(epoch);
+        for (const net::MetricsMsg &msg : slot.leaf.metrics()) {
+            post(ep, plan_.workers[ep].parent,
                  net::encodeMetrics(
-                     stampMeta(static_cast<std::uint16_t>(leaf.ep),
-                               epoch, 0),
+                     stampMeta(static_cast<std::uint16_t>(ep), epoch, 0),
                      msg));
         }
     }
-    simNow_ = advanced;
 
     // ---- replay frames held back for this epoch.
     std::vector<HeldFrame> keep;
@@ -588,13 +500,19 @@ WorkerHost::runPeriod(std::uint32_t epoch)
             all_done = all_done && role.upDone && role.downDone;
         }
         bool leaves_done = true;
-        for (LeafRole &leaf : leaves_) {
-            if (!leaf.done
-                && (leaf.applied.size() == leaf.edges.size() || lagging
-                    || leaf.beaconEpoch >= epoch || now >= leaf_close))
-                closeLeaf(leaf, epoch);
-            all_done = all_done && leaf.done;
-            leaves_done = leaves_done && leaf.done;
+        for (LeafSlot &slot : leaves_) {
+            if (!slot.done
+                && (slot.leaf.complete() || lagging
+                    || slot.beaconEpoch >= epoch || now >= leaf_close)) {
+                const auto ep =
+                    static_cast<std::uint16_t>(slot.leaf.endpoint());
+                slot.leaf.close(membership_.state(ep), stats_, events_);
+                for (const LeafRole::Edge &edge : slot.leaf.edges())
+                    lastEdgeBudgets_[{edge.tree, edge.node}] = edge.budget;
+                slot.done = true;
+            }
+            all_done = all_done && slot.done;
+            leaves_done = leaves_done && slot.done;
         }
         if (leaves_done
             && leafSpan_ != telemetry::PeriodTracer::kNoSpan) {

@@ -5,8 +5,8 @@
  *
  * Where WorkerRuntime is "one process == one worker", a WorkerHost
  * owns every endpoint the peer table assigns to its process index —
- * any mix of leaf workers (core::RackWorker + local plants),
- * aggregators, and the root (both AggregatorRole) — and services them
+ * any mix of leaf workers (LeafRole, rt/leaf.hh), aggregators, and
+ * the root (both AggregatorRole) — and services them
  * all with one Transport::drain() pass per poll slice: on UDP that is
  * a single epoll sweep, so the receive cost per period scales with
  * ready sockets, not hosted endpoints. This is what makes a
@@ -52,11 +52,16 @@
  * delivered a frame nor closed a gather or budget phase, so a tier
  * hop inside one process costs no sleep.
  *
- * Host mode deliberately runs none of the 2-level failover machinery:
- * leaves do not stream checkpoints (nothing in a deep tree consumes
- * them) and no Rehome frames exist — a restarted process rejoins with
- * a fresh plant while its parents ride stale -> reserve, as documented
- * in rt/aggregator.hh.
+ * Leaves: each hosted leaf is a LeafRole, the state machine every
+ * WorkerRuntime rack runs too, including its §4.5 ladder (Pcap_min
+ * defaults, the shadow clamp of a Joining or Draining leaf, 0 W once
+ * Left). The host adds only framing — per-edge Metrics, in memory
+ * when the parent is co-hosted; the checkpoint each period builds is
+ * dropped — and routing: a hosted leaf gets Budget frames only, and
+ * any other frame addressed to it is an orphan, because no hosted
+ * root sends Rehome. Host mode thus runs none of the 2-level failover
+ * machinery: a restarted process rejoins with a fresh plant while its
+ * parents ride stale -> reserve, as documented in rt/aggregator.hh.
  *
  * Observability is the shared rt::Observability (rt/observe.hh), the
  * same plane a WorkerRuntime owns; the host adds only its per-tier
@@ -71,20 +76,18 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "config/loader.hh"
-#include "core/distributed.hh"
 #include "core/events.hh"
 #include "core/tree_plan.hh"
 #include "membership/table.hh"
 #include "net/udp_transport.hh"
 #include "net/wire.hh"
 #include "rt/aggregator.hh"
+#include "rt/leaf.hh"
 #include "rt/observe.hh"
-#include "rt/plant.hh"
 #include "rt/stats.hh"
 
 namespace capmaestro::rt {
@@ -199,7 +202,8 @@ class WorkerHost
      * The host's shared membership replica. Host mode is replica-only:
      * it adopts MembershipDelta broadcasts (acking from each addressed
      * hosted endpoint) and honors them — a Joining or Draining hosted
-     * leaf clamps to its nominal floor, a Left one applies zero — but
+     * leaf clamps to min(Pcap_min default, nominal floor), a Left one
+     * applies zero (LeafRole::close) — but
      * never originates transitions. Elasticity in a deep deployment is
      * driven by the root, which runs as a WorkerRuntime deep-root role
      * (see worker_runtime.hh, "Membership / elasticity plane").
@@ -229,14 +233,9 @@ class WorkerHost
 
   private:
     /** One hosted leaf worker and its per-epoch progress. */
-    struct LeafRole
+    struct LeafSlot
     {
-        net::Transport::Endpoint ep = 0;
-        net::Transport::Endpoint parent = 0;
-        std::unique_ptr<core::RackWorker> rack;
-        std::map<std::size_t, topo::NodeId> edges;
-        std::vector<Plant> plants;
-        std::set<std::pair<std::size_t, topo::NodeId>> applied;
+        LeafRole leaf;
         bool done = false;
         /** Highest epoch a parent beacon reported (see dispatch()):
          *  a beacon at or past the current epoch means the parent
@@ -254,7 +253,7 @@ class WorkerHost
         std::unique_ptr<AggregatorRole> agg;
         bool upDone = false;
         bool downDone = false;
-        /** Highest epoch a parent beacon reported (see LeafRole). */
+        /** Highest epoch a parent beacon reported (see LeafSlot). */
         std::uint32_t beaconEpoch = 0;
         /** Open trace spans for this epoch's two phases. */
         telemetry::PeriodTracer::SpanId gatherSpan =
@@ -276,17 +275,10 @@ class WorkerHost
      *  from the addressed hosted endpoint (epoch-free plane). */
     void adoptMembership(net::Transport::Endpoint to,
                          const net::Frame &frame, std::uint32_t epoch);
-    /** Clamp @p watts per @p ep's membership state: untouched when
-     *  Live, floored to Pcap_min while Joining/Draining (shadow), zero
-     *  once Left. */
-    Watts membershipClamp(net::Transport::Endpoint ep, std::size_t tree,
-                          topo::NodeId node, Watts watts) const;
     /** Send @p bytes on link @p from -> @p to: into the in-memory
      *  inbox when @p to is hosted here, on the transport otherwise. */
     void post(net::Transport::Endpoint from, net::Transport::Endpoint to,
               std::vector<std::uint8_t> bytes);
-    void leafApplyBudget(LeafRole &leaf, const net::Frame &frame);
-    void closeLeaf(LeafRole &leaf, std::uint32_t epoch);
     void aggSendUp(AggRole &role, std::uint32_t epoch);
     void aggSendDown(AggRole &role, std::uint32_t epoch);
 
@@ -294,8 +286,6 @@ class WorkerHost
     config::WorkerPeers peers_;
     core::TreePlan plan_;
     std::uint32_t process_ = 0;
-    std::map<std::pair<std::size_t, topo::NodeId>, Watts>
-        nominalFloor_;
     std::unique_ptr<net::UdpTransport> ownedTransport_;
     net::Transport *transport_ = nullptr;
     std::atomic<bool> stop_{false};
@@ -305,14 +295,13 @@ class WorkerHost
     /** Highest epoch carried by any received frame. */
     std::uint32_t maxSeenEpoch_ = 0;
     std::uint32_t seq_ = 0;
-    Seconds simNow_ = 0;
     /** Version byte stamped on every send (rolling-upgrade knob). */
     std::uint8_t wireVersion_ = net::kWireVersion;
     /** Shared membership replica over every hosted endpoint. */
     membership::MembershipTable membership_;
 
     std::vector<net::Transport::Endpoint> locals_;
-    std::vector<LeafRole> leaves_;
+    std::vector<LeafSlot> leaves_;
     /** Hosted aggregators in ascending tier order (root last). */
     std::vector<AggRole> aggs_;
     /** What an endpoint is to this host, and its index into leaves_

@@ -5,14 +5,13 @@
  * period helpers that move state between the plant and the worker's
  * core::RackWorker edge controllers.
  *
- * Extracted from WorkerRuntime so both runtimes that home plants — the
- * one-role WorkerRuntime daemon and the many-role WorkerHost event
- * loop — share one implementation of the plant build rules (sensor
- * stream forking in server-id order, split-server rejection) and the
- * per-period sequence (advance, close + leaf-input refresh with the
- * nominal-floor pinning, budget application through the PI loops).
- * The helpers perform the exact operations WorkerRuntime always did,
- * in the same order, so existing single-role behavior is unchanged.
+ * One implementation of the plant build rules (sensor stream forking
+ * in server-id order, split-server rejection) and the per-period
+ * sequence (advance, close + leaf-input refresh with the nominal-floor
+ * pinning, budget application through the PI loops). Within src/rt,
+ * LeafRole (rt/leaf.hh) is the only caller: it runs every leaf of both
+ * engines. The benchmark in perfbench/ replays the helpers directly to
+ * time the plant layer, so their signatures stay as they are.
  */
 
 #ifndef CAPMAESTRO_RT_PLANT_HH

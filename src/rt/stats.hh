@@ -32,7 +32,10 @@ struct RuntimeStats
     std::size_t failovers = 0;
     /** Frames from another epoch, discarded. */
     std::size_t orphanFrames = 0;
-    /** Frames that failed to decode. */
+    /** Frames that failed to decode, and decoded frames dropped for
+     *  non-finite input: a Budget or SubBudget whose watts are NaN,
+     *  infinite or negative, or a Rehome whose checkpoint holds a
+     *  non-finite double (acked, but nothing restored). */
     std::size_t corruptFrames = 0;
     /** Retransmissions sent (both phases). */
     std::size_t retries = 0;

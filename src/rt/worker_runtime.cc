@@ -9,7 +9,6 @@
 #include "net/wire.hh"
 #include "policy/policy.hh"
 #include "util/logging.hh"
-#include "util/random.hh"
 
 namespace capmaestro::rt {
 
@@ -150,24 +149,32 @@ WorkerRuntime::init(std::uint64_t seed)
         }
     }
 
-    // Before buildRack moves the server specs into the plants: the
-    // floors are read straight from the config so every process agrees
-    // bit for bit.
-    computeNominalFloors();
-
     membership_ = membership::MembershipTable::allLive(
         plan_.workers.size());
 
-    if (role_ < rackCount_)
-        buildRack(seed);
-    else
-        buildAggregator();
-}
-
-void
-WorkerRuntime::computeNominalFloors()
-{
-    nominalFloor_ = nominalEdgeFloors(*scenario_.system, scenario_);
+    // Before the leaf moves the server specs into its plants: the
+    // floors are read straight from the config so every process agrees
+    // bit for bit.
+    const auto nominal_floor =
+        nominalEdgeFloors(*scenario_.system, scenario_);
+    if (role_ < rackCount_) {
+        leaf_.emplace(std::move(
+            buildLeaves(scenario_, {role_}, nominal_floor, seed).front()));
+        return;
+    }
+    agg_ = std::make_unique<AggregatorRole>(
+        *scenario_.system, plan_, role_,
+        policy::treePolicy(scenario_.service.policy), nominal_floor,
+        scenario_.service.protocol,
+        isRoom() ? scenario_.rootBudgets : std::vector<Watts>{});
+    // The root keeps liveness, checkpoints and re-homing for its leaf
+    // children: every rack at depth 2, none in a balanced deep plan.
+    if (isRoom()) {
+        for (const std::uint32_t child : agg_->children()) {
+            if (child < rackCount_)
+                rackHealth_[child] = RackHealth{};
+        }
+    }
 }
 
 WorkerRuntime::~WorkerRuntime() = default;
@@ -180,43 +187,6 @@ WorkerRuntime::roleName() const
     if (isAggregator())
         return "agg" + std::to_string(role_);
     return "rack" + std::to_string(role_);
-}
-
-void
-WorkerRuntime::buildRack(std::uint64_t seed)
-{
-    const auto &system = *scenario_.system;
-    const auto partition =
-        core::DistributedControlPlane::partitionEdges(system);
-    const auto policy = policy::treePolicy(scenario_.service.policy);
-
-    rack_ = std::make_unique<core::RackWorker>(system, policy);
-    myEdges_ = partition[role_];
-    for (const auto &[tree, node] : myEdges_)
-        rack_->addEdge(tree, node);
-
-    std::map<std::size_t, std::map<std::size_t, topo::NodeId>> want;
-    want[role_] = myEdges_;
-    auto built = buildPlants(scenario_, system, want, seed);
-    plants_ = std::move(built[role_]);
-}
-
-void
-WorkerRuntime::buildAggregator()
-{
-    agg_ = std::make_unique<AggregatorRole>(
-        *scenario_.system, plan_, role_,
-        policy::treePolicy(scenario_.service.policy), nominalFloor_,
-        scenario_.service.protocol,
-        isRoom() ? scenario_.rootBudgets : std::vector<Watts>{});
-    // The root keeps liveness, checkpoints and re-homing for its leaf
-    // children: every rack at depth 2, none in a balanced deep plan.
-    if (isRoom()) {
-        for (const std::uint32_t child : agg_->children()) {
-            if (child < rackCount_)
-                rackHealth_[child] = RackHealth{};
-        }
-    }
 }
 
 std::uint32_t
@@ -274,7 +244,9 @@ WorkerRuntime::runPeriods(std::size_t max_periods)
             break;
         // Wall mode owns its period traces (lockstep harnesses drive
         // the tracer themselves).
-        obs_.beginPeriod(epoch, static_cast<double>(simNow_),
+        obs_.beginPeriod(epoch,
+                         leaf_ ? static_cast<double>(leaf_->simNow())
+                               : 0.0,
                          roleName());
         if (role_ < rackCount_)
             runRackPeriod(epoch);
@@ -329,224 +301,51 @@ WorkerRuntime::healthJson() const
 // Rack phases
 // ===================================================================
 
-void
-WorkerRuntime::rackAdvancePlant(std::uint32_t)
-{
-    replayedThisPeriod_ = false;
-
-    // One control period of 1 Hz sensing and actuation, then close the
-    // controller periods, refresh the edge leaf inputs, and snapshot
-    // the recoverable plant state into this period's checkpoint.
-    advancePlants(plants_, scenario_.service.controlPeriod, simNow_);
-    lastCheckpoint_ = net::CheckpointMsg{};
-    lastCheckpoint_.simNow = static_cast<double>(simNow_);
-    lastCheckpoint_.rehomeAckEpoch = rehomeAckEpoch_;
-    closePlantPeriods(plants_, *scenario_.system, *rack_,
-                      lastCheckpoint_);
-}
-
 std::vector<std::vector<std::uint8_t>>
-WorkerRuntime::buildUpstreamFrames(std::uint32_t epoch)
+WorkerRuntime::rackUpstreamFrames(std::uint32_t epoch)
 {
+    const net::CheckpointMsg checkpoint = leaf_->advance(epoch);
     std::vector<std::vector<std::uint8_t>> up;
     const auto me = static_cast<std::uint16_t>(role_);
     up.push_back(net::encodeHeartbeat(stampMeta(me, epoch)));
-    for (const auto &[tree, node] : myEdges_) {
-        net::MetricsMsg msg;
-        msg.tree = static_cast<std::uint16_t>(tree);
-        msg.edgeNode = static_cast<std::uint32_t>(node);
-        msg.metrics = rack_->computeMetrics(tree, node);
+    for (const net::MetricsMsg &msg : leaf_->metrics())
         up.push_back(net::encodeMetrics(stampMeta(me, epoch), msg));
-    }
-    lastCheckpoint_.rehomeAckEpoch = rehomeAckEpoch_;
-    up.push_back(
-        net::encodeCheckpoint(stampMeta(me, epoch), lastCheckpoint_));
+    up.push_back(net::encodeCheckpoint(stampMeta(me, epoch), checkpoint));
     ++stats_.checkpointsSent;
     return up;
 }
 
-bool
-WorkerRuntime::processDownFrame(
-    const net::Frame &frame, std::uint32_t epoch,
-    std::set<std::pair<std::size_t, topo::NodeId>> &applied)
-{
-    // The membership plane is epoch-free — the generation is its clock
-    // — so snapshots straddling a period boundary still land.
-    if (frame.type == net::MsgType::MembershipDelta) {
-        adoptMembershipDelta(frame);
-        return false;
-    }
-    if (frame.type == net::MsgType::MembershipAck) {
-        ++stats_.orphanFrames; // acks flow to the root, not to racks
-        return false;
-    }
-    if (frame.epoch != epoch) {
-        ++stats_.orphanFrames;
-        return false;
-    }
-    if (frame.type == net::MsgType::Rehome) {
-        if (frame.sender != net::kRoomSender) {
-            ++stats_.orphanFrames;
-            return false;
-        }
-        // The room retransmits the Rehome like any downstream frame;
-        // one replay (or decline) per epoch is the whole handshake.
-        if (rehomeAckEpoch_ == epoch)
-            return true;
-        // An intact instance that merely rode out a partition has
-        // newer state than the room's checkpoint of it: decline the
-        // replay but still ack, so the room stops re-sending. Only a
-        // young instance (restarted less than a failure-detection
-        // window ago) accepts.
-        if (stats_.periodsRun
-            >= static_cast<std::size_t>(
-                   scenario_.service.protocol.heartbeatFailAfter)) {
-            rehomeAckEpoch_ = epoch;
-            ++stats_.rehomesDeclined;
-            events_.record(static_cast<Seconds>(epoch),
-                           core::EventKind::RehomeDeclined,
-                           "worker" + std::to_string(role_),
-                           static_cast<double>(epoch));
-        } else {
-            replayCheckpoint(frame.checkpoint, epoch);
-        }
-        return true;
-    }
-    if (frame.type != net::MsgType::Budget) {
-        ++stats_.orphanFrames;
-        return false;
-    }
-    const std::size_t tree = frame.budget.tree;
-    const auto node = static_cast<topo::NodeId>(frame.budget.edgeNode);
-    const auto mine = myEdges_.find(tree);
-    if (mine == myEdges_.end() || mine->second != node) {
-        ++stats_.orphanFrames;
-        return false;
-    }
-    if (applied.count({tree, node}))
-        return false; // duplicate delivery
-    rack_->applyBudget(tree, node, frame.budget.budget);
-    lastEdgeBudgets_[{tree, node}] = frame.budget.budget;
-    applied.insert({tree, node});
-    ++stats_.budgetsApplied;
-    return false;
-}
-
 void
-WorkerRuntime::replayCheckpoint(const net::CheckpointMsg &msg,
-                                std::uint32_t epoch)
+WorkerRuntime::rackCollect(double close, bool rehome_ends)
 {
-    for (const net::CheckpointServer &rec : msg.servers) {
-        Plant *plant = nullptr;
-        for (Plant &p : plants_) {
-            if (p.serverId == rec.serverId) {
-                plant = &p;
-                break;
+    net::Transport &tp = *transport_;
+    for (;;) {
+        bool rehome = false;
+        for (const auto &bytes : tp.poll(role_)) {
+            const auto frame = net::decodeFrame(bytes);
+            if (!frame) {
+                ++stats_.corruptFrames;
+                continue;
             }
+            obs_.recordHop(*frame, traceTier());
+            // The membership plane is epoch-free — the generation is
+            // its clock — so snapshots straddling a period boundary
+            // still land. Anything else but a Budget or Rehome (a
+            // MembershipAck, say) is the leaf's orphan.
+            if (frame->type == net::MsgType::MembershipDelta)
+                adoptMembershipDelta(*frame);
+            else
+                rehome |= leaf_->noteDownFrame(*frame, stats_, events_);
         }
-        if (!plant)
-            continue; // not homed here (partition changed?) — skip
-
-        ctrl::CappingControllerState state;
-        state.integratorDc = rec.integratorDc;
-        state.integratorPrimed = rec.integratorPrimed;
-        state.report.demandEstimate = rec.demandEstimate;
-        state.report.avgThrottle = rec.avgThrottle;
-        state.report.supplyAvgAc.resize(rec.supplies.size());
-        state.report.shares.resize(rec.supplies.size());
-        std::size_t working = 0;
-        for (std::size_t s = 0; s < rec.supplies.size(); ++s) {
-            state.report.supplyAvgAc[s] = rec.supplies[s].avgAc;
-            state.report.shares[s] = rec.supplies[s].share;
-            if (rec.supplies[s].share > 0.0)
-                ++working;
-        }
-        state.report.workingSupplies = working;
-        plant->controller->restoreState(state);
-
-        plant->lastBudgets.resize(plant->server->supplyCount(), 0.0);
-        for (std::size_t s = 0;
-             s < rec.supplies.size() && s < plant->lastBudgets.size();
-             ++s) {
-            plant->lastBudgets[s] = rec.supplies[s].lastBudget;
-        }
+        if ((rehome && rehome_ends) || leaf_->complete())
+            break;
+        const double remaining = close - tp.nowMs();
+        if (remaining <= 0.0)
+            break;
+        tp.advanceBy(std::min(remaining, kPollSliceMs));
     }
-    // Never rewind the plant clock: a replay onto an instance that
-    // already ran periods must not repeat workload history.
-    simNow_ = std::max(simNow_,
-                       static_cast<Seconds>(msg.simNow));
-    rehomeAckEpoch_ = epoch;
-    replayedThisPeriod_ = true;
-    ++stats_.rehomesApplied;
-    events_.record(static_cast<Seconds>(epoch),
-                   core::EventKind::CheckpointReplayed,
-                   "worker" + std::to_string(role_),
-                   static_cast<double>(msg.servers.size()));
-}
-
-void
-WorkerRuntime::finishRackPeriod(
-    std::uint32_t epoch,
-    const std::set<std::pair<std::size_t, topo::NodeId>> &applied)
-{
-    const auto &system = *scenario_.system;
-
-    // ---- §4.5 default budgets for edges the room never reached.
-    // Clamped to the config-nominal floor: the live defaultBudget is
-    // built from measured shares, and sensor noise must not let a
-    // unilateral fallback creep above the floor the parent reserves for
-    // this edge when it stops budgeting us (see rt/aggregator.hh).
-    for (const auto &[tree, node] : myEdges_) {
-        if (applied.count({tree, node}))
-            continue;
-        const Watts fallback =
-            std::min(rack_->defaultBudget(tree, node),
-                     nominalFloor_.at({tree, node}));
-        rack_->applyBudget(tree, node, fallback);
-        lastEdgeBudgets_[{tree, node}] = fallback;
-        ++stats_.defaultBudgets;
-        events_.record(static_cast<Seconds>(epoch),
-                       core::EventKind::DefaultBudgetApplied,
-                       system.tree(tree).name() + "."
-                           + system.tree(tree).node(node).name,
-                       fallback);
-    }
-
-    // ---- post-replay / shadow clamp: until the room trusts fresh
-    // metrics from this instance again (replay), or while this worker
-    // is not a committed member (Joining/Draining shadow periods),
-    // ride the conservative Pcap_min floor even if a stray budget
-    // frame slipped through. A worker the root committed *out*
-    // (Left) applies zero: the ack it sends for that snapshot is its
-    // promise that no watts flow from this period on, which is what
-    // lets the root release the reserved floor.
-    const auto selfState =
-        membership_.state(static_cast<std::uint16_t>(role_));
-    const bool shadow = selfState != membership::UnitState::Live;
-    if (replayedThisPeriod_ || shadow) {
-        const bool left = selfState == membership::UnitState::Left;
-        for (const auto &[tree, node] : myEdges_) {
-            const Watts floor =
-                left ? 0.0
-                     : std::min(rack_->defaultBudget(tree, node),
-                                nominalFloor_.at({tree, node}));
-            const auto cur = lastEdgeBudgets_.find({tree, node});
-            const Watts clamped =
-                cur != lastEdgeBudgets_.end()
-                    ? std::min(cur->second, floor)
-                    : floor;
-            rack_->applyBudget(tree, node, clamped);
-            lastEdgeBudgets_[{tree, node}] = clamped;
-        }
-        if (shadow) {
-            ++stats_.shadowPeriods;
-        } else {
-            ++stats_.clampedPeriods;
-        }
-    }
-
-    // ---- per-server caps through the PI loops.
-    applyPlantBudgets(plants_, *rack_);
+    leaf_->close(membership_.state(static_cast<std::uint16_t>(role_)),
+                 stats_, events_);
 }
 
 void
@@ -554,8 +353,6 @@ WorkerRuntime::runRackPeriod(std::uint32_t epoch)
 {
     const auto &proto = scenario_.service.protocol;
     net::Transport &tp = *transport_;
-
-    rackAdvancePlant(epoch);
 
     // ---- upstream: heartbeat + one metrics frame per edge + the
     // plant-state checkpoint, with blind bounded retransmission (no
@@ -574,7 +371,7 @@ WorkerRuntime::runRackPeriod(std::uint32_t epoch)
         + (tiers - 1.0)
               * (proto.gatherDeadlineMs + proto.budgetDeadlineMs);
 
-    const auto up = buildUpstreamFrames(epoch);
+    const auto up = rackUpstreamFrames(epoch);
     for (const auto &frame : up)
         tp.send(role_, parentEp_, frame);
     for (int attempt = 1; attempt < proto.maxAttempts; ++attempt) {
@@ -591,26 +388,7 @@ WorkerRuntime::runRackPeriod(std::uint32_t epoch)
     // ---- downstream: collect budgets (or a Rehome) until the
     // deadline; a budget's arrival is the implicit end of this edge's
     // exchange.
-    std::set<std::pair<std::size_t, topo::NodeId>> applied;
-    for (;;) {
-        for (const auto &bytes : tp.poll(role_)) {
-            const auto frame = net::decodeFrame(bytes);
-            if (!frame) {
-                ++stats_.corruptFrames;
-                continue;
-            }
-            obs_.recordHop(*frame, traceTier());
-            processDownFrame(*frame, epoch, applied);
-        }
-        if (applied.size() == myEdges_.size())
-            break;
-        const double remaining = budget_deadline - tp.nowMs();
-        if (remaining <= 0.0)
-            break;
-        tp.advanceBy(std::min(remaining, kPollSliceMs));
-    }
-
-    finishRackPeriod(epoch, applied);
+    rackCollect(budget_deadline, /*rehome_ends=*/false);
 }
 
 void
@@ -618,11 +396,10 @@ WorkerRuntime::stepUpstream(std::uint32_t epoch)
 {
     if (pacing_ != Pacing::Lockstep || role_ >= rackCount_)
         util::fatal("rt: stepUpstream() needs a lockstep rack runtime");
-    rackAdvancePlant(epoch);
     // Single-shot sends: lockstep has no deadline schedule to pace
     // retransmissions against, and a chaos harness wants injected loss
     // to actually cost a frame.
-    for (const auto &frame : buildUpstreamFrames(epoch))
+    for (const auto &frame : rackUpstreamFrames(epoch))
         transport_->send(role_, parentEp_, frame);
 }
 
@@ -631,29 +408,10 @@ WorkerRuntime::stepDownstream(std::uint32_t epoch)
 {
     if (pacing_ != Pacing::Lockstep || role_ >= rackCount_)
         util::fatal("rt: stepDownstream() needs a lockstep rack runtime");
-    net::Transport &tp = *transport_;
-    std::set<std::pair<std::size_t, topo::NodeId>> applied;
-    const double start = tp.nowMs();
-    bool rehomed = false;
-    for (;;) {
-        for (const auto &bytes : tp.poll(role_)) {
-            const auto frame = net::decodeFrame(bytes);
-            if (!frame) {
-                ++stats_.corruptFrames;
-                continue;
-            }
-            obs_.recordHop(*frame, traceTier());
-            rehomed |= processDownFrame(*frame, epoch, applied);
-        }
-        // A Rehome ends the period: the room withholds budgets from a
-        // re-homing rack, so there is nothing further to wait for.
-        if (rehomed || applied.size() == myEdges_.size())
-            break;
-        if (tp.nowMs() - start >= kLockstepWaitMs)
-            break;
-        tp.advanceBy(kPollSliceMs);
-    }
-    finishRackPeriod(epoch, applied);
+    // A Rehome ends the period: the room withholds budgets from a
+    // re-homing rack, so there is nothing further to wait for.
+    rackCollect(transport_->nowMs() + kLockstepWaitMs,
+                /*rehome_ends=*/true);
     finishPeriod(epoch);
 }
 
@@ -1332,7 +1090,7 @@ WorkerRuntime::adoptMembershipDelta(const net::Frame &frame)
                        core::EventKind::MembershipAdopted, roleName(),
                        static_cast<double>(membership_.generation()));
         // Committed out: this period applies zero watts (see
-        // finishRackPeriod), the ack below is the promise, and a
+        // LeafRole::close), the ack below is the promise, and a
         // wall-paced daemon exits so the supervisor can retire it.
         if (membershipLeft() && pacing_ == Pacing::Wall)
             requestStop();
@@ -1384,11 +1142,24 @@ WorkerRuntime::noteMembershipAck(const net::Frame &frame)
 std::vector<Watts>
 WorkerRuntime::lastServerBudgets(std::size_t server_id) const
 {
-    for (const Plant &plant : plants_) {
-        if (plant.serverId == server_id)
-            return plant.lastBudgets;
+    if (leaf_) {
+        for (const Plant &plant : leaf_->plants()) {
+            if (plant.serverId == server_id)
+                return plant.lastBudgets;
+        }
     }
     return {};
+}
+
+std::map<std::pair<std::size_t, topo::NodeId>, Watts>
+WorkerRuntime::lastEdgeBudgets() const
+{
+    std::map<std::pair<std::size_t, topo::NodeId>, Watts> out;
+    if (leaf_ && stats_.periodsRun > 0) {
+        for (const LeafRole::Edge &edge : leaf_->edges())
+            out[{edge.tree, edge.node}] = edge.budget;
+    }
+    return out;
 }
 
 RackState

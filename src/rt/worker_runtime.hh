@@ -16,14 +16,16 @@
  *
  * Within its window each period runs the two §4.5 phases:
  *
- *   rack:  advance the local plant (sensing + actuation), close the
- *          capping-controller period, send heartbeat + per-edge
- *          metrics + a plant-state Checkpoint (blind bounded
- *          retransmission — a real rack cannot see the room's receive
- *          state, so it re-sends on a timer up to maxAttempts), then
- *          collect budgets until the budget deadline; edges with no
- *          budget fall back to the Pcap_min default. Budgets feed the
- *          per-server PI loops exactly as in the monolithic service.
+ *   rack:  a LeafRole (rt/leaf.hh), as every WorkerHost leaf is:
+ *          advance the plant, send heartbeat + per-edge metrics + the
+ *          plant-state Checkpoint (blind bounded retransmission — a
+ *          real rack cannot see the room's receive state, so it
+ *          re-sends on a timer up to maxAttempts), then collect
+ *          Budget and Rehome frames until the budget deadline and
+ *          close the period with the leaf's §4.5 ladder (Pcap_min
+ *          defaults, the replay and shadow clamps, the PI loops). The
+ *          runtime adds only this framing, the pacing, and the
+ *          membership replica the ladder reads.
  *   room:  the plan's root, an AggregatorRole like every deeper root:
  *          collect metrics until the gather deadline, run the §4.5
  *          stale -> lost -> reserve ladder and the upper-tree
@@ -110,25 +112,20 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "config/loader.hh"
-#include "control/capping_controller.hh"
-#include "core/distributed.hh"
 #include "core/events.hh"
 #include "core/tree_plan.hh"
-#include "device/node_manager.hh"
-#include "device/sensor.hh"
-#include "device/server.hh"
-#include "device/workload.hh"
 #include "membership/table.hh"
 #include "net/udp_transport.hh"
 #include "net/wire.hh"
 #include "rt/aggregator.hh"
+#include "rt/leaf.hh"
 #include "rt/observe.hh"
-#include "rt/plant.hh"
 #include "rt/stats.hh"
 #include "util/json.hh"
 
@@ -260,12 +257,10 @@ class WorkerRuntime
      */
     std::vector<Watts> lastServerBudgets(std::size_t server_id) const;
 
-    /** Rack only: (tree, edge) -> AC budget applied last period. */
-    const std::map<std::pair<std::size_t, topo::NodeId>, Watts> &
-    lastEdgeBudgets() const
-    {
-        return lastEdgeBudgets_;
-    }
+    /** Rack only: (tree, edge) -> AC budget applied last period
+     *  (empty before the first period). */
+    std::map<std::pair<std::size_t, topo::NodeId>, Watts>
+    lastEdgeBudgets() const;
 
     /** Root only: liveness state of leaf child @p r (a rack that
      *  reports to the root; fatal otherwise). */
@@ -418,20 +413,9 @@ class WorkerRuntime
         std::uint32_t rehomeEpoch = 0;
     };
 
-    /** Shared ctor body: validate the deployment and build the role. */
+    /** Shared ctor body: validate the deployment and build the role
+     *  (a LeafRole or an AggregatorRole). */
     void init(std::uint64_t seed);
-
-    /**
-     * Precompute the config-nominal Pcap_min floor of every edge:
-     * sum over the edge's supply leaves of server capMin x nominal
-     * load share, clamped to the edge device limit. Derived purely
-     * from the scenario file, so every process computes bit-identical
-     * values — the contract that makes degraded-mode budgeting safe:
-     * a rack's unilateral fallback never exceeds this floor, and the
-     * room reserves exactly this floor out of the tree budget for
-     * every rack it is not currently budgeting.
-     */
-    void computeNominalFloors();
 
     std::uint32_t epochAt(std::uint64_t unix_ms) const;
     /** Sleep until @p unix_ms, checking stop_; false when stopped. */
@@ -451,22 +435,16 @@ class WorkerRuntime
      *  collect SubBudgets, split down) on the tier-staggered deadline
      *  schedule. */
     void runAggregatorPeriod(std::uint32_t epoch);
-    void buildRack(std::uint64_t seed);
-    void buildAggregator();
 
     // ---- rack phase helpers (shared by Wall and Lockstep pacing)
-    void rackAdvancePlant(std::uint32_t epoch);
+    /** Advance the leaf and encode its upstream batch: heartbeat, one
+     *  metrics frame per edge, the checkpoint. */
     std::vector<std::vector<std::uint8_t>>
-    buildUpstreamFrames(std::uint32_t epoch);
-    /** Handle one downstream frame; true when it was a Rehome. */
-    bool processDownFrame(const net::Frame &frame, std::uint32_t epoch,
-                          std::set<std::pair<std::size_t, topo::NodeId>>
-                              &applied);
-    void replayCheckpoint(const net::CheckpointMsg &msg,
-                          std::uint32_t epoch);
-    void finishRackPeriod(
-        std::uint32_t epoch,
-        const std::set<std::pair<std::size_t, topo::NodeId>> &applied);
+    rackUpstreamFrames(std::uint32_t epoch);
+    /** Feed down frames to the leaf (membership frames to the replica)
+     *  until it is complete, a Rehome arrives when @p rehome_ends, or
+     *  the transport clock reaches @p close; then close its period. */
+    void rackCollect(double close, bool rehome_ends);
 
     // ---- aggregator and root phase helpers
     /** Open @p epoch's gather (the root also resets what it heard and
@@ -538,10 +516,6 @@ class WorkerRuntime
 
     config::LoadedScenario scenario_;
     config::WorkerPeers peers_;
-    /** (tree, edge node) -> nominal Pcap_min floor (see
-     *  computeNominalFloors()); identical in every process. */
-    std::map<std::pair<std::size_t, topo::NodeId>, Watts>
-        nominalFloor_;
     /** Worker layout: flat 2-level by default, deeper when the peer
      *  table carries aggLevels. */
     core::TreePlan plan_;
@@ -573,20 +547,7 @@ class WorkerRuntime
     std::uint32_t seq_ = 0;
 
     // -------- rack state
-    std::unique_ptr<core::RackWorker> rack_;
-    /** This rack's (tree -> edge node) slice of the partition. */
-    std::map<std::size_t, topo::NodeId> myEdges_;
-    std::vector<Plant> plants_;
-    /** Simulated plant time (advances controlPeriod per wall period). */
-    Seconds simNow_ = 0;
-    /** Checkpoint built by the last rackAdvancePlant(). */
-    net::CheckpointMsg lastCheckpoint_;
-    /** Epoch of the last Rehome this instance processed (0 = none). */
-    std::uint32_t rehomeAckEpoch_ = 0;
-    /** A Rehome was replayed during the current period. */
-    bool replayedThisPeriod_ = false;
-    std::map<std::pair<std::size_t, topo::NodeId>, Watts>
-        lastEdgeBudgets_;
+    std::optional<LeafRole> leaf_;
 
     // -------- aggregator / root state
     std::unique_ptr<AggregatorRole> agg_;

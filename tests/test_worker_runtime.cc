@@ -14,8 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -23,12 +25,21 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "config/loader.hh"
+#include "core/distributed.hh"
 #include "core/events.hh"
+#include "membership/table.hh"
+#include "policy/policy.hh"
+#include "net/transport.hh"
 #include "rt/chaos.hh"
+#include "rt/aggregator.hh"
 #include "rt/host.hh"
+#include "rt/leaf.hh"
+#include "rt/plant.hh"
+#include "rt/stats.hh"
 #include "rt/worker_runtime.hh"
 #include "test_support.hh"
 #include "util/json.hh"
@@ -761,4 +772,517 @@ TEST(WorkerRuntime, ElasticSoakJoinsDrainsAndAggKillStaySafe)
                          room_labels)
                   .value(),
               7.0);
+}
+
+// ------------------------------------------------ hosted leaf ladder
+
+namespace {
+
+/** Peer table of the depth-3 cut of depth4Scenario() (agg_levels =
+ *  {1}): leaves 0-7, row aggregators 8-11, root 12. */
+config::WorkerPeers
+depth3HostPeers()
+{
+    config::WorkerPeers peers;
+    peers.periodMs = kPeriodMs;
+    peers.originMs = 1;
+    peers.aggLevels = {1};
+    for (std::uint32_t e = 0; e < 13; ++e)
+        peers.peers[e] = net::UdpPeer{"127.0.0.1", 0};
+    return peers;
+}
+
+config::LoadedScenario
+loadDepth4()
+{
+    return config::loadScenario(util::parseJson(depth4Scenario()));
+}
+
+/** Deliver a root MembershipDelta of @p table to hosted endpoint
+ *  @p to, stamped with @p epoch. */
+void
+sendDelta(net::Transport &tp, std::uint32_t to, std::uint32_t epoch,
+          const membership::MembershipTable &table)
+{
+    tp.send(12, to,
+            net::encodeMembershipDelta(
+                net::FrameMeta(net::kRoomSender, epoch, 0),
+                table.toDelta()));
+}
+
+/** FNV-1a over a host's applied edge budgets (bits), its stats and
+ *  its sorted event log. */
+std::uint64_t
+hostDigest(const rt::WorkerHost &host)
+{
+    test_support::Fnv1a h;
+    for (const auto &[edge, watts] : host.lastEdgeBudgets()) {
+        h.u64(edge.first);
+        h.u64(edge.second);
+        h.u64(std::bit_cast<std::uint64_t>(watts));
+    }
+    for (const rt::StatField &field : rt::kStatFields)
+        h.u64(host.stats().*field.member);
+    std::vector<core::Event> events = host.eventLog().events();
+    std::sort(events.begin(), events.end(),
+              [](const core::Event &a, const core::Event &b) {
+                  return std::tie(a.time, a.kind, a.subject, a.value)
+                         < std::tie(b.time, b.kind, b.subject, b.value);
+              });
+    h.u64(events.size());
+    for (const core::Event &e : events) {
+        h.u64(std::bit_cast<std::uint64_t>(e.time));
+        h.u64(static_cast<std::uint64_t>(e.kind));
+        h.str(e.subject);
+        h.u64(std::bit_cast<std::uint64_t>(e.value));
+    }
+    return h.value();
+}
+
+} // namespace
+
+// Every hosted leaf is cut off from its parent: process 1, which holds
+// every aggregator and the root, never runs. Each edge therefore rides
+// its Pcap_min default, and from epoch 3 leaf 2 is Draining, so its
+// defaults also pass the shadow clamp. Pinned: docs/testing.md says
+// when this digest may change.
+TEST(WorkerHost, LeavesCutOffFromTheirParentsGolden)
+{
+    config::WorkerPeers peers = depth3HostPeers();
+    for (std::uint32_t e = 8; e < 13; ++e)
+        peers.processOf[e] = 1;
+    net::SimTransport net;
+    rt::WorkerHost host(loadDepth4(), peers, /*process=*/0, /*seed=*/9,
+                        net);
+    ASSERT_EQ(host.endpoints().size(), 8u);
+
+    ASSERT_EQ(host.runPeriods(2), 2u);
+    auto table = membership::MembershipTable::allLive(13);
+    ASSERT_TRUE(table.beginDrain(2));
+    sendDelta(net, 2, 3, table);
+    ASSERT_EQ(host.runPeriods(6), 6u);
+
+    EXPECT_EQ(host.membership().state(2),
+              membership::UnitState::Draining);
+    EXPECT_EQ(host.stats().budgetsApplied, 0u);
+    EXPECT_EQ(host.stats().defaultBudgets, 8u * 2u * 8u);
+    EXPECT_EQ(host.stats().shadowPeriods, 6u);
+    const std::uint64_t digest = hostDigest(host);
+    EXPECT_EQ(digest, 0x1060ad34e76bac48ull)
+        << "golden digest moved: 0x" << std::hex << digest;
+}
+
+// A hosted leaf honours the replica: from the period a delta is
+// adopted, a Draining leaf draws at most its nominal floor and a Left
+// leaf draws nothing, while the hosted root keeps budgeting both.
+TEST(WorkerHost, ReplicaClampsShadowAndLeftLeaves)
+{
+    net::SimTransport net;
+    rt::WorkerHost host(loadDepth4(), depth3HostPeers(), /*process=*/0,
+                        /*seed=*/9, net);
+    ASSERT_EQ(host.endpoints().size(), 13u);
+    const auto scenario = loadDepth4();
+    const auto floors = rt::nominalEdgeFloors(*scenario.system, scenario);
+    const auto partition =
+        core::DistributedControlPlane::partitionEdges(*scenario.system);
+
+    ASSERT_EQ(host.runPeriods(3), 3u);
+    EXPECT_EQ(host.stats().defaultBudgets, 0u);
+    for (const auto &[tree, node] : partition[5])
+        EXPECT_GT(host.lastEdgeBudgets().at({tree, node}), 0.0);
+
+    auto table = membership::MembershipTable::allLive(13);
+    ASSERT_TRUE(table.beginDrain(2));
+    ASSERT_TRUE(table.beginDrain(5));
+    ASSERT_TRUE(table.commit(5));
+    sendDelta(net, 2, 4, table);
+    for (int period = 0; period < 5; ++period) {
+        ASSERT_EQ(host.runPeriods(1), 1u);
+        ASSERT_EQ(host.membership().generation(), table.generation());
+        for (const auto &[tree, node] : partition[2]) {
+            EXPECT_LE(host.lastEdgeBudgets().at({tree, node}),
+                      floors.at({tree, node}))
+                << "period " << period << " tree " << tree;
+        }
+        for (const auto &[tree, node] : partition[5]) {
+            EXPECT_EQ(host.lastEdgeBudgets().at({tree, node}), 0.0)
+                << "period " << period << " tree " << tree;
+        }
+    }
+    EXPECT_GT(host.stats().shadowPeriods, 0u);
+}
+
+// ------------------------------------------- non-finite watts on the wire
+
+namespace {
+
+/** The 2-level testbed as lockstep runtimes over one lossless
+ *  SimTransport: racks 0 and 1, root 2. */
+struct LockstepTestbed
+{
+    LockstepTestbed()
+    {
+        config::WorkerPeers peers;
+        peers.periodMs = 1000.0;
+        peers.originMs = 1;
+        for (std::uint32_t e = 0; e < kWorkers; ++e)
+            peers.peers[e] = net::UdpPeer{"127.0.0.1", 0};
+        for (std::uint32_t e = 0; e < kWorkers; ++e) {
+            units.push_back(std::make_unique<rt::WorkerRuntime>(
+                config::loadScenario(util::parseJson(kScenario)), peers,
+                e, /*seed=*/5, net, rt::Pacing::Lockstep));
+        }
+    }
+
+    void up(std::uint32_t epoch)
+    {
+        units[0]->stepUpstream(epoch);
+        units[1]->stepUpstream(epoch);
+    }
+    void down(std::uint32_t epoch)
+    {
+        units[0]->stepDownstream(epoch);
+        units[1]->stepDownstream(epoch);
+    }
+    void step(std::uint32_t epoch)
+    {
+        up(epoch);
+        units[2]->stepRoom(epoch);
+        down(epoch);
+    }
+
+    net::SimTransport net;
+    std::vector<std::unique_ptr<rt::WorkerRuntime>> units;
+};
+
+/** Node id of breaker @p name on tree @p tree of kScenario. */
+topo::NodeId
+testbedNode(std::size_t tree, const char *name)
+{
+    const auto scenario = config::loadScenario(util::parseJson(kScenario));
+    topo::NodeId id = topo::kNoNode;
+    scenario.system->tree(tree).forEach([&](const topo::TopoNode &n) {
+        if (n.name == name)
+            id = n.id;
+    });
+    return id;
+}
+
+} // namespace
+
+TEST(WorkerRuntime, NonFiniteBudgetIsDroppedForTheDefault)
+{
+    LockstepTestbed bed;
+    const topo::NodeId left = testbedNode(0, "leftCB");
+    ASSERT_NE(left, topo::kNoNode);
+    // The root never runs: the only Budget rack 0 sees carries NaN.
+    bed.units[0]->stepUpstream(1);
+    net::BudgetMsg msg;
+    msg.tree = 0;
+    msg.edgeNode = static_cast<std::uint32_t>(left);
+    msg.budget = std::nan("");
+    bed.net.send(2, 0,
+                 net::encodeBudget(net::FrameMeta(net::kRoomSender, 1, 0),
+                                   msg));
+    bed.units[0]->stepDownstream(1);
+
+    const auto &stats = bed.units[0]->stats();
+    EXPECT_EQ(stats.corruptFrames, 1u);
+    EXPECT_EQ(stats.budgetsApplied, 0u);
+    EXPECT_EQ(stats.defaultBudgets, 2u);
+    const Watts applied = bed.units[0]->lastEdgeBudgets().at({0, left});
+    EXPECT_TRUE(std::isfinite(applied));
+    EXPECT_GT(applied, 0.0);
+    const auto defaults = bed.units[0]->eventLog().ofKind(
+        core::EventKind::DefaultBudgetApplied);
+    ASSERT_EQ(defaults.size(), 2u);
+    EXPECT_EQ(defaults[0].subject, "X.leftCB");
+    EXPECT_EQ(defaults[0].value, applied);
+    for (const std::size_t sid : {0u, 2u}) {
+        for (const Watts w : bed.units[0]->lastServerBudgets(sid))
+            EXPECT_TRUE(std::isfinite(w)) << "server " << sid;
+    }
+}
+
+TEST(WorkerRuntime, RehomeWithNonFiniteStateRestoresNothing)
+{
+    LockstepTestbed bed;
+    bed.step(1);
+    // Epoch 2: rack 0, one period old, is handed a Rehome whose
+    // checkpoint has a NaN capping integrator for both its servers.
+    bed.up(2);
+    bed.units[2]->stepRoom(2);
+    net::CheckpointMsg ckpt;
+    ckpt.simNow = 8.0;
+    for (const std::uint32_t sid : {0u, 2u}) {
+        net::CheckpointServer rec;
+        rec.serverId = sid;
+        rec.integratorPrimed = true;
+        rec.integratorDc = std::nan("");
+        rec.demandEstimate = 300.0;
+        rec.supplies.assign(2, net::CheckpointSupply{200.0, 0.5, 150.0});
+        ckpt.servers.push_back(rec);
+    }
+    bed.net.send(2, 0,
+                 net::encodeRehome(net::FrameMeta(net::kRoomSender, 2, 0),
+                                   ckpt));
+    bed.down(2);
+    EXPECT_EQ(bed.units[0]->stats().corruptFrames, 1u);
+    EXPECT_EQ(bed.units[0]->stats().rehomesApplied, 0u);
+    EXPECT_EQ(bed.units[0]->stats().clampedPeriods, 0u);
+
+    for (std::uint32_t epoch = 3; epoch <= 5; ++epoch)
+        bed.step(epoch);
+    for (std::size_t r = 0; r < 2; ++r) {
+        for (const auto &[edge, watts] : bed.units[r]->lastEdgeBudgets())
+            EXPECT_TRUE(std::isfinite(watts))
+                << "rack " << r << " node " << edge.second;
+    }
+    for (const std::size_t sid : {0u, 2u}) {
+        for (const Watts w : bed.units[0]->lastServerBudgets(sid))
+            EXPECT_TRUE(std::isfinite(w)) << "server " << sid;
+    }
+    // Rack 0's next checkpoint carries finite capping integrators.
+    bed.up(6);
+    std::size_t checkpoints = 0;
+    for (const auto &bytes : bed.net.poll(2)) {
+        const auto frame = net::decodeFrame(bytes);
+        ASSERT_TRUE(frame);
+        if (frame->type != net::MsgType::Checkpoint || frame->sender != 0)
+            continue;
+        ++checkpoints;
+        for (const auto &rec : frame->checkpoint.servers)
+            EXPECT_TRUE(std::isfinite(rec.integratorDc))
+                << "server " << rec.serverId;
+    }
+    EXPECT_EQ(checkpoints, 1u);
+}
+
+TEST(AggregatorRole, NonFiniteSubBudgetIsDropped)
+{
+    const auto scenario = loadDepth4();
+    const auto &system = *scenario.system;
+    const auto plan = core::TreePlan::build(system, {1});
+    rt::AggregatorRole row(system, plan, /*endpoint=*/8,
+                           policy::treePolicy(scenario.service.policy),
+                           rt::nominalEdgeFloors(system, scenario),
+                           scenario.service.protocol, {});
+    row.beginEpoch(1);
+    rt::RuntimeStats stats;
+    for (const Watts bad : {std::nan(""), HUGE_VAL, -5.0}) {
+        net::Frame frame;
+        frame.type = net::MsgType::SubBudget;
+        frame.sender = net::kRoomSender;
+        frame.epoch = 1;
+        frame.budget.tree = 0;
+        frame.budget.edgeNode =
+            static_cast<std::uint32_t>(row.stations().at(0));
+        frame.budget.budget = bad;
+        EXPECT_FALSE(row.noteDownFrame(frame, net::kRoomSender, stats));
+    }
+    EXPECT_FALSE(row.receivedBudget(0).has_value());
+    EXPECT_EQ(stats.corruptFrames, 3u);
+    EXPECT_EQ(stats.subBudgetsApplied, 0u);
+}
+
+// ------------------------------------------- the leaf ladder, directly
+
+namespace {
+
+/** Rack 0 of the 2-level testbed as a bare LeafRole: no transport. */
+struct LeafRig
+{
+    explicit LeafRig(const std::string &json = kScenario)
+        : scenario(config::loadScenario(util::parseJson(json))),
+          leaves(rt::buildLeaves(
+              scenario, {0},
+              rt::nominalEdgeFloors(*scenario.system, scenario),
+              /*seed=*/3))
+    {
+    }
+
+    rt::LeafRole &leaf() { return leaves.front(); }
+    void close(membership::UnitState self = membership::UnitState::Live)
+    {
+        leaf().close(self, stats, events);
+    }
+    bool note(const net::Frame &frame)
+    {
+        return leaf().noteDownFrame(frame, stats, events);
+    }
+
+    config::LoadedScenario scenario;
+    std::vector<rt::LeafRole> leaves;
+    rt::RuntimeStats stats;
+    core::EventLog events;
+};
+
+net::Frame
+budgetFrame(std::uint32_t epoch, std::size_t tree, topo::NodeId node,
+            Watts watts)
+{
+    net::Frame frame;
+    frame.type = net::MsgType::Budget;
+    frame.sender = net::kRoomSender;
+    frame.epoch = epoch;
+    frame.budget.tree = static_cast<std::uint16_t>(tree);
+    frame.budget.edgeNode = static_cast<std::uint32_t>(node);
+    frame.budget.budget = watts;
+    return frame;
+}
+
+net::Frame
+rehomeFrame(std::uint32_t epoch, const net::CheckpointMsg &ckpt,
+            std::uint16_t sender = net::kRoomSender)
+{
+    net::Frame frame;
+    frame.type = net::MsgType::Rehome;
+    frame.sender = sender;
+    frame.epoch = epoch;
+    frame.checkpoint = ckpt;
+    return frame;
+}
+
+} // namespace
+
+TEST(LeafRole, SecondBudgetForAnEdgeKeepsTheFirst)
+{
+    LeafRig rig;
+    rig.leaf().advance(1);
+    const auto &edge = rig.leaf().edges().front();
+    EXPECT_FALSE(rig.note(budgetFrame(1, edge.tree, edge.node, 300.0)));
+    EXPECT_FALSE(rig.note(budgetFrame(1, edge.tree, edge.node, 100.0)));
+    rig.close();
+    EXPECT_EQ(rig.leaf().edges().front().budget, 300.0);
+    EXPECT_EQ(rig.stats.budgetsApplied, 1u);
+    EXPECT_EQ(rig.stats.orphanFrames, 0u);
+}
+
+TEST(LeafRole, BudgetForAnotherEdgeOrEpochIsAnOrphan)
+{
+    LeafRig rig;
+    LeafRig twin;
+    rig.leaf().advance(1);
+    twin.leaf().advance(1);
+    const auto &edge = rig.leaf().edges().front();
+    rig.note(budgetFrame(1, edge.tree, testbedNode(0, "rightCB"), 300.0));
+    rig.note(budgetFrame(2, edge.tree, edge.node, 300.0));
+    EXPECT_EQ(rig.stats.orphanFrames, 2u);
+    EXPECT_FALSE(rig.leaf().complete());
+    rig.close();
+    twin.close();
+    // Both edges ride their defaults, exactly as a leaf that heard
+    // nothing.
+    EXPECT_EQ(rig.stats.budgetsApplied, 0u);
+    EXPECT_EQ(rig.stats.defaultBudgets, 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(rig.leaf().edges()[i].budget),
+                  std::bit_cast<std::uint64_t>(
+                      twin.leaf().edges()[i].budget));
+    }
+}
+
+TEST(LeafRole, RehomeFromASenderOtherThanTheRootIsAnOrphan)
+{
+    LeafRig rig;
+    const auto ckpt = rig.leaf().advance(1);
+    EXPECT_FALSE(rig.note(rehomeFrame(1, ckpt, /*sender=*/1)));
+    EXPECT_EQ(rig.stats.orphanFrames, 1u);
+    EXPECT_EQ(rig.stats.rehomesApplied, 0u);
+    rig.close();
+    EXPECT_EQ(rig.stats.clampedPeriods, 0u);
+}
+
+TEST(LeafRole, RetransmittedRehomeIsReplayedOnce)
+{
+    LeafRig rig;
+    const auto ckpt = rig.leaf().advance(1);
+    EXPECT_TRUE(rig.note(rehomeFrame(1, ckpt)));
+    EXPECT_TRUE(rig.note(rehomeFrame(1, ckpt)));
+    EXPECT_EQ(rig.stats.rehomesApplied, 1u);
+    EXPECT_EQ(rig.events.ofKind(core::EventKind::CheckpointReplayed).size(),
+              1u);
+    // The next checkpoint acks the replay's epoch.
+    rig.close();
+    EXPECT_EQ(rig.leaf().advance(2).rehomeAckEpoch, 1u);
+}
+
+TEST(LeafRole, ReplayNeverRewindsThePlantClock)
+{
+    LeafRig rig;
+    auto ckpt = rig.leaf().advance(1);
+    rig.close();
+    rig.leaf().advance(2);
+    const Seconds now = rig.leaf().simNow();
+    ASSERT_GT(now, 0);
+    ckpt.simNow = 1.0;
+    EXPECT_TRUE(rig.note(rehomeFrame(2, ckpt)));
+    EXPECT_EQ(rig.stats.rehomesApplied, 1u);
+    EXPECT_EQ(rig.leaf().simNow(), now);
+}
+
+TEST(LeafRole, ReplayPeriodClampsAReceivedBudgetToTheFloor)
+{
+    LeafRig rig;
+    LeafRig twin;
+    const auto ckpt = rig.leaf().advance(1);
+    twin.leaf().advance(1);
+    const auto &edge = rig.leaf().edges().front();
+    EXPECT_TRUE(rig.note(rehomeFrame(1, ckpt)));
+    EXPECT_FALSE(rig.note(budgetFrame(1, edge.tree, edge.node, 5000.0)));
+    EXPECT_TRUE(twin.note(rehomeFrame(1, ckpt)));
+    rig.close();
+    twin.close();
+    // min(budget, min(default, nominal floor)): the twin, which heard
+    // no budget, rides exactly that floor as its default.
+    const Watts clamped = rig.leaf().edges().front().budget;
+    EXPECT_LE(clamped, rig.leaf().edges().front().floor);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(clamped),
+              std::bit_cast<std::uint64_t>(
+                  twin.leaf().edges().front().budget));
+    EXPECT_EQ(rig.stats.budgetsApplied, 1u);
+    EXPECT_EQ(rig.stats.clampedPeriods, 1u);
+    EXPECT_EQ(rig.stats.shadowPeriods, 0u);
+}
+
+TEST(LeafRole, DrainingLeafIsClampedAndLeftLeafAppliesZero)
+{
+    // Server SA is a hot spare that parks its tree-X supply, so that
+    // leaf is not live: rack 0's tree-X default sits below its nominal
+    // floor, and the clamp must take the lower of the two.
+    std::string spare = kScenario;
+    const std::string sa = R"("name": "SA", "priority": 1,)";
+    ASSERT_NE(spare.find(sa), std::string::npos);
+    spare.replace(spare.find(sa), sa.size(),
+                  sa + R"( "hotSpare": true, "standbyThreshold": 5000,)");
+    LeafRig draining(spare);
+    LeafRig left(spare);
+    LeafRig quiet(spare);
+    for (LeafRig *rig : {&draining, &left, &quiet})
+        rig->leaf().advance(1);
+    for (LeafRig *rig : {&draining, &left}) {
+        for (const auto &edge : rig->leaf().edges())
+            rig->note(budgetFrame(1, edge.tree, edge.node, 5000.0));
+        EXPECT_TRUE(rig->leaf().complete());
+    }
+    draining.close(membership::UnitState::Draining);
+    left.close(membership::UnitState::Left);
+    quiet.close();
+    EXPECT_LT(quiet.leaf().edges()[0].budget,
+              quiet.leaf().edges()[0].floor);
+    for (std::size_t i = 0; i < 2; ++i) {
+        const Watts floor = quiet.leaf().edges()[i].budget;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      draining.leaf().edges()[i].budget),
+                  std::bit_cast<std::uint64_t>(floor));
+        EXPECT_LE(floor, draining.leaf().edges()[i].floor);
+        EXPECT_EQ(left.leaf().edges()[i].budget, 0.0);
+    }
+    for (const rt::Plant &plant : left.leaf().plants()) {
+        for (const Watts w : plant.lastBudgets)
+            EXPECT_EQ(w, 0.0) << "server " << plant.serverId;
+    }
+    EXPECT_EQ(draining.stats.shadowPeriods, 1u);
+    EXPECT_EQ(left.stats.shadowPeriods, 1u);
+    EXPECT_EQ(draining.stats.clampedPeriods, 0u);
 }
