@@ -1,6 +1,7 @@
 #include "control/metrics.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 namespace capmaestro::ctrl {
@@ -70,6 +71,17 @@ NodeMetrics::collapsed() const
     const Watts request = std::min(totalRequest(), constraint_);
     out.accumulate(0, totalCapMin(), totalDemand(), request);
     return out;
+}
+
+bool
+NodeMetrics::finite() const
+{
+    for (const auto &c : classes_) {
+        if (!std::isfinite(c.capMin) || !std::isfinite(c.demand)
+            || !std::isfinite(c.request))
+            return false;
+    }
+    return std::isfinite(constraint_);
 }
 
 void

@@ -91,6 +91,13 @@ class NodeMetrics
     /** True when there are no classes (dead/failed leaf). */
     bool empty() const { return classes_.empty(); }
 
+    /**
+     * True when every class's capMin, demand and request and the
+     * constraint are finite. Receivers drop a summary that fails this
+     * before it reaches the §4.3 merge; allocates nothing.
+     */
+    bool finite() const;
+
     /** Reset to the empty state with zero constraint. */
     void clear();
 

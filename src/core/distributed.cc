@@ -1,7 +1,6 @@
 #include "core/distributed.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "net/wire.hh"
 #include "util/logging.hh"
@@ -15,11 +14,63 @@ degradedKindName(DegradedKind kind)
       case DegradedKind::StaleMetricsReused:   return "stale-metrics";
       case DegradedKind::MetricsLost:          return "metrics-lost";
       case DegradedKind::DefaultBudgetApplied: return "default-budget";
-      case DegradedKind::WorkerFailover:       return "worker-failover";
       case DegradedKind::SpoFallback:          return "spo-fallback";
     }
     return "unknown";
 }
+
+namespace {
+
+/** A message-plane frame awaiting delivery, keyed by its edge. */
+struct Pending
+{
+    std::size_t tree;
+    topo::NodeId node;
+    std::size_t rack;
+    std::vector<std::uint8_t> frame;
+};
+
+/**
+ * One §4.5 phase's retransmission schedule: every retryTimeoutMs after
+ * @p start, poll the receivers and re-send each pending frame whose
+ * (tree, edge) key is not yet in @p delivered, until everything is in,
+ * the attempts run out, or the next retry would pass @p deadline; then
+ * poll once more at the deadline. Upstream frames travel rack -> room,
+ * downstream ones room -> rack.
+ */
+template <typename Delivered, typename Poll>
+void
+retransmitUntil(net::Transport &tp, const net::ProtocolConfig &protocol,
+                double start, double deadline, bool upstream,
+                net::Transport::Endpoint room,
+                const std::vector<Pending> &pending,
+                const Delivered &delivered, const Poll &poll,
+                std::size_t &retries)
+{
+    for (int attempt = 1; attempt < protocol.maxAttempts; ++attempt) {
+        const double next = start + attempt * protocol.retryTimeoutMs;
+        if (next >= deadline)
+            break;
+        tp.advanceTo(next);
+        poll();
+        bool all_in = true;
+        for (const Pending &p : pending) {
+            if (delivered.count({p.tree, p.node}))
+                continue;
+            all_in = false;
+            ++retries;
+            const auto rack = static_cast<net::Transport::Endpoint>(p.rack);
+            tp.send(upstream ? rack : room, upstream ? room : rack,
+                    p.frame);
+        }
+        if (all_in)
+            break;
+    }
+    tp.advanceTo(deadline);
+    poll();
+}
+
+} // namespace
 
 // ---------------------------------------------------------------- RackWorker
 
@@ -51,20 +102,6 @@ RackWorker::addEdge(std::size_t tree, topo::NodeId node)
     edge.leafMetrics.resize(edge.leaves.size());
     edge.leafBudgets.assign(edge.leaves.size(), 0.0);
     edges_.push_back(std::move(edge));
-}
-
-void
-RackWorker::adoptEdge(Edge edge)
-{
-    edges_.push_back(std::move(edge));
-}
-
-std::vector<RackWorker::Edge>
-RackWorker::releaseEdges()
-{
-    std::vector<Edge> out = std::move(edges_);
-    edges_.clear();
-    return out;
 }
 
 RackWorker::Edge &
@@ -370,10 +407,8 @@ DistributedControlPlane::DistributedControlPlane(
 
 DistributedControlPlane::DistributedControlPlane(
     const topo::PowerSystem &system, ctrl::TreePolicy policy,
-    net::Transport &transport, net::ProtocolConfig protocol,
-    std::vector<std::uint32_t> agg_levels)
-    : system_(system), policy_(policy),
-      plan_(TreePlan::build(system, agg_levels)),
+    net::Transport &transport, net::ProtocolConfig protocol)
+    : system_(system), policy_(policy), plan_(TreePlan::build(system, {})),
       room_(system, plan_.boundariesOf(plan_.rootEndpoint()), policy),
       transport_(&transport), protocol_(protocol)
 {
@@ -407,19 +442,15 @@ DistributedControlPlane::buildWorkers()
     }
 
     rackSeq_.assign(rack_count, 0);
-    rackFailed_.assign(rack_count, false);
-    rackDeclaredDead_.assign(rack_count, false);
-    missedHeartbeats_.assign(rack_count, 0);
     lastTreeMetrics_.assign(system_.trees().size(), {});
 
-    // Aggregator fragments for deep plans: one RoomWorker per internal
-    // non-root worker, cut at its stations and its children's.
+    // Aggregator fragments for deep direct plans: one RoomWorker per
+    // internal non-root worker, cut at its stations and its children's.
     for (std::uint32_t ep = static_cast<std::uint32_t>(plan_.leafWorkers);
          ep < plan_.rootEndpoint(); ++ep) {
         aggs_.emplace_back(system_, plan_.topsOf(ep),
                            plan_.boundariesOf(ep), policy_);
     }
-    aggSeq_.assign(aggs_.size(), 0);
 }
 
 net::Transport::Endpoint
@@ -494,9 +525,6 @@ DistributedControlPlane::setTelemetry(telemetry::Registry *registry,
     metrics_.degradedDecisions =
         counter("capmaestro_plane_degraded_decisions_total",
                 "Degraded-mode (§4.5) decisions taken");
-    metrics_.liveWorkers =
-        registry_->gauge("capmaestro_plane_live_workers", {},
-                         "Rack workers not declared dead");
     metrics_.epoch = registry_->gauge("capmaestro_plane_epoch", {},
                                       "Current control-period epoch");
 }
@@ -519,7 +547,6 @@ DistributedControlPlane::recordIterationMetrics(const MessageStats &stats)
     metrics_.orphanFrames.inc(n(stats.orphanFrames));
     metrics_.corruptFrames.inc(n(stats.corruptFrames));
     metrics_.degradedDecisions.inc(n(stats.degraded.size()));
-    metrics_.liveWorkers.set(n(liveWorkerCount()));
     metrics_.epoch.set(static_cast<double>(epoch_));
 }
 
@@ -558,15 +585,6 @@ DistributedControlPlane::recordSpoMetrics(const MessageStats &before,
         delta(before.degraded.size(), after.degraded.size()));
 }
 
-std::size_t
-DistributedControlPlane::liveWorkerCount() const
-{
-    std::size_t n = 0;
-    for (std::size_t r = 0; r < racks_.size(); ++r)
-        n += rackDeclaredDead_[r] ? 0 : 1;
-    return n;
-}
-
 void
 DistributedControlPlane::setLeafInput(const topo::ServerSupplyRef &ref,
                                       const ctrl::LeafInput &input)
@@ -588,70 +606,6 @@ DistributedControlPlane::setLeafInput(const topo::ServerSupplyRef &ref,
                 ref.server, ref.supply);
 }
 
-void
-DistributedControlPlane::failWorker(std::size_t rack)
-{
-    if (rack >= racks_.size())
-        util::panic("DistributedControlPlane: bad rack %zu", rack);
-    if (plan_.tiers() > 2) {
-        // Heartbeat failover / re-homing stays a 2-level plane
-        // feature; deep deployments test worker death at the runtime
-        // level (rt::WorkerRuntime), which owns checkpoints.
-        util::fatal("DistributedControlPlane: failWorker is not "
-                    "supported on a deep plan");
-    }
-    rackFailed_[rack] = true;
-}
-
-bool
-DistributedControlPlane::workerDeclaredDead(std::size_t rack) const
-{
-    if (rack >= racks_.size())
-        util::panic("DistributedControlPlane: bad rack %zu", rack);
-    return rackDeclaredDead_[rack];
-}
-
-void
-DistributedControlPlane::rehomeWorker(std::size_t rack,
-                                      MessageStats &stats)
-{
-    rackDeclaredDead_[rack] = true;
-
-    // Adopt onto the live worker hosting the fewest edges (lowest
-    // index on ties) so failover load stays balanced and deterministic.
-    std::size_t adopter = racks_.size();
-    std::size_t best_edges = std::numeric_limits<std::size_t>::max();
-    for (std::size_t r = 0; r < racks_.size(); ++r) {
-        if (r == rack || rackDeclaredDead_[r] || rackFailed_[r])
-            continue;
-        if (racks_[r].edges().size() < best_edges) {
-            best_edges = racks_[r].edges().size();
-            adopter = r;
-        }
-    }
-
-    DegradedDecision d;
-    d.kind = DegradedKind::WorkerFailover;
-    d.rack = rack;
-    d.value = adopter < racks_.size()
-                  ? static_cast<double>(adopter)
-                  : -1.0;
-    stats.degraded.push_back(d);
-
-    if (adopter >= racks_.size()) {
-        util::warn("DistributedControlPlane: worker %zu dead with no "
-                   "live peer to adopt its edges", rack);
-        return;
-    }
-
-    for (RackWorker::Edge &edge : racks_[rack].releaseEdges()) {
-        edgeOwner_[{edge.tree, edge.node}] = adopter;
-        for (const auto &ref : edge.leaves)
-            leafToRack_[{ref.server, ref.supply}] = adopter;
-        racks_[adopter].adoptEdge(std::move(edge));
-    }
-}
-
 MessageStats
 DistributedControlPlane::iterate(const std::vector<Watts> &root_budgets)
 {
@@ -660,68 +614,11 @@ DistributedControlPlane::iterate(const std::vector<Watts> &root_budgets)
                     root_budgets.size(), system_.trees().size());
     }
     MessageStats stats;
-    if (plan_.tiers() > 2) {
-        stats = transport_ ? iterateTransportDeep(root_budgets)
-                           : iterateDirectDeep(root_budgets);
-    } else {
-        stats = transport_ ? iterateTransport(root_budgets)
-                           : iterateDirect(root_budgets);
-    }
+    if (transport_)
+        stats = iterateTransport(root_budgets);
+    else
+        stats = iterateDirectDeep(root_budgets);
     recordIterationMetrics(stats);
-    return stats;
-}
-
-MessageStats
-DistributedControlPlane::iterateDirect(
-    const std::vector<Watts> &root_budgets)
-{
-    MessageStats stats;
-    const auto iterate_span =
-        tracer_ ? tracer_->begin("iterate") : telemetry::PeriodTracer::kNoSpan;
-    lastTreeMetrics_.assign(system_.trees().size(), {});
-    for (std::size_t t = 0; t < system_.trees().size(); ++t) {
-        if (system_.feedFailed(system_.tree(t).feed()))
-            continue;
-        const auto tree_span =
-            tracer_ ? tracer_->begin("tree", iterate_span)
-                    : telemetry::PeriodTracer::kNoSpan;
-
-        // Upstream: every edge in this tree reports metrics.
-        std::map<topo::NodeId, ctrl::NodeMetrics> edge_metrics;
-        for (const auto &[key, rack] : edgeOwner_) {
-            if (key.first != t)
-                continue;
-            ctrl::NodeMetrics m =
-                racks_[rack].computeMetrics(t, key.second);
-            ++stats.metricsMessages;
-            stats.metricClassesSent += m.classes().size();
-            edge_metrics.emplace(key.second, std::move(m));
-        }
-
-        // Room worker computes the upper tree and returns edge budgets.
-        const auto edge_budgets =
-            room_.iterate(t, edge_metrics, root_budgets[t]);
-        lastTreeMetrics_[t] = std::move(edge_metrics);
-
-        // Downstream: budgets back to the owning rack workers.
-        for (const auto &[node, budget] : edge_budgets) {
-            ++stats.budgetMessages;
-            racks_[edgeOwner_.at({t, node})].applyBudget(t, node, budget);
-        }
-        if (tracer_) {
-            tracer_->num(tree_span, "tree", static_cast<double>(t));
-            tracer_->num(tree_span, "edges",
-                         static_cast<double>(edge_budgets.size()));
-            tracer_->end(tree_span);
-        }
-    }
-    if (tracer_) {
-        tracer_->num(iterate_span, "metrics_messages",
-                     static_cast<double>(stats.metricsMessages));
-        tracer_->num(iterate_span, "budget_messages",
-                     static_cast<double>(stats.budgetMessages));
-        tracer_->end(iterate_span);
-    }
     return stats;
 }
 
@@ -748,17 +645,8 @@ DistributedControlPlane::iterateTransport(
     };
 
     // ---------------- upstream: heartbeats + per-edge metrics
-    struct PendingUp
-    {
-        std::size_t tree;
-        topo::NodeId node;
-        std::size_t rack;
-        std::vector<std::uint8_t> frame;
-    };
-    std::vector<PendingUp> pending_up;
+    std::vector<Pending> pending_up;
     for (std::size_t r = 0; r < racks_.size(); ++r) {
-        if (rackFailed_[r] || rackDeclaredDead_[r])
-            continue;
         tp.send(static_cast<net::Transport::Endpoint>(r), room,
                 net::encodeHeartbeat(
                     {static_cast<std::uint16_t>(r), epoch_,
@@ -785,7 +673,6 @@ DistributedControlPlane::iterateTransport(
 
     std::map<std::pair<std::size_t, topo::NodeId>, ctrl::NodeMetrics>
         fresh;
-    std::set<std::size_t> heard;
     const auto poll_room = [&] {
         for (const auto &bytes : tp.poll(room)) {
             const auto frame = net::decodeFrame(bytes);
@@ -797,50 +684,23 @@ DistributedControlPlane::iterateTransport(
                 ++stats.orphanFrames;
                 continue;
             }
-            if (frame->sender < racks_.size())
-                heard.insert(frame->sender);
-            if (frame->type == net::MsgType::Metrics) {
-                fresh[{frame->metrics.tree,
-                       static_cast<topo::NodeId>(
-                           frame->metrics.edgeNode)}] =
-                    frame->metrics.metrics;
+            if (frame->type != net::MsgType::Metrics)
+                continue; // heartbeats: nothing to gather
+            // A non-finite summary would poison the §4.3 merge; the
+            // edge rides its stale -> lost ladder instead.
+            if (!frame->metrics.metrics.finite()) {
+                ++stats.corruptFrames;
+                continue;
             }
+            fresh[{frame->metrics.tree,
+                   static_cast<topo::NodeId>(frame->metrics.edgeNode)}] =
+                frame->metrics.metrics;
         }
     };
 
-    const double gather_deadline = start + protocol_.gatherDeadlineMs;
-    for (int attempt = 1; attempt < protocol_.maxAttempts; ++attempt) {
-        const double next = start + attempt * protocol_.retryTimeoutMs;
-        if (next >= gather_deadline)
-            break;
-        tp.advanceTo(next);
-        poll_room();
-        bool all_in = true;
-        for (const PendingUp &up : pending_up) {
-            if (fresh.count({up.tree, up.node}))
-                continue;
-            all_in = false;
-            ++stats.retries;
-            tp.send(static_cast<net::Transport::Endpoint>(up.rack),
-                    room, up.frame);
-        }
-        if (all_in)
-            break;
-    }
-    tp.advanceTo(gather_deadline);
-    poll_room();
-
-    // Liveness: any frame from a rack counts as its heartbeat.
-    for (std::size_t r = 0; r < racks_.size(); ++r) {
-        if (rackDeclaredDead_[r])
-            continue;
-        if (heard.count(r)) {
-            missedHeartbeats_[r] = 0;
-        } else if (++missedHeartbeats_[r]
-                   >= protocol_.heartbeatFailAfter) {
-            rehomeWorker(r, stats);
-        }
-    }
+    retransmitUntil(tp, protocol_, start,
+                    start + protocol_.gatherDeadlineMs, true, room,
+                    pending_up, fresh, poll_room, stats.retries);
 
     // Assemble per-tree edge metrics with §4.5 stale fallback.
     std::vector<std::map<topo::NodeId, ctrl::NodeMetrics>> tree_metrics(
@@ -903,14 +763,7 @@ DistributedControlPlane::iterateTransport(
     }
 
     // ---------------- room compute + downstream budgets
-    struct PendingDown
-    {
-        std::size_t tree;
-        topo::NodeId node;
-        std::size_t rack;
-        std::vector<std::uint8_t> frame;
-    };
-    std::vector<PendingDown> pending_down;
+    std::vector<Pending> pending_down;
     for (std::size_t t = 0; t < system_.trees().size(); ++t) {
         if (!tree_live(t))
             continue;
@@ -918,8 +771,6 @@ DistributedControlPlane::iterateTransport(
             room_.iterate(t, tree_metrics[t], root_budgets[t]);
         for (const auto &[node, budget] : edge_budgets) {
             const std::size_t rack = edgeOwner_.at({t, node});
-            if (rackFailed_[rack] || rackDeclaredDead_[rack])
-                continue; // nobody home to receive it
             net::BudgetMsg msg;
             msg.tree = static_cast<std::uint16_t>(t);
             msg.edgeNode = static_cast<std::uint32_t>(node);
@@ -936,11 +787,8 @@ DistributedControlPlane::iterateTransport(
     std::set<std::pair<std::size_t, topo::NodeId>> applied;
     const auto poll_racks = [&] {
         for (std::size_t r = 0; r < racks_.size(); ++r) {
-            const auto frames =
-                tp.poll(static_cast<net::Transport::Endpoint>(r));
-            if (rackFailed_[r])
-                continue; // dead process: frames drain unread
-            for (const auto &bytes : frames) {
+            for (const auto &bytes :
+                 tp.poll(static_cast<net::Transport::Endpoint>(r))) {
                 const auto frame = net::decodeFrame(bytes);
                 if (!frame) {
                     ++stats.corruptFrames;
@@ -956,9 +804,6 @@ DistributedControlPlane::iterateTransport(
                     static_cast<topo::NodeId>(frame->budget.edgeNode);
                 if (applied.count({t, node}))
                     continue; // duplicate delivery
-                // Re-homed mid-period races are impossible (failover
-                // happens before budgets go out), so the owner check
-                // is a pure integrity assertion.
                 const auto owner = edgeOwner_.find({t, node});
                 if (owner == edgeOwner_.end() || owner->second != r) {
                     ++stats.orphanFrames;
@@ -971,40 +816,15 @@ DistributedControlPlane::iterateTransport(
     };
 
     const double budget_start = tp.nowMs();
-    const double budget_deadline =
-        budget_start + protocol_.budgetDeadlineMs;
-    for (int attempt = 1; attempt < protocol_.maxAttempts; ++attempt) {
-        const double next =
-            budget_start + attempt * protocol_.retryTimeoutMs;
-        if (next >= budget_deadline)
-            break;
-        tp.advanceTo(next);
-        poll_racks();
-        bool all_in = true;
-        for (const PendingDown &down : pending_down) {
-            if (applied.count({down.tree, down.node}))
-                continue;
-            all_in = false;
-            ++stats.retries;
-            tp.send(room,
-                    static_cast<net::Transport::Endpoint>(down.rack),
-                    down.frame);
-        }
-        if (all_in)
-            break;
-    }
-    tp.advanceTo(budget_deadline);
-    poll_racks();
+    retransmitUntil(tp, protocol_, budget_start,
+                    budget_start + protocol_.budgetDeadlineMs, false, room,
+                    pending_down, applied, poll_racks, stats.retries);
 
-    // §4.5 default budgets: a live rack whose edge saw no budget by the
-    // deadline falls back to its Pcap_min floor.
+    // §4.5 default budgets: an edge that saw no budget by the deadline
+    // falls back to its Pcap_min floor.
     for (const auto &[key, rack] : edgeOwner_) {
         const auto [t, node] = key;
-        if (!tree_live(t) || rackFailed_[rack]
-            || rackDeclaredDead_[rack]) {
-            continue;
-        }
-        if (applied.count(key))
+        if (!tree_live(t) || applied.count(key))
             continue;
         const Watts fallback = racks_[rack].defaultBudget(t, node);
         racks_[rack].applyBudget(t, node, fallback);
@@ -1163,8 +983,7 @@ DistributedControlPlane::iterateSpoTransport(
                      static_cast<double>(pins.size()));
     }
 
-    // Pin inputs locally (see iterateSpoDirect); a failed rack keeps
-    // the state but cannot report it, so its trees will fall back.
+    // Pin inputs locally (see iterateSpoDirect).
     for (const ctrl::SpoPin &pin : pins) {
         setLeafInput(pin.ref,
                      ctrl::pinnedLeafInput(pin.priority, pin.consumption));
@@ -1172,23 +991,11 @@ DistributedControlPlane::iterateSpoTransport(
     const auto affected = pinnedEdges(pins);
 
     // ---------------- upstream: pinned summaries from affected edges
-    struct PendingUp
-    {
-        std::size_t tree;
-        topo::NodeId node;
-        std::size_t rack;
-        std::vector<std::uint8_t> frame;
-    };
-    std::vector<PendingUp> pending_up;
-    std::set<std::pair<std::size_t, topo::NodeId>> unreachable;
+    std::vector<Pending> pending_up;
     for (const auto &[t, nodes] : affected) {
         ++stats.spoTreesAttempted;
         for (const topo::NodeId node : nodes) {
             const std::size_t rack = edgeOwner_.at({t, node});
-            if (rackFailed_[rack] || rackDeclaredDead_[rack]) {
-                unreachable.insert({t, node});
-                continue;
-            }
             net::MetricsMsg msg;
             msg.tree = static_cast<std::uint16_t>(t);
             msg.edgeNode = static_cast<std::uint32_t>(node);
@@ -1220,6 +1027,10 @@ DistributedControlPlane::iterateSpoTransport(
                 ++stats.orphanFrames;
                 continue;
             }
+            if (!frame->metrics.metrics.finite()) {
+                ++stats.corruptFrames;
+                continue;
+            }
             fresh[{frame->metrics.tree,
                    static_cast<topo::NodeId>(frame->metrics.edgeNode)}] =
                 frame->metrics.metrics;
@@ -1227,28 +1038,9 @@ DistributedControlPlane::iterateSpoTransport(
     };
 
     const double spo_start = tp.nowMs();
-    const double gather_deadline =
-        spo_start + protocol_.spoGatherDeadlineMs;
-    for (int attempt = 1; attempt < protocol_.maxAttempts; ++attempt) {
-        const double next = spo_start + attempt * protocol_.retryTimeoutMs;
-        if (next >= gather_deadline)
-            break;
-        tp.advanceTo(next);
-        poll_room();
-        bool all_in = true;
-        for (const PendingUp &up : pending_up) {
-            if (fresh.count({up.tree, up.node}))
-                continue;
-            all_in = false;
-            ++stats.spoRetries;
-            tp.send(static_cast<net::Transport::Endpoint>(up.rack),
-                    room, up.frame);
-        }
-        if (all_in)
-            break;
-    }
-    tp.advanceTo(gather_deadline);
-    poll_room();
+    retransmitUntil(tp, protocol_, spo_start,
+                    spo_start + protocol_.spoGatherDeadlineMs, true, room,
+                    pending_up, fresh, poll_room, stats.spoRetries);
 
     // A tree may only be re-budgeted from a complete second-pass view:
     // any missing pinned summary aborts the tree before a single budget
@@ -1257,7 +1049,7 @@ DistributedControlPlane::iterateSpoTransport(
     for (const auto &[t, nodes] : affected) {
         bool ok = true;
         for (const topo::NodeId node : nodes) {
-            if (unreachable.count({t, node}) || !fresh.count({t, node})) {
+            if (!fresh.count({t, node})) {
                 ok = false;
                 break;
             }
@@ -1291,14 +1083,7 @@ DistributedControlPlane::iterateSpoTransport(
     }
 
     // ---------------- room re-compute + downstream second-pass budgets
-    struct PendingDown
-    {
-        std::size_t tree;
-        topo::NodeId node;
-        std::size_t rack;
-        std::vector<std::uint8_t> frame;
-    };
-    std::vector<PendingDown> pending_down;
+    std::vector<Pending> pending_down;
     std::map<std::size_t, std::set<topo::NodeId>> expect;
     std::map<std::size_t, std::map<topo::NodeId, ctrl::NodeMetrics>>
         new_base;
@@ -1311,8 +1096,6 @@ DistributedControlPlane::iterateSpoTransport(
         expect[t] = {};
         for (const auto &[node, budget] : edge_budgets) {
             const std::size_t rack = edgeOwner_.at({t, node});
-            if (rackFailed_[rack] || rackDeclaredDead_[rack])
-                continue; // nobody home to receive it
             net::BudgetMsg msg;
             msg.tree = static_cast<std::uint16_t>(t);
             msg.edgeNode = static_cast<std::uint32_t>(node);
@@ -1332,11 +1115,8 @@ DistributedControlPlane::iterateSpoTransport(
     std::map<std::pair<std::size_t, topo::NodeId>, Watts> buffered;
     const auto poll_racks = [&] {
         for (std::size_t r = 0; r < racks_.size(); ++r) {
-            const auto frames =
-                tp.poll(static_cast<net::Transport::Endpoint>(r));
-            if (rackFailed_[r])
-                continue; // dead process: frames drain unread
-            for (const auto &bytes : frames) {
+            for (const auto &bytes :
+                 tp.poll(static_cast<net::Transport::Endpoint>(r))) {
                 const auto frame = net::decodeFrame(bytes);
                 if (!frame) {
                     ++stats.corruptFrames;
@@ -1361,32 +1141,12 @@ DistributedControlPlane::iterateSpoTransport(
     };
 
     const double budget_start = tp.nowMs();
-    const double budget_deadline =
-        budget_start + protocol_.spoBudgetDeadlineMs;
-    for (int attempt = 1; attempt < protocol_.maxAttempts; ++attempt) {
-        const double next =
-            budget_start + attempt * protocol_.retryTimeoutMs;
-        if (next >= budget_deadline)
-            break;
-        tp.advanceTo(next);
-        poll_racks();
-        bool all_in = true;
-        for (const PendingDown &down : pending_down) {
-            if (buffered.count({down.tree, down.node}))
-                continue;
-            all_in = false;
-            ++stats.spoRetries;
-            tp.send(room,
-                    static_cast<net::Transport::Endpoint>(down.rack),
-                    down.frame);
-        }
-        if (all_in)
-            break;
-    }
-    tp.advanceTo(budget_deadline);
-    poll_racks();
+    retransmitUntil(tp, protocol_, budget_start,
+                    budget_start + protocol_.spoBudgetDeadlineMs, false,
+                    room, pending_down, buffered, poll_racks,
+                    stats.spoRetries);
 
-    // Per-tree atomic commit: every live edge applies its second-pass
+    // Per-tree atomic commit: every edge applies its second-pass
     // budget, or none does and the buffers are discarded.
     for (const std::size_t t : gather_ok) {
         bool complete = true;

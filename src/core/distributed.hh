@@ -7,30 +7,31 @@
  *
  * The two tiers exchange explicit metric/budget messages. In *direct*
  * mode the exchange is an in-process function call and the plane is
- * bit-identical to the monolithic ControlTree (proven by test). In
- * *message-plane* mode the same exchange travels as encoded frames
- * (net/wire) over an unreliable SimTransport (net/transport), and the
- * plane runs the §4.5 fault-tolerant control-period protocol:
+ * bit-identical to the monolithic ControlTree (proven by test); direct
+ * mode also runs deep core::TreePlan layouts, as the associativity
+ * oracle for the deployable runtimes (src/rt). In *message-plane* mode
+ * the 2-level exchange travels as encoded frames (net/wire) over any
+ * net::Transport, and the plane runs the §4.5 fault-tolerant
+ * control-period protocol:
  *
  *   - bounded retransmission against per-phase deadlines,
  *   - stale-metric reuse (with an age cap) when an edge's metrics miss
- *     the gathering deadline,
+ *     the gathering deadline, then no metrics at all (metrics lost),
  *   - conservative Pcap_min-level default budgets when a budget
- *     message is lost, and
- *   - heartbeat-based worker-failure detection that re-homes a dead
- *     worker's edge controllers onto a surviving rack worker.
+ *     message is lost.
  *
  * Under a lossless zero-latency transport the protocol degenerates to
  * the direct exchange, so budgets remain bit-identical to the
  * monolithic tree. Degraded-mode decisions are reported per iteration
- * in MessageStats so callers (e.g., ClosedLoopSim) can log them.
+ * in MessageStats so callers (e.g., ClosedLoopSim) can log them. Worker
+ * death and recovery are the deployable runtime's concern
+ * (rt::WorkerRuntime's checkpoint/Rehome); this plane has no failover
+ * of its own.
  *
  * Partitioning rule: within each (feed, phase) tree, the i-th leaf-parent
- * node (in pre-order) initially belongs to rack worker i. Structurally
- * parallel trees — like the Table 4 center, where rack i's CDU is the
- * i-th CDU of every tree — therefore map each rack's controllers to one
- * worker. Failover can later move edges between workers, so a worker
- * owns an arbitrary set of (tree, edge-node) controllers.
+ * node (in pre-order) belongs to rack worker i. Structurally parallel
+ * trees — like the Table 4 center, where rack i's CDU is the i-th CDU of
+ * every tree — therefore map each rack's controllers to one worker.
  */
 
 #ifndef CAPMAESTRO_CORE_DISTRIBUTED_HH
@@ -60,8 +61,6 @@ enum class DegradedKind {
     MetricsLost,
     /** A budget message was lost; the edge fell back to Pcap_min. */
     DefaultBudgetApplied,
-    /** A silent worker was declared dead and its edges re-homed. */
-    WorkerFailover,
     /**
      * A tree's §4.4 SPO round missed a deadline; the tree kept its
      * first-pass budgets wholesale (value: 1 = gather phase, 2 =
@@ -77,15 +76,15 @@ const char *degradedKindName(DegradedKind kind);
 struct DegradedDecision
 {
     DegradedKind kind = DegradedKind::StaleMetricsReused;
-    /** Tree index (meaningless for WorkerFailover). */
+    /** Tree index. */
     std::size_t tree = 0;
-    /** Edge node concerned (kNoNode for WorkerFailover). */
+    /** Edge node concerned (kNoNode for SpoFallback). */
     topo::NodeId node = topo::kNoNode;
-    /** Rack worker concerned (for failover: the dead worker). */
+    /** Rack worker concerned. */
     std::size_t rack = 0;
     /**
      * Kind-specific magnitude: stale age in periods, default budget in
-     * watts, or the adopting rack index for failover.
+     * watts, or the SPO phase that missed its deadline.
      */
     double value = 0.0;
 };
@@ -140,10 +139,9 @@ struct MessageStats
 };
 
 /**
- * A rack-level worker: owns an arbitrary set of edge (leaf-parent)
- * shifting controllers and the supply leaves beneath them. Workers
- * start with at most one edge per tree (the partitioning rule) but can
- * adopt a dead peer's edges during failover.
+ * A rack-level worker: owns the edge (leaf-parent) shifting controllers
+ * the partitioning rule gives it, at most one per tree, and the supply
+ * leaves beneath them.
  */
 class RackWorker
 {
@@ -168,12 +166,6 @@ class RackWorker
 
     /** Take ownership of the edge controller at (@p tree, @p node). */
     void addEdge(std::size_t tree, topo::NodeId node);
-
-    /** Adopt an edge (with its live state) from a failed worker. */
-    void adoptEdge(Edge edge);
-
-    /** Surrender every owned edge (failover out of this worker). */
-    std::vector<Edge> releaseEdges();
 
     /** Owned edges. */
     const std::vector<Edge> &edges() const { return edges_; }
@@ -228,8 +220,8 @@ class RackWorker
  * budgetChildren are associative, chaining fragments over a lossless
  * exchange reproduces the monolithic recursion bit-exactly at any
  * depth. The worker addresses boundary stations by their topology node
- * id and is oblivious to which worker owns them — ownership (and
- * failover) is the control plane's concern.
+ * id and is oblivious to which worker owns them — ownership is the
+ * control plane's concern.
  */
 class RoomWorker
 {
@@ -307,10 +299,12 @@ class RoomWorker
 };
 
 /**
- * The full two-tier control plane: builds the partition, routes
- * messages, and runs complete iterations. In direct mode budgets are
- * bit-identical to a monolithic ControlTree with the same policy; in
- * message-plane mode the §4.5 protocol runs over the given transport.
+ * The in-process control plane: builds the partition, routes messages,
+ * and runs complete iterations. In direct mode budgets are bit-identical
+ * to a monolithic ControlTree with the same policy, at any plan depth;
+ * in message-plane mode the 2-level §4.5 protocol (with the §4.4 SPO
+ * round) runs over the given transport. This is what ClosedLoopSim and
+ * CapMaestroService run.
  */
 class DistributedControlPlane
 {
@@ -327,22 +321,18 @@ class DistributedControlPlane
                             std::vector<std::uint32_t> agg_levels = {});
 
     /**
-     * Message-plane mode: frames travel over @p transport (not owned;
-     * must outlive the plane) under the §4.5 protocol @p protocol. Any
-     * Transport backend works — SimTransport for deterministic
-     * simulation, UdpTransport for real sockets (where advanceTo()
-     * paces the protocol's deadline schedule in wall time). A
-     * non-empty @p agg_levels makes the plane deep: every worker-to-
-     * worker hop runs the same deadline/retransmission discipline,
-     * with per-hop stale-metric fallback upstream and conservative
-     * defaults downstream. Worker failover (failWorker) and the §4.4
-     * SPO round remain 2-level-only.
+     * Message-plane mode (2-level: rack workers and one room): frames
+     * travel over @p transport (not owned; must outlive the plane)
+     * under the §4.5 protocol @p protocol. Any Transport backend works —
+     * SimTransport for deterministic simulation, UdpTransport for real
+     * sockets (where advanceTo() paces the protocol's deadline schedule
+     * in wall time). Deep message planes are the deployable runtimes'
+     * (rt::WorkerHost, rt::WorkerRuntime).
      */
     DistributedControlPlane(const topo::PowerSystem &system,
                             ctrl::TreePolicy policy,
                             net::Transport &transport,
-                            net::ProtocolConfig protocol = {},
-                            std::vector<std::uint32_t> agg_levels = {});
+                            net::ProtocolConfig protocol = {});
 
     /** Number of rack workers discovered by the partitioning rule. */
     std::size_t rackWorkerCount() const { return racks_.size(); }
@@ -362,16 +352,13 @@ class DistributedControlPlane
     /** Rack workers the partitioning rule yields for @p system. */
     static std::size_t rackWorkerCountFor(const topo::PowerSystem &system);
 
-    /** Workers not declared dead by the room. */
-    std::size_t liveWorkerCount() const;
-
     /** Set a supply leaf's metrics (routed to its rack worker). */
     void setLeafInput(const topo::ServerSupplyRef &ref,
                       const ctrl::LeafInput &input);
 
     /**
-     * Run one full distributed iteration (gather + budget on every live
-     * tree) and return the message statistics.
+     * Run one full distributed iteration (gather + budget on every tree
+     * whose feed is up) and return the message statistics.
      */
     MessageStats iterate(const std::vector<Watts> &root_budgets);
 
@@ -387,8 +374,8 @@ class DistributedControlPlane
      *
      * The round is atomic per tree: in message-plane mode racks buffer
      * second-pass budgets without applying them, and at the SPO budget
-     * deadline each attempted tree either commits (every live edge
-     * applies its new budget) or rolls back wholesale to its first-pass
+     * deadline each attempted tree either commits (every edge applies
+     * its new budget) or rolls back wholesale to its first-pass
      * budgets — never a mix of the two passes. Counters and degraded
      * decisions accumulate into @p stats.
      *
@@ -400,16 +387,6 @@ class DistributedControlPlane
 
     /** Supply-leaf budget after iterate(). */
     Watts leafBudget(const topo::ServerSupplyRef &ref) const;
-
-    /**
-     * Simulate the death of rack worker @p rack: it stops sending (and
-     * processing) messages. The room detects the silence by heartbeat
-     * and re-homes the worker's edges (message-plane mode only).
-     */
-    void failWorker(std::size_t rack);
-
-    /** True when the room has declared @p rack dead. */
-    bool workerDeclaredDead(std::size_t rack) const;
 
     /** Control-period counter (message-plane mode). */
     std::uint32_t epoch() const { return epoch_; }
@@ -437,14 +414,15 @@ class DistributedControlPlane
 
     const topo::PowerSystem &system_;
     ctrl::TreePolicy policy_;
-    /** Worker layout; 2-level unless agg levels were given. Declared
-     *  before room_ so the root boundary can be derived from it. */
+    /** Worker layout; 2-level unless direct mode got agg levels.
+     *  Declared before room_ so the root boundary can be derived from
+     *  it. */
     TreePlan plan_;
     std::vector<RackWorker> racks_;
     RoomWorker room_;
-    /** Aggregator fragments (deep plans), indexed ep - leafWorkers. */
+    /** Aggregator fragments (deep direct plans), indexed
+     *  ep - leafWorkers. */
     std::vector<RoomWorker> aggs_;
-    std::vector<std::uint32_t> aggSeq_;
     /** (server, supply) -> owning rack worker. */
     std::map<std::pair<std::int32_t, std::int32_t>, std::size_t>
         leafToRack_;
@@ -458,11 +436,6 @@ class DistributedControlPlane
     std::uint32_t epoch_ = 0;
     std::vector<std::uint32_t> rackSeq_;
     std::uint32_t roomSeq_ = 0;
-    /** Ground truth: the worker process is dead. */
-    std::vector<bool> rackFailed_;
-    /** Room's view: the worker was declared dead and failed over. */
-    std::vector<bool> rackDeclaredDead_;
-    std::vector<int> missedHeartbeats_;
     std::map<std::pair<std::size_t, topo::NodeId>, CachedMetrics>
         metricCache_;
     /**
@@ -499,7 +472,6 @@ class DistributedControlPlane
         telemetry::Counter spoFallbackTrees;
         telemetry::Counter spoBytes;
         telemetry::Counter degradedDecisions;
-        telemetry::Gauge liveWorkers;
         telemetry::Gauge epoch;
     };
     PlaneMetrics metrics_;
@@ -515,13 +487,11 @@ class DistributedControlPlane
 
     void buildWorkers();
     net::Transport::Endpoint roomEndpoint() const;
-    MessageStats iterateDirect(const std::vector<Watts> &root_budgets);
     MessageStats iterateTransport(const std::vector<Watts> &root_budgets);
-    // Deep-plan iteration bodies (src/core/distributed_deep.cc).
+    /** Direct iteration at any plan depth, the 2-level plan included
+     *  (src/core/distributed_deep.cc). */
     MessageStats
     iterateDirectDeep(const std::vector<Watts> &root_budgets);
-    MessageStats
-    iterateTransportDeep(const std::vector<Watts> &root_budgets);
     std::set<std::size_t>
     iterateSpoDirect(const std::vector<Watts> &root_budgets,
                      const std::vector<ctrl::SpoPin> &pins,
@@ -533,7 +503,6 @@ class DistributedControlPlane
     /** Affected edges per attempted tree (edges holding >= 1 pin). */
     std::map<std::size_t, std::set<topo::NodeId>>
     pinnedEdges(const std::vector<ctrl::SpoPin> &pins) const;
-    void rehomeWorker(std::size_t rack, MessageStats &stats);
 };
 
 } // namespace capmaestro::core

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tunables for the fault-tolerant control-period protocol (paper §4.5)
- * that DistributedControlPlane runs over a SimTransport.
+ * that DistributedControlPlane's message plane and the multi-process
+ * runtimes (src/rt) run over a net::Transport.
  *
  * Each control period is a two-phase exchange with per-message
  * deadlines and bounded retransmission:
@@ -20,10 +21,11 @@
  *      its live leaves' Pcap_min floors, clamped to the edge device
  *      limit — which can never overload the tree.
  *
- * Worker failure is detected by heartbeat: a rack that goes silent
- * (no frame at all, any type) for heartbeatFailAfter consecutive
- * periods is declared dead and its edge controllers are re-homed to
- * the live rack worker hosting the fewest edges.
+ * Worker failure is the multi-process runtime's concern: the
+ * rt::WorkerRuntime owning a root declares a rack that goes silent (no
+ * frame at all, any type) for heartbeatFailAfter consecutive periods
+ * dead, and re-homes its restarted instance from the last checkpoint.
+ * The in-process plane only rides the two ladders above.
  *
  * When the stranded-power optimization (§4.4) detects pinned supplies,
  * a third and fourth phase run within the same control period: racks
@@ -57,7 +59,7 @@ struct ProtocolConfig
     double spoBudgetDeadlineMs = 100.0;
     /** Oldest cached metrics (in periods) usable as a stale fallback. */
     int staleAgeCapPeriods = 2;
-    /** Silent periods before a worker is declared dead and re-homed. */
+    /** Silent periods before a runtime declares a rack dead. */
     int heartbeatFailAfter = 3;
 };
 

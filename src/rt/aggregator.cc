@@ -90,14 +90,6 @@ AggregatorRole::setChildViews(std::map<std::uint32_t, ChildView> views)
     }
 }
 
-bool
-AggregatorRole::grantedWithoutMetrics(std::uint32_t child) const
-{
-    const auto view = views_.find(child);
-    return view != views_.end() && view->second.trusted
-           && view->second.member;
-}
-
 void
 AggregatorRole::beginEpoch(std::uint32_t epoch)
 {
@@ -139,6 +131,10 @@ AggregatorRole::noteUpFrame(const net::Frame &frame,
         if (owner == childOfStation_.end()
             || owner->second != frame.sender) {
             ++stats.orphanFrames;
+            return false;
+        }
+        if (!frame.metrics.metrics.finite()) {
+            ++stats.corruptFrames;
             return false;
         }
         fresh_[key] = frame.metrics.metrics;
@@ -313,13 +309,8 @@ AggregatorRole::computeDown(RuntimeStats &stats)
                 continue;
             // Excluded stations get no grant — their floor was
             // reserved, and sending a budget computed from empty
-            // metrics would undercut the subtree's own fallback. A
-            // trusted member in the owner's view is the exception: it
-            // is granted its split every period, as the 2-level room
-            // always granted its Live racks (0 W when its metrics were
-            // lost; the rack's floor stays reserved).
-            if (!boundary_[tree].count(node)
-                && !grantedWithoutMetrics(owner->second))
+            // metrics would undercut the subtree's own fallback.
+            if (!boundary_[tree].count(node))
                 continue;
             DownMsg down;
             down.child = owner->second;

@@ -36,12 +36,11 @@
  * instance) still runs the stale -> lost ladder, but its metrics are
  * neither used nor cached and its floor is reserved. A child outside
  * the committed membership skips the ladder and logs nothing; its
- * floor is reserved unless the owner says it was released. A trusted
- * member with a view is granted its split every period, even one whose
- * metrics were lost (0 W; its floor stays reserved), as the 2-level
- * room granted its Live racks. Without a view (interior aggregators,
- * aggregator children of a root, every WorkerHost role) every child is
- * an awaited, trusted member that gets no grant without metrics.
+ * floor is reserved unless the owner says it was released. Without a
+ * view (interior aggregators, aggregator children of a root, every
+ * WorkerHost role) every child is an awaited, trusted member. Whatever
+ * the view, a child station without usable metrics gets no grant and
+ * rides its Pcap_min default.
  *
  * Aggregators are deliberately stateless beyond the metric cache: no
  * checkpoint streaming, no re-homing. A killed-and-restarted
@@ -54,10 +53,13 @@
  * root's leaf children, and reaches this class only through the child
  * view.
  *
- * Input check: a SubBudget whose watts are NaN, infinite or negative
- * would poison every child's split, so noteDownFrame() drops it
- * (counted in corruptFrames). Unless a valid copy follows, that tree's
- * subtree sees silence and rides its defaults.
+ * Input checks: a Metrics or Summary payload with a non-finite value
+ * (ctrl::NodeMetrics::finite()) would poison the §4.3 merge, so
+ * noteUpFrame() drops it and the station rides its stale -> lost
+ * ladder. A SubBudget whose watts are NaN, infinite or negative would
+ * poison every child's split, so noteDownFrame() drops it. Both count
+ * in corruptFrames; unless a valid copy follows, the station (or that
+ * tree's subtree) degrades as if the frame were lost.
  */
 
 #ifndef CAPMAESTRO_RT_AGGREGATOR_HH
@@ -123,9 +125,7 @@ class AggregatorRole
     {
         /** upComplete() waits for the child's stations. */
         bool awaited = true;
-        /** Fresh metrics from the child feed the boundary and cache;
-         *  a trusted member with a view is granted its split even in a
-         *  period without metrics. */
+        /** Fresh metrics from the child feed the boundary and cache. */
         bool trusted = true;
         /** The child is inside the committed membership. */
         bool member = true;
@@ -146,7 +146,8 @@ class AggregatorRole
     /**
      * Feed one decoded upstream frame (Metrics, Summary, Heartbeat, or
      * Checkpoint from a child). Returns false (and counts an orphan)
-     * for wrong-epoch, non-child, or station-mismatched frames.
+     * for wrong-epoch, non-child, or station-mismatched frames, and
+     * (counting a corrupt frame) for a non-finite metrics payload.
      */
     bool noteUpFrame(const net::Frame &frame, RuntimeStats &stats);
 
@@ -259,8 +260,6 @@ class AggregatorRole
     std::unique_ptr<core::RoomWorker> frag_;
     std::vector<Watts> rootBudgets_;
     int staleAgeCapPeriods_ = 0;
-    /** A view marks @p child a trusted member (see computeDown()). */
-    bool grantedWithoutMetrics(std::uint32_t child) const;
 
     /** Owner's child view (empty: every child at the default). */
     std::map<std::uint32_t, ChildView> views_;

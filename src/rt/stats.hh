@@ -33,9 +33,10 @@ struct RuntimeStats
     /** Frames from another epoch, discarded. */
     std::size_t orphanFrames = 0;
     /** Frames that failed to decode, and decoded frames dropped for
-     *  non-finite input: a Budget or SubBudget whose watts are NaN,
-     *  infinite or negative, or a Rehome whose checkpoint holds a
-     *  non-finite double (acked, but nothing restored). */
+     *  non-finite input: a Metrics or Summary with a non-finite value,
+     *  a Budget or SubBudget whose watts are NaN, infinite or
+     *  negative, or a Rehome whose checkpoint holds a non-finite
+     *  double (acked, but nothing restored). */
     std::size_t corruptFrames = 0;
     /** Retransmissions sent (both phases). */
     std::size_t retries = 0;

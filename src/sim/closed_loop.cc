@@ -318,8 +318,7 @@ ClosedLoopSim::controlPeriodTick()
         // Message-plane degraded-mode decisions (§4.5) become events so
         // operators can audit every fallback the protocol took.
         for (const auto &d : service_->lastStats().messages.degraded) {
-            core::EventKind kind = core::EventKind::WorkerFailover;
-            std::string subject;
+            core::EventKind kind = core::EventKind::SpoFallback;
             switch (d.kind) {
               case core::DegradedKind::StaleMetricsReused:
                 kind = core::EventKind::StaleMetricsReused;
@@ -330,22 +329,14 @@ ClosedLoopSim::controlPeriodTick()
               case core::DegradedKind::DefaultBudgetApplied:
                 kind = core::EventKind::DefaultBudgetApplied;
                 break;
-              case core::DegradedKind::WorkerFailover:
-                kind = core::EventKind::WorkerFailover;
-                break;
               case core::DegradedKind::SpoFallback:
                 kind = core::EventKind::SpoFallback;
                 break;
             }
-            if (d.kind == core::DegradedKind::WorkerFailover) {
-                subject = "worker" + std::to_string(d.rack);
-            } else if (d.kind == core::DegradedKind::SpoFallback) {
-                // Tree-wide decision: no single edge node to name.
-                subject = system_->tree(d.tree).name();
-            } else {
-                subject = system_->tree(d.tree).name() + "."
-                          + system_->tree(d.tree).node(d.node).name;
-            }
+            // SPO fallback is tree-wide: no single edge node to name.
+            std::string subject = system_->tree(d.tree).name();
+            if (d.kind != core::DegradedKind::SpoFallback)
+                subject += "." + system_->tree(d.tree).node(d.node).name;
             events_log_.record(now_, kind, std::move(subject), d.value);
         }
         for (std::size_t i = 0; i < plants_.size(); ++i) {

@@ -748,7 +748,7 @@ TEST(LockstepGolden, TwoLevelKillRestartUnderLoss)
     const auto report = dep.run(45);
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
     EXPECT_EQ(report.recoveries, 2u);
-    EXPECT_DIGEST(dep, report, 0x9df812cf13ed2f68);
+    EXPECT_DIGEST(dep, report, 0x91e1819a9ee346b7);
 }
 
 TEST(LockstepGolden, PartitionHealDeclinedReplay)

@@ -1,14 +1,16 @@
 /**
  * @file
  * Property tests for deep control trees (core::TreePlan depth 2-4):
- * on every seeded random topology, the distributed allocation — direct
- * exchange, lossless SimTransport message plane, and real 127.0.0.1
- * UDP sockets — must be bit-identical to the flat in-process
- * allocation (one monolithic ControlTree per power tree, the same
- * recursion FleetAllocator runs). This is the §4.3 associativity
- * claim: cutting the reduction at aggregator stations and chaining
- * fragments over a lossless exchange cannot change a single bit of
- * any leaf budget, at any depth, under any policy.
+ * on every seeded random topology, the distributed allocation must be
+ * bit-identical to the flat in-process allocation (one monolithic
+ * ControlTree per power tree, the same recursion FleetAllocator runs).
+ * This is the §4.3 associativity claim: cutting the reduction at
+ * aggregator stations and chaining fragments over a lossless exchange
+ * cannot change a single bit of any leaf budget, at any depth, under
+ * any policy. The in-process direct exchange is checked at depths 2-4;
+ * the in-process message plane (2-level only) over a lossless
+ * SimTransport and over real 127.0.0.1 UDP sockets; and the deployable
+ * rt engines against each other and across depths 2-4.
  *
  * Topologies are generated from the test seed: worker-plan depth 2-4
  * (0-2 aggregator tiers), per-level fan-out 1-64 (product bounded to
@@ -257,21 +259,18 @@ TEST(TreeDepth, DirectDeepPlaneBitIdenticalToFlatAllocator)
 
 TEST(TreeDepth, LosslessSimPlaneBitIdenticalToFlatAllocator)
 {
-    // Same property through the §4.5 message plane: every hop a real
-    // encoded frame over a lossless zero-latency SimTransport, with
-    // zero degraded decisions expected at any depth.
+    // Same property through the 2-level §4.5 message plane: every hop a
+    // real encoded frame over a lossless zero-latency SimTransport,
+    // with zero degraded decisions expected.
     for (std::uint64_t seed = 0; seed < 12; ++seed) {
         util::Rng rng(9000 + seed * 104729);
-        const auto tiers = static_cast<std::uint32_t>(2 + seed % 3);
-        const auto c = randomDeepCase(rng, tiers);
+        const auto c = randomDeepCase(rng, 2);
         const auto policy = policyFor(seed + 1);
-        SCOPED_TRACE("seed " + std::to_string(seed) + " tiers "
-                     + std::to_string(tiers) + " servers "
+        SCOPED_TRACE("seed " + std::to_string(seed) + " servers "
                      + std::to_string(c.servers));
 
         net::SimTransport transport; // lossless, instantaneous
-        DistributedControlPlane dist(*c.sys, policy, transport, {},
-                                     c.aggLevels);
+        DistributedControlPlane dist(*c.sys, policy, transport);
         auto monos = flatReference(*c.sys, policy);
         for (int trial = 0; trial < 3; ++trial) {
             const auto inputs = randomInputs(*c.sys, rng);
@@ -303,7 +302,7 @@ TEST(TreeDepth, LosslessSimPlaneBitIdenticalToFlatAllocator)
 TEST(TreeDepth, UdpLoopbackPlaneBitIdenticalToFlatAllocator)
 {
     SKIP_WITHOUT_NET();
-    // One seeded topology per depth over real loopback sockets. The
+    // Three seeded 2-level topologies over real loopback sockets. The
     // deadline schedule is shrunk so a degraded period (which would
     // break bit-identity legitimately) is effectively impossible on
     // loopback yet the test stays fast.
@@ -314,18 +313,15 @@ TEST(TreeDepth, UdpLoopbackPlaneBitIdenticalToFlatAllocator)
 
     for (std::uint64_t seed = 0; seed < 3; ++seed) {
         util::Rng rng(42000 + seed * 31337);
-        const auto tiers = static_cast<std::uint32_t>(2 + seed);
-        const auto c = randomDeepCase(rng, tiers);
+        const auto c = randomDeepCase(rng, 2);
         const auto policy = policyFor(seed);
-        SCOPED_TRACE("seed " + std::to_string(seed) + " tiers "
-                     + std::to_string(tiers) + " servers "
+        SCOPED_TRACE("seed " + std::to_string(seed) + " servers "
                      + std::to_string(c.servers));
 
-        const auto plan = core::TreePlan::build(*c.sys, c.aggLevels);
         net::UdpTransport transport(net::UdpConfig::loopback(
-            static_cast<std::uint32_t>(plan.workers.size())));
-        DistributedControlPlane dist(*c.sys, policy, transport, proto,
-                                     c.aggLevels);
+            static_cast<std::uint32_t>(
+                DistributedControlPlane::rackWorkerCountFor(*c.sys) + 1)));
+        DistributedControlPlane dist(*c.sys, policy, transport, proto);
         auto monos = flatReference(*c.sys, policy);
         for (int trial = 0; trial < 2; ++trial) {
             const auto inputs = randomInputs(*c.sys, rng);
@@ -443,5 +439,55 @@ TEST(TreeDepth, LockstepRuntimeAndHostApplyIdenticalBudgets)
         }
         EXPECT_EQ(host.stats().defaultBudgets, 0u);
         EXPECT_EQ(host.stats().staleReuses, 0u);
+    }
+}
+
+// Depth invariance of the deployable engine: one WorkerHost per plan
+// depth, each over its own lossless SimTransport, runs the same
+// scenario and seed. Cutting the tree at more aggregator tiers must not
+// change a bit of any applied edge budget, in any period.
+TEST(TreeDepth, HostBudgetsIdenticalAtEveryDepth)
+{
+    const std::string scenario_json = test_support::depth4Scenario();
+    constexpr std::uint64_t kSeed = 9;
+    const std::vector<std::vector<std::uint32_t>> depths{{}, {1}, {1, 2}};
+    std::vector<std::unique_ptr<net::SimTransport>> nets;
+    std::vector<std::unique_ptr<rt::WorkerHost>> hosts;
+    for (const auto &levels : depths) {
+        config::WorkerPeers peers;
+        peers.periodMs = 1000.0;
+        peers.aggLevels = levels;
+        const auto plan = core::TreePlan::build(
+            *config::loadScenario(util::parseJson(scenario_json)).system,
+            levels);
+        for (std::uint32_t e = 0; e < plan.workers.size(); ++e)
+            peers.peers[e] = net::UdpPeer{"127.0.0.1", 0};
+        nets.push_back(std::make_unique<net::SimTransport>());
+        hosts.push_back(std::make_unique<rt::WorkerHost>(
+            config::loadScenario(util::parseJson(scenario_json)), peers,
+            /*process=*/0, kSeed, *nets.back()));
+    }
+
+    for (std::uint32_t period = 1; period <= 30; ++period) {
+        SCOPED_TRACE("period " + std::to_string(period));
+        for (auto &host : hosts)
+            ASSERT_EQ(host->runPeriods(1), 1u);
+        const auto &flat = hosts[0]->lastEdgeBudgets();
+        ASSERT_FALSE(flat.empty());
+        for (std::size_t d = 1; d < hosts.size(); ++d) {
+            SCOPED_TRACE("depth " + std::to_string(d + 2));
+            const auto &deep = hosts[d]->lastEdgeBudgets();
+            ASSERT_EQ(deep.size(), flat.size());
+            for (const auto &[edge, watts] : flat) {
+                ASSERT_TRUE(deep.count(edge));
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(watts),
+                          std::bit_cast<std::uint64_t>(deep.at(edge)))
+                    << "tree " << edge.first << " node " << edge.second;
+            }
+        }
+    }
+    for (const auto &host : hosts) {
+        EXPECT_EQ(host->stats().defaultBudgets, 0u);
+        EXPECT_EQ(host->stats().staleReuses, 0u);
     }
 }

@@ -1085,6 +1085,118 @@ TEST(AggregatorRole, NonFiniteSubBudgetIsDropped)
     EXPECT_EQ(stats.subBudgetsApplied, 0u);
 }
 
+namespace {
+
+/** An upstream frame carrying one class whose demand is @p demand. */
+net::Frame
+metricsFrame(net::MsgType type, std::uint32_t sender, std::size_t tree,
+             topo::NodeId station, Watts demand)
+{
+    net::Frame frame;
+    frame.type = type;
+    frame.sender = static_cast<std::uint16_t>(sender);
+    frame.epoch = 1;
+    frame.metrics.tree = static_cast<std::uint16_t>(tree);
+    frame.metrics.edgeNode = static_cast<std::uint32_t>(station);
+    frame.metrics.metrics.accumulate(1, 100.0, demand, 150.0);
+    frame.metrics.metrics.setConstraint(400.0);
+    return frame;
+}
+
+} // namespace
+
+TEST(AggregatorRole, NonFiniteMetricsOrSummaryIsNotFresh)
+{
+    // A non-finite summary never reaches the §4.3 merge: the role
+    // drops the frame as corrupt and the station rides its ladder
+    // (Lost here, with no cache yet), next to a finite sibling that is
+    // Fresh. Once from a leaf child (Metrics, NaN demand) at an
+    // interior aggregator, once from an aggregator child (Summary,
+    // +inf demand) at the root.
+    const auto scenario = loadDepth4();
+    const auto &system = *scenario.system;
+    const auto plan = core::TreePlan::build(system, {1});
+    const auto policy = policy::treePolicy(scenario.service.policy);
+    const auto floors = rt::nominalEdgeFloors(system, scenario);
+    struct Case
+    {
+        std::uint32_t endpoint;
+        net::MsgType type;
+        Watts bad;
+    };
+    std::uint32_t interior = 0;
+    while (plan.workers[interior].isLeaf())
+        ++interior;
+    for (const Case &c :
+         {Case{interior, net::MsgType::Metrics, std::nan("")},
+          Case{plan.rootEndpoint(), net::MsgType::Summary, HUGE_VAL}}) {
+        SCOPED_TRACE("endpoint " + std::to_string(c.endpoint));
+        rt::AggregatorRole role(system, plan, c.endpoint, policy, floors,
+                                scenario.service.protocol,
+                                scenario.rootBudgets);
+        role.beginEpoch(1);
+        rt::RuntimeStats stats;
+        const auto &children = plan.workers[c.endpoint].children;
+        ASSERT_GE(children.size(), 2u);
+        const std::uint32_t bad = children[0], good = children[1];
+        const auto [tree, bad_station] =
+            *plan.workers[bad].stations.begin();
+        const topo::NodeId good_station =
+            plan.workers[good].stations.at(tree);
+        EXPECT_FALSE(role.noteUpFrame(
+            metricsFrame(c.type, bad, tree, bad_station, c.bad), stats));
+        EXPECT_TRUE(role.noteUpFrame(
+            metricsFrame(c.type, good, tree, good_station, 200.0),
+            stats));
+        EXPECT_EQ(stats.corruptFrames, 1u);
+
+        core::EventLog events;
+        role.closeGather(stats, events);
+        EXPECT_EQ(role.stationHealth().at({tree, bad_station}),
+                  rt::AggregatorRole::StationHealth::Lost);
+        EXPECT_EQ(role.stationHealth().at({tree, good_station}),
+                  rt::AggregatorRole::StationHealth::Fresh);
+    }
+}
+
+TEST(WorkerRuntime, RootGrantsNothingToAChildWhoseMetricsWereLost)
+{
+    // Epoch 1: rack 1's tree-Y Metrics frame never reaches the root.
+    // With no cache to ride, the station is lost, its floor reserved,
+    // and the root sends it no Budget; rack 1 applies its Pcap_min
+    // default there (above 0 W) and its tree-X budget as usual.
+    LockstepTestbed bed;
+    bed.up(1);
+    std::size_t dropped = 0;
+    topo::NodeId edge = topo::kNoNode;
+    for (auto &bytes : bed.net.poll(2)) {
+        const auto frame = net::decodeFrame(bytes);
+        ASSERT_TRUE(frame);
+        if (frame->type == net::MsgType::Metrics && frame->sender == 1
+            && frame->metrics.tree == 1) {
+            ++dropped;
+            edge = static_cast<topo::NodeId>(frame->metrics.edgeNode);
+            continue;
+        }
+        bed.net.send(frame->sender, 2, std::move(bytes));
+    }
+    ASSERT_EQ(dropped, 1u);
+    bed.units[2]->stepRoom(1);
+    bed.down(1);
+
+    const auto &stats = bed.units[1]->stats();
+    EXPECT_EQ(stats.budgetsApplied, 1u);
+    EXPECT_EQ(stats.defaultBudgets, 1u);
+    const auto defaults = bed.units[1]->eventLog().ofKind(
+        core::EventKind::DefaultBudgetApplied);
+    ASSERT_EQ(defaults.size(), 1u);
+    EXPECT_EQ(defaults[0].subject, "Y.rightCB");
+    EXPECT_GT(defaults[0].value, 0.0);
+    EXPECT_EQ(bed.units[1]->lastEdgeBudgets().at({1, edge}),
+              defaults[0].value);
+    EXPECT_EQ(bed.units[0]->stats().defaultBudgets, 0u);
+}
+
 // ------------------------------------------- the leaf ladder, directly
 
 namespace {

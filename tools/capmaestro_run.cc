@@ -269,8 +269,7 @@ main(int argc, char **argv)
             "spo round (last period): %zu summary + %zu budget msgs, "
             "%zu retries, %zu/%zu trees committed, %zu bytes on wire\n"
             "degraded decisions over the run: %zu stale-metrics, "
-            "%zu metrics-lost, %zu default-budget, %zu worker-failover, "
-            "%zu spo-fallback\n",
+            "%zu metrics-lost, %zu default-budget, %zu spo-fallback\n",
             msgs.metricsMessages, msgs.budgetMessages,
             msgs.heartbeatMessages, msgs.retries, msgs.bytesOnWire,
             msgs.spoSummaryMessages, msgs.spoBudgetMessages,
@@ -279,7 +278,6 @@ main(int argc, char **argv)
             log.count(core::EventKind::StaleMetricsReused),
             log.count(core::EventKind::MetricsLost),
             log.count(core::EventKind::DefaultBudgetApplied),
-            log.count(core::EventKind::WorkerFailover),
             log.count(core::EventKind::SpoFallback));
     }
     if (engine != nullptr) {
