@@ -181,7 +181,7 @@ cmake --build build-asan -j --target \
     test_wire test_transport test_distributed test_net_closed_loop \
     test_sim_golden test_spo_equivalence test_udp_transport \
     test_udp_closed_loop test_worker_runtime test_failover \
-    test_tree_depth test_membership \
+    test_tree_depth test_membership test_roles \
     capmaestro_run capmaestro_worker capmaestro_supervisor \
     capmaestro_top
 # A gtest target missing from the list above registers only an

@@ -33,35 +33,37 @@
  * mechanisms close the gap. Aggregators ping every child that stayed
  * silent through a gather deadline with a header-only heartbeat (the
  * epoch beacon — zero frames on a lossless run), and a host that sees
- * any frame from two or more epochs ahead, or a parent beacon past
- * its current epoch, closes the period immediately with the usual
- * degraded fallbacks (counted as catchUpPeriods) and burns forward
- * until it rejoins — at which point held-back frames replay and real
- * budgets flow again.
+ * any frame from two or more epochs ahead, or a beacon from a role's
+ * parent at or past its current epoch, closes the period immediately
+ * with the usual degraded fallbacks (counted as catchUpPeriods) and
+ * burns forward until it rejoins — at which point held-back frames
+ * replay and real budgets flow again.
  *
  * Roles that share a host exchange frames in memory: a send whose
  * destination is hosted here is appended, encoded, to a host-owned
  * inbox instead of going to the transport, and every event-loop pass
  * takes the inbox first and then drains the transport. Both kinds of
- * frame then go through the same decodeFrame() and dispatch() path —
- * CRC, seq/epoch checks, holdback and trace hops included — so where
- * a role lives never changes what it decides. The transport (and any
- * fault injection on it) carries only the frames whose destination
- * lives in another process; RuntimeStats::coHostedFrames counts the
- * rest. The loop sleeps one poll slice only after a pass that neither
- * delivered a frame nor closed a gather or budget phase, so a tier
- * hop inside one process costs no sleep.
+ * frame then go through the same receive path (rt::RoleTable, shared
+ * with WorkerRuntime: CRC, routing, trace hops), and the host adds
+ * only holdback, so where a role lives never changes what it decides.
+ * The transport (and any fault injection on it) carries only the
+ * frames whose destination lives in another process;
+ * RuntimeStats::coHostedFrames counts the rest. The loop sleeps one
+ * poll slice only after a pass that neither delivered a frame nor
+ * closed a gather or budget phase, so a tier hop inside one process
+ * costs no sleep.
  *
- * Leaves: each hosted leaf is a LeafRole, the state machine every
- * WorkerRuntime rack runs too, including its §4.5 ladder (Pcap_min
- * defaults, the shadow clamp of a Joining or Draining leaf, 0 W once
- * Left). The host adds only framing — per-edge Metrics, in memory
- * when the parent is co-hosted; the checkpoint each period builds is
- * dropped — and routing: a hosted leaf gets Budget frames only, and
- * any other frame addressed to it is an orphan, because no hosted
- * root sends Rehome. Host mode thus runs none of the 2-level failover
- * machinery: a restarted process rejoins with a fresh plant while its
- * parents ride stale -> reserve, as documented in rt/aggregator.hh.
+ * Roles, stamping, framing and routing are the RoleTable's
+ * (rt/roles.hh): a hosted leaf is a LeafRole, the state machine every
+ * WorkerRuntime rack runs too, and takes Budget and Rehome frames like
+ * one (a Rehome from anyone but the root is its orphan; no hosted root
+ * sends one). Only a role's plan parent can end its period early: a
+ * Heartbeat from anyone else is no beacon. The host adds the
+ * completeness loop, the co-hosting inbox, holdback, the beacons it
+ * sends and catch-up; the checkpoint each leaf builds is dropped. Host
+ * mode thus runs none of the 2-level failover machinery: a restarted
+ * process rejoins with a fresh plant while its parents ride stale ->
+ * reserve, as documented in rt/aggregator.hh.
  *
  * Observability is the shared rt::Observability (rt/observe.hh), the
  * same plane a WorkerRuntime owns; the host adds only its per-tier
@@ -85,9 +87,8 @@
 #include "membership/table.hh"
 #include "net/udp_transport.hh"
 #include "net/wire.hh"
-#include "rt/aggregator.hh"
-#include "rt/leaf.hh"
 #include "rt/observe.hh"
+#include "rt/roles.hh"
 #include "rt/stats.hh"
 
 namespace capmaestro::rt {
@@ -129,11 +130,11 @@ class WorkerHost
     /** Endpoints hosted by this process, ascending. */
     const std::vector<net::Transport::Endpoint> &endpoints() const
     {
-        return locals_;
+        return roles_.locals();
     }
 
     /** The worker layout this deployment runs. */
-    const core::TreePlan &plan() const { return plan_; }
+    const core::TreePlan &plan() const { return roles_.plan(); }
 
     /** Aggregate protocol accounting across every hosted role. */
     const RuntimeStats &stats() const { return stats_; }
@@ -210,13 +211,13 @@ class WorkerHost
      */
     const membership::MembershipTable &membership() const
     {
-        return membership_;
+        return roles_.membership();
     }
 
     /** The replica's membership generation (1 = static deployment). */
     std::uint32_t membershipGeneration() const
     {
-        return membership_.generation();
+        return roles_.membership().generation();
     }
 
     /**
@@ -226,35 +227,20 @@ class WorkerHost
      * root keeps re-broadcasting to it until the upgrade lands;
      * upgrade-then-join is the supported order.
      */
-    void setWireVersion(std::uint8_t v);
+    void setWireVersion(std::uint8_t v) { roles_.setWireVersion(v); }
 
     /** Wire version this host stamps on sends. */
-    std::uint8_t wireVersion() const { return wireVersion_; }
+    std::uint8_t wireVersion() const { return roles_.wireVersion(); }
 
   private:
-    /** One hosted leaf worker and its per-epoch progress. */
-    struct LeafSlot
-    {
-        LeafRole leaf;
-        bool done = false;
-        /** Highest epoch a parent beacon reported (see dispatch()):
-         *  a beacon at or past the current epoch means the parent
-         *  closed this worker's phases without it — close early and
-         *  resend fresh next epoch rather than ride the deadlines. */
-        std::uint32_t beaconEpoch = 0;
-    };
+    using Routed = RoleTable::Routed;
 
-    /** One hosted aggregator (or root) and its per-epoch progress. */
-    struct AggRole
+    /** Per-epoch progress of one hosted aggregator (parallel to
+     *  RoleTable::aggregators()). */
+    struct AggProgress
     {
-        net::Transport::Endpoint ep = 0;
-        net::Transport::Endpoint parent = 0;
-        std::uint32_t tier = 0;
-        std::unique_ptr<AggregatorRole> agg;
         bool upDone = false;
         bool downDone = false;
-        /** Highest epoch a parent beacon reported (see LeafSlot). */
-        std::uint32_t beaconEpoch = 0;
         /** Open trace spans for this epoch's two phases. */
         telemetry::PeriodTracer::SpanId gatherSpan =
             telemetry::PeriodTracer::kNoSpan;
@@ -262,29 +248,27 @@ class WorkerHost
             telemetry::PeriodTracer::kNoSpan;
     };
 
-    void init(std::uint64_t seed);
+    /** Delegated-to by both public constructors; @p transport null
+     *  means an owned UdpTransport. */
+    WorkerHost(config::LoadedScenario scenario, config::WorkerPeers peers,
+               std::uint32_t process, std::uint64_t seed,
+               net::Transport *transport);
+
     void runPeriod(std::uint32_t epoch);
-    /** Frame meta for a send, trace-stamped when telemetry is on. */
-    net::FrameMeta stampMeta(std::uint16_t sender, std::uint32_t epoch,
-                             std::uint32_t tier);
-    /** Route one delivered frame to its hosted role (or hold it back
-     *  for the next epoch). */
-    void dispatch(net::Transport::Endpoint to, const net::Frame &frame,
-                  std::uint32_t epoch);
-    /** Adopt a membership broadcast into the shared replica and ack it
-     *  from the addressed hosted endpoint (epoch-free plane). */
-    void adoptMembership(net::Transport::Endpoint to,
-                         const net::Frame &frame, std::uint32_t epoch);
+    /** Act on what the RoleTable handed back for one received frame. */
+    void settle(net::Transport::Endpoint to, Routed routed,
+                std::uint32_t epoch);
     /** Send @p bytes on link @p from -> @p to: into the in-memory
      *  inbox when @p to is hosted here, on the transport otherwise. */
     void post(net::Transport::Endpoint from, net::Transport::Endpoint to,
               std::vector<std::uint8_t> bytes);
-    void aggSendUp(AggRole &role, std::uint32_t epoch);
-    void aggSendDown(AggRole &role, std::uint32_t epoch);
+    /** post() and clear sends_. */
+    void postAll();
+    void aggSendUp(std::size_t slot, std::uint32_t epoch);
+    void aggSendDown(std::size_t slot, std::uint32_t epoch);
 
     config::LoadedScenario scenario_;
     config::WorkerPeers peers_;
-    core::TreePlan plan_;
     std::uint32_t process_ = 0;
     std::unique_ptr<net::UdpTransport> ownedTransport_;
     net::Transport *transport_ = nullptr;
@@ -294,30 +278,16 @@ class WorkerHost
     std::uint32_t lastEpoch_ = 0;
     /** Highest epoch carried by any received frame. */
     std::uint32_t maxSeenEpoch_ = 0;
-    std::uint32_t seq_ = 0;
-    /** Version byte stamped on every send (rolling-upgrade knob). */
-    std::uint8_t wireVersion_ = net::kWireVersion;
-    /** Shared membership replica over every hosted endpoint. */
-    membership::MembershipTable membership_;
 
-    std::vector<net::Transport::Endpoint> locals_;
-    std::vector<LeafSlot> leaves_;
-    /** Hosted aggregators in ascending tier order (root last). */
-    std::vector<AggRole> aggs_;
-    /** What an endpoint is to this host, and its index into leaves_
-     *  or aggs_. */
-    struct RoleRef
-    {
-        enum class Kind : std::uint8_t { None, Leaf, Agg };
-        Kind kind = Kind::None;
-        std::uint32_t slot = 0;
-    };
-    /** Every plan endpoint (dense 0..workers-1) -> its hosted role. */
-    std::vector<RoleRef> roles_;
+    std::vector<AggProgress> aggProgress_;
+    /** Hosted leaves closed this epoch (parallel to leaves()). */
+    std::vector<bool> leafDone_;
     /** Frames posted to hosted endpoints, not yet dispatched. */
     std::vector<net::Transport::Delivery> inbox_;
     /** One pass's frames (inbox, then transport); reused per pass. */
     std::vector<net::Transport::Delivery> batch_;
+    /** Framed output waiting for post(); reused. */
+    RoleTable::Sends sends_;
     std::map<std::pair<std::size_t, topo::NodeId>, Watts>
         lastEdgeBudgets_;
 
@@ -334,6 +304,10 @@ class WorkerHost
     /** Host-level span over the leaves' budget-wait phase. */
     telemetry::PeriodTracer::SpanId leafSpan_ =
         telemetry::PeriodTracer::kNoSpan;
+
+    /** Every hosted role and the send/receive path (last: it refers
+     *  to the scenario, stats, events and observability above). */
+    RoleTable roles_;
 };
 
 } // namespace capmaestro::rt

@@ -4,8 +4,8 @@
  * core::RackWorker, the plants homed on it, and the wire. The leaf
  * counterpart of AggregatorRole. Both rt engines run every leaf
  * through it — WorkerRuntime one per process, WorkerHost many per
- * process — and keep only what differs between them: pacing, framing,
- * the membership replica and routing.
+ * process — built, framed and routed by one rt::RoleTable
+ * (rt/roles.hh), which also holds the membership replica it reads.
  *
  * One period, in order:
  *

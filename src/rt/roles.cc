@@ -1,0 +1,234 @@
+#include "rt/roles.hh"
+
+#include <algorithm>
+
+#include "policy/policy.hh"
+#include "rt/plant.hh"
+#include "util/logging.hh"
+
+namespace capmaestro::rt {
+
+RoleTable::RoleTable(config::LoadedScenario &scenario,
+                     const config::WorkerPeers &peers,
+                     std::vector<Endpoint> locals, std::uint64_t seed,
+                     RuntimeStats &stats, core::EventLog &events,
+                     Observability &obs)
+    : scenario_(scenario), stats_(stats), events_(events), obs_(obs),
+      locals_(std::move(locals))
+{
+    if (!scenario.system)
+        util::fatal("rt: scenario has no power system");
+    const topo::PowerSystem &system = *scenario.system;
+    plan_ = core::TreePlan::build(system, peers.aggLevels);
+    if (peers.peers.size() != plan_.workers.size()) {
+        util::fatal("rt: peer table has %zu endpoints; the worker plan "
+                    "needs %zu (%zu leaves + %zu aggregators + root)",
+                    peers.peers.size(), plan_.workers.size(),
+                    plan_.leafWorkers,
+                    plan_.workers.size() - plan_.leafWorkers - 1);
+    }
+    // Every deployment boots with the static table (all Live at
+    // generation 1); a broadcast from the root supersedes it.
+    membership_ = membership::MembershipTable::allLive(
+        plan_.workers.size());
+
+    // Before the leaves move the server specs into their plants: the
+    // floors are read straight from the config so every process
+    // agrees bit for bit.
+    const auto nominal_floor = nominalEdgeFloors(system, scenario);
+    const auto policy = policy::treePolicy(scenario.service.policy);
+    index_.assign(plan_.workers.size(), RoleRef{});
+    // Plan endpoints ascend by tier, so ascending locals put a hosted
+    // child's aggregator before its hosted parent's.
+    std::vector<Endpoint> leaf_eps;
+    for (const Endpoint ep : locals_) {
+        if (ep >= plan_.workers.size()) {
+            util::fatal("rt: endpoint %u out of range (plan has %zu "
+                        "workers)",
+                        ep, plan_.workers.size());
+        }
+        const core::TreePlan::Worker &w = plan_.workers[ep];
+        if (w.isLeaf()) {
+            leaf_eps.push_back(ep);
+            continue;
+        }
+        index_[ep] = {RoleRef::Kind::Aggregator,
+                      static_cast<std::uint32_t>(aggs_.size())};
+        aggs_.push_back(Aggregator{
+            AggregatorRole(system, plan_, ep, policy, nominal_floor,
+                           scenario.service.protocol,
+                           w.isRoot() ? scenario.rootBudgets
+                                      : std::vector<Watts>{}),
+            ep, w.tier, "w" + std::to_string(ep)});
+    }
+    for (LeafRole &leaf :
+         buildLeaves(scenario, leaf_eps, nominal_floor, seed)) {
+        index_[leaf.endpoint()] = {
+            RoleRef::Kind::Leaf, static_cast<std::uint32_t>(leaves_.size())};
+        leaves_.push_back(Leaf{std::move(leaf)});
+    }
+}
+
+void
+RoleTable::setWireVersion(std::uint8_t v)
+{
+    if (v != net::kWireVersion && v != net::kWireCompatVersion) {
+        util::fatal("rt: wire version %u is neither current (%u) nor "
+                    "compat (%u)",
+                    v, net::kWireVersion, net::kWireCompatVersion);
+    }
+    wireVersion_ = v;
+}
+
+net::FrameMeta
+RoleTable::stamp(Endpoint from, std::uint32_t epoch)
+{
+    net::FrameMeta meta(senderOf(from), epoch, seq_++);
+    meta.wireVersion = wireVersion_;
+    obs_.stamp(meta, static_cast<std::uint8_t>(plan_.workers[from].tier));
+    return meta;
+}
+
+void
+RoleTable::frameMetrics(Leaf &leaf, std::uint32_t epoch, Sends &out)
+{
+    const Endpoint ep = leaf.role.endpoint();
+    for (const net::MetricsMsg &msg : leaf.role.metrics()) {
+        out.push_back({ep, plan_.workers[ep].parent,
+                       net::encodeMetrics(stamp(ep, epoch), msg)});
+    }
+}
+
+void
+RoleTable::frameSummaries(const Aggregator &agg,
+                          const std::vector<net::MetricsMsg> &summaries,
+                          std::uint32_t epoch, Sends &out)
+{
+    for (const net::MetricsMsg &msg : summaries) {
+        out.push_back({agg.ep, plan_.workers[agg.ep].parent,
+                       net::encodeSummary(stamp(agg.ep, epoch), msg)});
+        ++stats_.summariesSent;
+    }
+}
+
+void
+RoleTable::frameDown(Aggregator &agg, std::uint32_t epoch, Sends &out)
+{
+    const auto downs = agg.role.computeDown(stats_);
+    if (obs_.on()) {
+        obs_.auditSplit(epoch, *scenario_.system, agg.name, agg.role,
+                        downs);
+    }
+    for (const AggregatorRole::DownMsg &down : downs) {
+        const net::FrameMeta meta = stamp(agg.ep, epoch);
+        out.push_back({agg.ep, down.child,
+                       down.leafChild
+                           ? net::encodeBudget(meta, down.msg)
+                           : net::encodeSubBudget(meta, down.msg)});
+    }
+}
+
+void
+RoleTable::closeLeaf(Leaf &leaf)
+{
+    leaf.role.close(
+        membership_.state(static_cast<std::uint16_t>(leaf.role.endpoint())),
+        stats_, events_);
+}
+
+RoleTable::Routed
+RoleTable::receive(Endpoint to, const std::vector<std::uint8_t> &bytes,
+                   std::uint32_t epoch, Sends &out)
+{
+    frame_ = net::decodeFrame(bytes);
+    if (!frame_) {
+        ++stats_.corruptFrames;
+        return Routed::Corrupt;
+    }
+    if (obs_.on()) {
+        obs_.recordHop(*frame_,
+                       static_cast<std::uint8_t>(plan_.workers[to].tier));
+    }
+    return route(to, *frame_, epoch, out);
+}
+
+RoleTable::Routed
+RoleTable::route(Endpoint to, const net::Frame &frame, std::uint32_t epoch,
+                 Sends &out)
+{
+    if (frame.type == net::MsgType::MembershipDelta)
+        return adopt(to, frame, epoch, out);
+    if (frame.type == net::MsgType::MembershipAck) {
+        if (to == plan_.rootEndpoint())
+            return Routed::Ack;
+        ++stats_.orphanFrames; // acks are addressed to the root
+        return Routed::Orphan;
+    }
+    const RoleRef ref = index_[to];
+    const core::TreePlan::Worker &self = plan_.workers[to];
+    const bool from_parent =
+        !self.isRoot() && frame.sender == senderOf(self.parent);
+    // A parent pings the children it closed a gather without, so a role
+    // whose parent has moved on can close early instead of riding its
+    // deadlines. Only the parent can end a role's period this way.
+    if (frame.type == net::MsgType::Heartbeat && from_parent
+        && ref.kind != RoleRef::Kind::None) {
+        std::uint32_t &beacon = ref.kind == RoleRef::Kind::Leaf
+                                    ? leaves_[ref.slot].beaconEpoch
+                                    : aggs_[ref.slot].beaconEpoch;
+        beacon = std::max(beacon, frame.epoch);
+        return Routed::Beacon;
+    }
+    if (frame.epoch > epoch)
+        return Routed::Later;
+    switch (ref.kind) {
+    case RoleRef::Kind::Leaf:
+        return leaves_[ref.slot].role.noteDownFrame(frame, stats_, events_)
+                   ? Routed::Rehome
+                   : Routed::Leaf;
+    case RoleRef::Kind::Aggregator: {
+        AggregatorRole &agg = aggs_[ref.slot].role;
+        if (frame.type != net::MsgType::SubBudget) {
+            agg.noteUpFrame(frame, stats_);
+            return Routed::Up;
+        }
+        agg.noteDownFrame(frame, senderOf(self.parent), stats_);
+        return Routed::Down;
+    }
+    case RoleRef::Kind::None:
+        break;
+    }
+    ++stats_.orphanFrames;
+    return Routed::Orphan;
+}
+
+RoleTable::Routed
+RoleTable::adopt(Endpoint to, const net::Frame &frame, std::uint32_t epoch,
+                 Sends &out)
+{
+    // Only the root announces, and the root owns the table.
+    if (frame.sender != net::kRoomSender || to == plan_.rootEndpoint()) {
+        ++stats_.orphanFrames;
+        return Routed::Orphan;
+    }
+    const bool adopted = membership_.applyDelta(frame.membershipDelta);
+    if (adopted)
+        ++stats_.membershipDeltasApplied;
+    // Ack even a stale or idempotent re-broadcast: a lost ack is what
+    // keeps the root re-sending. A compat-stamped worker cannot encode
+    // membership frames; the root keeps broadcasting to it until the
+    // rolling upgrade flips the version.
+    if (wireVersion_ == net::kWireVersion) {
+        const auto me = static_cast<std::uint16_t>(to);
+        net::MembershipAckMsg ack;
+        ack.generation = membership_.generation();
+        ack.endpoint = me;
+        ack.state = static_cast<net::WireUnitState>(membership_.state(me));
+        out.push_back({to, plan_.rootEndpoint(),
+                       net::encodeMembershipAck(stamp(to, epoch), ack)});
+        ++stats_.membershipAcksSent;
+    }
+    return adopted ? Routed::Adopted : Routed::Stale;
+}
+
+} // namespace capmaestro::rt

@@ -82,9 +82,10 @@ WorkerRuntime::WorkerRuntime(config::LoadedScenario scenario,
                              config::WorkerPeers peers,
                              std::uint32_t role, std::uint64_t seed)
     : scenario_(std::move(scenario)), peers_(std::move(peers)),
-      role_(role)
+      role_(role),
+      roles_(scenario_, peers_, {role}, seed, stats_, events_, obs_)
 {
-    init(seed);
+    init();
 
     net::UdpConfig udp;
     udp.peers = peers_.peers;
@@ -98,31 +99,15 @@ WorkerRuntime::WorkerRuntime(config::LoadedScenario scenario,
                              std::uint32_t role, std::uint64_t seed,
                              net::Transport &transport, Pacing pacing)
     : scenario_(std::move(scenario)), peers_(std::move(peers)),
-      role_(role), pacing_(pacing), transport_(&transport)
+      role_(role), pacing_(pacing), transport_(&transport),
+      roles_(scenario_, peers_, {role}, seed, stats_, events_, obs_)
 {
-    init(seed);
+    init();
 }
 
 void
-WorkerRuntime::init(std::uint64_t seed)
+WorkerRuntime::init()
 {
-    if (!scenario_.system)
-        util::fatal("rt: scenario has no power system");
-    plan_ = core::TreePlan::build(*scenario_.system, peers_.aggLevels);
-    rackCount_ = plan_.leafWorkers;
-    if (role_ >= plan_.workers.size()) {
-        util::fatal("rt: role %u out of range (plan has %zu workers)",
-                    role_, plan_.workers.size());
-    }
-    if (peers_.peers.size() != plan_.workers.size()) {
-        util::fatal("rt: peer table has %zu endpoints; the worker plan "
-                    "needs %zu (%zu leaves + %zu aggregators + root)",
-                    peers_.peers.size(), plan_.workers.size(),
-                    plan_.leafWorkers,
-                    plan_.workers.size() - plan_.leafWorkers - 1);
-    }
-    if (!isRoom())
-        parentEp_ = plan_.workers[role_].parent;
     if (pacing_ == Pacing::Wall) {
         // Lockstep runtimes have no wall-clock schedule: the harness
         // owns the epochs, so the origin/deadline checks do not apply.
@@ -134,12 +119,12 @@ WorkerRuntime::init(std::uint64_t seed)
         // One gather + one budget window per tier hop: the tier-k
         // receiver's gather closes at start + k x gather, and the leaf
         // budget deadline sits a symmetric cascade later.
-        const auto hops = static_cast<double>(plan_.tiers() - 1);
+        const auto hops = static_cast<double>(plan().tiers() - 1);
         if (peers_.periodMs
             <= hops * (proto.gatherDeadlineMs + proto.budgetDeadlineMs)) {
             util::fatal("rt: periodMs %.0f must exceed the %u-tier "
                         "gather+budget cascade (%.0f ms)",
-                        peers_.periodMs, plan_.tiers(),
+                        peers_.periodMs, plan().tiers(),
                         hops * (proto.gatherDeadlineMs
                                 + proto.budgetDeadlineMs));
         }
@@ -148,30 +133,14 @@ WorkerRuntime::init(std::uint64_t seed)
                         "regenerate the peer table");
         }
     }
-
-    membership_ = membership::MembershipTable::allLive(
-        plan_.workers.size());
-
-    // Before the leaf moves the server specs into its plants: the
-    // floors are read straight from the config so every process agrees
-    // bit for bit.
-    const auto nominal_floor =
-        nominalEdgeFloors(*scenario_.system, scenario_);
-    if (role_ < rackCount_) {
-        leaf_.emplace(std::move(
-            buildLeaves(scenario_, {role_}, nominal_floor, seed).front()));
-        return;
-    }
-    agg_ = std::make_unique<AggregatorRole>(
-        *scenario_.system, plan_, role_,
-        policy::treePolicy(scenario_.service.policy), nominal_floor,
-        scenario_.service.protocol,
-        isRoom() ? scenario_.rootBudgets : std::vector<Watts>{});
+    // Audits name this worker as its telemetry labels do.
+    if (!roles_.aggregators().empty())
+        aggSlot().name = roleName();
     // The root keeps liveness, checkpoints and re-homing for its leaf
     // children: every rack at depth 2, none in a balanced deep plan.
     if (isRoom()) {
-        for (const std::uint32_t child : agg_->children()) {
-            if (child < rackCount_)
+        for (const std::uint32_t child : agg().children()) {
+            if (child < rackCount())
                 rackHealth_[child] = RackHealth{};
         }
     }
@@ -245,10 +214,12 @@ WorkerRuntime::runPeriods(std::size_t max_periods)
         // Wall mode owns its period traces (lockstep harnesses drive
         // the tracer themselves).
         obs_.beginPeriod(epoch,
-                         leaf_ ? static_cast<double>(leaf_->simNow())
-                               : 0.0,
+                         roles_.leaves().empty()
+                             ? 0.0
+                             : static_cast<double>(
+                                   leafSlot().role.simNow()),
                          roleName());
-        if (role_ < rackCount_)
+        if (role_ < rackCount())
             runRackPeriod(epoch);
         else
             runAggregatorPeriod(epoch);
@@ -271,15 +242,6 @@ WorkerRuntime::finishPeriod(std::uint32_t epoch)
 // Observability plane
 // ===================================================================
 
-net::FrameMeta
-WorkerRuntime::stampMeta(std::uint16_t sender, std::uint32_t epoch)
-{
-    net::FrameMeta meta(sender, epoch, seq_++);
-    meta.wireVersion = wireVersion_;
-    obs_.stamp(meta, traceTier());
-    return meta;
-}
-
 std::uint16_t
 WorkerRuntime::serveHttp(std::uint16_t port)
 {
@@ -290,128 +252,156 @@ util::Json
 WorkerRuntime::healthJson() const
 {
     util::Json::Object out =
-        obs_.health(membership_, lastEpoch_, agg_ != nullptr,
+        obs_.health(roles_.membership(), lastEpoch_,
+                    !roles_.aggregators().empty(),
                     static_cast<std::uint16_t>(role_));
     out.emplace("role", util::Json(roleName()));
-    out.emplace("tier", util::Json(static_cast<double>(traceTier())));
+    out.emplace("tier", util::Json(static_cast<double>(
+                            plan().workers[role_].tier)));
     return util::Json(std::move(out));
 }
 
 // ===================================================================
-// Rack phases
+// Send and receive
 // ===================================================================
 
-std::vector<std::vector<std::uint8_t>>
-WorkerRuntime::rackUpstreamFrames(std::uint32_t epoch)
+void
+WorkerRuntime::sendAll(const Sends &batch)
 {
-    const net::CheckpointMsg checkpoint = leaf_->advance(epoch);
-    std::vector<std::vector<std::uint8_t>> up;
-    const auto me = static_cast<std::uint16_t>(role_);
-    up.push_back(net::encodeHeartbeat(stampMeta(me, epoch)));
-    for (const net::MetricsMsg &msg : leaf_->metrics())
-        up.push_back(net::encodeMetrics(stampMeta(me, epoch), msg));
-    up.push_back(net::encodeCheckpoint(stampMeta(me, epoch), checkpoint));
-    ++stats_.checkpointsSent;
-    return up;
+    for (const RoleTable::Send &send : batch)
+        transport_->send(send.from, send.to, send.bytes);
 }
 
 void
-WorkerRuntime::rackCollect(double close, bool rehome_ends)
+WorkerRuntime::retransmit(const Sends &batch, double sent_at, double until)
+{
+    const auto &proto = scenario_.service.protocol;
+    for (int attempt = 1; attempt < proto.maxAttempts; ++attempt) {
+        const double next = sent_at + attempt * proto.retryTimeoutMs;
+        if (next >= until)
+            break;
+        transport_->advanceTo(next);
+        sendAll(batch);
+        stats_.retries += batch.size();
+    }
+}
+
+void
+WorkerRuntime::collect(std::uint32_t epoch, Until until, double close)
 {
     net::Transport &tp = *transport_;
+    Sends acks;
     for (;;) {
         bool rehome = false;
         for (const auto &bytes : tp.poll(role_)) {
-            const auto frame = net::decodeFrame(bytes);
-            if (!frame) {
-                ++stats_.corruptFrames;
-                continue;
+            switch (roles_.receive(role_, bytes, epoch, acks)) {
+            case Routed::Rehome:
+                rehome = true;
+                break;
+            case Routed::Up:
+                noteRackFrame(roles_.frame(), epoch);
+                break;
+            case Routed::Adopted:
+                events_.record(static_cast<Seconds>(roles_.frame().epoch),
+                               core::EventKind::MembershipAdopted,
+                               roleName(),
+                               static_cast<double>(
+                                   roles_.membership().generation()));
+                // Committed out: this period applies zero watts (see
+                // LeafRole::close), the ack is the promise, and a
+                // wall-paced daemon exits so the supervisor can
+                // retire it.
+                if (membershipLeft() && pacing_ == Pacing::Wall)
+                    requestStop();
+                break;
+            case Routed::Ack:
+                noteMembershipAck(roles_.frame());
+                break;
+            case Routed::Later:
+                ++stats_.orphanFrames; // no holdback in these pacings
+                break;
+            default:
+                break;
             }
-            obs_.recordHop(*frame, traceTier());
-            // The membership plane is epoch-free — the generation is
-            // its clock — so snapshots straddling a period boundary
-            // still land. Anything else but a Budget or Rehome (a
-            // MembershipAck, say) is the leaf's orphan.
-            if (frame->type == net::MsgType::MembershipDelta)
-                adoptMembershipDelta(*frame);
-            else
-                rehome |= leaf_->noteDownFrame(*frame, stats_, events_);
+            sendAll(acks);
+            acks.clear();
         }
-        if ((rehome && rehome_ends) || leaf_->complete())
+        const bool done =
+            until == Until::Gather       ? agg().upComplete()
+            : until == Until::SubBudgets ? agg().downComplete()
+                                         : leafSlot().role.complete();
+        if (done || (rehome && until == Until::BudgetsOrRehome))
             break;
         const double remaining = close - tp.nowMs();
         if (remaining <= 0.0)
             break;
         tp.advanceBy(std::min(remaining, kPollSliceMs));
     }
-    leaf_->close(membership_.state(static_cast<std::uint16_t>(role_)),
-                 stats_, events_);
+}
+
+// ===================================================================
+// Rack phases
+// ===================================================================
+
+WorkerRuntime::Sends
+WorkerRuntime::rackUpstreamFrames(std::uint32_t epoch)
+{
+    RoleTable::Leaf &leaf = leafSlot();
+    const net::CheckpointMsg checkpoint = leaf.role.advance(epoch);
+    Sends up;
+    up.push_back({role_, parentEp(),
+                  net::encodeHeartbeat(roles_.stamp(role_, epoch))});
+    roles_.frameMetrics(leaf, epoch, up);
+    up.push_back({role_, parentEp(),
+                  net::encodeCheckpoint(roles_.stamp(role_, epoch),
+                                        checkpoint)});
+    ++stats_.checkpointsSent;
+    return up;
 }
 
 void
 WorkerRuntime::runRackPeriod(std::uint32_t epoch)
 {
-    const auto &proto = scenario_.service.protocol;
-    net::Transport &tp = *transport_;
-
     // ---- upstream: heartbeat + one metrics frame per edge + the
-    // plant-state checkpoint, with blind bounded retransmission (no
-    // ACK channel exists; the receiver dedups by map overwrite). In a
+    // plant-state checkpoint, with blind bounded retransmission. In a
     // deep plan the retransmit window runs to the parent tier's gather
     // close, and the budget deadline sits at the end of the full
     // down-cascade; with 2 tiers both degenerate to the flat schedule.
-    const double start = tp.nowMs();
-    const auto tiers = static_cast<double>(plan_.tiers());
-    const double gather_deadline =
-        start
-        + static_cast<double>(plan_.workers[parentEp_].tier)
-              * proto.gatherDeadlineMs;
-    const double budget_deadline =
-        start
-        + (tiers - 1.0)
-              * (proto.gatherDeadlineMs + proto.budgetDeadlineMs);
-
+    const Cascade cascade{scenario_.service.protocol, plan().tiers(),
+                          transport_->nowMs()};
     const auto up = rackUpstreamFrames(epoch);
-    for (const auto &frame : up)
-        tp.send(role_, parentEp_, frame);
-    for (int attempt = 1; attempt < proto.maxAttempts; ++attempt) {
-        const double next = start + attempt * proto.retryTimeoutMs;
-        if (next >= gather_deadline)
-            break;
-        tp.advanceTo(next);
-        for (const auto &frame : up) {
-            tp.send(role_, parentEp_, frame);
-            ++stats_.retries;
-        }
-    }
+    sendAll(up);
+    retransmit(up, cascade.start,
+               cascade.gatherClose(plan().workers[parentEp()].tier));
 
     // ---- downstream: collect budgets (or a Rehome) until the
     // deadline; a budget's arrival is the implicit end of this edge's
     // exchange.
-    rackCollect(budget_deadline, /*rehome_ends=*/false);
+    collect(epoch, Until::Budgets, cascade.downClose(0));
+    roles_.closeLeaf(leafSlot());
 }
 
 void
 WorkerRuntime::stepUpstream(std::uint32_t epoch)
 {
-    if (pacing_ != Pacing::Lockstep || role_ >= rackCount_)
+    if (pacing_ != Pacing::Lockstep || role_ >= rackCount())
         util::fatal("rt: stepUpstream() needs a lockstep rack runtime");
     // Single-shot sends: lockstep has no deadline schedule to pace
     // retransmissions against, and a chaos harness wants injected loss
     // to actually cost a frame.
-    for (const auto &frame : rackUpstreamFrames(epoch))
-        transport_->send(role_, parentEp_, frame);
+    sendAll(rackUpstreamFrames(epoch));
 }
 
 void
 WorkerRuntime::stepDownstream(std::uint32_t epoch)
 {
-    if (pacing_ != Pacing::Lockstep || role_ >= rackCount_)
+    if (pacing_ != Pacing::Lockstep || role_ >= rackCount())
         util::fatal("rt: stepDownstream() needs a lockstep rack runtime");
     // A Rehome ends the period: the room withholds budgets from a
     // re-homing rack, so there is nothing further to wait for.
-    rackCollect(transport_->nowMs() + kLockstepWaitMs,
-                /*rehome_ends=*/true);
+    collect(epoch, Until::BudgetsOrRehome,
+            transport_->nowMs() + kLockstepWaitMs);
+    roles_.closeLeaf(leafSlot());
     finishPeriod(epoch);
 }
 
@@ -428,7 +418,8 @@ WorkerRuntime::noteRackFrame(const net::Frame &frame, std::uint32_t epoch)
     const std::uint32_t rack = frame.sender;
     RackHealth &h = it->second;
     heard_.insert(rack);
-    const auto ms = membership_.state(static_cast<std::uint16_t>(rack));
+    const auto ms =
+        roles_.membership().state(static_cast<std::uint16_t>(rack));
     // A restarted process begins again at sequence 0. A regression no
     // larger than one upstream batch (heartbeat + one metrics frame
     // per edge + checkpoint) is normal: the rack's blind bounded
@@ -441,7 +432,7 @@ WorkerRuntime::noteRackFrame(const net::Frame &frame, std::uint32_t epoch)
     // detection threshold; it is picked up one period later once the
     // old instance's higher sequence numbers dominate.)
     const auto batch =
-        static_cast<std::uint32_t>(plan_.workers[rack].stations.size())
+        static_cast<std::uint32_t>(plan().workers[rack].stations.size())
         + 2;
     if (ms == membership::UnitState::Joining
         || ms == membership::UnitState::Left) {
@@ -486,18 +477,6 @@ WorkerRuntime::beginRehoming(std::uint32_t rack, std::uint32_t epoch)
                    static_cast<double>(epoch));
 }
 
-std::size_t
-WorkerRuntime::deadOrRehomingCount() const
-{
-    std::size_t n = 0;
-    for (const auto &[rack, h] : rackHealth_) {
-        (void)rack;
-        if (h.state != RackState::Live)
-            ++n;
-    }
-    return n;
-}
-
 void
 WorkerRuntime::rackLiveness(std::uint32_t epoch)
 {
@@ -511,7 +490,7 @@ WorkerRuntime::rackLiveness(std::uint32_t epoch)
     };
     for (auto &[r, h] : rackHealth_) {
         const auto ms =
-            membership_.state(static_cast<std::uint16_t>(r));
+            roles_.membership().state(static_cast<std::uint16_t>(r));
         if (ms == membership::UnitState::Joining
             || ms == membership::UnitState::Left) {
             // Held in reset: a joiner is not yet a liveness subject
@@ -552,7 +531,10 @@ WorkerRuntime::rackLiveness(std::uint32_t epoch)
             break;
         }
     }
-    gauges_.deadRacks.set(static_cast<double>(deadOrRehomingCount()));
+    gauges_.deadRacks.set(static_cast<double>(std::count_if(
+        rackHealth_.begin(), rackHealth_.end(), [](const auto &rack) {
+            return rack.second.state != RackState::Live;
+        })));
 }
 
 void
@@ -573,81 +555,29 @@ WorkerRuntime::refreshChildViews()
         // their shadow periods) is waited for.
         view.awaited =
             health.state != RackState::Dead
-            && membership_.state(ep) != membership::UnitState::Left;
+            && roles_.membership().state(ep) != membership::UnitState::Left;
         // Fresh metrics are trusted only from a Live instance: a
         // reincarnated one's fresh-plant numbers would poison the
         // allocation, and its liveness must not be double-counted as
         // both the dead instance (stale) and the new one (fresh).
         view.trusted = health.state == RackState::Live;
-        view.member = membership_.isLive(ep);
+        view.member = roles_.membership().isLive(ep);
         view.released = membershipFloorReleased(ep);
     }
-    agg_->setChildViews(std::move(views));
+    agg().setChildViews(std::move(views));
 }
 
 void
 WorkerRuntime::aggBeginEpoch(std::uint32_t epoch)
 {
-    agg_->beginEpoch(epoch);
+    agg().beginEpoch(epoch);
     if (isRoom()) {
         heard_.clear();
         refreshChildViews();
     }
 }
 
-void
-WorkerRuntime::aggDrainOnce(std::uint32_t epoch, bool down_phase)
-{
-    const std::uint16_t parent_sender =
-        parentEp_ == plan_.rootEndpoint()
-            ? net::kRoomSender
-            : static_cast<std::uint16_t>(parentEp_);
-    for (const auto &bytes : transport_->poll(role_)) {
-        const auto frame = net::decodeFrame(bytes);
-        if (!frame) {
-            ++stats_.corruptFrames;
-            continue;
-        }
-        obs_.recordHop(*frame, traceTier());
-        // Membership frames never reach the aggregator state machine:
-        // the replica plane is epoch-free and root-addressed.
-        if (frame->type == net::MsgType::MembershipDelta) {
-            adoptMembershipDelta(*frame);
-            continue;
-        }
-        if (frame->type == net::MsgType::MembershipAck) {
-            noteMembershipAck(*frame);
-            continue;
-        }
-        // Late child retransmissions during the down phase are still
-        // absorbed (and deduped) by the gather side rather than counted
-        // as orphans; the boundary for this epoch is already closed.
-        if (down_phase && frame->type == net::MsgType::SubBudget) {
-            agg_->noteDownFrame(*frame, parent_sender, stats_);
-        } else {
-            noteRackFrame(*frame, epoch);
-            agg_->noteUpFrame(*frame, stats_);
-        }
-    }
-}
-
-void
-WorkerRuntime::aggCollect(std::uint32_t epoch, bool down_phase,
-                          double close)
-{
-    net::Transport &tp = *transport_;
-    for (;;) {
-        aggDrainOnce(epoch, down_phase);
-        if (down_phase ? agg_->downComplete() : agg_->upComplete())
-            break;
-        const double remaining = close - tp.nowMs();
-        if (remaining <= 0.0)
-            break;
-        tp.advanceBy(std::min(remaining, kPollSliceMs));
-    }
-}
-
-std::vector<net::MetricsMsg>
+WorkerRuntime::Sends
 WorkerRuntime::aggCloseGather(std::uint32_t epoch)
 {
     std::map<std::uint32_t, telemetry::UnitHealth> overrides;
@@ -665,56 +595,29 @@ WorkerRuntime::aggCloseGather(std::uint32_t epoch)
                 overrides[rack] = telemetry::UnitHealth::Rehoming;
         }
     }
-    auto summaries = agg_->closeGather(stats_, events_);
-    obs_.reportChildren(*agg_, epoch, overrides);
-    return summaries;
-}
-
-std::vector<std::vector<std::uint8_t>>
-WorkerRuntime::encodeUpFrames(
-    std::uint32_t epoch, const std::vector<net::MetricsMsg> &summaries)
-{
-    std::vector<std::vector<std::uint8_t>> up;
-    const auto me = static_cast<std::uint16_t>(role_);
-    up.push_back(net::encodeHeartbeat(stampMeta(me, epoch)));
-    for (const auto &msg : summaries) {
-        up.push_back(net::encodeSummary(stampMeta(me, epoch), msg));
-        ++stats_.summariesSent;
-    }
+    const auto summaries = agg().closeGather(stats_, events_);
+    obs_.reportChildren(agg(), epoch, overrides);
+    Sends up;
+    if (isRoom())
+        return up;
+    up.push_back({role_, parentEp(),
+                  net::encodeHeartbeat(roles_.stamp(role_, epoch))});
+    roles_.frameSummaries(aggSlot(), summaries, epoch, up);
     return up;
 }
 
-std::vector<std::pair<net::Transport::Endpoint, std::vector<std::uint8_t>>>
-WorkerRuntime::encodeDownFrames(
-    std::uint32_t epoch,
-    const std::vector<AggregatorRole::DownMsg> &downs)
+WorkerRuntime::Sends
+WorkerRuntime::aggDownFrames(std::uint32_t epoch)
 {
-    const std::uint16_t sender =
-        isRoom() ? net::kRoomSender
-                 : static_cast<std::uint16_t>(role_);
-    if (obs_.on())
-        obs_.auditSplit(epoch, *scenario_.system, roleName(), *agg_, downs);
-    std::vector<
-        std::pair<net::Transport::Endpoint, std::vector<std::uint8_t>>>
-        out;
-    for (const AggregatorRole::DownMsg &down : downs) {
-        auto bytes =
-            down.leafChild
-                ? net::encodeBudget(stampMeta(sender, epoch), down.msg)
-                : net::encodeSubBudget(stampMeta(sender, epoch),
-                                       down.msg);
-        out.emplace_back(
-            static_cast<net::Transport::Endpoint>(down.child),
-            std::move(bytes));
-    }
-    return out;
+    Sends down;
+    roles_.frameDown(aggSlot(), epoch, down);
+    if (isRoom())
+        appendRehomeFrames(epoch, down);
+    return down;
 }
 
 void
-WorkerRuntime::appendRehomeFrames(
-    std::uint32_t epoch,
-    std::vector<std::pair<net::Transport::Endpoint,
-                          std::vector<std::uint8_t>>> &down)
+WorkerRuntime::appendRehomeFrames(std::uint32_t epoch, Sends &down)
 {
     // Replay the stored checkpoint into the new instance. An empty
     // checkpoint (none ever stored) still completes the handshake —
@@ -722,15 +625,14 @@ WorkerRuntime::appendRehomeFrames(
     // replay until committed.
     for (auto &[rack, h] : rackHealth_) {
         if (h.state != RackState::Rehoming || !heard_.count(rack)
-            || !membership_.isLive(static_cast<std::uint16_t>(rack)))
+            || !roles_.membership().isLive(static_cast<std::uint16_t>(rack)))
             continue;
         const auto stored = checkpoints_.find(rack);
-        down.emplace_back(
-            static_cast<net::Transport::Endpoint>(rack),
-            net::encodeRehome(stampMeta(net::kRoomSender, epoch),
-                              stored != checkpoints_.end()
-                                  ? stored->second
-                                  : net::CheckpointMsg{}));
+        down.push_back({role_, rack,
+                        net::encodeRehome(roles_.stamp(role_, epoch),
+                                          stored != checkpoints_.end()
+                                              ? stored->second
+                                              : net::CheckpointMsg{})});
         if (h.rehomeEpoch == 0)
             h.rehomeEpoch = epoch;
         ++stats_.rehomesSent;
@@ -740,79 +642,40 @@ WorkerRuntime::appendRehomeFrames(
 void
 WorkerRuntime::runAggregatorPeriod(std::uint32_t epoch)
 {
-    const auto &proto = scenario_.service.protocol;
     net::Transport &tp = *transport_;
-    const double start = tp.nowMs();
-    const auto tiers = static_cast<double>(plan_.tiers());
-    const auto my_tier =
-        static_cast<double>(plan_.workers[role_].tier);
-    // Tier-staggered §4.5 schedule: the tier-k receiver's gather
-    // closes at start + k x gather; SubBudgets cascade back down one
-    // budget window per hop after every gather has closed. With two
-    // tiers this is the flat schedule: the root gathers for one
-    // window and retransmits budgets until the leaves' budget
-    // deadline.
-    const double gather_close =
-        start + my_tier * proto.gatherDeadlineMs;
-    const double gather_all_end =
-        start + (tiers - 1.0) * proto.gatherDeadlineMs;
+    // With two tiers the cascade is the flat schedule: the root
+    // gathers for one window and retransmits budgets until the
+    // leaves' budget deadline.
+    const Cascade cascade{scenario_.service.protocol, plan().tiers(),
+                          tp.nowMs()};
+    const std::uint32_t tier = plan().workers[role_].tier;
 
     aggBeginEpoch(epoch);
-    aggCollect(epoch, /*down_phase=*/false, gather_close);
-    const auto summaries = aggCloseGather(epoch);
+    collect(epoch, Until::Gather, cascade.gatherClose(tier));
+    const auto up = aggCloseGather(epoch);
 
     if (!isRoom()) {
         // ---- forward this subtree's summaries, blind bounded
         // retransmission until the parent's gather closes.
-        const double parent_close =
-            start
-            + static_cast<double>(plan_.workers[parentEp_].tier)
-                  * proto.gatherDeadlineMs;
-        const auto up = encodeUpFrames(epoch, summaries);
         const double sent_at = tp.nowMs();
-        for (const auto &frame : up)
-            tp.send(role_, parentEp_, frame);
-        for (int attempt = 1; attempt < proto.maxAttempts; ++attempt) {
-            const double next = sent_at + attempt * proto.retryTimeoutMs;
-            if (next >= parent_close)
-                break;
-            tp.advanceTo(next);
-            for (const auto &frame : up) {
-                tp.send(role_, parentEp_, frame);
-                ++stats_.retries;
-            }
-        }
+        sendAll(up);
+        retransmit(up, sent_at,
+                   cascade.gatherClose(plan().workers[parentEp()].tier));
 
         // ---- collect SubBudgets until this tier's down deadline.
-        aggCollect(epoch, /*down_phase=*/true,
-                   gather_all_end
-                       + (tiers - 1.0 - my_tier) * proto.budgetDeadlineMs);
+        collect(epoch, Until::SubBudgets, cascade.downClose(tier));
     }
 
     // ---- split down, blind bounded retransmission until the direct
     // children's own down deadline (their tier is ours minus one).
-    auto downs = encodeDownFrames(epoch, agg_->computeDown(stats_));
-    if (isRoom())
-        appendRehomeFrames(epoch, downs);
-    const double child_close =
-        gather_all_end + (tiers - my_tier) * proto.budgetDeadlineMs;
+    const auto down = aggDownFrames(epoch);
     const double down_start = tp.nowMs();
-    for (const auto &[child, frame] : downs)
-        tp.send(role_, child, frame);
+    sendAll(down);
     // Membership snapshots ride the same down window, single-shot per
     // period (ack-gated: a lost broadcast is repaired next period).
     if (isRoom())
         broadcastMembership(epoch);
-    for (int attempt = 1; attempt < proto.maxAttempts; ++attempt) {
-        const double next = down_start + attempt * proto.retryTimeoutMs;
-        if (next >= child_close)
-            break;
-        tp.advanceTo(next);
-        for (const auto &[child, frame] : downs) {
-            tp.send(role_, child, frame);
-            ++stats_.retries;
-        }
-    }
+    retransmit(down, down_start, cascade.downClose(tier - 1));
 }
 
 void
@@ -827,14 +690,10 @@ WorkerRuntime::stepRoom(std::uint32_t epoch)
         tracer->num(span, "epoch", static_cast<double>(epoch));
     // One step covers both halves: by the lockstep driving order every
     // child has already stepped up, and will step down after.
-    net::Transport &tp = *transport_;
     aggBeginEpoch(epoch);
-    aggCollect(epoch, /*down_phase=*/false, tp.nowMs() + kLockstepWaitMs);
+    collect(epoch, Until::Gather, transport_->nowMs() + kLockstepWaitMs);
     aggCloseGather(epoch);
-    auto downs = encodeDownFrames(epoch, agg_->computeDown(stats_));
-    appendRehomeFrames(epoch, downs);
-    for (const auto &[child, frame] : downs)
-        tp.send(role_, child, frame);
+    sendAll(aggDownFrames(epoch));
     broadcastMembership(epoch);
     if (tracer)
         tracer->end(span);
@@ -848,13 +707,11 @@ WorkerRuntime::stepAggregatorUp(std::uint32_t epoch)
         util::fatal(
             "rt: stepAggregatorUp() needs a lockstep aggregator");
     }
-    net::Transport &tp = *transport_;
     aggBeginEpoch(epoch);
-    aggCollect(epoch, /*down_phase=*/false, tp.nowMs() + kLockstepWaitMs);
+    collect(epoch, Until::Gather, transport_->nowMs() + kLockstepWaitMs);
     // Single-shot sends, mirroring stepUpstream(): injected loss in a
     // chaos script must actually cost the frame.
-    for (const auto &frame : encodeUpFrames(epoch, aggCloseGather(epoch)))
-        tp.send(role_, parentEp_, frame);
+    sendAll(aggCloseGather(epoch));
 }
 
 void
@@ -864,11 +721,8 @@ WorkerRuntime::stepAggregatorDown(std::uint32_t epoch)
         util::fatal(
             "rt: stepAggregatorDown() needs a lockstep aggregator");
     }
-    net::Transport &tp = *transport_;
-    aggCollect(epoch, /*down_phase=*/true, tp.nowMs() + kLockstepWaitMs);
-    for (const auto &[child, frame] :
-         encodeDownFrames(epoch, agg_->computeDown(stats_)))
-        tp.send(role_, child, frame);
+    collect(epoch, Until::SubBudgets, transport_->nowMs() + kLockstepWaitMs);
+    sendAll(aggDownFrames(epoch));
     finishPeriod(epoch);
 }
 
@@ -876,26 +730,15 @@ WorkerRuntime::stepAggregatorDown(std::uint32_t epoch)
 // Membership / elasticity plane
 // ===================================================================
 
-void
-WorkerRuntime::setWireVersion(std::uint8_t version)
-{
-    if (version != net::kWireVersion
-        && version != net::kWireCompatVersion) {
-        util::fatal("rt: unsupported wire version %u",
-                    static_cast<unsigned>(version));
-    }
-    wireVersion_ = version;
-}
-
 bool
 WorkerRuntime::membershipBeginJoin(std::uint32_t endpoint)
 {
     if (!isRoom())
         util::fatal("rt: membershipBeginJoin() needs the root runtime");
-    if (endpoint >= plan_.workers.size() || endpoint == role_)
+    if (endpoint >= plan().workers.size() || endpoint == role_)
         return false;
     const auto ep = static_cast<std::uint16_t>(endpoint);
-    if (!membership_.beginJoin(ep))
+    if (!roles_.membership().beginJoin(ep))
         return false;
     // Acks recorded so far belong to a previous incarnation of the
     // slot; the joiner must ack its own announcement.
@@ -906,7 +749,7 @@ WorkerRuntime::membershipBeginJoin(std::uint32_t endpoint)
     events_.record(static_cast<Seconds>(lastEpoch_),
                    core::EventKind::MembershipJoinBegan,
                    "worker" + std::to_string(endpoint),
-                   static_cast<double>(membership_.generation()));
+                   static_cast<double>(roles_.membership().generation()));
     return true;
 }
 
@@ -915,14 +758,14 @@ WorkerRuntime::membershipBeginDrain(std::uint32_t endpoint)
 {
     if (!isRoom())
         util::fatal("rt: membershipBeginDrain() needs the root runtime");
-    if (endpoint >= plan_.workers.size() || endpoint == role_)
+    if (endpoint >= plan().workers.size() || endpoint == role_)
         return false;
-    if (!membership_.beginDrain(static_cast<std::uint16_t>(endpoint)))
+    if (!roles_.membership().beginDrain(static_cast<std::uint16_t>(endpoint)))
         return false;
     events_.record(static_cast<Seconds>(lastEpoch_),
                    core::EventKind::MembershipDrainBegan,
                    "worker" + std::to_string(endpoint),
-                   static_cast<double>(membership_.generation()));
+                   static_cast<double>(roles_.membership().generation()));
     return true;
 }
 
@@ -934,9 +777,9 @@ WorkerRuntime::membershipMarkAbsent(std::uint32_t endpoint)
     if (stats_.periodsRun > 0)
         util::fatal("rt: membershipMarkAbsent() is pre-run "
                     "configuration; use membershipBeginDrain() online");
-    if (endpoint >= plan_.workers.size() || endpoint == role_)
+    if (endpoint >= plan().workers.size() || endpoint == role_)
         util::fatal("rt: cannot mark endpoint %u absent", endpoint);
-    membership_.markAbsent(static_cast<std::uint16_t>(endpoint));
+    roles_.membership().markAbsent(static_cast<std::uint16_t>(endpoint));
 }
 
 void
@@ -949,7 +792,7 @@ WorkerRuntime::beginShadow()
     // Empty replica: this worker treats itself as a non-member (the
     // Pcap_min clamp every period) until a root broadcast shows it
     // Live. Any snapshot at or ahead of generation 1 is adopted.
-    membership_ = membership::MembershipTable();
+    roles_.membership() = membership::MembershipTable();
 }
 
 bool
@@ -957,16 +800,16 @@ WorkerRuntime::membershipLeft() const
 {
     const auto me = static_cast<std::uint16_t>(role_);
     return !isRoom()
-           && membership_.state(me) == membership::UnitState::Left
-           && membership_.sinceGeneration(me) > 0;
+           && roles_.membership().state(me) == membership::UnitState::Left
+           && roles_.membership().sinceGeneration(me) > 0;
 }
 
 bool
 WorkerRuntime::membershipFloorReleased(std::uint16_t endpoint) const
 {
-    if (membership_.state(endpoint) != membership::UnitState::Left)
+    if (roles_.membership().state(endpoint) != membership::UnitState::Left)
         return false;
-    const std::uint32_t since = membership_.sinceGeneration(endpoint);
+    const std::uint32_t since = roles_.membership().sinceGeneration(endpoint);
     if (since == 0)
         return true; // never deployed: nothing ever drew this floor
     const auto it = memberAckGen_.find(endpoint);
@@ -976,20 +819,12 @@ WorkerRuntime::membershipFloorReleased(std::uint16_t endpoint) const
 bool
 WorkerRuntime::membershipBroadcastTarget(std::uint16_t endpoint) const
 {
-    if (endpoint == role_)
+    // A unit that was never deployed, or whose leave is acked, is gone.
+    if (endpoint == role_ || membershipFloorReleased(endpoint))
         return false;
-    if (membership_.state(endpoint) == membership::UnitState::Left) {
-        const std::uint32_t since =
-            membership_.sinceGeneration(endpoint);
-        if (since == 0)
-            return false; // never deployed: nobody is listening
-        const auto acked = memberAckGen_.find(endpoint);
-        if (acked != memberAckGen_.end() && acked->second >= since)
-            return false; // leave acked: the unit is gone
-    }
     const auto it = memberAckGen_.find(endpoint);
     return it == memberAckGen_.end()
-           || it->second < membership_.generation();
+           || it->second < roles_.membership().generation();
 }
 
 void
@@ -998,18 +833,18 @@ WorkerRuntime::broadcastMembership(std::uint32_t epoch)
     // Generation 1 is the static deployment: the machinery stays idle
     // — no frames, no sequence numbers — so a run that never touches
     // membership is bit-identical to a pre-elasticity build.
-    if (membership_.generation() <= 1)
+    if (roles_.membership().generation() <= 1)
         return;
-    if (wireVersion_ != net::kWireVersion)
+    if (roles_.wireVersion() != net::kWireVersion)
         return; // a compat-stamped root cannot announce; upgrade first
-    const net::MembershipDeltaMsg delta = membership_.toDelta();
-    for (std::size_t ep = 0; ep < plan_.workers.size(); ++ep) {
+    const net::MembershipDeltaMsg delta = roles_.membership().toDelta();
+    for (std::size_t ep = 0; ep < plan().workers.size(); ++ep) {
         if (!membershipBroadcastTarget(static_cast<std::uint16_t>(ep)))
             continue;
         transport_->send(
             role_, static_cast<net::Transport::Endpoint>(ep),
             net::encodeMembershipDelta(
-                stampMeta(net::kRoomSender, epoch), delta));
+                roles_.stamp(role_, epoch), delta));
         ++stats_.membershipDeltasSent;
     }
 }
@@ -1024,7 +859,7 @@ WorkerRuntime::membershipTick(std::uint32_t epoch)
     // reserved until the *Left* generation is acked, checked by
     // membershipFloorReleased()).
     std::vector<std::uint16_t> ready;
-    for (const auto &[ep, entry] : membership_.entries()) {
+    for (const auto &[ep, entry] : roles_.membership().entries()) {
         const auto acked = memberAckGen_.find(ep);
         const bool ackCurrent = acked != memberAckGen_.end()
                                 && acked->second >= entry.sinceGeneration;
@@ -1040,14 +875,14 @@ WorkerRuntime::membershipTick(std::uint32_t epoch)
         }
     }
     for (const std::uint16_t ep : ready) {
-        if (!membership_.commit(ep))
+        if (!roles_.membership().commit(ep))
             continue;
         ++stats_.membershipCommits;
         events_.record(static_cast<Seconds>(epoch),
                        core::EventKind::MembershipCommitted,
                        "worker" + std::to_string(ep),
-                       static_cast<double>(membership_.generation()));
-        if (membership_.isLive(ep)) {
+                       static_cast<double>(roles_.membership().generation()));
+        if (roles_.membership().isLive(ep)) {
             joinAnnounceEpoch_.erase(ep);
             // Fresh liveness ledger: the adopted unit starts Live with
             // a clean sequence baseline and zero failover credit.
@@ -1055,15 +890,16 @@ WorkerRuntime::membershipTick(std::uint32_t epoch)
                 h->second = RackHealth{};
         }
     }
-    gauges_.membershipGen.set(static_cast<double>(membership_.generation()));
+    const membership::MembershipTable &table = roles_.membership();
+    gauges_.membershipGen.set(static_cast<double>(table.generation()));
     gauges_.membershipPending.set(static_cast<double>(
-        membership_.countOf(membership::UnitState::Joining)
-        + membership_.countOf(membership::UnitState::Draining)));
+        table.countOf(membership::UnitState::Joining)
+        + table.countOf(membership::UnitState::Draining)));
 
     // Context for the safety auditor: how many units the reserved
     // floors cover for elasticity (shadow) reasons this period.
     std::uint64_t shadowed = 0;
-    for (const auto &[ep, entry] : membership_.entries()) {
+    for (const auto &[ep, entry] : table.entries()) {
         if (entry.state == membership::UnitState::Joining
             || entry.state == membership::UnitState::Draining
             || (entry.state == membership::UnitState::Left
@@ -1074,58 +910,8 @@ WorkerRuntime::membershipTick(std::uint32_t epoch)
 }
 
 void
-WorkerRuntime::adoptMembershipDelta(const net::Frame &frame)
-{
-    if (isRoom()) {
-        ++stats_.orphanFrames; // the root owns the table
-        return;
-    }
-    if (frame.sender != net::kRoomSender) {
-        ++stats_.orphanFrames; // only the root announces membership
-        return;
-    }
-    if (membership_.applyDelta(frame.membershipDelta)) {
-        ++stats_.membershipDeltasApplied;
-        events_.record(static_cast<Seconds>(frame.epoch),
-                       core::EventKind::MembershipAdopted, roleName(),
-                       static_cast<double>(membership_.generation()));
-        // Committed out: this period applies zero watts (see
-        // LeafRole::close), the ack below is the promise, and a
-        // wall-paced daemon exits so the supervisor can retire it.
-        if (membershipLeft() && pacing_ == Pacing::Wall)
-            requestStop();
-    }
-    // Ack even the idempotent re-broadcast: a lost ack is what keeps
-    // the root re-sending in the first place.
-    sendMembershipAck(frame.epoch);
-}
-
-void
-WorkerRuntime::sendMembershipAck(std::uint32_t epoch)
-{
-    if (wireVersion_ != net::kWireVersion)
-        return; // compat-stamped workers cannot speak membership; the
-                // root keeps broadcasting until this unit is upgraded
-    const auto me = static_cast<std::uint16_t>(role_);
-    net::MembershipAckMsg ack;
-    ack.generation = membership_.generation();
-    ack.endpoint = me;
-    ack.state =
-        static_cast<net::WireUnitState>(membership_.state(me));
-    transport_->send(
-        role_,
-        static_cast<net::Transport::Endpoint>(plan_.rootEndpoint()),
-        net::encodeMembershipAck(stampMeta(me, epoch), ack));
-    ++stats_.membershipAcksSent;
-}
-
-void
 WorkerRuntime::noteMembershipAck(const net::Frame &frame)
 {
-    if (!isRoom()) {
-        ++stats_.orphanFrames; // acks are addressed to the root
-        return;
-    }
     const net::MembershipAckMsg &ack = frame.membershipAck;
     if (ack.endpoint != frame.sender) {
         ++stats_.orphanFrames;
@@ -1142,8 +928,8 @@ WorkerRuntime::noteMembershipAck(const net::Frame &frame)
 std::vector<Watts>
 WorkerRuntime::lastServerBudgets(std::size_t server_id) const
 {
-    if (leaf_) {
-        for (const Plant &plant : leaf_->plants()) {
+    for (const RoleTable::Leaf &leaf : roles_.leaves()) {
+        for (const Plant &plant : leaf.role.plants()) {
             if (plant.serverId == server_id)
                 return plant.lastBudgets;
         }
@@ -1155,8 +941,10 @@ std::map<std::pair<std::size_t, topo::NodeId>, Watts>
 WorkerRuntime::lastEdgeBudgets() const
 {
     std::map<std::pair<std::size_t, topo::NodeId>, Watts> out;
-    if (leaf_ && stats_.periodsRun > 0) {
-        for (const LeafRole::Edge &edge : leaf_->edges())
+    if (stats_.periodsRun == 0)
+        return out;
+    for (const RoleTable::Leaf &leaf : roles_.leaves()) {
+        for (const LeafRole::Edge &edge : leaf.role.edges())
             out[{edge.tree, edge.node}] = edge.budget;
     }
     return out;
@@ -1178,9 +966,9 @@ WorkerRuntime::setTelemetry(telemetry::Registry *registry,
 {
     const telemetry::Labels ls{
         {"role", roleName()},
-        {"tier", std::to_string(plan_.workers[role_].tier)}};
+        {"tier", std::to_string(plan().workers[role_].tier)}};
     obs_.attach(registry, tracer, *transport_, ownedTransport_ != nullptr,
-                ls, agg_ != nullptr);
+                ls, !roles_.aggregators().empty());
     for (const CounterSpec &spec : kCounters)
         obs_.mirrorCounter(spec.field, spec.name, spec.help);
     gauges_ = {};

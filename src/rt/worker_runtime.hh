@@ -23,9 +23,7 @@
  *          re-sends on a timer up to maxAttempts), then collect
  *          Budget and Rehome frames until the budget deadline and
  *          close the period with the leaf's §4.5 ladder (Pcap_min
- *          defaults, the replay and shadow clamps, the PI loops). The
- *          runtime adds only this framing, the pacing, and the
- *          membership replica the ladder reads.
+ *          defaults, the replay and shadow clamps, the PI loops).
  *   room:  the plan's root, an AggregatorRole like every deeper root:
  *          collect metrics until the gather deadline, run the §4.5
  *          stale -> lost -> reserve ladder and the upper-tree
@@ -96,6 +94,15 @@
  * stale -> reserve ladder; interior aggregators are stateless and run
  * no liveness (see rt/aggregator.hh for the recovery contract).
  *
+ * Roles, stamping, framing and routing are the rt::RoleTable's
+ * (rt/roles.hh), the one send/receive path WorkerHost runs too. The
+ * runtime keeps what differs: Wall and Lockstep pacing, blind
+ * retransmission, the Heartbeat and Checkpoint in its upstream batch,
+ * and the root's supervision (liveness, the checkpoint store, Rehome,
+ * the membership table and its ack book, the child views). A frame the
+ * table hands back from a later epoch is an orphan here: these pacings
+ * keep no holdback.
+ *
  * Every degraded decision lands in the runtime's EventLog with the
  * epoch as its timestamp, mirroring ClosedLoopSim's audit trail.
  * Observability is the shared rt::Observability (rt/observe.hh), the
@@ -124,8 +131,8 @@
 #include "net/udp_transport.hh"
 #include "net/wire.hh"
 #include "rt/aggregator.hh"
-#include "rt/leaf.hh"
 #include "rt/observe.hh"
+#include "rt/roles.hh"
 #include "rt/stats.hh"
 #include "util/json.hh"
 
@@ -172,23 +179,23 @@ class WorkerRuntime
     WorkerRuntime &operator=(const WorkerRuntime &) = delete;
 
     /** True when this runtime drives the room (tree-root) worker. */
-    bool isRoom() const { return role_ == plan_.rootEndpoint(); }
+    bool isRoom() const { return role_ == plan().rootEndpoint(); }
 
     /** True when this runtime drives an interior aggregator worker. */
     bool isAggregator() const
     {
-        return role_ >= rackCount_ && !isRoom();
+        return role_ >= rackCount() && !isRoom();
     }
 
     /** Leaf (rack) workers in the deployment; aggregators and the root
      *  occupy the endpoints above them (see core::TreePlan). */
-    std::size_t rackCount() const { return rackCount_; }
+    std::size_t rackCount() const { return plan().leafWorkers; }
 
     /** "room", "aggN", or "rackN" — log labels. */
     std::string roleName() const;
 
     /** The worker layout this deployment runs. */
-    const core::TreePlan &plan() const { return plan_; }
+    const core::TreePlan &plan() const { return roles_.plan(); }
 
     /**
      * Wall pacing only: run up to @p max_periods control periods, each
@@ -278,13 +285,13 @@ class WorkerRuntime
     /** This worker's membership replica (the root's is the truth). */
     const membership::MembershipTable &membership() const
     {
-        return membership_;
+        return roles_.membership();
     }
 
     /** Local membership generation. */
     std::uint32_t membershipGeneration() const
     {
-        return membership_.generation();
+        return roles_.membership().generation();
     }
 
     /**
@@ -329,10 +336,13 @@ class WorkerRuntime
      * types are v6-only): the root just keeps broadcasting until the
      * unit is upgraded, so upgrade-then-join is the supported order.
      */
-    void setWireVersion(std::uint8_t version);
+    void setWireVersion(std::uint8_t version)
+    {
+        roles_.setWireVersion(version);
+    }
 
     /** Current outgoing frame-header version. */
-    std::uint8_t wireVersion() const { return wireVersion_; }
+    std::uint8_t wireVersion() const { return roles_.wireVersion(); }
 
     /**
      * Ask the period loop to re-run the reload handler before the next
@@ -413,22 +423,45 @@ class WorkerRuntime
         std::uint32_t rehomeEpoch = 0;
     };
 
-    /** Shared ctor body: validate the deployment and build the role
-     *  (a LeafRole or an AggregatorRole). */
-    void init(std::uint64_t seed);
+    using Routed = RoleTable::Routed;
+    using Sends = RoleTable::Sends;
+
+    /** What a collect() loop waits for. */
+    enum class Until : std::uint8_t
+    {
+        /** Leaf: every edge budgeted. */
+        Budgets,
+        /** Leaf: every edge budgeted, or a Rehome from the root. */
+        BudgetsOrRehome,
+        /** Aggregator: every awaited child station fresh. */
+        Gather,
+        /** Aggregator: every SubBudget received. */
+        SubBudgets,
+    };
+
+    /** Shared ctor body: validate the pacing schedule and set up the
+     *  root's liveness book. */
+    void init();
 
     std::uint32_t epochAt(std::uint64_t unix_ms) const;
     /** Sleep until @p unix_ms, checking stop_; false when stopped. */
     bool sleepUntil(std::uint64_t unix_ms);
 
-    /** Frame header for one send; stamps the trace context when
-     *  telemetry is attached. Consumes seq_ identically either way. */
-    net::FrameMeta stampMeta(std::uint16_t sender, std::uint32_t epoch);
-    /** This worker's tier in trace contexts and hop labels. */
-    std::uint8_t traceTier() const
-    {
-        return static_cast<std::uint8_t>(plan_.workers[role_].tier);
-    }
+    RoleTable::Leaf &leafSlot() { return roles_.leaves().front(); }
+    RoleTable::Aggregator &aggSlot() { return roles_.aggregators().front(); }
+    AggregatorRole &agg() { return aggSlot().role; }
+    /** The plan parent (leaf and aggregator roles). */
+    std::uint32_t parentEp() const { return plan().workers[role_].parent; }
+
+    /** Send every frame of @p batch once (copied: it may be resent). */
+    void sendAll(const Sends &batch);
+    /** Blind bounded retransmission of @p batch, first sent at
+     *  @p sent_at: every retryTimeoutMs up to maxAttempts sends, while
+     *  before @p until (no ACK channel exists; receivers dedup). */
+    void retransmit(const Sends &batch, double sent_at, double until);
+    /** Receive into the RoleTable until @p until holds or the
+     *  transport clock reaches @p close; act on what it hands back. */
+    void collect(std::uint32_t epoch, Until until, double close);
 
     void runRackPeriod(std::uint32_t epoch);
     /** Wall pacing: one aggregator/root period (gather up, forward,
@@ -436,41 +469,19 @@ class WorkerRuntime
      *  schedule. */
     void runAggregatorPeriod(std::uint32_t epoch);
 
-    // ---- rack phase helpers (shared by Wall and Lockstep pacing)
-    /** Advance the leaf and encode its upstream batch: heartbeat, one
+    /** Advance the leaf and frame its upstream batch: heartbeat, one
      *  metrics frame per edge, the checkpoint. */
-    std::vector<std::vector<std::uint8_t>>
-    rackUpstreamFrames(std::uint32_t epoch);
-    /** Feed down frames to the leaf (membership frames to the replica)
-     *  until it is complete, a Rehome arrives when @p rehome_ends, or
-     *  the transport clock reaches @p close; then close its period. */
-    void rackCollect(double close, bool rehome_ends);
-
-    // ---- aggregator and root phase helpers
+    Sends rackUpstreamFrames(std::uint32_t epoch);
     /** Open @p epoch's gather (the root also resets what it heard and
      *  refreshes the child view). */
     void aggBeginEpoch(std::uint32_t epoch);
-    /** Drain one poll pass into agg_: SubBudgets feed the down phase
-     *  when @p down_phase, everything else the gather. */
-    void aggDrainOnce(std::uint32_t epoch, bool down_phase);
-    /** Drain until the phase is complete or the transport clock
-     *  reaches @p close. */
-    void aggCollect(std::uint32_t epoch, bool down_phase, double close);
     /** Close the gather (the root first runs rack liveness and the
-     *  membership commit gate and sets the child view they imply) and
-     *  roll the outcome up into fleet health. Returns the Summary
-     *  messages for the parent. */
-    std::vector<net::MetricsMsg> aggCloseGather(std::uint32_t epoch);
-    /** Heartbeat + this worker's Summary frames for the parent. */
-    std::vector<std::vector<std::uint8_t>>
-    encodeUpFrames(std::uint32_t epoch,
-                   const std::vector<net::MetricsMsg> &summaries);
-    /** (child endpoint, encoded frame) per computed split: Budget or
-     *  SubBudget. */
-    std::vector<std::pair<net::Transport::Endpoint,
-                          std::vector<std::uint8_t>>>
-    encodeDownFrames(std::uint32_t epoch,
-                     const std::vector<AggregatorRole::DownMsg> &downs);
+     *  membership commit gate and sets the child view they imply),
+     *  roll the outcome up into fleet health, and frame the heartbeat
+     *  and Summaries for the parent (none at the root). */
+    Sends aggCloseGather(std::uint32_t epoch);
+    /** The split as Budget/SubBudget frames, plus the root's Rehomes. */
+    Sends aggDownFrames(std::uint32_t epoch);
 
     // ---- root: liveness and re-homing of its leaf children
     /** Note one received frame for rack liveness: restart detection
@@ -484,14 +495,10 @@ class WorkerRuntime
     void refreshChildViews();
     /** Append a Rehome per re-homing rack heard this epoch to the
      *  down frames. */
-    void appendRehomeFrames(
-        std::uint32_t epoch,
-        std::vector<std::pair<net::Transport::Endpoint,
-                              std::vector<std::uint8_t>>> &down);
+    void appendRehomeFrames(std::uint32_t epoch, Sends &down);
     void persistCheckpoint(std::size_t rack);
     void loadPersistedCheckpoints();
     std::string checkpointPath(std::size_t rack) const;
-    std::size_t deadOrRehomingCount() const;
 
     // ---- membership plane helpers (epoch-free: the generation is the
     // membership clock; frames are accepted regardless of their epoch)
@@ -505,37 +512,23 @@ class WorkerRuntime
     void broadcastMembership(std::uint32_t epoch);
     /** Root: run the two-phase commit gate and refresh the gauges. */
     void membershipTick(std::uint32_t epoch);
-    /** Non-root: adopt a broadcast snapshot and ack it. */
-    void adoptMembershipDelta(const net::Frame &frame);
     /** Root: fold one MembershipAck into the ack book. */
     void noteMembershipAck(const net::Frame &frame);
-    /** Non-root: ack the current replica generation to the root. */
-    void sendMembershipAck(std::uint32_t epoch);
 
     void finishPeriod(std::uint32_t epoch);
 
     config::LoadedScenario scenario_;
     config::WorkerPeers peers_;
-    /** Worker layout: flat 2-level by default, deeper when the peer
-     *  table carries aggLevels. */
-    core::TreePlan plan_;
     std::uint32_t role_ = 0;
-    std::size_t rackCount_ = 0;
-    /** Endpoint this worker sends upstream to (leaf and aggregator
-     *  roles; the root has none). */
-    std::uint32_t parentEp_ = 0;
     Pacing pacing_ = Pacing::Wall;
     std::unique_ptr<net::UdpTransport> ownedTransport_;
     net::Transport *transport_ = nullptr;
     std::atomic<bool> stop_{false};
     std::atomic<bool> reload_{false};
     std::function<void()> reloadHandler_;
-    /** Version stamped on outgoing frame headers (see setWireVersion). */
-    std::uint8_t wireVersion_ = net::kWireVersion;
 
-    // -------- membership plane
-    /** Root: the table; non-root: the broadcast-fed replica. */
-    membership::MembershipTable membership_;
+    // -------- membership plane (the table or replica is the
+    // RoleTable's)
     /** Root: highest generation each endpoint has acked. */
     std::map<std::uint16_t, std::uint32_t> memberAckGen_;
     /** Root: epoch each pending join was announced at (shadow window
@@ -544,13 +537,8 @@ class WorkerRuntime
     RuntimeStats stats_;
     core::EventLog events_;
     std::uint32_t lastEpoch_ = 0;
-    std::uint32_t seq_ = 0;
 
-    // -------- rack state
-    std::optional<LeafRole> leaf_;
-
-    // -------- aggregator / root state
-    std::unique_ptr<AggregatorRole> agg_;
+    // -------- root state
     /** Root: liveness per leaf child (empty elsewhere). */
     std::map<std::uint32_t, RackHealth> rackHealth_;
     /** Root: latest checkpoint per leaf child. */
@@ -569,6 +557,10 @@ class WorkerRuntime
         telemetry::Gauge membershipGen;
         telemetry::Gauge membershipPending;
     } gauges_;
+
+    /** This worker's role and the send/receive path (last: it refers
+     *  to the scenario, stats, events and observability above). */
+    RoleTable roles_;
 };
 
 } // namespace capmaestro::rt

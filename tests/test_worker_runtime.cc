@@ -912,6 +912,41 @@ TEST(WorkerHost, ReplicaClampsShadowAndLeftLeaves)
     EXPECT_GT(host.stats().shadowPeriods, 0u);
 }
 
+// Only a role's parent can end its period early. Every WorkerRuntime
+// rack and aggregator sends its parent a Heartbeat each period, and a
+// stray one can arrive too; a current-epoch Heartbeat from anyone but
+// the hosted leaf's parent must not close the leaf on its default.
+TEST(WorkerHost, OnlyTheParentsHeartbeatIsABeacon)
+{
+    config::WorkerPeers peers;
+    peers.periodMs = 1000.0;
+    peers.originMs = 1;
+    for (std::uint32_t e = 0; e < kWorkers; ++e)
+        peers.peers[e] = net::UdpPeer{"127.0.0.1", 0};
+    const auto run = [&peers](bool stray) {
+        net::SimTransport net;
+        auto host = std::make_unique<rt::WorkerHost>(
+            config::loadScenario(util::parseJson(kScenario)), peers,
+            /*process=*/0, /*seed=*/5, net);
+        // Rack 1 is not rack 0's parent (the root, endpoint 2, is).
+        if (stray)
+            net.send(1, 0, net::encodeHeartbeat(net::FrameMeta(1, 1, 0)));
+        EXPECT_EQ(host->runPeriods(4), 4u);
+        return std::make_pair(host->stats().defaultBudgets,
+                              host->lastEdgeBudgets());
+    };
+    const auto [clean_defaults, clean] = run(false);
+    const auto [stray_defaults, budgets] = run(true);
+    EXPECT_EQ(clean_defaults, 0u);
+    EXPECT_EQ(stray_defaults, 0u);
+    ASSERT_EQ(budgets.size(), clean.size());
+    for (const auto &[edge, watts] : clean) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(watts),
+                  std::bit_cast<std::uint64_t>(budgets.at(edge)))
+            << "tree " << edge.first << " node " << edge.second;
+    }
+}
+
 // ------------------------------------------- non-finite watts on the wire
 
 namespace {

@@ -415,11 +415,10 @@ main(int argc, char **argv)
                         if (std::isinf(edge))
                             hist.count += s.value;
                     } else if (s.name
-                                   == "capmaestro_host_catch_up_"
-                                      "periods_total"
-                               || s.name
-                                      == "capmaestro_rt_clamped_"
-                                         "periods_total") {
+                               == "capmaestro_host_catch_up_"
+                                  "periods_total") {
+                        // Only a host catches up; a one-role daemon
+                        // shows 0.
                         row.catchUps += s.value;
                     }
                 }
