@@ -148,8 +148,7 @@ BM_DistributedIteration(benchmark::State &state)
     std::size_t messages = 0;
     for (auto _ : state) {
         const auto stats = plane.iterate(budgets);
-        messages = stats.metricsMessages + stats.budgetMessages
-                   + stats.heartbeatMessages;
+        messages = stats.metricsMessages + stats.budgetMessages;
     }
     state.counters["messages"] = static_cast<double>(messages);
     tagScale(state, static_cast<double>(servers), 2, 1);
@@ -194,8 +193,7 @@ BM_MessagePlaneIteration(benchmark::State &state)
     std::size_t bytes = 0;
     for (auto _ : state) {
         const auto stats = plane.iterate(budgets);
-        messages = stats.metricsMessages + stats.budgetMessages
-                   + stats.heartbeatMessages;
+        messages = stats.metricsMessages + stats.budgetMessages;
         bytes = stats.bytesOnWire;
     }
     state.counters["msgs/period"] = static_cast<double>(messages);

@@ -168,18 +168,18 @@ echo
 echo "== sanitizers: ASan+UBSan run of the net + udp + tree tiers =="
 # The message-plane tier is labeled "net" in tests/CMakeLists.txt: wire
 # codec fuzzers, transport fault model, distributed protocol, closed
-# loop, and the SPO equivalence suite. The "udp" tier adds the
-# real-socket backend and the worker runtime, the "failover" tier the
-# checkpoint/re-homing chaos suite plus the supervisor smoke, the
-# "tree" tier the deep-control-tree equivalence property test, and the
-# "membership" tier the elasticity table unit suite plus the live
-# join/drain smoke (the socket-bound members skip via
-# CAPMAESTRO_NO_NET=1). All are fast enough to run under sanitizers on
-# every check.
+# loop, the message-plane soak, and the SPO equivalence suite. The
+# "udp" tier adds the real-socket backend and the worker runtime, the
+# "failover" tier the checkpoint/re-homing chaos suite plus the
+# supervisor smoke, the "tree" tier the deep-control-tree equivalence
+# property test, and the "membership" tier the elasticity table unit
+# suite plus the live join/drain smoke (the socket-bound members skip
+# via CAPMAESTRO_NO_NET=1). All are fast enough to run under sanitizers
+# on every check.
 cmake -B build-asan -S . -DCAPMAESTRO_SANITIZE=ON > /dev/null
 cmake --build build-asan -j --target \
     test_wire test_transport test_distributed test_net_closed_loop \
-    test_sim_golden test_spo_equivalence test_udp_transport \
+    test_sim_golden test_soak test_spo_equivalence test_udp_transport \
     test_udp_closed_loop test_worker_runtime test_failover \
     test_tree_depth test_membership test_roles \
     capmaestro_run capmaestro_worker capmaestro_supervisor \

@@ -1,6 +1,10 @@
 #include "core/distributed.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <type_traits>
 
 #include "net/wire.hh"
 #include "util/logging.hh"
@@ -21,54 +25,206 @@ degradedKindName(DegradedKind kind)
 
 namespace {
 
-/** A message-plane frame awaiting delivery, keyed by its edge. */
-struct Pending
+using EdgeKey = std::pair<std::size_t, topo::NodeId>;
+
+/** The message plane's link, as one exchange sees it. */
+struct Wire
 {
-    std::size_t tree;
-    topo::NodeId node;
-    std::size_t rack;
-    std::vector<std::uint8_t> frame;
+    net::Transport &tp;
+    const net::ProtocolConfig &protocol;
+    /** (tree, edge node) -> owning rack, which is also its endpoint. */
+    const std::map<EdgeKey, std::size_t> &owners;
+    net::Transport::Endpoint room;
+    std::uint32_t epoch;
+    std::vector<std::uint32_t> &rackSeq;
+    std::uint32_t &roomSeq;
 };
 
 /**
- * One §4.5 phase's retransmission schedule: every retryTimeoutMs after
- * @p start, poll the receivers and re-send each pending frame whose
- * (tree, edge) key is not yet in @p delivered, until everything is in,
- * the attempts run out, or the next retry would pass @p deadline; then
- * poll once more at the deadline. Upstream frames travel rack -> room,
- * downstream ones room -> rack.
+ * One §4.5 phase: the frame type it carries, how to encode it, and its
+ * deadline from the phase start. Metrics-shaped phases run upstream
+ * (rack -> room), budget-shaped ones downstream (room -> rack).
  */
-template <typename Delivered, typename Poll>
-void
-retransmitUntil(net::Transport &tp, const net::ProtocolConfig &protocol,
-                double start, double deadline, bool upstream,
-                net::Transport::Endpoint room,
-                const std::vector<Pending> &pending,
-                const Delivered &delivered, const Poll &poll,
-                std::size_t &retries)
+template <typename Msg>
+struct Phase
 {
-    for (int attempt = 1; attempt < protocol.maxAttempts; ++attempt) {
-        const double next = start + attempt * protocol.retryTimeoutMs;
+    net::MsgType type;
+    std::vector<std::uint8_t> (*encode)(const net::FrameMeta &,
+                                        const Msg &);
+    double deadlineMs;
+};
+
+template <typename Msg>
+EdgeKey
+edgeOf(const Msg &msg)
+{
+    return {msg.tree, static_cast<topo::NodeId>(msg.edgeNode)};
+}
+
+/**
+ * Run one §4.5 phase over @p wire: send one frame per message in
+ * @p out (each concerns an owned edge), then every retryTimeoutMs poll
+ * the receiving side and re-send each frame not yet delivered, until
+ * everything is in, the attempts run out, or the next retry would pass
+ * the deadline; poll once more at the deadline. A received frame
+ * counts when it decodes (else corrupt), carries this epoch and the
+ * phase's type (else orphan), comes from the edge's owner (else
+ * orphan: upstream the owning rack must send it, downstream the room
+ * must address it to the owning rack), and its payload is finite, a
+ * budget also non-negative (else corrupt). Per-phase policy is the
+ * caller's.
+ *
+ * @return the first good copy of each edge's message
+ */
+template <typename Msg>
+std::map<EdgeKey, Msg>
+exchange(const Wire &wire, const Phase<Msg> &phase,
+         const std::vector<Msg> &out, std::size_t &retries,
+         MessageStats &stats)
+{
+    constexpr bool up = std::is_same_v<Msg, net::MetricsMsg>;
+    using Endpoint = net::Transport::Endpoint;
+    struct Pending
+    {
+        EdgeKey edge;
+        Endpoint rack;
+        std::vector<std::uint8_t> frame;
+    };
+    const auto send = [&](const Pending &p) {
+        wire.tp.send(up ? p.rack : wire.room, up ? wire.room : p.rack,
+                     p.frame);
+    };
+
+    const double start = wire.tp.nowMs();
+    const double deadline = start + phase.deadlineMs;
+    std::vector<Pending> pending;
+    pending.reserve(out.size());
+    for (const Msg &msg : out) {
+        const EdgeKey edge = edgeOf(msg);
+        const auto rack = static_cast<Endpoint>(wire.owners.at(edge));
+        const net::FrameMeta meta =
+            up ? net::FrameMeta(static_cast<std::uint16_t>(rack),
+                                wire.epoch, wire.rackSeq[rack]++)
+               : net::FrameMeta(net::kRoomSender, wire.epoch,
+                                wire.roomSeq++);
+        pending.push_back({edge, rack, phase.encode(meta, msg)});
+        send(pending.back());
+    }
+
+    std::map<EdgeKey, Msg> got;
+    const auto receive = [&](Endpoint at) {
+        for (const auto &bytes : wire.tp.poll(at)) {
+            const auto frame = net::decodeFrame(bytes);
+            if (!frame) {
+                ++stats.corruptFrames;
+                continue;
+            }
+            if (frame->epoch != wire.epoch || frame->type != phase.type) {
+                ++stats.orphanFrames;
+                continue;
+            }
+            const Msg *msg = nullptr;
+            if constexpr (up)
+                msg = &frame->metrics;
+            else
+                msg = &frame->budget;
+            const auto owner = wire.owners.find(edgeOf(*msg));
+            const bool owned =
+                owner != wire.owners.end()
+                && (up ? frame->sender == owner->second
+                       : frame->sender == net::kRoomSender
+                             && at == owner->second);
+            if (!owned) {
+                ++stats.orphanFrames;
+                continue;
+            }
+            bool finite = false;
+            if constexpr (up)
+                finite = msg->metrics.finite();
+            else
+                finite = std::isfinite(msg->budget) && msg->budget >= 0.0;
+            if (!finite) {
+                ++stats.corruptFrames;
+                continue;
+            }
+            got.emplace(owner->first, *msg);
+        }
+    };
+    const auto poll = [&] {
+        if (up) {
+            receive(wire.room);
+            return;
+        }
+        for (Endpoint rack = 0; rack < wire.room; ++rack)
+            receive(rack);
+    };
+
+    for (int attempt = 1; attempt < wire.protocol.maxAttempts; ++attempt) {
+        const double next = start + attempt * wire.protocol.retryTimeoutMs;
         if (next >= deadline)
             break;
-        tp.advanceTo(next);
+        wire.tp.advanceTo(next);
         poll();
         bool all_in = true;
         for (const Pending &p : pending) {
-            if (delivered.count({p.tree, p.node}))
+            if (got.count(p.edge))
                 continue;
             all_in = false;
             ++retries;
-            const auto rack = static_cast<net::Transport::Endpoint>(p.rack);
-            tp.send(upstream ? rack : room, upstream ? room : rack,
-                    p.frame);
+            send(p);
         }
         if (all_in)
             break;
     }
-    tp.advanceTo(deadline);
+    wire.tp.advanceTo(deadline);
     poll();
+    return got;
 }
+
+/** A capmaestro_plane_<name>_total counter and the field it sums. */
+struct PlaneCounter
+{
+    std::size_t MessageStats::*field;
+    const char *name;
+    const char *help;
+};
+
+/** Every exported MessageStats field, in registration order. */
+const PlaneCounter kPlaneCounters[] = {
+    {&MessageStats::metricsMessages, "metrics_messages",
+     "Rack -> room metric messages (logical)"},
+    {&MessageStats::budgetMessages, "budget_messages",
+     "Room -> rack budget messages (logical)"},
+    {&MessageStats::metricClassesSent, "metric_classes",
+     "Priority classes serialized upstream"},
+    {&MessageStats::retries, "retries", "First-pass retransmissions"},
+    {&MessageStats::bytesOnWire, "bytes",
+     "Encoded payload bytes on the wire"},
+    {&MessageStats::staleReuses, "stale_reuses",
+     "Edges served from a cached metric summary"},
+    {&MessageStats::metricsLost, "metrics_lost",
+     "Edges whose metrics were unusable"},
+    {&MessageStats::defaultBudgets, "default_budgets",
+     "Edges that fell back to the Pcap_min default budget"},
+    {&MessageStats::orphanFrames, "orphan_frames",
+     "Frames discarded for epoch/type mismatch"},
+    {&MessageStats::corruptFrames, "corrupt_frames",
+     "Frames that failed to decode"},
+    {&MessageStats::spoRounds, "spo_rounds", "SPO rounds run"},
+    {&MessageStats::spoSummaryMessages, "spo_summary_messages",
+     "Rack -> room pinned-summary messages"},
+    {&MessageStats::spoBudgetMessages, "spo_budget_messages",
+     "Room -> rack second-pass budget messages"},
+    {&MessageStats::spoRetries, "spo_retries", "SPO-phase retransmissions"},
+    {&MessageStats::spoTreesAttempted, "spo_trees_attempted",
+     "Trees that entered an SPO round"},
+    {&MessageStats::spoCommittedTrees, "spo_committed_trees",
+     "Trees that committed second-pass budgets"},
+    {&MessageStats::spoFallbackTrees, "spo_fallback_trees",
+     "Trees that rolled back to first-pass budgets"},
+    {&MessageStats::spoBytesOnWire, "spo_bytes",
+     "Encoded SPO bytes on the wire"},
+};
 
 } // namespace
 
@@ -336,48 +492,24 @@ RoomWorker::iterate(std::size_t tree,
 
 // --------------------------------------------------- DistributedControlPlane
 
-std::vector<std::map<topo::NodeId, std::size_t>>
-DistributedControlPlane::partition(const topo::PowerSystem &system)
-{
-    std::vector<std::map<topo::NodeId, std::size_t>> owners(
-        system.trees().size());
-    for (std::size_t t = 0; t < system.trees().size(); ++t) {
-        std::size_t next = 0;
-        system.tree(t).forEach([&](const topo::TopoNode &n) {
-            bool leaf_parent = false;
-            for (const topo::NodeId c : n.children) {
-                if (system.tree(t).node(c).kind
-                    == topo::NodeKind::SupplyPort) {
-                    leaf_parent = true;
-                }
-            }
-            if (leaf_parent)
-                owners[t][n.id] = next++;
-        });
-    }
-    return owners;
-}
-
 std::vector<std::map<std::size_t, topo::NodeId>>
 DistributedControlPlane::partitionEdges(const topo::PowerSystem &system)
 {
-    const auto owners = partition(system);
-    std::size_t rack_count = 0;
-    for (const auto &per_tree : owners) {
-        for (const auto &[node, rack] : per_tree)
-            rack_count = std::max(rack_count, rack + 1);
-    }
-    std::vector<std::map<std::size_t, topo::NodeId>> per_rack(rack_count);
-    for (std::size_t t = 0; t < owners.size(); ++t) {
-        for (const auto &[node, rack] : owners[t]) {
-            if (per_rack[rack].count(t)) {
-                util::fatal("partitionEdges: rack worker %zu owns two "
-                            "edges of tree %zu; this topology cannot be "
-                            "deployed one-process-per-rack",
-                            rack, t);
-            }
-            per_rack[rack][t] = node;
-        }
+    std::vector<std::map<std::size_t, topo::NodeId>> per_rack;
+    for (std::size_t t = 0; t < system.trees().size(); ++t) {
+        std::size_t next = 0;
+        system.tree(t).forEach([&](const topo::TopoNode &n) {
+            const bool leaf_parent = std::any_of(
+                n.children.begin(), n.children.end(), [&](topo::NodeId c) {
+                    return system.tree(t).node(c).kind
+                           == topo::NodeKind::SupplyPort;
+                });
+            if (!leaf_parent)
+                return;
+            if (per_rack.size() <= next)
+                per_rack.resize(next + 1);
+            per_rack[next++][t] = n.id;
+        });
     }
     return per_rack;
 }
@@ -385,12 +517,7 @@ DistributedControlPlane::partitionEdges(const topo::PowerSystem &system)
 std::size_t
 DistributedControlPlane::rackWorkerCountFor(const topo::PowerSystem &system)
 {
-    std::size_t rack_count = 0;
-    for (const auto &per_tree : partition(system)) {
-        for (const auto &[node, rack] : per_tree)
-            rack_count = std::max(rack_count, rack + 1);
-    }
-    return rack_count;
+    return partitionEdges(system).size();
 }
 
 DistributedControlPlane::DistributedControlPlane(
@@ -418,30 +545,22 @@ DistributedControlPlane::DistributedControlPlane(
 void
 DistributedControlPlane::buildWorkers()
 {
-    const auto owners = partition(system_);
-    std::size_t rack_count = 0;
-    for (const auto &per_tree : owners) {
-        for (const auto &[node, rack] : per_tree)
-            rack_count = std::max(rack_count, rack + 1);
-    }
-
-    racks_.reserve(rack_count);
-    for (std::size_t r = 0; r < rack_count; ++r)
-        racks_.emplace_back(system_, policy_);
-
-    for (std::size_t t = 0; t < owners.size(); ++t) {
-        for (const auto &[node, rack] : owners[t]) {
-            racks_[rack].addEdge(t, node);
-            edgeOwner_[{t, node}] = rack;
+    const auto per_rack = partitionEdges(system_);
+    racks_.reserve(per_rack.size());
+    for (std::size_t r = 0; r < per_rack.size(); ++r) {
+        RackWorker &rack = racks_.emplace_back(system_, policy_);
+        for (const auto &[t, node] : per_rack[r]) {
+            rack.addEdge(t, node);
+            edgeOwner_[{t, node}] = r;
             for (const topo::NodeId c :
                  system_.tree(t).node(node).children) {
                 const auto &ref = *system_.tree(t).node(c).supplyRef;
-                leafToRack_[{ref.server, ref.supply}] = rack;
+                leafEdge_[{ref.server, ref.supply}] = {t, node};
             }
         }
     }
 
-    rackSeq_.assign(rack_count, 0);
+    rackSeq_.assign(racks_.size(), 0);
     lastTreeMetrics_.assign(system_.trees().size(), {});
 
     // Aggregator fragments for deep direct plans: one RoomWorker per
@@ -453,157 +572,58 @@ DistributedControlPlane::buildWorkers()
     }
 }
 
-net::Transport::Endpoint
-DistributedControlPlane::roomEndpoint() const
-{
-    return static_cast<net::Transport::Endpoint>(racks_.size());
-}
-
 void
 DistributedControlPlane::setTelemetry(telemetry::Registry *registry,
                                       telemetry::PeriodTracer *tracer)
 {
     registry_ = registry;
     tracer_ = tracer;
-    if (registry_ == nullptr) {
-        metrics_ = {};
-        return;
+    counters_.clear();
+    if (registry_ == nullptr)
+        return; // record() touches no handle without a registry
+    for (const PlaneCounter &c : kPlaneCounters) {
+        counters_.push_back(registry_->counter(
+            std::string("capmaestro_plane_") + c.name + "_total", {},
+            c.help));
     }
-    auto counter = [&](const char *name, const char *help) {
-        return registry_->counter(name, {}, help);
-    };
-    metrics_.metricsMessages =
-        counter("capmaestro_plane_metrics_messages_total",
-                "Rack -> room metric messages (logical)");
-    metrics_.budgetMessages =
-        counter("capmaestro_plane_budget_messages_total",
-                "Room -> rack budget messages (logical)");
-    metrics_.metricClasses =
-        counter("capmaestro_plane_metric_classes_total",
-                "Priority classes serialized upstream");
-    metrics_.heartbeats = counter("capmaestro_plane_heartbeats_total",
-                                  "Heartbeat frames sent");
-    metrics_.retries = counter("capmaestro_plane_retries_total",
-                               "First-pass retransmissions");
-    metrics_.bytes = counter("capmaestro_plane_bytes_total",
-                             "Encoded payload bytes on the wire");
-    metrics_.staleReuses =
-        counter("capmaestro_plane_stale_reuses_total",
-                "Edges served from a cached metric summary");
-    metrics_.metricsLost = counter("capmaestro_plane_metrics_lost_total",
-                                   "Edges whose metrics were unusable");
-    metrics_.defaultBudgets =
-        counter("capmaestro_plane_default_budgets_total",
-                "Edges that fell back to the Pcap_min default budget");
-    metrics_.orphanFrames =
-        counter("capmaestro_plane_orphan_frames_total",
-                "Frames discarded for epoch/type mismatch");
-    metrics_.corruptFrames =
-        counter("capmaestro_plane_corrupt_frames_total",
-                "Frames that failed to decode");
-    metrics_.spoRounds = counter("capmaestro_plane_spo_rounds_total",
-                                 "SPO rounds run");
-    metrics_.spoSummaryMessages =
-        counter("capmaestro_plane_spo_summary_messages_total",
-                "Rack -> room pinned-summary messages");
-    metrics_.spoBudgetMessages =
-        counter("capmaestro_plane_spo_budget_messages_total",
-                "Room -> rack second-pass budget messages");
-    metrics_.spoRetries = counter("capmaestro_plane_spo_retries_total",
-                                  "SPO-phase retransmissions");
-    metrics_.spoTreesAttempted =
-        counter("capmaestro_plane_spo_trees_attempted_total",
-                "Trees that entered an SPO round");
-    metrics_.spoCommittedTrees =
-        counter("capmaestro_plane_spo_committed_trees_total",
-                "Trees that committed second-pass budgets");
-    metrics_.spoFallbackTrees =
-        counter("capmaestro_plane_spo_fallback_trees_total",
-                "Trees that rolled back to first-pass budgets");
-    metrics_.spoBytes = counter("capmaestro_plane_spo_bytes_total",
-                                "Encoded SPO bytes on the wire");
-    metrics_.degradedDecisions =
-        counter("capmaestro_plane_degraded_decisions_total",
-                "Degraded-mode (§4.5) decisions taken");
-    metrics_.epoch = registry_->gauge("capmaestro_plane_epoch", {},
-                                      "Current control-period epoch");
+    degradedCounter_ =
+        registry_->counter("capmaestro_plane_degraded_decisions_total", {},
+                           "Degraded-mode (§4.5) decisions taken");
+    epochGauge_ = registry_->gauge("capmaestro_plane_epoch", {},
+                                   "Current control-period epoch");
 }
 
 void
-DistributedControlPlane::recordIterationMetrics(const MessageStats &stats)
+DistributedControlPlane::record(const MessageStats &before,
+                                const MessageStats &after)
 {
     if (registry_ == nullptr)
         return;
-    const auto n = [](std::size_t v) { return static_cast<double>(v); };
-    metrics_.metricsMessages.inc(n(stats.metricsMessages));
-    metrics_.budgetMessages.inc(n(stats.budgetMessages));
-    metrics_.metricClasses.inc(n(stats.metricClassesSent));
-    metrics_.heartbeats.inc(n(stats.heartbeatMessages));
-    metrics_.retries.inc(n(stats.retries));
-    metrics_.bytes.inc(n(stats.bytesOnWire));
-    metrics_.staleReuses.inc(n(stats.staleReuses));
-    metrics_.metricsLost.inc(n(stats.metricsLost));
-    metrics_.defaultBudgets.inc(n(stats.defaultBudgets));
-    metrics_.orphanFrames.inc(n(stats.orphanFrames));
-    metrics_.corruptFrames.inc(n(stats.corruptFrames));
-    metrics_.degradedDecisions.inc(n(stats.degraded.size()));
-    metrics_.epoch.set(static_cast<double>(epoch_));
+    for (std::size_t i = 0; i < counters_.size(); ++i) {
+        const std::size_t MessageStats::*field = kPlaneCounters[i].field;
+        counters_[i].inc(static_cast<double>(after.*field - before.*field));
+    }
+    degradedCounter_.inc(
+        static_cast<double>(after.degraded.size() - before.degraded.size()));
+    epochGauge_.set(static_cast<double>(epoch_));
 }
 
-void
-DistributedControlPlane::recordSpoMetrics(const MessageStats &before,
-                                          const MessageStats &after)
+const std::pair<std::size_t, topo::NodeId> &
+DistributedControlPlane::edgeOfLeaf(const topo::ServerSupplyRef &ref) const
 {
-    if (registry_ == nullptr)
-        return;
-    // iterateSpo accumulates into the caller's MessageStats (the same
-    // object iterate() filled, possibly across several SPO rounds), so
-    // only the growth since entry may be added to the counters.
-    const auto delta = [](std::size_t b, std::size_t a) {
-        return static_cast<double>(a - b);
-    };
-    metrics_.spoRounds.inc(delta(before.spoRounds, after.spoRounds));
-    metrics_.spoSummaryMessages.inc(
-        delta(before.spoSummaryMessages, after.spoSummaryMessages));
-    metrics_.spoBudgetMessages.inc(
-        delta(before.spoBudgetMessages, after.spoBudgetMessages));
-    metrics_.spoRetries.inc(delta(before.spoRetries, after.spoRetries));
-    metrics_.spoTreesAttempted.inc(
-        delta(before.spoTreesAttempted, after.spoTreesAttempted));
-    metrics_.spoCommittedTrees.inc(
-        delta(before.spoCommittedTrees, after.spoCommittedTrees));
-    metrics_.spoFallbackTrees.inc(
-        delta(before.spoFallbackTrees, after.spoFallbackTrees));
-    metrics_.spoBytes.inc(delta(before.spoBytesOnWire,
-                                after.spoBytesOnWire));
-    metrics_.bytes.inc(delta(before.bytesOnWire, after.bytesOnWire));
-    metrics_.orphanFrames.inc(delta(before.orphanFrames,
-                                    after.orphanFrames));
-    metrics_.corruptFrames.inc(delta(before.corruptFrames,
-                                     after.corruptFrames));
-    metrics_.degradedDecisions.inc(
-        delta(before.degraded.size(), after.degraded.size()));
+    const auto it = leafEdge_.find({ref.server, ref.supply});
+    if (it == leafEdge_.end())
+        util::panic("DistributedControlPlane: unknown supply %d.%d",
+                    ref.server, ref.supply);
+    return it->second;
 }
 
 void
 DistributedControlPlane::setLeafInput(const topo::ServerSupplyRef &ref,
                                       const ctrl::LeafInput &input)
 {
-    const auto it = leafToRack_.find({ref.server, ref.supply});
-    if (it == leafToRack_.end())
-        util::panic("DistributedControlPlane: unknown supply %d.%d",
-                    ref.server, ref.supply);
-    // A leaf lives in exactly one of the owning rack's edges.
-    for (const RackWorker::Edge &edge : racks_[it->second].edges()) {
-        for (const auto &leaf : edge.leaves) {
-            if (leaf == ref) {
-                racks_[it->second].setLeafInput(edge.tree, ref, input);
-                return;
-            }
-        }
-    }
-    util::panic("DistributedControlPlane: supply %d.%d not routed",
-                ref.server, ref.supply);
+    const auto &edge = edgeOfLeaf(ref);
+    racks_[edgeOwner_.at(edge)].setLeafInput(edge.first, ref, input);
 }
 
 MessageStats
@@ -613,13 +633,40 @@ DistributedControlPlane::iterate(const std::vector<Watts> &root_budgets)
         util::fatal("DistributedControlPlane: %zu budgets for %zu trees",
                     root_budgets.size(), system_.trees().size());
     }
-    MessageStats stats;
-    if (transport_)
-        stats = iterateTransport(root_budgets);
-    else
-        stats = iterateDirectDeep(root_budgets);
-    recordIterationMetrics(stats);
+    const MessageStats stats = transport_ ? iterateTransport(root_budgets)
+                                          : iterateDirectDeep(root_budgets);
+    record({}, stats);
     return stats;
+}
+
+std::vector<net::BudgetMsg>
+DistributedControlPlane::split(std::size_t tree,
+                               const std::map<topo::NodeId,
+                                              ctrl::NodeMetrics> &view,
+                               Watts root_budget)
+{
+    // An edge missing from the view (its metrics were lost) rides its
+    // Pcap_min default: reserve that floor before the split and send
+    // the edge no budget, so the tree never hands the watts out twice.
+    // The in-process room reads the floor off the rack; a deployed
+    // parent reserves a config-nominal one (rt::AggregatorRole).
+    Watts reserved = 0.0;
+    for (auto it = edgeOwner_.lower_bound(
+             {tree, std::numeric_limits<topo::NodeId>::min()});
+         it != edgeOwner_.end() && it->first.first == tree; ++it) {
+        const topo::NodeId node = it->first.second;
+        if (!view.count(node))
+            reserved += racks_[it->second].defaultBudget(tree, node);
+    }
+    std::vector<net::BudgetMsg> out;
+    for (const auto &[node, watts] :
+         room_.iterate(tree, view, std::max(0.0, root_budget - reserved))) {
+        if (view.count(node)) {
+            out.push_back({static_cast<std::uint16_t>(tree),
+                           static_cast<std::uint32_t>(node), watts});
+        }
+    }
+    return out;
 }
 
 MessageStats
@@ -630,8 +677,13 @@ DistributedControlPlane::iterateTransport(
     net::Transport &tp = *transport_;
     ++epoch_;
     const std::size_t bytes_before = tp.stats().bytesSent;
-    const double start = tp.nowMs();
-    const net::Transport::Endpoint room = roomEndpoint();
+    // The room's endpoint follows the racks'.
+    const Wire wire{tp, protocol_, edgeOwner_,
+                    static_cast<net::Transport::Endpoint>(racks_.size()),
+                    epoch_, rackSeq_, roomSeq_};
+    const auto tree_live = [&](std::size_t t) {
+        return !system_.feedFailed(system_.tree(t).feed());
+    };
 
     const auto gather_span =
         tracer_ ? tracer_->begin("gather") : telemetry::PeriodTracer::kNoSpan;
@@ -640,69 +692,25 @@ DistributedControlPlane::iterateTransport(
                      protocol_.gatherDeadlineMs);
     }
 
-    const auto tree_live = [&](std::size_t t) {
-        return !system_.feedFailed(system_.tree(t).feed());
-    };
-
-    // ---------------- upstream: heartbeats + per-edge metrics
-    std::vector<Pending> pending_up;
-    for (std::size_t r = 0; r < racks_.size(); ++r) {
-        tp.send(static_cast<net::Transport::Endpoint>(r), room,
-                net::encodeHeartbeat(
-                    {static_cast<std::uint16_t>(r), epoch_,
-                     rackSeq_[r]++}));
-        ++stats.heartbeatMessages;
-        for (const RackWorker::Edge &edge : racks_[r].edges()) {
+    // ---------------- gather: one Metrics per live edge
+    std::vector<net::MetricsMsg> up;
+    for (RackWorker &rack : racks_) {
+        for (const RackWorker::Edge &edge : rack.edges()) {
             if (!tree_live(edge.tree))
                 continue;
-            net::MetricsMsg msg;
-            msg.tree = static_cast<std::uint16_t>(edge.tree);
-            msg.edgeNode = static_cast<std::uint32_t>(edge.node);
-            msg.metrics = racks_[r].computeMetrics(edge.tree, edge.node);
-            ++stats.metricsMessages;
-            stats.metricClassesSent += msg.metrics.classes().size();
-            auto frame = net::encodeMetrics(
-                {static_cast<std::uint16_t>(r), epoch_, rackSeq_[r]++},
-                msg);
-            tp.send(static_cast<net::Transport::Endpoint>(r), room,
-                    frame);
-            pending_up.push_back(
-                {edge.tree, edge.node, r, std::move(frame)});
+            up.push_back({static_cast<std::uint16_t>(edge.tree),
+                          static_cast<std::uint32_t>(edge.node),
+                          rack.computeMetrics(edge.tree, edge.node)});
+            stats.metricClassesSent += up.back().metrics.classes().size();
         }
     }
+    stats.metricsMessages = up.size();
+    const auto fresh = exchange(wire,
+                                {net::MsgType::Metrics, net::encodeMetrics,
+                                 protocol_.gatherDeadlineMs},
+                                up, stats.retries, stats);
 
-    std::map<std::pair<std::size_t, topo::NodeId>, ctrl::NodeMetrics>
-        fresh;
-    const auto poll_room = [&] {
-        for (const auto &bytes : tp.poll(room)) {
-            const auto frame = net::decodeFrame(bytes);
-            if (!frame) {
-                ++stats.corruptFrames;
-                continue;
-            }
-            if (frame->epoch != epoch_) {
-                ++stats.orphanFrames;
-                continue;
-            }
-            if (frame->type != net::MsgType::Metrics)
-                continue; // heartbeats: nothing to gather
-            // A non-finite summary would poison the §4.3 merge; the
-            // edge rides its stale -> lost ladder instead.
-            if (!frame->metrics.metrics.finite()) {
-                ++stats.corruptFrames;
-                continue;
-            }
-            fresh[{frame->metrics.tree,
-                   static_cast<topo::NodeId>(frame->metrics.edgeNode)}] =
-                frame->metrics.metrics;
-        }
-    };
-
-    retransmitUntil(tp, protocol_, start,
-                    start + protocol_.gatherDeadlineMs, true, room,
-                    pending_up, fresh, poll_room, stats.retries);
-
-    // Assemble per-tree edge metrics with §4.5 stale fallback.
+    // The §4.5 stale -> lost ladder, per edge.
     std::vector<std::map<topo::NodeId, ctrl::NodeMetrics>> tree_metrics(
         system_.trees().size());
     for (const auto &[key, rack] : edgeOwner_) {
@@ -711,25 +719,23 @@ DistributedControlPlane::iterateTransport(
             continue;
         const auto got = fresh.find(key);
         if (got != fresh.end()) {
-            tree_metrics[t][node] = got->second;
-            metricCache_[key] = {got->second, epoch_, true};
+            tree_metrics[t][node] = got->second.metrics;
+            metricCache_[key] = {got->second.metrics, epoch_};
             continue;
         }
         const auto cached = metricCache_.find(key);
-        const std::uint32_t age =
-            cached != metricCache_.end() && cached->second.valid
-                ? epoch_ - cached->second.epoch
-                : 0;
-        if (cached != metricCache_.end() && cached->second.valid
-            && age <= static_cast<std::uint32_t>(
-                   protocol_.staleAgeCapPeriods)) {
+        const bool seen = cached != metricCache_.end();
+        const std::uint32_t age = seen ? epoch_ - cached->second.epoch : 0;
+        if (seen && age <= static_cast<std::uint32_t>(
+                               protocol_.staleAgeCapPeriods)) {
             tree_metrics[t][node] = cached->second.metrics;
             ++stats.staleReuses;
             stats.degraded.push_back({DegradedKind::StaleMetricsReused,
                                       t, node, rack,
                                       static_cast<double>(age)});
         } else {
-            // Too old (or never seen): the edge contributes nothing.
+            // Too old (or never seen): the edge is left out of the
+            // split and rides its default budget (see split()).
             ++stats.metricsLost;
             stats.degraded.push_back(
                 {DegradedKind::MetricsLost, t, node, rack,
@@ -744,8 +750,6 @@ DistributedControlPlane::iterateTransport(
     if (tracer_) {
         tracer_->num(gather_span, "messages",
                      static_cast<double>(stats.metricsMessages));
-        tracer_->num(gather_span, "heartbeats",
-                     static_cast<double>(stats.heartbeatMessages));
         tracer_->num(gather_span, "retries",
                      static_cast<double>(gather_retries));
         tracer_->num(gather_span, "stale",
@@ -762,70 +766,31 @@ DistributedControlPlane::iterateTransport(
                      protocol_.budgetDeadlineMs);
     }
 
-    // ---------------- room compute + downstream budgets
-    std::vector<Pending> pending_down;
+    // ---------------- budget: the room's split, one Budget per edge
+    std::vector<net::BudgetMsg> down;
     for (std::size_t t = 0; t < system_.trees().size(); ++t) {
         if (!tree_live(t))
             continue;
-        const auto edge_budgets =
-            room_.iterate(t, tree_metrics[t], root_budgets[t]);
-        for (const auto &[node, budget] : edge_budgets) {
-            const std::size_t rack = edgeOwner_.at({t, node});
-            net::BudgetMsg msg;
-            msg.tree = static_cast<std::uint16_t>(t);
-            msg.edgeNode = static_cast<std::uint32_t>(node);
-            msg.budget = budget;
-            ++stats.budgetMessages;
-            auto frame = net::encodeBudget(
-                {net::kRoomSender, epoch_, roomSeq_++}, msg);
-            tp.send(room, static_cast<net::Transport::Endpoint>(rack),
-                    frame);
-            pending_down.push_back({t, node, rack, std::move(frame)});
-        }
+        const auto grants = split(t, tree_metrics[t], root_budgets[t]);
+        down.insert(down.end(), grants.begin(), grants.end());
     }
-
-    std::set<std::pair<std::size_t, topo::NodeId>> applied;
-    const auto poll_racks = [&] {
-        for (std::size_t r = 0; r < racks_.size(); ++r) {
-            for (const auto &bytes :
-                 tp.poll(static_cast<net::Transport::Endpoint>(r))) {
-                const auto frame = net::decodeFrame(bytes);
-                if (!frame) {
-                    ++stats.corruptFrames;
-                    continue;
-                }
-                if (frame->epoch != epoch_
-                    || frame->type != net::MsgType::Budget) {
-                    ++stats.orphanFrames;
-                    continue;
-                }
-                const std::size_t t = frame->budget.tree;
-                const auto node =
-                    static_cast<topo::NodeId>(frame->budget.edgeNode);
-                if (applied.count({t, node}))
-                    continue; // duplicate delivery
-                const auto owner = edgeOwner_.find({t, node});
-                if (owner == edgeOwner_.end() || owner->second != r) {
-                    ++stats.orphanFrames;
-                    continue;
-                }
-                racks_[r].applyBudget(t, node, frame->budget.budget);
-                applied.insert({t, node});
-            }
-        }
-    };
-
-    const double budget_start = tp.nowMs();
-    retransmitUntil(tp, protocol_, budget_start,
-                    budget_start + protocol_.budgetDeadlineMs, false, room,
-                    pending_down, applied, poll_racks, stats.retries);
+    stats.budgetMessages = down.size();
+    const auto granted = exchange(wire,
+                                  {net::MsgType::Budget, net::encodeBudget,
+                                   protocol_.budgetDeadlineMs},
+                                  down, stats.retries, stats);
 
     // §4.5 default budgets: an edge that saw no budget by the deadline
     // falls back to its Pcap_min floor.
     for (const auto &[key, rack] : edgeOwner_) {
         const auto [t, node] = key;
-        if (!tree_live(t) || applied.count(key))
+        if (!tree_live(t))
             continue;
+        const auto got = granted.find(key);
+        if (got != granted.end()) {
+            racks_[rack].applyBudget(t, node, got->second.budget);
+            continue;
+        }
         const Watts fallback = racks_[rack].defaultBudget(t, node);
         racks_[rack].applyBudget(t, node, fallback);
         ++stats.defaultBudgets;
@@ -861,22 +826,8 @@ DistributedControlPlane::pinnedEdges(
 {
     std::map<std::size_t, std::set<topo::NodeId>> affected;
     for (const ctrl::SpoPin &pin : pins) {
-        const auto it =
-            leafToRack_.find({pin.ref.server, pin.ref.supply});
-        if (it == leafToRack_.end()) {
-            util::panic("DistributedControlPlane: unknown pinned supply "
-                        "%d.%d", pin.ref.server, pin.ref.supply);
-        }
-        for (const RackWorker::Edge &edge : racks_[it->second].edges()) {
-            if (edge.tree != pin.tree)
-                continue;
-            for (const auto &leaf : edge.leaves) {
-                if (leaf == pin.ref) {
-                    affected[pin.tree].insert(edge.node);
-                    break;
-                }
-            }
-        }
+        const auto &edge = edgeOfLeaf(pin.ref);
+        affected[edge.first].insert(edge.second);
     }
     return affected;
 }
@@ -896,13 +847,25 @@ DistributedControlPlane::iterateSpo(const std::vector<Watts> &root_budgets,
         util::fatal("DistributedControlPlane: iterateSpo is not "
                     "supported on a deep plan");
     }
+    if (pins.empty())
+        return {};
+    // stats may already hold this period's iterate() (and earlier SPO
+    // rounds), so only what this round adds is recorded.
     MessageStats before;
     if (registry_ != nullptr)
         before = stats;
+    ++stats.spoRounds;
+    // The per-server capping controllers pin their stranded supplies;
+    // the link to the owning rack worker is local (paper §5: capping
+    // controllers are colocated), so no frames travel for this step.
+    for (const ctrl::SpoPin &pin : pins) {
+        setLeafInput(pin.ref,
+                     ctrl::pinnedLeafInput(pin.priority, pin.consumption));
+    }
     const auto committed =
         transport_ ? iterateSpoTransport(root_budgets, pins, stats)
                    : iterateSpoDirect(root_budgets, pins, stats);
-    recordSpoMetrics(before, stats);
+    record(before, stats);
     return committed;
 }
 
@@ -912,19 +875,8 @@ DistributedControlPlane::iterateSpoDirect(
     const std::vector<ctrl::SpoPin> &pins, MessageStats &stats)
 {
     std::set<std::size_t> committed;
-    if (pins.empty())
-        return committed;
-    ++stats.spoRounds;
     const auto spo_span =
         tracer_ ? tracer_->begin("spo") : telemetry::PeriodTracer::kNoSpan;
-
-    // The per-server capping controllers pin their stranded supplies;
-    // the link to the owning rack worker is local (paper §5: capping
-    // controllers are colocated), so no frames travel for this step.
-    for (const ctrl::SpoPin &pin : pins) {
-        setLeafInput(pin.ref,
-                     ctrl::pinnedLeafInput(pin.priority, pin.consumption));
-    }
 
     // Only pinned edges re-report: an unpinned edge's inputs are
     // unchanged, so recomputing its metrics would reproduce the
@@ -965,14 +917,18 @@ DistributedControlPlane::iterateSpoTransport(
     const std::vector<ctrl::SpoPin> &pins, MessageStats &stats)
 {
     std::set<std::size_t> committed;
-    if (pins.empty())
-        return committed;
-    ++stats.spoRounds;
-
     net::Transport &tp = *transport_;
     const std::size_t bytes_before = tp.stats().bytesSent;
-    const net::Transport::Endpoint room = roomEndpoint();
     const std::size_t spo_retries_entry = stats.spoRetries;
+    // The room's endpoint follows the racks'.
+    const Wire wire{tp, protocol_, edgeOwner_,
+                    static_cast<net::Transport::Endpoint>(racks_.size()),
+                    epoch_, rackSeq_, roomSeq_};
+    const auto fall_back = [&](std::size_t t, double phase) {
+        ++stats.spoFallbackTrees;
+        stats.degraded.push_back(
+            {DegradedKind::SpoFallback, t, topo::kNoNode, 0, phase});
+    };
     const auto spo_gather_span =
         tracer_ ? tracer_->begin("spo.gather")
                 : telemetry::PeriodTracer::kNoSpan;
@@ -983,84 +939,45 @@ DistributedControlPlane::iterateSpoTransport(
                      static_cast<double>(pins.size()));
     }
 
-    // Pin inputs locally (see iterateSpoDirect).
-    for (const ctrl::SpoPin &pin : pins) {
-        setLeafInput(pin.ref,
-                     ctrl::pinnedLeafInput(pin.priority, pin.consumption));
-    }
     const auto affected = pinnedEdges(pins);
 
-    // ---------------- upstream: pinned summaries from affected edges
-    std::vector<Pending> pending_up;
+    // ---------------- SPO gather: pinned summaries from affected edges
+    std::vector<net::MetricsMsg> up;
     for (const auto &[t, nodes] : affected) {
         ++stats.spoTreesAttempted;
         for (const topo::NodeId node : nodes) {
-            const std::size_t rack = edgeOwner_.at({t, node});
-            net::MetricsMsg msg;
-            msg.tree = static_cast<std::uint16_t>(t);
-            msg.edgeNode = static_cast<std::uint32_t>(node);
-            msg.metrics = racks_[rack].computeMetrics(t, node);
-            ++stats.spoSummaryMessages;
-            auto frame = net::encodePinnedSummary(
-                {static_cast<std::uint16_t>(rack), epoch_,
-                 rackSeq_[rack]++},
-                msg);
-            tp.send(static_cast<net::Transport::Endpoint>(rack), room,
-                    frame);
-            pending_up.push_back({t, node, rack, std::move(frame)});
+            up.push_back(
+                {static_cast<std::uint16_t>(t),
+                 static_cast<std::uint32_t>(node),
+                 racks_[edgeOwner_.at({t, node})].computeMetrics(t, node)});
         }
     }
-
-    std::map<std::pair<std::size_t, topo::NodeId>, ctrl::NodeMetrics>
-        fresh;
-    const auto poll_room = [&] {
-        for (const auto &bytes : tp.poll(room)) {
-            const auto frame = net::decodeFrame(bytes);
-            if (!frame) {
-                ++stats.corruptFrames;
-                continue;
-            }
-            // Late first-phase traffic and old epochs are both dead
-            // weight here; neither may masquerade as a pinned summary.
-            if (frame->epoch != epoch_
-                || frame->type != net::MsgType::PinnedSummary) {
-                ++stats.orphanFrames;
-                continue;
-            }
-            if (!frame->metrics.metrics.finite()) {
-                ++stats.corruptFrames;
-                continue;
-            }
-            fresh[{frame->metrics.tree,
-                   static_cast<topo::NodeId>(frame->metrics.edgeNode)}] =
-                frame->metrics.metrics;
-        }
-    };
-
-    const double spo_start = tp.nowMs();
-    retransmitUntil(tp, protocol_, spo_start,
-                    spo_start + protocol_.spoGatherDeadlineMs, true, room,
-                    pending_up, fresh, poll_room, stats.spoRetries);
+    stats.spoSummaryMessages += up.size();
+    const auto fresh = exchange(wire,
+                                {net::MsgType::PinnedSummary,
+                                 net::encodePinnedSummary,
+                                 protocol_.spoGatherDeadlineMs},
+                                up, stats.spoRetries, stats);
 
     // A tree may only be re-budgeted from a complete second-pass view:
     // any missing pinned summary aborts the tree before a single budget
     // goes out, so it keeps its first-pass budgets wholesale.
-    std::set<std::size_t> gather_ok;
+    std::map<std::size_t, std::map<topo::NodeId, ctrl::NodeMetrics>> views;
     for (const auto &[t, nodes] : affected) {
-        bool ok = true;
+        auto view = lastTreeMetrics_[t];
+        bool complete = true;
         for (const topo::NodeId node : nodes) {
-            if (!fresh.count({t, node})) {
-                ok = false;
+            const auto got = fresh.find({t, node});
+            if (got == fresh.end()) {
+                complete = false;
                 break;
             }
+            view[node] = got->second.metrics;
         }
-        if (ok) {
-            gather_ok.insert(t);
-        } else {
-            ++stats.spoFallbackTrees;
-            stats.degraded.push_back({DegradedKind::SpoFallback, t,
-                                      topo::kNoNode, 0, 1.0});
-        }
+        if (complete)
+            views[t] = std::move(view);
+        else
+            fall_back(t, 1.0);
     }
 
     const std::size_t spo_gather_retries =
@@ -1069,7 +986,7 @@ DistributedControlPlane::iterateSpoTransport(
         tracer_->num(spo_gather_span, "attempted",
                      static_cast<double>(affected.size()));
         tracer_->num(spo_gather_span, "gather_ok",
-                     static_cast<double>(gather_ok.size()));
+                     static_cast<double>(views.size()));
         tracer_->num(spo_gather_span, "retries",
                      static_cast<double>(spo_gather_retries));
         tracer_->end(spo_gather_span);
@@ -1082,91 +999,41 @@ DistributedControlPlane::iterateSpoTransport(
                      protocol_.spoBudgetDeadlineMs);
     }
 
-    // ---------------- room re-compute + downstream second-pass budgets
-    std::vector<Pending> pending_down;
-    std::map<std::size_t, std::set<topo::NodeId>> expect;
-    std::map<std::size_t, std::map<topo::NodeId, ctrl::NodeMetrics>>
-        new_base;
-    for (const std::size_t t : gather_ok) {
-        auto base = lastTreeMetrics_[t];
-        for (const topo::NodeId node : affected.at(t))
-            base[node] = fresh.at({t, node});
-        const auto edge_budgets = room_.iterate(t, base, root_budgets[t]);
-        new_base[t] = std::move(base);
-        expect[t] = {};
-        for (const auto &[node, budget] : edge_budgets) {
-            const std::size_t rack = edgeOwner_.at({t, node});
-            net::BudgetMsg msg;
-            msg.tree = static_cast<std::uint16_t>(t);
-            msg.edgeNode = static_cast<std::uint32_t>(node);
-            msg.budget = budget;
-            ++stats.spoBudgetMessages;
-            auto frame = net::encodeSpoBudget(
-                {net::kRoomSender, epoch_, roomSeq_++}, msg);
-            tp.send(room, static_cast<net::Transport::Endpoint>(rack),
-                    frame);
-            expect[t].insert(node);
-            pending_down.push_back({t, node, rack, std::move(frame)});
-        }
+    // ---------------- SPO budget: second-pass budgets, buffered by the
+    // racks so an incomplete tree can roll back without ever mixing the
+    // passes.
+    std::map<std::size_t, std::vector<net::BudgetMsg>> grants;
+    std::vector<net::BudgetMsg> down;
+    for (const auto &[t, view] : views) {
+        grants[t] = split(t, view, root_budgets[t]);
+        down.insert(down.end(), grants[t].begin(), grants[t].end());
     }
-
-    // Racks buffer second-pass budgets without applying them, so an
-    // incomplete tree can roll back without ever mixing the passes.
-    std::map<std::pair<std::size_t, topo::NodeId>, Watts> buffered;
-    const auto poll_racks = [&] {
-        for (std::size_t r = 0; r < racks_.size(); ++r) {
-            for (const auto &bytes :
-                 tp.poll(static_cast<net::Transport::Endpoint>(r))) {
-                const auto frame = net::decodeFrame(bytes);
-                if (!frame) {
-                    ++stats.corruptFrames;
-                    continue;
-                }
-                if (frame->epoch != epoch_
-                    || frame->type != net::MsgType::SpoBudget) {
-                    ++stats.orphanFrames;
-                    continue;
-                }
-                const std::size_t t = frame->budget.tree;
-                const auto node =
-                    static_cast<topo::NodeId>(frame->budget.edgeNode);
-                const auto owner = edgeOwner_.find({t, node});
-                if (owner == edgeOwner_.end() || owner->second != r) {
-                    ++stats.orphanFrames;
-                    continue;
-                }
-                buffered[{t, node}] = frame->budget.budget;
-            }
-        }
-    };
-
-    const double budget_start = tp.nowMs();
-    retransmitUntil(tp, protocol_, budget_start,
-                    budget_start + protocol_.spoBudgetDeadlineMs, false,
-                    room, pending_down, buffered, poll_racks,
-                    stats.spoRetries);
+    stats.spoBudgetMessages += down.size();
+    const auto buffered = exchange(wire,
+                                   {net::MsgType::SpoBudget,
+                                    net::encodeSpoBudget,
+                                    protocol_.spoBudgetDeadlineMs},
+                                   down, stats.spoRetries, stats);
 
     // Per-tree atomic commit: every edge applies its second-pass
     // budget, or none does and the buffers are discarded.
-    for (const std::size_t t : gather_ok) {
-        bool complete = true;
-        for (const topo::NodeId node : expect[t]) {
-            if (!buffered.count({t, node})) {
-                complete = false;
-                break;
-            }
-        }
+    for (auto &[t, view] : views) {
+        const auto &tree_grants = grants[t];
+        const bool complete = std::all_of(
+            tree_grants.begin(), tree_grants.end(),
+            [&](const net::BudgetMsg &g) {
+                return buffered.count(edgeOf(g)) != 0;
+            });
         if (!complete) {
-            ++stats.spoFallbackTrees;
-            stats.degraded.push_back({DegradedKind::SpoFallback, t,
-                                      topo::kNoNode, 0, 2.0});
+            fall_back(t, 2.0);
             continue;
         }
-        for (const topo::NodeId node : expect[t]) {
-            racks_[edgeOwner_.at({t, node})].applyBudget(
-                t, node, buffered.at({t, node}));
+        for (const net::BudgetMsg &g : tree_grants) {
+            const EdgeKey edge = edgeOf(g);
+            racks_[edgeOwner_.at(edge)].applyBudget(
+                edge.first, edge.second, buffered.at(edge).budget);
         }
-        lastTreeMetrics_[t] = std::move(new_base[t]);
+        lastTreeMetrics_[t] = std::move(view);
         committed.insert(t);
         ++stats.spoCommittedTrees;
     }
@@ -1189,20 +1056,8 @@ DistributedControlPlane::iterateSpoTransport(
 Watts
 DistributedControlPlane::leafBudget(const topo::ServerSupplyRef &ref) const
 {
-    const auto it = leafToRack_.find({ref.server, ref.supply});
-    if (it == leafToRack_.end())
-        util::panic("DistributedControlPlane: unknown supply %d.%d",
-                    ref.server, ref.supply);
-    // The owning rack knows which of its edges holds the leaf; search
-    // its trees (a leaf lives in exactly one edge).
-    for (const RackWorker::Edge &edge : racks_[it->second].edges()) {
-        for (std::size_t i = 0; i < edge.leaves.size(); ++i) {
-            if (edge.leaves[i] == ref)
-                return racks_[it->second].leafBudget(edge.tree, ref);
-        }
-    }
-    util::panic("DistributedControlPlane: supply %d.%d not routed",
-                ref.server, ref.supply);
+    const auto &edge = edgeOfLeaf(ref);
+    return racks_[edgeOwner_.at(edge)].leafBudget(edge.first, ref);
 }
 
 } // namespace capmaestro::core

@@ -16,9 +16,16 @@
  *
  *   - bounded retransmission against per-phase deadlines,
  *   - stale-metric reuse (with an age cap) when an edge's metrics miss
- *     the gathering deadline, then no metrics at all (metrics lost),
+ *     the gathering deadline, then no metrics at all (metrics lost):
+ *     the room reserves the edge's Pcap_min default and sends it no
+ *     budget,
  *   - conservative Pcap_min-level default budgets when a budget
- *     message is lost.
+ *     message is lost (or withheld).
+ *
+ * One exchange (distributed.cc) runs all four phases (gather, budget
+ * and the two §4.4 SPO phases) with one set of receive checks: the
+ * frame decodes, carries this epoch and the phase's type, comes from
+ * the edge's owner, and its payload is finite.
  *
  * Under a lossless zero-latency transport the protocol degenerates to
  * the direct exchange, so budgets remain bit-identical to the
@@ -47,6 +54,7 @@
 #include "core/tree_plan.hh"
 #include "net/protocol.hh"
 #include "net/transport.hh"
+#include "net/wire.hh"
 #include "telemetry/registry.hh"
 #include "telemetry/trace.hh"
 #include "topology/power_system.hh"
@@ -102,8 +110,6 @@ struct MessageStats
     std::size_t subBudgetMessages = 0;
     /** Total priority classes serialized upstream (payload proxy). */
     std::size_t metricClassesSent = 0;
-    /** Heartbeat frames sent (message-plane mode only). */
-    std::size_t heartbeatMessages = 0;
     /** Retransmissions across both phases. */
     std::size_t retries = 0;
     /** Real encoded payload bytes submitted to the transport. */
@@ -393,10 +399,11 @@ class DistributedControlPlane
 
     /**
      * Attach telemetry (either pointer may be nullptr). The registry
-     * receives cumulative counters mirroring every MessageStats field —
-     * MessageStats remains the per-iteration snapshot view; the
-     * counters are its running sums. The tracer receives phase spans
-     * (gather/budget, spo.gather/spo.budget) for every iteration that
+     * receives one cumulative counter per exported MessageStats field
+     * (the kPlaneCounters table) — MessageStats remains the
+     * per-iteration snapshot view; the counters are its running sums.
+     * The tracer receives phase spans (gather/budget,
+     * spo.gather/spo.budget) for every iteration that
      * runs inside an open period. Instrumentation is pure observation:
      * it never changes what the protocol computes or transmits.
      */
@@ -409,7 +416,6 @@ class DistributedControlPlane
     {
         ctrl::NodeMetrics metrics;
         std::uint32_t epoch = 0;
-        bool valid = false;
     };
 
     const topo::PowerSystem &system_;
@@ -423,9 +429,10 @@ class DistributedControlPlane
     /** Aggregator fragments (deep direct plans), indexed
      *  ep - leafWorkers. */
     std::vector<RoomWorker> aggs_;
-    /** (server, supply) -> owning rack worker. */
-    std::map<std::pair<std::int32_t, std::int32_t>, std::size_t>
-        leafToRack_;
+    /** (server, supply) -> (tree, edge node) of the edge above it. */
+    std::map<std::pair<std::int32_t, std::int32_t>,
+             std::pair<std::size_t, topo::NodeId>>
+        leafEdge_;
     /** (tree, edge node) -> owning rack worker. */
     std::map<std::pair<std::size_t, topo::NodeId>, std::size_t>
         edgeOwner_;
@@ -450,44 +457,26 @@ class DistributedControlPlane
     // -------- telemetry (null when disabled; handles cached once)
     telemetry::Registry *registry_ = nullptr;
     telemetry::PeriodTracer *tracer_ = nullptr;
-    struct PlaneMetrics
-    {
-        telemetry::Counter metricsMessages;
-        telemetry::Counter budgetMessages;
-        telemetry::Counter metricClasses;
-        telemetry::Counter heartbeats;
-        telemetry::Counter retries;
-        telemetry::Counter bytes;
-        telemetry::Counter staleReuses;
-        telemetry::Counter metricsLost;
-        telemetry::Counter defaultBudgets;
-        telemetry::Counter orphanFrames;
-        telemetry::Counter corruptFrames;
-        telemetry::Counter spoRounds;
-        telemetry::Counter spoSummaryMessages;
-        telemetry::Counter spoBudgetMessages;
-        telemetry::Counter spoRetries;
-        telemetry::Counter spoTreesAttempted;
-        telemetry::Counter spoCommittedTrees;
-        telemetry::Counter spoFallbackTrees;
-        telemetry::Counter spoBytes;
-        telemetry::Counter degradedDecisions;
-        telemetry::Gauge epoch;
-    };
-    PlaneMetrics metrics_;
+    /** One handle per kPlaneCounters entry (distributed.cc), in
+     *  table order. */
+    std::vector<telemetry::Counter> counters_;
+    telemetry::Counter degradedCounter_;
+    telemetry::Gauge epochGauge_;
 
-    /** Add one iteration's MessageStats into the cumulative counters. */
-    void recordIterationMetrics(const MessageStats &stats);
-    /** Add the spo* fields accumulated since @p before (delta record). */
-    void recordSpoMetrics(const MessageStats &before,
-                          const MessageStats &after);
-
-    static std::vector<std::map<topo::NodeId, std::size_t>>
-    partition(const topo::PowerSystem &system);
+    /** Add what @p after holds beyond @p before to the counters. */
+    void record(const MessageStats &before, const MessageStats &after);
 
     void buildWorkers();
-    net::Transport::Endpoint roomEndpoint() const;
+    /** The edge a supply leaf hangs from (panics on an unknown one). */
+    const std::pair<std::size_t, topo::NodeId> &
+    edgeOfLeaf(const topo::ServerSupplyRef &ref) const;
     MessageStats iterateTransport(const std::vector<Watts> &root_budgets);
+    /** The room's budgets for @p tree's edges in @p view; see the
+     *  definition for the floor it reserves for the others. */
+    std::vector<net::BudgetMsg>
+    split(std::size_t tree,
+          const std::map<topo::NodeId, ctrl::NodeMetrics> &view,
+          Watts root_budget);
     /** Direct iteration at any plan depth, the 2-level plan included
      *  (src/core/distributed_deep.cc). */
     MessageStats

@@ -10,32 +10,50 @@ namespace capmaestro::core {
 
 CapMaestroService::CapMaestroService(topo::PowerSystem &system,
                                      ServiceConfig config)
-    : system_(system), config_(config)
+    : system_(system), config_(config),
+      allocator_(std::make_unique<ctrl::FleetAllocator>(
+          system, policy::treePolicy(config.policy))),
+      rootBudgets_(system.trees().size(), 0.0)
 {
-    allocator_ = std::make_unique<ctrl::FleetAllocator>(
-        system_, policy::treePolicy(config_.policy));
-    if (config_.useMessagePlane) {
-        if (config_.transportBackend
-            == ServiceConfig::TransportBackend::Udp) {
-            net::UdpConfig udp = config_.udp;
-            if (udp.local.empty()) {
-                // Single-process loopback: every rack worker plus the
-                // room gets a socket on an ephemeral 127.0.0.1 port.
-                const auto racks =
-                    DistributedControlPlane::rackWorkerCountFor(system_);
-                udp = net::UdpConfig::loopback(
-                    static_cast<std::uint32_t>(racks) + 1);
-            }
-            transport_ = std::make_unique<net::UdpTransport>(std::move(udp));
-        } else {
-            transport_ =
-                std::make_unique<net::SimTransport>(config_.transport);
+    if (!config_.useMessagePlane)
+        return;
+    if (config_.transportBackend == ServiceConfig::TransportBackend::Udp) {
+        net::UdpConfig udp = config_.udp;
+        if (udp.local.empty()) {
+            // Single-process loopback: every rack worker plus the room
+            // gets a socket on an ephemeral 127.0.0.1 port.
+            const auto racks =
+                DistributedControlPlane::rackWorkerCountFor(system_);
+            udp = net::UdpConfig::loopback(
+                static_cast<std::uint32_t>(racks) + 1);
         }
-        plane_ = std::make_unique<DistributedControlPlane>(
-            system_, policy::treePolicy(config_.policy), *transport_,
-            config_.protocol);
+        ownedTransport_ = std::make_unique<net::UdpTransport>(std::move(udp));
+    } else {
+        ownedTransport_ =
+            std::make_unique<net::SimTransport>(config_.transport);
     }
-    rootBudgets_.assign(system_.trees().size(), 0.0);
+    startPlane(*ownedTransport_);
+}
+
+CapMaestroService::CapMaestroService(topo::PowerSystem &system,
+                                     ServiceConfig config,
+                                     net::Transport &transport)
+    : system_(system), config_(config),
+      allocator_(std::make_unique<ctrl::FleetAllocator>(
+          system, policy::treePolicy(config.policy))),
+      rootBudgets_(system.trees().size(), 0.0)
+{
+    config_.useMessagePlane = true;
+    startPlane(transport);
+}
+
+void
+CapMaestroService::startPlane(net::Transport &transport)
+{
+    transport_ = &transport;
+    plane_ = std::make_unique<DistributedControlPlane>(
+        system_, policy::treePolicy(config_.policy), transport,
+        config_.protocol);
 }
 
 void

@@ -136,6 +136,14 @@ class CapMaestroService
     CapMaestroService(topo::PowerSystem &system, ServiceConfig config = {});
 
     /**
+     * Message-plane mode over @p transport (not owned; must outlive the
+     * service) instead of the backend @p config names: a seam for tests
+     * that script faults with a decorator such as net::ChaosTransport.
+     */
+    CapMaestroService(topo::PowerSystem &system, ServiceConfig config,
+                      net::Transport &transport);
+
+    /**
      * Attach a server's devices. Servers must be attached in id order
      * (the first call attaches server 0, the next server 1, ...), matching
      * the ServerSupplyRef ids used when building the topology.
@@ -187,7 +195,7 @@ class CapMaestroService
     DistributedControlPlane *plane() { return plane_.get(); }
 
     /** The message-plane transport, or nullptr outside that mode. */
-    net::Transport *transport() { return transport_.get(); }
+    net::Transport *transport() { return transport_; }
 
     /** Service configuration. */
     const ServiceConfig &config() const { return config_; }
@@ -217,13 +225,18 @@ class CapMaestroService
     void rebalanceRootBudgets(
         const std::vector<ctrl::ServerAllocInput> &inputs);
 
+    /** Run the message plane over @p transport. */
+    void startPlane(net::Transport &transport);
+
     /** One allocation over the message plane (§4.5 protocol). */
     void runPlanePeriod(const std::vector<ctrl::ServerAllocInput> &inputs);
 
     topo::PowerSystem &system_;
     ServiceConfig config_;
     std::unique_ptr<ctrl::FleetAllocator> allocator_;
-    std::unique_ptr<net::Transport> transport_;
+    /** The transport built from the config (none when injected). */
+    std::unique_ptr<net::Transport> ownedTransport_;
+    net::Transport *transport_ = nullptr;
     std::unique_ptr<DistributedControlPlane> plane_;
     std::vector<AttachedServer> servers_;
     std::vector<Watts> rootBudgets_;

@@ -7,19 +7,20 @@
  * Each control period is a two-phase exchange with per-message
  * deadlines and bounded retransmission:
  *
- *   1. Upstream: every rack worker sends a heartbeat plus one metrics
- *      message per edge controller. The room retransmits nothing; the
- *      racks re-send on a timeout until the gathering deadline. Edges
- *      whose metrics still miss the deadline fall back to the last
- *      received summary, provided it is no older than the stale-age
- *      cap (in control periods); beyond that the edge is treated as
- *      contributing nothing (its servers keep their previous caps and
- *      will receive the conservative floor next period).
- *   2. Downstream: the room sends one budget message per edge and
- *      re-sends on a timeout until the budgeting deadline. A rack that
- *      misses its budget applies the conservative default — the sum of
- *      its live leaves' Pcap_min floors, clamped to the edge device
- *      limit — which can never overload the tree.
+ *   1. Upstream: every rack worker sends one metrics message per edge
+ *      controller (a runtime rack also sends a heartbeat). The room
+ *      retransmits nothing; the racks re-send on a timeout until the
+ *      gathering deadline. Edges whose metrics still miss the deadline
+ *      fall back to the last received summary, provided it is no older
+ *      than the stale-age cap (in control periods); beyond that the
+ *      edge's metrics are lost: the parent reserves the edge's
+ *      Pcap_min floor out of the budget it splits and sends it no
+ *      budget, so its servers get their floors this period.
+ *   2. Downstream: the room sends one budget message per edge it has
+ *      metrics for and re-sends on a timeout until the budgeting
+ *      deadline. A rack that gets no budget applies the conservative
+ *      default — the sum of its live leaves' Pcap_min floors, clamped
+ *      to the edge device limit — which can never overload the tree.
  *
  * Worker failure is the multi-process runtime's concern: the
  * rt::WorkerRuntime owning a root declares a rack that goes silent (no

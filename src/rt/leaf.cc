@@ -103,7 +103,7 @@ LeafRole::metrics()
 
 bool
 LeafRole::noteDownFrame(const net::Frame &frame, RuntimeStats &stats,
-                        core::EventLog &events)
+                        core::EventLog &events, std::uint16_t parent_sender)
 {
     const bool rehome = frame.type == net::MsgType::Rehome;
     const auto node = static_cast<topo::NodeId>(frame.budget.edgeNode);
@@ -112,11 +112,13 @@ LeafRole::noteDownFrame(const net::Frame &frame, RuntimeStats &stats,
             return frame.type == net::MsgType::Budget
                    && e.tree == frame.budget.tree && e.node == node;
         });
-    // Another epoch, a Rehome not from the root, a Budget for an edge
-    // this leaf does not own, or any other type.
+    // Another epoch, a Rehome not from the root, a Budget not from the
+    // plan parent or for an edge this leaf does not own, or any other
+    // type.
     if (frame.epoch != epoch_
         || (rehome ? frame.sender != net::kRoomSender
-                   : edge == edges_.end())) {
+                   : frame.sender != parent_sender
+                         || edge == edges_.end())) {
         ++stats.orphanFrames;
         return false;
     }

@@ -14,12 +14,12 @@
  *                    refresh the edge leaf inputs; returns the
  *                    period's plant checkpoint.
  *   metrics()        one MetricsMsg per edge, for the parent.
- *   noteDownFrame()  a Budget (the first copy per edge wins), or a
- *                    Rehome from the root: replayed by a young
- *                    instance (restarted less than heartbeatFailAfter
- *                    periods ago), declined by an older one whose own
- *                    state is newer, acked either way and at most once
- *                    per epoch.
+ *   noteDownFrame()  a Budget from the plan parent (the first copy per
+ *                    edge wins), or a Rehome from the root: replayed
+ *                    by a young instance (restarted less than
+ *                    heartbeatFailAfter periods ago), declined by an
+ *                    older one whose own state is newer, acked either
+ *                    way and at most once per epoch.
  *   complete()       every edge has its budget.
  *   close()          the §4.5 leaf ladder below, once per edge.
  *
@@ -116,13 +116,16 @@ class LeafRole
 
     /**
      * Feed one decoded Budget or Rehome frame. Wrong-epoch frames,
-     * Budgets for an edge this leaf does not own, Rehomes from a
-     * sender other than the root, and any other type are orphans.
-     * Returns true for a Rehome from the root (replayed, declined,
-     * refused or a retransmission): it ends a lockstep period.
+     * Budgets for an edge this leaf does not own or from a sender
+     * other than @p parent_sender (the plan parent's wire id;
+     * kRoomSender when the parent is the root), Rehomes from a sender
+     * other than the root, and any other type are orphans. Returns
+     * true for a Rehome from the root (replayed, declined, refused or
+     * a retransmission): it ends a lockstep period.
      */
     bool noteDownFrame(const net::Frame &frame, RuntimeStats &stats,
-                       core::EventLog &events);
+                       core::EventLog &events,
+                       std::uint16_t parent_sender = net::kRoomSender);
 
     /** Every edge has its budget this period. */
     bool complete() const;

@@ -183,7 +183,8 @@ RoleTable::route(Endpoint to, const net::Frame &frame, std::uint32_t epoch,
         return Routed::Later;
     switch (ref.kind) {
     case RoleRef::Kind::Leaf:
-        return leaves_[ref.slot].role.noteDownFrame(frame, stats_, events_)
+        return leaves_[ref.slot].role.noteDownFrame(
+                   frame, stats_, events_, senderOf(self.parent))
                    ? Routed::Rehome
                    : Routed::Leaf;
     case RoleRef::Kind::Aggregator: {

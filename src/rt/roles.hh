@@ -30,11 +30,11 @@
  *  3. A Heartbeat from the addressed role's plan parent is its epoch
  *     beacon: the parent closed this role's phases without it.
  *  4. A frame from a later epoch is handed back to the engine.
- *  5. A leaf takes everything else in LeafRole::noteDownFrame (Budget,
- *     or a Rehome from the root; anything else is its orphan). An
- *     aggregator takes a SubBudget in AggregatorRole::noteDownFrame
- *     and everything else (Metrics, Summary, Checkpoint, a child's
- *     Heartbeat) in noteUpFrame.
+ *  5. A leaf takes everything else in LeafRole::noteDownFrame (a
+ *     Budget from its plan parent, or a Rehome from the root; anything
+ *     else is its orphan). An aggregator takes a SubBudget in
+ *     AggregatorRole::noteDownFrame and everything else (Metrics,
+ *     Summary, Checkpoint, a child's Heartbeat) in noteUpFrame.
  * The roles count their own orphans; route() counts only frames no
  * role can take.
  */

@@ -15,9 +15,29 @@ ClosedLoopSim::ClosedLoopSim(std::unique_ptr<topo::PowerSystem> system,
 {
     if (!system_)
         util::fatal("ClosedLoopSim: null power system");
-
     service_ = std::make_unique<core::CapMaestroService>(*system_, config);
+    buildPlant(std::move(servers), seed, sensor_config);
+}
 
+ClosedLoopSim::ClosedLoopSim(std::unique_ptr<topo::PowerSystem> system,
+                             std::vector<ServerSetup> servers,
+                             core::ServiceConfig config,
+                             net::Transport &transport, std::uint64_t seed,
+                             dev::SensorConfig sensor_config)
+    : system_(std::move(system))
+{
+    if (!system_)
+        util::fatal("ClosedLoopSim: null power system");
+    service_ = std::make_unique<core::CapMaestroService>(*system_, config,
+                                                         transport);
+    buildPlant(std::move(servers), seed, sensor_config);
+}
+
+void
+ClosedLoopSim::buildPlant(std::vector<ServerSetup> servers,
+                          std::uint64_t seed,
+                          const dev::SensorConfig &sensor_config)
+{
     util::Rng rng(seed);
     plants_.reserve(servers.size());
     for (auto &setup : servers) {

@@ -98,6 +98,16 @@ class ClosedLoopSim
                   dev::SensorConfig sensors = {});
 
     /**
+     * Message-plane mode over @p transport (not owned; must outlive the
+     * simulation), as CapMaestroService's transport-injection
+     * constructor: lets a test script link faults.
+     */
+    ClosedLoopSim(std::unique_ptr<topo::PowerSystem> system,
+                  std::vector<ServerSetup> servers,
+                  core::ServiceConfig config, net::Transport &transport,
+                  std::uint64_t seed = 1, dev::SensorConfig sensors = {});
+
+    /**
      * Manual-budget mode: skip the allocator and apply fixed per-supply
      * budgets each control period (Figure 5's experiment).
      */
@@ -194,6 +204,10 @@ class ClosedLoopSim
                                     const char *what);
 
   private:
+    /** Build the servers' plants, attach them and arm the breakers. */
+    void buildPlant(std::vector<ServerSetup> servers, std::uint64_t seed,
+                    const dev::SensorConfig &sensor_config);
+
     struct Plant
     {
         std::unique_ptr<dev::ServerModel> server;

@@ -18,6 +18,7 @@
 #include "core/distributed.hh"
 #include "net/chaos_transport.hh"
 #include "net/transport.hh"
+#include "net/wire.hh"
 #include "sim/datacenter.hh"
 #include "sim/scenario.hh"
 #include "util/random.hh"
@@ -451,6 +452,142 @@ TEST(MessagePlane, LossNeverInflatesTreeTotals)
             EXPECT_LE(total, lossless_total + 1e-6)
                 << "drop=" << drop << " period=" << period;
         }
+    }
+}
+
+TEST(MessagePlane, LostEdgeRidesItsFloorsInsideTheRootBudget)
+{
+    // Rack 0's metrics never reach the room, but the room still reaches
+    // rack 0. With nothing cached the edge is lost from period 1, so
+    // the room sends it no budget: its leaves ride their Pcap_min
+    // default. The room reserves that default before it splits the
+    // rest, so the congested tree stays inside its root budget.
+    class DeafRoom : public net::SimTransport
+    {
+      public:
+        explicit DeafRoom(Endpoint room) : room_(room) {}
+        void send(Endpoint from, Endpoint to,
+                  std::vector<std::uint8_t> frame) override
+        {
+            if (from != 0 || to != room_)
+                SimTransport::send(from, to, std::move(frame));
+        }
+
+      private:
+        Endpoint room_;
+    };
+    auto sys = sim::fig2System();
+    const auto room = static_cast<net::Transport::Endpoint>(
+        DistributedControlPlane::rackWorkerCountFor(*sys));
+    DeafRoom transport(room);
+    DistributedControlPlane dist(*sys, ctrl::TreePolicy::globalPriority(),
+                                 transport);
+    util::Rng rng(5);
+    std::map<std::pair<std::int32_t, std::int32_t>, ctrl::LeafInput> inputs;
+    for (const auto &ref : sys->tree(0).suppliesUnder(sys->tree(0).root())) {
+        ctrl::LeafInput in;
+        in.live = true;
+        in.priority = static_cast<Priority>(rng.uniformInt(0, 3));
+        in.capMin = rng.uniform(100.0, 140.0);
+        in.demand = in.capMin + rng.uniform(100.0, 200.0);
+        in.constraint = in.demand + 50.0;
+        inputs[{ref.server, ref.supply}] = in;
+        dist.setLeafInput(ref, in);
+    }
+    const Watts budget = 900.0; // well under total demand, above floors
+
+    for (int period = 1; period <= 3; ++period) {
+        SCOPED_TRACE("period " + std::to_string(period));
+        const auto stats = dist.iterate({budget});
+        EXPECT_EQ(stats.metricsLost, 1u);
+        EXPECT_EQ(stats.defaultBudgets, 1u);
+        EXPECT_EQ(stats.budgetMessages, dist.rackWorkerCount() - 1);
+        ASSERT_FALSE(stats.degraded.empty());
+        const auto &lost = sys->tree(0).node(stats.degraded[0].node);
+        for (const auto c : lost.children) {
+            const auto &ref = *sys->tree(0).node(c).supplyRef;
+            EXPECT_GE(dist.leafBudget(ref),
+                      inputs.at({ref.server, ref.supply}).capMin - 1e-9)
+                << "supply " << ref.server << "." << ref.supply;
+        }
+        Watts total = 0.0;
+        for (const auto &[key, in] : inputs)
+            total += dist.leafBudget({key.first, key.second});
+        EXPECT_LE(total, budget + 1e-9);
+    }
+}
+
+TEST(MessagePlane, ForgedFramesForAnotherRacksEdgeAreOrphans)
+{
+    // Rack 0 forges traffic for rack 1's edge: a Metrics frame claiming
+    // that edge, and a Budget for it addressed to rack 0 itself. Rack 1
+    // is cut off from the room this period, so the forged summary is
+    // the only fresh one for its edge. Both frames are orphans: the
+    // room rides rack 1's own cached summary, rack 1 its own default,
+    // and rack 0 gets the monolithic allocation bit for bit.
+    auto sys = sim::fig2System();
+    net::SimTransport inner;
+    const auto room = static_cast<net::Transport::Endpoint>(
+        DistributedControlPlane::rackWorkerCountFor(*sys));
+    net::ChaosTransport transport(inner, room);
+    DistributedControlPlane dist(*sys, ctrl::TreePolicy::globalPriority(),
+                                 transport);
+    ASSERT_EQ(dist.rackWorkerCount(), 2u);
+    const topo::NodeId b_edge =
+        DistributedControlPlane::partitionEdges(*sys)[1].at(0);
+
+    util::Rng rng(41);
+    auto inputs = randomInputs(*sys, rng);
+    ctrl::ControlTree mono(sys->tree(0),
+                           ctrl::TreePolicy::globalPriority());
+    for (auto &[ref, in] : inputs) {
+        in.live = true;
+        dist.setLeafInput(ref, in);
+        mono.setLeafInput(ref, in);
+    }
+    mono.gather();
+    mono.allocate(650.0); // congested: the edges compete
+    auto stats = dist.iterate({650.0});
+    ASSERT_TRUE(stats.degraded.empty());
+
+    const std::uint32_t next = dist.epoch() + 1;
+    net::MetricsMsg claim;
+    claim.tree = 0;
+    claim.edgeNode = static_cast<std::uint32_t>(b_edge);
+    claim.metrics.accumulate(3, 100.0, 700.0, 700.0);
+    claim.metrics.setConstraint(750.0);
+    transport.send(0, room, net::encodeMetrics({0, next, 0}, claim));
+    net::BudgetMsg grant;
+    grant.tree = 0;
+    grant.edgeNode = static_cast<std::uint32_t>(b_edge);
+    grant.budget = 750.0;
+    transport.send(room, 0,
+                   net::encodeBudget({net::kRoomSender, next, 0}, grant));
+    transport.setPartition(1, room, true);
+
+    stats = dist.iterate({650.0});
+    EXPECT_EQ(stats.orphanFrames, 2u);
+    EXPECT_EQ(stats.staleReuses, 1u);
+    EXPECT_EQ(stats.defaultBudgets, 1u);
+    // Rack 1 splits its own Pcap_min default, not the forged grant.
+    Watts b_total = 0.0, b_floor = 0.0;
+    for (const auto c : sys->tree(0).node(b_edge).children) {
+        const auto &ref = *sys->tree(0).node(c).supplyRef;
+        b_total += dist.leafBudget(ref);
+        for (const auto &[r, in] : inputs) {
+            if (r == ref)
+                b_floor += in.capMin;
+        }
+    }
+    EXPECT_NEAR(b_total, b_floor, 1e-9);
+    for (const auto c :
+         sys->tree(0)
+             .node(DistributedControlPlane::partitionEdges(*sys)[0].at(0))
+             .children) {
+        const auto &ref = *sys->tree(0).node(c).supplyRef;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(dist.leafBudget(ref)),
+                  std::bit_cast<std::uint64_t>(mono.leafBudget(ref)))
+            << "supply " << ref.server << "." << ref.supply;
     }
 }
 

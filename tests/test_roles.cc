@@ -243,8 +243,8 @@ expectedCounters(MsgType type, Role role, From from, When when,
         // A young instance replays the (empty, finite) checkpoint.
         return {{"rehomesApplied", 1}};
     case Routed::Leaf:
-        // The leaf checks a Budget's epoch and edge, not its sender.
-        if (type == MsgType::Budget && current)
+        // The leaf takes a Budget of this epoch from its plan parent.
+        if (type == MsgType::Budget && current && from == From::Parent)
             return {{"budgetsApplied", 1}};
         return {{"orphanFrames", 1}};
     case Routed::Down:

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "net/chaos_transport.hh"
 #include "sim/closed_loop.hh"
 #include "sim/scenario.hh"
 #include "util/random.hh"
@@ -156,6 +157,12 @@ TEST(Soak, MessagePlaneHourWithSpoStaysConsistent)
     // outcomes (commit and fallback) must actually occur, the
     // transport queue must stay bounded at every period boundary (no
     // monotonic growth), and no breaker ever trips.
+    //
+    // A scripted outage makes the fallback certain: every fourth
+    // period rack 1 is cut off from the room. Rack 1 owns an edge of
+    // both trees and is only one period stale, so any SPO round in
+    // that period sends it a second-pass budget it never receives, and
+    // the tree rolls back.
     util::Rng rng(4097);
     core::ServiceConfig config;
     config.enableSpo = true;
@@ -167,13 +174,20 @@ TEST(Soak, MessagePlaneHourWithSpoStaysConsistent)
     config.transport.latencyJitterMs = 2.0;
     config.transport.seed = 13;
 
-    ClosedLoopSim rig(makeSoakSystem(), makeSoakFleet(rng), config);
+    auto system = makeSoakSystem();
+    const auto room = static_cast<net::Transport::Endpoint>(
+        core::DistributedControlPlane::rackWorkerCountFor(*system));
+    net::SimTransport link(config.transport);
+    net::ChaosTransport transport(link, room);
+    ClosedLoopSim rig(std::move(system), makeSoakFleet(rng), config,
+                      transport);
     rig.service().refreshRootBudgets(3600.0);
     rig.failSupplyAt(400, 2, 0);
 
     std::size_t rounds = 0, attempted = 0, committed = 0, fallbacks = 0;
     std::size_t max_in_flight = 0;
     for (int period = 0; period < 450; ++period) { // 450 x 8 s = 1 h
+        transport.setPartition(1, room, period % 4 == 3);
         rig.run(8);
         const auto &msgs = rig.service().lastStats().messages;
         ASSERT_EQ(msgs.spoTreesAttempted,
@@ -193,8 +207,7 @@ TEST(Soak, MessagePlaneHourWithSpoStaysConsistent)
     EXPECT_FALSE(rig.anyBreakerTripped());
     EXPECT_GT(rounds, 0u);
     EXPECT_EQ(attempted, committed + fallbacks);
-    // Over hundreds of lossy rounds both outcomes are certain (the
-    // transport is seeded, so this is deterministic, not flaky).
+    // Clean rounds commit; a round during the scripted outage cannot.
     EXPECT_GT(committed, 0u);
     EXPECT_GT(fallbacks, 0u);
     EXPECT_LT(max_in_flight, 64u);

@@ -264,14 +264,14 @@ main(int argc, char **argv)
         const auto &msgs = simulation.service().lastStats().messages;
         const auto &log = simulation.eventLog();
         std::printf(
-            "\nmessage plane (last period): %zu metrics + %zu budget + "
-            "%zu heartbeat msgs, %zu retries, %zu bytes on wire\n"
+            "\nmessage plane (last period): %zu metrics + %zu budget "
+            "msgs, %zu retries, %zu bytes on wire\n"
             "spo round (last period): %zu summary + %zu budget msgs, "
             "%zu retries, %zu/%zu trees committed, %zu bytes on wire\n"
             "degraded decisions over the run: %zu stale-metrics, "
             "%zu metrics-lost, %zu default-budget, %zu spo-fallback\n",
-            msgs.metricsMessages, msgs.budgetMessages,
-            msgs.heartbeatMessages, msgs.retries, msgs.bytesOnWire,
+            msgs.metricsMessages, msgs.budgetMessages, msgs.retries,
+            msgs.bytesOnWire,
             msgs.spoSummaryMessages, msgs.spoBudgetMessages,
             msgs.spoRetries, msgs.spoCommittedTrees,
             msgs.spoTreesAttempted, msgs.spoBytesOnWire,
