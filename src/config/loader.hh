@@ -183,7 +183,7 @@ util::Json workloadParamsToJson(const workload::Params &params);
  * slots are in play right now:
  *
  *   "membership": {
- *     "absent": [3],           // not yet deployed: root reserves no
+ *     "absent": [3],           // not yet deployed: root counts no
  *                              // floor, supervisor spawns no process
  *     "join": [2],             // announce Joining (two-phase adopt)
  *     "drain": [1]             // announce Draining
@@ -212,7 +212,7 @@ struct SupervisorConfig
 struct MembershipConfig
 {
     /** Endpoints not yet deployed: the root marks them absent pre-run
-     *  (no floor reservation, no broadcast) and the supervisor spawns
+     *  (no floor counted, no broadcast) and the supervisor spawns
      *  no process for them. */
     std::vector<std::uint32_t> absent;
     /** Endpoints the root announces Joining when (re)loading. */

@@ -34,7 +34,7 @@ ControlTree::ControlTree(const topo::PowerTree &tree, TreePolicy policy)
     });
 }
 
-void
+bool
 ControlTree::setLeafInput(const topo::ServerSupplyRef &ref,
                           const LeafInput &input)
 {
@@ -43,7 +43,10 @@ ControlTree::setLeafInput(const topo::ServerSupplyRef &ref,
         util::panic("ControlTree %s: no leaf for supply %d.%d",
                     tree_.name().c_str(), ref.server, ref.supply);
     }
+    if (!input.finite())
+        return false;
     nodes_[static_cast<std::size_t>(it->second)].leaf = input;
+    return true;
 }
 
 void

@@ -18,6 +18,7 @@
 #ifndef CAPMAESTRO_CONTROL_CONTROL_TREE_HH
 #define CAPMAESTRO_CONTROL_CONTROL_TREE_HH
 
+#include <cmath>
 #include <map>
 #include <vector>
 
@@ -63,6 +64,15 @@ struct LeafInput
     Watts constraint = 0.0;
     /** False when the supply or its feed is dead; metrics become zero. */
     bool live = true;
+
+    /** A live input's capMin, demand and constraint are finite (a dead
+     *  one carries no watts). setLeafInput() refuses any other. */
+    bool finite() const
+    {
+        return !live
+               || (std::isfinite(capMin) && std::isfinite(demand)
+                   && std::isfinite(constraint));
+    }
 };
 
 /** Outcome of one allocate() pass. */
@@ -88,8 +98,12 @@ class ControlTree
      */
     ControlTree(const topo::PowerTree &tree, TreePolicy policy);
 
-    /** Set (replace) a leaf's reported metrics by supply reference. */
-    void setLeafInput(const topo::ServerSupplyRef &ref,
+    /**
+     * Set (replace) a leaf's reported metrics by supply reference. A
+     * non-finite @p input would make the whole split NaN, so it is
+     * refused and the leaf keeps its last input (returns false).
+     */
+    bool setLeafInput(const topo::ServerSupplyRef &ref,
                       const LeafInput &input);
 
     /** Mark every leaf dead (used when this tree's feed fails). */

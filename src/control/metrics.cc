@@ -84,6 +84,16 @@ NodeMetrics::finite() const
     return std::isfinite(constraint_);
 }
 
+NodeMetrics
+NodeMetrics::floorOnly(Watts floor)
+{
+    NodeMetrics out;
+    if (floor > 0.0)
+        out.accumulate(0, floor, floor, floor);
+    out.setConstraint(floor);
+    return out;
+}
+
 void
 NodeMetrics::clear()
 {

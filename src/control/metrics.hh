@@ -98,6 +98,15 @@ class NodeMetrics
      */
     bool finite() const;
 
+    /**
+     * The summary of a silent subtree riding its Pcap_min floors: one
+     * priority-0 class with capMin = demand = request = constraint =
+     * @p floor (no class for a zero floor). It enters the §4.3 merge
+     * like any child, so every station above counts the floor and the
+     * split grants it exactly that.
+     */
+    static NodeMetrics floorOnly(Watts floor);
+
     /** Reset to the empty state with zero constraint. */
     void clear();
 

@@ -277,7 +277,7 @@ RackWorker::findEdge(std::size_t tree, topo::NodeId node) const
     return const_cast<RackWorker *>(this)->findEdge(tree, node);
 }
 
-void
+bool
 RackWorker::setLeafInput(std::size_t tree,
                          const topo::ServerSupplyRef &ref,
                          const ctrl::LeafInput &input)
@@ -287,8 +287,10 @@ RackWorker::setLeafInput(std::size_t tree,
             continue;
         for (std::size_t i = 0; i < edge.leaves.size(); ++i) {
             if (edge.leaves[i] == ref) {
+                if (!input.finite())
+                    return false;
                 edge.inputs[i] = input;
-                return;
+                return true;
             }
         }
     }
@@ -618,12 +620,12 @@ DistributedControlPlane::edgeOfLeaf(const topo::ServerSupplyRef &ref) const
     return it->second;
 }
 
-void
+bool
 DistributedControlPlane::setLeafInput(const topo::ServerSupplyRef &ref,
                                       const ctrl::LeafInput &input)
 {
     const auto &edge = edgeOfLeaf(ref);
-    racks_[edgeOwner_.at(edge)].setLeafInput(edge.first, ref, input);
+    return racks_[edgeOwner_.at(edge)].setLeafInput(edge.first, ref, input);
 }
 
 MessageStats
@@ -646,21 +648,23 @@ DistributedControlPlane::split(std::size_t tree,
                                Watts root_budget)
 {
     // An edge missing from the view (its metrics were lost) rides its
-    // Pcap_min default: reserve that floor before the split and send
-    // the edge no budget, so the tree never hands the watts out twice.
-    // The in-process room reads the floor off the rack; a deployed
-    // parent reserves a config-nominal one (rt::AggregatorRole).
-    Watts reserved = 0.0;
+    // Pcap_min default: it enters the merge as that floor, so every
+    // station above counts it, and it gets no budget. The in-process
+    // room reads the floor off the rack; a deployed parent uses a
+    // config-nominal one (rt::AggregatorRole).
+    auto boundary = view;
     for (auto it = edgeOwner_.lower_bound(
              {tree, std::numeric_limits<topo::NodeId>::min()});
          it != edgeOwner_.end() && it->first.first == tree; ++it) {
         const topo::NodeId node = it->first.second;
-        if (!view.count(node))
-            reserved += racks_[it->second].defaultBudget(tree, node);
+        if (!view.count(node)) {
+            boundary[node] = ctrl::NodeMetrics::floorOnly(
+                racks_[it->second].defaultBudget(tree, node));
+        }
     }
     std::vector<net::BudgetMsg> out;
     for (const auto &[node, watts] :
-         room_.iterate(tree, view, std::max(0.0, root_budget - reserved))) {
+         room_.iterate(tree, boundary, root_budget)) {
         if (view.count(node)) {
             out.push_back({static_cast<std::uint16_t>(tree),
                            static_cast<std::uint32_t>(node), watts});

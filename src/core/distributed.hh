@@ -17,8 +17,8 @@
  *   - bounded retransmission against per-phase deadlines,
  *   - stale-metric reuse (with an age cap) when an edge's metrics miss
  *     the gathering deadline, then no metrics at all (metrics lost):
- *     the room reserves the edge's Pcap_min default and sends it no
- *     budget,
+ *     the edge enters the room's merge as its Pcap_min default and
+ *     gets no budget,
  *   - conservative Pcap_min-level default budgets when a budget
  *     message is lost (or withheld).
  *
@@ -176,8 +176,11 @@ class RackWorker
     /** Owned edges. */
     const std::vector<Edge> &edges() const { return edges_; }
 
-    /** Set a supply leaf's metrics (must live under this worker). */
-    void setLeafInput(std::size_t tree, const topo::ServerSupplyRef &ref,
+    /**
+     * Set a supply leaf's metrics (must live under this worker). A
+     * non-finite @p input is refused (false): the leaf keeps its last.
+     */
+    bool setLeafInput(std::size_t tree, const topo::ServerSupplyRef &ref,
                       const ctrl::LeafInput &input);
 
     /**
@@ -358,8 +361,9 @@ class DistributedControlPlane
     /** Rack workers the partitioning rule yields for @p system. */
     static std::size_t rackWorkerCountFor(const topo::PowerSystem &system);
 
-    /** Set a supply leaf's metrics (routed to its rack worker). */
-    void setLeafInput(const topo::ServerSupplyRef &ref,
+    /** Set a supply leaf's metrics (routed to its rack worker); false
+     *  when the rack refuses a non-finite @p input. */
+    bool setLeafInput(const topo::ServerSupplyRef &ref,
                       const ctrl::LeafInput &input);
 
     /**
@@ -471,8 +475,8 @@ class DistributedControlPlane
     const std::pair<std::size_t, topo::NodeId> &
     edgeOfLeaf(const topo::ServerSupplyRef &ref) const;
     MessageStats iterateTransport(const std::vector<Watts> &root_budgets);
-    /** The room's budgets for @p tree's edges in @p view; see the
-     *  definition for the floor it reserves for the others. */
+    /** The room's budgets for @p tree's edges in @p view; the others
+     *  enter the merge as their Pcap_min floors and get none. */
     std::vector<net::BudgetMsg>
     split(std::size_t tree,
           const std::map<topo::NodeId, ctrl::NodeMetrics> &view,

@@ -49,8 +49,8 @@ enum class EventKind {
     WorkerRehomed,
     /** Rack: a Rehome frame was ignored (local state already intact). */
     RehomeDeclined,
-    /** Online safety audit: committed budgets plus reserved floors
-     *  exceeded the fragment's grant (value = overdraw in watts). */
+    /** Online safety audit: a station's load exceeded min(its limit,
+     *  the fragment's grant) (value = watts over). */
     SafetyViolation,
     /** Root: a unit was announced Joining (value = new generation). */
     MembershipJoinBegan,

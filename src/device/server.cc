@@ -162,11 +162,16 @@ ServerModel::setSupplyState(std::size_t s, SupplyState state)
         util::panic("server %s: bad supply index %zu", spec_.name.c_str(),
                     s);
     states_[s] = state;
+    // A hot spare takes over within milliseconds: when the last Ok
+    // supply fails, every parked partner wakes.
+    if (state == SupplyState::Failed && workingSupplies() == 0) {
+        for (auto &st : states_) {
+            if (st == SupplyState::Standby)
+                st = SupplyState::Ok;
+        }
+    }
     refreshPower();
-    std::size_t ok = 0;
-    for (auto st : states_)
-        ok += (st == SupplyState::Ok) ? 1 : 0;
-    if (ok == 0)
+    if (workingSupplies() == 0)
         util::warn("server %s: no working supply; server is dark",
                    spec_.name.c_str());
 }

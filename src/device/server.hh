@@ -172,7 +172,8 @@ class ServerModel
     /** Health state of supply @p s. */
     SupplyState supplyState(std::size_t s) const;
 
-    /** Fail / restore a supply. */
+    /** Fail / restore / park a supply. Failing the last Ok supply
+     *  wakes every Standby partner (a hot spare takes over). */
     void setSupplyState(std::size_t s, SupplyState state);
 
     /** Number of supplies currently in the Ok state (sharing load). */

@@ -21,18 +21,17 @@
  * adopt protocol:
  *
  *   join:  the unit runs shadow periods — metrics flow up, its grants
- *          ride the Pcap_min clamp, and the root reserves its nominal
- *          floor out of the tree budget exactly as it does for a dead
- *          rack. Only after the unit acked the Joining announcement
+ *          ride the Pcap_min clamp, and the root enters its nominal
+ *          floor into the merge exactly as it does for a dead rack. Only after the unit acked the Joining announcement
  *          and a minimum shadow window has passed does the root commit
  *          the generation bump that makes it Live. At no period is the
  *          unit double-counted (it never receives a real grant while
- *          the floor is reserved) or uncounted (the floor reservation
+ *          its floor is counted) or uncounted (the counted floor
  *          covers its unilateral clamp).
  *   drain: the reverse handshake. A Draining unit keeps running but is
- *          excluded from allocation (floor reserved, clamped locally);
+ *          excluded from allocation (floor counted, clamped locally);
  *          once it acked the drain the root commits Left. The nominal
- *          floor stays reserved until the unit acks the *Left*
+ *          floor stays counted until the unit acks the *Left*
  *          generation — the ack is the unit's promise that it applied
  *          zero watts from that period on — so a lost broadcast can
  *          never leave the unit drawing a floor the root has already
@@ -58,13 +57,13 @@ namespace capmaestro::membership {
 enum class UnitState : std::uint8_t
 {
     /** Announced but not yet committed: shadow periods (metrics up,
-     *  grants clamped to the Pcap_min floor, floor reserved). */
+     *  grants clamped to the Pcap_min floor, floor counted). */
     Joining = 0,
     /** Full participant of the control plane. */
     Live = 1,
     /** Leaving: still running, excluded from allocation, clamped. */
     Draining = 2,
-    /** Gone. The floor reservation is released once the unit acked
+    /** Gone. The floor stops being counted once the unit acked
      *  this state (or never existed in the deployment's history). */
     Left = 3,
 };
@@ -146,7 +145,7 @@ class MembershipTable
      * Pre-deployment configuration: mark @p endpoint as not (yet)
      * deployed — Left since generation 0, no generation bump. Distinct
      * from a drained unit (sinceGeneration > 0): a never-deployed slot
-     * reserves no floor and receives no broadcast. beginJoin() brings
+     * counts no floor and receives no broadcast. beginJoin() brings
      * the slot in later.
      */
     void markAbsent(std::uint16_t endpoint);

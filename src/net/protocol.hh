@@ -13,9 +13,10 @@
  *      gathering deadline. Edges whose metrics still miss the deadline
  *      fall back to the last received summary, provided it is no older
  *      than the stale-age cap (in control periods); beyond that the
- *      edge's metrics are lost: the parent reserves the edge's
- *      Pcap_min floor out of the budget it splits and sends it no
- *      budget, so its servers get their floors this period.
+ *      edge's metrics are lost: the edge enters the parent's merge as
+ *      its Pcap_min floor, so every station above counts the floor,
+ *      and it gets no budget, so its servers ride their floors this
+ *      period.
  *   2. Downstream: the room sends one budget message per edge it has
  *      metrics for and re-sends on a timeout until the budgeting
  *      deadline. A rack that gets no budget applies the conservative

@@ -1,6 +1,5 @@
 #include "rt/aggregator.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -38,8 +37,8 @@ AggregatorRole::AggregatorRole(
 
     // Per child station: the summed nominal floor of the edges beneath
     // it — what the subtree unilaterally enforces when budgets stop
-    // flowing to it, and therefore what must be reserved out of this
-    // fragment's grant while the station is excluded.
+    // flowing to it, and therefore what it enters the merge as while
+    // the station is excluded.
     for (const auto &[key, floor] : nominal_floor) {
         const auto [tree, edge] = key;
         topo::NodeId node = edge;
@@ -98,7 +97,8 @@ AggregatorRole::beginEpoch(std::uint32_t epoch)
     received_.clear();
     stationHealth_.clear();
     boundary_.assign(system_.trees().size(), {});
-    reserved_.assign(system_.trees().size(), 0.0);
+    excluded_.assign(system_.trees().size(), {});
+    applied_.assign(system_.trees().size(), {});
 }
 
 bool
@@ -173,10 +173,10 @@ AggregatorRole::silentChildren() const
 std::vector<net::MetricsMsg>
 AggregatorRole::closeGather(RuntimeStats &stats, core::EventLog &events)
 {
-    const auto reserve = [this](const auto &key) {
-        const auto floor = stationFloor_.find(key);
-        if (floor != stationFloor_.end())
-            reserved_[key.first] += floor->second;
+    const auto floorOnly = [this](const auto &key) {
+        excluded_[key.first].insert(key.second);
+        boundary_[key.first][key.second] = ctrl::NodeMetrics::floorOnly(
+            stationFloor_[key]); // 0 W: no edge beneath
     };
     for (const auto &[key, child] : childOfStation_) {
         const auto [tree, node] = key;
@@ -187,47 +187,35 @@ AggregatorRole::closeGather(RuntimeStats &stats, core::EventLog &events)
             // Excluded by design, not by degradation: no ladder, no
             // events, only the floor covering the unit's clamp.
             if (!seen.released)
-                reserve(key);
+                floorOnly(key);
             continue;
         }
         const auto got = fresh_.find(key);
         if (got != fresh_.end() && seen.trusted) {
             boundary_[tree][node] = got->second;
             cache_[key] = {got->second, epoch_, true};
-            stationHealth_[key] = StationHealth::Fresh;
+            stationHealth_[key] = telemetry::UnitHealth::Live;
             continue;
         }
         const auto cached = cache_.find(key);
-        const std::uint32_t age =
-            cached != cache_.end() && cached->second.valid
-                ? epoch_ - cached->second.epoch
-                : 0;
+        const bool valid = cached != cache_.end() && cached->second.valid;
+        const std::uint32_t age = valid ? epoch_ - cached->second.epoch : 0;
         const bool stale_ok =
-            cached != cache_.end() && cached->second.valid
-            && age <= static_cast<std::uint32_t>(staleAgeCapPeriods_);
-        if (stale_ok) {
-            stationHealth_[key] = StationHealth::Stale;
-            if (seen.trusted)
-                boundary_[tree][node] = cached->second.metrics;
-            ++stats.staleReuses;
-            events.record(static_cast<Seconds>(epoch_),
-                          core::EventKind::StaleMetricsReused,
-                          stationSubject(tree, node),
-                          static_cast<double>(age));
-        } else {
-            stationHealth_[key] = StationHealth::Lost;
-            ++stats.metricsLost;
-            events.record(static_cast<Seconds>(epoch_),
-                          core::EventKind::MetricsLost,
-                          stationSubject(tree, node),
-                          static_cast<double>(age));
-        }
+            valid && age <= static_cast<std::uint32_t>(staleAgeCapPeriods_);
+        stationHealth_[key] = stale_ok ? telemetry::UnitHealth::Stale
+                                       : telemetry::UnitHealth::Lost;
+        ++(stale_ok ? stats.staleReuses : stats.metricsLost);
+        events.record(static_cast<Seconds>(epoch_),
+                      stale_ok ? core::EventKind::StaleMetricsReused
+                               : core::EventKind::MetricsLost,
+                      stationSubject(tree, node), static_cast<double>(age));
         // No usable metrics (untrusted child, or the cache ran dry):
-        // the station's subtree is on its own this period, so it is
-        // left out of the boundary and its floor is reserved out of
-        // the budget before the split (see the class comment).
-        if (!seen.trusted || !stale_ok)
-            reserve(key);
+        // the station's subtree is on its own this period, so it
+        // enters the boundary as its floor (see the class comment).
+        if (stale_ok && seen.trusted)
+            boundary_[tree][node] = cached->second.metrics;
+        else
+            floorOnly(key);
     }
 
     std::vector<net::MetricsMsg> out;
@@ -284,32 +272,32 @@ AggregatorRole::computeDown(RuntimeStats &stats)
     std::vector<DownMsg> out;
     for (const auto &[tree, top] : stations_) {
         (void)top;
-        std::map<topo::NodeId, Watts> splits;
+        std::map<topo::NodeId, Watts> &applied = applied_[tree];
         if (root_) {
-            const Watts usable = std::max(
-                0.0, rootBudgets_[tree] - reserved_[tree]);
-            splits = frag_->iterate(tree, boundary_[tree], usable);
+            applied = frag_->iterate(tree, boundary_[tree],
+                                     rootBudgets_[tree]);
         } else {
             const auto sub = received_.find(tree);
             if (sub == received_.end()) {
                 // Silence flows down: every station beneath rides its
-                // Pcap_min default, which is exactly what the parent
-                // reserves for this fragment next period if the stall
-                // persists.
+                // Pcap_min default, which is exactly what this
+                // fragment enters its parent's merge as next period if
+                // the stall persists.
                 ++stats.subBudgetsMissed;
                 continue;
             }
-            const Watts usable =
-                std::max(0.0, sub->second - reserved_[tree]);
-            splits = frag_->budgetDown(tree, usable);
+            applied = frag_->budgetDown(tree, sub->second);
         }
-        for (const auto &[node, watts] : splits) {
+        for (auto &[node, watts] : applied) {
             const auto owner = childOfStation_.find({tree, node});
             if (owner == childOfStation_.end())
                 continue;
-            // Excluded stations get no grant — their floor was
-            // reserved, and sending a budget computed from empty
-            // metrics would undercut the subtree's own fallback.
+            // An excluded station gets no grant: its subtree rides its
+            // floor, which is what the station applies.
+            if (excluded_[tree].count(node)) {
+                watts = stationFloor_[{tree, node}];
+                continue;
+            }
             if (!boundary_[tree].count(node))
                 continue;
             DownMsg down;

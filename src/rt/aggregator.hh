@@ -16,17 +16,15 @@
  * messages back to the caller for transmission.
  *
  * Degraded-mode contract: a child station with no usable metrics
- * (nothing fresh, stale cache expired) is excluded from the boundary
- * and the *nominal Pcap_min floor of the edges beneath it* is reserved
- * out of this fragment's received budget before the split — the
- * subtree is riding exactly those unilateral floors, and the sum of
- * what flows down the live children plus the dead subtree's floors
- * must never exceed what this fragment was granted. Reserving out of
- * the local grant (rather than propagating the exclusion upward) is
- * conservative: the parent may have granted the lost subtree nothing,
- * in which case live children are under-allocated for a period. Safety
- * over efficiency. This stale -> lost -> reserve ladder is the only
- * one in the rt runtimes; every hop of every plan depth runs it.
+ * (nothing fresh, stale cache expired) enters the boundary as a
+ * floor-only summary (ctrl::NodeMetrics::floorOnly) of the *nominal
+ * Pcap_min floor of the edges beneath it* and gets no grant: the
+ * subtree is riding exactly those unilateral floors. The floors take
+ * part in the §4.3 merge like any child, so every station of the
+ * fragment counts them against its limit, and this fragment's Summary
+ * carries them, so its parent grants them. This stale -> lost -> floor
+ * ladder is the only one in the rt runtimes; every hop of every plan
+ * depth runs it.
  *
  * Child view: the owner of a root may describe how it sees each of
  * its leaf children this epoch (setChildViews()) — the input a root
@@ -34,20 +32,20 @@
  * (declared dead, or committed out of the membership) does not hold
  * up upComplete(). An untrusted child (a restarted or re-homing
  * instance) still runs the stale -> lost ladder, but its metrics are
- * neither used nor cached and its floor is reserved. A child outside
- * the committed membership skips the ladder and logs nothing; its
- * floor is reserved unless the owner says it was released. Without a
- * view (interior aggregators, aggregator children of a root, every
- * WorkerHost role) every child is an awaited, trusted member. Whatever
- * the view, a child station without usable metrics gets no grant and
- * rides its Pcap_min default.
+ * neither used nor cached and it enters as its floor. A child outside
+ * the committed membership skips the ladder and logs nothing; it
+ * enters as its floor unless the owner says it was released (it
+ * draws nothing). Without a view (interior aggregators, aggregator
+ * children of a root, every WorkerHost role) every child is an
+ * awaited, trusted member. Whatever the view, a child station
+ * without usable metrics gets no grant and rides its Pcap_min default.
  *
  * Aggregators are deliberately stateless beyond the metric cache: no
  * checkpoint streaming, no re-homing. A killed-and-restarted
  * aggregator rejoins silently — its parent rides the stale cache, then
- * reserves; its children ride Pcap_min defaults until budgets flow
- * again. Leaf plant recovery is split in two: the leaf's half (replay
- * or decline a Rehome, the post-replay clamp) is LeafRole's
+ * enters it as its floor; its children ride Pcap_min defaults until
+ * budgets flow again. Leaf plant recovery is split in two: the leaf's
+ * half (replay or decline a Rehome, the post-replay clamp) is LeafRole's
  * (rt/leaf.hh); the root's half (rack liveness, the checkpoint store,
  * Rehome emission) is the WorkerRuntime that owns the root, for the
  * root's leaf children, and reaches this class only through the child
@@ -78,6 +76,7 @@
 #include "net/protocol.hh"
 #include "net/wire.hh"
 #include "rt/stats.hh"
+#include "telemetry/health.hh"
 
 namespace capmaestro::rt {
 
@@ -129,7 +128,7 @@ class AggregatorRole
         bool trusted = true;
         /** The child is inside the committed membership. */
         bool member = true;
-        /** Non-member only: its floor no longer needs reserving. */
+        /** Non-member only: it draws nothing, so no floor enters. */
         bool released = false;
     };
 
@@ -162,7 +161,7 @@ class AggregatorRole
 
     /**
      * Close the gather phase: assemble each tree's boundary with the
-     * stale-cache fallback, reserve the floors of excluded stations,
+     * stale-cache fallback, enter excluded stations as their floors,
      * and merge to the fragment tops. Returns the Summary messages to
      * forward to the parent (empty at the root, which keeps the
      * boundary for computeDown()).
@@ -192,41 +191,34 @@ class AggregatorRole
 
     // -------- observability read-outs (valid after closeGather())
 
-    /** §4.5 outcome of one child station's gather this epoch. */
-    enum class StationHealth : std::uint8_t
-    {
-        Fresh,
-        Stale,
-        Lost,
-    };
-
-    /** (tree, child station) -> gather outcome, set by closeGather(). */
-    const std::map<std::pair<std::size_t, topo::NodeId>, StationHealth> &
+    /** (tree, child station) -> §4.5 outcome of its gather this
+     *  epoch (Live: fresh metrics; Stale; Lost), set by closeGather(). */
+    const std::map<std::pair<std::size_t, topo::NodeId>,
+                   telemetry::UnitHealth> &
     stationHealth() const
     {
         return stationHealth_;
     }
 
-    /** Floor reserved out of this epoch's grant, per tree. */
-    const std::vector<Watts> &reservedFloors() const
+    /** The budget this epoch's split of @p tree starts from: the root
+     *  budget at the root, else the SubBudget received (nullopt: none
+     *  yet). */
+    std::optional<Watts> grant(std::size_t tree) const
     {
-        return reserved_;
-    }
-
-    /** SubBudget received this epoch for @p tree (nullopt: none yet,
-     *  or this is the root). */
-    std::optional<Watts> receivedBudget(std::size_t tree) const
-    {
+        if (root_)
+            return rootBudgets_.at(tree);
         const auto got = received_.find(tree);
         if (got == received_.end())
             return std::nullopt;
         return got->second;
     }
 
-    /** Per-tree root budgets (root role; empty elsewhere). */
-    const std::vector<Watts> &rootBudgets() const
+    /** Watts this epoch's split applies at each child station of
+     *  @p tree: the budget sent, or the floor an excluded station
+     *  rides. Set by computeDown(); empty for a tree it did not split. */
+    const std::map<topo::NodeId, Watts> &applied(std::size_t tree) const
     {
-        return rootBudgets_;
+        return applied_.at(tree);
     }
 
     /** tree -> this worker's top station. */
@@ -282,12 +274,15 @@ class AggregatorRole
         fresh_;
     /** Boundary metrics assembled by closeGather(), per tree. */
     std::vector<std::map<topo::NodeId, ctrl::NodeMetrics>> boundary_;
-    /** Floor reserved out of this epoch's budget, per tree. */
-    std::vector<Watts> reserved_;
+    /** Per tree: the excluded child stations, which closeGather()
+     *  entered into the boundary at their stationFloor_. */
+    std::vector<std::set<topo::NodeId>> excluded_;
+    /** Per tree: what computeDown() applied (see applied()). */
+    std::vector<std::map<topo::NodeId, Watts>> applied_;
     /** tree -> SubBudget received this epoch (first copy wins). */
     std::map<std::size_t, Watts> received_;
     /** Gather outcome per child station, rebuilt by closeGather(). */
-    std::map<std::pair<std::size_t, topo::NodeId>, StationHealth>
+    std::map<std::pair<std::size_t, topo::NodeId>, telemetry::UnitHealth>
         stationHealth_;
 
     std::string stationSubject(std::size_t tree,

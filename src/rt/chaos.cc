@@ -4,15 +4,13 @@
 #include <cstdio>
 #include <cstring>
 
+#include "rt/plant.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
 namespace capmaestro::rt {
 
 namespace {
-
-/** Slack on the safety comparisons: absorbs f64 summation error only. */
-constexpr double kSafetyEps = 1e-6;
 
 /** Raw IEEE-754 pattern of a double, for bit-exact log lines. */
 std::string
@@ -107,6 +105,7 @@ LockstepDeployment::LockstepDeployment(
 {
     plan_ = core::TreePlan::build(*scenario_.system, aggLevels_);
     rackCount_ = plan_.leafWorkers;
+    floors_ = nominalEdgeFloors(*scenario_.system, scenario_);
     const auto workers =
         static_cast<std::uint32_t>(plan_.workers.size());
 
@@ -191,14 +190,17 @@ LockstepDeployment::apply(const ChaosEvent &event, std::uint32_t epoch)
 {
     switch (event.kind) {
     case ChaosEvent::Kind::Kill:
-        if (event.a < rackCount_)
+        if (event.a < rackCount_) {
+            if (racks_[event.a])
+                killed_.insert(event.a);
             racks_[event.a].reset();
-        else if (event.a < plan_.rootEndpoint())
+        } else if (event.a < plan_.rootEndpoint())
             aggs_[event.a - rackCount_].reset();
         break;
     case ChaosEvent::Kind::Restart:
         if (event.a < rackCount_ && !racks_[event.a]) {
             racks_[event.a] = makeRuntime(event.a);
+            killed_.erase(event.a);
             // Only the root re-homes, and only its leaf children:
             // recovery latency is measured for racks reporting to it.
             if (reportsToRoot(event.a))
@@ -233,37 +235,37 @@ LockstepDeployment::apply(const ChaosEvent &event, std::uint32_t epoch)
     }
 }
 
-std::string
+std::vector<std::string>
 LockstepDeployment::auditSafety() const
 {
+    // What each edge applies: a live rack its last edge budgets, a
+    // killed one (its servers on their own) its nominal floors; a
+    // drained or never-joined slot draws nothing.
     const auto &system = *scenario_.system;
-    std::vector<Watts> tree_totals(system.trees().size(), 0.0);
+    std::vector<std::map<topo::NodeId, Watts>> applied(
+        system.trees().size());
     for (std::size_t r = 0; r < rackCount_; ++r) {
-        if (!racks_[r])
-            continue;
-        for (const auto &[key, budget] : racks_[r]->lastEdgeBudgets()) {
-            const auto [tree, node] = key;
-            const Watts limit = system.tree(tree).node(node).limit();
-            if (limit != topo::kUnlimited
-                && budget > limit + kSafetyEps) {
-                return "rack" + std::to_string(r) + " edge "
-                       + system.tree(tree).name() + "."
-                       + system.tree(tree).node(node).name + " budget "
-                       + std::to_string(budget) + " W over device limit "
-                       + std::to_string(limit) + " W";
-            }
-            tree_totals[tree] += budget;
+        if (racks_[r]) {
+            for (const auto &[key, budget] : racks_[r]->lastEdgeBudgets())
+                applied[key.first][key.second] = budget;
+        } else if (killed_.count(r)) {
+            for (const auto &[tree, node] : plan_.workers[r].stations)
+                applied[tree][node] = floors_.at({tree, node});
         }
     }
-    for (std::size_t t = 0; t < tree_totals.size(); ++t) {
-        if (tree_totals[t] > scenario_.rootBudgets[t] + kSafetyEps) {
-            return "tree " + system.tree(t).name() + " total "
-                   + std::to_string(tree_totals[t])
-                   + " W over root budget "
-                   + std::to_string(scenario_.rootBudgets[t]) + " W";
+    std::vector<std::string> out;
+    for (std::size_t t = 0; t < applied.size(); ++t) {
+        const topo::PowerTree &tree = system.tree(t);
+        for (const topo::Overload &over :
+             topo::overloads(tree, tree.root(), scenario_.rootBudgets[t],
+                             applied[t])) {
+            out.push_back(tree.name() + "." + tree.node(over.node).name
+                          + " load " + std::to_string(over.load)
+                          + " W over " + std::to_string(over.bound)
+                          + " W");
         }
     }
-    return "";
+    return out;
 }
 
 std::string
@@ -344,6 +346,15 @@ ChaosRunReport
 LockstepDeployment::run(std::uint32_t epochs)
 {
     ChaosRunReport report;
+    const auto online = [this] {
+        double total = 0.0;
+        for (const auto &series : registry_.snapshot()) {
+            if (series.name == "capmaestro_safety_violations_total")
+                total += series.value;
+        }
+        return static_cast<std::size_t>(total);
+    };
+    const std::size_t online_before = online();
     for (std::uint32_t i = 0; i < epochs; ++i) {
         const std::uint32_t epoch = nextEpoch_++;
         for (const ChaosEvent &event : chaos_.eventsAt(epoch))
@@ -353,7 +364,7 @@ LockstepDeployment::run(std::uint32_t epochs)
         // aggregators (bottom-up, endpoint order == tier order) ->
         // room, budgets descend the same path mirrored. A killed
         // runtime simply stays silent; its parents ride the stale ->
-        // reserve ladder.
+        // floor ladder.
         for (auto &rack : racks_) {
             if (rack)
                 rack->stepUpstream(epoch);
@@ -398,18 +409,17 @@ LockstepDeployment::run(std::uint32_t epochs)
             }
         }
 
-        const std::string violation = auditSafety();
-        if (!violation.empty()) {
-            ++report.violations;
-            if (report.firstViolation.empty()) {
-                report.firstViolation =
-                    "epoch " + std::to_string(epoch) + ": " + violation;
-            }
+        const std::vector<std::string> over = auditSafety();
+        report.violations += over.size();
+        if (!over.empty() && report.firstViolation.empty()) {
+            report.firstViolation =
+                "epoch " + std::to_string(epoch) + ": " + over.front();
         }
         report.log.push_back(logLine(epoch));
         ++report.epochsRun;
     }
     report.unrecovered = pendingRecovery_.size();
+    report.onlineViolations = online() - online_before;
     return report;
 }
 

@@ -29,10 +29,11 @@
  * shared UdpTransport in loopback mode (real sockets and the real
  * kernel; deterministic in behavior-level properties, not bits).
  *
- * After every epoch the harness audits the §4.5 safety claim: no
- * applied edge budget may exceed its node's device limit, and no
- * tree's total applied budget may exceed the tree's root budget —
- * even while racks are dead, re-homing, or partitioned. It also
+ * After every epoch the harness audits the §4.5 safety claim with
+ * topo::overloads() from each tree's root budget: no station, edge or
+ * interior, may carry more than its derated limit, nor a tree more
+ * than its root budget — even while racks are dead, re-homing, or
+ * partitioned. A killed rack counts at its nominal floors. It also
  * tracks recovery time (Restart to the room's Live promotion) so
  * tests can bound re-homing latency in periods.
  */
@@ -43,6 +44,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -135,8 +137,14 @@ enum class ChaosBackend { Sim, Udp };
 struct ChaosRunReport
 {
     std::size_t epochsRun = 0;
-    /** Per-epoch safety-audit failures (0 on a correct protocol). */
+    /** Stations found over their bound, summed over epochs (0 on a
+     *  correct protocol). */
     std::size_t violations = 0;
+    /** Stations the online auditors of every unit (killed ones
+     *  included) found over their bound during the run, read from the
+     *  shared registry: the same predicate per fragment from its grant
+     *  (0 on a correct protocol). */
+    std::size_t onlineViolations = 0;
     /** Human-readable description of the first violation, if any. */
     std::string firstViolation;
     /** Completed Restart -> Live promotions observed. */
@@ -187,7 +195,7 @@ class LockstepDeployment
     /**
      * Script rack @p rack as a late joiner: its runtime is not
      * constructed and the root marks the slot absent (no floor
-     * reservation, no broadcast). A Join event later brings it in
+     * counted, no broadcast). A Join event later brings it in
      * through the two-phase adopt. Pre-run configuration only.
      */
     void scriptJoiner(std::uint32_t rack);
@@ -237,8 +245,9 @@ class LockstepDeployment
     config::LoadedScenario makeScenario() const;
     std::unique_ptr<WorkerRuntime> makeRuntime(std::uint32_t role);
     void apply(const ChaosEvent &event, std::uint32_t epoch);
-    /** Audit this epoch's applied budgets; "" when safe. */
-    std::string auditSafety() const;
+    /** Audit this epoch's applied watts: one line per station over
+     *  its bound (empty when safe). */
+    std::vector<std::string> auditSafety() const;
     std::string logLine(std::uint32_t epoch) const;
     /** Rack @p rack's parent is the root (which tracks its liveness). */
     bool reportsToRoot(std::size_t rack) const
@@ -267,6 +276,10 @@ class LockstepDeployment
 
     ChaosScheduler chaos_;
     std::uint32_t nextEpoch_ = 1;
+    /** (tree, edge) -> nominal Pcap_min floor (nominalEdgeFloors). */
+    std::map<std::pair<std::size_t, topo::NodeId>, Watts> floors_;
+    /** Racks killed and not restarted: they ride their floors. */
+    std::set<std::size_t> killed_;
     /** Rack -> epoch of its pending Restart (recovery tracking). */
     std::map<std::size_t, std::uint32_t> pendingRecovery_;
     /** Role -> stamped wire version (absent = current). */

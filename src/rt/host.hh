@@ -21,8 +21,8 @@
  * the degraded-mode timeout. On a lossless transport the whole tree
  * therefore free-runs flow-controlled by its own frames (the property
  * the scalability bench measures as periods/sec); under loss each hop
- * degrades exactly like the wall-paced runtime (stale reuse, floor
- * reservation, Pcap_min defaults). Because a finished process can run
+ * degrades exactly like the wall-paced runtime (stale reuse, floors
+ * in the merge, Pcap_min defaults). Because a finished process can run
  * at most one epoch ahead of a neighbor still collecting, frames from
  * epoch e+1 are held back and replayed when the host enters e+1
  * instead of being dropped as orphans.
@@ -63,7 +63,7 @@
  * sends and catch-up; the checkpoint each leaf builds is dropped. Host
  * mode thus runs none of the 2-level failover machinery: a restarted
  * process rejoins with a fresh plant while its parents ride stale ->
- * reserve, as documented in rt/aggregator.hh.
+ * floor, as documented in rt/aggregator.hh.
  *
  * Observability is the shared rt::Observability (rt/observe.hh), the
  * same plane a WorkerRuntime owns; the host adds only its per-tier

@@ -27,14 +27,14 @@
  *   1. an edge with no budget this period gets min(defaultBudget,
  *      nominal floor). The live default is built from measured
  *      shares, and sensor noise must not let a unilateral fallback
- *      creep above the floor the parent reserves for this edge when it
+ *      creep above the floor the parent counts for this edge when it
  *      stops budgeting it (see rt/aggregator.hh);
  *   2. after a replay (until the root trusts fresh metrics from this
  *      instance again), or while the leaf is Joining or Draining
  *      (shadow periods), every edge is clamped to that same floor. A
  *      Left leaf applies 0 W: its ack of the Left snapshot promises
  *      that no watts flow from then on, which is what lets the root
- *      release the reserved floor;
+ *      stop counting its floor;
  *   3. the per-server PI loops apply the budgets.
  *
  * Input checks: watts from the wire reach the plant, so a Budget whose

@@ -198,43 +198,27 @@ Observability::endPeriod()
 }
 
 void
-Observability::audit(std::uint32_t epoch, const std::string &subject,
-                     Watts granted, Watts committed, Watts reserved)
-{
-    if (!auditor_.audit(epoch, subject, granted, committed, reserved)) {
-        events_.record(static_cast<Seconds>(epoch),
-                       core::EventKind::SafetyViolation, subject,
-                       committed + reserved - granted);
-    }
-}
-
-void
 Observability::auditSplit(std::uint32_t epoch,
                           const topo::PowerSystem &system,
-                          const std::string &who,
-                          const AggregatorRole &agg,
-                          const std::vector<AggregatorRole::DownMsg> &downs)
+                          const std::string &who, const AggregatorRole &agg)
 {
     if (!on_)
         return;
-    std::map<std::size_t, Watts> committed;
-    for (const AggregatorRole::DownMsg &down : downs)
-        committed[down.msg.tree] += down.msg.budget;
-    const std::vector<Watts> &reserved = agg.reservedFloors();
     for (const auto &[tree, top] : agg.stations()) {
-        (void)top;
-        Watts granted = 0.0;
-        if (agg.isRoot()) {
-            granted = agg.rootBudgets()[tree];
-        } else {
-            const auto sub = agg.receivedBudget(tree);
-            if (!sub)
-                continue; // no grant arrived: nothing was split
-            granted = *sub;
+        const auto grant = agg.grant(tree);
+        if (!grant)
+            continue; // no grant arrived: nothing was split
+        auditor_.audit();
+        const topo::PowerTree &t = system.tree(tree);
+        for (const topo::Overload &over :
+             topo::overloads(t, top, *grant, agg.applied(tree))) {
+            const std::string subject =
+                t.name() + "." + t.node(over.node).name + "@" + who;
+            auditor_.violation(epoch, subject, over.load - over.bound);
+            events_.record(static_cast<Seconds>(epoch),
+                           core::EventKind::SafetyViolation, subject,
+                           over.load - over.bound);
         }
-        audit(epoch, system.tree(tree).name() + "@" + who, granted,
-              committed[tree],
-              tree < reserved.size() ? reserved[tree] : 0.0);
     }
 }
 
@@ -249,15 +233,10 @@ Observability::reportChildren(
     // as its most degraded station (the enum is ordered by severity).
     std::map<std::uint32_t, telemetry::UnitHealth> worst;
     const auto &owners = agg.childStations();
-    for (const auto &[key, health] : agg.stationHealth()) {
+    for (const auto &[key, h] : agg.stationHealth()) {
         const auto owner = owners.find(key);
         if (owner == owners.end())
             continue;
-        telemetry::UnitHealth h = telemetry::UnitHealth::Live;
-        if (health == AggregatorRole::StationHealth::Stale)
-            h = telemetry::UnitHealth::Stale;
-        else if (health == AggregatorRole::StationHealth::Lost)
-            h = telemetry::UnitHealth::Lost;
         const auto [it, inserted] = worst.emplace(owner->second, h);
         if (!inserted && h > it->second)
             it->second = h;

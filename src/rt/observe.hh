@@ -111,15 +111,12 @@ class Observability
      *  budget, and answer pending scrapes. */
     void endPeriod();
 
-    /** Audit one split (committed + reserved <= granted), logging a
-     *  SafetyViolation event when it fails. */
-    void audit(std::uint32_t epoch, const std::string &subject,
-               Watts granted, Watts committed, Watts reserved);
-
-    /** Audit a fragment's computed split per tree ("<tree>@<who>"). */
+    /** Check a fragment's computed split with topo::overloads(), per
+     *  tree it split, from its grant; each station over its bound
+     *  counts a violation and logs a SafetyViolation event
+     *  ("<tree>.<station>@<who>", watts over). */
     void auditSplit(std::uint32_t epoch, const topo::PowerSystem &system,
-                    const std::string &who, const AggregatorRole &agg,
-                    const std::vector<AggregatorRole::DownMsg> &downs);
+                    const std::string &who, const AggregatorRole &agg);
 
     /** Roll a fragment's gather outcome up per child worker "w<ep>",
      *  at its worst station's state; a child in @p overrides (the

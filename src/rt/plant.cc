@@ -135,7 +135,7 @@ closePlantPeriods(std::vector<Plant> &plants,
             // Pin the leaf floor to the config-nominal share while the
             // supply is live. Demand and constraint stay measured, but
             // the floor must not wobble with sensor noise: the §4.5
-            // fallback and the room's degraded-mode reserve are both
+            // fallback and the floor a lost edge enters the merge as are both
             // defined on the nominal floor, and an allocation granted
             // from a noise-lowered measured floor could otherwise end
             // up a watt below the fallback the rack applies when the

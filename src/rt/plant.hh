@@ -110,7 +110,7 @@ void applyPlantBudgets(std::vector<Plant> &plants,
  * process computes bit-identical values — the contract that makes
  * degraded-mode budgeting safe at every hop: a leaf's unilateral
  * fallback never exceeds this floor, and whichever hop stops budgeting
- * a subtree reserves exactly the floors beneath it.
+ * a subtree enters exactly the floors beneath it into its merge.
  */
 std::map<std::pair<std::size_t, topo::NodeId>, Watts>
 nominalEdgeFloors(const topo::PowerSystem &system,

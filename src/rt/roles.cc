@@ -115,10 +115,7 @@ void
 RoleTable::frameDown(Aggregator &agg, std::uint32_t epoch, Sends &out)
 {
     const auto downs = agg.role.computeDown(stats_);
-    if (obs_.on()) {
-        obs_.auditSplit(epoch, *scenario_.system, agg.name, agg.role,
-                        downs);
-    }
+    obs_.auditSplit(epoch, *scenario_.system, agg.name, agg.role);
     for (const AggregatorRole::DownMsg &down : downs) {
         const net::FrameMeta meta = stamp(agg.ep, epoch);
         out.push_back({agg.ep, down.child,

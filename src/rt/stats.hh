@@ -26,7 +26,7 @@ struct RuntimeStats
     /** Room/aggregator: stations served from the stale-metrics cache. */
     std::size_t staleReuses = 0;
     /** Room/aggregator: stations with no usable metrics at the
-     *  deadline (their nominal floor is reserved instead). */
+     *  deadline (they enter the merge as their nominal floor). */
     std::size_t metricsLost = 0;
     /** Room: workers declared dead by heartbeat silence. */
     std::size_t failovers = 0;

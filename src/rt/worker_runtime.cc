@@ -856,7 +856,7 @@ WorkerRuntime::membershipTick(std::uint32_t epoch)
     // gate is satisfied. Joins additionally hold the minimum shadow
     // window so the unit demonstrably rides the clamp before its first
     // real grant; drains commit on the ack alone (the floor stays
-    // reserved until the *Left* generation is acked, checked by
+    // counted until the *Left* generation is acked, checked by
     // membershipFloorReleased()).
     std::vector<std::uint16_t> ready;
     for (const auto &[ep, entry] : roles_.membership().entries()) {
@@ -895,18 +895,6 @@ WorkerRuntime::membershipTick(std::uint32_t epoch)
     gauges_.membershipPending.set(static_cast<double>(
         table.countOf(membership::UnitState::Joining)
         + table.countOf(membership::UnitState::Draining)));
-
-    // Context for the safety auditor: how many units the reserved
-    // floors cover for elasticity (shadow) reasons this period.
-    std::uint64_t shadowed = 0;
-    for (const auto &[ep, entry] : table.entries()) {
-        if (entry.state == membership::UnitState::Joining
-            || entry.state == membership::UnitState::Draining
-            || (entry.state == membership::UnitState::Left
-                && !membershipFloorReleased(ep)))
-            ++shadowed;
-    }
-    obs_.auditor().noteShadowUnits(shadowed);
 }
 
 void

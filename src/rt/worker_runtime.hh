@@ -26,7 +26,7 @@
  *          defaults, the replay and shadow clamps, the PI loops).
  *   room:  the plan's root, an AggregatorRole like every deeper root:
  *          collect metrics until the gather deadline, run the §4.5
- *          stale -> lost -> reserve ladder and the upper-tree
+ *          stale -> lost -> floor ladder and the upper-tree
  *          controllers, then send per-edge budgets with the same blind
  *          bounded retransmission.
  *
@@ -66,8 +66,8 @@
  * root's per-epoch view of its leaf children
  * (AggregatorRole::setChildViews). A Dead or Left rack is not waited
  * for; a non-Live instance is untrusted (its metrics are neither used
- * nor cached, its floor is reserved); a rack outside the committed
- * membership skips the ladder and keeps its floor reserved until its
+ * nor cached, it enters as its floor); a rack outside the committed
+ * membership skips the ladder and keeps its floor counted until its
  * departure is acked. Aggregator children get no view: one that is
  * absent or drained still runs, and so do the racks below it.
  *
@@ -91,7 +91,7 @@
  * receiver's gather closes at window start + k x gatherDeadlineMs and
  * budgets cascade back down symmetrically — with no aggLevels this
  * degenerates to the 2-level schedule above. Every hop runs the same
- * stale -> reserve ladder; interior aggregators are stateless and run
+ * stale -> floor ladder; interior aggregators are stateless and run
  * no liveness (see rt/aggregator.hh for the recovery contract).
  *
  * Roles, stamping, framing and routing are the rt::RoleTable's
@@ -297,19 +297,19 @@ class WorkerRuntime
     /**
      * Root only: announce @p endpoint as Joining (phase one of the
      * two-phase adopt). The unit runs shadow periods — metrics up,
-     * grants clamped to the Pcap_min floor, floor reserved — until the
+     * grants clamped to the Pcap_min floor, floor counted — until the
      * commit gate (current-generation ack + the minimum shadow window)
      * promotes it to Live. Returns true when the table changed.
      */
     bool membershipBeginJoin(std::uint32_t endpoint);
 
     /** Root only: announce @p endpoint as Draining (reverse handshake;
-     *  floor stays reserved until the unit acks the Left commit). */
+     *  floor stays counted until the unit acks the Left commit). */
     bool membershipBeginDrain(std::uint32_t endpoint);
 
     /**
      * Root only, before the first period: mark @p endpoint as not yet
-     * deployed (Left, since generation 0 — no floor is reserved and no
+     * deployed (Left, since generation 0 — no floor is counted and no
      * broadcast targets it). The endpoint keeps its slot in the peer
      * table; membershipBeginJoin() brings it in later.
      */
@@ -503,7 +503,7 @@ class WorkerRuntime
     // ---- membership plane helpers (epoch-free: the generation is the
     // membership clock; frames are accepted regardless of their epoch)
     /** Root: the unit is Left and either acked that state or was never
-     *  deployed — its nominal floor is no longer reserved. */
+     *  deployed — its nominal floor is no longer counted. */
     bool membershipFloorReleased(std::uint16_t endpoint) const;
     /** Root: @p endpoint still needs the current snapshot. */
     bool membershipBroadcastTarget(std::uint16_t endpoint) const;

@@ -119,12 +119,14 @@ ClosedLoopSim::failFeedAt(Seconds t, int feed, Watts total_per_phase)
         system_->failFeed(feed);
         for (auto &plant : plants_) {
             // Feed failure kills the corresponding supply on every
-            // dual-corded server (supply index == feed by convention).
+            // dual-corded server (supply index == feed by convention),
+            // a parked hot spare included: it must not wake onto a dead
+            // feed, and a server whose active supply dies wakes it.
             if (static_cast<std::size_t>(feed)
                     < plant.server->supplyCount()
                 && plant.server->supplyState(
                        static_cast<std::size_t>(feed))
-                       == dev::SupplyState::Ok) {
+                       != dev::SupplyState::Failed) {
                 plant.server->setSupplyState(
                     static_cast<std::size_t>(feed),
                     dev::SupplyState::Failed);

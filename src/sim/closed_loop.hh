@@ -123,7 +123,9 @@ class ClosedLoopSim
     /** Schedule a callback at simulated time @p t (>= now). */
     void at(Seconds t, std::function<void()> event);
 
-    /** Schedule a feed failure; root budgets are re-derived from
+    /** Schedule a feed failure: the feed's supply fails on every
+     *  server, a parked hot spare included (a server whose active
+     *  supply dies wakes its spare); root budgets are re-derived from
      *  @p total_per_phase at that moment. */
     void failFeedAt(Seconds t, int feed, Watts total_per_phase);
 
@@ -145,7 +147,8 @@ class ClosedLoopSim
      * @p ups_holdup seconds (the ATS transfer window of §2.1):
      * disturbances within the holdup never reach the servers; longer
      * ones turn into a real feed failure after the holdup expires and
-     * the feed (plus its supplies) recovers when the disturbance ends.
+     * the feed (plus its supplies) recovers when the disturbance ends;
+     * a hot spare woken by the failure parks again at light load.
      * Budgets are re-derived from @p total_per_phase at each change.
      */
     void utilityBlipAt(Seconds t, int feed, Seconds duration,

@@ -1,7 +1,6 @@
 #include "telemetry/health.hh"
 
 #include <algorithm>
-#include <cmath>
 
 namespace capmaestro::telemetry {
 
@@ -144,33 +143,31 @@ SafetyAuditor::setTelemetry(Registry *registry, const Labels &labels)
         return;
     auditsCounter_ = registry->counter(
         "capmaestro_safety_audits_total", labels,
-        "Per-period budget-conservation checks performed");
+        "Scopes (one fragment of one tree) checked per period: every "
+        "station's load against min(derated limit, the scope's grant)");
     violationsCounter_ = registry->counter(
         "capmaestro_safety_violations_total", labels,
-        "Periods where committed budgets plus reserved floors "
-        "exceeded the fragment's grant");
+        "Stations whose load exceeded min(derated limit, the scope's "
+        "grant) in a period");
 }
 
-bool
-SafetyAuditor::audit(std::uint32_t epoch, const std::string &subject,
-                     double granted, double committed, double reserved)
+void
+SafetyAuditor::audit()
 {
     ++auditCount_;
     auditsCounter_.inc();
-    const double limit =
-        granted + tolerance_ * std::max(1.0, std::fabs(granted));
-    const double total = committed + reserved;
-    if (total <= limit)
-        return true;
+}
+
+void
+SafetyAuditor::violation(std::uint32_t epoch, const std::string &subject,
+                         double overdraw)
+{
     ++violationCount_;
     violationsCounter_.inc();
-    const double overdraw = total - granted;
     if (overdraw > worstOverdraw_) {
         worstOverdraw_ = overdraw;
-        worstSubject_ =
-            subject + "@epoch" + std::to_string(epoch);
+        worstSubject_ = subject + "@epoch" + std::to_string(epoch);
     }
-    return false;
 }
 
 util::Json
@@ -182,8 +179,6 @@ SafetyAuditor::toJson() const
     out.emplace("violations",
                 util::Json(static_cast<double>(violationCount_)));
     out.emplace("worstOverdrawWatts", util::Json(worstOverdraw_));
-    out.emplace("shadowUnits",
-                util::Json(static_cast<double>(shadowUnits_)));
     if (!worstSubject_.empty())
         out.emplace("worstSubject", util::Json(worstSubject_));
     return util::Json(std::move(out));

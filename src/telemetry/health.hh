@@ -4,23 +4,22 @@
  *
  * FleetHealthRegistry folds the per-period signals the root (or any
  * aggregator) already produces — fresh metrics, stale-cache reuse,
- * exclusion with floor reservation, re-homing — into one health state
+ * exclusion as floors, re-homing — into one health state
  * per observed unit (a child worker, or a leaf station): the §4.5
  * degradation ladder made operational as live/stale/lost/rehoming.
  * The rollup is exported three ways: gauges on a telemetry Registry
  * (one per state, plus the degraded fraction), a JSON document for the
  * /healthz endpoint, and plain accessors for tests and capmaestro_top.
  *
- * SafetyAuditor re-checks, every period, the invariant the whole paper
- * rests on: the budgets a fragment commits downstream plus the floors
- * it reserved for excluded subtrees must never exceed what the
- * fragment itself was granted. The control plane is *believed* to
- * enforce this by construction; the auditor verifies it online, after
- * the fact, from the committed numbers — so a regression anywhere in
- * the allocator or the degraded-mode bookkeeping surfaces as a
+ * SafetyAuditor counts, every period, the checks of the invariant the
+ * whole paper rests on — no station's load exceeds min(its derated
+ * limit, the grant at the top of the checked scope) — and the stations
+ * found over their bound. The check itself is topo::overloads(), run
+ * by each aggregating role over its own fragment; the auditor keeps
+ * the counters and the worst overdraw, so a regression anywhere in the
+ * allocator or the degraded-mode bookkeeping surfaces as a
  * monotonically increasing `capmaestro_safety_violations_total`
- * rather than a silent overdraw of a breaker. A small relative
- * tolerance absorbs floating-point accumulation across the split.
+ * rather than a silent overdraw of a breaker.
  *
  * Both classes are passive data holders driven by the runtime layer;
  * neither takes locks nor allocates on the per-period path beyond the
@@ -46,7 +45,7 @@ enum class UnitHealth : std::uint8_t
     Live,
     /** Riding the stale-metrics cache. */
     Stale,
-    /** Excluded: floor reserved, subtree on its own defaults. */
+    /** Excluded: entered as its floor, subtree on its own defaults. */
     Lost,
     /** The 2-level room is re-homing this unit's plant state. */
     Rehoming,
@@ -114,16 +113,10 @@ class FleetHealthRegistry
     Gauge degradedGauge_;
 };
 
-/** Online re-check of the budget-conservation invariant. */
+/** Counters of the online per-station safety check. */
 class SafetyAuditor
 {
   public:
-    /** @p relative_tolerance absorbs float accumulation (of grant). */
-    explicit SafetyAuditor(double relative_tolerance = 1e-9)
-        : tolerance_(relative_tolerance)
-    {
-    }
-
     /**
      * Register counters capmaestro_safety_audits_total and
      * capmaestro_safety_violations_total on @p registry (null drops
@@ -131,30 +124,19 @@ class SafetyAuditor
      */
     void setTelemetry(Registry *registry, const Labels &labels);
 
+    /** Count one scope checked for one period. */
+    void audit();
+
     /**
-     * Audit one fragment/tree for one period: @p committed (budgets
-     * sent downstream) plus @p reserved (floors held back for excluded
-     * subtrees) must not exceed @p granted. Returns true when the
-     * invariant holds; false records a violation (counter + the
-     * worst-overdraw bookkeeping, subject retained for /healthz).
+     * Count one station found over its bound by @p overdraw watts in
+     * @p epoch, keeping the worst overdraw and its subject for
+     * /healthz.
      */
-    bool audit(std::uint32_t epoch, const std::string &subject,
-               double granted, double committed, double reserved);
+    void violation(std::uint32_t epoch, const std::string &subject,
+                   double overdraw);
 
     std::uint64_t audits() const { return auditCount_; }
     std::uint64_t violations() const { return violationCount_; }
-
-    /**
-     * Record how many units the current period's reserved floors cover
-     * because of membership shadowing (Joining/Draining, or Left but
-     * not yet acked) rather than degradation — so a reader of /healthz
-     * can tell an elasticity floor from a failure floor. Purely
-     * contextual; audit() math is unchanged.
-     */
-    void noteShadowUnits(std::uint64_t count) { shadowUnits_ = count; }
-
-    /** Units currently floor-reserved for membership reasons. */
-    std::uint64_t shadowUnits() const { return shadowUnits_; }
 
     /** Largest overdraw seen, watts (0 when clean). */
     double worstOverdrawWatts() const { return worstOverdraw_; }
@@ -166,12 +148,10 @@ class SafetyAuditor
     util::Json toJson() const;
 
   private:
-    double tolerance_;
     std::uint64_t auditCount_ = 0;
     std::uint64_t violationCount_ = 0;
     double worstOverdraw_ = 0.0;
     std::string worstSubject_;
-    std::uint64_t shadowUnits_ = 0;
     Counter auditsCounter_;
     Counter violationsCounter_;
 };

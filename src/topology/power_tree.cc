@@ -1,5 +1,6 @@
 #include "topology/power_tree.hh"
 
+#include <algorithm>
 #include <set>
 
 #include "util/logging.hh"
@@ -174,6 +175,40 @@ PowerTree::validate() const
         }
     });
     return ports;
+}
+
+namespace {
+
+/** Load beneath station @p id against @p bound; appends the overloaded
+ *  stations of its subtree to @p out in pre-order. */
+Watts
+loadBeneath(const PowerTree &tree, NodeId id, Watts bound,
+            const std::map<NodeId, Watts> &applied,
+            std::vector<Overload> &out)
+{
+    const std::size_t at = out.size();
+    const auto own = applied.find(id);
+    Watts load = own != applied.end() ? own->second : 0.0;
+    if (own == applied.end()) {
+        for (const NodeId c : tree.node(id).children)
+            load += loadBeneath(tree, c, tree.node(c).limit(), applied, out);
+    }
+    if (!(load <= bound + std::max(1e-6, 1e-9 * bound)))
+        out.insert(out.begin() + static_cast<std::ptrdiff_t>(at),
+                   {id, load, bound});
+    return load;
+}
+
+} // namespace
+
+std::vector<Overload>
+overloads(const PowerTree &tree, NodeId top, Watts top_budget,
+          const std::map<NodeId, Watts> &applied)
+{
+    std::vector<Overload> out;
+    loadBeneath(tree, top, std::min(tree.node(top).limit(), top_budget),
+                applied, out);
+    return out;
 }
 
 } // namespace capmaestro::topo

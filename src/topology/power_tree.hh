@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -158,6 +159,32 @@ class PowerTree
     NodeId allocate(NodeId parent, NodeKind kind, const std::string &name,
                     Watts rating, Fraction derate);
 };
+
+/** One station whose load exceeds its bound (see overloads()). */
+struct Overload
+{
+    NodeId node = kNoNode;
+    /** Watts applied beneath the station. */
+    Watts load = 0.0;
+    /** limit(); at the scope's top, min(limit(), its budget). */
+    Watts bound = 0.0;
+};
+
+/**
+ * DESIGN.md invariants 1-2 as one predicate: the stations of a scope
+ * whose load exceeds their bound. The scope is @p tree from @p top down
+ * to the stations named in @p applied, each with the watts it applies
+ * (a budget, a Pcap_min default, or the floor a silent unit rides). A
+ * station's load is its own applied watts, else the sum of its
+ * children's loads; its bound is limit(), and at @p top
+ * min(limit(), @p top_budget). A relative tolerance of 1e-9 (at least
+ * 1e-6 W) absorbs float accumulation; a NaN load always overloads.
+ *
+ * @return every overloaded station, in pre-order (empty: safe)
+ */
+std::vector<Overload> overloads(const PowerTree &tree, NodeId top,
+                                Watts top_budget,
+                                const std::map<NodeId, Watts> &applied);
 
 } // namespace capmaestro::topo
 

@@ -11,6 +11,7 @@
 
 #include "control/allocator.hh"
 #include "policy/policy.hh"
+#include "test_support.hh"
 #include "topology/power_system.hh"
 #include "util/random.hh"
 
@@ -359,20 +360,14 @@ TEST(FleetAllocator, BudgetsRespectEveryBreaker)
         const auto result =
             alloc.allocate(fleet, {1200.0, 1200.0}, rng.chance(0.5));
 
-        // Per-tree: sum of leaf budgets under each CB <= its limit.
+        // Per-tree: every CB within its limit, the tree within 1200 W.
         for (std::size_t t = 0; t < alloc.treeCount(); ++t) {
-            const auto &ct = alloc.tree(t);
-            const auto &topo_tree = ct.topoTree();
-            const auto &top = topo_tree.node(topo_tree.root());
-            double top_sum = 0.0;
-            for (const auto cb : top.children) {
-                double cb_sum = 0.0;
-                for (const auto leaf : topo_tree.node(cb).children)
-                    cb_sum += ct.nodeBudget(leaf);
-                EXPECT_LE(cb_sum, topo_tree.node(cb).limit() + 1e-6);
-                top_sum += cb_sum;
-            }
-            EXPECT_LE(top_sum, 1200.0 + 1e-6);
+            const auto &topo_tree = alloc.tree(t).topoTree();
+            EXPECT_EQ(test_support::overloadReport(
+                          topo_tree, topo_tree.root(), 1200.0,
+                          test_support::leafBudgets(alloc.tree(t))),
+                      "")
+                << "tree " << t << " trial " << trial;
         }
         (void)result;
     }

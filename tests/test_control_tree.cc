@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 
 #include "control/control_tree.hh"
+#include "test_support.hh"
 #include "topology/power_tree.hh"
 #include "util/random.hh"
 
@@ -144,13 +147,9 @@ TEST(ControlTree, ChildBudgetsNeverExceedParent)
         ct.gather();
         ct.allocate(rng.uniform(1000.0, 2000.0));
 
-        const auto &top = topo_tree->node(topo_tree->root());
-        for (const auto cb : top.children) {
-            Watts child_sum = 0.0;
-            for (const auto leaf : topo_tree->node(cb).children)
-                child_sum += ct.nodeBudget(leaf);
-            EXPECT_LE(child_sum, ct.nodeBudget(cb) + 1e-6);
-            EXPECT_LE(child_sum, topo_tree->node(cb).limit() + 1e-6);
+        for (const auto cb : topo_tree->node(topo_tree->root()).children) {
+            EXPECT_EQ(test_support::splitReport(ct, cb, ct.nodeBudget(cb)), "")
+                << "trial " << trial;
         }
     }
 }
@@ -172,6 +171,36 @@ TEST(ControlTree, DeadLeafGetsNothing)
     // The leftover after SA contests between SC and SD equally.
     EXPECT_NEAR(ct.leafBudget({2, 0}), 375.0, 0.5);
     EXPECT_NEAR(ct.leafBudget({3, 0}), 375.0, 0.5);
+}
+
+TEST(ControlTree, NonFiniteLeafInputIsRefused)
+{
+    // A NaN or infinite field would poison every split of the tree:
+    // setLeafInput refuses it and the leaf keeps its last input, while
+    // a dead input carries no watts and is always taken.
+    auto topo_tree = makeFig2Tree();
+    ControlTree ct(*topo_tree, TreePolicy::globalPriority());
+    setTable1Inputs(ct);
+    ct.gather();
+    ct.allocate(1240.0);
+    const Watts before = ct.leafBudget({0, 0});
+    for (const Watts bad : {std::numeric_limits<Watts>::infinity(),
+                            std::numeric_limits<Watts>::quiet_NaN()}) {
+        for (Watts LeafInput::*field :
+             {&LeafInput::capMin, &LeafInput::demand,
+              &LeafInput::constraint}) {
+            LeafInput in = table1Input(true);
+            in.*field = bad;
+            EXPECT_FALSE(ct.setLeafInput({0, 0}, in));
+            in.live = false;
+            EXPECT_TRUE(in.finite());
+        }
+    }
+    ct.gather();
+    ct.allocate(1240.0);
+    EXPECT_EQ(ct.leafBudget({0, 0}), before);
+    for (std::int32_t s = 1; s < 4; ++s)
+        EXPECT_TRUE(std::isfinite(ct.leafBudget({s, 0})));
 }
 
 TEST(ControlTree, UninitializedLeavesAreDead)

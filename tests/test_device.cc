@@ -472,6 +472,12 @@ class ReferenceServer
     void setSupplyState(std::size_t s, cd::SupplyState state)
     {
         states_[s] = state;
+        if (state == cd::SupplyState::Failed && workingSupplies() == 0) {
+            for (auto &st : states_) {
+                if (st == cd::SupplyState::Standby)
+                    st = cd::SupplyState::Ok;
+            }
+        }
     }
 
     cd::SupplyState supplyState(std::size_t s) const { return states_[s]; }
@@ -762,13 +768,15 @@ TEST(ServerModel, CachedPowerFollowsDarkServerAndStandby)
     EXPECT_EQ(model.workingSupplies(), 2u);
 
     // A standby wake that ends a dark spell must refresh the power.
+    // (Failing the last Ok supply wakes a parked one at once, so the
+    // dark spell comes from parking the last Ok supply.)
     spec.standbyThreshold = 0.0;
     cd::ServerModel waking(spec);
     ReferenceServer waking_ref(spec);
-    waking.setSupplyState(0, cd::SupplyState::Standby);
     waking.setSupplyState(1, cd::SupplyState::Failed);
-    waking_ref.setSupplyState(0, cd::SupplyState::Standby);
+    waking.setSupplyState(0, cd::SupplyState::Standby);
     waking_ref.setSupplyState(1, cd::SupplyState::Failed);
+    waking_ref.setSupplyState(0, cd::SupplyState::Standby);
     expectSameAsReference(waking, waking_ref);
     EXPECT_EQ(waking.actualAc(), 0.0);
     waking.setUtilization(0.6);

@@ -13,6 +13,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <map>
+#include <memory>
 
 #include "control/control_tree.hh"
 #include "core/distributed.hh"
@@ -21,6 +24,7 @@
 #include "net/wire.hh"
 #include "sim/datacenter.hh"
 #include "sim/scenario.hh"
+#include "test_support.hh"
 #include "util/random.hh"
 
 using namespace capmaestro;
@@ -46,6 +50,22 @@ randomInputs(const topo::PowerSystem &system, util::Rng &rng)
     }
     return out;
 }
+
+/** A lossless plane on which rack 0's frames never reach the room. */
+class DeafRoom : public net::SimTransport
+{
+  public:
+    explicit DeafRoom(Endpoint room) : room_(room) {}
+    void send(Endpoint from, Endpoint to,
+              std::vector<std::uint8_t> frame) override
+    {
+        if (from != 0 || to != room_)
+            SimTransport::send(from, to, std::move(frame));
+    }
+
+  private:
+    Endpoint room_;
+};
 
 } // namespace
 
@@ -365,24 +385,46 @@ TEST(MessagePlane, PartitionedRackRidesStaleThenDefaults)
 
 TEST(MessagePlane, NonFiniteLeafDemandNeverReachesTheMerge)
 {
-    // A leaf whose demand is NaN makes its rack's Metrics summary
-    // non-finite. The room drops that frame as corrupt (the edge rides
-    // its stale -> lost ladder), so the §4.3 merge never sees the NaN
-    // and every applied budget stays finite.
+    // Twice guarded. A leaf input whose demand is NaN is refused at
+    // setLeafInput (the leaf keeps its last finite input), and a
+    // Metrics summary that turns non-finite on the way (here rack 0's,
+    // rewritten in flight with a valid CRC) is dropped by the room as
+    // corrupt: the edge rides its stale -> lost ladder, so the §4.3
+    // merge never sees the NaN and every applied budget stays finite.
+    class Poison : public net::SimTransport
+    {
+      public:
+        void send(Endpoint from, Endpoint to,
+                  std::vector<std::uint8_t> frame) override
+        {
+            auto decoded = net::decodeFrame(frame);
+            if (from == 0 && decoded
+                && decoded->type == net::MsgType::Metrics) {
+                decoded->metrics.metrics.classes().front().demand =
+                    std::nan("");
+                frame = net::encodeMetrics(
+                    {decoded->sender, decoded->epoch, decoded->seq},
+                    decoded->metrics);
+            }
+            SimTransport::send(from, to, std::move(frame));
+        }
+    };
     auto sys = sim::fig2System();
     for (const auto policy :
          {ctrl::TreePolicy::globalPriority(),
           ctrl::TreePolicy::localPriority(),
           ctrl::TreePolicy::noPriority()}) {
-        net::SimTransport transport;
+        Poison transport;
         DistributedControlPlane dist(*sys, policy, transport);
         util::Rng rng(31);
         auto inputs = randomInputs(*sys, rng);
-        for (auto &[ref, in] : inputs)
+        for (auto &[ref, in] : inputs) {
             in.live = true;
-        inputs.front().second.demand = std::nan("");
-        for (const auto &[ref, in] : inputs)
-            dist.setLeafInput(ref, in);
+            EXPECT_TRUE(dist.setLeafInput(ref, in));
+        }
+        ctrl::LeafInput bad = inputs.front().second;
+        bad.demand = std::nan("");
+        EXPECT_FALSE(dist.setLeafInput(inputs.front().first, bad));
 
         for (int period = 1; period <= 4; ++period) {
             SCOPED_TRACE("period " + std::to_string(period));
@@ -397,6 +439,37 @@ TEST(MessagePlane, NonFiniteLeafDemandNeverReachesTheMerge)
                     << "supply " << ref.server << "." << ref.supply;
             }
         }
+    }
+}
+
+TEST(Distributed, NonFiniteLeafInputKeepsTheLastFiniteOne)
+{
+    // One +inf demand would make its edge's waterfill weight infinite
+    // and every budget of that edge NaN. The rack refuses it, so the
+    // direct plane keeps allocating from the leaf's last finite input.
+    auto sys = sim::fig2System();
+    DistributedControlPlane dist(*sys, ctrl::TreePolicy::globalPriority());
+    util::Rng rng(31);
+    auto inputs = randomInputs(*sys, rng);
+    for (auto &[ref, in] : inputs) {
+        in.live = true;
+        dist.setLeafInput(ref, in);
+    }
+    dist.iterate({1200.0});
+    std::vector<Watts> before;
+    for (const auto &[ref, in] : inputs)
+        before.push_back(dist.leafBudget(ref));
+
+    ctrl::LeafInput inf = inputs.front().second;
+    inf.demand = std::numeric_limits<Watts>::infinity();
+    dist.setLeafInput(inputs.front().first, inf);
+    dist.iterate({1200.0});
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        const auto &ref = inputs[i].first;
+        EXPECT_TRUE(std::isfinite(dist.leafBudget(ref)))
+            << "supply " << ref.server << "." << ref.supply;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(dist.leafBudget(ref)),
+                  std::bit_cast<std::uint64_t>(before[i]));
     }
 }
 
@@ -460,22 +533,8 @@ TEST(MessagePlane, LostEdgeRidesItsFloorsInsideTheRootBudget)
     // Rack 0's metrics never reach the room, but the room still reaches
     // rack 0. With nothing cached the edge is lost from period 1, so
     // the room sends it no budget: its leaves ride their Pcap_min
-    // default. The room reserves that default before it splits the
-    // rest, so the congested tree stays inside its root budget.
-    class DeafRoom : public net::SimTransport
-    {
-      public:
-        explicit DeafRoom(Endpoint room) : room_(room) {}
-        void send(Endpoint from, Endpoint to,
-                  std::vector<std::uint8_t> frame) override
-        {
-            if (from != 0 || to != room_)
-                SimTransport::send(from, to, std::move(frame));
-        }
-
-      private:
-        Endpoint room_;
-    };
+    // default. That default enters the room's merge as the edge's
+    // floor, so the congested tree stays inside its root budget.
     auto sys = sim::fig2System();
     const auto room = static_cast<net::Transport::Endpoint>(
         DistributedControlPlane::rackWorkerCountFor(*sys));
@@ -514,6 +573,58 @@ TEST(MessagePlane, LostEdgeRidesItsFloorsInsideTheRootBudget)
         for (const auto &[key, in] : inputs)
             total += dist.leafBudget({key.first, key.second});
         EXPECT_LE(total, budget + 1e-9);
+    }
+}
+
+TEST(MessagePlane, LostCduFloorsCountAgainstTheirRpp)
+{
+    // A 600 W RPP (750 W derated 0.8) over two CDUs. Rack 0's metrics
+    // never reach the room, so CDU 0 is lost from period 1 and rides
+    // its 2 x 120 W floors. Those floors enter the room's merge, so
+    // the RPP grants CDU 1 only the rest of its limit: no station
+    // carries more than min(limit, root budget).
+    auto sys = std::make_unique<topo::PowerSystem>(1);
+    auto tree = std::make_unique<topo::PowerTree>(0, 0, "X");
+    const auto top =
+        tree->makeRoot(topo::NodeKind::Transformer, "top", 2000.0);
+    const auto rpp =
+        tree->addChild(top, topo::NodeKind::Rpp, "rpp", 750.0, 0.8);
+    const topo::NodeId cdus[2] = {
+        tree->addChild(rpp, topo::NodeKind::Cdu, "cdu0", 1000.0),
+        tree->addChild(rpp, topo::NodeKind::Cdu, "cdu1", 1000.0)};
+    for (std::int32_t s = 0; s < 4; ++s) {
+        tree->addSupplyPort(cdus[s / 2], "S" + std::to_string(s),
+                            {s, 0});
+    }
+    sys->addTree(std::move(tree));
+    const topo::PowerTree &t = sys->tree(0);
+
+    const auto room = static_cast<net::Transport::Endpoint>(
+        DistributedControlPlane::rackWorkerCountFor(*sys));
+    ASSERT_EQ(room, 2u);
+    DeafRoom transport(room);
+    DistributedControlPlane dist(*sys, ctrl::TreePolicy::globalPriority(),
+                                 transport);
+    for (std::int32_t s = 0; s < 4; ++s) {
+        ctrl::LeafInput in;
+        in.capMin = 120.0;
+        in.demand = 400.0;
+        in.constraint = 450.0;
+        dist.setLeafInput({s, 0}, in);
+    }
+
+    for (int period = 1; period <= 3; ++period) {
+        SCOPED_TRACE("period " + std::to_string(period));
+        const auto stats = dist.iterate({2000.0});
+        EXPECT_EQ(stats.metricsLost, 1u);
+        EXPECT_EQ(stats.defaultBudgets, 1u);
+        std::map<topo::NodeId, Watts> applied;
+        for (std::int32_t s = 0; s < 4; ++s)
+            applied[cdus[s / 2]] += dist.leafBudget({s, 0});
+        EXPECT_NEAR(applied[cdus[0]], 240.0, 1e-9);
+        EXPECT_EQ(test_support::overloadReport(t, top, 2000.0, applied),
+                  "");
+        EXPECT_NEAR(applied[cdus[1]], 360.0, 1e-9);
     }
 }
 

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -155,6 +156,7 @@ TEST(Failover, SimChaosNeverViolatesBudgetsAndRehomesEveryRestart)
     EXPECT_EQ(report.epochsRun, 35u);
     // The headline §4.5 claim: zero budget violations under chaos.
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
     // Both kill/restart cycles completed a re-homing handshake.
     EXPECT_EQ(report.recoveries, 2u);
     EXPECT_EQ(report.unrecovered, 0u);
@@ -205,6 +207,7 @@ TEST(Failover, PartitionHealDeclinesReplayAndKeepsLocalState)
     const auto report = dep.run(16);
 
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
     const auto &room = dep.room().stats();
     EXPECT_EQ(room.failovers, 1u);
     EXPECT_EQ(room.rehomed, 1u);
@@ -241,6 +244,7 @@ TEST(Failover, SimSameSeedRunsAreBitReproducible)
     const auto second = run_once();
 
     EXPECT_EQ(first.violations, 0u) << first.firstViolation;
+    EXPECT_EQ(first.onlineViolations, first.violations);
     EXPECT_EQ(first.recoveries, 4u);
     EXPECT_EQ(first.unrecovered, 0u);
     ASSERT_EQ(first.log.size(), second.log.size());
@@ -263,6 +267,7 @@ TEST(Failover, UdpChaosNeverViolatesBudgetsAndRehomesEveryRestart)
     const auto report = dep.run(35);
 
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_EQ(report.recoveries, 2u);
     EXPECT_EQ(report.unrecovered, 0u);
     EXPECT_LE(report.maxRecoveryPeriods, 8u);
@@ -293,6 +298,7 @@ TEST(Failover, SimLossyTransportStillRehomes)
     const auto report = dep.run(45);
 
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_EQ(report.recoveries, 2u);
     EXPECT_EQ(report.unrecovered, 0u);
     EXPECT_LE(report.maxRecoveryPeriods, 10u);
@@ -380,6 +386,7 @@ TEST(DeepChaos, MidTierAggregatorKillStaysSafeOnSim)
     EXPECT_EQ(report.epochsRun, 20u);
     // The headline claim: zero budget violations across the outage.
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
 
     // The root rode the stale cache before excluding the station.
     EXPECT_GE(dep.room().stats().staleReuses, 1u);
@@ -422,6 +429,7 @@ TEST(DeepChaos, AggregatorOutsideTheMembershipKeepsItsFloorReserved)
     const auto report = dep.run(16);
 
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_EQ(dep.room().membership().state(5),
               membership::UnitState::Left);
     // Every rack kept getting real budgets through both aggregators.
@@ -451,6 +459,7 @@ TEST(DeepChaos, SimSameSeedDeepRunsAreBitReproducible)
     const auto second = run_once();
 
     EXPECT_EQ(first.violations, 0u) << first.firstViolation;
+    EXPECT_EQ(first.onlineViolations, first.violations);
     ASSERT_EQ(first.log.size(), second.log.size());
     for (std::size_t i = 0; i < first.log.size(); ++i)
         ASSERT_EQ(first.log[i], second.log[i]) << "epoch line " << i;
@@ -469,6 +478,7 @@ TEST(DeepChaos, MidTierAggregatorKillStaysSafeOnUdp)
     const auto report = dep.run(18);
 
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
     std::size_t defaults = 0;
     for (std::size_t r = 0; r < dep.rackCount(); ++r)
         defaults += dep.rack(r)->stats().defaultBudgets;
@@ -497,6 +507,7 @@ TEST(DeepChaos, LossyDeepTransportStaysSafe)
 
     EXPECT_EQ(report.epochsRun, 30u);
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
 }
 
 // ------------------------------------------ elasticity (membership)
@@ -552,6 +563,7 @@ TEST(Elasticity, SimJoinDrainRollingUpgradeStaysSafeAndBitReproducible)
         generation = dep.room().membershipGeneration();
 
         EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+        EXPECT_EQ(report.onlineViolations, report.violations);
         EXPECT_EQ(report.drained, 1u);
         const auto &table = dep.room().membership();
         EXPECT_EQ(table.state(2), membership::UnitState::Live);
@@ -594,6 +606,7 @@ TEST(Elasticity, UdpJoinDrainRollingUpgradeStaysSafe)
     const auto report = dep.run(50);
 
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_EQ(report.drained, 1u);
     const auto &table = dep.room().membership();
     EXPECT_EQ(table.state(2), membership::UnitState::Live);
@@ -622,6 +635,7 @@ TEST(Elasticity, TwoLevelRootJoinsAndDrainsItsOwnRacks)
     const auto report = dep.run(24);
 
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_EQ(report.drained, 1u);
     const auto &table = dep.room().membership();
     EXPECT_EQ(table.state(1), membership::UnitState::Live);
@@ -655,6 +669,7 @@ TEST(Elasticity, StaticMembershipLeavesTheTraceFormatUntouched)
     const auto report = dep.run(60);
 
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_EQ(dep.room().membershipGeneration(), 1u);
     EXPECT_EQ(dep.room().stats().membershipDeltasSent, 0u);
     EXPECT_EQ(dep.room().stats().membershipCommits, 0u);
@@ -747,8 +762,9 @@ TEST(LockstepGolden, TwoLevelKillRestartUnderLoss)
     scriptStandardChaos(dep.chaos(), dep.rackCount());
     const auto report = dep.run(45);
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_EQ(report.recoveries, 2u);
-    EXPECT_DIGEST(dep, report, 0x91e1819a9ee346b7);
+    EXPECT_DIGEST(dep, report, 0xdbc1a5f0b2859cc1);
 }
 
 TEST(LockstepGolden, PartitionHealDeclinedReplay)
@@ -759,9 +775,10 @@ TEST(LockstepGolden, PartitionHealDeclinedReplay)
     dep.chaos().at(11, rt::ChaosEvent::Kind::Heal);
     const auto report = dep.run(16);
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
     ASSERT_NE(dep.rack(0), nullptr);
     EXPECT_EQ(dep.rack(0)->stats().rehomesDeclined, 1u);
-    EXPECT_DIGEST(dep, report, 0x33a302c55cdf5d49);
+    EXPECT_DIGEST(dep, report, 0x57e2bbf729bd7659);
 }
 
 TEST(LockstepGolden, Depth4MidTierAggregatorKill)
@@ -779,8 +796,9 @@ TEST(LockstepGolden, Depth4MidTierAggregatorKill)
     dep.chaos().at(14, rt::ChaosEvent::Kind::Restart, 10);
     const auto report = dep.run(24);
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_GE(dep.room().stats().staleReuses, 1u);
-    EXPECT_DIGEST(dep, report, 0xa8286d5e7b7a060c);
+    EXPECT_DIGEST(dep, report, 0x16c23ab719132b7c);
 }
 
 TEST(LockstepGolden, Depth4ElasticJoinDrainAggKill)
@@ -800,9 +818,94 @@ TEST(LockstepGolden, Depth4ElasticJoinDrainAggKill)
     dep.chaos().at(50, rt::ChaosEvent::Kind::Join, 7);
     dep.chaos().at(90, rt::ChaosEvent::Kind::Drain, 2);
     const auto report = dep.run(200);
+    // The online auditors (every aggregating role over its fragment)
+    // and the harness (fleet-wide) run one predicate and must agree.
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_EQ(report.drained, 1u);
-    EXPECT_DIGEST(dep, report, 0xd65b6a999a392668);
+    EXPECT_DIGEST(dep, report, 0xb2fac732ccce0c79);
+}
+
+// ------------------------------------ floors in the merge (§4.5)
+
+namespace {
+
+/** One feed: a 1,200 W RPP (1,500 W derated 0.8) over two CDUs of two
+ *  single-supply servers each. Rack 0's floors are 2 x 270 W; rack 1
+ *  alone would take 980 W. */
+const char *kRppScenario = R"({
+  "feeds": 1,
+  "trees": [
+    {
+      "feed": 0, "phase": 0, "name": "X",
+      "root": {
+        "kind": "breaker", "name": "top", "rating": 3000,
+        "children": [
+          { "kind": "rpp", "name": "rpp", "rating": 1500, "derate": 0.8,
+            "children": [
+              { "kind": "cdu", "name": "cdu0", "rating": 1000,
+                "children": [
+                  { "kind": "supply", "server": 0, "supply": 0 },
+                  { "kind": "supply", "server": 1, "supply": 0 } ] },
+              { "kind": "cdu", "name": "cdu1", "rating": 1000,
+                "children": [
+                  { "kind": "supply", "server": 2, "supply": 0 },
+                  { "kind": "supply", "server": 3, "supply": 0 } ] }
+            ] }
+        ]
+      }
+    }
+  ],
+  "servers": [
+    { "name": "S0", "supplies": [ { "share": 1.0 } ],
+      "workload": { "type": "constant", "utilization": 0.9 } },
+    { "name": "S1", "supplies": [ { "share": 1.0 } ],
+      "workload": { "type": "constant", "utilization": 0.9 } },
+    { "name": "S2", "supplies": [ { "share": 1.0 } ],
+      "workload": { "type": "constant", "utilization": 1.0 } },
+    { "name": "S3", "supplies": [ { "share": 1.0 } ],
+      "workload": { "type": "constant", "utilization": 1.0 } }
+  ],
+  "service": { "policy": "global", "spo": false },
+  "budgets": { "totalPerPhase": 3000 }
+})";
+
+} // namespace
+
+TEST(FloorsInTheMerge, PartitionedRackUntilDeadKeepsTheRppInsideItsLimit)
+{
+    // Rack 0 is cut off from the root until the root declares it dead.
+    // Its CDU rides its 540 W of floors all the while; those floors
+    // enter the root's merge, so the RPP grants rack 1 only the rest
+    // of its 1,200 W limit. Every station is checked each epoch from
+    // the applied edge watts, and the harness and the root's online
+    // auditor must find nothing either.
+    rt::LockstepDeployment dep(kRppScenario, rt::ChaosBackend::Sim,
+                               net::TransportConfig{}, /*seed=*/3);
+    ASSERT_EQ(dep.rackCount(), 2u);
+    dep.chaos().at(2, rt::ChaosEvent::Kind::Partition, 0,
+                   dep.plan().rootEndpoint());
+    const config::LoadedScenario scenario =
+        config::loadScenario(util::parseJson(kRppScenario));
+    const topo::PowerTree &tree = scenario.system->tree(0);
+    bool dead = false;
+    for (std::uint32_t epoch = 1; epoch <= 10; ++epoch) {
+        SCOPED_TRACE("epoch " + std::to_string(epoch));
+        const auto report = dep.run(1);
+        EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+        EXPECT_EQ(report.onlineViolations, report.violations);
+        std::map<topo::NodeId, Watts> applied;
+        for (std::size_t r = 0; r < dep.rackCount(); ++r) {
+            for (const auto &[key, watts] : dep.rack(r)->lastEdgeBudgets())
+                applied[key.second] = watts;
+        }
+        EXPECT_EQ(test_support::overloadReport(tree, tree.root(), 3000.0,
+                                               applied),
+                  "");
+        dead = dead || dep.room().rackState(0) == rt::RackState::Dead;
+    }
+    EXPECT_TRUE(dead);
+    EXPECT_EQ(dep.room().safetyAuditor().violations(), 0u);
 }
 
 // ------------------------------------------- hostile upstream frames

@@ -201,6 +201,73 @@ TEST(FailureInjection, HotSpareStandbyUnderControlLoop)
     EXPECT_FALSE(rig.anyBreakerTripped());
 }
 
+TEST(FailureInjection, HotSpareFollowsFeedFailures)
+{
+    // Two hot-spare servers at light load, each parking its smaller-
+    // share supply: S0 parks its feed-1 supply, S1 its feed-0 one.
+    // Feed 0 is down from t=70 to t=120. S0's active supply dies with
+    // it, so its spare wakes at once and S0 never goes dark. S1's
+    // parked supply fails with the feed, so when S1's load surges at
+    // t=90 only its feed-1 supply carries it. After the restore S0's
+    // light load parks its spare again.
+    core::ServiceConfig config;
+    std::vector<sim::ServerSetup> servers;
+    for (int i = 0; i < 2; ++i) {
+        sim::ServerSetup s;
+        s.spec = sim::testbedServerSpec("S" + std::to_string(i), 0,
+                                        i == 0 ? 0.6 : 0.4);
+        s.spec.hotSpareEnabled = true;
+        s.spec.standbyThreshold = 250.0;
+        if (i == 0) {
+            s.workload = std::make_unique<dev::ConstantWorkload>(0.05);
+        } else {
+            s.workload = std::make_unique<dev::StepWorkload>(
+                std::vector<std::pair<Seconds, Fraction>>{{0, 0.05},
+                                                          {90, 0.95}});
+        }
+        servers.push_back(std::move(s));
+    }
+    auto sys = std::make_unique<topo::PowerSystem>(2);
+    for (int feed = 0; feed < 2; ++feed) {
+        auto tree = std::make_unique<topo::PowerTree>(
+            feed, 0, feed == 0 ? "X" : "Y");
+        const auto root =
+            tree->makeRoot(topo::NodeKind::Breaker, "cb", 1000.0);
+        tree->addSupplyPort(root, "s0", {0, feed});
+        tree->addSupplyPort(root, "s1", {1, feed});
+        sys->addTree(std::move(tree));
+    }
+    ClosedLoopSim rig(std::move(sys), std::move(servers), config);
+    rig.service().refreshRootBudgets(1000.0);
+    rig.utilityBlipAt(60, 0, /*duration=*/60, /*ups_holdup=*/10, 1000.0);
+    rig.run(200);
+
+    const auto &rec = rig.recorder();
+    const auto mean = [&rec](std::size_t server, std::size_t supply,
+                             Seconds from, Seconds to) {
+        return rec.mean(ClosedLoopSim::supplySeries(server, supply,
+                                                    "power"),
+                        from, to);
+    };
+    // Before the outage each server runs on its larger-share supply.
+    EXPECT_NEAR(mean(0, 1, 30, 69), 0.0, 1e-9);
+    EXPECT_NEAR(mean(1, 0, 30, 69), 0.0, 1e-9);
+    // S0 stays powered through the outage, on its woken spare.
+    EXPECT_GT(rec.mean(ClosedLoopSim::serverSeries(0, "power"), 70, 71),
+              150.0);
+    EXPECT_NEAR(mean(0, 0, 70, 119), 0.0, 1e-9);
+    EXPECT_GT(mean(0, 1, 70, 119), 150.0);
+    // S1's surge draws nothing from the dead feed.
+    EXPECT_NEAR(mean(1, 0, 90, 119), 0.0, 1e-9);
+    EXPECT_GT(mean(1, 1, 100, 119), 300.0);
+    // After the restore S0 parks its spare again; S1, now heavy, shares
+    // its load over both supplies.
+    EXPECT_NEAR(mean(0, 1, 130, 199), 0.0, 1e-9);
+    EXPECT_GT(mean(0, 0, 130, 199), 150.0);
+    EXPECT_GT(mean(1, 0, 130, 199), 100.0);
+    EXPECT_FALSE(rig.anyBreakerTripped());
+}
+
 TEST(FailureInjection, EmergencyFastPathReactsSooner)
 {
     // Compare overload-clear latency with and without the fast path.

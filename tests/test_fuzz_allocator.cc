@@ -14,6 +14,7 @@
 
 #include "control/allocator.hh"
 #include "policy/policy.hh"
+#include "test_support.hh"
 #include "topology/power_system.hh"
 #include "util/random.hh"
 
@@ -102,28 +103,20 @@ assertTreeSafety(const FleetAllocator &alloc, const FuzzSystem &fs,
     for (std::size_t t = 0; t < alloc.treeCount(); ++t) {
         const auto &ct = alloc.tree(t);
         const auto &tree = ct.topoTree();
+        // The tree within its root budget, and at every controller
+        // its children's budgets within min(its limit, its budget).
+        EXPECT_EQ(test_support::splitReport(ct, tree.root(),
+                                            fs.rootBudgets[t]),
+                  "")
+            << "tree " << t << " trial " << trial;
         tree.forEach([&](const topo::TopoNode &n) {
-            if (n.kind == topo::NodeKind::SupplyPort
-                || n.children.empty()) {
+            if (n.children.empty())
                 return;
-            }
-            Watts child_sum = 0.0;
-            for (const auto c : n.children)
-                child_sum += ct.nodeBudget(c);
-            EXPECT_LE(child_sum, n.limit() + 1e-6)
-                << "tree " << t << " node " << n.name << " trial "
-                << trial;
-            EXPECT_LE(child_sum,
-                      std::min(ct.nodeBudget(n.id), n.limit()) + 1e-6)
+            EXPECT_EQ(
+                test_support::splitReport(ct, n.id, ct.nodeBudget(n.id)), "")
                 << "tree " << t << " node " << n.name << " trial "
                 << trial;
         });
-        // Root never exceeds its budget.
-        Watts root_children = 0.0;
-        for (const auto c : tree.node(tree.root()).children)
-            root_children += ct.nodeBudget(c);
-        EXPECT_LE(root_children, fs.rootBudgets[t] + 1e-6)
-            << "tree " << t << " trial " << trial;
     }
 }
 

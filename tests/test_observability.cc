@@ -305,24 +305,22 @@ TEST(FleetHealth, RollupCountsStatesAndDegradedFraction)
 
 TEST(SafetyAuditor, FlagsOverdrawAndKeepsTheWorstSubject)
 {
+    // The check is topo::overloads(); the auditor counts scopes and
+    // the stations they found over their bound.
     telemetry::Registry registry;
     telemetry::SafetyAuditor auditor;
     auditor.setTelemetry(&registry, {{"role", "room"}});
 
-    // committed + reserved within the grant: clean.
-    EXPECT_TRUE(auditor.audit(1, "X@room", 1000.0, 800.0, 200.0));
-    // Float accumulation inside the relative tolerance: still clean.
-    EXPECT_TRUE(
-        auditor.audit(2, "X@room", 1000.0, 1000.0 + 1e-8, 0.0));
-    // A real overdraw is a violation.
-    EXPECT_FALSE(auditor.audit(3, "X@room", 1000.0, 950.0, 100.0));
+    for (int i = 0; i < 4; ++i)
+        auditor.audit();
+    auditor.violation(3, "X.rpp0@room", 50.0);
     // A worse one replaces the retained worst subject.
-    EXPECT_FALSE(auditor.audit(4, "Y@agg4", 500.0, 700.0, 0.0));
+    auditor.violation(4, "Y.cdu1@agg4", 200.0);
 
     EXPECT_EQ(auditor.audits(), 4u);
     EXPECT_EQ(auditor.violations(), 2u);
     EXPECT_NEAR(auditor.worstOverdrawWatts(), 200.0, 1e-9);
-    EXPECT_EQ(auditor.worstSubject(), "Y@agg4@epoch4");
+    EXPECT_EQ(auditor.worstSubject(), "Y.cdu1@agg4@epoch4");
 
     const util::Json doc = auditor.toJson();
     EXPECT_DOUBLE_EQ(doc.numberOr("violations", -1.0), 2.0);
@@ -336,9 +334,10 @@ TEST(SafetyAuditor, FlagsOverdrawAndKeepsTheWorstSubject)
     }
     EXPECT_DOUBLE_EQ(counted, 2.0);
 
-    // A null registry drops the counters: later audits leave it alone.
+    // A null registry drops the counters: later violations leave it
+    // alone.
     auditor.setTelemetry(nullptr, {});
-    EXPECT_FALSE(auditor.audit(5, "X@room", 1000.0, 1100.0, 0.0));
+    auditor.violation(5, "X.rpp0@room", 100.0);
     EXPECT_EQ(auditor.violations(), 3u);
     EXPECT_DOUBLE_EQ(registry
                          .counter("capmaestro_safety_violations_total",

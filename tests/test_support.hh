@@ -1,7 +1,7 @@
 /**
  * @file
- * Helpers shared by more than one test binary: scenario documents and
- * the digest the golden tests pin.
+ * Helpers shared by more than one test binary: scenario documents, the
+ * digest the golden tests pin, and the safety predicate's report.
  */
 
 #ifndef CAPMAESTRO_TESTS_TEST_SUPPORT_HH
@@ -9,7 +9,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <vector>
+
+#include "control/control_tree.hh"
+#include "topology/power_tree.hh"
 
 namespace capmaestro::test_support {
 
@@ -36,6 +41,63 @@ class Fnv1a
   private:
     std::uint64_t h_ = 0xcbf29ce484222325ull;
 };
+
+/** One "<station> <load> W > <bound> W; " per entry of @p overs. */
+inline std::string
+describeOverloads(const topo::PowerTree &tree,
+                  const std::vector<topo::Overload> &overs)
+{
+    std::string out;
+    for (const topo::Overload &over : overs) {
+        out += tree.node(over.node).name + " " + std::to_string(over.load)
+               + " W > " + std::to_string(over.bound) + " W; ";
+    }
+    return out;
+}
+
+/** The stations topo::overloads() finds over their bound, described:
+ *  "" when the scope is safe. */
+inline std::string
+overloadReport(const topo::PowerTree &tree, topo::NodeId top,
+               Watts top_budget, const std::map<topo::NodeId, Watts> &applied)
+{
+    return describeOverloads(tree,
+                             topo::overloads(tree, top, top_budget, applied));
+}
+
+/** Every supply leaf's budget in @p ct by node id: the watts a whole
+ *  tree applies. */
+inline std::map<topo::NodeId, Watts>
+leafBudgets(const ctrl::ControlTree &ct)
+{
+    std::map<topo::NodeId, Watts> out;
+    for (const topo::NodeId leaf : ct.topoTree().supplyPorts())
+        out[leaf] = ct.nodeBudget(leaf);
+    return out;
+}
+
+/**
+ * Controller @p node's own split in @p ct, checked with
+ * topo::overloads(): the sum of its children's budgets against
+ * min(its limit, @p budget). Only @p node's verdict is read; a child
+ * budgeted above its own limit is clamped by the child's split, which
+ * its own call checks. "" when the split is safe.
+ */
+inline std::string
+splitReport(const ctrl::ControlTree &ct, topo::NodeId node, Watts budget)
+{
+    const topo::PowerTree &tree = ct.topoTree();
+    std::map<topo::NodeId, Watts> children;
+    for (const topo::NodeId child : tree.node(node).children)
+        children[child] = ct.nodeBudget(child);
+    std::vector<topo::Overload> mine;
+    for (const topo::Overload &over :
+         topo::overloads(tree, node, budget, children)) {
+        if (over.node == node)
+            mine.push_back(over);
+    }
+    return describeOverloads(tree, mine);
+}
 
 /**
  * Depth-4 dual-feed scenario for agg_levels = {1, 2}: per tree,

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include "topology/breaker.hh"
 #include "topology/power_system.hh"
@@ -249,4 +252,65 @@ TEST(NodeKindNames, AllDistinct)
                  "transformer");
     EXPECT_STREQ(ct::nodeKindName(ct::NodeKind::SupplyPort),
                  "supply-port");
+}
+
+// ------------------------------------------------ the safety predicate
+
+TEST(Overloads, TableOnAHandBuiltTree)
+{
+    // top (2000 W) -> R (1000 W derated 0.6 = 600 W) -> A, B (400 W)
+    //              -> S (500 W)                       -> C (300 W)
+    ct::PowerTree tree(0, 0, "X");
+    const auto top = tree.makeRoot(ct::NodeKind::Transformer, "top", 2000);
+    const auto r = tree.addChild(top, ct::NodeKind::Rpp, "R", 1000, 0.6);
+    const auto a = tree.addChild(r, ct::NodeKind::Cdu, "A", 400);
+    const auto b = tree.addChild(r, ct::NodeKind::Cdu, "B", 400);
+    const auto s = tree.addChild(top, ct::NodeKind::Rpp, "S", 500);
+    const auto c = tree.addChild(s, ct::NodeKind::Cdu, "C", 300);
+    const double nan = std::nan("");
+
+    struct Case
+    {
+        const char *name;
+        ct::NodeId scope;
+        double budget;
+        std::map<ct::NodeId, double> applied;
+        /** (station, load, bound), in pre-order. */
+        std::vector<std::tuple<ct::NodeId, double, double>> want;
+    };
+    const std::vector<Case> cases = {
+        {"every station at its limit is safe", top, 2000.0,
+         {{a, 300.0}, {b, 300.0}, {c, 300.0}}, {}},
+        {"float slack inside the tolerance", top, 2000.0,
+         {{a, 300.0}, {b, 300.0 + 1e-8}, {c, 0.0}}, {}},
+        {"a lost CDU's floor on top of its sibling's whole grant", top,
+         2000.0, {{a, 240.0}, {b, 600.0}, {c, 0.0}},
+         {{r, 840.0, 600.0}, {b, 600.0, 400.0}}},
+        {"the top's bound is its budget when that is tighter", top, 800.0,
+         {{a, 300.0}, {b, 300.0}, {c, 300.0}}, {{top, 900.0, 800.0}}},
+        {"the top's bound is its limit when that is tighter", r, 5000.0,
+         {{a, 400.0}, {b, 250.0}}, {{r, 650.0, 600.0}}},
+        {"an interior boundary station is checked, nothing below it",
+         top, 2000.0, {{r, 700.0}, {s, 100.0}}, {{r, 700.0, 600.0}}},
+        {"stations without applied watts carry nothing", top, 2000.0,
+         {{c, 350.0}}, {{c, 350.0, 300.0}}},
+        {"a NaN load is never safe", top, 2000.0,
+         {{a, nan}, {b, 0.0}, {c, 0.0}},
+         {{top, nan, 2000.0}, {r, nan, 600.0}, {a, nan, 400.0}}},
+    };
+    for (const Case &tc : cases) {
+        SCOPED_TRACE(tc.name);
+        const auto got = ct::overloads(tree, tc.scope, tc.budget,
+                                       tc.applied);
+        ASSERT_EQ(got.size(), tc.want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            const auto [node, load, bound] = tc.want[i];
+            EXPECT_EQ(got[i].node, node);
+            if (std::isnan(load))
+                EXPECT_TRUE(std::isnan(got[i].load));
+            else
+                EXPECT_DOUBLE_EQ(got[i].load, load);
+            EXPECT_DOUBLE_EQ(got[i].bound, bound);
+        }
+    }
 }

@@ -296,6 +296,7 @@ TEST(WorkerRuntime, SameEpochRestartIsNotDoubleCounted)
     const auto report = dep.run(10);
 
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_EQ(report.recoveries, 1u);
     EXPECT_EQ(report.unrecovered, 0u);
     // Restart at 5, re-homed by 6: two periods end to end.
@@ -358,6 +359,7 @@ TEST(WorkerRuntime, SoakFiftyKillsUnderLossStaysSafe)
     const auto report = dep.run(last_event + 20);
 
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_EQ(report.recoveries, 50u);
     EXPECT_EQ(report.unrecovered, 0u);
     // Down for 4 periods, then the re-homing handshake; 10 % loss can
@@ -471,6 +473,7 @@ TEST(WorkerRuntime, Depth4LossySoakNeverOvershootsAndBoundsStaleReuse)
     EXPECT_EQ(report.epochsRun, 200u);
     EXPECT_EQ(report.violations, 0u)
         << report.firstViolation << "\n" << repro;
+    EXPECT_EQ(report.onlineViolations, report.violations);
 
     // Loss was actually exercised on the upstream path...
     std::size_t stale = dep.room().stats().staleReuses;
@@ -721,6 +724,7 @@ TEST(WorkerRuntime, ElasticSoakJoinsDrainsAndAggKillStaySafe)
     const auto report = dep.run(200);
     EXPECT_EQ(report.epochsRun, 200u);
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_EQ(report.drained, 1u);
 
     // End state at the root: the joiners committed Live, the drained
@@ -1115,7 +1119,7 @@ TEST(AggregatorRole, NonFiniteSubBudgetIsDropped)
         frame.budget.budget = bad;
         EXPECT_FALSE(row.noteDownFrame(frame, net::kRoomSender, stats));
     }
-    EXPECT_FALSE(row.receivedBudget(0).has_value());
+    EXPECT_FALSE(row.grant(0).has_value());
     EXPECT_EQ(stats.corruptFrames, 3u);
     EXPECT_EQ(stats.subBudgetsApplied, 0u);
 }
@@ -1188,9 +1192,9 @@ TEST(AggregatorRole, NonFiniteMetricsOrSummaryIsNotFresh)
         core::EventLog events;
         role.closeGather(stats, events);
         EXPECT_EQ(role.stationHealth().at({tree, bad_station}),
-                  rt::AggregatorRole::StationHealth::Lost);
+                  telemetry::UnitHealth::Lost);
         EXPECT_EQ(role.stationHealth().at({tree, good_station}),
-                  rt::AggregatorRole::StationHealth::Fresh);
+                  telemetry::UnitHealth::Live);
     }
 }
 
