@@ -1,10 +1,11 @@
 #!/bin/sh
 # Supervisor + checkpoint/re-home smoke test: run the whole deployment
 # under capmaestro_supervisor on loopback UDP, SIGKILL one rack worker
-# mid-run, and assert (a) the supervisor restarts it, (b) the room
-# detects the restart and re-homes the new instance from its latest
-# checkpoint, and (c) the survivor rack never falls back to Pcap_min
-# defaults.
+# mid-run, and assert (a) the supervisor restarts it, (b) the rack's
+# parent detects the restart and re-homes the new instance from its
+# latest checkpoint, and (c) a survivor rack never falls back to
+# Pcap_min defaults. Two passes: depth 2 (the parent is the root) and
+# depth 3 (--agg-levels=1: the parent is a row aggregator).
 #
 # Usage: scripts/failover_smoke.sh [build-dir]     (default: build)
 # Exit:  0 pass, 77 skipped (CAPMAESTRO_NO_NET=1), 1 fail.
@@ -20,7 +21,6 @@ fi
 BUILD="${1:-build}"
 WORKER="$BUILD/tools/capmaestro_worker"
 SUPERVISOR="$BUILD/tools/capmaestro_supervisor"
-CONFIG=configs/dual_feed_spo.json
 for bin in "$WORKER" "$SUPERVISOR"; do
     if [ ! -x "$bin" ]; then
         echo "failover_smoke: $bin not built" >&2
@@ -31,74 +31,93 @@ done
 DIR="$(mktemp -d "${TMPDIR:-/tmp}/capmaestro_failover.XXXXXX")"
 trap 'rm -rf "$DIR"' EXIT
 
-"$WORKER" "$CONFIG" --print-peers-template \
-    --port-base=0 --period-ms=300 \
-    > "$DIR/peers.json" 2> /dev/null || exit 1
+# run_pass NAME CONFIG PERIOD_MS VICTIM PARENT SURVIVOR [template flags]
+run_pass() {
+    NAME="$1" CONFIG="$2" PERIOD="$3" VICTIM="$4" PARENT="$5"
+    SURVIVOR="$6"
+    shift 6
+    PASS="$DIR/$NAME"
+    mkdir -p "$PASS"
 
-# Pick a restart backoff longer than the room's heartbeat-fail window
-# (3 x 300 ms) so the kill is observed as a real failover, but short
-# enough that the rack re-homes well inside the 20-period run. The
-# template already carries a supervisor block with the defaults;
-# rewrite the two backoff knobs in place.
-sed -e 's/"backoffInitialMs": [0-9.]*/"backoffInitialMs": 1500/' \
-    -e 's/"backoffMaxMs": [0-9.]*/"backoffMaxMs": 1500/' \
-    "$DIR/peers.json" > "$DIR/peers_sup.json"
+    "$WORKER" "$CONFIG" --print-peers-template \
+        --port-base=0 --period-ms="$PERIOD" "$@" \
+        > "$PASS/peers.json" 2> /dev/null || return 1
 
-"$SUPERVISOR" "$CONFIG" --peers="$DIR/peers_sup.json" --periods=20 \
-    --log-dir="$DIR/logs" 2> "$DIR/supervisor.log" &
-SUP=$!
+    # Pick a restart backoff longer than the parent's heartbeat-fail
+    # window (3 periods) so the kill is observed as a real failover,
+    # but short enough that the rack re-homes well inside the
+    # 20-period run. The template already carries a supervisor block
+    # with the defaults; rewrite the two backoff knobs in place.
+    BACKOFF=$((PERIOD * 5))
+    sed -e "s/\"backoffInitialMs\": [0-9.]*/\"backoffInitialMs\": $BACKOFF/" \
+        -e "s/\"backoffMaxMs\": [0-9.]*/\"backoffMaxMs\": $BACKOFF/" \
+        "$PASS/peers.json" > "$PASS/peers_sup.json"
 
-# Find rack 1's pid from the supervisor spawn log, then SIGKILL it
-# after a few healthy periods so the checkpoint store is warm.
-sleep 2.0
-RACK1_PID="$(sed -n 's/^spawn role=1 pid=\([0-9]*\).*/\1/p' \
-    "$DIR/supervisor.log" | head -n 1)"
-if [ -z "$RACK1_PID" ]; then
-    echo "failover_smoke: no spawn line for role 1" >&2
-    cat "$DIR/supervisor.log"
-    exit 1
-fi
-kill -KILL "$RACK1_PID" 2> /dev/null
+    "$SUPERVISOR" "$CONFIG" --peers="$PASS/peers_sup.json" --periods=20 \
+        --log-dir="$PASS/logs" 2> "$PASS/supervisor.log" &
+    SUP=$!
 
-wait "$SUP" || {
-    echo "failover_smoke: supervisor failed" >&2
-    cat "$DIR/supervisor.log"
-    exit 1
+    # Find the victim's pid from the supervisor spawn log, then SIGKILL
+    # it after a few healthy periods so the checkpoint store is warm.
+    sleep 2.0
+    VICTIM_PID="$(sed -n "s/^spawn role=$VICTIM pid=\([0-9]*\).*/\1/p" \
+        "$PASS/supervisor.log" | head -n 1)"
+    if [ -z "$VICTIM_PID" ]; then
+        echo "failover_smoke[$NAME]: no spawn line for role $VICTIM" >&2
+        cat "$PASS/supervisor.log"
+        return 1
+    fi
+    kill -KILL "$VICTIM_PID" 2> /dev/null
+
+    wait "$SUP" || {
+        echo "failover_smoke[$NAME]: supervisor failed" >&2
+        cat "$PASS/supervisor.log"
+        return 1
+    }
+
+    echo "--- $NAME supervisor log"
+    cat "$PASS/supervisor.log"
+
+    # The supervisor must have restarted the victim (a second spawn
+    # line)...
+    RESPAWNS="$(grep -c "^spawn role=$VICTIM " "$PASS/supervisor.log")"
+    if [ "$RESPAWNS" -lt 2 ]; then
+        echo "failover_smoke[$NAME]: rack $VICTIM was never restarted" >&2
+        return 1
+    fi
+    # ...its parent must have detected the dead rack and re-homed the
+    # new instance from a checkpoint...
+    for event in worker-failover worker-rehomed; do
+        grep -q "$event" "$PASS/logs/role$PARENT.out" || {
+            echo "failover_smoke[$NAME]: no $event event in the" \
+                "output of parent role $PARENT" >&2
+            cat "$PASS/logs/role$PARENT.out"
+            return 1
+        }
+    done
+    # ...the restarted rack must have replayed the checkpoint...
+    grep -q 'checkpoint-replayed' "$PASS/logs/role$VICTIM.out" || {
+        echo "failover_smoke[$NAME]: restarted rack never replayed" \
+            "a checkpoint" >&2
+        cat "$PASS/logs/role$VICTIM.out"
+        return 1
+    }
+    # ...and the survivor rack stayed on real budgets throughout.
+    grep -q ' 0 defaults' "$PASS/logs/role$SURVIVOR.err" || {
+        echo "failover_smoke[$NAME]: rack $SURVIVOR fell back to" \
+            "default budgets" >&2
+        cat "$PASS/logs/role$SURVIVOR.err"
+        return 1
+    }
+    echo "failover_smoke[$NAME]: restart + checkpoint re-home verified"
 }
 
-echo "--- supervisor log"
-cat "$DIR/supervisor.log"
+# Depth 2: racks 0-1 under the root (endpoint 2).
+run_pass depth2 configs/dual_feed_spo.json 300 1 2 0 || exit 1
+# Depth 3: racks 0-3, row aggregators 4-5 (rack 1 under 4), root 6.
+# Wall pacing needs a period longer than the 3-tier deadline cascade.
+run_pass depth3 configs/tree_depth3.json 500 1 4 2 --agg-levels=1 \
+    || exit 1
 
-# The supervisor must have restarted role 1 (a second spawn line)...
-RESPAWNS="$(grep -c '^spawn role=1 ' "$DIR/supervisor.log")"
-if [ "$RESPAWNS" -lt 2 ]; then
-    echo "failover_smoke: rack 1 was never restarted" >&2
-    exit 1
-fi
-# ...the room must have detected the dead rack and re-homed the new
-# instance from a checkpoint...
-grep -q 'worker-failover' "$DIR/logs/role2.out" || {
-    echo "failover_smoke: no worker-failover event in room output" >&2
-    cat "$DIR/logs/role2.out"
-    exit 1
-}
-grep -q 'worker-rehomed' "$DIR/logs/role2.out" || {
-    echo "failover_smoke: room never re-homed the restarted rack" >&2
-    cat "$DIR/logs/role2.out"
-    exit 1
-}
-# ...the restarted rack must have replayed the checkpoint...
-grep -q 'checkpoint-replayed' "$DIR/logs/role1.out" || {
-    echo "failover_smoke: restarted rack never replayed a checkpoint" >&2
-    cat "$DIR/logs/role1.out"
-    exit 1
-}
-# ...and the survivor rack stayed on real budgets throughout.
-grep -q ' 0 defaults' "$DIR/logs/role0.err" || {
-    echo "failover_smoke: rack 0 fell back to default budgets" >&2
-    cat "$DIR/logs/role0.err"
-    exit 1
-}
-
-echo "failover_smoke: PASS (restart + checkpoint re-home verified)"
+echo "failover_smoke: PASS (restart + checkpoint re-home at depths 2 and 3)"
 exit 0

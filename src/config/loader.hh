@@ -184,7 +184,8 @@ util::Json workloadParamsToJson(const workload::Params &params);
  *
  *   "membership": {
  *     "absent": [3],           // not yet deployed: root counts no
- *                              // floor, supervisor spawns no process
+ *                              // floor, no parent supervises it,
+ *                              // supervisor spawns no process
  *     "join": [2],             // announce Joining (two-phase adopt)
  *     "drain": [1]             // announce Draining
  *   }
@@ -204,18 +205,21 @@ struct SupervisorConfig
     double backoffResetAfterMs = 10000.0;
     /** Restarts allowed per child before giving up; 0 = unlimited. */
     int maxRestarts = 0;
-    /** Where the room worker persists checkpoints ("" = disabled). */
+    /** Where each worker that supervises leaves persists their
+     *  checkpoints ("" = disabled). */
     std::string stateDir;
 };
 
 /** Elasticity directives for the root worker and the supervisor. */
 struct MembershipConfig
 {
-    /** Endpoints not yet deployed: the root marks them absent pre-run
-     *  (no floor counted, no broadcast) and the supervisor spawns
-     *  no process for them. */
+    /** Endpoints not yet deployed: every worker marks them absent
+     *  pre-run (the root counts no floor and sends no broadcast, a
+     *  parent supervises nothing there) and the supervisor spawns no
+     *  process for them. */
     std::vector<std::uint32_t> absent;
-    /** Endpoints the root announces Joining when (re)loading. */
+    /** Endpoints the root announces Joining when (re)loading (it
+     *  holds them absent at boot until then). */
     std::vector<std::uint32_t> join;
     /** Endpoints the root announces Draining when (re)loading. */
     std::vector<std::uint32_t> drain;

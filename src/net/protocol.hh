@@ -8,7 +8,7 @@
  * deadlines and bounded retransmission:
  *
  *   1. Upstream: every rack worker sends one metrics message per edge
- *      controller (a runtime rack also sends a heartbeat). The room
+ *      controller (a runtime rack also sends its checkpoint). The room
  *      retransmits nothing; the racks re-send on a timeout until the
  *      gathering deadline. Edges whose metrics still miss the deadline
  *      fall back to the last received summary, provided it is no older
@@ -24,9 +24,10 @@
  *      to the edge device limit — which can never overload the tree.
  *
  * Worker failure is the multi-process runtime's concern: the
- * rt::WorkerRuntime owning a root declares a rack that goes silent (no
- * frame at all, any type) for heartbeatFailAfter consecutive periods
- * dead, and re-homes its restarted instance from the last checkpoint.
+ * rt::Supervisor of a rack's parent, at any tier, declares a rack that
+ * goes silent (no frame at all, any type) for heartbeatFailAfter
+ * consecutive periods dead, and re-homes its restarted instance from
+ * the last checkpoint.
  * The in-process plane only rides the two ladders above.
  *
  * When the stranded-power optimization (§4.4) detects pinned supplies,

@@ -5,11 +5,11 @@
  *
  * The workers of the control tree exchange eleven message types:
  * per-priority metric summaries flowing upstream, budgets flowing
- * downstream, heartbeats for worker-failure detection, a second
+ * downstream, header-only heartbeats (a parent's epoch beacon), a second
  * round-trip of pinned-consumption summaries (upstream) and SPO
  * budgets (downstream) when the stranded-power optimization (§4.4)
  * fires, the failover pair — plant-state Checkpoints streamed upstream
- * alongside the heartbeat every period, and a Rehome frame (the
+ * alongside the metrics every period, and a Rehome frame (the
  * parent's stored checkpoint) sent downstream to replay state into a
  * restarted rack worker — and the aggregator pair: a Summary (the
  * merged per-class metrics of an aggregator's whole subtree, Metrics

@@ -110,12 +110,9 @@ AggregatorRole::noteUpFrame(const net::Frame &frame,
         return false;
     }
     switch (frame.type) {
-    case net::MsgType::Heartbeat:
-        return true;
     case net::MsgType::Checkpoint:
-        // Leaf children stream plant checkpoints regardless of who
-        // their parent is; aggregators are stateless and drop them
-        // (the WorkerRuntime owning a root stores its leaf children's).
+        // A leaf child's plant checkpoint: the owner's Supervisor
+        // stores it.
         return true;
     case net::MsgType::Metrics:
     case net::MsgType::Summary: {

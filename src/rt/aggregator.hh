@@ -26,30 +26,29 @@
  * ladder is the only one in the rt runtimes; every hop of every plan
  * depth runs it.
  *
- * Child view: the owner of a root may describe how it sees each of
- * its leaf children this epoch (setChildViews()) — the input a root
- * with leaf children needs for failover and elasticity. A child that is not awaited
- * (declared dead, or committed out of the membership) does not hold
- * up upComplete(). An untrusted child (a restarted or re-homing
+ * Child view: the owner may describe how it sees each of its leaf
+ * children this epoch (setChildViews()) — the input failover and
+ * elasticity need; a WorkerRuntime's rt::Supervisor sets it at any
+ * tier. A child that is not awaited (declared dead, or committed out
+ * of the membership) does not hold up upComplete(). An untrusted child (a restarted or re-homing
  * instance) still runs the stale -> lost ladder, but its metrics are
  * neither used nor cached and it enters as its floor. A child outside
  * the committed membership skips the ladder and logs nothing; it
  * enters as its floor unless the owner says it was released (it
- * draws nothing). Without a view (interior aggregators, aggregator
- * children of a root, every WorkerHost role) every child is an
- * awaited, trusted member. Whatever the view, a child station
+ * draws nothing). Without a view (aggregator children, every
+ * WorkerHost role) every child is an awaited, trusted member. Whatever the view, a child station
  * without usable metrics gets no grant and rides its Pcap_min default.
  *
- * Aggregators are deliberately stateless beyond the metric cache: no
- * checkpoint streaming, no re-homing. A killed-and-restarted
- * aggregator rejoins silently — its parent rides the stale cache, then
- * enters it as its floor; its children ride Pcap_min defaults until
- * budgets flow again. Leaf plant recovery is split in two: the leaf's
- * half (replay or decline a Rehome, the post-replay clamp) is LeafRole's
- * (rt/leaf.hh); the root's half (rack liveness, the checkpoint store,
- * Rehome emission) is the WorkerRuntime that owns the root, for the
- * root's leaf children, and reaches this class only through the child
- * view.
+ * The role keeps no state beyond the metric cache. A
+ * killed-and-restarted aggregator rejoins silently — its parent rides
+ * the stale cache, then enters it as its floor; its children ride
+ * Pcap_min defaults until budgets flow again. Leaf plant recovery is
+ * split in two: the leaf's half (replay or decline a Rehome, the
+ * post-replay clamp) is LeafRole's (rt/leaf.hh); the parent's half
+ * (liveness, the checkpoint store, Rehome emission) is the owner's
+ * rt::Supervisor (rt/supervisor.hh), and reaches this class only
+ * through the child view. noteUpFrame() takes a child's Checkpoint
+ * for it and counts a child's Heartbeat as an orphan.
  *
  * Input checks: a Metrics or Summary payload with a non-finite value
  * (ctrl::NodeMetrics::finite()) would poison the §4.3 merge, so
@@ -143,8 +142,8 @@ class AggregatorRole
     void beginEpoch(std::uint32_t epoch);
 
     /**
-     * Feed one decoded upstream frame (Metrics, Summary, Heartbeat, or
-     * Checkpoint from a child). Returns false (and counts an orphan)
+     * Feed one decoded upstream frame (Metrics, Summary or Checkpoint
+     * from a child). Returns false (and counts an orphan)
      * for wrong-epoch, non-child, or station-mismatched frames, and
      * (counting a corrupt frame) for a non-finite metrics payload.
      */

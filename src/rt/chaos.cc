@@ -26,28 +26,6 @@ bitsOf(double value)
 
 } // namespace
 
-const char *
-chaosKindName(ChaosEvent::Kind kind)
-{
-    switch (kind) {
-    case ChaosEvent::Kind::Kill:
-        return "kill";
-    case ChaosEvent::Kind::Restart:
-        return "restart";
-    case ChaosEvent::Kind::Partition:
-        return "partition";
-    case ChaosEvent::Kind::Heal:
-        return "heal";
-    case ChaosEvent::Kind::Join:
-        return "join";
-    case ChaosEvent::Kind::Drain:
-        return "drain";
-    case ChaosEvent::Kind::Upgrade:
-        return "upgrade";
-    }
-    return "?";
-}
-
 void
 ChaosScheduler::at(std::uint32_t epoch, ChaosEvent::Kind kind,
                    std::uint32_t a, std::uint32_t b)
@@ -104,7 +82,6 @@ LockstepDeployment::LockstepDeployment(
       aggLevels_(std::move(agg_levels)), chaos_(seed)
 {
     plan_ = core::TreePlan::build(*scenario_.system, aggLevels_);
-    rackCount_ = plan_.leafWorkers;
     floors_ = nominalEdgeFloors(*scenario_.system, scenario_);
     const auto workers =
         static_cast<std::uint32_t>(plan_.workers.size());
@@ -129,12 +106,8 @@ LockstepDeployment::LockstepDeployment(
         *inner_,
         static_cast<net::Transport::Endpoint>(plan_.rootEndpoint()));
 
-    for (std::uint32_t r = 0; r < rackCount_; ++r)
-        racks_.push_back(makeRuntime(r));
-    for (std::uint32_t e = static_cast<std::uint32_t>(rackCount_);
-         e < plan_.rootEndpoint(); ++e)
-        aggs_.push_back(makeRuntime(e));
-    root_ = makeRuntime(plan_.rootEndpoint());
+    for (std::uint32_t e = 0; e < workers; ++e)
+        units_.push_back(makeRuntime(e));
 }
 
 LockstepDeployment::~LockstepDeployment() = default;
@@ -163,10 +136,16 @@ LockstepDeployment::scriptJoiner(std::uint32_t rack)
 {
     if (nextEpoch_ != 1)
         util::fatal("chaos: scriptJoiner() must precede run()");
-    if (rack >= rackCount_)
+    if (rack >= rackCount())
         util::fatal("chaos: joiner %u is not a rack role", rack);
-    racks_[rack].reset();
-    root_->membershipMarkAbsent(rack);
+    units_[rack].reset();
+    // The peer table lists the slot absent: a runtime (re)started
+    // later reads that at construction, the running ones mark it now.
+    peers_.membership.absent.push_back(rack);
+    for (auto &unit : units_) {
+        if (unit)
+            unit->membershipMarkAbsent(rack);
+    }
 }
 
 void
@@ -174,15 +153,8 @@ LockstepDeployment::setWorkerWireVersion(std::uint32_t role,
                                          std::uint8_t version)
 {
     wireVersionOf_[role] = version;
-    WorkerRuntime *runtime = nullptr;
-    if (role < rackCount_)
-        runtime = racks_[role].get();
-    else if (role < plan_.rootEndpoint())
-        runtime = aggs_[role - rackCount_].get();
-    else
-        runtime = root_.get();
-    if (runtime != nullptr)
-        runtime->setWireVersion(version);
+    if (units_.at(role))
+        units_[role]->setWireVersion(version);
 }
 
 void
@@ -190,25 +162,20 @@ LockstepDeployment::apply(const ChaosEvent &event, std::uint32_t epoch)
 {
     switch (event.kind) {
     case ChaosEvent::Kind::Kill:
-        if (event.a < rackCount_) {
-            if (racks_[event.a])
-                killed_.insert(event.a);
-            racks_[event.a].reset();
-        } else if (event.a < plan_.rootEndpoint())
-            aggs_[event.a - rackCount_].reset();
+        if (event.a < rackCount() && units_[event.a])
+            killed_.insert(event.a);
+        if (event.a < plan_.rootEndpoint()) // the root is never killed
+            units_[event.a].reset();
         break;
     case ChaosEvent::Kind::Restart:
-        if (event.a < rackCount_ && !racks_[event.a]) {
-            racks_[event.a] = makeRuntime(event.a);
-            killed_.erase(event.a);
-            // Only the root re-homes, and only its leaf children:
-            // recovery latency is measured for racks reporting to it.
-            if (reportsToRoot(event.a))
-                pendingRecovery_[event.a] = epoch;
-        } else if (event.a < plan_.rootEndpoint()
-                   && !aggs_[event.a - rackCount_]) {
-            aggs_[event.a - rackCount_] = makeRuntime(event.a);
-        }
+        if (event.a >= plan_.rootEndpoint() || units_[event.a])
+            break;
+        killed_.erase(event.a);
+        units_[event.a] = makeRuntime(event.a);
+        // Recovery latency is measured for racks whose parent
+        // supervises them: the parent re-homes them.
+        if (event.a < rackCount() && rackState(event.a))
+            pendingRecovery_[event.a] = epoch;
         break;
     case ChaosEvent::Kind::Partition:
         chaosNet_->setPartition(event.a, event.b, true);
@@ -217,17 +184,18 @@ LockstepDeployment::apply(const ChaosEvent &event, std::uint32_t epoch)
         chaosNet_->heal();
         break;
     case ChaosEvent::Kind::Join:
-        if (event.a < rackCount_ && !racks_[event.a]) {
+        if (event.a < rackCount() && !units_[event.a]) {
             // The process boots shadowed (empty replica, clamped to
             // its floor) and the root announces it Joining; the
             // protocol's own broadcast/ack/commit takes it Live.
-            racks_[event.a] = makeRuntime(event.a);
-            racks_[event.a]->beginShadow();
-            root_->membershipBeginJoin(event.a);
+            std::erase(peers_.membership.absent, event.a);
+            units_[event.a] = makeRuntime(event.a);
+            units_[event.a]->beginShadow();
+            room().membershipBeginJoin(event.a);
         }
         break;
     case ChaosEvent::Kind::Drain:
-        root_->membershipBeginDrain(event.a);
+        room().membershipBeginDrain(event.a);
         break;
     case ChaosEvent::Kind::Upgrade:
         setWorkerWireVersion(event.a, net::kWireVersion);
@@ -239,14 +207,15 @@ std::vector<std::string>
 LockstepDeployment::auditSafety() const
 {
     // What each edge applies: a live rack its last edge budgets, a
-    // killed one (its servers on their own) its nominal floors; a
-    // drained or never-joined slot draws nothing.
+    // killed one (its servers on their own) its nominal floors, also
+    // when killed mid-drain, whatever the root's table says; a drained
+    // or never-joined slot draws nothing.
     const auto &system = *scenario_.system;
     std::vector<std::map<topo::NodeId, Watts>> applied(
         system.trees().size());
-    for (std::size_t r = 0; r < rackCount_; ++r) {
-        if (racks_[r]) {
-            for (const auto &[key, budget] : racks_[r]->lastEdgeBudgets())
+    for (std::size_t r = 0; r < rackCount(); ++r) {
+        if (units_[r]) {
+            for (const auto &[key, budget] : units_[r]->lastEdgeBudgets())
                 applied[key.first][key.second] = budget;
         } else if (killed_.count(r)) {
             for (const auto &[tree, node] : plan_.workers[r].stations)
@@ -268,19 +237,29 @@ LockstepDeployment::auditSafety() const
     return out;
 }
 
+std::optional<RackState>
+LockstepDeployment::rackState(std::size_t r) const
+{
+    const WorkerRuntime *parent = units_.at(plan_.workers.at(r).parent).get();
+    if (parent == nullptr || parent->supervisor() == nullptr)
+        return std::nullopt;
+    return parent->supervisor()->state(static_cast<std::uint32_t>(r));
+}
+
 std::string
 LockstepDeployment::logLine(std::uint32_t epoch) const
 {
+    const WorkerRuntime &root = *units_.back();
     std::string line = "e=" + std::to_string(epoch) + " st=";
-    for (std::size_t r = 0; r < rackCount_; ++r) {
-        if (!racks_[r]) {
+    for (std::size_t r = 0; r < rackCount(); ++r) {
+        if (!units_[r]) {
             line += 'K';
             continue;
         }
         // Membership overrides liveness in the state column. On a
         // static table every rack is Live and none of these fire, so
         // the line stays bit-identical to a pre-elasticity run.
-        switch (root_->membership().state(static_cast<std::uint16_t>(r))) {
+        switch (root.membership().state(static_cast<std::uint16_t>(r))) {
         case membership::UnitState::Joining:
             line += 'J';
             continue;
@@ -293,13 +272,9 @@ LockstepDeployment::logLine(std::uint32_t epoch) const
         case membership::UnitState::Live:
             break;
         }
-        if (!reportsToRoot(r)) {
-            // Liveness is the root's view of its leaf children; a rack
-            // under an aggregator that is alive is alive.
-            line += 'L';
-            continue;
-        }
-        switch (root_->rackState(r)) {
+        // A rack whose parent supervises nothing, or is killed, is
+        // alive when it runs.
+        switch (rackState(r).value_or(RackState::Live)) {
         case RackState::Live:
             line += 'L';
             break;
@@ -311,28 +286,33 @@ LockstepDeployment::logLine(std::uint32_t epoch) const
             break;
         }
     }
-    if (!aggs_.empty()) {
+    if (rackCount() < plan_.rootEndpoint()) {
         line += " ag=";
-        for (const auto &agg : aggs_)
-            line += agg ? 'L' : 'K';
+        for (std::size_t e = rackCount(); e < plan_.rootEndpoint(); ++e)
+            line += units_[e] ? 'L' : 'K';
     }
     // Generation suffix only when the table ever moved, so static
     // runs keep their exact pre-elasticity log format.
-    if (root_->membershipGeneration() > 1) {
-        line += " g=" + std::to_string(root_->membershipGeneration());
-    }
-    const auto &rs = root_->stats();
-    line += " fo=" + std::to_string(rs.failovers)
-            + " rd=" + std::to_string(rs.restartsDetected)
-            + " rh=" + std::to_string(rs.rehomed);
-    for (std::size_t r = 0; r < rackCount_; ++r) {
+    if (root.membershipGeneration() > 1)
+        line += " g=" + std::to_string(root.membershipGeneration());
+    // Supervision runs in every parent of leaves: sum the live units.
+    const auto total = [this](std::size_t RuntimeStats::*field) {
+        std::size_t sum = 0;
+        for (const auto &unit : units_)
+            sum += unit ? unit->stats().*field : 0;
+        return std::to_string(sum);
+    };
+    line += " fo=" + total(&RuntimeStats::failovers)
+            + " rd=" + total(&RuntimeStats::restartsDetected)
+            + " rh=" + total(&RuntimeStats::rehomed);
+    for (std::size_t r = 0; r < rackCount(); ++r) {
         line += " | r" + std::to_string(r);
-        if (!racks_[r]) {
+        if (!units_[r]) {
             line += " killed";
             continue;
         }
         const auto &system = *scenario_.system;
-        for (const auto &[key, budget] : racks_[r]->lastEdgeBudgets()) {
+        for (const auto &[key, budget] : units_[r]->lastEdgeBudgets()) {
             const auto [tree, node] = key;
             line += " " + system.tree(tree).name() + "."
                     + system.tree(tree).node(node).name + "="
@@ -360,27 +340,22 @@ LockstepDeployment::run(std::uint32_t epochs)
         for (const ChaosEvent &event : chaos_.eventsAt(epoch))
             apply(event, epoch);
 
-        // One lockstep period in tier order: metrics climb leaf ->
-        // aggregators (bottom-up, endpoint order == tier order) ->
-        // room, budgets descend the same path mirrored. A killed
-        // runtime simply stays silent; its parents ride the stale ->
+        // One lockstep period in tier order: metrics climb from the
+        // leaves through the aggregators to the root (endpoint order
+        // is tier order), budgets descend tier by tier. A killed
+        // runtime simply stays silent; its parent rides the stale ->
         // floor ladder.
-        for (auto &rack : racks_) {
-            if (rack)
-                rack->stepUpstream(epoch);
+        for (auto &unit : units_) {
+            if (unit)
+                unit->stepUp(epoch);
         }
-        for (auto &agg : aggs_) {
-            if (agg)
-                agg->stepAggregatorUp(epoch);
+        for (std::size_t e = units_.size(); e-- > rackCount();) {
+            if (units_[e])
+                units_[e]->stepDown(epoch);
         }
-        root_->stepRoom(epoch);
-        for (auto it = aggs_.rbegin(); it != aggs_.rend(); ++it) {
-            if (*it)
-                (*it)->stepAggregatorDown(epoch);
-        }
-        for (auto &rack : racks_) {
-            if (rack)
-                rack->stepDownstream(epoch);
+        for (std::size_t r = 0; r < rackCount(); ++r) {
+            if (units_[r])
+                units_[r]->stepDown(epoch);
         }
 
         // Reap drained racks: a runtime whose replica shows itself
@@ -388,17 +363,17 @@ LockstepDeployment::run(std::uint32_t epochs)
         // adopt path acks before this step returns) and applies zero
         // watts — the process exits. Matches a Wall-paced worker's
         // requestStop() on the same condition.
-        for (std::size_t r = 0; r < rackCount_; ++r) {
-            if (racks_[r] && racks_[r]->membershipLeft()) {
-                racks_[r].reset();
+        for (std::size_t r = 0; r < rackCount(); ++r) {
+            if (units_[r] && units_[r]->membershipLeft()) {
+                units_[r].reset();
                 ++report.drained;
             }
         }
 
         for (auto it = pendingRecovery_.begin();
              it != pendingRecovery_.end();) {
-            if (racks_[it->first]
-                && root_->rackState(it->first) == RackState::Live) {
+            if (units_[it->first]
+                && rackState(it->first) == RackState::Live) {
                 const std::uint32_t took = epoch - it->second + 1;
                 report.maxRecoveryPeriods =
                     std::max(report.maxRecoveryPeriods, took);

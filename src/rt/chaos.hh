@@ -2,14 +2,16 @@
  * @file
  * Deterministic chaos harness for the multi-process worker runtime.
  *
- * A LockstepDeployment hosts a full worker deployment — every rack
- * runtime plus the room — inside one process, all speaking through a
- * single shared Transport wrapped in a ChaosTransport. The runtimes
- * run in Lockstep pacing, so the harness owns the epoch schedule and
- * can interleave scripted faults at exact period boundaries:
+ * A LockstepDeployment hosts a full worker deployment — one runtime
+ * per plan endpoint: every rack, any aggregators, the root — inside one
+ * process, all speaking through a single shared Transport wrapped in a
+ * ChaosTransport. The runtimes run in Lockstep pacing, so the harness
+ * owns the epoch schedule and can interleave scripted faults at exact
+ * period boundaries:
  *
- *   Kill      — destroy a rack runtime (the process dies mid-flight;
- *               whatever frames it queued stay in the network)
+ *   Kill      — destroy a rack or aggregator runtime (the process dies
+ *               mid-flight; whatever frames it queued stay in the
+ *               network)
  *   Restart   — construct a fresh runtime for the role on the same
  *               endpoint (sequence numbers restart at zero, plant
  *               state is lost — exactly what the checkpoint/Rehome
@@ -34,8 +36,9 @@
  * interior, may carry more than its derated limit, nor a tree more
  * than its root budget — even while racks are dead, re-homing, or
  * partitioned. A killed rack counts at its nominal floors. It also
- * tracks recovery time (Restart to the room's Live promotion) so
- * tests can bound re-homing latency in periods.
+ * tracks recovery time (a rack's Restart to its Live promotion by its
+ * parent's supervisor, at any tier) so tests can bound re-homing
+ * latency in periods.
  */
 
 #ifndef CAPMAESTRO_RT_CHAOS_HH
@@ -44,6 +47,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -87,9 +91,6 @@ struct ChaosEvent
     /** Second endpoint (Partition only). */
     std::uint32_t b = 0;
 };
-
-/** Name of a ChaosEvent kind (log rendering). */
-const char *chaosKindName(ChaosEvent::Kind kind);
 
 /**
  * Builds a fault script. All randomness in a seeded schedule comes
@@ -157,7 +158,8 @@ struct ChaosRunReport
     std::size_t drained = 0;
     /**
      * One deterministic line per epoch: states, applied edge budgets
-     * as raw IEEE-754 bit patterns, cumulative failover counters.
+     * as raw IEEE-754 bit patterns, and the failover counters summed
+     * over the live units.
      * Bit-identical across same-seed runs on the Sim backend.
      */
     std::vector<std::string> log;
@@ -194,8 +196,9 @@ class LockstepDeployment
 
     /**
      * Script rack @p rack as a late joiner: its runtime is not
-     * constructed and the root marks the slot absent (no floor
-     * counted, no broadcast). A Join event later brings it in
+     * constructed and every unit marks the slot absent (the root
+     * counts no floor and sends no broadcast; its parent supervises
+     * nothing there). A Join event later brings it in
      * through the two-phase adopt. Pre-run configuration only.
      */
     void scriptJoiner(std::uint32_t rack);
@@ -217,20 +220,24 @@ class LockstepDeployment
     ChaosRunReport run(std::uint32_t epochs);
 
     /** Rack runtimes in the deployment. */
-    std::size_t rackCount() const { return rackCount_; }
+    std::size_t rackCount() const { return plan_.leafWorkers; }
 
-    /** The room runtime. */
-    WorkerRuntime &room() { return *root_; }
+    /** The runtime at plan endpoint @p endpoint, or nullptr while
+     *  killed (or not yet joined, or drained). */
+    WorkerRuntime *unit(std::uint32_t endpoint)
+    {
+        return units_.at(endpoint).get();
+    }
+
+    /** The room (root) runtime; never killed. */
+    WorkerRuntime &room() { return *units_.back(); }
 
     /** Rack runtime @p r, or nullptr while killed. */
-    WorkerRuntime *rack(std::size_t r) { return racks_[r].get(); }
+    WorkerRuntime *rack(std::size_t r) { return units_.at(r).get(); }
 
-    /** Interior aggregator runtime at @p endpoint (deep plans only),
-     *  or nullptr while killed. */
-    WorkerRuntime *aggregator(std::uint32_t endpoint)
-    {
-        return aggs_.at(endpoint - rackCount_).get();
-    }
+    /** Liveness of rack @p r as its parent's supervisor sees it, or
+     *  nullopt when its parent supervises nothing or is killed. */
+    std::optional<RackState> rackState(std::size_t r) const;
 
     /** The worker layout the deployment runs. */
     const core::TreePlan &plan() const { return plan_; }
@@ -249,11 +256,6 @@ class LockstepDeployment
      *  its bound (empty when safe). */
     std::vector<std::string> auditSafety() const;
     std::string logLine(std::uint32_t epoch) const;
-    /** Rack @p rack's parent is the root (which tracks its liveness). */
-    bool reportsToRoot(std::size_t rack) const
-    {
-        return plan_.workers[rack].parent == plan_.rootEndpoint();
-    }
 
     std::string scenarioJson_;
     ChaosBackend backend_;
@@ -262,17 +264,14 @@ class LockstepDeployment
     config::LoadedScenario scenario_;
     std::vector<std::uint32_t> aggLevels_;
     core::TreePlan plan_;
-    std::size_t rackCount_ = 0;
     config::WorkerPeers peers_;
 
     std::unique_ptr<net::Transport> inner_;
     std::unique_ptr<net::ChaosTransport> chaosNet_;
     telemetry::Registry registry_;
 
-    std::vector<std::unique_ptr<WorkerRuntime>> racks_;
-    /** Interior aggregators, indexed by endpoint - rackCount_. */
-    std::vector<std::unique_ptr<WorkerRuntime>> aggs_;
-    std::unique_ptr<WorkerRuntime> root_;
+    /** Every worker, indexed by plan endpoint (the root last). */
+    std::vector<std::unique_ptr<WorkerRuntime>> units_;
 
     ChaosScheduler chaos_;
     std::uint32_t nextEpoch_ = 1;

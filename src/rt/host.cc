@@ -262,7 +262,7 @@ WorkerHost::runPeriod(std::uint32_t epoch)
     }
 
     // ---- plants + upstream metrics for every hosted leaf. Host mode
-    // streams no checkpoints (deep plans have no re-homing consumer),
+    // streams no checkpoints (a host runs no supervisor; see host.hh),
     // so each leaf's checkpoint is dropped here.
     for (RoleTable::Leaf &leaf : leaves) {
         leaf.role.advance(epoch);

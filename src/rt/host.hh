@@ -56,14 +56,16 @@
  * Roles, stamping, framing and routing are the RoleTable's
  * (rt/roles.hh): a hosted leaf is a LeafRole, the state machine every
  * WorkerRuntime rack runs too, and takes Budget and Rehome frames like
- * one (a Rehome from anyone but the root is its orphan; no hosted root
- * sends one). Only a role's plan parent can end its period early: a
+ * one (a Rehome from anyone but its plan parent is its orphan; no
+ * hosted role sends one). Only a role's plan parent can end its period early: a
  * Heartbeat from anyone else is no beacon. The host adds the
  * completeness loop, the co-hosting inbox, holdback, the beacons it
  * sends and catch-up; the checkpoint each leaf builds is dropped. Host
- * mode thus runs none of the 2-level failover machinery: a restarted
+ * mode thus runs no supervision (rt/supervisor.hh): a restarted
  * process rejoins with a fresh plant while its parents ride stale ->
- * floor, as documented in rt/aggregator.hh.
+ * floor, as documented in rt/aggregator.hh. Streaming a checkpoint per
+ * leaf per period would multiply the bytes a large host sends; the
+ * host adopts the Supervisor once a checkpoint cadence is chosen.
  *
  * Observability is the shared rt::Observability (rt/observe.hh), the
  * same plane a WorkerRuntime owns; the host adds only its per-tier

@@ -112,19 +112,16 @@ LeafRole::noteDownFrame(const net::Frame &frame, RuntimeStats &stats,
             return frame.type == net::MsgType::Budget
                    && e.tree == frame.budget.tree && e.node == node;
         });
-    // Another epoch, a Rehome not from the root, a Budget not from the
-    // plan parent or for an edge this leaf does not own, or any other
-    // type.
-    if (frame.epoch != epoch_
-        || (rehome ? frame.sender != net::kRoomSender
-                   : frame.sender != parent_sender
-                         || edge == edges_.end())) {
+    // Another epoch, a frame not from the plan parent, a Budget for an
+    // edge this leaf does not own, or any other type.
+    if (frame.epoch != epoch_ || frame.sender != parent_sender
+        || (!rehome && edge == edges_.end())) {
         ++stats.orphanFrames;
         return false;
     }
     if (rehome) {
         const net::CheckpointMsg &ckpt = frame.checkpoint;
-        // The root retransmits the Rehome like any downstream frame;
+        // The parent retransmits the Rehome like any downstream frame;
         // one replay (or decline) per epoch is the whole handshake.
         if (rehomeAckEpoch_ == epoch_)
             return true;
@@ -132,8 +129,8 @@ LeafRole::noteDownFrame(const net::Frame &frame, RuntimeStats &stats,
         if (periodsClosed_ >= static_cast<std::size_t>(
                 service_.protocol.heartbeatFailAfter)) {
             // An intact instance that merely rode out a partition has
-            // newer state than the root's checkpoint of it: decline,
-            // but ack so the root stops re-sending.
+            // newer state than its parent's checkpoint of it: decline,
+            // but ack so the parent stops re-sending.
             ++stats.rehomesDeclined;
             events.record(static_cast<Seconds>(epoch_),
                           core::EventKind::RehomeDeclined,

@@ -14,8 +14,8 @@
  *                    refresh the edge leaf inputs; returns the
  *                    period's plant checkpoint.
  *   metrics()        one MetricsMsg per edge, for the parent.
- *   noteDownFrame()  a Budget from the plan parent (the first copy per
- *                    edge wins), or a Rehome from the root: replayed
+ *   noteDownFrame()  a Budget (the first copy per edge wins) or a
+ *                    Rehome from the plan parent: replayed
  *                    by a young instance (restarted less than
  *                    heartbeatFailAfter periods ago), declined by an
  *                    older one whose own state is newer, acked either
@@ -29,7 +29,7 @@
  *      shares, and sensor noise must not let a unilateral fallback
  *      creep above the floor the parent counts for this edge when it
  *      stops budgeting it (see rt/aggregator.hh);
- *   2. after a replay (until the root trusts fresh metrics from this
+ *   2. after a replay (until the parent trusts fresh metrics from this
  *      instance again), or while the leaf is Joining or Draining
  *      (shadow periods), every edge is clamped to that same floor. A
  *      Left leaf applies 0 W: its ack of the Left snapshot promises
@@ -116,16 +116,16 @@ class LeafRole
 
     /**
      * Feed one decoded Budget or Rehome frame. Wrong-epoch frames,
-     * Budgets for an edge this leaf does not own or from a sender
-     * other than @p parent_sender (the plan parent's wire id;
-     * kRoomSender when the parent is the root), Rehomes from a sender
-     * other than the root, and any other type are orphans. Returns
-     * true for a Rehome from the root (replayed, declined, refused or
-     * a retransmission): it ends a lockstep period.
+     * frames from a sender other than @p parent_sender (the plan
+     * parent's wire id; kRoomSender when the parent is the root),
+     * Budgets for an edge this leaf does not own, and any other type
+     * are orphans. Returns true for a Rehome from the parent
+     * (replayed, declined, refused or a retransmission): the parent
+     * sends no budgets with it, so it ends the period's collect.
      */
     bool noteDownFrame(const net::Frame &frame, RuntimeStats &stats,
                        core::EventLog &events,
-                       std::uint16_t parent_sender = net::kRoomSender);
+                       std::uint16_t parent_sender);
 
     /** Every edge has its budget this period. */
     bool complete() const;

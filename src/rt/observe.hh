@@ -119,8 +119,8 @@ class Observability
                     const std::string &who, const AggregatorRole &agg);
 
     /** Roll a fragment's gather outcome up per child worker "w<ep>",
-     *  at its worst station's state; a child in @p overrides (the
-     *  root's rack liveness) reports that state instead. */
+     *  at its worst station's state; a child in @p overrides (its
+     *  supervisor's liveness verdict) reports that state instead. */
     void reportChildren(
         const AggregatorRole &agg, std::uint32_t epoch,
         const std::map<std::uint32_t, telemetry::UnitHealth> &overrides =

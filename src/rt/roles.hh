@@ -5,7 +5,8 @@
  * WorkerHost owns one RoleTable for every endpoint of its process; a
  * WorkerRuntime owns one for its single endpoint. The engines keep
  * only what differs between them: pacing, retransmission, holdback,
- * the beacons and heartbeats they send, and the root's supervision.
+ * the host's beacons, and the runtime's supervision of leaf children
+ * (rt/supervisor.hh) and root membership plane.
  *
  * The table owns:
  *  - the roles: the core::TreePlan and its peer-table check, the
@@ -31,10 +32,11 @@
  *     beacon: the parent closed this role's phases without it.
  *  4. A frame from a later epoch is handed back to the engine.
  *  5. A leaf takes everything else in LeafRole::noteDownFrame (a
- *     Budget from its plan parent, or a Rehome from the root; anything
- *     else is its orphan). An aggregator takes a SubBudget in
+ *     Budget or a Rehome from its plan parent; anything else is its
+ *     orphan). An aggregator takes a SubBudget in
  *     AggregatorRole::noteDownFrame and everything else (Metrics,
- *     Summary, Checkpoint, a child's Heartbeat) in noteUpFrame.
+ *     Summary, Checkpoint; a child's Heartbeat is an orphan) in
+ *     noteUpFrame.
  * The roles count their own orphans; route() counts only frames no
  * role can take.
  */
@@ -137,7 +139,8 @@ class RoleTable
         Orphan,
         /** LeafRole::noteDownFrame took it. */
         Leaf,
-        /** LeafRole::noteDownFrame took a Rehome from the root. */
+        /** LeafRole::noteDownFrame took a Rehome from the plan
+         *  parent. */
         Rehome,
         /** AggregatorRole::noteUpFrame took it. */
         Up,

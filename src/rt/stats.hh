@@ -3,8 +3,7 @@
  * Shared runtime-layer accounting and mode types: the cumulative
  * protocol counters every rt worker keeps (one-role WorkerRuntime
  * daemons, AggregatorRole fragments, and the multi-role WorkerHost all
- * report into the same struct), the room-side rack liveness states,
- * and the pacing modes.
+ * report into the same struct) and the pacing modes.
  */
 
 #ifndef CAPMAESTRO_RT_STATS_HH
@@ -28,7 +27,8 @@ struct RuntimeStats
     /** Room/aggregator: stations with no usable metrics at the
      *  deadline (they enter the merge as their nominal floor). */
     std::size_t metricsLost = 0;
-    /** Room: workers declared dead by heartbeat silence. */
+    /** Supervisor: leaf children declared dead after
+     *  heartbeatFailAfter periods unheard. */
     std::size_t failovers = 0;
     /** Frames from another epoch, discarded. */
     std::size_t orphanFrames = 0;
@@ -42,9 +42,9 @@ struct RuntimeStats
     std::size_t retries = 0;
     /** Rack: checkpoints sent upstream. */
     std::size_t checkpointsSent = 0;
-    /** Room: checkpoints received and stored. */
+    /** Supervisor: checkpoints received and stored. */
     std::size_t checkpointsStored = 0;
-    /** Room: Rehome frames sent to re-homing racks. */
+    /** Supervisor: Rehome frames sent to re-homing leaf children. */
     std::size_t rehomesSent = 0;
     /** Rack: Rehome checkpoints replayed into the local plant. */
     std::size_t rehomesApplied = 0;
@@ -52,9 +52,10 @@ struct RuntimeStats
     std::size_t rehomesDeclined = 0;
     /** Rack: periods ridden on the Pcap_min clamp after a replay. */
     std::size_t clampedPeriods = 0;
-    /** Room: dead or reincarnated rack instances detected. */
+    /** Supervisor: dead or reincarnated leaf instances detected. */
     std::size_t restartsDetected = 0;
-    /** Room: racks promoted back to Live after a checkpoint ack. */
+    /** Supervisor: leaf children promoted back to Live after a
+     *  checkpoint ack. */
     std::size_t rehomed = 0;
     /** Aggregator: subtree summaries forwarded to the parent. */
     std::size_t summariesSent = 0;
@@ -134,9 +135,6 @@ inline constexpr StatField kStatFields[] = {
 static_assert(sizeof(RuntimeStats)
                   == std::size(kStatFields) * sizeof(std::size_t),
               "kStatFields must list every RuntimeStats field");
-
-/** The root's liveness state of one of its leaf (rack) children. */
-enum class RackState { Live, Dead, Rehoming };
 
 /** How the period schedule is driven. */
 enum class Pacing {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <thread>
 
 #include "net/wire.hh"
@@ -56,7 +54,8 @@ constexpr CounterSpec kCounters[] = {
     {&RuntimeStats::clampedPeriods, "capmaestro_rt_clamped_periods_total",
      "Periods ridden on the Pcap_min clamp after a replay"},
     {&RuntimeStats::failovers, "capmaestro_rt_failovers_total",
-     "Rack workers declared dead by heartbeat silence"},
+     "Leaf children declared dead after heartbeatFailAfter silent "
+     "periods"},
     {&RuntimeStats::restartsDetected, "capmaestro_rt_restarts_detected_total",
      "Dead or reincarnated rack instances detected"},
     {&RuntimeStats::rehomed, "capmaestro_rt_rehomed_total",
@@ -133,16 +132,26 @@ WorkerRuntime::init()
                         "regenerate the peer table");
         }
     }
-    // Audits name this worker as its telemetry labels do.
-    if (!roles_.aggregators().empty())
-        aggSlot().name = roleName();
-    // The root keeps liveness, checkpoints and re-homing for its leaf
-    // children: every rack at depth 2, none in a balanced deep plan.
+    // Every worker reads the same peer table: a slot not yet deployed
+    // starts outside each replica, so no parent supervises it before a
+    // broadcast shows it Joining. The root holds its joiners out too
+    // until it announces them.
+    for (const std::uint32_t ep : peers_.membership.absent)
+        membershipMarkAbsent(ep);
     if (isRoom()) {
-        for (const std::uint32_t child : agg().children()) {
-            if (child < rackCount())
-                rackHealth_[child] = RackHealth{};
-        }
+        for (const std::uint32_t ep : peers_.membership.join)
+            membershipMarkAbsent(ep);
+    }
+    if (isLeaf())
+        return;
+    // Audits name this worker as its telemetry labels do.
+    aggSlot().name = roleName();
+    const bool leaf_children = std::any_of(
+        agg().children().begin(), agg().children().end(),
+        [this](std::uint32_t child) { return child < rackCount(); });
+    if (leaf_children) {
+        supervisor_.emplace(plan(), role_,
+                            scenario_.service.protocol.heartbeatFailAfter);
     }
 }
 
@@ -219,10 +228,7 @@ WorkerRuntime::runPeriods(std::size_t max_periods)
                              : static_cast<double>(
                                    leafSlot().role.simNow()),
                          roleName());
-        if (role_ < rackCount())
-            runRackPeriod(epoch);
-        else
-            runAggregatorPeriod(epoch);
+        runPeriod(epoch);
         finishPeriod(epoch);
         ++done;
     }
@@ -299,7 +305,11 @@ WorkerRuntime::collect(std::uint32_t epoch, Until until, double close)
                 rehome = true;
                 break;
             case Routed::Up:
-                noteRackFrame(roles_.frame(), epoch);
+                if (supervisor_) {
+                    supervisor_->noteFrame(roles_.frame(), epoch,
+                                           roles_.membership(), stats_,
+                                           events_);
+                }
                 break;
             case Routed::Adopted:
                 events_.record(static_cast<Seconds>(roles_.frame().epoch),
@@ -326,11 +336,10 @@ WorkerRuntime::collect(std::uint32_t epoch, Until until, double close)
             sendAll(acks);
             acks.clear();
         }
-        const bool done =
-            until == Until::Gather       ? agg().upComplete()
-            : until == Until::SubBudgets ? agg().downComplete()
-                                         : leafSlot().role.complete();
-        if (done || (rehome && until == Until::BudgetsOrRehome))
+        const bool done = until == Until::Gather ? agg().upComplete()
+                          : isLeaf() ? rehome || leafSlot().role.complete()
+                                     : agg().downComplete();
+        if (done)
             break;
         const double remaining = close - tp.nowMs();
         if (remaining <= 0.0)
@@ -340,269 +349,65 @@ WorkerRuntime::collect(std::uint32_t epoch, Until until, double close)
 }
 
 // ===================================================================
-// Rack phases
+// The two halves of a period
 // ===================================================================
 
 WorkerRuntime::Sends
-WorkerRuntime::rackUpstreamFrames(std::uint32_t epoch)
+WorkerRuntime::upFrames(std::uint32_t epoch, double close)
 {
-    RoleTable::Leaf &leaf = leafSlot();
-    const net::CheckpointMsg checkpoint = leaf.role.advance(epoch);
     Sends up;
-    up.push_back({role_, parentEp(),
-                  net::encodeHeartbeat(roles_.stamp(role_, epoch))});
-    roles_.frameMetrics(leaf, epoch, up);
-    up.push_back({role_, parentEp(),
-                  net::encodeCheckpoint(roles_.stamp(role_, epoch),
-                                        checkpoint)});
-    ++stats_.checkpointsSent;
-    return up;
-}
-
-void
-WorkerRuntime::runRackPeriod(std::uint32_t epoch)
-{
-    // ---- upstream: heartbeat + one metrics frame per edge + the
-    // plant-state checkpoint, with blind bounded retransmission. In a
-    // deep plan the retransmit window runs to the parent tier's gather
-    // close, and the budget deadline sits at the end of the full
-    // down-cascade; with 2 tiers both degenerate to the flat schedule.
-    const Cascade cascade{scenario_.service.protocol, plan().tiers(),
-                          transport_->nowMs()};
-    const auto up = rackUpstreamFrames(epoch);
-    sendAll(up);
-    retransmit(up, cascade.start,
-               cascade.gatherClose(plan().workers[parentEp()].tier));
-
-    // ---- downstream: collect budgets (or a Rehome) until the
-    // deadline; a budget's arrival is the implicit end of this edge's
-    // exchange.
-    collect(epoch, Until::Budgets, cascade.downClose(0));
-    roles_.closeLeaf(leafSlot());
-}
-
-void
-WorkerRuntime::stepUpstream(std::uint32_t epoch)
-{
-    if (pacing_ != Pacing::Lockstep || role_ >= rackCount())
-        util::fatal("rt: stepUpstream() needs a lockstep rack runtime");
-    // Single-shot sends: lockstep has no deadline schedule to pace
-    // retransmissions against, and a chaos harness wants injected loss
-    // to actually cost a frame.
-    sendAll(rackUpstreamFrames(epoch));
-}
-
-void
-WorkerRuntime::stepDownstream(std::uint32_t epoch)
-{
-    if (pacing_ != Pacing::Lockstep || role_ >= rackCount())
-        util::fatal("rt: stepDownstream() needs a lockstep rack runtime");
-    // A Rehome ends the period: the room withholds budgets from a
-    // re-homing rack, so there is nothing further to wait for.
-    collect(epoch, Until::BudgetsOrRehome,
-            transport_->nowMs() + kLockstepWaitMs);
-    roles_.closeLeaf(leafSlot());
-    finishPeriod(epoch);
-}
-
-// ===================================================================
-// Aggregator and root phases
-// ===================================================================
-
-void
-WorkerRuntime::noteRackFrame(const net::Frame &frame, std::uint32_t epoch)
-{
-    const auto it = rackHealth_.find(frame.sender);
-    if (it == rackHealth_.end() || frame.epoch != epoch)
-        return; // not a leaf child of the root, or a stray epoch
-    const std::uint32_t rack = frame.sender;
-    RackHealth &h = it->second;
-    heard_.insert(rack);
-    const auto ms =
-        roles_.membership().state(static_cast<std::uint16_t>(rack));
-    // A restarted process begins again at sequence 0. A regression no
-    // larger than one upstream batch (heartbeat + one metrics frame
-    // per edge + checkpoint) is normal: the rack's blind bounded
-    // retransmission re-sends the whole batch with the *same*
-    // sequence numbers, and reordered duplicates from an earlier send
-    // sit at most a batch below the newest frame. Only a regression
-    // deeper than the batch means a new instance — caught even when
-    // the restart fit inside one epoch window and no heartbeat was
-    // ever missed. (A restart after a single period is below the
-    // detection threshold; it is picked up one period later once the
-    // old instance's higher sequence numbers dominate.)
-    const auto batch =
-        static_cast<std::uint32_t>(plan().workers[rack].stations.size())
-        + 2;
-    if (ms == membership::UnitState::Joining
-        || ms == membership::UnitState::Left) {
-        // Shadow traffic: seen, but outside the liveness contract.
-        // Drop the sequence baseline so the commit starts a fresh
-        // instance view instead of mis-reading the joiner's early
-        // frames as a restart.
-        h.seqSeen = false;
-    } else if (!h.seqSeen) {
-        h.seqSeen = true;
-        h.maxSeq = frame.seq;
-    } else if (frame.seq + batch < h.maxSeq) {
-        if (h.state == RackState::Live)
-            beginRehoming(rack, epoch);
-        h.maxSeq = frame.seq;
-    } else {
-        h.maxSeq = std::max(h.maxSeq, frame.seq);
+    if (isLeaf()) {
+        RoleTable::Leaf &leaf = leafSlot();
+        const net::CheckpointMsg checkpoint = leaf.role.advance(epoch);
+        roles_.frameMetrics(leaf, epoch, up);
+        up.push_back({role_, parentEp(),
+                      net::encodeCheckpoint(roles_.stamp(role_, epoch),
+                                            checkpoint)});
+        ++stats_.checkpointsSent;
+        return up;
     }
-    if (frame.type == net::MsgType::Checkpoint) {
-        h.lastAckEpoch =
-            std::max(h.lastAckEpoch, frame.checkpoint.rehomeAckEpoch);
-        checkpoints_[rack] = frame.checkpoint;
-        ++stats_.checkpointsStored;
-        persistCheckpoint(rack);
+    agg().beginEpoch(epoch);
+    if (supervisor_) {
+        supervisor_->beginEpoch();
+        refreshChildViews();
     }
-}
-
-void
-WorkerRuntime::beginRehoming(std::uint32_t rack, std::uint32_t epoch)
-{
-    RackHealth &h = rackHealth_.at(rack);
-    h.state = RackState::Rehoming;
-    h.missed = 0;
-    h.rehomeEpoch = 0;
-    // Acks recorded so far came from the dead instance; the new one
-    // must ack a Rehome sent this round.
-    h.lastAckEpoch = 0;
-    ++stats_.restartsDetected;
-    events_.record(static_cast<Seconds>(epoch),
-                   core::EventKind::WorkerRestartDetected,
-                   "worker" + std::to_string(rack),
-                   static_cast<double>(epoch));
-}
-
-void
-WorkerRuntime::rackLiveness(std::uint32_t epoch)
-{
-    const auto &proto = scenario_.service.protocol;
-    const auto fail = [&](std::uint32_t r, RackHealth &h) {
-        h.state = RackState::Dead;
-        ++stats_.failovers;
-        events_.record(static_cast<Seconds>(epoch),
-                       core::EventKind::WorkerFailover,
-                       "worker" + std::to_string(r), -1.0);
-    };
-    for (auto &[r, h] : rackHealth_) {
-        const auto ms =
-            roles_.membership().state(static_cast<std::uint16_t>(r));
-        if (ms == membership::UnitState::Joining
-            || ms == membership::UnitState::Left) {
-            // Held in reset: a joiner is not yet a liveness subject
-            // (its silence must not burn failover credit before the
-            // commit) and a Left unit never will be again.
-            h.missed = 0;
-            continue;
-        }
-        const bool heard = heard_.count(r) != 0;
-        switch (h.state) {
-        case RackState::Live:
-            if (heard)
-                h.missed = 0;
-            else if (++h.missed >= proto.heartbeatFailAfter)
-                fail(r, h);
-            break;
-        case RackState::Dead:
-            // Any frame means a (restarted) instance is back.
-            if (heard)
-                beginRehoming(r, epoch);
-            break;
-        case RackState::Rehoming:
-            if (h.rehomeEpoch > 0
-                && h.lastAckEpoch >= h.rehomeEpoch) {
-                h.state = RackState::Live;
-                h.missed = 0;
-                h.rehomeEpoch = 0;
-                ++stats_.rehomed;
-                events_.record(static_cast<Seconds>(epoch),
-                               core::EventKind::WorkerRehomed,
-                               "worker" + std::to_string(r),
-                               static_cast<double>(epoch));
-            } else if (heard) {
-                h.missed = 0;
-            } else if (++h.missed >= proto.heartbeatFailAfter) {
-                fail(r, h);
-            }
-            break;
-        }
-    }
-    gauges_.deadRacks.set(static_cast<double>(std::count_if(
-        rackHealth_.begin(), rackHealth_.end(), [](const auto &rack) {
-            return rack.second.state != RackState::Live;
-        })));
+    collect(epoch, Until::Gather, close);
+    return aggCloseGather(epoch);
 }
 
 void
 WorkerRuntime::refreshChildViews()
 {
-    // Only the root's leaf children get a view: liveness and membership
-    // are rack-level ideas (a Left rack applies zero watts). Aggregator
-    // children keep the default, as interior tiers do for every child.
-    if (rackHealth_.empty())
-        return;
-    std::map<std::uint32_t, AggregatorRole::ChildView> views;
-    for (const auto &[child, health] : rackHealth_) {
-        const auto ep = static_cast<std::uint16_t>(child);
-        AggregatorRole::ChildView &view = views[child];
-        // Dead children send nothing; neither do children committed
-        // out of the membership. Everyone else (re-homing racks, whose
-        // plants run on default budgets, and Joining/Draining units in
-        // their shadow periods) is waited for.
-        view.awaited =
-            health.state != RackState::Dead
-            && roles_.membership().state(ep) != membership::UnitState::Left;
-        // Fresh metrics are trusted only from a Live instance: a
-        // reincarnated one's fresh-plant numbers would poison the
-        // allocation, and its liveness must not be double-counted as
-        // both the dead instance (stale) and the new one (fresh).
-        view.trusted = health.state == RackState::Live;
-        view.member = roles_.membership().isLive(ep);
-        view.released = membershipFloorReleased(ep);
+    auto views = supervisor_->views(roles_.membership());
+    if (isRoom()) {
+        for (auto &[child, view] : views)
+            view.released =
+                membershipFloorReleased(static_cast<std::uint16_t>(child));
     }
     agg().setChildViews(std::move(views));
-}
-
-void
-WorkerRuntime::aggBeginEpoch(std::uint32_t epoch)
-{
-    agg().beginEpoch(epoch);
-    if (isRoom()) {
-        heard_.clear();
-        refreshChildViews();
-    }
 }
 
 WorkerRuntime::Sends
 WorkerRuntime::aggCloseGather(std::uint32_t epoch)
 {
-    std::map<std::uint32_t, telemetry::UnitHealth> overrides;
-    if (isRoom()) {
-        // The root's own bookkeeping between gather and close: rack
-        // liveness from this gather, the membership commit gate, then
-        // the child view both imply.
-        rackLiveness(epoch);
+    // Liveness from this gather and the root's commit gate, then the
+    // child view both imply.
+    if (supervisor_)
+        supervisor_->closeGather(epoch, roles_.membership(), stats_,
+                                 events_);
+    if (isRoom())
         membershipTick(epoch);
+    std::map<std::uint32_t, telemetry::UnitHealth> overrides;
+    if (supervisor_) {
         refreshChildViews();
-        for (const auto &[rack, h] : rackHealth_) {
-            if (h.state == RackState::Dead)
-                overrides[rack] = telemetry::UnitHealth::Lost;
-            else if (h.state == RackState::Rehoming)
-                overrides[rack] = telemetry::UnitHealth::Rehoming;
-        }
+        overrides = supervisor_->overrides();
+        gauges_.deadRacks.set(static_cast<double>(overrides.size()));
     }
     const auto summaries = agg().closeGather(stats_, events_);
     obs_.reportChildren(agg(), epoch, overrides);
     Sends up;
-    if (isRoom())
-        return up;
-    up.push_back({role_, parentEp(),
-                  net::encodeHeartbeat(roles_.stamp(role_, epoch))});
-    roles_.frameSummaries(aggSlot(), summaries, epoch, up);
+    if (!isRoom())
+        roles_.frameSummaries(aggSlot(), summaries, epoch, up);
     return up;
 }
 
@@ -611,118 +416,89 @@ WorkerRuntime::aggDownFrames(std::uint32_t epoch)
 {
     Sends down;
     roles_.frameDown(aggSlot(), epoch, down);
-    if (isRoom())
-        appendRehomeFrames(epoch, down);
+    if (!supervisor_)
+        return down;
+    for (const Supervisor::Rehome &rehome :
+         supervisor_->rehomes(epoch, roles_.membership(), stats_)) {
+        down.push_back({role_, rehome.child,
+                        net::encodeRehome(roles_.stamp(role_, epoch),
+                                          rehome.checkpoint)});
+    }
     return down;
 }
 
 void
-WorkerRuntime::appendRehomeFrames(std::uint32_t epoch, Sends &down)
-{
-    // Replay the stored checkpoint into the new instance. An empty
-    // checkpoint (none ever stored) still completes the handshake —
-    // the rack simply keeps its fresh plant. Shadow units get no
-    // replay until committed.
-    for (auto &[rack, h] : rackHealth_) {
-        if (h.state != RackState::Rehoming || !heard_.count(rack)
-            || !roles_.membership().isLive(static_cast<std::uint16_t>(rack)))
-            continue;
-        const auto stored = checkpoints_.find(rack);
-        down.push_back({role_, rack,
-                        net::encodeRehome(roles_.stamp(role_, epoch),
-                                          stored != checkpoints_.end()
-                                              ? stored->second
-                                              : net::CheckpointMsg{})});
-        if (h.rehomeEpoch == 0)
-            h.rehomeEpoch = epoch;
-        ++stats_.rehomesSent;
-    }
-}
-
-void
-WorkerRuntime::runAggregatorPeriod(std::uint32_t epoch)
+WorkerRuntime::runPeriod(std::uint32_t epoch)
 {
     net::Transport &tp = *transport_;
-    // With two tiers the cascade is the flat schedule: the root
-    // gathers for one window and retransmits budgets until the
-    // leaves' budget deadline.
+    // With two tiers the cascade is the flat schedule: the root gathers
+    // for one window and retransmits budgets until the leaves' budget
+    // deadline.
     const Cascade cascade{scenario_.service.protocol, plan().tiers(),
                           tp.nowMs()};
     const std::uint32_t tier = plan().workers[role_].tier;
 
-    aggBeginEpoch(epoch);
-    collect(epoch, Until::Gather, cascade.gatherClose(tier));
-    const auto up = aggCloseGather(epoch);
-
+    // ---- up: blind bounded retransmission until the parent's gather
+    // closes (the root sends nothing up).
+    const auto up = upFrames(epoch, cascade.gatherClose(tier));
     if (!isRoom()) {
-        // ---- forward this subtree's summaries, blind bounded
-        // retransmission until the parent's gather closes.
         const double sent_at = tp.nowMs();
         sendAll(up);
         retransmit(up, sent_at,
                    cascade.gatherClose(plan().workers[parentEp()].tier));
-
-        // ---- collect SubBudgets until this tier's down deadline.
-        collect(epoch, Until::SubBudgets, cascade.downClose(tier));
     }
 
-    // ---- split down, blind bounded retransmission until the direct
-    // children's own down deadline (their tier is ours minus one).
+    // ---- down: collect until this tier's down deadline (a budget's
+    // arrival is the implicit end of that edge's exchange); an
+    // aggregator's split then goes out with blind bounded
+    // retransmission until its children's own down deadline.
+    const auto down = downHalf(epoch, cascade.downClose(tier));
+    if (!isLeaf())
+        retransmit(down, tp.nowMs(), cascade.downClose(tier - 1));
+}
+
+WorkerRuntime::Sends
+WorkerRuntime::downHalf(std::uint32_t epoch, double close)
+{
+    if (!isRoom())
+        collect(epoch, Until::Down, close);
+    if (isLeaf()) {
+        roles_.closeLeaf(leafSlot());
+        return {};
+    }
     const auto down = aggDownFrames(epoch);
-    const double down_start = tp.nowMs();
     sendAll(down);
     // Membership snapshots ride the same down window, single-shot per
     // period (ack-gated: a lost broadcast is repaired next period).
     if (isRoom())
         broadcastMembership(epoch);
-    retransmit(down, down_start, cascade.downClose(tier - 1));
+    return down;
 }
 
 void
-WorkerRuntime::stepRoom(std::uint32_t epoch)
+WorkerRuntime::stepUp(std::uint32_t epoch)
 {
-    if (pacing_ != Pacing::Lockstep || !isRoom())
-        util::fatal("rt: stepRoom() needs the lockstep room runtime");
+    if (pacing_ != Pacing::Lockstep)
+        util::fatal("rt: stepUp() needs a lockstep runtime");
     telemetry::PeriodTracer *tracer = obs_.tracer();
-    const auto span = tracer ? tracer->begin("rt.room")
-                             : telemetry::PeriodTracer::kNoSpan;
-    if (tracer)
-        tracer->num(span, "epoch", static_cast<double>(epoch));
-    // One step covers both halves: by the lockstep driving order every
-    // child has already stepped up, and will step down after.
-    aggBeginEpoch(epoch);
-    collect(epoch, Until::Gather, transport_->nowMs() + kLockstepWaitMs);
-    aggCloseGather(epoch);
-    sendAll(aggDownFrames(epoch));
-    broadcastMembership(epoch);
-    if (tracer)
-        tracer->end(span);
-    finishPeriod(epoch);
+    if (isRoom() && tracer) {
+        roomSpan_ = tracer->begin("rt.room");
+        tracer->num(roomSpan_, "epoch", static_cast<double>(epoch));
+    }
+    // Single-shot sends: lockstep has no deadline schedule to pace
+    // retransmissions against, and a chaos harness wants injected loss
+    // to actually cost a frame.
+    sendAll(upFrames(epoch, transport_->nowMs() + kLockstepWaitMs));
 }
 
 void
-WorkerRuntime::stepAggregatorUp(std::uint32_t epoch)
+WorkerRuntime::stepDown(std::uint32_t epoch)
 {
-    if (pacing_ != Pacing::Lockstep || !isAggregator()) {
-        util::fatal(
-            "rt: stepAggregatorUp() needs a lockstep aggregator");
-    }
-    aggBeginEpoch(epoch);
-    collect(epoch, Until::Gather, transport_->nowMs() + kLockstepWaitMs);
-    // Single-shot sends, mirroring stepUpstream(): injected loss in a
-    // chaos script must actually cost the frame.
-    sendAll(aggCloseGather(epoch));
-}
-
-void
-WorkerRuntime::stepAggregatorDown(std::uint32_t epoch)
-{
-    if (pacing_ != Pacing::Lockstep || !isAggregator()) {
-        util::fatal(
-            "rt: stepAggregatorDown() needs a lockstep aggregator");
-    }
-    collect(epoch, Until::SubBudgets, transport_->nowMs() + kLockstepWaitMs);
-    sendAll(aggDownFrames(epoch));
+    if (pacing_ != Pacing::Lockstep)
+        util::fatal("rt: stepDown() needs a lockstep runtime");
+    downHalf(epoch, transport_->nowMs() + kLockstepWaitMs);
+    if (isRoom() && obs_.tracer())
+        obs_.tracer()->end(roomSpan_);
     finishPeriod(epoch);
 }
 
@@ -733,51 +509,47 @@ WorkerRuntime::stepAggregatorDown(std::uint32_t epoch)
 bool
 WorkerRuntime::membershipBeginJoin(std::uint32_t endpoint)
 {
-    if (!isRoom())
-        util::fatal("rt: membershipBeginJoin() needs the root runtime");
-    if (endpoint >= plan().workers.size() || endpoint == role_)
-        return false;
-    const auto ep = static_cast<std::uint16_t>(endpoint);
-    if (!roles_.membership().beginJoin(ep))
-        return false;
-    // Acks recorded so far belong to a previous incarnation of the
-    // slot; the joiner must ack its own announcement.
-    memberAckGen_.erase(ep);
-    joinAnnounceEpoch_[ep] = lastEpoch_;
-    if (const auto h = rackHealth_.find(endpoint); h != rackHealth_.end())
-        h->second = RackHealth{};
-    events_.record(static_cast<Seconds>(lastEpoch_),
-                   core::EventKind::MembershipJoinBegan,
-                   "worker" + std::to_string(endpoint),
-                   static_cast<double>(roles_.membership().generation()));
-    return true;
+    return announce(endpoint, /*join=*/true);
 }
 
 bool
 WorkerRuntime::membershipBeginDrain(std::uint32_t endpoint)
 {
+    return announce(endpoint, /*join=*/false);
+}
+
+bool
+WorkerRuntime::announce(std::uint32_t endpoint, bool join)
+{
     if (!isRoom())
-        util::fatal("rt: membershipBeginDrain() needs the root runtime");
-    if (endpoint >= plan().workers.size() || endpoint == role_)
+        util::fatal("rt: membership announcements need the root runtime");
+    const auto ep = static_cast<std::uint16_t>(endpoint);
+    membership::MembershipTable &table = roles_.membership();
+    if (endpoint >= plan().workers.size() || endpoint == role_
+        || !(join ? table.beginJoin(ep) : table.beginDrain(ep)))
         return false;
-    if (!roles_.membership().beginDrain(static_cast<std::uint16_t>(endpoint)))
-        return false;
+    if (join) {
+        // Acks recorded so far belong to a previous incarnation of the
+        // slot; the joiner must ack its own announcement.
+        memberAckGen_.erase(ep);
+        joinAnnounceEpoch_[ep] = lastEpoch_;
+    }
     events_.record(static_cast<Seconds>(lastEpoch_),
-                   core::EventKind::MembershipDrainBegan,
+                   join ? core::EventKind::MembershipJoinBegan
+                        : core::EventKind::MembershipDrainBegan,
                    "worker" + std::to_string(endpoint),
-                   static_cast<double>(roles_.membership().generation()));
+                   static_cast<double>(table.generation()));
     return true;
 }
 
 void
 WorkerRuntime::membershipMarkAbsent(std::uint32_t endpoint)
 {
-    if (!isRoom())
-        util::fatal("rt: membershipMarkAbsent() needs the root runtime");
     if (stats_.periodsRun > 0)
         util::fatal("rt: membershipMarkAbsent() is pre-run "
                     "configuration; use membershipBeginDrain() online");
-    if (endpoint >= plan().workers.size() || endpoint == role_)
+    if (endpoint >= plan().workers.size()
+        || (isRoom() && endpoint == role_))
         util::fatal("rt: cannot mark endpoint %u absent", endpoint);
     roles_.membership().markAbsent(static_cast<std::uint16_t>(endpoint));
 }
@@ -882,13 +654,9 @@ WorkerRuntime::membershipTick(std::uint32_t epoch)
                        core::EventKind::MembershipCommitted,
                        "worker" + std::to_string(ep),
                        static_cast<double>(roles_.membership().generation()));
-        if (roles_.membership().isLive(ep)) {
+        // The supervisor held the joiner's ledger fresh until now.
+        if (roles_.membership().isLive(ep))
             joinAnnounceEpoch_.erase(ep);
-            // Fresh liveness ledger: the adopted unit starts Live with
-            // a clean sequence baseline and zero failover credit.
-            if (const auto h = rackHealth_.find(ep); h != rackHealth_.end())
-                h->second = RackHealth{};
-        }
     }
     const membership::MembershipTable &table = roles_.membership();
     gauges_.membershipGen.set(static_cast<double>(table.generation()));
@@ -938,16 +706,6 @@ WorkerRuntime::lastEdgeBudgets() const
     return out;
 }
 
-RackState
-WorkerRuntime::rackState(std::size_t r) const
-{
-    const auto h = rackHealth_.find(static_cast<std::uint32_t>(r));
-    if (h == rackHealth_.end())
-        util::fatal("rt: rackState() needs the root runtime and one of "
-                    "its leaf children");
-    return h->second.state;
-}
-
 void
 WorkerRuntime::setTelemetry(telemetry::Registry *registry,
                             telemetry::PeriodTracer *tracer)
@@ -964,7 +722,7 @@ WorkerRuntime::setTelemetry(telemetry::Registry *registry,
         return;
     gauges_.deadRacks = registry->gauge(
         "capmaestro_rt_degraded_racks", ls,
-        "Racks currently Dead or Rehoming (room view)");
+        "Leaf children currently Dead or Rehoming (supervisor view)");
     gauges_.membershipGen = registry->gauge(
         "capmaestro_membership_generation", ls,
         "Current membership table generation");
@@ -973,65 +731,12 @@ WorkerRuntime::setTelemetry(telemetry::Registry *registry,
         "Units with an uncommitted transition (Joining or Draining)");
 }
 
-std::string
-WorkerRuntime::checkpointPath(std::size_t rack) const
-{
-    return stateDir_ + "/rack" + std::to_string(rack) + ".ckpt";
-}
-
 void
 WorkerRuntime::setStateDir(const std::string &dir)
 {
-    if (!isRoom())
-        util::fatal("rt: setStateDir() needs the room runtime");
-    stateDir_ = dir;
-    loadPersistedCheckpoints();
-}
-
-void
-WorkerRuntime::persistCheckpoint(std::size_t rack)
-{
-    if (stateDir_.empty())
-        return;
-    // The on-disk format is simply the encoded Checkpoint frame: it
-    // reuses the codec's CRC and version checks, so a torn or stale
-    // file is rejected on load exactly like a corrupt frame.
-    const auto bytes = net::encodeCheckpoint(
-        {static_cast<std::uint16_t>(rack), lastEpoch_, 0},
-        checkpoints_.at(rack));
-    const std::string path = checkpointPath(rack);
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) {
-            util::warn("rt: cannot write checkpoint %s", tmp.c_str());
-            return;
-        }
-        os.write(reinterpret_cast<const char *>(bytes.data()),
-                 static_cast<std::streamsize>(bytes.size()));
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        util::warn("rt: cannot install checkpoint %s", path.c_str());
-}
-
-void
-WorkerRuntime::loadPersistedCheckpoints()
-{
-    for (const auto &[r, health] : rackHealth_) {
-        (void)health;
-        std::ifstream is(checkpointPath(r), std::ios::binary);
-        if (!is)
-            continue;
-        std::vector<std::uint8_t> bytes(
-            (std::istreambuf_iterator<char>(is)),
-            std::istreambuf_iterator<char>());
-        const auto frame = net::decodeFrame(bytes);
-        if (!frame || frame->type != net::MsgType::Checkpoint) {
-            util::warn("rt: ignoring corrupt checkpoint for rack %u", r);
-            continue;
-        }
-        checkpoints_[r] = frame->checkpoint;
-    }
+    if (!supervisor_)
+        util::fatal("rt: setStateDir() needs a worker with leaf children");
+    supervisor_->setStateDir(dir);
 }
 
 } // namespace capmaestro::rt

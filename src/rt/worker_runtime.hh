@@ -1,114 +1,76 @@
 /**
  * @file
  * Process-level worker runtime (the deployment shape of paper §5): one
- * rack or room worker's half of the §4.5 control protocol, driven by
- * wall-clock deadlines over a real transport instead of by the
- * in-process DistributedControlPlane loop.
+ * worker's half of the §4.5 control protocol, driven by wall-clock
+ * deadlines over a real transport instead of by the in-process
+ * DistributedControlPlane loop.
  *
- * A deployment runs rackWorkerCount() rack processes (endpoints
- * 0..N-1) plus one room process (endpoint N), all sharing one peer
- * table (config::WorkerPeers). Control periods are anchored to the
- * table's wall-clock origin: period (epoch) e owns the real-time
- * window [originMs + (e-1)*periodMs, originMs + e*periodMs), so every
- * process independently agrees on the current epoch from its own clock
+ * A deployment is a core::TreePlan: leaf (rack) workers 0..N-1, any
+ * interior aggregator workers, and the root at the last endpoint, all
+ * sharing one peer table (config::WorkerPeers). Control periods are
+ * anchored to the table's wall-clock origin: period (epoch) e owns the
+ * real-time window [originMs + (e-1)*periodMs, originMs + e*periodMs),
+ * so every process agrees on the current epoch from its own clock
  * (NTP-grade agreement is enough; the per-phase deadlines and the
  * epoch field on every frame absorb skew).
  *
- * Within its window each period runs the two §4.5 phases:
+ * Each period has an up half and a down half:
  *
- *   rack:  a LeafRole (rt/leaf.hh), as every WorkerHost leaf is:
- *          advance the plant, send heartbeat + per-edge metrics + the
- *          plant-state Checkpoint (blind bounded retransmission — a
- *          real rack cannot see the room's receive state, so it
- *          re-sends on a timer up to maxAttempts), then collect
- *          Budget and Rehome frames until the budget deadline and
- *          close the period with the leaf's §4.5 ladder (Pcap_min
- *          defaults, the replay and shadow clamps, the PI loops).
- *   room:  the plan's root, an AggregatorRole like every deeper root:
- *          collect metrics until the gather deadline, run the §4.5
- *          stale -> lost -> floor ladder and the upper-tree
- *          controllers, then send per-edge budgets with the same blind
- *          bounded retransmission.
+ *   leaf:        a LeafRole (rt/leaf.hh), as every WorkerHost leaf is.
+ *                Up: advance the plant, send one Metrics frame per
+ *                edge and the plant-state Checkpoint. Down: collect
+ *                Budgets until the budget deadline or a Rehome, and
+ *                close the period with the leaf's §4.5 ladder.
+ *   aggregator:  an AggregatorRole, the root included. Up: gather the
+ *                children's Metrics or Summaries until the gather
+ *                deadline, run the stale -> lost -> floor ladder, and
+ *                forward the fragment's Summaries (the root keeps its
+ *                boundary). Down: collect the parent's SubBudgets
+ *                (the root computes from its root budgets), split
+ *                them, and send Budget/SubBudget frames.
  *
- * Failover: every rack streams a compact checkpoint of its
- * recoverable plant state — per-server capping-integrator value, SPO
- * pin flags, and last-period summaries — to its parent each period.
- * The root keeps the latest checkpoint per leaf child (optionally
- * persisted under a state directory for supervisor restarts) and runs
- * a per-rack liveness state machine over its leaf children — every
- * rack at depth 2, none in a balanced deep plan:
+ * Sends use blind bounded retransmission: a sender cannot see its
+ * receiver's state, so it re-sends on a timer up to maxAttempts and
+ * receivers keep the first copy.
  *
- *   Live ──(heartbeatFailAfter missed)──> Dead: WorkerFailover, the
- *        rack's edges ride the stale -> lost degradation, budgets stop
- *        flowing to it.
- *   Dead ──(any frame heard)──> Rehoming. A *reincarnated* instance is
- *        also detected from a Live rack by sequence-number regression
- *        (a restarted process begins again at seq 0), so a worker
- *        restarted within the same epoch window transitions straight
- *        to Rehoming — its fresh-plant metrics are never trusted, and
- *        its liveness is never double-counted against the stale
- *        accounting of the instance that died.
- *   Rehoming: the root withholds budgets (the rack rides its Pcap_min
- *        defaults — the clamp §4.5 requires until fresh metrics exist)
- *        and sends the stored checkpoint as a Rehome frame each period
- *        the rack is heard. The rack replays it (restoring integrator
- *        state, r-hat, summaries, and the plant clock) and acks via
- *        the rehomeAckEpoch field of its next Checkpoint; an intact
- *        instance that merely rode out a partition declines the replay
- *        instead (its own state is newer) and acks likewise.
- *   Rehoming ──(ack at/after the rehome epoch)──> Live: WorkerRehomed,
- *        fresh metrics trusted again, budgets resume. Recovery is
- *        bounded: detection takes at most heartbeatFailAfter periods,
- *        replay + ack two more, so a supervisor restart re-joins
- *        within heartbeatFailAfter + restart delay + 2 periods.
+ * Supervision: an aggregating worker with leaf children owns an
+ * rt::Supervisor (rt/supervisor.hh) for them, at any tier — per-child
+ * liveness, restart detection by sequence regression, the checkpoint
+ * store (persisted under --state-dir) and Rehome emission. Liveness
+ * reaches the allocation through one input, the aggregator's per-epoch
+ * child view (AggregatorRole::setChildViews). Recovery is bounded:
+ * detection takes at most heartbeatFailAfter periods, replay and ack
+ * two more.
  *
- * Liveness and membership reach the allocation through one input: the
- * root's per-epoch view of its leaf children
- * (AggregatorRole::setChildViews). A Dead or Left rack is not waited
- * for; a non-Live instance is untrusted (its metrics are neither used
- * nor cached, it enters as its floor); a rack outside the committed
- * membership skips the ladder and keeps its floor counted until its
- * departure is acked. Aggregator children get no view: one that is
- * absent or drained still runs, and so do the racks below it.
- *
- * The §4.4 SPO round is still skipped here (it needs fleet-wide
- * stranded-power detection); the checkpoint carries the pin flags for
- * format completeness.
+ * Membership: the root owns the table (membership/table.hh), its ack
+ * book and the two-phase commit gate, and broadcasts each new
+ * generation until every affected unit acks it. Every other worker
+ * holds a replica; a non-root supervisor reads it and never releases
+ * a departed unit's floor (only the root's ack book can).
  *
  * Pacing: Wall mode (daemons, runPeriods()) sleeps to window
- * boundaries and paces phases with transport deadlines. Lockstep mode
- * (chaos harness) hands the schedule to the caller: stepUpstream() on
- * every rack, then stepRoom(), then stepDownstream() on every rack,
- * one explicit epoch at a time over any injected Transport — this is
- * what makes kill/restart/partition scripts deterministic.
- *
- * Deep trees: when the peer table carries aggLevels, the deployment is
- * a core::TreePlan — leaf workers 0..N-1, interior aggregator workers,
- * and the root at the last endpoint. Leaves speak the same protocol
- * but to their plan parent; aggregators (AggregatorRole) merge child
- * summaries up and split SubBudgets down; the root runs the top
- * fragment. Wall pacing staggers the deadlines by tier so a tier-k
- * receiver's gather closes at window start + k x gatherDeadlineMs and
- * budgets cascade back down symmetrically — with no aggLevels this
- * degenerates to the 2-level schedule above. Every hop runs the same
- * stale -> floor ladder; interior aggregators are stateless and run
- * no liveness (see rt/aggregator.hh for the recovery contract).
+ * boundaries and runs a tier-staggered deadline cascade (rt::Cascade):
+ * a tier-k receiver's gather closes at window start + k x
+ * gatherDeadlineMs, and budgets cascade back down symmetrically.
+ * Lockstep mode (chaos harness) hands the schedule to the caller:
+ * stepUp() on every worker in ascending endpoint order, then stepDown()
+ * tier by tier descending, one explicit epoch at a time over any injected
+ * Transport, with single-shot sends, so kill/restart/partition scripts
+ * are deterministic.
  *
  * Roles, stamping, framing and routing are the rt::RoleTable's
  * (rt/roles.hh), the one send/receive path WorkerHost runs too. The
- * runtime keeps what differs: Wall and Lockstep pacing, blind
- * retransmission, the Heartbeat and Checkpoint in its upstream batch,
- * and the root's supervision (liveness, the checkpoint store, Rehome,
- * the membership table and its ack book, the child views). A frame the
- * table hands back from a later epoch is an orphan here: these pacings
- * keep no holdback.
+ * runtime keeps what differs: the two pacings, retransmission, its
+ * supervisor and the root's membership plane. A frame the table hands
+ * back from a later epoch is an orphan here: these pacings keep no
+ * holdback.
  *
  * Every degraded decision lands in the runtime's EventLog with the
  * epoch as its timestamp, mirroring ClosedLoopSim's audit trail.
  * Observability is the shared rt::Observability (rt/observe.hh), the
  * same plane a WorkerHost owns; the runtime adds only its
- * capmaestro_rt_* and membership series, the root's rack-liveness
- * override of the fleet rollup, and the rt.room span.
+ * capmaestro_rt_* and membership series, its supervisor's liveness
+ * override of the fleet rollup, and the root's rt.room span.
  */
 
 #ifndef CAPMAESTRO_RT_WORKER_RUNTIME_HH
@@ -120,7 +82,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -134,15 +95,15 @@
 #include "rt/observe.hh"
 #include "rt/roles.hh"
 #include "rt/stats.hh"
+#include "rt/supervisor.hh"
 #include "util/json.hh"
 
 namespace capmaestro::rt {
 
 /**
- * One worker process's runtime: plant + protocol state machine.
- * Construct with role 0..N-1 for a rack worker or role N for the room
- * (N = DistributedControlPlane::rackWorkerCountFor on the scenario's
- * power system).
+ * One worker process's runtime: its role, pacing and retransmission,
+ * its supervisor, and (root) the membership plane. Construct with any
+ * endpoint of the plan: 0..N-1 for a leaf, the root last.
  */
 class WorkerRuntime
 {
@@ -154,7 +115,7 @@ class WorkerRuntime
      * @param scenario  loaded scenario (ownership taken; every worker
      *                  process loads the same file)
      * @param peers     shared peer table (ports, periodMs, originMs)
-     * @param role      endpoint: rack index, or rack count for the room
+     * @param role      plan endpoint (leaf, aggregator or root)
      * @param seed      sensor-noise seed (must match across processes
      *                  only in that each process forks its own servers'
      *                  streams from it)
@@ -204,34 +165,21 @@ class WorkerRuntime
      */
     std::size_t runPeriods(std::size_t max_periods);
 
-    // ---- Lockstep pacing: the caller drives one epoch as
-    // stepUpstream() on every live rack, stepRoom(), then
-    // stepDownstream() on every live rack.
+    // ---- Lockstep pacing: the caller drives one epoch as stepUp() on
+    // every live worker in ascending endpoint order (leaves, then the
+    // aggregators tier by tier, then the root), then stepDown() tier by
+    // tier descending. Every send is single-shot.
 
-    /** Rack, lockstep: advance the plant and send the upstream batch
-     *  (heartbeat + metrics + checkpoint) once, without pacing. */
-    void stepUpstream(std::uint32_t epoch);
+    /** Lockstep up half: a leaf advances its plant and sends its
+     *  Metrics and Checkpoint; an aggregator gathers, closes the
+     *  gather and forwards its Summaries (the root keeps them). */
+    void stepUp(std::uint32_t epoch);
 
-    /** Room, lockstep: gather, run liveness/failover, compute and send
-     *  budgets (+ Rehome frames) once. */
-    void stepRoom(std::uint32_t epoch);
-
-    /** Rack, lockstep: collect budgets/Rehome, apply defaults and
-     *  per-server caps. */
-    void stepDownstream(std::uint32_t epoch);
-
-    // ---- Lockstep pacing, deep plans: one epoch is stepUpstream() on
-    // every leaf, stepAggregatorUp() tier by tier ascending, stepRoom(),
-    // stepAggregatorDown() tier by tier descending, stepDownstream() on
-    // every leaf.
-
-    /** Aggregator, lockstep: gather child summaries, merge, and send
-     *  this worker's Summary frames (+ heartbeat) to its parent. */
-    void stepAggregatorUp(std::uint32_t epoch);
-
-    /** Aggregator, lockstep: collect SubBudgets from the parent, split,
-     *  and send Budget/SubBudget frames to the children. */
-    void stepAggregatorDown(std::uint32_t epoch);
+    /** Lockstep down half: a leaf collects its Budgets (or a Rehome)
+     *  and closes its period; an aggregator collects its SubBudgets
+     *  (not the root) and sends its split, its Rehomes and (root) the
+     *  membership broadcast. */
+    void stepDown(std::uint32_t epoch);
 
     /**
      * Ask the period loop to exit at the next check (async-signal-safe:
@@ -269,18 +217,21 @@ class WorkerRuntime
     std::map<std::pair<std::size_t, topo::NodeId>, Watts>
     lastEdgeBudgets() const;
 
-    /** Root only: liveness state of leaf child @p r (a rack that
-     *  reports to the root; fatal otherwise). */
-    RackState rackState(std::size_t r) const;
+    /** This worker's supervisor of its leaf children, or nullptr when
+     *  it has none. */
+    const Supervisor *supervisor() const
+    {
+        return supervisor_ ? &*supervisor_ : nullptr;
+    }
 
     // ---- membership / elasticity plane (see membership/table.hh).
-    // The root owns the table: begin*/markAbsent mutate it, the commit
-    // gate runs inside the period loop, and deltas are broadcast until
-    // every affected unit acked the current generation. Non-root
-    // workers hold a replica updated by MembershipDelta frames. A
-    // static all-Live table keeps the whole plane idle — no frames, no
-    // sequence numbers, no behavioral difference from pre-elasticity
-    // builds.
+    // The root owns the table: begin* mutate it, the commit gate runs
+    // inside the period loop, and deltas are broadcast until every
+    // affected unit acked the current generation. Non-root workers
+    // hold a replica, marked absent alike at boot and updated by
+    // MembershipDelta frames. A static all-Live table keeps the whole
+    // plane idle — no frames, no sequence numbers, no behavioral
+    // difference from pre-elasticity builds.
 
     /** This worker's membership replica (the root's is the truth). */
     const membership::MembershipTable &membership() const
@@ -308,10 +259,13 @@ class WorkerRuntime
     bool membershipBeginDrain(std::uint32_t endpoint);
 
     /**
-     * Root only, before the first period: mark @p endpoint as not yet
-     * deployed (Left, since generation 0 — no floor is counted and no
-     * broadcast targets it). The endpoint keeps its slot in the peer
-     * table; membershipBeginJoin() brings it in later.
+     * Before the first period: mark @p endpoint as not yet deployed
+     * (Left, since generation 0). At the root no floor is counted and
+     * no broadcast targets it; membershipBeginJoin() brings it in
+     * later. A replica marked alike (construction does so for the
+     * peer table's "absent" list) keeps a supervising parent from
+     * declaring the slot dead before a broadcast shows it Joining.
+     * The endpoint keeps its slot in the peer table.
      */
     void membershipMarkAbsent(std::uint32_t endpoint);
 
@@ -399,54 +353,38 @@ class WorkerRuntime
     }
 
     /**
-     * Room only: persist the latest checkpoint per rack under
-     * @p dir (one file per rack, atomically replaced), and load any
-     * checkpoints a previous room instance left there — how a
-     * supervisor-restarted room can still re-home racks that died
-     * while it was down.
+     * Supervising workers only (supervisor() != nullptr; fatal
+     * otherwise): persist the latest checkpoint per leaf child under
+     * @p dir and load those a previous instance left there, so a
+     * restarted parent can still re-home children that died while it
+     * was down (Supervisor::setStateDir).
      */
     void setStateDir(const std::string &dir);
 
   private:
-    /** Root's per-rack liveness and re-homing bookkeeping. */
-    struct RackHealth
-    {
-        RackState state = RackState::Live;
-        int missed = 0;
-        /** Highest sequence number seen from the current instance. */
-        std::uint32_t maxSeq = 0;
-        bool seqSeen = false;
-        /** Latest rehomeAckEpoch reported by the rack's checkpoints. */
-        std::uint32_t lastAckEpoch = 0;
-        /** Epoch the current re-homing round's first Rehome was sent
-         *  (0 = none yet this round). */
-        std::uint32_t rehomeEpoch = 0;
-    };
-
     using Routed = RoleTable::Routed;
     using Sends = RoleTable::Sends;
 
     /** What a collect() loop waits for. */
     enum class Until : std::uint8_t
     {
-        /** Leaf: every edge budgeted. */
-        Budgets,
-        /** Leaf: every edge budgeted, or a Rehome from the root. */
-        BudgetsOrRehome,
         /** Aggregator: every awaited child station fresh. */
         Gather,
-        /** Aggregator: every SubBudget received. */
-        SubBudgets,
+        /** Aggregator: every SubBudget received. Leaf: every edge
+         *  budgeted, or a Rehome (its parent withholds budgets from a
+         *  re-homing child). */
+        Down,
     };
 
-    /** Shared ctor body: validate the pacing schedule and set up the
-     *  root's liveness book. */
+    /** Shared ctor body: validate the pacing schedule and build the
+     *  supervisor. */
     void init();
 
     std::uint32_t epochAt(std::uint64_t unix_ms) const;
     /** Sleep until @p unix_ms, checking stop_; false when stopped. */
     bool sleepUntil(std::uint64_t unix_ms);
 
+    bool isLeaf() const { return role_ < rackCount(); }
     RoleTable::Leaf &leafSlot() { return roles_.leaves().front(); }
     RoleTable::Aggregator &aggSlot() { return roles_.aggregators().front(); }
     AggregatorRole &agg() { return aggSlot().role; }
@@ -463,45 +401,34 @@ class WorkerRuntime
      *  transport clock reaches @p close; act on what it hands back. */
     void collect(std::uint32_t epoch, Until until, double close);
 
-    void runRackPeriod(std::uint32_t epoch);
-    /** Wall pacing: one aggregator/root period (gather up, forward,
-     *  collect SubBudgets, split down) on the tier-staggered deadline
+    /** Wall pacing: one period on the tier-staggered deadline
      *  schedule. */
-    void runAggregatorPeriod(std::uint32_t epoch);
+    void runPeriod(std::uint32_t epoch);
 
-    /** Advance the leaf and frame its upstream batch: heartbeat, one
-     *  metrics frame per edge, the checkpoint. */
-    Sends rackUpstreamFrames(std::uint32_t epoch);
-    /** Open @p epoch's gather (the root also resets what it heard and
-     *  refreshes the child view). */
-    void aggBeginEpoch(std::uint32_t epoch);
-    /** Close the gather (the root first runs rack liveness and the
-     *  membership commit gate and sets the child view they imply),
-     *  roll the outcome up into fleet health, and frame the heartbeat
-     *  and Summaries for the parent (none at the root). */
+    /** The up half until its sends: a leaf advances and frames its
+     *  Metrics and Checkpoint; an aggregator opens the epoch (and its
+     *  supervisor's child view), gathers until @p close and frames its
+     *  Summaries (none at the root). */
+    Sends upFrames(std::uint32_t epoch, double close);
+    /** The down half: collect until @p close (not the root); then a
+     *  leaf closes its period, and an aggregator sends its split, its
+     *  Rehomes and (root) the membership broadcast, which it returns
+     *  for retransmission. */
+    Sends downHalf(std::uint32_t epoch, double close);
+    /** Close the gather (the supervisor's liveness and the root's
+     *  commit gate first, then the child view they imply), roll the
+     *  outcome up into fleet health, and frame the Summaries. */
     Sends aggCloseGather(std::uint32_t epoch);
-    /** The split as Budget/SubBudget frames, plus the root's Rehomes. */
+    /** The split as Budget/SubBudget frames, plus the Rehomes the
+     *  supervisor owes. */
     Sends aggDownFrames(std::uint32_t epoch);
-
-    // ---- root: liveness and re-homing of its leaf children
-    /** Note one received frame for rack liveness: restart detection
-     *  by sequence regression, and the rack's streamed checkpoint.
-     *  No-op unless the sender is a leaf child of the root. */
-    void noteRackFrame(const net::Frame &frame, std::uint32_t epoch);
-    void beginRehoming(std::uint32_t rack, std::uint32_t epoch);
-    void rackLiveness(std::uint32_t epoch);
-    /** Hand agg_ the view of the leaf children that liveness and
-     *  membership imply now (no-op without leaf children). */
+    /** Hand agg() the view its supervisor and membership imply now. */
     void refreshChildViews();
-    /** Append a Rehome per re-homing rack heard this epoch to the
-     *  down frames. */
-    void appendRehomeFrames(std::uint32_t epoch, Sends &down);
-    void persistCheckpoint(std::size_t rack);
-    void loadPersistedCheckpoints();
-    std::string checkpointPath(std::size_t rack) const;
 
     // ---- membership plane helpers (epoch-free: the generation is the
     // membership clock; frames are accepted regardless of their epoch)
+    /** Root: announce @p endpoint Joining (@p join) or Draining. */
+    bool announce(std::uint32_t endpoint, bool join);
     /** Root: the unit is Left and either acked that state or was never
      *  deployed — its nominal floor is no longer counted. */
     bool membershipFloorReleased(std::uint16_t endpoint) const;
@@ -538,14 +465,11 @@ class WorkerRuntime
     core::EventLog events_;
     std::uint32_t lastEpoch_ = 0;
 
-    // -------- root state
-    /** Root: liveness per leaf child (empty elsewhere). */
-    std::map<std::uint32_t, RackHealth> rackHealth_;
-    /** Root: latest checkpoint per leaf child. */
-    std::map<std::size_t, net::CheckpointMsg> checkpoints_;
-    /** Root: leaf children heard this epoch. */
-    std::set<std::uint32_t> heard_;
-    std::string stateDir_;
+    /** Supervision of this worker's leaf children (none: empty). */
+    std::optional<Supervisor> supervisor_;
+    /** Root, lockstep: the rt.room span from stepUp() to stepDown(). */
+    telemetry::PeriodTracer::SpanId roomSpan_ =
+        telemetry::PeriodTracer::kNoSpan;
 
     // -------- observability (inert until setTelemetry())
     Observability obs_{stats_, events_};

@@ -363,6 +363,20 @@ deepScenario()
            + R"("spo": false }, "budgets": { "totalPerPhase": 3200 }})";
 }
 
+/** @p field summed over every live unit: supervision runs in each
+ *  parent of leaves, not only at the root. */
+std::size_t
+fleetTotal(rt::LockstepDeployment &dep,
+           std::size_t rt::RuntimeStats::*field)
+{
+    std::size_t total = 0;
+    for (std::uint32_t e = 0; e < dep.plan().workers.size(); ++e) {
+        if (const rt::WorkerRuntime *unit = dep.unit(e))
+            total += unit->stats().*field;
+    }
+    return total;
+}
+
 } // namespace
 
 TEST(DeepChaos, MidTierAggregatorKillStaysSafeOnSim)
@@ -370,8 +384,8 @@ TEST(DeepChaos, MidTierAggregatorKillStaysSafeOnSim)
     // Kill a row aggregator (endpoint 4) mid-run: its parent rides the
     // stale summary then reserves the subtree's floors; the orphaned
     // leaves fall back to Pcap_min defaults. Every degraded period
-    // must stay inside all device limits and root budgets, and none
-    // of the 2-level failover machinery may fire.
+    // must stay inside all device limits and root budgets, and no
+    // failover may fire: no leaf died.
     rt::LockstepDeployment dep(deepScenario(), rt::ChaosBackend::Sim,
                                net::TransportConfig{}, /*seed=*/311,
                                /*agg_levels=*/{1});
@@ -399,12 +413,15 @@ TEST(DeepChaos, MidTierAggregatorKillStaysSafeOnSim)
     // Budgets resumed for everyone after the restart.
     for (std::size_t r = 0; r < dep.rackCount(); ++r)
         EXPECT_GT(dep.rack(r)->stats().budgetsApplied, 0u) << r;
-    ASSERT_NE(dep.aggregator(4), nullptr);
-    EXPECT_GT(dep.aggregator(4)->stats().summariesSent, 0u);
+    ASSERT_NE(dep.unit(4), nullptr);
+    EXPECT_GT(dep.unit(4)->stats().summariesSent, 0u);
 
-    // Deep plans run no re-homing: aggregators are stateless.
-    EXPECT_EQ(dep.room().stats().failovers, 0u);
-    EXPECT_EQ(dep.room().stats().rehomed, 0u);
+    // No leaf died, so no supervisor (the row aggregators') fails one
+    // over or re-homes it: the restarted aggregator's supervisor
+    // starts with every leaf child Live.
+    EXPECT_EQ(fleetTotal(dep, &rt::RuntimeStats::failovers), 0u);
+    EXPECT_EQ(fleetTotal(dep, &rt::RuntimeStats::restartsDetected), 0u);
+    EXPECT_EQ(fleetTotal(dep, &rt::RuntimeStats::rehomed), 0u);
     EXPECT_EQ(report.recoveries, 0u);
 }
 
@@ -485,7 +502,8 @@ TEST(DeepChaos, MidTierAggregatorKillStaysSafeOnUdp)
     EXPECT_GT(defaults, 0u);
     for (std::size_t r = 0; r < dep.rackCount(); ++r)
         EXPECT_GT(dep.rack(r)->stats().budgetsApplied, 0u) << r;
-    EXPECT_EQ(dep.room().stats().failovers, 0u);
+    EXPECT_EQ(fleetTotal(dep, &rt::RuntimeStats::failovers), 0u);
+    EXPECT_EQ(fleetTotal(dep, &rt::RuntimeStats::restartsDetected), 0u);
 }
 
 TEST(DeepChaos, LossyDeepTransportStaysSafe)
@@ -654,6 +672,66 @@ TEST(Elasticity, TwoLevelRootJoinsAndDrainsItsOwnRacks)
     EXPECT_EQ(root.stats().failovers, 0u);
 }
 
+TEST(Elasticity, AbsentRackUnderARowAggregatorIsNeverDeclaredDead)
+{
+    // Rack 3 is scripted absent at boot and joins at epoch 10, long
+    // after heartbeatFailAfter periods. Its parent is row aggregator 5,
+    // whose replica marks the slot absent like the root's, so the
+    // never-deployed rack is outside its liveness contract: no
+    // failover, no restart, no re-home anywhere in the fleet.
+    rt::LockstepDeployment dep(deepScenario(), rt::ChaosBackend::Sim,
+                               net::TransportConfig{}, /*seed=*/53,
+                               /*agg_levels=*/{1});
+    ASSERT_EQ(dep.plan().workers[3].parent, 5u);
+    dep.scriptJoiner(3);
+    dep.chaos().at(10, rt::ChaosEvent::Kind::Join, 3);
+    const auto report = dep.run(24);
+
+    EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
+    EXPECT_EQ(dep.room().membership().state(3),
+              membership::UnitState::Live);
+    ASSERT_NE(dep.rack(3), nullptr);
+    EXPECT_GT(dep.rack(3)->stats().budgetsApplied, 0u);
+    EXPECT_EQ(dep.rackState(3), rt::RackState::Live);
+    EXPECT_EQ(fleetTotal(dep, &rt::RuntimeStats::failovers), 0u);
+    EXPECT_EQ(fleetTotal(dep, &rt::RuntimeStats::restartsDetected), 0u);
+    EXPECT_EQ(fleetTotal(dep, &rt::RuntimeStats::rehomed), 0u);
+    ASSERT_NE(dep.unit(5), nullptr);
+    EXPECT_TRUE(dep.unit(5)
+                    ->eventLog()
+                    .ofKind(core::EventKind::WorkerFailover)
+                    .empty());
+}
+
+TEST(Elasticity, RackKilledDuringItsDrainKeepsItsFloorCounted)
+{
+    // Rack 0 acks Draining, the root commits it Left, and the rack is
+    // killed before it acks that generation. Its servers keep drawing
+    // their Pcap_min floors, which the harness audit counts whatever
+    // the root's table says, so the root must never release the
+    // floor. The budget is tight: had the floor been handed to rack 1,
+    // the root budget would overflow.
+    std::string json = kScenario;
+    const std::string full = R"("totalPerPhase": 1400)";
+    json.replace(json.find(full), full.size(), R"("totalPerPhase": 1100)");
+    rt::LockstepDeployment dep(json, rt::ChaosBackend::Sim,
+                               net::TransportConfig{}, /*seed=*/59);
+    // Announced Draining at 4 and acked; the root commits Left at 5.
+    dep.chaos().at(4, rt::ChaosEvent::Kind::Drain, 0);
+    dep.chaos().at(5, rt::ChaosEvent::Kind::Kill, 0);
+    const auto report = dep.run(16);
+
+    EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
+    EXPECT_EQ(report.drained, 0u);
+    EXPECT_EQ(dep.rack(0), nullptr);
+    // Committed Left (generation 3), never acked.
+    EXPECT_EQ(dep.room().membershipGeneration(), 3u);
+    EXPECT_EQ(dep.room().membership().state(0),
+              membership::UnitState::Left);
+}
+
 TEST(Elasticity, StaticMembershipLeavesTheTraceFormatUntouched)
 {
     // The compatibility bar for the whole membership plane: a
@@ -683,6 +761,51 @@ TEST(Elasticity, StaticMembershipLeavesTheTraceFormatUntouched)
                       std::string::npos)
                 << line;
     }
+}
+
+TEST(DeepChaos, RowAggregatorRehomesARestartedRackFromItsCheckpoint)
+{
+    // Depth 4: rack 5's parent is row aggregator 10, not the root.
+    // Killed long enough to be declared dead, then restarted with a
+    // fresh plant, the rack must be re-homed by its row aggregator
+    // from the checkpoint that aggregator stored, within the same
+    // bound as a depth-2 root's re-home.
+    rt::LockstepDeployment dep(test_support::depth4Scenario(),
+                               rt::ChaosBackend::Sim,
+                               net::TransportConfig{}, /*seed=*/11,
+                               /*agg_levels=*/{1, 2});
+    ASSERT_EQ(dep.plan().tiers(), 4u);
+    ASSERT_EQ(dep.plan().workers[5].parent, 10u);
+    dep.chaos().at(5, rt::ChaosEvent::Kind::Kill, 5);
+    dep.chaos().at(9, rt::ChaosEvent::Kind::Restart, 5);
+    const auto report = dep.run(20);
+
+    EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
+    EXPECT_EQ(report.recoveries, 1u);
+    EXPECT_EQ(report.unrecovered, 0u);
+    EXPECT_GE(report.maxRecoveryPeriods, 1u);
+    EXPECT_LE(report.maxRecoveryPeriods, 5u); // the depth-2 bound
+
+    ASSERT_NE(dep.rack(5), nullptr);
+    EXPECT_EQ(dep.rack(5)->stats().rehomesApplied, 1u);
+    EXPECT_EQ(dep.rack(5)->stats().rehomesDeclined, 0u);
+    ASSERT_NE(dep.unit(10), nullptr);
+    const rt::RuntimeStats &row = dep.unit(10)->stats();
+    EXPECT_EQ(row.failovers, 1u);
+    EXPECT_EQ(row.restartsDetected, 1u);
+    EXPECT_EQ(row.rehomed, 1u);
+    EXPECT_GE(row.rehomesSent, 1u);
+    EXPECT_GT(row.checkpointsStored, 0u);
+    EXPECT_EQ(dep.rackState(5), rt::RackState::Live);
+    // The replay carried a stored plant, not an empty checkpoint.
+    const auto replays = dep.rack(5)->eventLog().ofKind(
+        core::EventKind::CheckpointReplayed);
+    ASSERT_EQ(replays.size(), 1u);
+    EXPECT_GT(replays[0].value, 0.0);
+    // Supervision is the parent's: the root saw no leaf die.
+    EXPECT_EQ(dep.room().stats().failovers, 0u);
+    EXPECT_EQ(dep.room().stats().rehomed, 0u);
 }
 
 // ------------------------------------ golden digests (refactor guard)
@@ -727,10 +850,7 @@ digestOf(rt::LockstepDeployment &dep, const rt::ChaosRunReport &report)
     for (const std::string &line : report.log)
         h.str(line);
     for (std::uint32_t e = 0; e < dep.plan().workers.size(); ++e) {
-        const rt::WorkerRuntime *unit =
-            e < dep.rackCount()                  ? dep.rack(e)
-            : e < dep.plan().rootEndpoint() ? dep.aggregator(e)
-                                                 : &dep.room();
+        const rt::WorkerRuntime *unit = dep.unit(e);
         h.u64(unit != nullptr);
         if (unit)
             digestUnit(h, *unit);
@@ -764,7 +884,7 @@ TEST(LockstepGolden, TwoLevelKillRestartUnderLoss)
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
     EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_EQ(report.recoveries, 2u);
-    EXPECT_DIGEST(dep, report, 0xdbc1a5f0b2859cc1);
+    EXPECT_DIGEST(dep, report, 0xf4df0127cb91f085);
 }
 
 TEST(LockstepGolden, PartitionHealDeclinedReplay)
@@ -798,7 +918,7 @@ TEST(LockstepGolden, Depth4MidTierAggregatorKill)
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
     EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_GE(dep.room().stats().staleReuses, 1u);
-    EXPECT_DIGEST(dep, report, 0x16c23ab719132b7c);
+    EXPECT_DIGEST(dep, report, 0x1773cc9cd913e042);
 }
 
 TEST(LockstepGolden, Depth4ElasticJoinDrainAggKill)
@@ -823,7 +943,10 @@ TEST(LockstepGolden, Depth4ElasticJoinDrainAggKill)
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
     EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_EQ(report.drained, 1u);
-    EXPECT_DIGEST(dep, report, 0xb2fac732ccce0c79);
+    // No rack dies: the absent joiners (rack 7 also across the
+    // restart of its row aggregator 11) are never failed over.
+    EXPECT_EQ(fleetTotal(dep, &rt::RuntimeStats::failovers), 0u);
+    EXPECT_DIGEST(dep, report, 0x0b2662b5c3f62cf4);
 }
 
 // ------------------------------------ floors in the merge (§4.5)
@@ -902,7 +1025,7 @@ TEST(FloorsInTheMerge, PartitionedRackUntilDeadKeepsTheRppInsideItsLimit)
         EXPECT_EQ(test_support::overloadReport(tree, tree.root(), 3000.0,
                                                applied),
                   "");
-        dead = dead || dep.room().rackState(0) == rt::RackState::Dead;
+        dead = dead || dep.rackState(0) == rt::RackState::Dead;
     }
     EXPECT_TRUE(dead);
     EXPECT_EQ(dep.room().safetyAuditor().violations(), 0u);
@@ -937,13 +1060,14 @@ class ManualFleet
                                        std::uint32_t)> &inject = {})
     {
         const std::uint32_t epoch = ++epoch_;
-        units_[0]->stepUpstream(epoch);
-        units_[1]->stepUpstream(epoch);
+        units_[0]->stepUp(epoch);
+        units_[1]->stepUp(epoch);
         if (inject)
             inject(net_, epoch);
-        units_[2]->stepRoom(epoch);
-        units_[0]->stepDownstream(epoch);
-        units_[1]->stepDownstream(epoch);
+        units_[2]->stepUp(epoch);
+        units_[2]->stepDown(epoch);
+        units_[0]->stepDown(epoch);
+        units_[1]->stepDown(epoch);
     }
 
     rt::WorkerRuntime &unit(std::size_t e) { return *units_[e]; }
@@ -977,11 +1101,12 @@ TEST(Failover, ForgedMetricsForAnotherRacksEdgeAreOrphaned)
             net::MetricsMsg msg;
             msg.tree = 0;
             msg.edgeNode = static_cast<std::uint32_t>(right);
-            // A sequence number inside rack 0's current batch, so
-            // the root's restart detection sees nothing unusual.
+            // A sequence number inside rack 0's current batch (two
+            // Metrics and a Checkpoint), so the root's restart
+            // detection sees nothing unusual.
             tp.send(0, 2,
                     net::encodeMetrics(
-                        net::FrameMeta(0, epoch, 4 * (epoch - 1)), msg));
+                        net::FrameMeta(0, epoch, 3 * (epoch - 1)), msg));
         });
     }
     for (std::size_t r = 0; r < 2; ++r) {
@@ -1023,14 +1148,14 @@ TEST(Failover, RootFleetRollupFollowsRackLiveness)
     dep.run(1); // epoch 3: rack 0 silent, its stations ride the cache
     EXPECT_EQ(state("w0"), telemetry::UnitHealth::Stale);
     dep.run(2); // epoch 5: declared dead
-    ASSERT_EQ(dep.room().rackState(0), rt::RackState::Dead);
+    ASSERT_EQ(dep.rackState(0), rt::RackState::Dead);
     EXPECT_EQ(state("w0"), telemetry::UnitHealth::Lost);
     EXPECT_EQ(state("w1"), telemetry::UnitHealth::Live);
 
     dep.run(3); // epoch 8: the restarted instance is heard
-    ASSERT_EQ(dep.room().rackState(0), rt::RackState::Rehoming);
+    ASSERT_EQ(dep.rackState(0), rt::RackState::Rehoming);
     EXPECT_EQ(state("w0"), telemetry::UnitHealth::Rehoming);
     dep.run(3);
-    ASSERT_EQ(dep.room().rackState(0), rt::RackState::Live);
+    ASSERT_EQ(dep.rackState(0), rt::RackState::Live);
     EXPECT_EQ(state("w0"), telemetry::UnitHealth::Live);
 }

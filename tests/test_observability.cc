@@ -579,20 +579,16 @@ class LockstepFleet
     void run(std::size_t periods)
     {
         const std::size_t leaves = runtimes_.front()->rackCount();
-        rt::WorkerRuntime &root = *runtimes_.back();
         for (std::size_t i = 0; i < periods; ++i) {
             const std::uint32_t epoch = ++epoch_;
             if (tracer_)
                 tracer_->beginPeriod(epoch);
+            for (auto &runtime : runtimes_)
+                runtime->stepUp(epoch);
+            for (std::size_t e = runtimes_.size(); e-- > leaves;)
+                runtimes_[e]->stepDown(epoch);
             for (std::size_t e = 0; e < leaves; ++e)
-                runtimes_[e]->stepUpstream(epoch);
-            for (std::size_t e = leaves; e + 1 < runtimes_.size(); ++e)
-                runtimes_[e]->stepAggregatorUp(epoch);
-            root.stepRoom(epoch);
-            for (std::size_t e = runtimes_.size() - 1; e-- > leaves;)
-                runtimes_[e]->stepAggregatorDown(epoch);
-            for (std::size_t e = 0; e < leaves; ++e)
-                runtimes_[e]->stepDownstream(epoch);
+                runtimes_[e]->stepDown(epoch);
             if (tracer_)
                 tracer_->endPeriod();
         }

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -172,6 +173,39 @@ TEST_P(AllocationInvariants, SafetyFloorsAndNoWaste)
                     << "trial " << trial;
             }
         }
+    }
+}
+
+TEST_P(AllocationInvariants, ChildrenDrawNoMoreThanTheirParentsBudget)
+{
+    // A child whose floors exceed its own limit still draws them: every
+    // server is capped at no less than its Pcap_min. Wherever a node's
+    // budget covers its children's floors, its children's budgets, each
+    // taken as at least its floors, must fit within that budget.
+    const auto [kind, budget_scale] = GetParam();
+    util::Rng rng(4321 + static_cast<int>(kind) * 13
+                  + static_cast<int>(budget_scale * 100));
+
+    for (int trial = 0; trial < 60; ++trial) {
+        const auto rc = makeRandomCase(rng, 3);
+        ControlTree ct(*rc.tree, policy::treePolicy(kind));
+        allocate(ct, rc, budget_scale * floorSum(rc) + 50.0);
+
+        rc.tree->forEach([&](const topo::TopoNode &n) {
+            if (n.children.empty())
+                return;
+            Watts floors = 0.0;
+            Watts draw = 0.0;
+            for (const topo::NodeId c : n.children) {
+                const Watts floor = ct.nodeMetrics(c).totalCapMin();
+                floors += floor;
+                draw += std::max(ct.nodeBudget(c), floor);
+            }
+            const Watts budget = ct.nodeBudget(n.id);
+            if (floors > budget + 1e-6)
+                return;
+            EXPECT_LE(draw, budget + 1e-6) << n.name << " trial " << trial;
+        });
     }
 }
 

@@ -220,7 +220,7 @@ expectedRoute(MsgType type, Role role, From from, When when)
     if (when == When::Next)
         return Routed::Later;
     if (role == Role::Leaf) {
-        return type == MsgType::Rehome && from_root
+        return type == MsgType::Rehome && from == From::Parent
                        && when == When::Current
                    ? Routed::Rehome
                    : Routed::Leaf;
@@ -252,14 +252,15 @@ expectedCounters(MsgType type, Role role, From from, When when,
             return {{"subBudgetsApplied", 1}};
         return {{"orphanFrames", 1}};
     case Routed::Up: {
-        // A child's Heartbeat and Checkpoint are taken; its metrics
-        // only in the child's own kind (Metrics from a leaf child,
-        // Summary from an aggregator child). Nothing counts them.
+        // A child's Checkpoint is taken (its parent's supervisor
+        // stores it); its metrics only in the child's own kind
+        // (Metrics from a leaf child, Summary from an aggregator
+        // child). Nothing counts them. A child's Heartbeat is an
+        // orphan: only a parent sends one.
         const MsgType metrics =
             role == Role::Interior ? MsgType::Metrics : MsgType::Summary;
         if (from == From::Child && current
-            && (type == metrics || type == MsgType::Heartbeat
-                || type == MsgType::Checkpoint))
+            && (type == metrics || type == MsgType::Checkpoint))
             return {};
         return {{"orphanFrames", 1}};
     }
@@ -479,7 +480,8 @@ TEST(WorkerRuntime, RootBooksAMembershipAckTheHostOrphans)
     const auto bytes =
         net::encodeMembershipAck(net::FrameMeta(2, 1, 0), ack);
     net.send(2, 8, bytes);
-    root.stepRoom(1);
+    root.stepUp(1);
+    root.stepDown(1);
     EXPECT_EQ(root.stats().membershipCommits, 1u);
     EXPECT_EQ(root.membership().state(2), membership::UnitState::Left);
     EXPECT_EQ(root.stats().orphanFrames, 0u);

@@ -226,6 +226,18 @@ TEST(BudgetChildren, InfeasibleScalesFloors)
     EXPECT_NEAR(split.childBudgets[1], 50.0, 1e-9);
 }
 
+TEST(BudgetChildren, FloorsAboveAChildsLimitAreStillBudgeted)
+{
+    // Child a's floors exceed its limit. Its servers still draw them,
+    // so the parent budgets them and b gets only what is left.
+    const auto a = leafMetrics(0, 600, 600, 500);
+    const auto b = leafMetrics(0, 100, 600, 600);
+    const auto split = ctrl::budgetChildren(1000.0, {a, b}, true);
+    EXPECT_TRUE(split.feasible);
+    EXPECT_NEAR(split.childBudgets[0], 600.0, 1e-9);
+    EXPECT_NEAR(split.childBudgets[1], 400.0, 1e-9);
+}
+
 TEST(BudgetChildren, HighPriorityServedFirst)
 {
     const auto hi = leafMetrics(1, 270, 430, 490);

@@ -20,12 +20,15 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <unistd.h>
 #include <vector>
 
 #include "config/loader.hh"
@@ -40,6 +43,7 @@
 #include "rt/leaf.hh"
 #include "rt/plant.hh"
 #include "rt/stats.hh"
+#include "rt/supervisor.hh"
 #include "rt/worker_runtime.hh"
 #include "test_support.hh"
 #include "util/json.hh"
@@ -478,8 +482,8 @@ TEST(WorkerRuntime, Depth4LossySoakNeverOvershootsAndBoundsStaleReuse)
     // Loss was actually exercised on the upstream path...
     std::size_t stale = dep.room().stats().staleReuses;
     for (std::uint32_t ep = 8; ep <= 13; ++ep) {
-        ASSERT_NE(dep.aggregator(ep), nullptr);
-        stale += dep.aggregator(ep)->stats().staleReuses;
+        ASSERT_NE(dep.unit(ep), nullptr);
+        stale += dep.unit(ep)->stats().staleReuses;
     }
     EXPECT_GT(stale, 0u) << repro;
     // ...and stayed bounded: the receiving hops track 28 (tree,
@@ -975,18 +979,24 @@ struct LockstepTestbed
 
     void up(std::uint32_t epoch)
     {
-        units[0]->stepUpstream(epoch);
-        units[1]->stepUpstream(epoch);
+        units[0]->stepUp(epoch);
+        units[1]->stepUp(epoch);
+    }
+    /** The root's whole period: its gather, then its split. */
+    void root(std::uint32_t epoch)
+    {
+        units[2]->stepUp(epoch);
+        units[2]->stepDown(epoch);
     }
     void down(std::uint32_t epoch)
     {
-        units[0]->stepDownstream(epoch);
-        units[1]->stepDownstream(epoch);
+        units[0]->stepDown(epoch);
+        units[1]->stepDown(epoch);
     }
     void step(std::uint32_t epoch)
     {
         up(epoch);
-        units[2]->stepRoom(epoch);
+        root(epoch);
         down(epoch);
     }
 
@@ -1015,7 +1025,7 @@ TEST(WorkerRuntime, NonFiniteBudgetIsDroppedForTheDefault)
     const topo::NodeId left = testbedNode(0, "leftCB");
     ASSERT_NE(left, topo::kNoNode);
     // The root never runs: the only Budget rack 0 sees carries NaN.
-    bed.units[0]->stepUpstream(1);
+    bed.units[0]->stepUp(1);
     net::BudgetMsg msg;
     msg.tree = 0;
     msg.edgeNode = static_cast<std::uint32_t>(left);
@@ -1023,7 +1033,7 @@ TEST(WorkerRuntime, NonFiniteBudgetIsDroppedForTheDefault)
     bed.net.send(2, 0,
                  net::encodeBudget(net::FrameMeta(net::kRoomSender, 1, 0),
                                    msg));
-    bed.units[0]->stepDownstream(1);
+    bed.units[0]->stepDown(1);
 
     const auto &stats = bed.units[0]->stats();
     EXPECT_EQ(stats.corruptFrames, 1u);
@@ -1050,7 +1060,7 @@ TEST(WorkerRuntime, RehomeWithNonFiniteStateRestoresNothing)
     // Epoch 2: rack 0, one period old, is handed a Rehome whose
     // checkpoint has a NaN capping integrator for both its servers.
     bed.up(2);
-    bed.units[2]->stepRoom(2);
+    bed.root(2);
     net::CheckpointMsg ckpt;
     ckpt.simNow = 8.0;
     for (const std::uint32_t sid : {0u, 2u}) {
@@ -1220,7 +1230,7 @@ TEST(WorkerRuntime, RootGrantsNothingToAChildWhoseMetricsWereLost)
         bed.net.send(frame->sender, 2, std::move(bytes));
     }
     ASSERT_EQ(dropped, 1u);
-    bed.units[2]->stepRoom(1);
+    bed.root(1);
     bed.down(1);
 
     const auto &stats = bed.units[1]->stats();
@@ -1234,6 +1244,70 @@ TEST(WorkerRuntime, RootGrantsNothingToAChildWhoseMetricsWereLost)
     EXPECT_EQ(bed.units[1]->lastEdgeBudgets().at({1, edge}),
               defaults[0].value);
     EXPECT_EQ(bed.units[0]->stats().defaultBudgets, 0u);
+}
+
+// ------------------------------------------- supervision, directly
+
+TEST(Supervisor, RestartedParentRehomesFromThePersistedCheckpoint)
+{
+    // A parent that restarts keeps no checkpoint in memory. With a
+    // state directory it reloads what the previous instance stored, so
+    // a leaf that dies while the new parent runs is still re-homed
+    // from its last checkpoint. A torn file is ignored.
+    const auto scenario = config::loadScenario(util::parseJson(kScenario));
+    const auto plan = core::TreePlan::build(*scenario.system, {});
+    const std::uint32_t root = plan.rootEndpoint();
+    const auto members =
+        membership::MembershipTable::allLive(plan.workers.size());
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path()
+        / ("capmaestro_supervisor_test_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    ASSERT_TRUE(std::filesystem::create_directories(dir));
+    rt::RuntimeStats stats;
+    core::EventLog events;
+
+    net::Frame frame;
+    frame.type = net::MsgType::Checkpoint;
+    frame.sender = 0;
+    frame.epoch = 1;
+    frame.checkpoint.simNow = 42.0;
+    {
+        rt::Supervisor first(plan, root, /*fail_after=*/3);
+        first.setStateDir(dir.string());
+        first.beginEpoch();
+        first.noteFrame(frame, 1, members, stats, events);
+        first.closeGather(1, members, stats, events);
+    }
+    EXPECT_EQ(stats.checkpointsStored, 1u);
+    std::ofstream(dir / "rack1.ckpt") << "torn";
+
+    rt::Supervisor second(plan, root, /*fail_after=*/3);
+    second.setStateDir(dir.string());
+    for (std::uint32_t epoch = 2; epoch <= 4; ++epoch) {
+        second.beginEpoch();
+        second.closeGather(epoch, members, stats, events);
+    }
+    EXPECT_EQ(second.state(0), rt::RackState::Dead);
+    EXPECT_EQ(second.state(1), rt::RackState::Dead);
+
+    // Fresh instances of both racks speak. Rack 1's torn file was
+    // not loaded, so its Rehome carries an empty checkpoint.
+    frame.type = net::MsgType::Metrics;
+    frame.epoch = 5;
+    second.beginEpoch();
+    second.noteFrame(frame, 5, members, stats, events);
+    frame.sender = 1;
+    second.noteFrame(frame, 5, members, stats, events);
+    second.closeGather(5, members, stats, events);
+    EXPECT_EQ(second.state(0), rt::RackState::Rehoming);
+    const auto rehomes = second.rehomes(5, members, stats);
+    ASSERT_EQ(rehomes.size(), 2u);
+    EXPECT_EQ(rehomes[0].child, 0u);
+    EXPECT_EQ(rehomes[0].checkpoint.simNow, 42.0);
+    EXPECT_EQ(rehomes[1].child, 1u);
+    EXPECT_EQ(rehomes[1].checkpoint.simNow, 0.0);
+    std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------- the leaf ladder, directly
@@ -1257,9 +1331,12 @@ struct LeafRig
     {
         leaf().close(self, stats, events);
     }
-    bool note(const net::Frame &frame)
+    /** Feed @p frame to a leaf whose plan parent sends as @p parent
+     *  (by default the root: rack 0's parent in the testbed). */
+    bool note(const net::Frame &frame,
+              std::uint16_t parent = net::kRoomSender)
     {
-        return leaf().noteDownFrame(frame, stats, events);
+        return leaf().noteDownFrame(frame, stats, events, parent);
     }
 
     config::LoadedScenario scenario;
@@ -1333,15 +1410,24 @@ TEST(LeafRole, BudgetForAnotherEdgeOrEpochIsAnOrphan)
     }
 }
 
-TEST(LeafRole, RehomeFromASenderOtherThanTheRootIsAnOrphan)
+TEST(LeafRole, RehomeFromASenderOtherThanTheParentIsAnOrphan)
 {
+    // Under the root, a sibling's Rehome is an orphan; under an
+    // aggregator (wire id 4), so is the root's.
     LeafRig rig;
     const auto ckpt = rig.leaf().advance(1);
     EXPECT_FALSE(rig.note(rehomeFrame(1, ckpt, /*sender=*/1)));
-    EXPECT_EQ(rig.stats.orphanFrames, 1u);
+    EXPECT_FALSE(rig.note(rehomeFrame(1, ckpt), /*parent=*/4));
+    EXPECT_EQ(rig.stats.orphanFrames, 2u);
     EXPECT_EQ(rig.stats.rehomesApplied, 0u);
     rig.close();
     EXPECT_EQ(rig.stats.clampedPeriods, 0u);
+
+    LeafRig child;
+    const auto own = child.leaf().advance(1);
+    EXPECT_TRUE(child.note(rehomeFrame(1, own, /*sender=*/4), /*parent=*/4));
+    EXPECT_EQ(child.stats.rehomesApplied, 1u);
+    EXPECT_EQ(child.stats.orphanFrames, 0u);
 }
 
 TEST(LeafRole, RetransmittedRehomeIsReplayedOnce)

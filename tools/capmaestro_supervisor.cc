@@ -2,12 +2,15 @@
  * @file
  * capmaestro_supervisor — keeps a whole worker deployment alive on one
  * host (docs/distributed.md failover quickstart). The supervisor
- * fork/execs one capmaestro_worker per endpoint (every rack plus the
- * room), then sits in a waitpid loop: a child that exits is restarted
+ * fork/execs one capmaestro_worker per endpoint of the peer table's
+ * worker plan (core::TreePlan: every rack, any aggregators, the
+ * root), then sits in a waitpid loop: a child that exits is restarted
  * with per-child exponential backoff, and the §4.5/checkpoint
  * machinery inside the workers re-homes the restarted process within a
- * few control periods. The room child automatically gets --state-dir
- * so its checkpoint store survives its own restarts.
+ * few control periods. Every child that supervises leaf children (the
+ * root at depth 2, the lowest aggregators in a deep plan)
+ * automatically gets --state-dir, so its checkpoint store survives its
+ * own restarts.
  *
  * Usage:
  *   capmaestro_supervisor <config.json> --peers=peers.json [options]
@@ -60,7 +63,7 @@
 #include <vector>
 
 #include "config/loader.hh"
-#include "core/distributed.hh"
+#include "core/tree_plan.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -147,6 +150,8 @@ struct Child
     /** Draining: the child exits on its own once it acked Left and is
      *  treated as finished on any exit, never respawned. */
     bool retiring = false;
+    /** Supervises leaf children: spawned with --state-dir. */
+    bool supervising = false;
     int restarts = 0;
     double backoffMs = 0.0;
     std::uint64_t startedAtMs = 0;
@@ -163,7 +168,6 @@ struct SpawnArgs
     std::string stateDir;
     const char *periods = nullptr;
     const char *seed = nullptr;
-    std::uint32_t roomRole = 0;
 };
 
 void
@@ -194,7 +198,7 @@ spawn(Child &child, const SpawnArgs &args)
             argstrs.push_back(std::string("--periods=") + args.periods);
         if (args.seed != nullptr)
             argstrs.push_back(std::string("--seed=") + args.seed);
-        if (child.role == args.roomRole && !args.stateDir.empty())
+        if (child.supervising && !args.stateDir.empty())
             argstrs.push_back("--state-dir=" + args.stateDir);
         if (child.shadow)
             argstrs.push_back("--shadow");
@@ -244,13 +248,13 @@ main(int argc, char **argv)
         config::loadWorkerPeers(util::parseJson(peers_text));
     const config::SupervisorConfig &cfg = peers.supervisor;
 
-    const std::size_t racks =
-        core::DistributedControlPlane::rackWorkerCountFor(
-            *scenario.system);
-    if (peers.peers.size() != racks + 1) {
-        util::fatal("supervisor: peer table has %zu endpoints; "
-                    "topology needs %zu",
-                    peers.peers.size(), racks + 1);
+    const core::TreePlan plan =
+        core::TreePlan::build(*scenario.system, peers.aggLevels);
+    const std::size_t workers = plan.workers.size();
+    if (peers.peers.size() != workers) {
+        util::fatal("supervisor: peer table has %zu endpoints; the "
+                    "worker plan needs %zu",
+                    peers.peers.size(), workers);
     }
 
     SpawnArgs args;
@@ -260,7 +264,6 @@ main(int argc, char **argv)
     args.peersPath = peers_path;
     args.periods = flagValue(argc, argv, "periods");
     args.seed = flagValue(argc, argv, "seed");
-    args.roomRole = static_cast<std::uint32_t>(racks);
 
     const char *log_dir = flagValue(argc, argv, "log-dir");
     if (log_dir != nullptr) {
@@ -282,9 +285,10 @@ main(int argc, char **argv)
         cfg.stateDir.empty() ? args.logDir + "/state" : cfg.stateDir;
 
     std::fprintf(stderr,
-                 "supervisor: %zu rack workers + room, logs in %s, "
-                 "room state in %s\n",
-                 racks, args.logDir.c_str(), args.stateDir.c_str());
+                 "supervisor: %zu rack workers, %zu aggregators + root, "
+                 "logs in %s, checkpoint state in %s\n",
+                 plan.leafWorkers, workers - plan.leafWorkers - 1,
+                 args.logDir.c_str(), args.stateDir.c_str());
 
     std::signal(SIGTERM, onSignal);
     std::signal(SIGINT, onSignal);
@@ -298,11 +302,13 @@ main(int argc, char **argv)
         return false;
     };
 
-    std::vector<Child> children(racks + 1);
-    for (std::size_t r = 0; r <= racks; ++r) {
-        Child &child = children[r];
-        child.role = static_cast<std::uint32_t>(r);
+    std::vector<Child> children(workers);
+    for (std::size_t e = 0; e < workers; ++e) {
+        Child &child = children[e];
+        child.role = static_cast<std::uint32_t>(e);
         child.backoffMs = cfg.backoffInitialMs;
+        for (const std::uint32_t c : plan.workers[e].children)
+            child.supervising = child.supervising || plan.workers[c].isLeaf();
         if (in_list(peers.membership.absent, child.role)) {
             child.absent = true;
             continue; // slot not deployed yet; a reload brings it in
@@ -351,7 +357,7 @@ main(int argc, char **argv)
                                      child.role);
                     }
                 }
-                Child &room = children[racks];
+                Child &room = children[plan.rootEndpoint()];
                 if (room.pid > 0)
                     ::kill(room.pid, SIGHUP);
                 std::fprintf(stderr, "supervisor: reloaded %s\n",

@@ -48,11 +48,12 @@
  *                         MembershipDelta broadcast shows this worker
  *                         Live (see docs/distributed.md, "Online
  *                         elasticity")
- *   --state-dir=DIR       room only: persist the latest checkpoint
- *                         per rack under DIR (and reload any left by
- *                         a previous room instance), so a
- *                         supervisor-restarted room can still re-home
- *                         racks that died while it was down
+ *   --state-dir=DIR       workers with leaf children only: persist
+ *                         the latest checkpoint per leaf child under
+ *                         DIR (and reload any left by a previous
+ *                         instance), so a supervisor-restarted parent
+ *                         can still re-home racks that died while it
+ *                         was down
  *   --print-peers-template  print a ready-to-use peers.json for this
  *                         scenario (originMs = now) and exit
  *   --port-base=P         first UDP port for the template (default
@@ -522,12 +523,6 @@ main(int argc, char **argv)
         const auto apply_membership =
             [&runtime](const config::MembershipConfig &member,
                        bool boot) {
-            if (boot) {
-                for (const std::uint32_t ep : member.absent)
-                    runtime.membershipMarkAbsent(ep);
-                for (const std::uint32_t ep : member.join)
-                    runtime.membershipMarkAbsent(ep);
-            }
             std::size_t joins = 0;
             std::size_t drains = 0;
             for (const std::uint32_t ep : member.join)
@@ -563,8 +558,10 @@ main(int argc, char **argv)
 
     const char *state_dir = flagValue(argc, argv, "state-dir");
     if (state_dir != nullptr) {
-        if (!runtime.isRoom())
-            util::fatal("--state-dir only applies to the room worker");
+        if (runtime.supervisor() == nullptr) {
+            util::fatal("--state-dir only applies to a worker with "
+                        "leaf children");
+        }
         std::error_code ec;
         std::filesystem::create_directories(state_dir, ec);
         if (ec) {
