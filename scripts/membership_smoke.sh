@@ -14,7 +14,12 @@
 #      supervisor retires (never respawns) it;
 #   3. rolling restart: SIGKILL the surviving rack and then the room;
 #      the supervisor must respawn both and the deployment must keep
-#      making control progress.
+#      making control progress;
+#   4. host-mode drain: two capmaestro_worker --process hosts started
+#      directly (the supervisor spawns only --role workers), racks 0
+#      and 1 in process 0 and the root alone in process 1. The same
+#      file edit plus SIGHUP to the root's host drains rack 1, and
+#      process 0 keeps running rack 0 on real budgets.
 #
 # Along the way capmaestro_top must render the absent slot as an
 # explicit DOWN row (the fleet gap an operator watches during a join)
@@ -45,9 +50,14 @@ done
 
 DIR="$(mktemp -d "${TMPDIR:-/tmp}/capmaestro_member.XXXXXX")"
 SUP=""
+HOSTS=""
 cleanup() {
     [ -n "$SUP" ] && kill -TERM "$SUP" 2> /dev/null
     [ -n "$SUP" ] && wait "$SUP" 2> /dev/null
+    for PID in $HOSTS; do
+        kill -TERM "$PID" 2> /dev/null
+        wait "$PID" 2> /dev/null
+    done
     rm -rf "$DIR"
 }
 trap cleanup EXIT
@@ -74,13 +84,18 @@ wait_until() { # deadline_s what cmd...
     done
 }
 
-# The root's /healthz generation: the membership plane's clock.
-root_gen_at_least() { # n
-    GEN="$(curl -sf \
-        "http://127.0.0.1:$(( HTTP_BASE + 2 ))/healthz" 2> /dev/null \
-        | sed -n 's/.*"generation": \([0-9]*\),.*/\1/p' | head -n 1)"
-    [ -n "$GEN" ] && [ "$GEN" -ge "$1" ]
+# A top-level number of the /healthz document served on a port.
+healthz_num() { # port key
+    curl -sf "http://127.0.0.1:$1/healthz" 2> /dev/null \
+        | sed -n "s/.*\"$2\": \([0-9]*\),.*/\1/p" | head -n 1
 }
+
+# The /healthz generation on a port: the membership plane's clock.
+gen_at_least() { # port n
+    GEN="$(healthz_num "$1" generation)"
+    [ -n "$GEN" ] && [ "$GEN" -ge "$2" ]
+}
+root_gen_at_least() { gen_at_least "$(( HTTP_BASE + 2 ))" "$1"; }
 
 grep_file() { grep -q "$2" "$1"; }
 
@@ -190,7 +205,56 @@ grep -q '"kind": "membership-committed"' "$DIR/logs/role2.out" \
 grep -q '"kind": "membership-drain"' "$DIR/logs/role2.out" \
     || fail "no membership-drain event in the root log"
 
+# ---- step 4: drain from a WorkerHost root. Process 0 hosts racks 0
+# and 1, process 1 the root alone; each serves /healthz on
+# HOST_BASE + its process index.
+HOST_BASE=$(( HTTP_BASE + 10 ))
+"$WORKER" "$CONFIG" --print-peers-template \
+    --port-base=0 --period-ms=300 --http-port-base="$HOST_BASE" \
+    > "$DIR/hosts_base.json" 2> /dev/null || exit 1
+sed '/"endpoint": 2,/a\
+      "process": 1,' "$DIR/hosts_base.json" > "$DIR/hosts.json"
+for P in 0 1; do
+    "$WORKER" "$CONFIG" --peers="$DIR/hosts.json" --process="$P" \
+        > "$DIR/host$P.out" 2> "$DIR/host$P.err" &
+    HOSTS="$HOSTS $!"
+done
+ROOT_HOST="${HOSTS##* }"
+RACK_HOST="$(echo $HOSTS | cut -d' ' -f1)"
+wait_until 10 "host root /healthz" gen_at_least "$(( HOST_BASE + 1 ))" 1
+
+sed '1s/{/{ "membership": { "drain": [1] },/' "$DIR/hosts.json" \
+    > "$DIR/hosts.tmp" && mv "$DIR/hosts.tmp" "$DIR/hosts.json"
+kill -HUP "$ROOT_HOST" "$RACK_HOST"
+# Drain announce -> 2, commit Left -> 3, at the root and in the
+# replica of the drained rack's host, which then counts one Left unit.
+wait_until 15 "host drain commit (generation 3)" \
+    gen_at_least "$(( HOST_BASE + 1 ))" 3
+wait_until 10 "rack host adopting the commit" \
+    gen_at_least "$HOST_BASE" 3
+[ "$(healthz_num "$HOST_BASE" left)" = 1 ] \
+    || fail "the rack host's table does not show rack 1 Left"
+# The rack host survived the SIGHUP and keeps running rack 0.
+PERIODS="$(healthz_num "$HOST_BASE" periods)"
+APPLIED="$(healthz_num "$HOST_BASE" budgetsApplied)"
+sleep 1
+kill -0 "$RACK_HOST" 2> /dev/null || fail "the drained rack's host exited"
+[ "$(healthz_num "$HOST_BASE" periods)" -gt "$PERIODS" ] \
+    || fail "the drained rack's host stopped running periods"
+[ "$(healthz_num "$HOST_BASE" budgetsApplied)" -gt "$APPLIED" ] \
+    || fail "rack 0 stopped getting budgets after the drain"
+for PID in $HOSTS; do
+    kill -TERM "$PID"
+    wait "$PID" || fail "a host exited nonzero"
+done
+HOSTS=""
+grep -q '"kind": "membership-drain"' "$DIR/host1.out" \
+    || fail "no membership-drain event in the host root's log"
+grep -q '"kind": "membership-committed"' "$DIR/host1.out" \
+    || fail "no membership-committed event in the host root's log"
+
 echo "--- supervisor log"
 cat "$DIR/supervisor.log"
-echo "membership_smoke: PASS (join, drain, rolling restart clean)"
+echo "membership_smoke: PASS (join, drain, rolling restart, host-mode" \
+    "drain clean)"
 exit 0

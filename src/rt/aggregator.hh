@@ -28,15 +28,17 @@
  *
  * Child view: the owner may describe how it sees each of its leaf
  * children this epoch (setChildViews()) — the input failover and
- * elasticity need; a WorkerRuntime's rt::Supervisor sets it at any
- * tier. A child that is not awaited (declared dead, or committed out
+ * elasticity need. The process's rt::MembershipPlane sets it once its
+ * table first changes, overlaid by a WorkerRuntime's rt::Supervisor
+ * at any tier. A child that is not awaited (declared dead, or committed out
  * of the membership) does not hold up upComplete(). An untrusted child (a restarted or re-homing
  * instance) still runs the stale -> lost ladder, but its metrics are
  * neither used nor cached and it enters as its floor. A child outside
  * the committed membership skips the ladder and logs nothing; it
  * enters as its floor unless the owner says it was released (it
- * draws nothing). Without a view (aggregator children, every
- * WorkerHost role) every child is an awaited, trusted member. Whatever the view, a child station
+ * draws nothing). Without a view (aggregator children; every
+ * WorkerHost role while the table is static) every child is an
+ * awaited, trusted member. Whatever the view, a child station
  * without usable metrics gets no grant and rides its Pcap_min default.
  *
  * The role keeps no state beyond the metric cache. A

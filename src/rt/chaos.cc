@@ -144,7 +144,7 @@ LockstepDeployment::scriptJoiner(std::uint32_t rack)
     peers_.membership.absent.push_back(rack);
     for (auto &unit : units_) {
         if (unit)
-            unit->membershipMarkAbsent(rack);
+            unit->membership().markAbsent(rack);
     }
 }
 
@@ -190,12 +190,12 @@ LockstepDeployment::apply(const ChaosEvent &event, std::uint32_t epoch)
             // protocol's own broadcast/ack/commit takes it Live.
             std::erase(peers_.membership.absent, event.a);
             units_[event.a] = makeRuntime(event.a);
-            units_[event.a]->beginShadow();
-            room().membershipBeginJoin(event.a);
+            units_[event.a]->membership().beginShadow();
+            room().membership().beginJoin(event.a);
         }
         break;
     case ChaosEvent::Kind::Drain:
-        room().membershipBeginDrain(event.a);
+        room().membership().beginDrain(event.a);
         break;
     case ChaosEvent::Kind::Upgrade:
         setWorkerWireVersion(event.a, net::kWireVersion);
@@ -256,35 +256,19 @@ LockstepDeployment::logLine(std::uint32_t epoch) const
             line += 'K';
             continue;
         }
-        // Membership overrides liveness in the state column. On a
-        // static table every rack is Live and none of these fire, so
-        // the line stays bit-identical to a pre-elasticity run.
-        switch (root.membership().state(static_cast<std::uint16_t>(r))) {
-        case membership::UnitState::Joining:
-            line += 'J';
-            continue;
-        case membership::UnitState::Draining:
-            line += 'G';
-            continue;
-        case membership::UnitState::Left:
-            line += 'X';
-            continue;
-        case membership::UnitState::Live:
-            break;
-        }
-        // A rack whose parent supervises nothing, or is killed, is
-        // alive when it runs.
-        switch (rackState(r).value_or(RackState::Live)) {
-        case RackState::Live:
-            line += 'L';
-            break;
-        case RackState::Dead:
-            line += 'D';
-            break;
-        case RackState::Rehoming:
-            line += 'R';
-            break;
-        }
+        // A rack outside Live in the root's table shows its membership
+        // state (Joining J, Draining G, Left X), a member its liveness
+        // as its parent's supervisor sees it (Live L, Dead D, Rehoming
+        // R; a rack whose parent supervises nothing, or is killed, is
+        // Live when it runs). On a static table every rack is a
+        // member, so the line stays bit-identical to a pre-elasticity
+        // run.
+        const membership::UnitState member =
+            root.membership().state(static_cast<std::uint32_t>(r));
+        line += member == membership::UnitState::Live
+                    ? "LDR"[static_cast<int>(
+                          rackState(r).value_or(RackState::Live))]
+                    : "J-GX"[static_cast<int>(member)];
     }
     if (rackCount() < plan_.rootEndpoint()) {
         line += " ag=";
@@ -293,8 +277,8 @@ LockstepDeployment::logLine(std::uint32_t epoch) const
     }
     // Generation suffix only when the table ever moved, so static
     // runs keep their exact pre-elasticity log format.
-    if (root.membershipGeneration() > 1)
-        line += " g=" + std::to_string(root.membershipGeneration());
+    if (root.membership().generation() > 1)
+        line += " g=" + std::to_string(root.membership().generation());
     // Supervision runs in every parent of leaves: sum the live units.
     const auto total = [this](std::size_t RuntimeStats::*field) {
         std::size_t sum = 0;
@@ -364,7 +348,7 @@ LockstepDeployment::run(std::uint32_t epochs)
         // watts — the process exits. Matches a Wall-paced worker's
         // requestStop() on the same condition.
         for (std::size_t r = 0; r < rackCount(); ++r) {
-            if (units_[r] && units_[r]->membershipLeft()) {
+            if (units_[r] && units_[r]->membership().left(r)) {
                 units_[r].reset();
                 ++report.drained;
             }

@@ -51,24 +51,15 @@ WorkerHost::WorkerHost(config::LoadedScenario scenario,
 WorkerHost::WorkerHost(config::LoadedScenario scenario,
                        config::WorkerPeers peers, std::uint32_t process,
                        std::uint64_t seed, net::Transport *transport)
-    : scenario_(std::move(scenario)), peers_(std::move(peers)),
-      process_(process), transport_(transport),
-      roles_(scenario_, peers_, hostedEndpoints(peers_, process), seed,
-             stats_, events_, obs_)
+    // An aggregator's fan-in arrives as one burst per period; an owned
+    // transport's sockets fit a full burst (plus one held-back epoch)
+    // while this process is descheduled on a loaded box.
+    : Engine(std::move(scenario), peers, hostedEndpoints(peers, process),
+             seed, transport, 4 << 20),
+      process_(process)
 {
     aggProgress_.resize(roles_.aggregators().size());
     leafDone_.resize(roles_.leaves().size());
-    if (transport_)
-        return;
-    net::UdpConfig udp;
-    udp.peers = peers_.peers;
-    udp.local = roles_.locals();
-    // An aggregator's fan-in arrives as one burst per period; size the
-    // sockets so a full burst (plus one held-back epoch) fits while
-    // this process is descheduled on a loaded box.
-    udp.bufferBytes = 4 << 20;
-    ownedTransport_ = std::make_unique<net::UdpTransport>(std::move(udp));
-    transport_ = ownedTransport_.get();
 }
 
 WorkerHost::~WorkerHost() = default;
@@ -113,8 +104,8 @@ WorkerHost::serveHttp(std::uint16_t port)
 util::Json
 WorkerHost::healthJson() const
 {
-    util::Json::Object out = obs_.health(roles_.membership(), lastEpoch_,
-                                         /*aggregating=*/true);
+    util::Json::Object out = obs_.health(roles_.membership().table(),
+                                         lastEpoch_, /*aggregating=*/true);
     out.emplace("process", util::Json(static_cast<double>(process_)));
     out.emplace("endpoints",
                 util::Json(static_cast<double>(roles_.locals().size())));
@@ -159,17 +150,11 @@ WorkerHost::settle(net::Transport::Endpoint to, Routed routed,
         else
             ++stats_.orphanFrames;
         break;
-    case Routed::Ack:
-        // Host mode is replica-only: elasticity is driven by a
-        // WorkerRuntime root, never a hosted one (see host.hh).
-        ++stats_.orphanFrames;
-        break;
     case Routed::Adopted:
         events_.record(static_cast<Seconds>(epoch),
                        core::EventKind::MembershipAdopted,
                        "process." + std::to_string(process_),
-                       static_cast<double>(
-                           roles_.membership().generation()));
+                       static_cast<double>(roles_.membership().generation()));
         break;
     default:
         break;
@@ -182,6 +167,7 @@ WorkerHost::aggSendUp(std::size_t slot, std::uint32_t epoch)
     RoleTable::Aggregator &agg = roles_.aggregators()[slot];
     AggProgress &progress = aggProgress_[slot];
     progress.upDone = true;
+    roles_.membership().closeGather(agg.role, epoch);
     // Epoch beacon: ping every child that stayed silent through this
     // gather so a process lagging behind the fleet epoch can detect
     // the gap and fast-forward. Free of charge on a lossless run —
@@ -214,7 +200,10 @@ WorkerHost::aggSendDown(std::size_t slot, std::uint32_t epoch)
 {
     AggProgress &progress = aggProgress_[slot];
     progress.downDone = true;
-    roles_.frameDown(roles_.aggregators()[slot], epoch, sends_);
+    RoleTable::Aggregator &agg = roles_.aggregators()[slot];
+    roles_.frameDown(agg, epoch, sends_);
+    if (agg.role.isRoot())
+        roles_.frameMembership(epoch, sends_);
     postAll();
     if (telemetry::PeriodTracer *tracer = obs_.tracer()) {
         tracer->end(progress.downSpan);
@@ -233,8 +222,7 @@ WorkerHost::runPeriod(std::uint32_t epoch)
     auto &leaves = roles_.leaves();
 
     telemetry::PeriodTracer *tracer = obs_.tracer();
-    obs_.beginPeriod(epoch,
-                     leaves.empty() ? 0.0 : leaves.front().role.simNow(),
+    obs_.beginPeriod(epoch, roles_.simNow(),
                      "host" + std::to_string(process_));
     if (tracer)
         tracer->periodNum("process", static_cast<double>(process_));
@@ -243,6 +231,7 @@ WorkerHost::runPeriod(std::uint32_t epoch)
     // a held-back one) can land.
     for (std::size_t i = 0; i < aggs.size(); ++i) {
         aggs[i].role.beginEpoch(epoch);
+        roles_.membership().openGather(aggs[i].role);
         AggProgress &progress = aggProgress_[i];
         progress = AggProgress{};
         if (tracer) {
@@ -342,8 +331,6 @@ WorkerHost::runPeriod(std::uint32_t epoch)
                 && (leaf.role.complete() || lagging
                     || leaf.beaconEpoch >= epoch || now >= leaf_close)) {
                 roles_.closeLeaf(leaf);
-                for (const LeafRole::Edge &edge : leaf.role.edges())
-                    lastEdgeBudgets_[{edge.tree, edge.node}] = edge.budget;
                 leafDone_[i] = true;
             }
             leaves_done = leaves_done && leafDone_[i];
@@ -374,10 +361,7 @@ WorkerHost::runPeriod(std::uint32_t epoch)
                          : kPollSliceMs);
     }
 
-    lastEpoch_ = epoch;
-    ++stats_.periodsRun;
-    obs_.publishStats();
-    obs_.endPeriod();
+    finishPeriod(epoch);
 }
 
 std::size_t

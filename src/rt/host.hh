@@ -67,10 +67,21 @@
  * leaf per period would multiply the bytes a large host sends; the
  * host adopts the Supervisor once a checkpoint cadence is chosen.
  *
+ * Membership is the RoleTable's rt::MembershipPlane
+ * (rt/membership_plane.hh), the same one a WorkerRuntime runs, with no
+ * code of the host's own. A host holding the root originates joins
+ * and drains (membership().beginJoin()/beginDrain()): its root runs
+ * the commit gate when its gather closes and posts the snapshot with
+ * its down frames. Elsewhere the host's table is a replica, acked from
+ * each addressed hosted endpoint. Hosted aggregators get the child
+ * views membership implies; a hosted leaf committed Left applies 0 W
+ * and reports nothing, while the host runs its other endpoints on.
+ *
  * Observability is the shared rt::Observability (rt/observe.hh), the
  * same plane a WorkerRuntime owns; the host adds only its per-tier
  * endpoint census, the RuntimeStats gauge mirror, its period and
- * catch-up counters, and per-role gather/down spans.
+ * catch-up counters, and per-role gather/down spans. What both engines
+ * own and show otherwise is their rt::Engine base (rt/engine.hh).
  */
 
 #ifndef CAPMAESTRO_RT_HOST_HH
@@ -86,17 +97,16 @@
 #include "config/loader.hh"
 #include "core/events.hh"
 #include "core/tree_plan.hh"
-#include "membership/table.hh"
 #include "net/udp_transport.hh"
 #include "net/wire.hh"
-#include "rt/observe.hh"
+#include "rt/engine.hh"
 #include "rt/roles.hh"
 #include "rt/stats.hh"
 
 namespace capmaestro::rt {
 
 /** One process hosting every worker the peer table maps to it. */
-class WorkerHost
+class WorkerHost : public Engine
 {
   public:
     /**
@@ -120,45 +130,13 @@ class WorkerHost
 
     ~WorkerHost();
 
-    WorkerHost(const WorkerHost &) = delete;
-    WorkerHost &operator=(const WorkerHost &) = delete;
-
     /** Run up to @p max_periods periods; returns periods completed. */
     std::size_t runPeriods(std::size_t max_periods);
-
-    /** Ask the period loop to exit at the next check. */
-    void requestStop() { stop_.store(true, std::memory_order_relaxed); }
 
     /** Endpoints hosted by this process, ascending. */
     const std::vector<net::Transport::Endpoint> &endpoints() const
     {
         return roles_.locals();
-    }
-
-    /** The worker layout this deployment runs. */
-    const core::TreePlan &plan() const { return roles_.plan(); }
-
-    /** Aggregate protocol accounting across every hosted role. */
-    const RuntimeStats &stats() const { return stats_; }
-
-    /** Degraded-mode decisions (timestamps are epochs). */
-    const core::EventLog &eventLog() const { return events_; }
-
-    /** The transport this host speaks over. */
-    net::Transport &transport() { return *transport_; }
-
-    /** The owned UDP transport, or nullptr when injected. */
-    net::UdpTransport *udp() { return ownedTransport_.get(); }
-
-    /** Epoch of the most recently completed period (0 before any). */
-    std::uint32_t lastEpoch() const { return lastEpoch_; }
-
-    /** Hosted leaves, merged: (tree, edge) -> budget applied last
-     *  period. */
-    const std::map<std::pair<std::size_t, topo::NodeId>, Watts> &
-    lastEdgeBudgets() const
-    {
-        return lastEdgeBudgets_;
     }
 
     /**
@@ -183,56 +161,8 @@ class WorkerHost
      */
     std::uint16_t serveHttp(std::uint16_t port);
 
-    /** Bound HTTP port (0 when not serving). */
-    std::uint16_t httpPort() const { return obs_.httpPort(); }
-
     /** /healthz document (process, epoch, stats, fleet, safety). */
     util::Json healthJson() const;
-
-    /** Health rollup over the child workers this host observes. */
-    const telemetry::FleetHealthRegistry &fleetHealth() const
-    {
-        return obs_.fleetHealth();
-    }
-
-    /** Online budget-conservation auditor over the hosted fragments. */
-    const telemetry::SafetyAuditor &safetyAuditor() const
-    {
-        return obs_.auditor();
-    }
-
-    /**
-     * The host's shared membership replica. Host mode is replica-only:
-     * it adopts MembershipDelta broadcasts (acking from each addressed
-     * hosted endpoint) and honors them — a Joining or Draining hosted
-     * leaf clamps to min(Pcap_min default, nominal floor), a Left one
-     * applies zero (LeafRole::close) — but
-     * never originates transitions. Elasticity in a deep deployment is
-     * driven by the root, which runs as a WorkerRuntime deep-root role
-     * (see worker_runtime.hh, "Membership / elasticity plane").
-     */
-    const membership::MembershipTable &membership() const
-    {
-        return roles_.membership();
-    }
-
-    /** The replica's membership generation (1 = static deployment). */
-    std::uint32_t membershipGeneration() const
-    {
-        return roles_.membership().generation();
-    }
-
-    /**
-     * Stamp every outgoing frame with wire version @p v (kWireVersion
-     * or kWireCompatVersion) — the not-yet-upgraded half of a rolling
-     * upgrade. A compat-stamped host cannot send MembershipAck, so the
-     * root keeps re-broadcasting to it until the upgrade lands;
-     * upgrade-then-join is the supported order.
-     */
-    void setWireVersion(std::uint8_t v) { roles_.setWireVersion(v); }
-
-    /** Wire version this host stamps on sends. */
-    std::uint8_t wireVersion() const { return roles_.wireVersion(); }
 
   private:
     using Routed = RoleTable::Routed;
@@ -269,15 +199,7 @@ class WorkerHost
     void aggSendUp(std::size_t slot, std::uint32_t epoch);
     void aggSendDown(std::size_t slot, std::uint32_t epoch);
 
-    config::LoadedScenario scenario_;
-    config::WorkerPeers peers_;
     std::uint32_t process_ = 0;
-    std::unique_ptr<net::UdpTransport> ownedTransport_;
-    net::Transport *transport_ = nullptr;
-    std::atomic<bool> stop_{false};
-    RuntimeStats stats_;
-    core::EventLog events_;
-    std::uint32_t lastEpoch_ = 0;
     /** Highest epoch carried by any received frame. */
     std::uint32_t maxSeenEpoch_ = 0;
 
@@ -290,8 +212,6 @@ class WorkerHost
     std::vector<net::Transport::Delivery> batch_;
     /** Framed output waiting for post(); reused. */
     RoleTable::Sends sends_;
-    std::map<std::pair<std::size_t, topo::NodeId>, Watts>
-        lastEdgeBudgets_;
 
     /** Frames from the next epoch, replayed when the host enters it. */
     struct HeldFrame
@@ -301,15 +221,9 @@ class WorkerHost
     };
     std::vector<HeldFrame> holdback_;
 
-    // -------- observability (all inert until configured)
-    Observability obs_{stats_, events_};
     /** Host-level span over the leaves' budget-wait phase. */
     telemetry::PeriodTracer::SpanId leafSpan_ =
         telemetry::PeriodTracer::kNoSpan;
-
-    /** Every hosted role and the send/receive path (last: it refers
-     *  to the scenario, stats, events and observability above). */
-    RoleTable roles_;
 };
 
 } // namespace capmaestro::rt

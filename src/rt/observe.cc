@@ -89,6 +89,26 @@ Observability::attach(telemetry::Registry *registry,
     telemetry::Registry *rollup = aggregating ? registry : nullptr;
     fleetHealth_.setTelemetry(rollup, labels_);
     auditor_.setTelemetry(rollup, labels_);
+    if (members_)
+        publishMembership(*members_);
+}
+
+void
+Observability::publishMembership(const membership::MembershipTable &table)
+{
+    members_ = &table;
+    if (!registry_)
+        return;
+    registry_
+        ->gauge("capmaestro_membership_generation", labels_,
+                "Current membership table generation")
+        .set(static_cast<double>(table.generation()));
+    registry_
+        ->gauge("capmaestro_membership_pending_units", labels_,
+                "Units with an uncommitted transition (Joining or Draining)")
+        .set(static_cast<double>(
+            table.countOf(membership::UnitState::Joining)
+            + table.countOf(membership::UnitState::Draining)));
 }
 
 void

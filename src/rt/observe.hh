@@ -12,7 +12,9 @@
  *    from_tier, to_tier, latencyMs and traceId;
  *  - /healthz carries ok, lastEpoch, periods, generation, `stats`
  *    (every kStatFields entry), `membership`, and on aggregating
- *    owners `fleet` and `safety`; the owner adds its identity keys.
+ *    owners `fleet` and `safety`; the owner adds its identity keys;
+ *  - capmaestro_membership_generation and
+ *    capmaestro_membership_pending_units carry the owner's table.
  *
  * It only observes: sequence numbers, wire bytes and allocations are
  * the same with telemetry on or off.
@@ -80,6 +82,10 @@ class Observability
     /** Bring the mirrors up to date with the owner's stats. */
     void publishStats();
 
+    /** Export @p table's generation and its Joining + Draining units;
+     *  attach() exports the last table shown again. */
+    void publishMembership(const membership::MembershipTable &table);
+
     /** Telemetry attached: stamp, record hops, audit, roll up. */
     bool on() const { return on_; }
 
@@ -126,12 +132,10 @@ class Observability
         const std::map<std::uint32_t, telemetry::UnitHealth> &overrides =
             {});
 
-    telemetry::FleetHealthRegistry &fleetHealth() { return fleetHealth_; }
     const telemetry::FleetHealthRegistry &fleetHealth() const
     {
         return fleetHealth_;
     }
-    telemetry::SafetyAuditor &auditor() { return auditor_; }
     const telemetry::SafetyAuditor &auditor() const { return auditor_; }
 
     /** Serve /metrics, /healthz (the document @p health builds) and
@@ -186,6 +190,8 @@ class Observability
     /** One gauge per kStatFields entry, in table order (or none). */
     std::vector<telemetry::Gauge> statGauges_;
     std::vector<CounterMirror> statCounters_;
+    /** The table publishMembership() last showed. */
+    const membership::MembershipTable *members_ = nullptr;
     /** Hop spans recorded this period (bounded per period). */
     std::size_t hopSpans_ = 0;
     /** beginPeriod() opened the tracer's current period. */

@@ -8,30 +8,42 @@
 
 namespace capmaestro::rt {
 
+namespace {
+
+/** The worker plan of @p scenario cut at @p peers' levels (fatal when
+ *  there is no power system or the peer table does not match it). */
+core::TreePlan
+planOf(const config::LoadedScenario &scenario,
+       const config::WorkerPeers &peers)
+{
+    if (!scenario.system)
+        util::fatal("rt: scenario has no power system");
+    core::TreePlan plan =
+        core::TreePlan::build(*scenario.system, peers.aggLevels);
+    if (peers.peers.size() != plan.workers.size()) {
+        util::fatal("rt: peer table has %zu endpoints; the worker plan "
+                    "needs %zu (%zu leaves + %zu aggregators + root)",
+                    peers.peers.size(), plan.workers.size(),
+                    plan.leafWorkers,
+                    plan.workers.size() - plan.leafWorkers - 1);
+    }
+    return plan;
+}
+
+} // namespace
+
 RoleTable::RoleTable(config::LoadedScenario &scenario,
                      const config::WorkerPeers &peers,
                      std::vector<Endpoint> locals, std::uint64_t seed,
                      RuntimeStats &stats, core::EventLog &events,
                      Observability &obs)
     : scenario_(scenario), stats_(stats), events_(events), obs_(obs),
-      locals_(std::move(locals))
+      plan_(planOf(scenario, peers)), locals_(std::move(locals)),
+      membership_(plan_, locals_, peers.membership,
+                  scenario.service.protocol.heartbeatFailAfter, stats,
+                  events, obs)
 {
-    if (!scenario.system)
-        util::fatal("rt: scenario has no power system");
     const topo::PowerSystem &system = *scenario.system;
-    plan_ = core::TreePlan::build(system, peers.aggLevels);
-    if (peers.peers.size() != plan_.workers.size()) {
-        util::fatal("rt: peer table has %zu endpoints; the worker plan "
-                    "needs %zu (%zu leaves + %zu aggregators + root)",
-                    peers.peers.size(), plan_.workers.size(),
-                    plan_.leafWorkers,
-                    plan_.workers.size() - plan_.leafWorkers - 1);
-    }
-    // Every deployment boots with the static table (all Live at
-    // generation 1); a broadcast from the root supersedes it.
-    membership_ = membership::MembershipTable::allLive(
-        plan_.workers.size());
-
     // Before the leaves move the server specs into their plants: the
     // floors are read straight from the config so every process
     // agrees bit for bit.
@@ -93,6 +105,8 @@ void
 RoleTable::frameMetrics(Leaf &leaf, std::uint32_t epoch, Sends &out)
 {
     const Endpoint ep = leaf.role.endpoint();
+    if (membership_.left(ep))
+        return; // committed out: it reports nothing
     for (const net::MetricsMsg &msg : leaf.role.metrics()) {
         out.push_back({ep, plan_.workers[ep].parent,
                        net::encodeMetrics(stamp(ep, epoch), msg)});
@@ -126,11 +140,29 @@ RoleTable::frameDown(Aggregator &agg, std::uint32_t epoch, Sends &out)
 }
 
 void
+RoleTable::frameMembership(std::uint32_t epoch, Sends &out)
+{
+    // A compat-stamped root cannot announce; upgrade first.
+    if (wireVersion_ != net::kWireVersion)
+        return;
+    const auto targets = membership_.targets(epoch);
+    if (targets.empty())
+        return;
+    const net::MembershipDeltaMsg delta = membership_.table().toDelta();
+    const Endpoint root = plan_.rootEndpoint();
+    for (const Endpoint to : targets) {
+        out.push_back({root, to,
+                       net::encodeMembershipDelta(stamp(root, epoch),
+                                                  delta)});
+        ++stats_.membershipDeltasSent;
+    }
+}
+
+void
 RoleTable::closeLeaf(Leaf &leaf)
 {
-    leaf.role.close(
-        membership_.state(static_cast<std::uint16_t>(leaf.role.endpoint())),
-        stats_, events_);
+    leaf.role.close(membership_.state(leaf.role.endpoint()), stats_,
+                    events_);
 }
 
 RoleTable::Routed
@@ -156,9 +188,10 @@ RoleTable::route(Endpoint to, const net::Frame &frame, std::uint32_t epoch,
     if (frame.type == net::MsgType::MembershipDelta)
         return adopt(to, frame, epoch, out);
     if (frame.type == net::MsgType::MembershipAck) {
-        if (to == plan_.rootEndpoint())
-            return Routed::Ack;
-        ++stats_.orphanFrames; // acks are addressed to the root
+        // Acks are addressed to the root, which books them.
+        if (to == plan_.rootEndpoint() && membership_.book(frame))
+            return Routed::Membership;
+        ++stats_.orphanFrames;
         return Routed::Orphan;
     }
     const RoleRef ref = index_[to];
@@ -209,24 +242,21 @@ RoleTable::adopt(Endpoint to, const net::Frame &frame, std::uint32_t epoch,
         ++stats_.orphanFrames;
         return Routed::Orphan;
     }
-    const bool adopted = membership_.applyDelta(frame.membershipDelta);
-    if (adopted)
-        ++stats_.membershipDeltasApplied;
+    const bool adopted = membership_.adopt(frame.membershipDelta);
     // Ack even a stale or idempotent re-broadcast: a lost ack is what
     // keeps the root re-sending. A compat-stamped worker cannot encode
     // membership frames; the root keeps broadcasting to it until the
     // rolling upgrade flips the version.
     if (wireVersion_ == net::kWireVersion) {
-        const auto me = static_cast<std::uint16_t>(to);
         net::MembershipAckMsg ack;
         ack.generation = membership_.generation();
-        ack.endpoint = me;
-        ack.state = static_cast<net::WireUnitState>(membership_.state(me));
+        ack.endpoint = static_cast<std::uint16_t>(to);
+        ack.state = static_cast<net::WireUnitState>(membership_.state(to));
         out.push_back({to, plan_.rootEndpoint(),
                        net::encodeMembershipAck(stamp(to, epoch), ack)});
         ++stats_.membershipAcksSent;
     }
-    return adopted ? Routed::Adopted : Routed::Stale;
+    return adopted ? Routed::Adopted : Routed::Membership;
 }
 
 } // namespace capmaestro::rt

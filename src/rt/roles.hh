@@ -6,28 +6,30 @@
  * WorkerRuntime owns one for its single endpoint. The engines keep
  * only what differs between them: pacing, retransmission, holdback,
  * the host's beacons, and the runtime's supervision of leaf children
- * (rt/supervisor.hh) and root membership plane.
+ * (rt/supervisor.hh).
  *
  * The table owns:
  *  - the roles: the core::TreePlan and its peer-table check, the
- *    all-Live membership replica, one AggregatorRole per hosted
- *    interior or root endpoint in ascending tier order (so in one
- *    pass a hosted child closes before its hosted parent), and one
+ *    membership plane (rt/membership_plane.hh), one AggregatorRole per
+ *    hosted interior or root endpoint in ascending tier order (so in
+ *    one pass a hosted child closes before its hosted parent), and one
  *    LeafRole per hosted leaf;
  *  - stamping: the sequence counter, the wire version, the trace
  *    context. A frame from the root carries net::kRoomSender, any
  *    other frame its sender's endpoint;
- *  - framing: a leaf's per-edge Metrics, an aggregator's Summaries,
- *    and its split as Budget (leaf child) or SubBudget frames;
+ *  - framing: a leaf's per-edge Metrics (none once it was committed
+ *    out), an aggregator's Summaries, its split as Budget (leaf child)
+ *    or SubBudget frames, and the root's membership snapshots;
  *  - the receive path: decode, hop record, then route().
  *
  * route() places one frame by its type, the addressed role and the
  * sender, in this order:
- *  1. MembershipDelta: the replica adopts a root-sent snapshot (the
+ *  1. MembershipDelta: the table adopts a root-sent snapshot (the
  *     root owns the table and takes none) and acks it from the
  *     addressed endpoint. The membership plane is epoch-free.
- *  2. MembershipAck: handed back to the engine when addressed to the
- *     root; an orphan anywhere else.
+ *  2. MembershipAck: the membership plane books it when addressed to
+ *     the root; it is an orphan anywhere else, and when it speaks for
+ *     another endpoint than its sender.
  *  3. A Heartbeat from the addressed role's plan parent is its epoch
  *     beacon: the parent closed this role's phases without it.
  *  4. A frame from a later epoch is handed back to the engine.
@@ -52,12 +54,12 @@
 #include "config/loader.hh"
 #include "core/events.hh"
 #include "core/tree_plan.hh"
-#include "membership/table.hh"
 #include "net/protocol.hh"
 #include "net/transport.hh"
 #include "net/wire.hh"
 #include "rt/aggregator.hh"
 #include "rt/leaf.hh"
+#include "rt/membership_plane.hh"
 #include "rt/observe.hh"
 #include "rt/stats.hh"
 
@@ -151,10 +153,10 @@ class RoleTable
         /** The replica adopted the snapshot, an idempotent
          *  re-broadcast included (and acked it). */
         Adopted,
-        /** The replica holds a newer one (and acked that). */
-        Stale,
-        /** A MembershipAck for the root: the engine's. */
-        Ack,
+        /** The membership plane took it, with nothing left for the
+         *  engine: a stale snapshot (acked with the newer generation)
+         *  or an ack the root booked. */
+        Membership,
         /** From a later epoch: the engine's. */
         Later,
     };
@@ -187,17 +189,19 @@ class RoleTable
 
     std::vector<Leaf> &leaves() { return leaves_; }
     const std::vector<Leaf> &leaves() const { return leaves_; }
+    /** The first hosted leaf's simulated time (0 without leaves). */
+    double simNow() const
+    {
+        return leaves_.empty() ? 0.0 : leaves_.front().role.simNow();
+    }
     /** Hosted aggregators, ascending tier (the root last). */
     std::vector<Aggregator> &aggregators() { return aggs_; }
     const std::vector<Aggregator> &aggregators() const { return aggs_; }
 
-    /** The membership replica (a root's owner mutates it as the
-     *  table of record). */
-    membership::MembershipTable &membership() { return membership_; }
-    const membership::MembershipTable &membership() const
-    {
-        return membership_;
-    }
+    /** The membership plane (the table of record where the root is
+     *  hosted, a replica elsewhere). */
+    MembershipPlane &membership() { return membership_; }
+    const MembershipPlane &membership() const { return membership_; }
 
     /** Stamp every later frame with wire version @p v (kWireVersion
      *  or kWireCompatVersion; anything else is fatal). */
@@ -219,6 +223,10 @@ class RoleTable
     /** Split @p agg's grant (AggregatorRole::computeDown), audit the
      *  split, and append a Budget or SubBudget frame per child. */
     void frameDown(Aggregator &agg, std::uint32_t epoch, Sends &out);
+
+    /** Append the root's membership snapshot for every target of
+     *  MembershipPlane::targets(@p epoch). */
+    void frameMembership(std::uint32_t epoch, Sends &out);
 
     /** Close @p leaf's period with its own membership state. */
     void closeLeaf(Leaf &leaf);
@@ -264,7 +272,7 @@ class RoleTable
     Observability &obs_;
     core::TreePlan plan_;
     std::vector<Endpoint> locals_;
-    membership::MembershipTable membership_;
+    MembershipPlane membership_;
     std::vector<Leaf> leaves_;
     std::vector<Aggregator> aggs_;
     /** Every plan endpoint -> its role here. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 
@@ -137,26 +138,21 @@ Supervisor::closeGather(std::uint32_t epoch,
 }
 
 std::map<std::uint32_t, AggregatorRole::ChildView>
-Supervisor::views(const membership::MembershipTable &members) const
+Supervisor::views(
+    std::map<std::uint32_t, AggregatorRole::ChildView> members) const
 {
-    std::map<std::uint32_t, AggregatorRole::ChildView> out;
     for (const auto &[child, h] : ledgers_) {
-        const auto ep = static_cast<std::uint16_t>(child);
-        AggregatorRole::ChildView &view = out[child];
-        // Dead children send nothing; neither do children committed out
-        // of the membership. Everyone else (re-homing children, whose
-        // plants run on default budgets, and Joining/Draining units in
-        // their shadow periods) is waited for.
-        view.awaited = h.state != RackState::Dead
-                       && members.state(ep) != membership::UnitState::Left;
+        AggregatorRole::ChildView &view = members[child];
+        // Dead children send nothing. Re-homing children, whose plants
+        // run on default budgets, are waited for.
+        view.awaited = view.awaited && h.state != RackState::Dead;
         // Fresh metrics are trusted only from a Live instance: a
         // reincarnated one's fresh-plant numbers would poison the
         // allocation, and its liveness must not count twice, as the
         // dead instance (stale) and the new one (fresh).
         view.trusted = h.state == RackState::Live;
-        view.member = members.isLive(ep);
     }
-    return out;
+    return members;
 }
 
 std::vector<Supervisor::Rehome>
@@ -203,6 +199,11 @@ Supervisor::checkpointPath(std::uint32_t child) const
 void
 Supervisor::setStateDir(const std::string &dir)
 {
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec)
+        util::fatal("rt: cannot create %s: %s", dir.c_str(),
+                    ec.message().c_str());
     stateDir_ = dir;
     for (const auto &[child, ledger] : ledgers_) {
         (void)ledger;

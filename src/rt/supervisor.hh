@@ -13,8 +13,8 @@
  *                  a new instance, and a Checkpoint is stored (and
  *                  persisted under the state directory, if one is set);
  *   closeGather()  run the liveness machine below;
- *   views()        the AggregatorRole::ChildView each child's state
- *                  implies;
+ *   views()        overlay each child's liveness on the
+ *                  AggregatorRole::ChildView its membership implies;
  *   rehomes()      the Rehomes owed this epoch.
  *
  * The liveness machine of one child:
@@ -37,7 +37,9 @@
  * outside the liveness contract, and its ledger is held fresh, so a
  * committed joiner starts Live with a clean sequence baseline and no
  * failover credit spent. The root's table is the truth; a non-root
- * supervisor reads its replica.
+ * supervisor reads its replica. The membership half of each child's
+ * view (member, released, a Left child not awaited) is the
+ * rt::MembershipPlane's; the supervisor keeps only liveness.
  */
 
 #ifndef CAPMAESTRO_RT_SUPERVISOR_HH
@@ -109,13 +111,13 @@ class Supervisor
                      RuntimeStats &stats, core::EventLog &events);
 
     /**
-     * The child views the current states imply: a Dead or Left child
-     * is not awaited, only a Live one is trusted, a member is Live in
-     * @p members. None is released: only the root's ack book can say
-     * a Left unit draws nothing.
+     * Overlay liveness on @p members, the views membership implies
+     * (MembershipPlane; children absent from it start at the
+     * default): a Dead child is not awaited either, and only a Live
+     * one is trusted.
      */
     std::map<std::uint32_t, AggregatorRole::ChildView>
-    views(const membership::MembershipTable &members) const;
+    views(std::map<std::uint32_t, AggregatorRole::ChildView> members) const;
 
     /** The Rehomes owed at @p epoch: one per re-homing member heard
      *  this epoch (counted in rehomesSent). */
@@ -128,9 +130,9 @@ class Supervisor
     std::map<std::uint32_t, telemetry::UnitHealth> overrides() const;
 
     /**
-     * Persist every stored checkpoint under @p dir (one file per
-     * child, atomically replaced), and load those a previous instance
-     * left there, so a restarted parent can still re-home children
+     * Persist every stored checkpoint under @p dir (created if
+     * missing; one file per child, atomically replaced), and load those
+     * a previous instance left there, so a restarted parent can still re-home children
      * that died while it was down.
      */
     void setStateDir(const std::string &dir);

@@ -27,11 +27,6 @@ constexpr double kPollSliceMs = 2.0;
  */
 constexpr double kLockstepWaitMs = 150.0;
 
-/** Minimum shadow periods between a join announcement and its commit:
- *  one full broadcast/ack round trip plus one settled period, so the
- *  unit demonstrably holds the clamp before its first real grant. */
-constexpr std::uint32_t kShadowPeriodsMin = 2;
-
 /** This runtime's capmaestro_rt_* and membership counters, each the
  *  mirror of one RuntimeStats field. */
 struct CounterSpec
@@ -80,26 +75,17 @@ constexpr CounterSpec kCounters[] = {
 WorkerRuntime::WorkerRuntime(config::LoadedScenario scenario,
                              config::WorkerPeers peers,
                              std::uint32_t role, std::uint64_t seed)
-    : scenario_(std::move(scenario)), peers_(std::move(peers)),
-      role_(role),
-      roles_(scenario_, peers_, {role}, seed, stats_, events_, obs_)
+    : Engine(std::move(scenario), peers, {role}, seed, nullptr), role_(role)
 {
     init();
-
-    net::UdpConfig udp;
-    udp.peers = peers_.peers;
-    udp.local.push_back(role_);
-    ownedTransport_ = std::make_unique<net::UdpTransport>(std::move(udp));
-    transport_ = ownedTransport_.get();
 }
 
 WorkerRuntime::WorkerRuntime(config::LoadedScenario scenario,
                              config::WorkerPeers peers,
                              std::uint32_t role, std::uint64_t seed,
                              net::Transport &transport, Pacing pacing)
-    : scenario_(std::move(scenario)), peers_(std::move(peers)),
-      role_(role), pacing_(pacing), transport_(&transport),
-      roles_(scenario_, peers_, {role}, seed, stats_, events_, obs_)
+    : Engine(std::move(scenario), peers, {role}, seed, &transport),
+      role_(role), pacing_(pacing)
 {
     init();
 }
@@ -131,16 +117,6 @@ WorkerRuntime::init()
             util::fatal("rt: peers.originMs is too far in the past; "
                         "regenerate the peer table");
         }
-    }
-    // Every worker reads the same peer table: a slot not yet deployed
-    // starts outside each replica, so no parent supervises it before a
-    // broadcast shows it Joining. The root holds its joiners out too
-    // until it announces them.
-    for (const std::uint32_t ep : peers_.membership.absent)
-        membershipMarkAbsent(ep);
-    if (isRoom()) {
-        for (const std::uint32_t ep : peers_.membership.join)
-            membershipMarkAbsent(ep);
     }
     if (isLeaf())
         return;
@@ -206,10 +182,6 @@ WorkerRuntime::runPeriods(std::size_t max_periods)
     std::size_t done = 0;
     while (done < max_periods
            && !stop_.load(std::memory_order_relaxed)) {
-        if (reload_.exchange(false, std::memory_order_relaxed)
-            && reloadHandler_) {
-            reloadHandler_();
-        }
         // The next epoch that has not yet begun; its window start is
         // the shared wall-clock boundary every process sleeps to.
         const std::uint32_t epoch =
@@ -222,26 +194,12 @@ WorkerRuntime::runPeriods(std::size_t max_periods)
             break;
         // Wall mode owns its period traces (lockstep harnesses drive
         // the tracer themselves).
-        obs_.beginPeriod(epoch,
-                         roles_.leaves().empty()
-                             ? 0.0
-                             : static_cast<double>(
-                                   leafSlot().role.simNow()),
-                         roleName());
+        obs_.beginPeriod(epoch, roles_.simNow(), roleName());
         runPeriod(epoch);
         finishPeriod(epoch);
         ++done;
     }
     return done;
-}
-
-void
-WorkerRuntime::finishPeriod(std::uint32_t epoch)
-{
-    lastEpoch_ = epoch;
-    ++stats_.periodsRun;
-    obs_.publishStats();
-    obs_.endPeriod();
 }
 
 // ===================================================================
@@ -258,7 +216,7 @@ util::Json
 WorkerRuntime::healthJson() const
 {
     util::Json::Object out =
-        obs_.health(roles_.membership(), lastEpoch_,
+        obs_.health(roles_.membership().table(), lastEpoch_,
                     !roles_.aggregators().empty(),
                     static_cast<std::uint16_t>(role_));
     out.emplace("role", util::Json(roleName()));
@@ -307,8 +265,8 @@ WorkerRuntime::collect(std::uint32_t epoch, Until until, double close)
             case Routed::Up:
                 if (supervisor_) {
                     supervisor_->noteFrame(roles_.frame(), epoch,
-                                           roles_.membership(), stats_,
-                                           events_);
+                                           roles_.membership().table(),
+                                           stats_, events_);
                 }
                 break;
             case Routed::Adopted:
@@ -321,11 +279,9 @@ WorkerRuntime::collect(std::uint32_t epoch, Until until, double close)
                 // LeafRole::close), the ack is the promise, and a
                 // wall-paced daemon exits so the supervisor can
                 // retire it.
-                if (membershipLeft() && pacing_ == Pacing::Wall)
+                if (roles_.membership().left(role_)
+                    && pacing_ == Pacing::Wall)
                     requestStop();
-                break;
-            case Routed::Ack:
-                noteMembershipAck(roles_.frame());
                 break;
             case Routed::Later:
                 ++stats_.orphanFrames; // no holdback in these pacings
@@ -367,41 +323,26 @@ WorkerRuntime::upFrames(std::uint32_t epoch, double close)
         return up;
     }
     agg().beginEpoch(epoch);
-    if (supervisor_) {
+    if (supervisor_)
         supervisor_->beginEpoch();
-        refreshChildViews();
-    }
+    roles_.membership().openGather(agg(), supervisor());
     collect(epoch, Until::Gather, close);
     return aggCloseGather(epoch);
-}
-
-void
-WorkerRuntime::refreshChildViews()
-{
-    auto views = supervisor_->views(roles_.membership());
-    if (isRoom()) {
-        for (auto &[child, view] : views)
-            view.released =
-                membershipFloorReleased(static_cast<std::uint16_t>(child));
-    }
-    agg().setChildViews(std::move(views));
 }
 
 WorkerRuntime::Sends
 WorkerRuntime::aggCloseGather(std::uint32_t epoch)
 {
-    // Liveness from this gather and the root's commit gate, then the
+    // Liveness from this gather, then the root's commit gate and the
     // child view both imply.
     if (supervisor_)
-        supervisor_->closeGather(epoch, roles_.membership(), stats_,
+        supervisor_->closeGather(epoch, roles_.membership().table(), stats_,
                                  events_);
-    if (isRoom())
-        membershipTick(epoch);
+    roles_.membership().closeGather(agg(), epoch, supervisor());
     std::map<std::uint32_t, telemetry::UnitHealth> overrides;
     if (supervisor_) {
-        refreshChildViews();
         overrides = supervisor_->overrides();
-        gauges_.deadRacks.set(static_cast<double>(overrides.size()));
+        deadRacks_.set(static_cast<double>(overrides.size()));
     }
     const auto summaries = agg().closeGather(stats_, events_);
     obs_.reportChildren(agg(), epoch, overrides);
@@ -419,7 +360,7 @@ WorkerRuntime::aggDownFrames(std::uint32_t epoch)
     if (!supervisor_)
         return down;
     for (const Supervisor::Rehome &rehome :
-         supervisor_->rehomes(epoch, roles_.membership(), stats_)) {
+         supervisor_->rehomes(epoch, roles_.membership().table(), stats_)) {
         down.push_back({role_, rehome.child,
                         net::encodeRehome(roles_.stamp(role_, epoch),
                                           rehome.checkpoint)});
@@ -470,8 +411,9 @@ WorkerRuntime::downHalf(std::uint32_t epoch, double close)
     sendAll(down);
     // Membership snapshots ride the same down window, single-shot per
     // period (ack-gated: a lost broadcast is repaired next period).
-    if (isRoom())
-        broadcastMembership(epoch);
+    Sends snapshots;
+    roles_.frameMembership(epoch, snapshots);
+    sendAll(snapshots);
     return down;
 }
 
@@ -503,181 +445,6 @@ WorkerRuntime::stepDown(std::uint32_t epoch)
 }
 
 // ===================================================================
-// Membership / elasticity plane
-// ===================================================================
-
-bool
-WorkerRuntime::membershipBeginJoin(std::uint32_t endpoint)
-{
-    return announce(endpoint, /*join=*/true);
-}
-
-bool
-WorkerRuntime::membershipBeginDrain(std::uint32_t endpoint)
-{
-    return announce(endpoint, /*join=*/false);
-}
-
-bool
-WorkerRuntime::announce(std::uint32_t endpoint, bool join)
-{
-    if (!isRoom())
-        util::fatal("rt: membership announcements need the root runtime");
-    const auto ep = static_cast<std::uint16_t>(endpoint);
-    membership::MembershipTable &table = roles_.membership();
-    if (endpoint >= plan().workers.size() || endpoint == role_
-        || !(join ? table.beginJoin(ep) : table.beginDrain(ep)))
-        return false;
-    if (join) {
-        // Acks recorded so far belong to a previous incarnation of the
-        // slot; the joiner must ack its own announcement.
-        memberAckGen_.erase(ep);
-        joinAnnounceEpoch_[ep] = lastEpoch_;
-    }
-    events_.record(static_cast<Seconds>(lastEpoch_),
-                   join ? core::EventKind::MembershipJoinBegan
-                        : core::EventKind::MembershipDrainBegan,
-                   "worker" + std::to_string(endpoint),
-                   static_cast<double>(table.generation()));
-    return true;
-}
-
-void
-WorkerRuntime::membershipMarkAbsent(std::uint32_t endpoint)
-{
-    if (stats_.periodsRun > 0)
-        util::fatal("rt: membershipMarkAbsent() is pre-run "
-                    "configuration; use membershipBeginDrain() online");
-    if (endpoint >= plan().workers.size()
-        || (isRoom() && endpoint == role_))
-        util::fatal("rt: cannot mark endpoint %u absent", endpoint);
-    roles_.membership().markAbsent(static_cast<std::uint16_t>(endpoint));
-}
-
-void
-WorkerRuntime::beginShadow()
-{
-    if (isRoom())
-        util::fatal("rt: beginShadow() is for non-root workers");
-    if (stats_.periodsRun > 0)
-        util::fatal("rt: beginShadow() must precede the first period");
-    // Empty replica: this worker treats itself as a non-member (the
-    // Pcap_min clamp every period) until a root broadcast shows it
-    // Live. Any snapshot at or ahead of generation 1 is adopted.
-    roles_.membership() = membership::MembershipTable();
-}
-
-bool
-WorkerRuntime::membershipLeft() const
-{
-    const auto me = static_cast<std::uint16_t>(role_);
-    return !isRoom()
-           && roles_.membership().state(me) == membership::UnitState::Left
-           && roles_.membership().sinceGeneration(me) > 0;
-}
-
-bool
-WorkerRuntime::membershipFloorReleased(std::uint16_t endpoint) const
-{
-    if (roles_.membership().state(endpoint) != membership::UnitState::Left)
-        return false;
-    const std::uint32_t since = roles_.membership().sinceGeneration(endpoint);
-    if (since == 0)
-        return true; // never deployed: nothing ever drew this floor
-    const auto it = memberAckGen_.find(endpoint);
-    return it != memberAckGen_.end() && it->second >= since;
-}
-
-bool
-WorkerRuntime::membershipBroadcastTarget(std::uint16_t endpoint) const
-{
-    // A unit that was never deployed, or whose leave is acked, is gone.
-    if (endpoint == role_ || membershipFloorReleased(endpoint))
-        return false;
-    const auto it = memberAckGen_.find(endpoint);
-    return it == memberAckGen_.end()
-           || it->second < roles_.membership().generation();
-}
-
-void
-WorkerRuntime::broadcastMembership(std::uint32_t epoch)
-{
-    // Generation 1 is the static deployment: the machinery stays idle
-    // — no frames, no sequence numbers — so a run that never touches
-    // membership is bit-identical to a pre-elasticity build.
-    if (roles_.membership().generation() <= 1)
-        return;
-    if (roles_.wireVersion() != net::kWireVersion)
-        return; // a compat-stamped root cannot announce; upgrade first
-    const net::MembershipDeltaMsg delta = roles_.membership().toDelta();
-    for (std::size_t ep = 0; ep < plan().workers.size(); ++ep) {
-        if (!membershipBroadcastTarget(static_cast<std::uint16_t>(ep)))
-            continue;
-        transport_->send(
-            role_, static_cast<net::Transport::Endpoint>(ep),
-            net::encodeMembershipDelta(
-                roles_.stamp(role_, epoch), delta));
-        ++stats_.membershipDeltasSent;
-    }
-}
-
-void
-WorkerRuntime::membershipTick(std::uint32_t epoch)
-{
-    // Phase two of the adopt protocol: commit every transition whose
-    // gate is satisfied. Joins additionally hold the minimum shadow
-    // window so the unit demonstrably rides the clamp before its first
-    // real grant; drains commit on the ack alone (the floor stays
-    // counted until the *Left* generation is acked, checked by
-    // membershipFloorReleased()).
-    std::vector<std::uint16_t> ready;
-    for (const auto &[ep, entry] : roles_.membership().entries()) {
-        const auto acked = memberAckGen_.find(ep);
-        const bool ackCurrent = acked != memberAckGen_.end()
-                                && acked->second >= entry.sinceGeneration;
-        if (!ackCurrent)
-            continue;
-        if (entry.state == membership::UnitState::Joining) {
-            const auto announce = joinAnnounceEpoch_.find(ep);
-            if (announce == joinAnnounceEpoch_.end()
-                || epoch >= announce->second + kShadowPeriodsMin)
-                ready.push_back(ep);
-        } else if (entry.state == membership::UnitState::Draining) {
-            ready.push_back(ep);
-        }
-    }
-    for (const std::uint16_t ep : ready) {
-        if (!roles_.membership().commit(ep))
-            continue;
-        ++stats_.membershipCommits;
-        events_.record(static_cast<Seconds>(epoch),
-                       core::EventKind::MembershipCommitted,
-                       "worker" + std::to_string(ep),
-                       static_cast<double>(roles_.membership().generation()));
-        // The supervisor held the joiner's ledger fresh until now.
-        if (roles_.membership().isLive(ep))
-            joinAnnounceEpoch_.erase(ep);
-    }
-    const membership::MembershipTable &table = roles_.membership();
-    gauges_.membershipGen.set(static_cast<double>(table.generation()));
-    gauges_.membershipPending.set(static_cast<double>(
-        table.countOf(membership::UnitState::Joining)
-        + table.countOf(membership::UnitState::Draining)));
-}
-
-void
-WorkerRuntime::noteMembershipAck(const net::Frame &frame)
-{
-    const net::MembershipAckMsg &ack = frame.membershipAck;
-    if (ack.endpoint != frame.sender) {
-        ++stats_.orphanFrames;
-        return;
-    }
-    std::uint32_t &gen = memberAckGen_[ack.endpoint];
-    gen = std::max(gen, ack.generation);
-}
-
-// ===================================================================
 // Accessors, telemetry, persistence
 // ===================================================================
 
@@ -693,19 +460,6 @@ WorkerRuntime::lastServerBudgets(std::size_t server_id) const
     return {};
 }
 
-std::map<std::pair<std::size_t, topo::NodeId>, Watts>
-WorkerRuntime::lastEdgeBudgets() const
-{
-    std::map<std::pair<std::size_t, topo::NodeId>, Watts> out;
-    if (stats_.periodsRun == 0)
-        return out;
-    for (const RoleTable::Leaf &leaf : roles_.leaves()) {
-        for (const LeafRole::Edge &edge : leaf.role.edges())
-            out[{edge.tree, edge.node}] = edge.budget;
-    }
-    return out;
-}
-
 void
 WorkerRuntime::setTelemetry(telemetry::Registry *registry,
                             telemetry::PeriodTracer *tracer)
@@ -717,25 +471,19 @@ WorkerRuntime::setTelemetry(telemetry::Registry *registry,
                 ls, !roles_.aggregators().empty());
     for (const CounterSpec &spec : kCounters)
         obs_.mirrorCounter(spec.field, spec.name, spec.help);
-    gauges_ = {};
-    if (!registry)
-        return;
-    gauges_.deadRacks = registry->gauge(
-        "capmaestro_rt_degraded_racks", ls,
-        "Leaf children currently Dead or Rehoming (supervisor view)");
-    gauges_.membershipGen = registry->gauge(
-        "capmaestro_membership_generation", ls,
-        "Current membership table generation");
-    gauges_.membershipPending = registry->gauge(
-        "capmaestro_membership_pending_units", ls,
-        "Units with an uncommitted transition (Joining or Draining)");
+    deadRacks_ = registry ? registry->gauge(
+                                "capmaestro_rt_degraded_racks", ls,
+                                "Leaf children currently Dead or Rehoming "
+                                "(supervisor view)")
+                          : telemetry::Gauge{};
 }
 
 void
 WorkerRuntime::setStateDir(const std::string &dir)
 {
     if (!supervisor_)
-        util::fatal("rt: setStateDir() needs a worker with leaf children");
+        util::fatal("rt: a state directory needs a worker with leaf "
+                    "children");
     supervisor_->setStateDir(dir);
 }
 

@@ -441,7 +441,7 @@ TEST(DeepChaos, AggregatorOutsideTheMembershipKeepsItsFloorReserved)
     rt::LockstepDeployment dep(json, rt::ChaosBackend::Sim,
                                net::TransportConfig{}, /*seed=*/313,
                                /*agg_levels=*/{1});
-    dep.room().membershipMarkAbsent(4);
+    dep.room().membership().markAbsent(4);
     dep.chaos().at(3, rt::ChaosEvent::Kind::Drain, 5);
     const auto report = dep.run(16);
 
@@ -583,7 +583,7 @@ TEST(Elasticity, SimJoinDrainRollingUpgradeStaysSafeAndBitReproducible)
         EXPECT_EQ(report.violations, 0u) << report.firstViolation;
         EXPECT_EQ(report.onlineViolations, report.violations);
         EXPECT_EQ(report.drained, 1u);
-        const auto &table = dep.room().membership();
+        const auto &table = dep.room().membership().table();
         EXPECT_EQ(table.state(2), membership::UnitState::Live);
         EXPECT_EQ(table.state(3), membership::UnitState::Live);
         EXPECT_EQ(table.state(1), membership::UnitState::Left);
@@ -626,14 +626,14 @@ TEST(Elasticity, UdpJoinDrainRollingUpgradeStaysSafe)
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
     EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_EQ(report.drained, 1u);
-    const auto &table = dep.room().membership();
+    const auto &table = dep.room().membership().table();
     EXPECT_EQ(table.state(2), membership::UnitState::Live);
     EXPECT_EQ(table.state(3), membership::UnitState::Live);
     EXPECT_EQ(table.state(1), membership::UnitState::Left);
     EXPECT_EQ(table.transitionsPending(), 0u);
     EXPECT_EQ(dep.rack(1), nullptr);
     ASSERT_NE(dep.rack(2), nullptr);
-    EXPECT_TRUE(dep.rack(2)->membership().isLive(2));
+    EXPECT_TRUE(dep.rack(2)->membership().table().isLive(2));
 }
 
 TEST(Elasticity, TwoLevelRootJoinsAndDrainsItsOwnRacks)
@@ -655,7 +655,7 @@ TEST(Elasticity, TwoLevelRootJoinsAndDrainsItsOwnRacks)
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
     EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_EQ(report.drained, 1u);
-    const auto &table = dep.room().membership();
+    const auto &table = dep.room().membership().table();
     EXPECT_EQ(table.state(1), membership::UnitState::Live);
     EXPECT_EQ(table.state(0), membership::UnitState::Left);
     EXPECT_EQ(table.transitionsPending(), 0u);
@@ -702,6 +702,34 @@ TEST(Elasticity, AbsentRackUnderARowAggregatorIsNeverDeclaredDead)
                     ->eventLog()
                     .ofKind(core::EventKind::WorkerFailover)
                     .empty());
+}
+
+TEST(Elasticity, RestartedRowAggregatorCatchesUpWithADrainedRack)
+{
+    // Rack 1 drains out at epoch 4 and is reaped once it acked Left.
+    // Its row aggregator 4 is killed at 10 and restarted at 12 with a
+    // generation-1 replica, in which rack 1 reads Live; every unit
+    // had acked the root's latest generation before the restart, so
+    // no ack falls behind. The root's periodic re-send must bring the
+    // restarted aggregator to the root's generation before its
+    // supervisor declares the departed rack dead.
+    rt::LockstepDeployment dep(deepScenario(), rt::ChaosBackend::Sim,
+                               net::TransportConfig{}, /*seed=*/67,
+                               /*agg_levels=*/{1});
+    ASSERT_EQ(dep.plan().workers[1].parent, 4u);
+    dep.chaos().at(4, rt::ChaosEvent::Kind::Drain, 1);
+    dep.chaos().at(10, rt::ChaosEvent::Kind::Kill, 4);
+    dep.chaos().at(12, rt::ChaosEvent::Kind::Restart, 4);
+    const auto report = dep.run(24);
+
+    EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+    EXPECT_EQ(report.onlineViolations, report.violations);
+    EXPECT_EQ(report.drained, 1u);
+    ASSERT_NE(dep.unit(4), nullptr);
+    EXPECT_EQ(dep.room().membership().generation(), 3u);
+    EXPECT_EQ(dep.unit(4)->membership().generation(),
+              dep.room().membership().generation());
+    EXPECT_EQ(fleetTotal(dep, &rt::RuntimeStats::failovers), 0u);
 }
 
 TEST(Elasticity, RackKilledDuringItsDrainKeepsItsFloorCounted)
@@ -946,7 +974,7 @@ TEST(LockstepGolden, Depth4ElasticJoinDrainAggKill)
     // No rack dies: the absent joiners (rack 7 also across the
     // restart of its row aggregator 11) are never failed over.
     EXPECT_EQ(fleetTotal(dep, &rt::RuntimeStats::failovers), 0u);
-    EXPECT_DIGEST(dep, report, 0x0b2662b5c3f62cf4);
+    EXPECT_DIGEST(dep, report, 0x2490e5bf59a7e23b);
 }
 
 // ------------------------------------ floors in the merge (§4.5)

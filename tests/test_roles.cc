@@ -5,9 +5,8 @@
  * type, addressed role (leaf, interior aggregator, root), sender (the
  * role's plan parent, its own child, anyone else) and epoch (current,
  * next, older) — and which RuntimeStats counters each placement moves;
- * then what each engine does with a frame the table hands back: a
- * WorkerHost holds a next-epoch frame back, a WorkerRuntime root
- * books a MembershipAck.
+ * then what the engines do with it: a WorkerHost holds a next-epoch
+ * frame back, and a root on either engine books a MembershipAck.
  */
 
 #include <gtest/gtest.h>
@@ -213,7 +212,7 @@ expectedRoute(MsgType type, Role role, From from, When when)
         return from_root && role != Role::Root ? Routed::Adopted
                                                : Routed::Orphan;
     if (type == MsgType::MembershipAck)
-        return role == Role::Root ? Routed::Ack : Routed::Orphan;
+        return role == Role::Root ? Routed::Membership : Routed::Orphan;
     // Only the parent's Heartbeat is a beacon, whatever its epoch.
     if (type == MsgType::Heartbeat && from == From::Parent)
         return Routed::Beacon;
@@ -265,7 +264,7 @@ expectedCounters(MsgType type, Role role, From from, When when,
         return {{"orphanFrames", 1}};
     }
     default:
-        return {}; // Beacon, Ack, Later: the table counts nothing
+        return {}; // Beacon, Membership, Later: the table counts nothing
     }
 }
 
@@ -350,7 +349,7 @@ TEST(RoleTable, RoutesEveryFrameByTypeRoleSenderAndEpoch)
     // Every placement but a decode failure and a re-broadcast occurs.
     for (const Routed r :
          {Routed::Orphan, Routed::Leaf, Routed::Rehome, Routed::Up,
-          Routed::Down, Routed::Beacon, Routed::Adopted, Routed::Ack,
+          Routed::Down, Routed::Beacon, Routed::Adopted, Routed::Membership,
           Routed::Later})
         EXPECT_GT(seen[r], 0u) << static_cast<int>(r);
 }
@@ -379,7 +378,7 @@ TEST(RoleTable, EverySnapshotIsAckedAndOnlyAStaleOneIsNotAdopted)
     // A re-broadcast of the same generation is adopted again
     // (idempotent); an older one is not, but both are acked.
     EXPECT_EQ(fx.roles.receive(3, bytes, kEpoch, out), Routed::Adopted);
-    EXPECT_EQ(fx.roles.receive(3, stale, kEpoch, out), Routed::Stale);
+    EXPECT_EQ(fx.roles.receive(3, stale, kEpoch, out), Routed::Membership);
     EXPECT_EQ(fx.stats.membershipDeltasApplied, 2u);
     EXPECT_EQ(fx.stats.membershipAcksSent, 3u);
     EXPECT_EQ(out.size(), 3u);
@@ -460,36 +459,41 @@ TEST(WorkerHost, HoldsBackANextEpochFrameAndRoutesItThere)
     EXPECT_EQ(host.lastEdgeBudgets().at({tree, node}), 123.25);
 }
 
-// A MembershipAck is handed back too. A WorkerRuntime root books it:
-// the ack of a Draining unit's generation is the commit gate, so the
-// drain commits without the unit ever running. A WorkerHost is
-// replica-only and counts the same ack as an orphan.
-TEST(WorkerRuntime, RootBooksAMembershipAckTheHostOrphans)
+// The table books a MembershipAck at a hosted root itself, on either
+// engine: the ack of a Draining unit's generation is the commit gate,
+// so the drain commits without the unit ever running. Rack 2 lives in
+// another process, so only the booked ack can commit it.
+TEST(RoleTable, RootBooksAMembershipAckOnEitherEngine)
 {
-    net::SimTransport net;
-    const auto peers = peersOf({}, 9);
-    rt::WorkerRuntime root(loadDepth4(), peers, /*role=*/8, /*seed=*/3,
-                           net, rt::Pacing::Lockstep);
-    ASSERT_TRUE(root.isRoom());
-    ASSERT_TRUE(root.membershipBeginDrain(2));
-    const std::uint32_t generation = root.membershipGeneration();
+    auto peers = peersOf({}, 9);
+    peers.processOf[2] = 1;
     net::MembershipAckMsg ack;
-    ack.generation = generation;
     ack.endpoint = 2;
     ack.state = net::WireUnitState::Draining;
-    const auto bytes =
-        net::encodeMembershipAck(net::FrameMeta(2, 1, 0), ack);
-    net.send(2, 8, bytes);
-    root.stepUp(1);
-    root.stepDown(1);
-    EXPECT_EQ(root.stats().membershipCommits, 1u);
-    EXPECT_EQ(root.membership().state(2), membership::UnitState::Left);
-    EXPECT_EQ(root.stats().orphanFrames, 0u);
+    const auto check = [&ack](auto &engine, net::SimTransport &net,
+                              const auto &run_period) {
+        ASSERT_TRUE(engine.membership().holdsRoot());
+        ASSERT_TRUE(engine.membership().beginDrain(2));
+        ack.generation = engine.membership().generation();
+        net.send(2, 8,
+                 net::encodeMembershipAck(net::FrameMeta(2, 1, 0), ack));
+        run_period();
+        EXPECT_EQ(engine.stats().membershipCommits, 1u);
+        EXPECT_EQ(engine.membership().state(2),
+                  membership::UnitState::Left);
+        EXPECT_EQ(engine.stats().orphanFrames, 0u);
+    };
+
+    net::SimTransport net;
+    rt::WorkerRuntime root(loadDepth4(), peers, /*role=*/8, /*seed=*/3,
+                           net, rt::Pacing::Lockstep);
+    check(root, net, [&root] {
+        root.stepUp(1);
+        root.stepDown(1);
+    });
 
     net::SimTransport host_net;
     rt::WorkerHost host(loadDepth4(), peers, /*process=*/0, /*seed=*/3,
                         host_net);
-    host_net.send(2, 8, bytes);
-    ASSERT_EQ(host.runPeriods(1), 1u);
-    EXPECT_EQ(host.stats().orphanFrames, 1u);
+    check(host, host_net, [&host] { ASSERT_EQ(host.runPeriods(1), 1u); });
 }

@@ -733,7 +733,7 @@ TEST(WorkerRuntime, ElasticSoakJoinsDrainsAndAggKillStaySafe)
 
     // End state at the root: the joiners committed Live, the drained
     // rack committed Left, and every announced transition resolved.
-    const auto &table = dep.room().membership();
+    const auto &table = dep.room().membership().table();
     EXPECT_EQ(table.state(6), membership::UnitState::Live);
     EXPECT_EQ(table.state(7), membership::UnitState::Live);
     EXPECT_EQ(table.state(2), membership::UnitState::Left);
@@ -747,8 +747,8 @@ TEST(WorkerRuntime, ElasticSoakJoinsDrainsAndAggKillStaySafe)
     ASSERT_NE(dep.rack(7), nullptr);
     EXPECT_EQ(dep.rack(6)->membershipGeneration(),
               dep.room().membershipGeneration());
-    EXPECT_TRUE(dep.rack(6)->membership().isLive(6));
-    EXPECT_TRUE(dep.rack(7)->membership().isLive(7));
+    EXPECT_TRUE(dep.rack(6)->membership().table().isLive(6));
+    EXPECT_TRUE(dep.rack(7)->membership().table().isLive(7));
     // ...the drained rack was reaped, and the survivors kept getting
     // real budgets throughout.
     EXPECT_EQ(dep.rack(2), nullptr);
@@ -880,9 +880,10 @@ TEST(WorkerHost, LeavesCutOffFromTheirParentsGolden)
         << "golden digest moved: 0x" << std::hex << digest;
 }
 
-// A hosted leaf honours the replica: from the period a delta is
+// A hosted leaf honours the table: from the period a delta is
 // adopted, a Draining leaf draws at most its nominal floor and a Left
-// leaf draws nothing, while the hosted root keeps budgeting both.
+// leaf draws nothing. The snapshot comes from outside the host, so
+// its root announced neither transition and commits neither.
 TEST(WorkerHost, ReplicaClampsShadowAndLeftLeaves)
 {
     net::SimTransport net;
@@ -918,6 +919,72 @@ TEST(WorkerHost, ReplicaClampsShadowAndLeftLeaves)
         }
     }
     EXPECT_GT(host.stats().shadowPeriods, 0u);
+}
+
+// A WorkerHost holding the root originates membership changes. The
+// 2-level cut of depth4Scenario() (racks 0-7, root 8) runs as two
+// hosts over one SimTransport, period by period in turn; process 1
+// holds rack 2 alone. The root drains rack 2: it counts the rack's
+// floor until the rack acks the Left commit, the rack applies 0 W
+// from its adoption of that commit on, and no split overdraws.
+TEST(WorkerHost, HostedRootDrainsARackOfAnotherProcess)
+{
+    config::WorkerPeers peers;
+    peers.periodMs = kPeriodMs;
+    peers.originMs = 1;
+    for (std::uint32_t e = 0; e < 9; ++e)
+        peers.peers[e] = net::UdpPeer{"127.0.0.1", 0};
+    peers.processOf[2] = 1;
+    net::SimTransport net;
+    rt::WorkerHost root(loadDepth4(), peers, /*process=*/0, /*seed=*/9,
+                        net);
+    rt::WorkerHost rack(loadDepth4(), peers, /*process=*/1, /*seed=*/9,
+                        net);
+    ASSERT_TRUE(root.membership().holdsRoot());
+    ASSERT_EQ(rack.endpoints(), std::vector<net::Transport::Endpoint>{2});
+    telemetry::Registry registry;
+    root.setTelemetry(&registry, nullptr);
+    const auto period = [&root, &rack] {
+        ASSERT_EQ(root.runPeriods(1), 1u);
+        ASSERT_EQ(rack.runPeriods(1), 1u);
+    };
+    for (int i = 0; i < 3; ++i)
+        period();
+
+    // Announce (generation 2): the broadcast reaches the rack, which
+    // adopts Draining and acks.
+    ASSERT_TRUE(root.membership().beginDrain(2));
+    period();
+    EXPECT_EQ(rack.membership().state(2), membership::UnitState::Draining);
+
+    // The root books the ack and commits Left (generation 3), but the
+    // floor stays counted: the rack has not acked Left yet.
+    ASSERT_EQ(root.runPeriods(1), 1u);
+    EXPECT_EQ(root.membership().state(2), membership::UnitState::Left);
+    EXPECT_EQ(root.stats().membershipCommits, 1u);
+    EXPECT_FALSE(root.membership().released(2));
+
+    // The rack adopts Left, applies nothing and acks; with that ack
+    // the root stops counting its floor.
+    ASSERT_EQ(rack.runPeriods(1), 1u);
+    EXPECT_TRUE(rack.membership().left(2));
+    const auto edges = rack.lastEdgeBudgets();
+    ASSERT_FALSE(edges.empty());
+    for (const auto &[edge, watts] : edges)
+        EXPECT_EQ(watts, 0.0) << "tree " << edge.first;
+    ASSERT_EQ(root.runPeriods(1), 1u);
+    EXPECT_TRUE(root.membership().released(2));
+    EXPECT_EQ(root.membership().generation(), 3u);
+
+    ASSERT_EQ(rack.runPeriods(1), 1u);
+    for (int i = 0; i < 3; ++i)
+        period();
+    for (const auto &[edge, watts] : rack.lastEdgeBudgets())
+        EXPECT_EQ(watts, 0.0) << "tree " << edge.first;
+    EXPECT_EQ(rack.membership().generation(), 3u);
+    EXPECT_GT(root.stats().budgetsApplied, 0u);
+    EXPECT_GT(root.safetyAuditor().audits(), 0u);
+    EXPECT_EQ(root.safetyAuditor().violations(), 0u);
 }
 
 // Only a role's parent can end its period early. Every WorkerRuntime

@@ -80,15 +80,16 @@
  * loop at the next stop check (≤ ~25 ms) and reports. Exit status 0
  * when the requested periods ran (or a signal stopped the loop).
  *
- * On SIGHUP the root worker re-reads the peers file at the next period
- * boundary and applies its "membership" block (join/drain
- * announcements); non-root --role workers ignore the signal and
- * --process hosts explicitly discard it (host mode has no reload
- * plane). A drained worker exits its loop on its own once it has
- * acked the committed Left state.
+ * The process holding the root, a --role worker or a --process host
+ * alike, announces the peers file's "membership" block (join/drain)
+ * at boot, and on SIGHUP re-reads the file at the next period boundary
+ * and announces it again; any other process ignores the signal. A
+ * drained --role worker exits its loop on its own once it has acked
+ * the committed Left state; a host keeps running its other endpoints.
  */
 
 #include <arpa/inet.h>
+#include <atomic>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -115,26 +116,25 @@ using namespace capmaestro;
 
 namespace {
 
-rt::WorkerRuntime *g_runtime = nullptr;
-rt::WorkerHost *g_host = nullptr;
+/** The engine this process runs, for the stop signals. */
+rt::Engine *g_engine = nullptr;
+
+/** A SIGHUP arrived: the root re-reads the peers file's membership
+ *  block before its next period. */
+std::atomic<bool> g_reload{false};
 
 extern "C" void
 onSignal(int)
 {
-    // async-signal-safe: one atomic store either way
-    if (g_runtime != nullptr)
-        g_runtime->requestStop();
-    if (g_host != nullptr)
-        g_host->requestStop();
+    // async-signal-safe: one atomic store
+    if (g_engine != nullptr)
+        g_engine->requestStop();
 }
 
 extern "C" void
 onReload(int)
 {
-    // async-signal-safe: one atomic store; the period loop runs the
-    // reload handler at its next top-of-period check
-    if (g_runtime != nullptr)
-        g_runtime->requestReload();
+    g_reload.store(true, std::memory_order_relaxed);
 }
 
 const char *
@@ -177,15 +177,6 @@ usage()
         "[--processes=K]\n"
         "                         [--http-port-base=B]\n");
     std::exit(2);
-}
-
-std::uint64_t
-unixNowMs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
 }
 
 /**
@@ -280,7 +271,7 @@ printPeersTemplate(const config::LoadedScenario &scenario, int argc,
                             : std::vector<std::uint16_t>{};
     config::WorkerPeers peers;
     peers.periodMs = period_ms;
-    peers.originMs = unixNowMs();
+    peers.originMs = static_cast<std::uint64_t>(rt::unixNowMs());
     peers.aggLevels = agg_levels;
     if (http_base > 0) {
         peers.observability.httpPortBase =
@@ -381,23 +372,65 @@ writeTelemetryDir(const char *dir_arg,
                  dir_arg);
 }
 
-/** The --process=K path: host every endpoint assigned to process K. */
-int
-runHost(config::LoadedScenario scenario,
-        const config::WorkerPeers &peers, std::uint32_t process,
-        std::uint64_t seed, std::size_t max_periods, int argc,
-        char **argv)
+/** Announce @p member's joins and drains at the root's @p plane. */
+void
+announce(rt::MembershipPlane &plane,
+         const config::MembershipConfig &member, bool boot)
 {
-    rt::WorkerHost host(std::move(scenario), peers, process, seed);
-    g_host = &host;
+    std::size_t joins = 0;
+    std::size_t drains = 0;
+    for (const std::uint32_t ep : member.join)
+        joins += plane.beginJoin(ep) ? 1 : 0;
+    for (const std::uint32_t ep : member.drain)
+        drains += plane.beginDrain(ep) ? 1 : 0;
+    if (joins + drains > 0 || !boot) {
+        std::fprintf(stderr,
+                     "membership: %zu join, %zu drain announced "
+                     "(generation %u)\n",
+                     joins, drains, plane.generation());
+    }
+}
+
+/** Re-read @p path and announce its membership block (SIGHUP). */
+void
+reload(rt::MembershipPlane &plane, const std::string &path)
+{
+    std::ifstream in(path);
+    if (!in) {
+        std::fprintf(stderr, "reload: cannot read %s\n", path.c_str());
+        return;
+    }
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const auto reloaded = config::loadWorkerPeers(util::parseJson(text));
+    std::fprintf(stderr, "reload: %s\n", path.c_str());
+    announce(plane, reloaded.membership, false);
+}
+
+/**
+ * What both engines share around their period loop: the signals, a
+ * root's membership block (at boot and on every SIGHUP), telemetry and
+ * the scrape endpoint of @p slot (role or process), and the on-exit
+ * event log and bundle. @p who names the process in messages. Returns
+ * the periods run.
+ */
+template <typename E>
+std::size_t
+serve(E &engine, const config::WorkerPeers &peers,
+      const std::string &peers_path, std::uint32_t slot,
+      const std::string &who, std::size_t max_periods, int argc,
+      char **argv)
+{
+    g_engine = &engine;
     std::signal(SIGTERM, onSignal);
     std::signal(SIGINT, onSignal);
-    // Host mode is membership-replica-only (see rt/host.hh): no reload
-    // plane, but the supervisor's broadcast SIGHUP must not kill us.
-    std::signal(SIGHUP, SIG_IGN);
+    std::signal(SIGHUP, onReload);
+    rt::MembershipPlane &plane = engine.membership();
+    if (plane.holdsRoot())
+        announce(plane, peers.membership, true);
 
     const char *telemetry_dir = flagValue(argc, argv, "telemetry-out");
-    const int http_port = resolveHttpPort(argc, argv, peers, process);
+    const int http_port = resolveHttpPort(argc, argv, peers, slot);
     telemetry::Registry registry;
     telemetry::PeriodTracer tracer;
     if (telemetry_dir != nullptr || http_port >= 0) {
@@ -405,55 +438,35 @@ runHost(config::LoadedScenario scenario,
         // on-exit export keeps every period.
         if (telemetry_dir == nullptr)
             tracer.setKeep(peers.observability.tracezKeep);
-        host.setTelemetry(&registry, &tracer);
+        engine.setTelemetry(&registry, &tracer);
     }
     if (http_port >= 0) {
-        const std::uint16_t bound = host.serveHttp(
-            static_cast<std::uint16_t>(http_port));
+        const std::uint16_t bound =
+            engine.serveHttp(static_cast<std::uint16_t>(http_port));
         if (bound == 0) {
-            util::fatal("cannot bind http port %d for process %u",
-                        http_port, process);
+            util::fatal("cannot bind http port %d for %s", http_port,
+                        who.c_str());
         }
-        std::fprintf(stderr,
-                     "host process %u http: 127.0.0.1:%u "
+        std::fprintf(stderr, "%s http: 127.0.0.1:%u "
                      "(/metrics /healthz /tracez)\n",
-                     process, bound);
+                     who.c_str(), bound);
     }
 
-    std::string eps;
-    for (const auto ep : host.endpoints())
-        eps += (eps.empty() ? "" : ",") + std::to_string(ep);
-    std::fprintf(stderr,
-                 "host process %u up: %zu endpoints [%s] of %zu "
-                 "workers (%u tiers), period %.0f ms\n",
-                 process, host.endpoints().size(), eps.c_str(),
-                 host.plan().workers.size(), host.plan().tiers(),
-                 peers.periodMs);
+    std::size_t ran = 0;
+    while (ran < max_periods) {
+        if (g_reload.exchange(false, std::memory_order_relaxed)
+            && plane.holdsRoot())
+            reload(plane, peers_path);
+        if (engine.runPeriods(1) == 0)
+            break;
+        ++ran;
+    }
 
-    const std::size_t ran = host.runPeriods(max_periods);
-
-    const auto &stats = host.stats();
-    const auto &net = host.transport().stats();
-    std::fprintf(stderr,
-                 "host process %u done: %zu periods, %zu budgets "
-                 "applied, %zu defaults, %zu stale, %zu lost, %zu "
-                 "summaries, %zu sub-budgets applied, %zu missed, "
-                 "%zu catch-ups, %zu orphan + %zu corrupt frames, "
-                 "%zu frames / %zu bytes sent, %zu frames / %zu bytes "
-                 "co-hosted\n",
-                 process, ran, stats.budgetsApplied,
-                 stats.defaultBudgets, stats.staleReuses,
-                 stats.metricsLost, stats.summariesSent,
-                 stats.subBudgetsApplied, stats.subBudgetsMissed,
-                 stats.catchUpPeriods, stats.orphanFrames,
-                 stats.corruptFrames, net.framesSent, net.bytesSent,
-                 stats.coHostedFrames, stats.coHostedBytes);
-    host.eventLog().printJsonl(std::cout);
-
+    engine.eventLog().printJsonl(std::cout);
     if (telemetry_dir != nullptr)
         writeTelemetryDir(telemetry_dir, registry, tracer,
-                          host.eventLog());
-    return 0;
+                          engine.eventLog());
+    return ran;
 }
 
 } // namespace
@@ -496,112 +509,66 @@ main(int argc, char **argv)
             : static_cast<std::size_t>(-1);
 
     if (process_arg != nullptr) {
-        return runHost(std::move(scenario), peers,
-                       static_cast<std::uint32_t>(
-                           std::strtoul(process_arg, nullptr, 10)),
-                       seed, max_periods, argc, argv);
+        // The --process=K path: host every endpoint assigned to K.
+        const auto process = static_cast<std::uint32_t>(
+            std::strtoul(process_arg, nullptr, 10));
+        rt::WorkerHost host(std::move(scenario), peers, process, seed);
+        std::string eps;
+        for (const auto ep : host.endpoints())
+            eps += (eps.empty() ? "" : ",") + std::to_string(ep);
+        std::fprintf(stderr,
+                     "host process %u up: %zu endpoints [%s] of %zu "
+                     "workers (%u tiers), period %.0f ms\n",
+                     process, host.endpoints().size(), eps.c_str(),
+                     host.plan().workers.size(), host.plan().tiers(),
+                     peers.periodMs);
+        const std::size_t ran =
+            serve(host, peers, peers_path, process,
+                  "host process " + std::to_string(process), max_periods,
+                  argc, argv);
+        const auto &stats = host.stats();
+        const auto &net = host.transport().stats();
+        std::fprintf(stderr,
+                     "host process %u done: %zu periods, %zu budgets "
+                     "applied, %zu defaults, %zu stale, %zu lost, %zu "
+                     "summaries, %zu sub-budgets applied, %zu missed, "
+                     "%zu catch-ups, %zu orphan + %zu corrupt frames, "
+                     "%zu frames / %zu bytes sent, %zu frames / %zu "
+                     "bytes co-hosted\n",
+                     process, ran, stats.budgetsApplied,
+                     stats.defaultBudgets, stats.staleReuses,
+                     stats.metricsLost, stats.summariesSent,
+                     stats.subBudgetsApplied, stats.subBudgetsMissed,
+                     stats.catchUpPeriods, stats.orphanFrames,
+                     stats.corruptFrames, net.framesSent, net.bytesSent,
+                     stats.coHostedFrames, stats.coHostedBytes);
+        return 0;
     }
 
     const auto role =
         static_cast<std::uint32_t>(std::strtoul(role_arg, nullptr, 10));
     rt::WorkerRuntime runtime(std::move(scenario), peers, role, seed);
-    g_runtime = &runtime;
-    std::signal(SIGTERM, onSignal);
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGHUP, onReload);
 
     if (hasFlag(argc, argv, "shadow")) {
         // Late joiner: boot with an empty membership replica so every
         // period rides the Pcap_min clamp until the root's broadcast
         // shows this worker Live (docs/distributed.md quickstart).
-        runtime.beginShadow();
-    }
-    if (runtime.isRoom()) {
-        // Boot-time elasticity directives, then the same application
-        // again on every SIGHUP-triggered reload of the peers file.
-        const std::string peers_file(peers_path);
-        const auto apply_membership =
-            [&runtime](const config::MembershipConfig &member,
-                       bool boot) {
-            std::size_t joins = 0;
-            std::size_t drains = 0;
-            for (const std::uint32_t ep : member.join)
-                joins += runtime.membershipBeginJoin(ep) ? 1 : 0;
-            for (const std::uint32_t ep : member.drain)
-                drains += runtime.membershipBeginDrain(ep) ? 1 : 0;
-            if (joins + drains > 0 || !boot) {
-                std::fprintf(stderr,
-                             "membership: %zu join, %zu drain "
-                             "announced (generation %u)\n",
-                             joins, drains,
-                             runtime.membershipGeneration());
-            }
-        };
-        apply_membership(peers.membership, true);
-        runtime.setReloadHandler([&runtime, peers_file,
-                                  apply_membership] {
-            std::ifstream in(peers_file);
-            if (!in) {
-                std::fprintf(stderr, "reload: cannot read %s\n",
-                             peers_file.c_str());
-                return;
-            }
-            const std::string text(
-                (std::istreambuf_iterator<char>(in)),
-                std::istreambuf_iterator<char>());
-            const auto reloaded =
-                config::loadWorkerPeers(util::parseJson(text));
-            std::fprintf(stderr, "reload: %s\n", peers_file.c_str());
-            apply_membership(reloaded.membership, false);
-        });
+        runtime.membership().beginShadow();
     }
 
-    const char *state_dir = flagValue(argc, argv, "state-dir");
-    if (state_dir != nullptr) {
-        if (runtime.supervisor() == nullptr) {
-            util::fatal("--state-dir only applies to a worker with "
-                        "leaf children");
-        }
-        std::error_code ec;
-        std::filesystem::create_directories(state_dir, ec);
-        if (ec) {
-            util::fatal("cannot create %s: %s", state_dir,
-                        ec.message().c_str());
-        }
+    if (const char *state_dir = flagValue(argc, argv, "state-dir"))
         runtime.setStateDir(state_dir);
-    }
-
-    telemetry::Registry registry;
-    telemetry::PeriodTracer tracer;
-    const char *telemetry_dir = flagValue(argc, argv, "telemetry-out");
-    const int http_port = resolveHttpPort(argc, argv, peers, role);
-    if (telemetry_dir != nullptr || http_port >= 0) {
-        if (telemetry_dir == nullptr)
-            tracer.setKeep(peers.observability.tracezKeep);
-        runtime.setTelemetry(&registry, &tracer);
-    }
-    if (http_port >= 0) {
-        const std::uint16_t bound = runtime.serveHttp(
-            static_cast<std::uint16_t>(http_port));
-        if (bound == 0) {
-            util::fatal("cannot bind http port %d for role %u",
-                        http_port, role);
-        }
-        std::fprintf(stderr,
-                     "worker role %u http: 127.0.0.1:%u "
-                     "(/metrics /healthz /tracez)\n",
-                     role, bound);
-    }
 
     std::fprintf(stderr,
                  "worker role %u (%s) up: %zu rack workers, %u tiers, "
                  "period %.0f ms, udp port %u\n",
-                 role, runtime.roleName().c_str(),
-                 runtime.rackCount(), runtime.plan().tiers(),
-                 peers.periodMs, runtime.udp()->boundPort(role));
-
-    const std::size_t ran = runtime.runPeriods(max_periods);
-
+                 role, runtime.roleName().c_str(), runtime.rackCount(),
+                 runtime.plan().tiers(), peers.periodMs,
+                 runtime.udp()->boundPort(role));
+    const std::size_t ran =
+        serve(runtime, peers, peers_path, role,
+              "worker role " + std::to_string(role), max_periods, argc,
+              argv);
     const auto &stats = runtime.stats();
     std::fprintf(stderr,
                  "worker role %u done: %zu periods, %zu budgets "
@@ -617,10 +584,5 @@ main(int argc, char **argv)
                  stats.restartsDetected, stats.rehomesSent,
                  stats.rehomesApplied, stats.rehomesDeclined,
                  stats.rehomed);
-    runtime.eventLog().printJsonl(std::cout);
-
-    if (telemetry_dir != nullptr)
-        writeTelemetryDir(telemetry_dir, registry, tracer,
-                          runtime.eventLog());
     return 0;
 }
