@@ -4,25 +4,92 @@
  * (google-benchmark): metrics gathering and budgeting cost per
  * controller vs. fan-out, full-tree allocation, message-plane
  * iteration, closed-loop period, and the wire codec (CRC-32, Metrics
- * encode/decode). Each is tagged with fleet / tiers / processes
- * counters so its JSON entry is self-describing. These are the
- * evidence for "linear in children" (DESIGN.md S5); the end-to-end
- * control plane is measured by perfbench/ (BENCHMARK.json).
+ * encode/decode), and one deployable-host period on a deep plan
+ * (BM_HostPeriodDepth4: µs and heap allocations per leaf per period,
+ * for profiling the rt hot path without forking UDP hosts). Each is
+ * tagged with fleet / tiers / processes counters so its JSON entry is
+ * self-describing. These are the evidence for "linear in children"
+ * (DESIGN.md S5); the end-to-end control plane is measured by
+ * perfbench/ (BENCHMARK.json).
+ *
+ * The binary replaces the global operator new with one that counts
+ * calls, for BM_HostPeriodDepth4's allocation counter.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <string>
 #include <vector>
 
+#include "config/loader.hh"
 #include "control/allocator.hh"
 #include "core/distributed.hh"
+#include "core/tree_plan.hh"
 #include "device/workload.hh"
+#include "net/transport.hh"
 #include "net/wire.hh"
+#include "rt/host.hh"
 #include "sim/capacity.hh"
 #include "sim/datacenter.hh"
 #include "sim/scenario.hh"
 #include "util/random.hh"
+
+namespace {
+
+std::atomic<std::size_t> g_allocs{0};
+
+void *
+countedAlloc(std::size_t size)
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    return countedAlloc(size);
+}
+
+void *
+operator new[](std::size_t size)
+{
+    return countedAlloc(size);
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 using namespace capmaestro;
 
@@ -285,6 +352,104 @@ BM_DecodeMetrics(benchmark::State &state)
     tagScale(state, 1, 1, 1);
 }
 BENCHMARK(BM_DecodeMetrics)->Arg(1)->Arg(2)->Arg(10);
+
+/**
+ * A one-feed deep tree: root -> 4 -> 4 rows -> @p per_row racks per
+ * row, one single-supply server per rack, cut at levels 1 and 2 (a
+ * depth-4 worker plan: leaves, row and level-1 aggregators, root).
+ */
+config::LoadedScenario
+deepHostScenario(std::size_t per_row)
+{
+    constexpr std::size_t kFanout = 4;
+    const std::size_t leaves = kFanout * kFanout * per_row;
+    config::LoadedScenario out;
+    out.system = std::make_unique<topo::PowerSystem>(1);
+    auto tree = std::make_unique<topo::PowerTree>(0, 0, "F0");
+    const auto total = static_cast<double>(leaves) * 500.0;
+    std::vector<topo::NodeId> frontier{
+        tree->makeRoot(topo::NodeKind::Breaker, "root", total)};
+    for (int level = 0; level < 2; ++level) {
+        std::vector<topo::NodeId> next;
+        for (const topo::NodeId parent : frontier) {
+            for (std::size_t c = 0; c < kFanout; ++c) {
+                std::string name = "i" + std::to_string(level);
+                name += "_" + std::to_string(next.size());
+                next.push_back(tree->addChild(
+                    parent, topo::NodeKind::Breaker, name,
+                    total / static_cast<double>(kFanout * (level + 1))));
+            }
+        }
+        frontier = std::move(next);
+    }
+    std::size_t sid = 0;
+    for (const topo::NodeId row : frontier) {
+        for (std::size_t r = 0; r < per_row; ++r, ++sid) {
+            const auto rack = tree->addChild(row, topo::NodeKind::Breaker,
+                                             "rack" + std::to_string(sid),
+                                             600.0);
+            tree->addSupplyPort(rack, "s" + std::to_string(sid),
+                                {static_cast<std::int32_t>(sid), 0});
+        }
+    }
+    out.system->addTree(std::move(tree));
+
+    util::Rng rng(3);
+    for (std::size_t s = 0; s < leaves; ++s) {
+        sim::ServerSetup setup;
+        setup.spec = sim::testbedServerSpec("S" + std::to_string(s),
+                                            rng.chance(1.0 / 3.0) ? 1 : 0,
+                                            1.0, 1);
+        setup.workload =
+            std::make_unique<dev::ConstantWorkload>(rng.uniform(0.5, 0.9));
+        out.servers.push_back(std::move(setup));
+    }
+    out.service.controlPeriod = 1;
+    out.service.policy = policy::PolicyKind::GlobalPriority;
+    out.service.enableSpo = false;
+    out.rootBudgets = {static_cast<double>(leaves) * 330.0};
+    return out;
+}
+
+/**
+ * One rt::WorkerHost hosting every endpoint of a depth-4 plan over a
+ * lossless SimTransport (every frame co-hosted): the rt hot path of a
+ * deep-10k host (plants, roles, codec, in-memory delivery) in one
+ * process. Reports wall µs and heap allocations per leaf per period.
+ */
+void
+BM_HostPeriodDepth4(benchmark::State &state)
+{
+    const auto per_row = static_cast<std::size_t>(state.range(0));
+    config::LoadedScenario scenario = deepHostScenario(per_row);
+    config::WorkerPeers peers;
+    peers.aggLevels = {1, 2};
+    const auto plan = core::TreePlan::build(*scenario.system,
+                                            peers.aggLevels);
+    for (std::uint32_t e = 0; e < plan.workers.size(); ++e)
+        peers.peers[e] = net::UdpPeer{"127.0.0.1", 0};
+    net::SimTransport net;
+    rt::WorkerHost host(std::move(scenario), peers, /*process=*/0,
+                        /*seed=*/1, net);
+    host.runPeriods(5); // warm every buffer
+
+    const std::size_t allocs0 = g_allocs.load();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (auto _ : state)
+        host.runPeriods(1);
+    const std::chrono::duration<double, std::micro> us =
+        std::chrono::steady_clock::now() - t0;
+    const double leaf_periods =
+        static_cast<double>(plan.leafWorkers)
+        * static_cast<double>(state.iterations());
+    state.counters["us_per_leaf_period"] = us.count() / leaf_periods;
+    state.counters["allocs_per_leaf_period"] =
+        static_cast<double>(g_allocs.load() - allocs0) / leaf_periods;
+    tagScale(state, static_cast<double>(plan.leafWorkers), plan.tiers(),
+             1);
+}
+BENCHMARK(BM_HostPeriodDepth4)->Arg(16)->Arg(64)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -32,28 +32,34 @@ effectiveSupplyShares(const topo::PowerSystem &system,
                       const ServerAllocInput &server,
                       std::int32_t server_id)
 {
-    std::vector<Fraction> shares(server.supplies.size(), 0.0);
-    const auto live_ports = system.livePortsOf(server_id);
+    std::vector<Fraction> shares;
+    effectiveSupplyShares(system, server, server_id, shares);
+    return shares;
+}
+
+void
+effectiveSupplyShares(const topo::PowerSystem &system,
+                      const ServerAllocInput &server,
+                      std::int32_t server_id, std::vector<Fraction> &shares)
+{
+    shares.assign(server.supplies.size(), 0.0);
+    const auto fed = [&](std::size_t s) {
+        return system.supplyFed(server_id, static_cast<std::int32_t>(s))
+               && server.supplies[s].live;
+    };
 
     double live_sum = 0.0;
     for (std::size_t s = 0; s < server.supplies.size(); ++s) {
-        const auto port =
-            live_ports.find(static_cast<std::int32_t>(s));
-        const bool feed_live = port != live_ports.end();
-        if (feed_live && server.supplies[s].live)
+        if (fed(s))
             live_sum += server.supplies[s].share;
     }
     if (live_sum <= 0.0)
-        return shares; // server is dark
+        return; // server is dark
 
     for (std::size_t s = 0; s < server.supplies.size(); ++s) {
-        const auto port =
-            live_ports.find(static_cast<std::int32_t>(s));
-        const bool feed_live = port != live_ports.end();
-        if (feed_live && server.supplies[s].live)
+        if (fed(s))
             shares[s] = server.supplies[s].share / live_sum;
     }
-    return shares;
 }
 
 LeafInput

@@ -90,6 +90,12 @@ effectiveSupplyShares(const topo::PowerSystem &system,
                       const ServerAllocInput &server,
                       std::int32_t server_id);
 
+/** effectiveSupplyShares() into @p shares, reusing its storage. */
+void effectiveSupplyShares(const topo::PowerSystem &system,
+                           const ServerAllocInput &server,
+                           std::int32_t server_id,
+                           std::vector<Fraction> &shares);
+
 /**
  * The leaf input a capping controller reports for one supply carrying
  * share @p r of the server load (paper §4.3.1 level-1 formulas); a

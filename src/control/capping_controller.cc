@@ -63,7 +63,8 @@ CappingController::setTelemetry(telemetry::Registry *registry)
 void
 CappingController::senseTick()
 {
-    const dev::SensorReading r = sensors_.read();
+    sensors_.read(reading_);
+    const dev::SensorReading &r = reading_;
     for (std::size_t s = 0; s < r.supplyAc.size(); ++s)
         supplyAcSum_[s] += r.supplyAc[s];
     throttleSum_ += r.throttleLevel;
@@ -71,14 +72,9 @@ CappingController::senseTick()
     estimator_.addSample(r.throttleLevel, r.totalAc);
 }
 
-ServerPeriodReport
+const ServerPeriodReport &
 CappingController::closePeriod()
 {
-    const std::size_t n = server_.supplyCount();
-    ServerPeriodReport rep;
-    rep.supplyAvgAc.assign(n, 0.0);
-    rep.shares.assign(n, 0.0);
-
     if (samples_ == 0) {
         // Sensor dropout: raising the cap on zero information would be
         // unsafe (a dead meter would read as an idle server). Hold the
@@ -88,6 +84,11 @@ CappingController::closePeriod()
                    server_.spec().name.c_str());
         return report_;
     }
+
+    const std::size_t n = server_.supplyCount();
+    ServerPeriodReport &rep = report_;
+    rep.supplyAvgAc.assign(n, 0.0);
+    rep.shares.assign(n, 0.0);
 
     double total = 0.0;
     for (std::size_t s = 0; s < n; ++s) {
@@ -130,7 +131,6 @@ CappingController::closePeriod()
     throttleSum_ = 0.0;
     samples_ = 0;
 
-    report_ = rep;
     if (registry_ != nullptr) {
         mThrottle_.set(report_.avgThrottle);
         mDemandWatts_.set(report_.demandEstimate);

@@ -91,10 +91,11 @@ class CappingController
 
     /**
      * Close a control period: average the period's samples, refresh the
-     * demand estimate and the r-hat split, and return the report. Resets
-     * the period accumulators.
+     * demand estimate and the r-hat split, and return the report (the
+     * same object lastReport() returns, rewritten in place). Resets the
+     * period accumulators.
      */
-    ServerPeriodReport closePeriod();
+    const ServerPeriodReport &closePeriod();
 
     /**
      * Produce the LeafInput for supply @p s from the latest report
@@ -144,6 +145,8 @@ class CappingController
 
     /** Period accumulators. */
     std::vector<double> supplyAcSum_;
+    /** senseTick()'s reading, reused every tick. */
+    dev::SensorReading reading_;
     double throttleSum_ = 0.0;
     std::size_t samples_ = 0;
 

@@ -65,12 +65,23 @@ NodeMetrics
 NodeMetrics::collapsed() const
 {
     NodeMetrics out;
-    out.setConstraint(constraint_);
-    if (classes_.empty())
-        return out;
-    const Watts request = std::min(totalRequest(), constraint_);
-    out.accumulate(0, totalCapMin(), totalDemand(), request);
+    out.collapseFrom(*this);
     return out;
+}
+
+void
+NodeMetrics::collapseFrom(const NodeMetrics &src)
+{
+    // Read everything from src before writing: src may be *this.
+    const Watts constraint = src.constraint_;
+    const bool empty = src.classes_.empty();
+    const Watts cap_min = src.totalCapMin();
+    const Watts demand = src.totalDemand();
+    const Watts request = std::min(src.totalRequest(), constraint);
+    classes_.clear();
+    constraint_ = constraint;
+    if (!empty)
+        accumulate(0, cap_min, demand, request);
 }
 
 bool
@@ -88,10 +99,17 @@ NodeMetrics
 NodeMetrics::floorOnly(Watts floor)
 {
     NodeMetrics out;
-    if (floor > 0.0)
-        out.accumulate(0, floor, floor, floor);
-    out.setConstraint(floor);
+    out.setFloorOnly(floor);
     return out;
+}
+
+void
+NodeMetrics::setFloorOnly(Watts floor)
+{
+    classes_.clear();
+    if (floor > 0.0)
+        accumulate(0, floor, floor, floor);
+    constraint_ = floor;
 }
 
 void

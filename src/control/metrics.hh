@@ -88,6 +88,10 @@ class NodeMetrics
      */
     NodeMetrics collapsed() const;
 
+    /** Become collapsed() of @p src, reusing this object's storage
+     *  (@p src may be *this). */
+    void collapseFrom(const NodeMetrics &src);
+
     /** True when there are no classes (dead/failed leaf). */
     bool empty() const { return classes_.empty(); }
 
@@ -106,6 +110,9 @@ class NodeMetrics
      * split grants it exactly that.
      */
     static NodeMetrics floorOnly(Watts floor);
+
+    /** Become floorOnly(@p floor), reusing this object's storage. */
+    void setFloorOnly(Watts floor);
 
     /** Reset to the empty state with zero constraint. */
     void clear();

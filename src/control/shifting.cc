@@ -2,24 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <functional>
 
 #include "util/logging.hh"
 #include "util/numeric.hh"
 
 namespace capmaestro::ctrl {
 
-std::vector<Watts>
-waterfill(Watts amount, const std::vector<Watts> &caps,
-          const std::vector<Watts> &weights)
+namespace {
+
+/**
+ * waterfill() into @p alloc, with @p frozen as working storage (both
+ * resized here, their storage reused).
+ */
+void
+waterfillInto(Watts amount, std::span<const Watts> caps,
+              std::span<const Watts> weights, std::vector<Watts> &alloc,
+              std::vector<char> &frozen)
 {
     if (caps.size() != weights.size())
         util::panic("waterfill: caps/weights size mismatch");
-    std::vector<Watts> alloc(caps.size(), 0.0);
+    alloc.assign(caps.size(), 0.0);
     if (amount <= 0.0)
-        return alloc;
+        return;
 
-    std::vector<bool> frozen(caps.size(), false);
+    frozen.assign(caps.size(), 0);
     Watts remaining = amount;
 
     // Each pass either exhausts the remainder or freezes at least one item,
@@ -32,7 +39,7 @@ waterfill(Watts amount, const std::vector<Watts> &caps,
                 continue;
             const double headroom = caps[i] - alloc[i];
             if (headroom <= 1e-12) {
-                frozen[i] = true;
+                frozen[i] = 1;
                 continue;
             }
             weight_sum += std::max(0.0, weights[i]);
@@ -55,7 +62,7 @@ waterfill(Watts amount, const std::vector<Watts> &caps,
             }
             if (share >= headroom - 1e-12) {
                 share = headroom;
-                frozen[i] = true;
+                frozen[i] = 1;
                 clipped = true;
             }
             alloc[i] += share;
@@ -65,6 +72,39 @@ waterfill(Watts amount, const std::vector<Watts> &caps,
         if (!clipped || remaining <= 1e-12)
             break;
     }
+}
+
+/** Per-child, per-priority view used by the budgeting phase. */
+struct ChildClassView
+{
+    Watts capMin = 0.0;
+    Watts demand = 0.0;
+    Watts request = 0.0;
+};
+
+/** budgetChildren()'s working vectors, kept per thread so that a
+ *  steady-state split allocates nothing. */
+struct SplitScratch
+{
+    std::vector<NodeMetrics> merged;
+    std::vector<Priority> priorities;
+    std::vector<Watts> need;
+    std::vector<Watts> weight;
+    std::vector<Watts> alloc;
+    std::vector<char> frozen;
+};
+
+thread_local SplitScratch t_split;
+
+} // namespace
+
+std::vector<Watts>
+waterfill(Watts amount, const std::vector<Watts> &caps,
+          const std::vector<Watts> &weights)
+{
+    std::vector<Watts> alloc;
+    std::vector<char> frozen;
+    waterfillInto(amount, caps, weights, alloc, frozen);
     return alloc;
 }
 
@@ -73,6 +113,15 @@ gatherMetrics(const std::vector<NodeMetrics> &children, Watts limit,
               bool report_by_priority)
 {
     NodeMetrics out;
+    gatherMetrics(children, limit, report_by_priority, out);
+    return out;
+}
+
+void
+gatherMetrics(std::span<const NodeMetrics> children, Watts limit,
+              bool report_by_priority, NodeMetrics &out)
+{
+    out.clear();
 
     // Aggregate raw sums by priority (classes stay priority-descending).
     for (const auto &child : children) {
@@ -106,48 +155,53 @@ gatherMetrics(const std::vector<NodeMetrics> &children, Watts limit,
         higher_request_sum += c.request;
     }
 
-    return report_by_priority ? out : out.collapsed();
+    if (!report_by_priority)
+        out.collapseFrom(out);
 }
-
-namespace {
-
-/** Per-child, per-priority view used by the budgeting phase. */
-struct ChildClassView
-{
-    Watts capMin = 0.0;
-    Watts demand = 0.0;
-    Watts request = 0.0;
-};
-
-} // namespace
 
 BudgetSplit
 budgetChildren(Watts budget, const std::vector<NodeMetrics> &children,
                bool budget_by_priority)
 {
     BudgetSplit result;
+    budgetChildren(budget, children, budget_by_priority, result);
+    return result;
+}
+
+void
+budgetChildren(Watts budget, std::span<const NodeMetrics> children,
+               bool budget_by_priority, BudgetSplit &result)
+{
+    SplitScratch &scratch = t_split;
     result.childBudgets.assign(children.size(), 0.0);
+    result.feasible = true;
+    result.unallocated = 0.0;
     if (children.empty()) {
         result.unallocated = budget;
-        return result;
+        return;
     }
 
     // Optionally merge each child's classes (No-Priority behavior), then
     // collect the union of priority levels in descending order.
-    std::vector<NodeMetrics> merged;
-    const std::vector<NodeMetrics> *view = &children;
+    std::span<const NodeMetrics> view = children;
     if (!budget_by_priority) {
-        merged.reserve(children.size());
-        for (const auto &child : children)
-            merged.push_back(child.collapsed());
-        view = &merged;
+        if (scratch.merged.size() < children.size())
+            scratch.merged.resize(children.size());
+        for (std::size_t k = 0; k < children.size(); ++k)
+            scratch.merged[k].collapseFrom(children[k]);
+        view = std::span<const NodeMetrics>(scratch.merged.data(),
+                                            children.size());
     }
 
-    std::set<Priority, std::greater<>> priorities;
-    for (const auto &child : *view) {
+    std::vector<Priority> &priorities = scratch.priorities;
+    priorities.clear();
+    for (const auto &child : view) {
         for (const auto &c : child.classes())
-            priorities.insert(c.priority);
+            priorities.push_back(c.priority);
     }
+    std::sort(priorities.begin(), priorities.end(), std::greater<>());
+    priorities.erase(std::unique(priorities.begin(), priorities.end()),
+                     priorities.end());
 
     auto class_of = [](const NodeMetrics &m, Priority p) -> ChildClassView {
         const ClassMetrics *c = m.findClass(p);
@@ -158,8 +212,8 @@ budgetChildren(Watts budget, const std::vector<NodeMetrics> &children,
 
     // Step 1: Pcap_min floors.
     Watts floor_sum = 0.0;
-    for (std::size_t k = 0; k < view->size(); ++k) {
-        result.childBudgets[k] = (*view)[k].totalCapMin();
+    for (std::size_t k = 0; k < view.size(); ++k) {
+        result.childBudgets[k] = view[k].totalCapMin();
         floor_sum += result.childBudgets[k];
     }
 
@@ -171,31 +225,34 @@ budgetChildren(Watts budget, const std::vector<NodeMetrics> &children,
         for (auto &b : result.childBudgets)
             b = std::max(0.0, b * scale);
         result.unallocated = 0.0;
-        return result;
+        return;
     }
 
     Watts remaining = budget - floor_sum;
 
     // Step 2 (+3): per priority level, grant extra requests; when a level
     // does not fit, water-fill by (Pdemand - Pcap_min) and stop.
+    std::vector<Watts> &need = scratch.need;
+    std::vector<Watts> &weight = scratch.weight;
+    std::vector<Watts> &alloc = scratch.alloc;
     for (Priority p : priorities) {
-        std::vector<Watts> need(view->size(), 0.0);
-        std::vector<Watts> weight(view->size(), 0.0);
+        need.assign(view.size(), 0.0);
+        weight.assign(view.size(), 0.0);
         Watts need_sum = 0.0;
-        for (std::size_t k = 0; k < view->size(); ++k) {
-            const ChildClassView c = class_of((*view)[k], p);
+        for (std::size_t k = 0; k < view.size(); ++k) {
+            const ChildClassView c = class_of(view[k], p);
             need[k] = std::max(0.0, c.request - c.capMin);
             weight[k] = std::max(0.0, c.demand - c.capMin);
             need_sum += need[k];
         }
         if (need_sum <= remaining + 1e-9) {
-            for (std::size_t k = 0; k < view->size(); ++k)
+            for (std::size_t k = 0; k < view.size(); ++k)
                 result.childBudgets[k] += need[k];
             remaining -= std::min(need_sum, remaining);
         } else {
             // Step 3: the contested level.
-            const auto alloc = waterfill(remaining, need, weight);
-            for (std::size_t k = 0; k < view->size(); ++k)
+            waterfillInto(remaining, need, weight, alloc, scratch.frozen);
+            for (std::size_t k = 0; k < view.size(); ++k)
                 result.childBudgets[k] += alloc[k];
             remaining = 0.0;
             break;
@@ -204,14 +261,16 @@ budgetChildren(Watts budget, const std::vector<NodeMetrics> &children,
 
     // Step 4: leftover up to each child's constraint.
     if (remaining > 1e-9) {
-        std::vector<Watts> headroom(view->size(), 0.0);
-        for (std::size_t k = 0; k < view->size(); ++k) {
+        std::vector<Watts> &headroom = need;
+        headroom.assign(view.size(), 0.0);
+        for (std::size_t k = 0; k < view.size(); ++k) {
             headroom[k] = std::max(
-                0.0, (*view)[k].constraint() - result.childBudgets[k]);
+                0.0, view[k].constraint() - result.childBudgets[k]);
         }
-        const auto alloc = waterfill(remaining, headroom, headroom);
+        waterfillInto(remaining, headroom, headroom, alloc,
+                      scratch.frozen);
         Watts granted = 0.0;
-        for (std::size_t k = 0; k < view->size(); ++k) {
+        for (std::size_t k = 0; k < view.size(); ++k) {
             result.childBudgets[k] += alloc[k];
             granted += alloc[k];
         }
@@ -219,7 +278,6 @@ budgetChildren(Watts budget, const std::vector<NodeMetrics> &children,
     }
 
     result.unallocated = util::snapNonNegative(remaining);
-    return result;
 }
 
 } // namespace capmaestro::ctrl

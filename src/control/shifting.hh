@@ -5,11 +5,19 @@
  * (budgeting phase). These are pure functions over child metrics so they
  * can be tested exhaustively in isolation; ControlTree wires them into the
  * hierarchy.
+ *
+ * Each phase also has an overload that writes into a caller-owned
+ * result and reuses its storage, and both overloads of budgetChildren()
+ * keep their working vectors in per-thread scratch: a controller that
+ * keeps its result objects across periods splits and gathers without
+ * touching the heap once warm. The value-returning forms run the same
+ * code.
  */
 
 #ifndef CAPMAESTRO_CONTROL_SHIFTING_HH
 #define CAPMAESTRO_CONTROL_SHIFTING_HH
 
+#include <span>
 #include <vector>
 
 #include "control/metrics.hh"
@@ -48,6 +56,11 @@ std::vector<Watts> waterfill(Watts amount, const std::vector<Watts> &caps,
 NodeMetrics gatherMetrics(const std::vector<NodeMetrics> &children,
                           Watts limit, bool report_by_priority);
 
+/** gatherMetrics() into @p out, reusing its storage (@p out must not
+ *  be one of @p children). */
+void gatherMetrics(std::span<const NodeMetrics> children, Watts limit,
+                   bool report_by_priority, NodeMetrics &out);
+
 /** Result of the budgeting phase at one node. */
 struct BudgetSplit
 {
@@ -80,6 +93,10 @@ struct BudgetSplit
 BudgetSplit budgetChildren(Watts budget,
                            const std::vector<NodeMetrics> &children,
                            bool budget_by_priority);
+
+/** budgetChildren() into @p out, reusing its storage. */
+void budgetChildren(Watts budget, std::span<const NodeMetrics> children,
+                    bool budget_by_priority, BudgetSplit &out);
 
 } // namespace capmaestro::ctrl
 

@@ -303,7 +303,8 @@ RackWorker::refreshLeafMetrics(Edge &edge)
 {
     const auto &topo_tree = system_.tree(edge.tree);
     for (std::size_t i = 0; i < edge.leaves.size(); ++i) {
-        ctrl::NodeMetrics m;
+        ctrl::NodeMetrics &m = edge.leafMetrics[i];
+        m.clear();
         const ctrl::LeafInput &in = edge.inputs[i];
         if (in.live) {
             // Identical to ControlTree's leaf handling.
@@ -315,18 +316,26 @@ RackWorker::refreshLeafMetrics(Edge &edge)
             m.accumulate(in.priority, in.capMin, demand, demand);
             m.setConstraint(constraint);
         }
-        edge.leafMetrics[i] = std::move(m);
     }
 }
 
 ctrl::NodeMetrics
 RackWorker::computeMetrics(std::size_t tree, topo::NodeId node)
 {
+    ctrl::NodeMetrics out;
+    computeMetrics(tree, node, out);
+    return out;
+}
+
+void
+RackWorker::computeMetrics(std::size_t tree, topo::NodeId node,
+                           ctrl::NodeMetrics &out)
+{
     Edge &edge = findEdge(tree, node);
     refreshLeafMetrics(edge);
     const Watts limit = system_.tree(tree).node(node).limit();
-    return ctrl::gatherMetrics(edge.leafMetrics, limit,
-                               policy_.upperPriorityAware);
+    ctrl::gatherMetrics(edge.leafMetrics, limit,
+                        policy_.upperPriorityAware, out);
 }
 
 void
@@ -336,9 +345,12 @@ RackWorker::applyBudget(std::size_t tree, topo::NodeId node, Watts budget)
     // Mirror ControlTree: never distribute beyond the device limit.
     const Watts usable =
         std::min(budget, system_.tree(tree).node(node).limit());
-    const auto split = ctrl::budgetChildren(usable, edge.leafMetrics,
-                                            policy_.leafPriorityAware);
-    edge.leafBudgets = split.childBudgets;
+    // The split is written into the edge's own budget vector.
+    ctrl::BudgetSplit split;
+    split.childBudgets.swap(edge.leafBudgets);
+    ctrl::budgetChildren(usable, edge.leafMetrics,
+                         policy_.leafPriorityAware, split);
+    edge.leafBudgets.swap(split.childBudgets);
 }
 
 Watts
@@ -374,89 +386,125 @@ RackWorker::leafBudget(std::size_t tree,
 RoomWorker::RoomWorker(const topo::PowerSystem &system,
                        std::vector<std::set<topo::NodeId>> edge_nodes,
                        ctrl::TreePolicy policy)
-    : system_(system), edgeNodes_(std::move(edge_nodes)), policy_(policy),
-      lastCache_(edgeNodes_.size())
+    : system_(system), policy_(policy), frags_(edge_nodes.size())
 {
+    for (std::size_t t = 0; t < edge_nodes.size(); ++t)
+        layOut(t, system_.tree(t).root(), edge_nodes[t]);
 }
 
 RoomWorker::RoomWorker(const topo::PowerSystem &system,
                        std::vector<topo::NodeId> tops,
                        std::vector<std::set<topo::NodeId>> boundaries,
                        ctrl::TreePolicy policy)
-    : system_(system), edgeNodes_(std::move(boundaries)),
-      policy_(policy), tops_(std::move(tops)),
-      lastCache_(edgeNodes_.size())
+    : system_(system), policy_(policy), frags_(boundaries.size())
 {
-    if (tops_.size() != edgeNodes_.size()) {
+    if (tops.size() != boundaries.size()) {
         util::fatal("RoomWorker: %zu fragment tops for %zu boundary "
                     "sets",
-                    tops_.size(), edgeNodes_.size());
+                    tops.size(), boundaries.size());
     }
-}
-
-topo::NodeId
-RoomWorker::topOf(std::size_t tree) const
-{
-    if (tops_.empty())
-        return system_.tree(tree).root();
-    const topo::NodeId top = tops_.at(tree);
-    if (top == topo::kNoNode) {
-        util::fatal("RoomWorker: no fragment in tree %zu", tree);
+    for (std::size_t t = 0; t < tops.size(); ++t) {
+        if (tops[t] != topo::kNoNode)
+            layOut(t, tops[t], boundaries[t]);
     }
-    return top;
-}
-
-ctrl::NodeMetrics
-RoomWorker::gatherAbove(std::size_t tree, topo::NodeId node,
-                        const std::map<topo::NodeId, ctrl::NodeMetrics>
-                            &edges,
-                        std::map<topo::NodeId, ctrl::NodeMetrics> &cache)
-{
-    if (edgeNodes_.at(tree).count(node)) {
-        // Edge node: the rack worker's message is this node's metrics.
-        const auto it = edges.find(node);
-        const ctrl::NodeMetrics m =
-            it != edges.end() ? it->second : ctrl::NodeMetrics{};
-        cache[node] = m;
-        return m;
-    }
-
-    const auto &topo_tree = system_.tree(tree);
-    const auto &tn = topo_tree.node(node);
-    std::vector<ctrl::NodeMetrics> children;
-    children.reserve(tn.children.size());
-    for (const topo::NodeId c : tn.children)
-        children.push_back(gatherAbove(tree, c, edges, cache));
-    ctrl::NodeMetrics m = ctrl::gatherMetrics(
-        children, tn.limit(), policy_.upperPriorityAware);
-    cache[node] = m;
-    return m;
 }
 
 void
-RoomWorker::budgetAbove(std::size_t tree, topo::NodeId node, Watts budget,
-                        const std::map<topo::NodeId, ctrl::NodeMetrics>
-                            &cache,
-                        std::map<topo::NodeId, Watts> &edge_budgets)
+RoomWorker::layOut(std::size_t tree, topo::NodeId top,
+                   const std::set<topo::NodeId> &boundary)
 {
-    if (edgeNodes_.at(tree).count(node)) {
-        edge_budgets[node] = budget;
-        return;
-    }
-
+    Fragment &f = frags_.at(tree);
+    f.present = true;
     const auto &topo_tree = system_.tree(tree);
-    const auto &tn = topo_tree.node(node);
-    std::vector<ctrl::NodeMetrics> children;
-    children.reserve(tn.children.size());
-    for (const topo::NodeId c : tn.children)
-        children.push_back(cache.at(c));
-    const Watts usable = std::min(budget, tn.limit());
-    const auto split = ctrl::budgetChildren(usable, children,
-                                            policy_.upperPriorityAware);
-    for (std::size_t i = 0; i < tn.children.size(); ++i) {
-        budgetAbove(tree, tn.children[i], split.childBudgets[i], cache,
-                    edge_budgets);
+    f.stations.push_back({top, 0, 0, boundary.count(top) != 0});
+    for (std::size_t k = 0; k < f.stations.size(); ++k) {
+        if (f.stations[k].boundary)
+            continue;
+        const auto &children = topo_tree.node(f.stations[k].node).children;
+        f.stations[k].first = static_cast<std::uint32_t>(f.stations.size());
+        f.stations[k].count = static_cast<std::uint32_t>(children.size());
+        for (const topo::NodeId c : children)
+            f.stations.push_back({c, 0, 0, boundary.count(c) != 0});
     }
+    f.metrics.resize(f.stations.size());
+    f.budgets.assign(f.stations.size(), 0.0);
+    std::vector<std::pair<topo::NodeId, std::uint32_t>> edges;
+    for (std::size_t k = 0; k < f.stations.size(); ++k) {
+        if (f.stations[k].boundary)
+            edges.emplace_back(f.stations[k].node,
+                               static_cast<std::uint32_t>(k));
+    }
+    std::sort(edges.begin(), edges.end());
+    for (const auto &[node, k] : edges) {
+        f.boundary.push_back(node);
+        f.boundaryStation.push_back(k);
+    }
+    f.boundaryBudgets.assign(f.boundary.size(), 0.0);
+}
+
+RoomWorker::Fragment &
+RoomWorker::fragment(std::size_t tree)
+{
+    Fragment &f = frags_.at(tree);
+    if (!f.present)
+        util::fatal("RoomWorker: no fragment in tree %zu", tree);
+    return f;
+}
+
+ctrl::NodeMetrics &
+RoomWorker::boundaryMetrics(std::size_t tree, std::size_t i)
+{
+    Fragment &f = fragment(tree);
+    return f.metrics[f.boundaryStation.at(i)];
+}
+
+const ctrl::NodeMetrics &
+RoomWorker::gather(std::size_t tree)
+{
+    Fragment &f = fragment(tree);
+    const auto &topo_tree = system_.tree(tree);
+    // Children follow their parent in breadth-first order, so a reverse
+    // walk merges every station after all of its children.
+    for (std::size_t k = f.stations.size(); k-- > 0;) {
+        const Fragment::Station &st = f.stations[k];
+        if (st.boundary)
+            continue;
+        ctrl::gatherMetrics(
+            std::span<const ctrl::NodeMetrics>(f.metrics.data() + st.first,
+                                               st.count),
+            topo_tree.node(st.node).limit(), policy_.upperPriorityAware,
+            f.metrics[k]);
+    }
+    return f.metrics.front();
+}
+
+const std::vector<Watts> &
+RoomWorker::split(std::size_t tree, Watts top_budget)
+{
+    Fragment &f = fragment(tree);
+    const auto &topo_tree = system_.tree(tree);
+    // The top's own limit clamps the grant, so an over-generous (or
+    // unlimited-root) grant never overloads the fragment. A forward
+    // walk splits every station before any of its children.
+    f.budgets.front() = std::min(
+        top_budget, topo_tree.node(f.stations.front().node).limit());
+    for (std::size_t k = 0; k < f.stations.size(); ++k) {
+        const Fragment::Station &st = f.stations[k];
+        if (st.boundary)
+            continue;
+        const Watts usable =
+            std::min(f.budgets[k], topo_tree.node(st.node).limit());
+        ctrl::budgetChildren(
+            usable,
+            std::span<const ctrl::NodeMetrics>(f.metrics.data() + st.first,
+                                               st.count),
+            policy_.upperPriorityAware, split_);
+        std::copy(split_.childBudgets.begin(), split_.childBudgets.end(),
+                  f.budgets.begin() + st.first);
+    }
+    for (std::size_t i = 0; i < f.boundary.size(); ++i)
+        f.boundaryBudgets[i] = f.budgets[f.boundaryStation[i]];
+    return f.boundaryBudgets;
 }
 
 ctrl::NodeMetrics
@@ -464,21 +512,26 @@ RoomWorker::gatherTop(std::size_t tree,
                       const std::map<topo::NodeId, ctrl::NodeMetrics>
                           &boundary_metrics)
 {
-    auto &cache = lastCache_.at(tree);
-    cache.clear();
-    return gatherAbove(tree, topOf(tree), boundary_metrics, cache);
+    const std::vector<topo::NodeId> &stations = fragment(tree).boundary;
+    for (std::size_t i = 0; i < stations.size(); ++i) {
+        const auto got = boundary_metrics.find(stations[i]);
+        ctrl::NodeMetrics &slot = boundaryMetrics(tree, i);
+        if (got != boundary_metrics.end())
+            slot = got->second;
+        else
+            slot.clear();
+    }
+    return gather(tree);
 }
 
 std::map<topo::NodeId, Watts>
 RoomWorker::budgetDown(std::size_t tree, Watts top_budget)
 {
-    const topo::NodeId top = topOf(tree);
+    const std::vector<Watts> &budgets = split(tree, top_budget);
+    const std::vector<topo::NodeId> &stations = boundary(tree);
     std::map<topo::NodeId, Watts> edge_budgets;
-    // budgetAbove() clamps to the top's own limit, so an over-generous
-    // (or unlimited-root) grant never overloads the fragment.
-    const Watts budget =
-        std::min(top_budget, system_.tree(tree).node(top).limit());
-    budgetAbove(tree, top, budget, lastCache_.at(tree), edge_budgets);
+    for (std::size_t i = 0; i < stations.size(); ++i)
+        edge_budgets.emplace(stations[i], budgets[i]);
     return edge_budgets;
 }
 

@@ -189,6 +189,10 @@ class RackWorker
      */
     ctrl::NodeMetrics computeMetrics(std::size_t tree, topo::NodeId node);
 
+    /** computeMetrics() into @p out, reusing its storage. */
+    void computeMetrics(std::size_t tree, topo::NodeId node,
+                        ctrl::NodeMetrics &out);
+
     /**
      * Accept the edge controller's budget and split it over the edge's
      * supply leaves (the rack's half of the budgeting phase).
@@ -258,25 +262,47 @@ class RoomWorker
                std::vector<std::set<topo::NodeId>> boundaries,
                ctrl::TreePolicy policy);
 
+    /** Per tree: the boundary stations beneath the fragment top,
+     *  ascending (empty for a tree without a fragment). */
+    const std::vector<topo::NodeId> &boundary(std::size_t tree) const
+    {
+        return frags_.at(tree).boundary;
+    }
+
+    /**
+     * The metrics of boundary station @p i of @p tree (an index into
+     * boundary(@p tree)) that the next gather() reads. The caller
+     * writes it in place; it keeps its value until written again.
+     */
+    ctrl::NodeMetrics &boundaryMetrics(std::size_t tree, std::size_t i);
+
     /**
      * Gather half of one iteration for @p tree: merge the boundary
      * metrics up to the fragment top and return the top's summary (the
-     * message an aggregator forwards to its parent). Stations absent
-     * from @p boundary_metrics contribute empty metrics. Interior
-     * summaries are cached for budgetDown().
+     * message an aggregator forwards to its parent; valid until the
+     * next gather() of @p tree). Interior summaries are kept for
+     * split(). Allocates nothing once warm.
      */
+    const ctrl::NodeMetrics &gather(std::size_t tree);
+
+    /**
+     * Budget half: split @p top_budget (the parent's grant for the
+     * fragment top, clamped to the top's own limit) back down to the
+     * boundary stations, using the summaries of the last gather() of
+     * this tree. Returns the budget per boundary station, aligned with
+     * boundary(@p tree) (valid until the next split() of @p tree).
+     */
+    const std::vector<Watts> &split(std::size_t tree, Watts top_budget);
+
+    /** gather() with the boundary metrics taken from
+     *  @p boundary_metrics (stations absent from it contribute empty
+     *  metrics). */
     ctrl::NodeMetrics
     gatherTop(std::size_t tree,
               const std::map<topo::NodeId, ctrl::NodeMetrics>
                   &boundary_metrics);
 
-    /**
-     * Budget half: split @p top_budget (the parent's grant for the
-     * fragment top, clamped to the top's own limit) back down to the
-     * boundary stations, using the summaries cached by the last
-     * gatherTop() for this tree. Returns the budget per boundary
-     * station.
-     */
+    /** split(), keyed by boundary station. */
     std::map<topo::NodeId, Watts> budgetDown(std::size_t tree,
                                              Watts top_budget);
 
@@ -287,24 +313,42 @@ class RoomWorker
             Watts root_budget);
 
   private:
+    /** One tree's fragment, laid out once at construction. */
+    struct Fragment
+    {
+        /** Fragment stations in breadth-first order from the top, so
+         *  each interior station's children are contiguous. */
+        struct Station
+        {
+            topo::NodeId node = topo::kNoNode;
+            /** Interior: its children's first index and count. */
+            std::uint32_t first = 0;
+            std::uint32_t count = 0;
+            /** A boundary station (its metrics are an input). */
+            bool boundary = false;
+        };
+        bool present = false;
+        std::vector<Station> stations;
+        /** Per station: the boundary input, else its last summary. */
+        std::vector<ctrl::NodeMetrics> metrics;
+        /** Per station: its share of the last split. */
+        std::vector<Watts> budgets;
+        /** Boundary stations ascending, their station index, and the
+         *  budget the last split gave each. */
+        std::vector<topo::NodeId> boundary;
+        std::vector<std::uint32_t> boundaryStation;
+        std::vector<Watts> boundaryBudgets;
+    };
+
+    void layOut(std::size_t tree, topo::NodeId top,
+                const std::set<topo::NodeId> &boundary);
+    Fragment &fragment(std::size_t tree);
+
     const topo::PowerSystem &system_;
-    std::vector<std::set<topo::NodeId>> edgeNodes_;
     ctrl::TreePolicy policy_;
-    /** Fragment tops per tree; empty = every tree's root. */
-    std::vector<topo::NodeId> tops_;
-    /** Interior summaries cached per tree by gatherTop(). */
-    std::vector<std::map<topo::NodeId, ctrl::NodeMetrics>> lastCache_;
-
-    topo::NodeId topOf(std::size_t tree) const;
-
-    ctrl::NodeMetrics
-    gatherAbove(std::size_t tree, topo::NodeId node,
-                const std::map<topo::NodeId, ctrl::NodeMetrics> &edges,
-                std::map<topo::NodeId, ctrl::NodeMetrics> &cache);
-
-    void budgetAbove(std::size_t tree, topo::NodeId node, Watts budget,
-                     const std::map<topo::NodeId, ctrl::NodeMetrics> &cache,
-                     std::map<topo::NodeId, Watts> &edge_budgets);
+    std::vector<Fragment> frags_;
+    /** split()'s per-station working split, reused. */
+    ctrl::BudgetSplit split_;
 };
 
 /**

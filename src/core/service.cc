@@ -157,7 +157,7 @@ CapMaestroService::runControlPeriod()
     inputs.reserve(servers_.size());
     stats_.totalDemandEstimate = 0.0;
     for (auto &s : servers_) {
-        const auto report = s.controller->closePeriod();
+        const auto &report = s.controller->closePeriod();
         ctrl::ServerAllocInput in;
         const auto &spec = s.server->spec();
         in.priority = spec.priority;

@@ -25,20 +25,27 @@ SensorReading
 SensorEmulator::read()
 {
     SensorReading r;
-    r.supplyAc.reserve(server_.supplyCount());
+    read(r);
+    return r;
+}
+
+void
+SensorEmulator::read(SensorReading &out)
+{
+    out.supplyAc.clear();
+    out.totalAc = 0.0;
     for (std::size_t s = 0; s < server_.supplyCount(); ++s) {
         Watts v = server_.supplyAc(s);
         if (config_.powerNoiseStddev > 0.0)
             v += rng_.normal(0.0, config_.powerNoiseStddev);
         v = quantize(std::max(0.0, v));
-        r.supplyAc.push_back(v);
-        r.totalAc += v;
+        out.supplyAc.push_back(v);
+        out.totalAc += v;
     }
     double t = nm_.throttleLevel();
     if (config_.throttleNoiseStddev > 0.0)
         t += rng_.normal(0.0, config_.throttleNoiseStddev);
-    r.throttleLevel = util::clamp(t, 0.0, 1.0);
-    return r;
+    out.throttleLevel = util::clamp(t, 0.0, 1.0);
 }
 
 SensorReading

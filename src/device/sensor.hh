@@ -56,6 +56,9 @@ class SensorEmulator
     /** Take one noisy snapshot of all sensors. */
     SensorReading read();
 
+    /** read() into @p out, reusing its storage. */
+    void read(SensorReading &out);
+
     /** Noise-free snapshot (for oracle tests). */
     SensorReading readTrue() const;
 

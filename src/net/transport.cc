@@ -72,9 +72,10 @@ SimTransport::sampleLatency()
 
 void
 SimTransport::enqueue(Endpoint to, double deliver_at,
-                      const std::vector<std::uint8_t> &frame)
+                      std::vector<std::uint8_t> frame)
 {
-    queues_[to].emplace(std::make_pair(deliver_at, order_++), frame);
+    queues_[to].emplace(std::make_pair(deliver_at, order_++),
+                        std::move(frame));
 }
 
 void
@@ -110,6 +111,27 @@ SimTransport::send(Endpoint from, Endpoint to,
         mQueueDepth_.set(static_cast<double>(inFlight()));
 }
 
+template <typename Sink>
+void
+SimTransport::take(Queue &q, Sink &&sink)
+{
+    std::size_t frames = 0;
+    std::size_t bytes = 0;
+    while (!q.empty() && q.begin()->first.first <= nowMs_) {
+        bytes += q.begin()->second.size();
+        sink(std::move(q.begin()->second));
+        q.erase(q.begin());
+        ++frames;
+        ++stats_.framesDelivered;
+    }
+    stats_.bytesDelivered += bytes;
+    if (registry_ != nullptr && frames != 0) {
+        mDelivered_.inc(static_cast<double>(frames));
+        mBytesDelivered_.inc(static_cast<double>(bytes));
+        mQueueDepth_.set(static_cast<double>(inFlight()));
+    }
+}
+
 std::vector<std::vector<std::uint8_t>>
 SimTransport::poll(Endpoint to)
 {
@@ -117,19 +139,24 @@ SimTransport::poll(Endpoint to)
     const auto queue = queues_.find(to);
     if (queue == queues_.end())
         return out;
-    auto &q = queue->second;
-    std::size_t bytes = 0;
-    while (!q.empty() && q.begin()->first.first <= nowMs_) {
-        bytes += q.begin()->second.size();
-        out.push_back(std::move(q.begin()->second));
-        q.erase(q.begin());
-        ++stats_.framesDelivered;
-    }
-    stats_.bytesDelivered += bytes;
-    if (registry_ != nullptr && !out.empty()) {
-        mDelivered_.inc(static_cast<double>(out.size()));
-        mBytesDelivered_.inc(static_cast<double>(bytes));
-        mQueueDepth_.set(static_cast<double>(inFlight()));
+    take(queue->second, [&out](std::vector<std::uint8_t> &&frame) {
+        out.push_back(std::move(frame));
+    });
+    return out;
+}
+
+std::vector<Transport::Delivery>
+SimTransport::drain(const std::vector<Endpoint> &locals)
+{
+    std::vector<Delivery> out;
+    for (auto &[to, q] : queues_) {
+        if (q.empty() || q.begin()->first.first > nowMs_
+            || !std::binary_search(locals.begin(), locals.end(), to))
+            continue;
+        const Endpoint ep = to;
+        take(q, [&out, ep](std::vector<std::uint8_t> &&frame) {
+            out.push_back({ep, std::move(frame)});
+        });
     }
     return out;
 }

@@ -103,13 +103,13 @@ class Transport
     };
 
     /**
-     * Drain every frame currently available to any of @p locals in one
-     * pass — the event-loop primitive a host process with many
-     * endpoints uses instead of polling each one. The default walks
-     * poll() per endpoint; backends with kernel queues override it
-     * with a single readiness pass (UdpTransport uses one epoll sweep
-     * on Linux), so the cost per period scales with ready sockets, not
-     * hosted endpoints.
+     * Drain every frame currently available to any of @p locals
+     * (ascending) in one pass — the event-loop primitive a host
+     * process with many endpoints uses instead of polling each one.
+     * The default walks poll() per endpoint; backends override it to
+     * pay per ready queue instead (UdpTransport uses one epoll sweep
+     * on Linux, SimTransport walks its non-empty queues), so the cost
+     * per period scales with ready endpoints, not hosted ones.
      */
     virtual std::vector<Delivery>
     drain(const std::vector<Endpoint> &locals);
@@ -161,6 +161,15 @@ class SimTransport : public Transport
      */
     std::vector<std::vector<std::uint8_t>> poll(Endpoint to) override;
 
+    /**
+     * Every frame due at any endpoint of @p locals (ascending): the
+     * same frames, in the same order (ascending endpoint, then
+     * delivery order), as poll() on each in turn, found by walking
+     * only the queues that hold a due frame.
+     */
+    std::vector<Delivery>
+    drain(const std::vector<Endpoint> &locals) override;
+
     void advanceTo(double ms) override;
 
     void advanceBy(double ms) override;
@@ -185,8 +194,10 @@ class SimTransport : public Transport
                       std::vector<std::uint8_t>>;
 
     void enqueue(Endpoint to, double deliver_at,
-                 const std::vector<std::uint8_t> &frame);
+                 std::vector<std::uint8_t> frame);
     double sampleLatency();
+    /** Hand @p sink every frame of @p q due by now (poll()'s body). */
+    template <typename Sink> void take(Queue &q, Sink &&sink);
 
     TransportConfig config_;
     util::Rng rng_;

@@ -221,7 +221,13 @@ UdpTransport::send(Endpoint from, Endpoint to,
 std::vector<std::vector<std::uint8_t>>
 UdpTransport::poll(Endpoint to)
 {
-    return drainFd(to, fdFor(to));
+    std::vector<Delivery> got;
+    drainFd(to, fdFor(to), got);
+    std::vector<std::vector<std::uint8_t>> out;
+    out.reserve(got.size());
+    for (Delivery &d : got)
+        out.push_back(std::move(d.frame));
+    return out;
 }
 
 std::vector<Transport::Delivery>
@@ -229,8 +235,16 @@ UdpTransport::drain(const std::vector<Endpoint> &locals)
 {
 #ifdef __linux__
     if (epollFd_ >= 0) {
-        std::vector<Endpoint> wanted(locals);
-        std::sort(wanted.begin(), wanted.end());
+        if (locals != drainLocals_) {
+            drainLocals_ = locals;
+            const Endpoint top =
+                locals.empty()
+                    ? 0
+                    : *std::max_element(locals.begin(), locals.end());
+            drainWanted_.assign(static_cast<std::size_t>(top) + 1, 0);
+            for (const Endpoint ep : locals)
+                drainWanted_[ep] = 1;
+        }
         std::vector<Delivery> out;
         epoll_event events[64];
         // Level-triggered and each ready socket is drained completely,
@@ -242,13 +256,10 @@ UdpTransport::drain(const std::vector<Endpoint> &locals)
             std::size_t drained = 0;
             for (int i = 0; i < n; ++i) {
                 const Endpoint ep = events[i].data.u32;
-                if (!std::binary_search(wanted.begin(), wanted.end(),
-                                        ep)) {
+                if (ep >= drainWanted_.size() || !drainWanted_[ep])
                     continue;
-                }
                 ++drained;
-                for (auto &frame : drainFd(ep, fdFor(ep)))
-                    out.push_back({ep, std::move(frame)});
+                drainFd(ep, fdFor(ep), out);
             }
             // A full batch may hide more ready sockets; sweep again —
             // but only if progress was made (sockets outside @p locals
@@ -262,14 +273,13 @@ UdpTransport::drain(const std::vector<Endpoint> &locals)
     return Transport::drain(locals);
 }
 
-std::vector<std::vector<std::uint8_t>>
-UdpTransport::drainFd(Endpoint to, int fd)
+void
+UdpTransport::drainFd(Endpoint to, int fd, std::vector<Delivery> &out)
 {
-    std::vector<std::vector<std::uint8_t>> out;
-
     // One spare byte past the cap distinguishes an exactly-cap-sized
     // datagram from a truncated oversized one.
     std::uint8_t buf[kMaxFrameBytes + 1];
+    std::size_t frames = 0;
     std::size_t bytes = 0;
     for (;;) {
         const ssize_t n = ::recvfrom(fd, buf, sizeof(buf), 0, nullptr,
@@ -287,15 +297,15 @@ UdpTransport::drainFd(Endpoint to, int fd)
             continue;
         }
         bytes += static_cast<std::size_t>(n);
-        out.emplace_back(buf, buf + n);
+        out.push_back({to, std::vector<std::uint8_t>(buf, buf + n)});
+        ++frames;
         ++stats_.framesDelivered;
     }
     stats_.bytesDelivered += bytes;
-    if (registry_ != nullptr && !out.empty()) {
-        mDelivered_.inc(static_cast<double>(out.size()));
+    if (registry_ != nullptr && frames != 0) {
+        mDelivered_.inc(static_cast<double>(frames));
         mBytesDelivered_.inc(static_cast<double>(bytes));
     }
-    return out;
 }
 
 double

@@ -107,7 +107,10 @@ class UdpTransport : public Transport
      * Event-loop drain: one epoll sweep over the local sockets (Linux;
      * the generic per-endpoint walk elsewhere), so a host process with
      * thousands of endpoints pays per *ready* socket, not per socket.
-     * Endpoints in @p locals must all be local to this transport.
+     * Endpoints in @p locals must all be local to this transport. The
+     * lookup of @p locals is built on the first call and rebuilt only
+     * when @p locals changes; a ready socket outside it keeps its
+     * frames for a later drain.
      */
     std::vector<Delivery>
     drain(const std::vector<Endpoint> &locals) override;
@@ -139,14 +142,19 @@ class UdpTransport : public Transport
 
   private:
     int fdFor(Endpoint ep) const;
-    /** Drain one readable socket completely (the poll() body). */
-    std::vector<std::vector<std::uint8_t>> drainFd(Endpoint to, int fd);
+    /** Drain one readable socket completely into @p out (the poll()
+     *  body). */
+    void drainFd(Endpoint to, int fd, std::vector<Delivery> &out);
 
     UdpConfig config_;
     /** Local endpoint -> bound socket fd. */
     std::map<Endpoint, int> sockets_;
     /** Readiness instance over the local sockets (-1 off Linux). */
     int epollFd_ = -1;
+    /** The locals of the last drain() and, by endpoint, whether each
+     *  endpoint is one of them. */
+    std::vector<Endpoint> drainLocals_;
+    std::vector<char> drainWanted_;
     TransportStats stats_;
     /** CLOCK_MONOTONIC at construction; nowMs() is measured from it. */
     double originMs_ = 0.0;

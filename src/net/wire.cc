@@ -250,9 +250,9 @@ load32(const std::uint8_t *p)
  * CRC over everything before it.
  */
 template <typename WritePayload>
-std::vector<std::uint8_t>
+void
 seal(MsgType type, const FrameMeta &meta, std::size_t payload_size,
-     const WritePayload &write_payload)
+     const WritePayload &write_payload, std::vector<std::uint8_t> &bytes)
 {
     if (meta.wireVersion != kWireVersion
         && meta.wireVersion != kWireCompatVersion) {
@@ -270,7 +270,7 @@ seal(MsgType type, const FrameMeta &meta, std::size_t payload_size,
     const std::size_t ctx_size =
         meta.trace.has_value() ? kTraceContextBytes : 0;
     const std::size_t covered = kHeaderSize + ctx_size + payload_size;
-    std::vector<std::uint8_t> bytes(covered + kCrcSize);
+    bytes.resize(covered + kCrcSize);
     Writer w(bytes.data());
     w.u16(kWireMagic);
     w.u8(meta.wireVersion);
@@ -287,6 +287,16 @@ seal(MsgType type, const FrameMeta &meta, std::size_t payload_size,
     }
     write_payload(w);
     Writer(bytes.data() + covered).u32(crc32(bytes.data(), covered));
+}
+
+/** seal() into a fresh buffer. */
+template <typename WritePayload>
+std::vector<std::uint8_t>
+seal(MsgType type, const FrameMeta &meta, std::size_t payload_size,
+     const WritePayload &write_payload)
+{
+    std::vector<std::uint8_t> bytes;
+    seal(type, meta, payload_size, write_payload, bytes);
     return bytes;
 }
 
@@ -314,9 +324,9 @@ crc32(const std::uint8_t *data, std::size_t size)
 
 namespace {
 
-std::vector<std::uint8_t>
+void
 sealMetricsPayload(MsgType type, const FrameMeta &meta,
-                   const MetricsMsg &msg)
+                   const MetricsMsg &msg, std::vector<std::uint8_t> &out)
 {
     const auto &classes = msg.metrics.classes();
     // The decoder drops a payload over kMaxClasses, and the u16 count
@@ -326,31 +336,53 @@ sealMetricsPayload(MsgType type, const FrameMeta &meta,
                     "%zu-class bound",
                     classes.size(), kMaxClasses);
     }
-    return seal(type, meta,
-                kMetricsFixedBytes + classes.size() * kClassBytes,
-                [&](Writer &p) {
-                    p.u16(msg.tree);
-                    p.u32(msg.edgeNode);
-                    p.f64(msg.metrics.constraint());
-                    p.u16(static_cast<std::uint16_t>(classes.size()));
-                    for (const auto &c : classes) {
-                        p.i32(c.priority);
-                        p.f64(c.capMin);
-                        p.f64(c.demand);
-                        p.f64(c.request);
-                    }
-                });
+    seal(
+        type, meta, kMetricsFixedBytes + classes.size() * kClassBytes,
+        [&](Writer &p) {
+            p.u16(msg.tree);
+            p.u32(msg.edgeNode);
+            p.f64(msg.metrics.constraint());
+            p.u16(static_cast<std::uint16_t>(classes.size()));
+            for (const auto &c : classes) {
+                p.i32(c.priority);
+                p.f64(c.capMin);
+                p.f64(c.demand);
+                p.f64(c.request);
+            }
+        },
+        out);
+}
+
+std::vector<std::uint8_t>
+sealMetricsPayload(MsgType type, const FrameMeta &meta,
+                   const MetricsMsg &msg)
+{
+    std::vector<std::uint8_t> out;
+    sealMetricsPayload(type, meta, msg, out);
+    return out;
+}
+
+void
+sealBudgetPayload(MsgType type, const FrameMeta &meta,
+                  const BudgetMsg &msg, std::vector<std::uint8_t> &out)
+{
+    seal(
+        type, meta, kBudgetBytes,
+        [&](Writer &p) {
+            p.u16(msg.tree);
+            p.u32(msg.edgeNode);
+            p.f64(msg.budget);
+        },
+        out);
 }
 
 std::vector<std::uint8_t>
 sealBudgetPayload(MsgType type, const FrameMeta &meta,
                   const BudgetMsg &msg)
 {
-    return seal(type, meta, kBudgetBytes, [&](Writer &p) {
-        p.u16(msg.tree);
-        p.u32(msg.edgeNode);
-        p.f64(msg.budget);
-    });
+    std::vector<std::uint8_t> out;
+    sealBudgetPayload(type, meta, msg, out);
+    return out;
 }
 
 std::vector<std::uint8_t>
@@ -591,6 +623,40 @@ encodeHeartbeat(const FrameMeta &meta)
     return seal(MsgType::Heartbeat, meta, 0, [](Writer &) {});
 }
 
+void
+encodeMetrics(const FrameMeta &meta, const MetricsMsg &msg,
+              std::vector<std::uint8_t> &out)
+{
+    sealMetricsPayload(MsgType::Metrics, meta, msg, out);
+}
+
+void
+encodeSummary(const FrameMeta &meta, const MetricsMsg &msg,
+              std::vector<std::uint8_t> &out)
+{
+    sealMetricsPayload(MsgType::Summary, meta, msg, out);
+}
+
+void
+encodeBudget(const FrameMeta &meta, const BudgetMsg &msg,
+             std::vector<std::uint8_t> &out)
+{
+    sealBudgetPayload(MsgType::Budget, meta, msg, out);
+}
+
+void
+encodeSubBudget(const FrameMeta &meta, const BudgetMsg &msg,
+                std::vector<std::uint8_t> &out)
+{
+    sealBudgetPayload(MsgType::SubBudget, meta, msg, out);
+}
+
+void
+encodeHeartbeat(const FrameMeta &meta, std::vector<std::uint8_t> &out)
+{
+    seal(MsgType::Heartbeat, meta, 0, [](Writer &) {}, out);
+}
+
 std::vector<std::uint8_t>
 encodeMembershipDelta(const FrameMeta &meta,
                       const MembershipDeltaMsg &msg)
@@ -628,20 +694,41 @@ encodeMembershipAck(const FrameMeta &meta, const MembershipAckMsg &msg)
 std::optional<Frame>
 decodeFrame(const std::vector<std::uint8_t> &bytes)
 {
+    Frame frame;
+    if (!decodeFrame(bytes, frame))
+        return std::nullopt;
+    return frame;
+}
+
+bool
+decodeFrame(const std::vector<std::uint8_t> &bytes, Frame &frame)
+{
     if (bytes.size() < kHeaderSize + kCrcSize)
-        return std::nullopt;
+        return false;
     if (bytes.size() > kMaxFrameBytes)
-        return std::nullopt;
+        return false;
 
     Reader header(bytes.data(), kHeaderSize);
     if (header.u16() != kWireMagic)
-        return std::nullopt;
+        return false;
     const std::uint8_t version = header.u8();
     if (version != kWireVersion && version != kWireCompatVersion)
-        return std::nullopt;
+        return false;
     const std::uint8_t raw_type = header.u8();
 
-    Frame frame;
+    // Every payload back to its default, keeping the storage.
+    frame.metrics.tree = 0;
+    frame.metrics.edgeNode = 0;
+    frame.metrics.metrics.clear();
+    frame.budget = BudgetMsg{};
+    frame.checkpoint.simNow = 0.0;
+    frame.checkpoint.rehomeAckEpoch = 0;
+    frame.checkpoint.servers.clear();
+    frame.membershipDelta.generation = 0;
+    frame.membershipDelta.entries.clear();
+    frame.membershipAck = MembershipAckMsg{};
+    frame.trace.reset();
+    frame.type = MsgType::Heartbeat;
     frame.wireVersion = version;
     frame.sender = header.u16();
     frame.epoch = header.u32();
@@ -653,16 +740,16 @@ decodeFrame(const std::vector<std::uint8_t> &bytes)
     const std::size_t payload_size = header.u16();
     const std::size_t ctx_size = header.u8();
     if (payload_size > kMaxPayloadBytes)
-        return std::nullopt;
+        return false;
     if (ctx_size != 0 && ctx_size != kTraceContextBytes)
-        return std::nullopt;
+        return false;
     if (bytes.size() != kHeaderSize + ctx_size + payload_size + kCrcSize)
-        return std::nullopt;
+        return false;
 
     const std::size_t covered = kHeaderSize + ctx_size + payload_size;
     Reader crc_reader(bytes.data() + covered, kCrcSize);
     if (crc32(bytes.data(), covered) != crc_reader.u32())
-        return std::nullopt;
+        return false;
 
     if (ctx_size == kTraceContextBytes) {
         Reader ctx(bytes.data() + kHeaderSize, ctx_size);
@@ -680,7 +767,7 @@ decodeFrame(const std::vector<std::uint8_t> &bytes)
       case static_cast<std::uint8_t>(MsgType::Summary):
         frame.type = static_cast<MsgType>(raw_type);
         if (!readMetricsPayload(p, frame.metrics))
-            return std::nullopt;
+            return false;
         break;
       case static_cast<std::uint8_t>(MsgType::Budget):
       case static_cast<std::uint8_t>(MsgType::SpoBudget):
@@ -694,7 +781,7 @@ decodeFrame(const std::vector<std::uint8_t> &bytes)
       case static_cast<std::uint8_t>(MsgType::Rehome):
         frame.type = static_cast<MsgType>(raw_type);
         if (!readCheckpointPayload(p, frame.checkpoint))
-            return std::nullopt;
+            return false;
         break;
       case static_cast<std::uint8_t>(MsgType::Heartbeat):
         frame.type = MsgType::Heartbeat;
@@ -703,24 +790,22 @@ decodeFrame(const std::vector<std::uint8_t> &bytes)
         // Membership types were introduced with v6: a v5 header
         // carrying one is a forgery or corruption, not legitimate skew.
         if (version < kWireVersion)
-            return std::nullopt;
+            return false;
         frame.type = MsgType::MembershipDelta;
         if (!readMembershipDeltaPayload(p, frame.membershipDelta))
-            return std::nullopt;
+            return false;
         break;
       case static_cast<std::uint8_t>(MsgType::MembershipAck):
         if (version < kWireVersion)
-            return std::nullopt;
+            return false;
         frame.type = MsgType::MembershipAck;
         if (!readMembershipAckPayload(p, frame.membershipAck))
-            return std::nullopt;
+            return false;
         break;
       default:
-        return std::nullopt;
+        return false;
     }
-    if (!p.ok() || p.remaining() != 0)
-        return std::nullopt;
-    return frame;
+    return p.ok() && p.remaining() == 0;
 }
 
 } // namespace capmaestro::net

@@ -404,11 +404,34 @@ std::vector<std::uint8_t>
 encodeMembershipAck(const FrameMeta &meta, const MembershipAckMsg &msg);
 
 /**
+ * The per-period encoders again, writing the frame into @p out and
+ * reusing its storage (the value-returning forms above run the same
+ * code): a sender that recycles its buffers encodes without
+ * allocating.
+ */
+void encodeMetrics(const FrameMeta &meta, const MetricsMsg &msg,
+                   std::vector<std::uint8_t> &out);
+void encodeSummary(const FrameMeta &meta, const MetricsMsg &msg,
+                   std::vector<std::uint8_t> &out);
+void encodeBudget(const FrameMeta &meta, const BudgetMsg &msg,
+                  std::vector<std::uint8_t> &out);
+void encodeSubBudget(const FrameMeta &meta, const BudgetMsg &msg,
+                     std::vector<std::uint8_t> &out);
+void encodeHeartbeat(const FrameMeta &meta, std::vector<std::uint8_t> &out);
+
+/**
  * Decode one frame. Returns nullopt on any malformation (short buffer,
  * bad magic/version/type, length mismatch, CRC failure, ill-formed
  * payload); never throws or crashes on arbitrary bytes.
  */
 std::optional<Frame> decodeFrame(const std::vector<std::uint8_t> &bytes);
+
+/**
+ * decodeFrame() into @p out, reusing the storage of its payloads (every
+ * field is overwritten). Returns false on any malformation, leaving
+ * @p out unspecified.
+ */
+bool decodeFrame(const std::vector<std::uint8_t> &bytes, Frame &out);
 
 /** CRC-32 (IEEE 802.3, reflected) of a byte range. */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t size);

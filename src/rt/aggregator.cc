@@ -1,11 +1,19 @@
 #include "rt/aggregator.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <string>
 
 #include "util/logging.hh"
 
 namespace capmaestro::rt {
+
+namespace {
+
+constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+} // namespace
 
 AggregatorRole::AggregatorRole(
     const topo::PowerSystem &system, const core::TreePlan &plan,
@@ -25,15 +33,23 @@ AggregatorRole::AggregatorRole(
                     endpoint);
     root_ = me.isRoot();
     stations_ = me.stations;
+    std::map<std::pair<std::size_t, topo::NodeId>, std::uint32_t> owners;
     for (const std::uint32_t c : me.children) {
         children_.insert(c);
         if (c < plan.leafWorkers)
             leafChildren_.insert(c);
         for (const auto &[tree, node] : plan.workers[c].stations)
-            childOfStation_[{tree, node}] = c;
+            owners[{tree, node}] = c;
     }
-
-    awaited_ = childOfStation_.size();
+    for (const auto &[key, child] : owners) {
+        childStations_.push_back({key.first, key.second, child});
+        Slot slot;
+        slot.leafChild = leafChildren_.count(child) != 0;
+        slot.childIndex = static_cast<std::uint32_t>(
+            std::distance(children_.begin(), children_.find(child)));
+        slots_.push_back(std::move(slot));
+    }
+    awaited_ = slots_.size();
 
     // Per child station: the summed nominal floor of the edges beneath
     // it — what the subtree unilaterally enforces when budgets stop
@@ -43,9 +59,9 @@ AggregatorRole::AggregatorRole(
         const auto [tree, edge] = key;
         topo::NodeId node = edge;
         while (node != topo::kNoNode) {
-            const auto owner = childOfStation_.find({tree, node});
-            if (owner != childOfStation_.end()) {
-                stationFloor_[{tree, node}] += floor;
+            const std::size_t slot = slotOf(tree, node);
+            if (slot != kNoSlot) {
+                slots_[slot].floor += floor;
                 break;
             }
             node = system_.tree(tree).node(node).parent;
@@ -67,6 +83,41 @@ AggregatorRole::AggregatorRole(
             system_, plan.topsOf(endpoint), plan.boundariesOf(endpoint),
             policy);
     }
+
+    // The fragment's boundary is exactly the child stations
+    // (core::TreePlan::boundariesOf()), so every slot gets its index.
+    const std::size_t trees = system_.trees().size();
+    boundarySlots_.resize(trees);
+    applied_.resize(trees);
+    for (const auto &[tree, top] : stations_) {
+        (void)top;
+        const std::vector<topo::NodeId> &boundary = frag_->boundary(tree);
+        for (std::size_t i = 0; i < boundary.size(); ++i) {
+            const std::size_t slot = slotOf(tree, boundary[i]);
+            boundarySlots_[tree].push_back(slot);
+            if (slot != kNoSlot)
+                slots_[slot].boundaryIndex = static_cast<std::uint32_t>(i);
+        }
+        applied_[tree].assign(boundary.size(), 0.0);
+    }
+    received_.assign(trees, 0);
+    receivedWatts_.assign(trees, 0.0);
+    split_.assign(trees, 0);
+}
+
+std::size_t
+AggregatorRole::slotOf(std::size_t tree, topo::NodeId node) const
+{
+    const auto it = std::lower_bound(
+        childStations_.begin(), childStations_.end(),
+        std::make_pair(tree, node),
+        [](const ChildStation &st, const std::pair<std::size_t,
+                                                   topo::NodeId> &key) {
+            return std::make_pair(st.tree, st.node) < key;
+        });
+    if (it == childStations_.end() || it->tree != tree || it->node != node)
+        return kNoSlot;
+    return static_cast<std::size_t>(it - childStations_.begin());
 }
 
 std::string
@@ -81,9 +132,8 @@ AggregatorRole::setChildViews(std::map<std::uint32_t, ChildView> views)
 {
     views_ = std::move(views);
     awaited_ = 0;
-    for (const auto &[key, child] : childOfStation_) {
-        (void)key;
-        const auto view = views_.find(child);
+    for (const ChildStation &st : childStations_) {
+        const auto view = views_.find(st.child);
         if (view == views_.end() || view->second.awaited)
             ++awaited_;
     }
@@ -93,12 +143,17 @@ void
 AggregatorRole::beginEpoch(std::uint32_t epoch)
 {
     epoch_ = epoch;
-    fresh_.clear();
-    received_.clear();
-    stationHealth_.clear();
-    boundary_.assign(system_.trees().size(), {});
-    excluded_.assign(system_.trees().size(), {});
-    applied_.assign(system_.trees().size(), {});
+    freshCount_ = 0;
+    for (std::size_t k = 0; k < slots_.size(); ++k) {
+        Slot &slot = slots_[k];
+        slot.isFresh = false;
+        slot.excluded = false;
+        slot.inBoundary = false;
+        childStations_[k].gathered = false;
+    }
+    std::fill(received_.begin(), received_.end(), 0);
+    receivedCount_ = 0;
+    std::fill(split_.begin(), split_.end(), 0);
 }
 
 bool
@@ -121,12 +176,10 @@ AggregatorRole::noteUpFrame(const net::Frame &frame,
             ++stats.orphanFrames;
             return false;
         }
-        const std::pair<std::size_t, topo::NodeId> key{
-            frame.metrics.tree,
-            static_cast<topo::NodeId>(frame.metrics.edgeNode)};
-        const auto owner = childOfStation_.find(key);
-        if (owner == childOfStation_.end()
-            || owner->second != frame.sender) {
+        const std::size_t k =
+            slotOf(frame.metrics.tree,
+                   static_cast<topo::NodeId>(frame.metrics.edgeNode));
+        if (k == kNoSlot || childStations_[k].child != frame.sender) {
             ++stats.orphanFrames;
             return false;
         }
@@ -134,7 +187,12 @@ AggregatorRole::noteUpFrame(const net::Frame &frame,
             ++stats.corruptFrames;
             return false;
         }
-        fresh_[key] = frame.metrics.metrics;
+        Slot &slot = slots_[k];
+        slot.fresh = frame.metrics.metrics;
+        if (!slot.isFresh) {
+            slot.isFresh = true;
+            ++freshCount_;
+        }
         return true;
     }
     default:
@@ -146,86 +204,116 @@ AggregatorRole::noteUpFrame(const net::Frame &frame,
 bool
 AggregatorRole::upComplete() const
 {
-    return fresh_.size() >= awaited_;
+    return freshCount_ >= awaited_;
 }
 
-std::vector<std::uint32_t>
-AggregatorRole::silentChildren() const
+const std::vector<std::uint32_t> &
+AggregatorRole::silentChildren()
 {
-    std::set<std::uint32_t> heard;
-    for (const auto &[key, metrics] : fresh_) {
-        (void)metrics;
-        const auto owner = childOfStation_.find(key);
-        if (owner != childOfStation_.end())
-            heard.insert(owner->second);
+    heard_.assign(children_.size(), 0);
+    for (const Slot &slot : slots_) {
+        if (slot.isFresh)
+            heard_[slot.childIndex] = 1;
     }
-    std::vector<std::uint32_t> silent;
+    silent_.clear();
+    std::size_t i = 0;
     for (const std::uint32_t child : children_) {
-        if (!heard.count(child))
-            silent.push_back(child);
+        if (!heard_[i++])
+            silent_.push_back(child);
     }
-    return silent;
+    return silent_;
 }
 
-std::vector<net::MetricsMsg>
+std::optional<telemetry::UnitHealth>
+AggregatorRole::stationHealth(std::size_t tree, topo::NodeId node) const
+{
+    const std::size_t k = slotOf(tree, node);
+    if (k == kNoSlot || !childStations_[k].gathered)
+        return std::nullopt;
+    return childStations_[k].health;
+}
+
+std::map<topo::NodeId, Watts>
+AggregatorRole::applied(std::size_t tree) const
+{
+    std::map<topo::NodeId, Watts> out;
+    if (!split_.at(tree))
+        return out;
+    const std::vector<topo::NodeId> &boundary = frag_->boundary(tree);
+    for (std::size_t i = 0; i < boundary.size(); ++i)
+        out.emplace(boundary[i], applied_[tree][i]);
+    return out;
+}
+
+const std::vector<net::MetricsMsg> &
 AggregatorRole::closeGather(RuntimeStats &stats, core::EventLog &events)
 {
-    const auto floorOnly = [this](const auto &key) {
-        excluded_[key.first].insert(key.second);
-        boundary_[key.first][key.second] = ctrl::NodeMetrics::floorOnly(
-            stationFloor_[key]); // 0 W: no edge beneath
-    };
-    for (const auto &[key, child] : childOfStation_) {
-        const auto [tree, node] = key;
-        const auto view = views_.find(child);
+    for (std::size_t k = 0; k < slots_.size(); ++k) {
+        Slot &slot = slots_[k];
+        ChildStation &st = childStations_[k];
+        ctrl::NodeMetrics &boundary =
+            frag_->boundaryMetrics(st.tree, slot.boundaryIndex);
+        const auto floorOnly = [&] {
+            slot.excluded = true;
+            slot.inBoundary = true;
+            boundary.setFloorOnly(slot.floor); // 0 W: no edge beneath
+        };
+        const auto view = views_.find(st.child);
         const ChildView seen =
             view != views_.end() ? view->second : ChildView{};
         if (!seen.member) {
             // Excluded by design, not by degradation: no ladder, no
             // events, only the floor covering the unit's clamp.
             if (!seen.released)
-                floorOnly(key);
+                floorOnly();
+            else
+                boundary.clear(); // draws nothing: not in the merge
             continue;
         }
-        const auto got = fresh_.find(key);
-        if (got != fresh_.end() && seen.trusted) {
-            boundary_[tree][node] = got->second;
-            cache_[key] = {got->second, epoch_, true};
-            stationHealth_[key] = telemetry::UnitHealth::Live;
+        st.gathered = true;
+        if (slot.isFresh && seen.trusted) {
+            slot.inBoundary = true;
+            boundary = slot.fresh;
+            slot.cached = slot.fresh;
+            slot.cachedEpoch = epoch_;
+            slot.cacheValid = true;
+            st.health = telemetry::UnitHealth::Live;
             continue;
         }
-        const auto cached = cache_.find(key);
-        const bool valid = cached != cache_.end() && cached->second.valid;
-        const std::uint32_t age = valid ? epoch_ - cached->second.epoch : 0;
+        const bool valid = slot.cacheValid;
+        const std::uint32_t age = valid ? epoch_ - slot.cachedEpoch : 0;
         const bool stale_ok =
             valid && age <= static_cast<std::uint32_t>(staleAgeCapPeriods_);
-        stationHealth_[key] = stale_ok ? telemetry::UnitHealth::Stale
-                                       : telemetry::UnitHealth::Lost;
+        st.health = stale_ok ? telemetry::UnitHealth::Stale
+                             : telemetry::UnitHealth::Lost;
         ++(stale_ok ? stats.staleReuses : stats.metricsLost);
         events.record(static_cast<Seconds>(epoch_),
                       stale_ok ? core::EventKind::StaleMetricsReused
                                : core::EventKind::MetricsLost,
-                      stationSubject(tree, node), static_cast<double>(age));
+                      stationSubject(st.tree, st.node),
+                      static_cast<double>(age));
         // No usable metrics (untrusted child, or the cache ran dry):
         // the station's subtree is on its own this period, so it
         // enters the boundary as its floor (see the class comment).
-        if (stale_ok && seen.trusted)
-            boundary_[tree][node] = cached->second.metrics;
-        else
-            floorOnly(key);
+        if (stale_ok && seen.trusted) {
+            slot.inBoundary = true;
+            boundary = slot.cached;
+        } else {
+            floorOnly();
+        }
     }
 
-    std::vector<net::MetricsMsg> out;
+    summaries_.resize(root_ ? 0 : stations_.size());
     if (root_)
-        return out; // the root consumes the boundary in computeDown()
+        return summaries_; // the root merges in computeDown()
+    std::size_t i = 0;
     for (const auto &[tree, top] : stations_) {
-        net::MetricsMsg msg;
+        net::MetricsMsg &msg = summaries_[i++];
         msg.tree = static_cast<std::uint16_t>(tree);
         msg.edgeNode = static_cast<std::uint32_t>(top);
-        msg.metrics = frag_->gatherTop(tree, boundary_[tree]);
-        out.push_back(std::move(msg));
+        msg.metrics = frag_->gather(tree);
     }
-    return out;
+    return summaries_;
 }
 
 bool
@@ -252,30 +340,33 @@ AggregatorRole::noteDownFrame(const net::Frame &frame,
         ++stats.corruptFrames;
         return false;
     }
-    if (received_.emplace(tree, watts).second)
+    if (!received_[tree]) {
+        received_[tree] = 1;
+        receivedWatts_[tree] = watts;
+        ++receivedCount_;
         ++stats.subBudgetsApplied;
+    }
     return true;
 }
 
 bool
 AggregatorRole::downComplete() const
 {
-    return root_ || received_.size() >= stations_.size();
+    return root_ || receivedCount_ >= stations_.size();
 }
 
-std::vector<AggregatorRole::DownMsg>
+const std::vector<AggregatorRole::DownMsg> &
 AggregatorRole::computeDown(RuntimeStats &stats)
 {
-    std::vector<DownMsg> out;
+    downs_.clear();
     for (const auto &[tree, top] : stations_) {
         (void)top;
-        std::map<topo::NodeId, Watts> &applied = applied_[tree];
+        const std::vector<Watts> *split = nullptr;
         if (root_) {
-            applied = frag_->iterate(tree, boundary_[tree],
-                                     rootBudgets_[tree]);
+            frag_->gather(tree);
+            split = &frag_->split(tree, rootBudgets_[tree]);
         } else {
-            const auto sub = received_.find(tree);
-            if (sub == received_.end()) {
+            if (!received_[tree]) {
                 // Silence flows down: every station beneath rides its
                 // Pcap_min default, which is exactly what this
                 // fragment enters its parent's merge as next period if
@@ -283,30 +374,35 @@ AggregatorRole::computeDown(RuntimeStats &stats)
                 ++stats.subBudgetsMissed;
                 continue;
             }
-            applied = frag_->budgetDown(tree, sub->second);
+            split = &frag_->split(tree, receivedWatts_[tree]);
         }
-        for (auto &[node, watts] : applied) {
-            const auto owner = childOfStation_.find({tree, node});
-            if (owner == childOfStation_.end())
+        std::vector<Watts> &applied = applied_[tree];
+        applied.assign(split->begin(), split->end());
+        split_[tree] = 1;
+        const std::vector<std::size_t> &owners = boundarySlots_[tree];
+        for (std::size_t i = 0; i < applied.size(); ++i) {
+            const std::size_t k = owners[i];
+            if (k == kNoSlot)
                 continue;
+            const Slot &slot = slots_[k];
             // An excluded station gets no grant: its subtree rides its
             // floor, which is what the station applies.
-            if (excluded_[tree].count(node)) {
-                watts = stationFloor_[{tree, node}];
+            if (slot.excluded) {
+                applied[i] = slot.floor;
                 continue;
             }
-            if (!boundary_[tree].count(node))
+            if (!slot.inBoundary)
                 continue;
-            DownMsg down;
-            down.child = owner->second;
-            down.leafChild = leafChildren_.count(owner->second) != 0;
+            DownMsg &down = downs_.emplace_back();
+            down.child = childStations_[k].child;
+            down.leafChild = slot.leafChild;
             down.msg.tree = static_cast<std::uint16_t>(tree);
-            down.msg.edgeNode = static_cast<std::uint32_t>(node);
-            down.msg.budget = watts;
-            out.push_back(down);
+            down.msg.edgeNode =
+                static_cast<std::uint32_t>(childStations_[k].node);
+            down.msg.budget = applied[i];
         }
     }
-    return out;
+    return downs_;
 }
 
 } // namespace capmaestro::rt

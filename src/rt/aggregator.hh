@@ -59,6 +59,14 @@
  * poison every child's split, so noteDownFrame() drops it. Both count
  * in corruptFrames; unless a valid copy follows, the station (or that
  * tree's subtree) degrades as if the frame were lost.
+ *
+ * Storage: each child station has one slot, laid out at construction
+ * in (tree, node) order, the order the ladder, its events and the
+ * down messages follow; the fragment (core::RoomWorker) keeps its
+ * boundary inputs, summaries and split dense as well. Every per-epoch
+ * result (fresh metrics, the boundary, the split, the outgoing
+ * messages) is copied into its slot in place, so a steady-state epoch
+ * allocates nothing.
  */
 
 #ifndef CAPMAESTRO_RT_AGGREGATOR_HH
@@ -154,21 +162,22 @@ class AggregatorRole
     /** Every awaited child station has fresh metrics this epoch. */
     bool upComplete() const;
 
-    /** Child endpoints from whom no station reported this epoch.
-     *  Meaningful once the gather phase closes: the host pings these
-     *  with a header-only heartbeat so a child process that fell
-     *  behind the fleet epoch can detect the gap and fast-forward. */
-    std::vector<std::uint32_t> silentChildren() const;
+    /** Child endpoints from whom no station reported this epoch
+     *  (ascending; valid until the next call). Meaningful once the
+     *  gather phase closes: the host pings these with a header-only
+     *  heartbeat so a child process that fell behind the fleet epoch
+     *  can detect the gap and fast-forward. */
+    const std::vector<std::uint32_t> &silentChildren();
 
     /**
      * Close the gather phase: assemble each tree's boundary with the
      * stale-cache fallback, enter excluded stations as their floors,
      * and merge to the fragment tops. Returns the Summary messages to
      * forward to the parent (empty at the root, which keeps the
-     * boundary for computeDown()).
+     * boundary for computeDown()); valid until the next closeGather().
      */
-    std::vector<net::MetricsMsg> closeGather(RuntimeStats &stats,
-                                             core::EventLog &events);
+    const std::vector<net::MetricsMsg> &closeGather(RuntimeStats &stats,
+                                                    core::EventLog &events);
 
     /**
      * Feed one decoded downstream frame (a SubBudget from the parent,
@@ -187,19 +196,37 @@ class AggregatorRole
      * Split the received budgets (root: compute from the root budgets)
      * down to the child stations. Trees whose SubBudget never arrived
      * produce nothing — silence flows down and the subtree defaults.
+     * The messages stay valid until the next computeDown().
      */
-    std::vector<DownMsg> computeDown(RuntimeStats &stats);
+    const std::vector<DownMsg> &computeDown(RuntimeStats &stats);
 
     // -------- observability read-outs (valid after closeGather())
 
-    /** (tree, child station) -> §4.5 outcome of its gather this
-     *  epoch (Live: fresh metrics; Stale; Lost), set by closeGather(). */
-    const std::map<std::pair<std::size_t, topo::NodeId>,
-                   telemetry::UnitHealth> &
-    stationHealth() const
+    /** One child station of this fragment. */
+    struct ChildStation
     {
-        return stationHealth_;
+        std::size_t tree = 0;
+        topo::NodeId node = topo::kNoNode;
+        /** The child worker owning it. */
+        std::uint32_t child = 0;
+        /** This epoch's §4.5 gather outcome (Live: fresh metrics;
+         *  Stale; Lost), when gathered. */
+        telemetry::UnitHealth health = telemetry::UnitHealth::Live;
+        /** closeGather() ran the ladder for it this epoch (false for a
+         *  child outside the committed membership). */
+        bool gathered = false;
+    };
+
+    /** Every child station, in (tree, node) order. */
+    const std::vector<ChildStation> &childStations() const
+    {
+        return childStations_;
     }
+
+    /** The gather outcome of child station (@p tree, @p node) this
+     *  epoch, when closeGather() ran its ladder. */
+    std::optional<telemetry::UnitHealth>
+    stationHealth(std::size_t tree, topo::NodeId node) const;
 
     /** The budget this epoch's split of @p tree starts from: the root
      *  budget at the root, else the SubBudget received (nullopt: none
@@ -208,19 +235,16 @@ class AggregatorRole
     {
         if (root_)
             return rootBudgets_.at(tree);
-        const auto got = received_.find(tree);
-        if (got == received_.end())
+        if (!received_.at(tree))
             return std::nullopt;
-        return got->second;
+        return receivedWatts_[tree];
     }
 
-    /** Watts this epoch's split applies at each child station of
+    /** Watts this epoch's split applies at each boundary station of
      *  @p tree: the budget sent, or the floor an excluded station
-     *  rides. Set by computeDown(); empty for a tree it did not split. */
-    const std::map<topo::NodeId, Watts> &applied(std::size_t tree) const
-    {
-        return applied_.at(tree);
-    }
+     *  rides. Built on demand from the split computeDown() kept; empty
+     *  for a tree it did not split. */
+    std::map<topo::NodeId, Watts> applied(std::size_t tree) const;
 
     /** tree -> this worker's top station. */
     const std::map<std::size_t, topo::NodeId> &stations() const
@@ -228,14 +252,38 @@ class AggregatorRole
         return stations_;
     }
 
-    /** Owning child endpoint per (tree, child station). */
-    const std::map<std::pair<std::size_t, topo::NodeId>, std::uint32_t> &
-    childStations() const
-    {
-        return childOfStation_;
-    }
-
   private:
+    /** Per child station (parallel to childStations_): the constant
+     *  layout, the stale cache and this epoch's state, each written in
+     *  place. */
+    struct Slot
+    {
+        bool leafChild = false;
+        /** The owning child's rank in children_. */
+        std::uint32_t childIndex = 0;
+        /** Index into frag_->boundary(tree). */
+        std::uint32_t boundaryIndex = 0;
+        /** Summed nominal floor of the edges beneath it (never clamped
+         *  by interior limits — the subtree's unilateral fallbacks are
+         *  per-edge). */
+        Watts floor = 0.0;
+        /** Stale-metrics cache. */
+        ctrl::NodeMetrics cached;
+        std::uint32_t cachedEpoch = 0;
+        bool cacheValid = false;
+        // -------- per epoch
+        /** Fresh metrics arrived (the last copy wins). */
+        bool isFresh = false;
+        ctrl::NodeMetrics fresh;
+        /** closeGather() entered it at its floor. */
+        bool excluded = false;
+        /** closeGather() entered it into the boundary. */
+        bool inBoundary = false;
+    };
+
+    /** Slot of (@p tree, @p node), or npos. */
+    std::size_t slotOf(std::size_t tree, topo::NodeId node) const;
+
     const topo::PowerSystem &system_;
     bool root_ = false;
     std::uint32_t endpoint_ = 0;
@@ -243,13 +291,10 @@ class AggregatorRole
     std::map<std::size_t, topo::NodeId> stations_;
     std::set<std::uint32_t> children_;
     std::set<std::uint32_t> leafChildren_;
-    /** (tree, child station) -> owning child endpoint. */
-    std::map<std::pair<std::size_t, topo::NodeId>, std::uint32_t>
-        childOfStation_;
-    /** (tree, child station) -> summed nominal floor of the edges
-     *  beneath it (never clamped by interior limits — the subtree's
-     *  unilateral fallbacks are per-edge). */
-    std::map<std::pair<std::size_t, topo::NodeId>, Watts> stationFloor_;
+    std::vector<ChildStation> childStations_;
+    std::vector<Slot> slots_;
+    /** Per tree: boundary index -> slot (npos: no child owns it). */
+    std::vector<std::vector<std::size_t>> boundarySlots_;
     std::unique_ptr<core::RoomWorker> frag_;
     std::vector<Watts> rootBudgets_;
     int staleAgeCapPeriods_ = 0;
@@ -259,32 +304,25 @@ class AggregatorRole
     /** Child stations upComplete() waits for. */
     std::size_t awaited_ = 0;
 
-    /** Stale-metrics cache per (tree, child station). */
-    struct CachedMetrics
-    {
-        ctrl::NodeMetrics metrics;
-        std::uint32_t epoch = 0;
-        bool valid = false;
-    };
-    std::map<std::pair<std::size_t, topo::NodeId>, CachedMetrics>
-        cache_;
-
     // -------- per-epoch state
     std::uint32_t epoch_ = 0;
-    std::map<std::pair<std::size_t, topo::NodeId>, ctrl::NodeMetrics>
-        fresh_;
-    /** Boundary metrics assembled by closeGather(), per tree. */
-    std::vector<std::map<topo::NodeId, ctrl::NodeMetrics>> boundary_;
-    /** Per tree: the excluded child stations, which closeGather()
-     *  entered into the boundary at their stationFloor_. */
-    std::vector<std::set<topo::NodeId>> excluded_;
-    /** Per tree: what computeDown() applied (see applied()). */
-    std::vector<std::map<topo::NodeId, Watts>> applied_;
-    /** tree -> SubBudget received this epoch (first copy wins). */
-    std::map<std::size_t, Watts> received_;
-    /** Gather outcome per child station, rebuilt by closeGather(). */
-    std::map<std::pair<std::size_t, topo::NodeId>, telemetry::UnitHealth>
-        stationHealth_;
+    /** Slots with fresh metrics this epoch. */
+    std::size_t freshCount_ = 0;
+    /** Per tree: a SubBudget arrived this epoch (first copy wins). */
+    std::vector<char> received_;
+    std::vector<Watts> receivedWatts_;
+    std::size_t receivedCount_ = 0;
+    /** Per tree: computeDown() split it, and what it applied at each
+     *  boundary station. */
+    std::vector<char> split_;
+    std::vector<std::vector<Watts>> applied_;
+
+    // -------- reused outputs
+    std::vector<net::MetricsMsg> summaries_;
+    std::vector<DownMsg> downs_;
+    std::vector<std::uint32_t> silent_;
+    /** silentChildren()'s per-child flags, parallel to children_. */
+    std::vector<char> heard_;
 
     std::string stationSubject(std::size_t tree,
                                topo::NodeId node) const;

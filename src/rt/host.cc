@@ -145,10 +145,17 @@ WorkerHost::settle(net::Transport::Endpoint to, Routed routed,
     case Routed::Later:
         // A finished neighbor can already be one epoch ahead; its
         // frames are routed again when this host enters that epoch.
-        if (holdback_.size() < kHoldbackCap)
-            holdback_.push_back({to, roles_.frame()});
-        else
+        // Slots past held_ keep their storage for the next copy.
+        if (held_ == kHoldbackCap) {
             ++stats_.orphanFrames;
+        } else if (held_ < holdback_.size()) {
+            holdback_[held_].to = to;
+            holdback_[held_].frame = roles_.frame();
+            ++held_;
+        } else {
+            holdback_.push_back({to, roles_.frame()});
+            ++held_;
+        }
         break;
     case Routed::Adopted:
         events_.record(static_cast<Seconds>(epoch),
@@ -173,9 +180,9 @@ WorkerHost::aggSendUp(std::size_t slot, std::uint32_t epoch)
     // the gap and fast-forward. Free of charge on a lossless run —
     // a complete gather has no silent children.
     for (const std::uint32_t child : agg.role.silentChildren())
-        post(agg.ep, child,
-             net::encodeHeartbeat(roles_.stamp(agg.ep, epoch)));
-    const auto summaries = agg.role.closeGather(stats_, events_);
+        roles_.frameHeartbeat(agg.ep, child, epoch, sends_);
+    postAll();
+    const auto &summaries = agg.role.closeGather(stats_, events_);
     obs_.reportChildren(agg.role, epoch);
     if (telemetry::PeriodTracer *tracer = obs_.tracer()) {
         tracer->end(progress.gatherSpan);
@@ -252,24 +259,29 @@ WorkerHost::runPeriod(std::uint32_t epoch)
 
     // ---- plants + upstream metrics for every hosted leaf. Host mode
     // streams no checkpoints (a host runs no supervisor; see host.hh),
-    // so each leaf's checkpoint is dropped here.
+    // so none is built.
     for (RoleTable::Leaf &leaf : leaves) {
         leaf.role.advance(epoch);
         roles_.frameMetrics(leaf, epoch, sends_);
         postAll();
     }
 
-    // ---- replay frames held back for this epoch.
-    std::vector<HeldFrame> keep;
-    for (HeldFrame &held : holdback_) {
-        if (held.frame.epoch == epoch)
+    // ---- replay frames held back for this epoch; later ones move to
+    // the front, in their order.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < held_; ++i) {
+        HeldFrame &held = holdback_[i];
+        if (held.frame.epoch == epoch) {
             roles_.route(held.to, held.frame, epoch, sends_);
-        else if (held.frame.epoch > epoch)
-            keep.push_back(std::move(held));
-        else
+        } else if (held.frame.epoch > epoch) {
+            if (kept != i)
+                std::swap(holdback_[kept], held);
+            ++kept;
+        } else {
             ++stats_.orphanFrames;
+        }
     }
-    holdback_ = std::move(keep);
+    held_ = kept;
 
     // ---- the event loop: one pass takes the in-memory inbox, then one
     // transport drain, and services every hosted role; each role
@@ -282,13 +294,15 @@ WorkerHost::runPeriod(std::uint32_t epoch)
         for (auto &delivery : tp.drain(roles_.locals()))
             batch_.push_back(std::move(delivery));
         bool progressed = !batch_.empty();
-        for (const auto &delivery : batch_) {
+        for (auto &delivery : batch_) {
             const Routed routed =
                 roles_.receive(delivery.to, delivery.frame, epoch, sends_);
-            if (routed == Routed::Corrupt)
-                continue;
-            maxSeenEpoch_ = std::max(maxSeenEpoch_, roles_.frame().epoch);
-            settle(delivery.to, routed, epoch);
+            if (routed != Routed::Corrupt) {
+                maxSeenEpoch_ =
+                    std::max(maxSeenEpoch_, roles_.frame().epoch);
+                settle(delivery.to, routed, epoch);
+            }
+            roles_.recycle(std::move(delivery.frame));
         }
         postAll();
         const double now = tp.nowMs();

@@ -39,6 +39,12 @@
  * burns forward until it rejoins — at which point held-back frames
  * replay and real budgets flow again.
  *
+ * Steady state allocates nothing per leaf: each role writes its
+ * results in place, a frame is encoded into a spare buffer and handed
+ * back to the RoleTable once its receiver has decoded it (the
+ * co-hosting inbox and the batch are swapped, not rebuilt), and
+ * held-back frames are copied into reused slots.
+ *
  * Roles that share a host exchange frames in memory: a send whose
  * destination is hosted here is appended, encoded, to a host-owned
  * inbox instead of going to the transport, and every event-loop pass
@@ -60,7 +66,9 @@
  * hosted role sends one). Only a role's plan parent can end its period early: a
  * Heartbeat from anyone else is no beacon. The host adds the
  * completeness loop, the co-hosting inbox, holdback, the beacons it
- * sends and catch-up; the checkpoint each leaf builds is dropped. Host
+ * sends and catch-up. A checkpoint is built only where a supervisor
+ * stores it (LeafRole::checkpoint(), which a WorkerRuntime leaf sends
+ * to its parent's rt::Supervisor), so a host builds none. Host
  * mode thus runs no supervision (rt/supervisor.hh): a restarted
  * process rejoins with a fresh plant while its parents ride stale ->
  * floor, as documented in rt/aggregator.hh. Streaming a checkpoint per
@@ -213,13 +221,15 @@ class WorkerHost : public Engine
     /** Framed output waiting for post(); reused. */
     RoleTable::Sends sends_;
 
-    /** Frames from the next epoch, replayed when the host enters it. */
+    /** Frames from the next epoch, replayed when the host enters it:
+     *  the first held_ slots of holdback_ (the rest are spare). */
     struct HeldFrame
     {
         net::Transport::Endpoint to = 0;
         net::Frame frame;
     };
     std::vector<HeldFrame> holdback_;
+    std::size_t held_ = 0;
 
     /** Host-level span over the leaves' budget-wait phase. */
     telemetry::PeriodTracer::SpanId leafSpan_ =

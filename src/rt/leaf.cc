@@ -75,7 +75,7 @@ LeafRole::LeafRole(
     }
 }
 
-net::CheckpointMsg
+void
 LeafRole::advance(std::uint32_t epoch)
 {
     epoch_ = epoch;
@@ -83,22 +83,30 @@ LeafRole::advance(std::uint32_t epoch)
     for (Edge &edge : edges_)
         edge.budgeted = false;
     advancePlants(plants_, service_.controlPeriod, simNow_);
-    net::CheckpointMsg checkpoint{static_cast<double>(simNow_),
-                                  rehomeAckEpoch_, {}};
-    closePlantPeriods(plants_, system_, rack_, checkpoint);
-    return checkpoint;
+    closePlantPeriods(plants_, system_, rack_);
 }
 
-std::vector<net::MetricsMsg>
+net::CheckpointMsg
+LeafRole::checkpoint() const
+{
+    net::CheckpointMsg out{static_cast<double>(simNow_), rehomeAckEpoch_,
+                           {}};
+    checkpointPlants(plants_, out);
+    return out;
+}
+
+const std::vector<net::MetricsMsg> &
 LeafRole::metrics()
 {
-    std::vector<net::MetricsMsg> out;
-    for (const Edge &e : edges_) {
-        out.push_back({static_cast<std::uint16_t>(e.tree),
-                       static_cast<std::uint32_t>(e.node),
-                       rack_.computeMetrics(e.tree, e.node)});
+    metrics_.resize(edges_.size());
+    for (std::size_t i = 0; i < edges_.size(); ++i) {
+        const Edge &e = edges_[i];
+        net::MetricsMsg &msg = metrics_[i];
+        msg.tree = static_cast<std::uint16_t>(e.tree);
+        msg.edgeNode = static_cast<std::uint32_t>(e.node);
+        rack_.computeMetrics(e.tree, e.node, msg.metrics);
     }
-    return out;
+    return metrics_;
 }
 
 bool

@@ -11,8 +11,12 @@
  *
  *   advance(epoch)   one control period of 1 Hz sensing and actuation,
  *                    then close the capping-controller periods and
- *                    refresh the edge leaf inputs; returns the
- *                    period's plant checkpoint.
+ *                    refresh the edge leaf inputs. It builds no
+ *                    checkpoint: checkpoint() does, on demand, for an
+ *                    owner that sends or stores one (a WorkerRuntime
+ *                    leaf, for its parent's rt::Supervisor); it reads
+ *                    the state advance() left until close() applies
+ *                    the next budgets.
  *   metrics()        one MetricsMsg per edge, for the parent.
  *   noteDownFrame()  a Budget (the first copy per edge wins) or a
  *                    Rehome from the plan parent: replayed
@@ -36,6 +40,9 @@
  *      that no watts flow from then on, which is what lets the root
  *      stop counting its floor;
  *   3. the per-server PI loops apply the budgets.
+ *
+ * A period allocates nothing once warm: the plants, the rack's edge
+ * controllers and the per-edge messages are rewritten in place.
  *
  * Input checks: watts from the wire reach the plant, so a Budget whose
  * watts are NaN, infinite or negative is dropped (its edge rides the
@@ -107,12 +114,16 @@ class LeafRole
     /** Simulated plant time, seconds. */
     Seconds simNow() const { return simNow_; }
 
-    /** Open @p epoch: advance the plants one control period and return
-     *  the period's checkpoint of their recoverable state. */
-    net::CheckpointMsg advance(std::uint32_t epoch);
+    /** Open @p epoch: advance the plants one control period. */
+    void advance(std::uint32_t epoch);
 
-    /** This period's metrics, one message per edge. */
-    std::vector<net::MetricsMsg> metrics();
+    /** This period's checkpoint of the plants' recoverable state
+     *  (valid between advance() and close()). */
+    net::CheckpointMsg checkpoint() const;
+
+    /** This period's metrics, one message per edge, in edge order
+     *  (rewritten in place by each call). */
+    const std::vector<net::MetricsMsg> &metrics();
 
     /**
      * Feed one decoded Budget or Rehome frame. Wrong-epoch frames,
@@ -149,6 +160,8 @@ class LeafRole
     std::uint32_t rehomeAckEpoch_ = 0;
     /** A checkpoint was replayed this period. */
     bool replayed_ = false;
+    /** metrics()'s messages, one per edge. */
+    std::vector<net::MetricsMsg> metrics_;
 };
 
 /**

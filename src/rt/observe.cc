@@ -252,14 +252,12 @@ Observability::reportChildren(
     // Worst station state per child worker: a child is only as healthy
     // as its most degraded station (the enum is ordered by severity).
     std::map<std::uint32_t, telemetry::UnitHealth> worst;
-    const auto &owners = agg.childStations();
-    for (const auto &[key, h] : agg.stationHealth()) {
-        const auto owner = owners.find(key);
-        if (owner == owners.end())
+    for (const AggregatorRole::ChildStation &st : agg.childStations()) {
+        if (!st.gathered)
             continue;
-        const auto [it, inserted] = worst.emplace(owner->second, h);
-        if (!inserted && h > it->second)
-            it->second = h;
+        const auto [it, inserted] = worst.emplace(st.child, st.health);
+        if (!inserted && st.health > it->second)
+            it->second = st.health;
     }
     for (const auto &[child, h] : worst) {
         const auto over = overrides.find(child);

@@ -107,15 +107,29 @@ advancePlants(std::vector<Plant> &plants, Seconds control_period,
     }
 }
 
+namespace {
+
+/** closePlantPeriods()'s per-server working storage, reused across
+ *  servers and periods. */
+struct CloseScratch
+{
+    ctrl::ServerAllocInput input;
+    std::vector<Fraction> shares;
+};
+
+thread_local CloseScratch t_close;
+
+} // namespace
+
 void
 closePlantPeriods(std::vector<Plant> &plants,
                   const topo::PowerSystem &system,
-                  core::RackWorker &rack,
-                  net::CheckpointMsg &checkpoint)
+                  core::RackWorker &rack)
 {
+    ctrl::ServerAllocInput &in = t_close.input;
+    std::vector<Fraction> &shares = t_close.shares;
     for (Plant &plant : plants) {
-        const auto report = plant.controller->closePeriod();
-        ctrl::ServerAllocInput in;
+        const auto &report = plant.controller->closePeriod();
         const auto &spec = plant.server->spec();
         in.priority = spec.priority;
         in.capMin = spec.capMin;
@@ -126,8 +140,8 @@ closePlantPeriods(std::vector<Plant> &plants,
             in.supplies[i].share = std::max(report.shares[i], 1e-9);
             in.supplies[i].live = report.shares[i] > 0.0;
         }
-        const auto shares = ctrl::effectiveSupplyShares(
-            system, in, static_cast<std::int32_t>(plant.serverId));
+        ctrl::effectiveSupplyShares(
+            system, in, static_cast<std::int32_t>(plant.serverId), shares);
         for (const auto &[tree, ref] : plant.leaves) {
             const auto sup = static_cast<std::size_t>(ref.supply);
             const Fraction r = sup < shares.size() ? shares[sup] : 0.0;
@@ -153,8 +167,16 @@ closePlantPeriods(std::vector<Plant> &plants,
             }
             rack.setLeafInput(tree, ref, leaf);
         }
+    }
+}
 
+void
+checkpointPlants(const std::vector<Plant> &plants,
+                 net::CheckpointMsg &checkpoint)
+{
+    for (const Plant &plant : plants) {
         const auto state = plant.controller->exportState();
+        const ctrl::ServerPeriodReport &report = state.report;
         net::CheckpointServer rec;
         rec.serverId = static_cast<std::uint32_t>(plant.serverId);
         rec.integratorPrimed = state.integratorPrimed;
@@ -179,17 +201,29 @@ closePlantPeriods(std::vector<Plant> &plants,
 }
 
 void
+closePlantPeriods(std::vector<Plant> &plants,
+                  const topo::PowerSystem &system,
+                  core::RackWorker &rack,
+                  net::CheckpointMsg &checkpoint)
+{
+    closePlantPeriods(plants, system, rack);
+    checkpointPlants(plants, checkpoint);
+}
+
+void
 applyPlantBudgets(std::vector<Plant> &plants, core::RackWorker &rack)
 {
     for (Plant &plant : plants) {
-        std::vector<Watts> budgets(plant.server->supplyCount(), 0.0);
+        // lastBudgets is rewritten in place: it is what the controller
+        // applies and what the next checkpoint carries.
+        std::vector<Watts> &budgets = plant.lastBudgets;
+        budgets.assign(plant.server->supplyCount(), 0.0);
         for (const auto &[tree, ref] : plant.leaves) {
             const auto sup = static_cast<std::size_t>(ref.supply);
             if (sup < budgets.size())
                 budgets[sup] = rack.leafBudget(tree, ref);
         }
         plant.controller->applyBudgets(budgets);
-        plant.lastBudgets = std::move(budgets);
     }
 }
 

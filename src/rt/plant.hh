@@ -88,11 +88,24 @@ void advancePlants(std::vector<Plant> &plants, Seconds control_period,
                    Seconds &sim_now);
 
 /**
- * Close each plant's controller period, refresh the worker's edge leaf
- * inputs (with the config-nominal floor pinning §4.5 degraded-mode
- * budgeting relies on), and append each server's recoverable state to
- * @p checkpoint.
+ * Close each plant's controller period and refresh the worker's edge
+ * leaf inputs (with the config-nominal floor pinning §4.5
+ * degraded-mode budgeting relies on). Allocates nothing once warm.
  */
+void closePlantPeriods(std::vector<Plant> &plants,
+                       const topo::PowerSystem &system,
+                       core::RackWorker &rack);
+
+/**
+ * Append each plant's recoverable state to @p checkpoint: the
+ * controller state and last report of the period closePlantPeriods()
+ * closed, and the budgets applyPlantBudgets() applied before it.
+ * Only a checkpoint someone stores or sends is built.
+ */
+void checkpointPlants(const std::vector<Plant> &plants,
+                      net::CheckpointMsg &checkpoint);
+
+/** closePlantPeriods() then checkpointPlants() into @p checkpoint. */
 void closePlantPeriods(std::vector<Plant> &plants,
                        const topo::PowerSystem &system,
                        core::RackWorker &rack,

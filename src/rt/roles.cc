@@ -79,6 +79,41 @@ RoleTable::RoleTable(config::LoadedScenario &scenario,
             RoleRef::Kind::Leaf, static_cast<std::uint32_t>(leaves_.size())};
         leaves_.push_back(Leaf{std::move(leaf)});
     }
+    // One lossless period: a Metrics frame per leaf edge, a Summary per
+    // aggregator station and a Budget or SubBudget per child station.
+    for (const Leaf &leaf : leaves_)
+        spareCap_ += leaf.role.edges().size();
+    for (const Aggregator &agg : aggs_) {
+        spareCap_ +=
+            agg.role.stations().size() + agg.role.childStations().size();
+    }
+}
+
+std::vector<std::uint8_t>
+RoleTable::buffer()
+{
+    if (spare_.empty())
+        return {};
+    std::vector<std::uint8_t> bytes = std::move(spare_.back());
+    spare_.pop_back();
+    return bytes;
+}
+
+void
+RoleTable::recycle(std::vector<std::uint8_t> &&bytes)
+{
+    if (bytes.capacity() != 0 && spare_.size() < spareCap_)
+        spare_.push_back(std::move(bytes));
+}
+
+RoleTable::Send &
+RoleTable::send(Endpoint from, Endpoint to, Sends &out)
+{
+    Send &send = out.emplace_back();
+    send.from = from;
+    send.to = to;
+    send.bytes = buffer();
+    return send;
 }
 
 void
@@ -108,8 +143,8 @@ RoleTable::frameMetrics(Leaf &leaf, std::uint32_t epoch, Sends &out)
     if (membership_.left(ep))
         return; // committed out: it reports nothing
     for (const net::MetricsMsg &msg : leaf.role.metrics()) {
-        out.push_back({ep, plan_.workers[ep].parent,
-                       net::encodeMetrics(stamp(ep, epoch), msg)});
+        net::encodeMetrics(stamp(ep, epoch), msg,
+                           send(ep, plan_.workers[ep].parent, out).bytes);
     }
 }
 
@@ -119,8 +154,9 @@ RoleTable::frameSummaries(const Aggregator &agg,
                           std::uint32_t epoch, Sends &out)
 {
     for (const net::MetricsMsg &msg : summaries) {
-        out.push_back({agg.ep, plan_.workers[agg.ep].parent,
-                       net::encodeSummary(stamp(agg.ep, epoch), msg)});
+        net::encodeSummary(
+            stamp(agg.ep, epoch), msg,
+            send(agg.ep, plan_.workers[agg.ep].parent, out).bytes);
         ++stats_.summariesSent;
     }
 }
@@ -128,14 +164,15 @@ RoleTable::frameSummaries(const Aggregator &agg,
 void
 RoleTable::frameDown(Aggregator &agg, std::uint32_t epoch, Sends &out)
 {
-    const auto downs = agg.role.computeDown(stats_);
+    const auto &downs = agg.role.computeDown(stats_);
     obs_.auditSplit(epoch, *scenario_.system, agg.name, agg.role);
     for (const AggregatorRole::DownMsg &down : downs) {
         const net::FrameMeta meta = stamp(agg.ep, epoch);
-        out.push_back({agg.ep, down.child,
-                       down.leafChild
-                           ? net::encodeBudget(meta, down.msg)
-                           : net::encodeSubBudget(meta, down.msg)});
+        std::vector<std::uint8_t> &bytes = send(agg.ep, down.child, out).bytes;
+        if (down.leafChild)
+            net::encodeBudget(meta, down.msg, bytes);
+        else
+            net::encodeSubBudget(meta, down.msg, bytes);
     }
 }
 
@@ -165,20 +202,26 @@ RoleTable::closeLeaf(Leaf &leaf)
                     events_);
 }
 
+void
+RoleTable::frameHeartbeat(Endpoint from, Endpoint to, std::uint32_t epoch,
+                          Sends &out)
+{
+    net::encodeHeartbeat(stamp(from, epoch), send(from, to, out).bytes);
+}
+
 RoleTable::Routed
 RoleTable::receive(Endpoint to, const std::vector<std::uint8_t> &bytes,
                    std::uint32_t epoch, Sends &out)
 {
-    frame_ = net::decodeFrame(bytes);
-    if (!frame_) {
+    if (!net::decodeFrame(bytes, frame_)) {
         ++stats_.corruptFrames;
         return Routed::Corrupt;
     }
     if (obs_.on()) {
-        obs_.recordHop(*frame_,
+        obs_.recordHop(frame_,
                        static_cast<std::uint8_t>(plan_.workers[to].tier));
     }
-    return route(to, *frame_, epoch, out);
+    return route(to, frame_, epoch, out);
 }
 
 RoleTable::Routed

@@ -20,7 +20,11 @@
  *  - framing: a leaf's per-edge Metrics (none once it was committed
  *    out), an aggregator's Summaries, its split as Budget (leaf child)
  *    or SubBudget frames, and the root's membership snapshots;
- *  - the receive path: decode, hop record, then route().
+ *  - the receive path: decode, hop record, then route();
+ *  - the frame buffers: an encode takes a spare buffer (buffer()) and
+ *    an engine hands a delivered frame's bytes back (recycle()), so a
+ *    steady-state period frames and decodes without allocating. The
+ *    spares never outnumber the frames one lossless period frames.
  *
  * route() places one frame by its type, the addressed role and the
  * sender, in this order:
@@ -231,6 +235,17 @@ class RoleTable
     /** Close @p leaf's period with its own membership state. */
     void closeLeaf(Leaf &leaf);
 
+    /** Append a Heartbeat (the epoch beacon) on link @p from -> @p to. */
+    void frameHeartbeat(Endpoint from, Endpoint to, std::uint32_t epoch,
+                        Sends &out);
+
+    /** A buffer for the next encode: a spare one when any is left. */
+    std::vector<std::uint8_t> buffer();
+
+    /** Keep @p bytes (a frame done with) as a spare for buffer(), up to
+     *  one period's worth; past that it is freed. */
+    void recycle(std::vector<std::uint8_t> &&bytes);
+
     /**
      * Decode @p bytes delivered to hosted endpoint @p to, record the
      * hop, and route() the frame. A membership ack it produces is
@@ -246,7 +261,7 @@ class RoleTable
                  Sends &out);
 
     /** The frame receive() decoded last. */
-    const net::Frame &frame() const { return *frame_; }
+    const net::Frame &frame() const { return frame_; }
 
   private:
     /** What an endpoint is here, and its index into leaves_ or aggs_. */
@@ -265,6 +280,9 @@ class RoleTable
     }
     Routed adopt(Endpoint to, const net::Frame &frame, std::uint32_t epoch,
                  Sends &out);
+    /** Append a Send on link @p from -> @p to holding a spare buffer
+     *  for the caller to encode into. */
+    Send &send(Endpoint from, Endpoint to, Sends &out);
 
     const config::LoadedScenario &scenario_;
     RuntimeStats &stats_;
@@ -279,7 +297,12 @@ class RoleTable
     std::vector<RoleRef> index_;
     std::uint32_t seq_ = 0;
     std::uint8_t wireVersion_ = net::kWireVersion;
-    std::optional<net::Frame> frame_;
+    /** receive()'s frame, decoded in place. */
+    net::Frame frame_;
+    /** Spare frame buffers (see buffer()) and their cap: the frames
+     *  one lossless period frames. */
+    std::vector<std::vector<std::uint8_t>> spare_;
+    std::size_t spareCap_ = 0;
 };
 
 } // namespace capmaestro::rt

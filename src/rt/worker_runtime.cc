@@ -314,11 +314,12 @@ WorkerRuntime::upFrames(std::uint32_t epoch, double close)
     Sends up;
     if (isLeaf()) {
         RoleTable::Leaf &leaf = leafSlot();
-        const net::CheckpointMsg checkpoint = leaf.role.advance(epoch);
+        leaf.role.advance(epoch);
         roles_.frameMetrics(leaf, epoch, up);
+        // The parent's Supervisor stores it (rt/supervisor.hh).
         up.push_back({role_, parentEp(),
                       net::encodeCheckpoint(roles_.stamp(role_, epoch),
-                                            checkpoint)});
+                                            leaf.role.checkpoint())});
         ++stats_.checkpointsSent;
         return up;
     }
@@ -344,7 +345,7 @@ WorkerRuntime::aggCloseGather(std::uint32_t epoch)
         overrides = supervisor_->overrides();
         deadRacks_.set(static_cast<double>(overrides.size()));
     }
-    const auto summaries = agg().closeGather(stats_, events_);
+    const auto &summaries = agg().closeGather(stats_, events_);
     obs_.reportChildren(agg(), epoch, overrides);
     Sends up;
     if (!isRoom())

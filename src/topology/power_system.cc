@@ -102,6 +102,15 @@ PowerSystem::livePortsOf(std::int32_t server) const
     return out;
 }
 
+bool
+PowerSystem::supplyFed(std::int32_t server, std::int32_t supply) const
+{
+    const auto it = portIndex_.find({server, supply});
+    return it != portIndex_.end()
+           && !feedFailed_[static_cast<std::size_t>(
+               trees_[it->second.tree]->feed())];
+}
+
 std::size_t
 PowerSystem::validate() const
 {

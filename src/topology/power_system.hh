@@ -71,6 +71,10 @@ class PowerSystem
     std::map<std::int32_t, SupplyPortLocation>
     livePortsOf(std::int32_t server) const;
 
+    /** @p server's supply @p supply has a port on a live feed (a key
+     *  of livePortsOf(@p server)); allocates nothing. */
+    bool supplyFed(std::int32_t server, std::int32_t supply) const;
+
     /**
      * Validate every tree and the cross-tree invariant that no
      * (server, supply) pair appears in two trees. Returns total ports.

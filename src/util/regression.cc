@@ -17,15 +17,21 @@ SlidingRegression::SlidingRegression(std::size_t capacity)
 void
 SlidingRegression::add(double x, double y)
 {
-    if (samples_.size() == capacity_)
-        samples_.pop_front();
-    samples_.emplace_back(x, y);
+    if (samples_.size() < capacity_) {
+        if (samples_.empty())
+            samples_.reserve(capacity_);
+        samples_.emplace_back(x, y);
+        return;
+    }
+    samples_[oldest_] = {x, y};
+    oldest_ = (oldest_ + 1) % capacity_;
 }
 
 void
 SlidingRegression::clear()
 {
     samples_.clear();
+    oldest_ = 0;
 }
 
 std::optional<LinearFit>
@@ -36,21 +42,21 @@ SlidingRegression::fit() const
         return std::nullopt;
 
     double sx = 0.0, sy = 0.0;
-    for (const auto &[x, y] : samples_) {
+    each([&](double x, double y) {
         sx += x;
         sy += y;
-    }
+    });
     const double mx = sx / static_cast<double>(n);
     const double my = sy / static_cast<double>(n);
 
     double sxx = 0.0, sxy = 0.0, syy = 0.0;
-    for (const auto &[x, y] : samples_) {
+    each([&](double x, double y) {
         const double dx = x - mx;
         const double dy = y - my;
         sxx += dx * dx;
         sxy += dx * dy;
         syy += dy * dy;
-    }
+    });
 
     LinearFit result;
     result.n = n;
@@ -74,8 +80,7 @@ SlidingRegression::meanX() const
     if (samples_.empty())
         return 0.0;
     double sum = 0.0;
-    for (const auto &[x, y] : samples_)
-        sum += x;
+    each([&sum](double x, double) { sum += x; });
     return sum / static_cast<double>(samples_.size());
 }
 
@@ -85,8 +90,7 @@ SlidingRegression::meanY() const
     if (samples_.empty())
         return 0.0;
     double sum = 0.0;
-    for (const auto &[x, y] : samples_)
-        sum += y;
+    each([&sum](double, double y) { sum += y; });
     return sum / static_cast<double>(samples_.size());
 }
 
@@ -97,8 +101,7 @@ SlidingRegression::stddevX() const
         return 0.0;
     const double mx = meanX();
     double sxx = 0.0;
-    for (const auto &[x, y] : samples_)
-        sxx += (x - mx) * (x - mx);
+    each([&](double x, double) { sxx += (x - mx) * (x - mx); });
     return std::sqrt(sxx / static_cast<double>(samples_.size()));
 }
 
@@ -107,9 +110,8 @@ SlidingRegression::maxY() const
 {
     if (samples_.empty())
         return 0.0;
-    double best = samples_.front().second;
-    for (const auto &[x, y] : samples_)
-        best = std::max(best, y);
+    double best = samples_[oldest_].second;
+    each([&best](double, double y) { best = std::max(best, y); });
     return best;
 }
 

@@ -12,8 +12,9 @@
 #define CAPMAESTRO_UTIL_REGRESSION_HH
 
 #include <cstddef>
-#include <deque>
 #include <optional>
+#include <utility>
+#include <vector>
 
 namespace capmaestro::util {
 
@@ -74,8 +75,21 @@ class SlidingRegression
     double maxY() const;
 
   private:
+    /** Call @p f on every sample, oldest first. */
+    template <typename F> void each(F &&f) const
+    {
+        for (std::size_t i = oldest_; i < samples_.size(); ++i)
+            f(samples_[i].first, samples_[i].second);
+        for (std::size_t i = 0; i < oldest_; ++i)
+            f(samples_[i].first, samples_[i].second);
+    }
+
     std::size_t capacity_;
-    std::deque<std::pair<double, double>> samples_;
+    /** A ring once full: add() overwrites the oldest sample in place,
+     *  so a full window slides without allocating. */
+    std::vector<std::pair<double, double>> samples_;
+    /** Index of the oldest sample (0 until the ring is full). */
+    std::size_t oldest_ = 0;
 };
 
 } // namespace capmaestro::util

@@ -158,3 +158,45 @@ TEST(Transport, ReorderHoldsFramesBack)
     EXPECT_TRUE(!held.empty());
     (void)out_of_order; // per-batch order is still delivery-time order
 }
+
+TEST(Transport, SimDrainMatchesPollingEachLocalInTurn)
+{
+    // drain() walks only the queues holding a due frame; what it hands
+    // back, and in what order, is poll() on each local ascending.
+    net::TransportConfig cfg;
+    cfg.latencyMeanMs = 3.0;
+    cfg.latencyJitterMs = 2.0;
+    cfg.dupRate = 0.2;
+    cfg.reorderRate = 0.2;
+    cfg.seed = 17;
+    net::SimTransport polled(cfg);
+    net::SimTransport drained(cfg);
+    const std::vector<net::Transport::Endpoint> locals{1, 2, 4, 7};
+    for (std::uint8_t i = 0; i < 60; ++i) {
+        const net::Transport::Endpoint to = i % 9; // some not local
+        polled.send(0, to, {i});
+        drained.send(0, to, {i});
+    }
+    for (double now = 1.0; now <= 20.0; now += 1.0) {
+        polled.advanceTo(now);
+        drained.advanceTo(now);
+        std::vector<net::Transport::Delivery> expect;
+        for (const auto ep : locals) {
+            for (auto &frame : polled.poll(ep))
+                expect.push_back({ep, std::move(frame)});
+        }
+        const auto got = drained.drain(locals);
+        ASSERT_EQ(got.size(), expect.size()) << "at " << now << " ms";
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].to, expect[i].to);
+            EXPECT_EQ(got[i].frame, expect[i].frame);
+        }
+    }
+    EXPECT_EQ(drained.stats().framesDelivered,
+              polled.stats().framesDelivered);
+    EXPECT_EQ(drained.stats().bytesDelivered,
+              polled.stats().bytesDelivered);
+    // Frames for endpoints outside locals are still queued.
+    EXPECT_GT(drained.inFlight(), 0u);
+    EXPECT_EQ(drained.inFlight(), polled.inFlight());
+}

@@ -186,6 +186,82 @@ TEST(UdpTransport, BytesDeliveredAccountingMatchesPayloads)
         std::string::npos);
 }
 
+namespace {
+
+/** drain() @p locals until at least @p count frames arrive or ~1 s
+ *  passes. */
+std::vector<net::Transport::Delivery>
+drainFor(net::UdpTransport &tp,
+         const std::vector<net::Transport::Endpoint> &locals,
+         std::size_t count)
+{
+    std::vector<net::Transport::Delivery> got;
+    for (int spins = 0; spins < 500 && got.size() < count; ++spins) {
+        for (auto &delivery : tp.drain(locals))
+            got.push_back(std::move(delivery));
+        if (got.size() < count)
+            tp.advanceBy(2.0);
+    }
+    return got;
+}
+
+} // namespace
+
+TEST(UdpTransport, DrainOverASubsetLeavesTheOtherSocketsQueued)
+{
+    SKIP_WITHOUT_NET();
+    net::UdpTransport tp(net::UdpConfig::loopback(4));
+    for (std::uint32_t seq = 0; seq < 3; ++seq) {
+        tp.send(0, 1, net::encodeHeartbeat({0, 1, seq}));
+        tp.send(0, 3, net::encodeHeartbeat({0, 1, 10 + seq}));
+    }
+
+    // Only endpoint 1 is wanted: its three frames come back, in order.
+    const auto first = drainFor(tp, {1}, 3);
+    ASSERT_EQ(first.size(), 3u);
+    for (std::uint32_t seq = 0; seq < 3; ++seq) {
+        EXPECT_EQ(first[seq].to, 1u);
+        const auto frame = net::decodeFrame(first[seq].frame);
+        ASSERT_TRUE(frame.has_value());
+        EXPECT_EQ(frame->seq, seq);
+    }
+    // Endpoint 3's socket stayed ready the whole time; a later drain
+    // over other locals (a rebuilt lookup) takes its frames.
+    EXPECT_TRUE(tp.drain({1}).empty());
+    const auto later = drainFor(tp, {0, 1, 2, 3}, 3);
+    ASSERT_EQ(later.size(), 3u);
+    for (std::uint32_t seq = 0; seq < 3; ++seq) {
+        EXPECT_EQ(later[seq].to, 3u);
+        EXPECT_EQ(net::decodeFrame(later[seq].frame)->seq, 10 + seq);
+    }
+    EXPECT_EQ(tp.stats().framesDelivered, 6u);
+}
+
+TEST(UdpTransport, DrainTakesMoreThanOneEpollBatchOfReadySockets)
+{
+    SKIP_WITHOUT_NET();
+    // One epoll_wait returns at most 64 ready sockets; 70 ready ones
+    // all come back from a single drain.
+    constexpr std::uint32_t kEndpoints = 70;
+    net::UdpTransport tp(net::UdpConfig::loopback(kEndpoints));
+    std::vector<net::Transport::Endpoint> locals;
+    for (std::uint32_t ep = 0; ep < kEndpoints; ++ep) {
+        locals.push_back(ep);
+        tp.send(ep, ep, net::encodeHeartbeat({0, 1, ep}));
+    }
+    tp.advanceBy(20.0); // loopback delivery is immediate; be generous
+    const auto got = tp.drain(locals);
+    ASSERT_EQ(got.size(), kEndpoints);
+    std::vector<bool> seen(kEndpoints, false);
+    for (const auto &delivery : got) {
+        ASSERT_LT(delivery.to, kEndpoints);
+        EXPECT_FALSE(seen[delivery.to]);
+        seen[delivery.to] = true;
+        EXPECT_EQ(net::decodeFrame(delivery.frame)->seq, delivery.to);
+    }
+    EXPECT_TRUE(tp.drain(locals).empty());
+}
+
 TEST(SimTransportParity, BytesDeliveredMatchesUdpSemantics)
 {
     // The sim backend reports the same statistic with the same

@@ -1268,9 +1268,9 @@ TEST(AggregatorRole, NonFiniteMetricsOrSummaryIsNotFresh)
 
         core::EventLog events;
         role.closeGather(stats, events);
-        EXPECT_EQ(role.stationHealth().at({tree, bad_station}),
+        EXPECT_EQ(role.stationHealth(tree, bad_station),
                   telemetry::UnitHealth::Lost);
-        EXPECT_EQ(role.stationHealth().at({tree, good_station}),
+        EXPECT_EQ(role.stationHealth(tree, good_station),
                   telemetry::UnitHealth::Live);
     }
 }
@@ -1482,7 +1482,8 @@ TEST(LeafRole, RehomeFromASenderOtherThanTheParentIsAnOrphan)
     // Under the root, a sibling's Rehome is an orphan; under an
     // aggregator (wire id 4), so is the root's.
     LeafRig rig;
-    const auto ckpt = rig.leaf().advance(1);
+    rig.leaf().advance(1);
+    const auto ckpt = rig.leaf().checkpoint();
     EXPECT_FALSE(rig.note(rehomeFrame(1, ckpt, /*sender=*/1)));
     EXPECT_FALSE(rig.note(rehomeFrame(1, ckpt), /*parent=*/4));
     EXPECT_EQ(rig.stats.orphanFrames, 2u);
@@ -1491,7 +1492,8 @@ TEST(LeafRole, RehomeFromASenderOtherThanTheParentIsAnOrphan)
     EXPECT_EQ(rig.stats.clampedPeriods, 0u);
 
     LeafRig child;
-    const auto own = child.leaf().advance(1);
+    child.leaf().advance(1);
+    const auto own = child.leaf().checkpoint();
     EXPECT_TRUE(child.note(rehomeFrame(1, own, /*sender=*/4), /*parent=*/4));
     EXPECT_EQ(child.stats.rehomesApplied, 1u);
     EXPECT_EQ(child.stats.orphanFrames, 0u);
@@ -1500,7 +1502,8 @@ TEST(LeafRole, RehomeFromASenderOtherThanTheParentIsAnOrphan)
 TEST(LeafRole, RetransmittedRehomeIsReplayedOnce)
 {
     LeafRig rig;
-    const auto ckpt = rig.leaf().advance(1);
+    rig.leaf().advance(1);
+    const auto ckpt = rig.leaf().checkpoint();
     EXPECT_TRUE(rig.note(rehomeFrame(1, ckpt)));
     EXPECT_TRUE(rig.note(rehomeFrame(1, ckpt)));
     EXPECT_EQ(rig.stats.rehomesApplied, 1u);
@@ -1508,13 +1511,15 @@ TEST(LeafRole, RetransmittedRehomeIsReplayedOnce)
               1u);
     // The next checkpoint acks the replay's epoch.
     rig.close();
-    EXPECT_EQ(rig.leaf().advance(2).rehomeAckEpoch, 1u);
+    rig.leaf().advance(2);
+    EXPECT_EQ(rig.leaf().checkpoint().rehomeAckEpoch, 1u);
 }
 
 TEST(LeafRole, ReplayNeverRewindsThePlantClock)
 {
     LeafRig rig;
-    auto ckpt = rig.leaf().advance(1);
+    rig.leaf().advance(1);
+    auto ckpt = rig.leaf().checkpoint();
     rig.close();
     rig.leaf().advance(2);
     const Seconds now = rig.leaf().simNow();
@@ -1529,7 +1534,8 @@ TEST(LeafRole, ReplayPeriodClampsAReceivedBudgetToTheFloor)
 {
     LeafRig rig;
     LeafRig twin;
-    const auto ckpt = rig.leaf().advance(1);
+    rig.leaf().advance(1);
+    const auto ckpt = rig.leaf().checkpoint();
     twin.leaf().advance(1);
     const auto &edge = rig.leaf().edges().front();
     EXPECT_TRUE(rig.note(rehomeFrame(1, ckpt)));
