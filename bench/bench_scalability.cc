@@ -185,49 +185,12 @@ BM_FleetAllocation(benchmark::State &state)
 BENCHMARK(BM_FleetAllocation)->Arg(5)->Arg(13)->Arg(15)
     ->Unit(benchmark::kMillisecond);
 
-/** Distributed (rack/room worker) iteration over the Table 4 center. */
-void
-BM_DistributedIteration(benchmark::State &state)
-{
-    sim::DataCenterParams params;
-    params.phases = 1;
-    params.serversPerRackPerPhase = static_cast<int>(state.range(0));
-    auto dc = sim::buildDataCenter(params);
-    core::DistributedControlPlane plane(
-        *dc.system, ctrl::TreePolicy::globalPriority());
-
-    util::Rng rng(5);
-    std::size_t servers = 0;
-    for (const auto &tree : dc.system->trees()) {
-        for (const auto &ref : tree->suppliesUnder(tree->root())) {
-            ctrl::LeafInput in;
-            in.live = true;
-            in.priority = rng.chance(0.3) ? 1 : 0;
-            in.capMin = 135.0;
-            in.demand = rng.uniform(135.0, 245.0);
-            in.constraint = 245.0;
-            plane.setLeafInput(ref, in);
-            ++servers;
-        }
-    }
-    const std::vector<Watts> budgets(dc.system->trees().size(),
-                                     332500.0);
-    std::size_t messages = 0;
-    for (auto _ : state) {
-        const auto stats = plane.iterate(budgets);
-        messages = stats.metricsMessages + stats.budgetMessages;
-    }
-    state.counters["messages"] = static_cast<double>(messages);
-    tagScale(state, static_cast<double>(servers), 2, 1);
-}
-BENCHMARK(BM_DistributedIteration)->Arg(5)->Arg(13)
-    ->Unit(benchmark::kMillisecond);
-
 /**
- * Message-plane iteration over the Table 4 center: the same exchange as
- * BM_DistributedIteration but with every metric/budget frame encoded
- * (net/wire) and carried by a lossless SimTransport, measuring the
- * serialization + transport overhead and the real bytes on the wire.
+ * Message-plane iteration over the Table 4 center: the rack/room
+ * exchange with every metric/budget frame encoded (net/wire) and
+ * carried by a lossless SimTransport, measuring the §4.3 compute plus
+ * the serialization and transport overhead, and the real bytes on the
+ * wire.
  */
 void
 BM_MessagePlaneIteration(benchmark::State &state)

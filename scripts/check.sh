@@ -172,7 +172,9 @@ echo "== sanitizers: ASan+UBSan run of the net + udp + tree tiers =="
 # "udp" tier adds the real-socket backend and the worker runtime, the
 # "failover" tier the checkpoint/re-homing chaos suite plus the
 # supervisor smoke, the "tree" tier the deep-control-tree equivalence
-# property test, and the "membership" tier the elasticity table unit
+# tests (test_tree_depth: one-process WorkerHosts at depths 2-4 checked
+# against the flat ControlTree every period, and against the lockstep
+# WorkerRuntime), and the "membership" tier the elasticity table unit
 # suite plus the live join/drain smoke (the socket-bound members skip
 # via CAPMAESTRO_NO_NET=1). All are fast enough to run under sanitizers
 # on every check.

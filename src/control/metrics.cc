@@ -95,14 +95,6 @@ NodeMetrics::finite() const
     return std::isfinite(constraint_);
 }
 
-NodeMetrics
-NodeMetrics::floorOnly(Watts floor)
-{
-    NodeMetrics out;
-    out.setFloorOnly(floor);
-    return out;
-}
-
 void
 NodeMetrics::setFloorOnly(Watts floor)
 {

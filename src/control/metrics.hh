@@ -103,15 +103,13 @@ class NodeMetrics
     bool finite() const;
 
     /**
-     * The summary of a silent subtree riding its Pcap_min floors: one
-     * priority-0 class with capMin = demand = request = constraint =
-     * @p floor (no class for a zero floor). It enters the §4.3 merge
-     * like any child, so every station above counts the floor and the
-     * split grants it exactly that.
+     * Become the summary of a silent subtree riding its Pcap_min
+     * floors: one priority-0 class with capMin = demand = request =
+     * constraint = @p floor (no class for a zero floor), in this
+     * object's storage. It enters the §4.3 merge like any child, so
+     * every station above counts the floor and the split grants it
+     * exactly that.
      */
-    static NodeMetrics floorOnly(Watts floor);
-
-    /** Become floorOnly(@p floor), reusing this object's storage. */
     void setFloorOnly(Watts floor);
 
     /** Reset to the empty state with zero constraint. */

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 #include <type_traits>
 
+#include "core/tree_plan.hh"
 #include "net/wire.hh"
 #include "util/logging.hh"
 
@@ -319,14 +319,6 @@ RackWorker::refreshLeafMetrics(Edge &edge)
     }
 }
 
-ctrl::NodeMetrics
-RackWorker::computeMetrics(std::size_t tree, topo::NodeId node)
-{
-    ctrl::NodeMetrics out;
-    computeMetrics(tree, node, out);
-    return out;
-}
-
 void
 RackWorker::computeMetrics(std::size_t tree, topo::NodeId node,
                            ctrl::NodeMetrics &out)
@@ -384,17 +376,8 @@ RackWorker::leafBudget(std::size_t tree,
 // ---------------------------------------------------------------- RoomWorker
 
 RoomWorker::RoomWorker(const topo::PowerSystem &system,
-                       std::vector<std::set<topo::NodeId>> edge_nodes,
-                       ctrl::TreePolicy policy)
-    : system_(system), policy_(policy), frags_(edge_nodes.size())
-{
-    for (std::size_t t = 0; t < edge_nodes.size(); ++t)
-        layOut(t, system_.tree(t).root(), edge_nodes[t]);
-}
-
-RoomWorker::RoomWorker(const topo::PowerSystem &system,
-                       std::vector<topo::NodeId> tops,
-                       std::vector<std::set<topo::NodeId>> boundaries,
+                       const std::vector<topo::NodeId> &tops,
+                       const std::vector<std::set<topo::NodeId>> &boundaries,
                        ctrl::TreePolicy policy)
     : system_(system), policy_(policy), frags_(boundaries.size())
 {
@@ -507,44 +490,6 @@ RoomWorker::split(std::size_t tree, Watts top_budget)
     return f.boundaryBudgets;
 }
 
-ctrl::NodeMetrics
-RoomWorker::gatherTop(std::size_t tree,
-                      const std::map<topo::NodeId, ctrl::NodeMetrics>
-                          &boundary_metrics)
-{
-    const std::vector<topo::NodeId> &stations = fragment(tree).boundary;
-    for (std::size_t i = 0; i < stations.size(); ++i) {
-        const auto got = boundary_metrics.find(stations[i]);
-        ctrl::NodeMetrics &slot = boundaryMetrics(tree, i);
-        if (got != boundary_metrics.end())
-            slot = got->second;
-        else
-            slot.clear();
-    }
-    return gather(tree);
-}
-
-std::map<topo::NodeId, Watts>
-RoomWorker::budgetDown(std::size_t tree, Watts top_budget)
-{
-    const std::vector<Watts> &budgets = split(tree, top_budget);
-    const std::vector<topo::NodeId> &stations = boundary(tree);
-    std::map<topo::NodeId, Watts> edge_budgets;
-    for (std::size_t i = 0; i < stations.size(); ++i)
-        edge_budgets.emplace(stations[i], budgets[i]);
-    return edge_budgets;
-}
-
-std::map<topo::NodeId, Watts>
-RoomWorker::iterate(std::size_t tree,
-                    const std::map<topo::NodeId, ctrl::NodeMetrics>
-                        &edge_metrics,
-                    Watts root_budget)
-{
-    gatherTop(tree, edge_metrics);
-    return budgetDown(tree, root_budget);
-}
-
 // --------------------------------------------------- DistributedControlPlane
 
 std::vector<std::map<std::size_t, topo::NodeId>>
@@ -575,30 +520,25 @@ DistributedControlPlane::rackWorkerCountFor(const topo::PowerSystem &system)
     return partitionEdges(system).size();
 }
 
-DistributedControlPlane::DistributedControlPlane(
-    const topo::PowerSystem &system, ctrl::TreePolicy policy,
-    std::vector<std::uint32_t> agg_levels)
-    : system_(system), policy_(policy),
-      plan_(TreePlan::build(system, agg_levels)),
-      // The root fragment's boundary: its child stations — which with
-      // an empty plan are exactly the edge node sets of old.
-      room_(system, plan_.boundariesOf(plan_.rootEndpoint()), policy)
+namespace {
+
+/** The 2-level root worker's fragment: every tree from its root down
+ *  to its edge nodes. */
+RoomWorker
+roomFragment(const topo::PowerSystem &system, ctrl::TreePolicy policy)
 {
-    buildWorkers();
+    const TreePlan plan = TreePlan::build(system, {});
+    return RoomWorker(system, plan.topsOf(plan.rootEndpoint()),
+                      plan.boundariesOf(plan.rootEndpoint()), policy);
 }
+
+} // namespace
 
 DistributedControlPlane::DistributedControlPlane(
     const topo::PowerSystem &system, ctrl::TreePolicy policy,
     net::Transport &transport, net::ProtocolConfig protocol)
-    : system_(system), policy_(policy), plan_(TreePlan::build(system, {})),
-      room_(system, plan_.boundariesOf(plan_.rootEndpoint()), policy),
-      transport_(&transport), protocol_(protocol)
-{
-    buildWorkers();
-}
-
-void
-DistributedControlPlane::buildWorkers()
+    : system_(system), policy_(policy), room_(roomFragment(system, policy)),
+      transport_(transport), protocol_(protocol)
 {
     const auto per_rack = partitionEdges(system_);
     racks_.reserve(per_rack.size());
@@ -617,14 +557,6 @@ DistributedControlPlane::buildWorkers()
 
     rackSeq_.assign(racks_.size(), 0);
     lastTreeMetrics_.assign(system_.trees().size(), {});
-
-    // Aggregator fragments for deep direct plans: one RoomWorker per
-    // internal non-root worker, cut at its stations and its children's.
-    for (std::uint32_t ep = static_cast<std::uint32_t>(plan_.leafWorkers);
-         ep < plan_.rootEndpoint(); ++ep) {
-        aggs_.emplace_back(system_, plan_.topsOf(ep),
-                           plan_.boundariesOf(ep), policy_);
-    }
 }
 
 void
@@ -681,19 +613,6 @@ DistributedControlPlane::setLeafInput(const topo::ServerSupplyRef &ref,
     return racks_[edgeOwner_.at(edge)].setLeafInput(edge.first, ref, input);
 }
 
-MessageStats
-DistributedControlPlane::iterate(const std::vector<Watts> &root_budgets)
-{
-    if (root_budgets.size() != system_.trees().size()) {
-        util::fatal("DistributedControlPlane: %zu budgets for %zu trees",
-                    root_budgets.size(), system_.trees().size());
-    }
-    const MessageStats stats = transport_ ? iterateTransport(root_budgets)
-                                          : iterateDirectDeep(root_budgets);
-    record({}, stats);
-    return stats;
-}
-
 std::vector<net::BudgetMsg>
 DistributedControlPlane::split(std::size_t tree,
                                const std::map<topo::NodeId,
@@ -705,33 +624,39 @@ DistributedControlPlane::split(std::size_t tree,
     // station above counts it, and it gets no budget. The in-process
     // room reads the floor off the rack; a deployed parent uses a
     // config-nominal one (rt::AggregatorRole).
-    auto boundary = view;
-    for (auto it = edgeOwner_.lower_bound(
-             {tree, std::numeric_limits<topo::NodeId>::min()});
-         it != edgeOwner_.end() && it->first.first == tree; ++it) {
-        const topo::NodeId node = it->first.second;
-        if (!view.count(node)) {
-            boundary[node] = ctrl::NodeMetrics::floorOnly(
-                racks_[it->second].defaultBudget(tree, node));
+    const std::vector<topo::NodeId> &edges = room_.boundary(tree);
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        ctrl::NodeMetrics &slot = room_.boundaryMetrics(tree, i);
+        const auto got = view.find(edges[i]);
+        if (got != view.end()) {
+            slot = got->second;
+        } else {
+            slot.setFloorOnly(racks_[edgeOwner_.at({tree, edges[i]})]
+                                  .defaultBudget(tree, edges[i]));
         }
     }
+    room_.gather(tree);
+    const std::vector<Watts> &budgets = room_.split(tree, root_budget);
     std::vector<net::BudgetMsg> out;
-    for (const auto &[node, watts] :
-         room_.iterate(tree, boundary, root_budget)) {
-        if (view.count(node)) {
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        if (view.count(edges[i])) {
             out.push_back({static_cast<std::uint16_t>(tree),
-                           static_cast<std::uint32_t>(node), watts});
+                           static_cast<std::uint32_t>(edges[i]),
+                           budgets[i]});
         }
     }
     return out;
 }
 
 MessageStats
-DistributedControlPlane::iterateTransport(
-    const std::vector<Watts> &root_budgets)
+DistributedControlPlane::iterate(const std::vector<Watts> &root_budgets)
 {
+    if (root_budgets.size() != system_.trees().size()) {
+        util::fatal("DistributedControlPlane: %zu budgets for %zu trees",
+                    root_budgets.size(), system_.trees().size());
+    }
     MessageStats stats;
-    net::Transport &tp = *transport_;
+    net::Transport &tp = transport_;
     ++epoch_;
     const std::size_t bytes_before = tp.stats().bytesSent;
     // The room's endpoint follows the racks'.
@@ -755,10 +680,11 @@ DistributedControlPlane::iterateTransport(
         for (const RackWorker::Edge &edge : rack.edges()) {
             if (!tree_live(edge.tree))
                 continue;
-            up.push_back({static_cast<std::uint16_t>(edge.tree),
-                          static_cast<std::uint32_t>(edge.node),
-                          rack.computeMetrics(edge.tree, edge.node)});
-            stats.metricClassesSent += up.back().metrics.classes().size();
+            net::MetricsMsg &msg = up.emplace_back();
+            msg.tree = static_cast<std::uint16_t>(edge.tree);
+            msg.edgeNode = static_cast<std::uint32_t>(edge.node);
+            rack.computeMetrics(edge.tree, edge.node, msg.metrics);
+            stats.metricClassesSent += msg.metrics.classes().size();
         }
     }
     stats.metricsMessages = up.size();
@@ -874,6 +800,7 @@ DistributedControlPlane::iterateTransport(
             tracer_->end(span);
         }
     }
+    record({}, stats);
     return stats;
 }
 
@@ -898,12 +825,6 @@ DistributedControlPlane::iterateSpo(const std::vector<Watts> &root_budgets,
         util::fatal("DistributedControlPlane: %zu budgets for %zu trees",
                     root_budgets.size(), system_.trees().size());
     }
-    if (plan_.tiers() > 2 && !pins.empty()) {
-        // The §4.4 second round is a room <-> rack exchange; deep
-        // plans run SPO-free until the round learns to hop tiers.
-        util::fatal("DistributedControlPlane: iterateSpo is not "
-                    "supported on a deep plan");
-    }
     if (pins.empty())
         return {};
     // stats may already hold this period's iterate() (and earlier SPO
@@ -919,62 +840,8 @@ DistributedControlPlane::iterateSpo(const std::vector<Watts> &root_budgets,
         setLeafInput(pin.ref,
                      ctrl::pinnedLeafInput(pin.priority, pin.consumption));
     }
-    const auto committed =
-        transport_ ? iterateSpoTransport(root_budgets, pins, stats)
-                   : iterateSpoDirect(root_budgets, pins, stats);
-    record(before, stats);
-    return committed;
-}
-
-std::set<std::size_t>
-DistributedControlPlane::iterateSpoDirect(
-    const std::vector<Watts> &root_budgets,
-    const std::vector<ctrl::SpoPin> &pins, MessageStats &stats)
-{
     std::set<std::size_t> committed;
-    const auto spo_span =
-        tracer_ ? tracer_->begin("spo") : telemetry::PeriodTracer::kNoSpan;
-
-    // Only pinned edges re-report: an unpinned edge's inputs are
-    // unchanged, so recomputing its metrics would reproduce the
-    // first-phase summary bit for bit. Trees without pins are skipped
-    // entirely for the same reason.
-    for (const auto &[t, nodes] : pinnedEdges(pins)) {
-        ++stats.spoTreesAttempted;
-        auto base = lastTreeMetrics_[t];
-        for (const topo::NodeId node : nodes) {
-            const std::size_t rack = edgeOwner_.at({t, node});
-            ++stats.spoSummaryMessages;
-            base[node] = racks_[rack].computeMetrics(t, node);
-        }
-
-        const auto edge_budgets =
-            room_.iterate(t, base, root_budgets[t]);
-        lastTreeMetrics_[t] = std::move(base);
-
-        for (const auto &[node, budget] : edge_budgets) {
-            ++stats.spoBudgetMessages;
-            racks_[edgeOwner_.at({t, node})].applyBudget(t, node, budget);
-        }
-        committed.insert(t);
-        ++stats.spoCommittedTrees;
-    }
-    if (tracer_) {
-        tracer_->num(spo_span, "pins", static_cast<double>(pins.size()));
-        tracer_->num(spo_span, "committed",
-                     static_cast<double>(committed.size()));
-        tracer_->end(spo_span);
-    }
-    return committed;
-}
-
-std::set<std::size_t>
-DistributedControlPlane::iterateSpoTransport(
-    const std::vector<Watts> &root_budgets,
-    const std::vector<ctrl::SpoPin> &pins, MessageStats &stats)
-{
-    std::set<std::size_t> committed;
-    net::Transport &tp = *transport_;
+    net::Transport &tp = transport_;
     const std::size_t bytes_before = tp.stats().bytesSent;
     const std::size_t spo_retries_entry = stats.spoRetries;
     // The room's endpoint follows the racks'.
@@ -1003,10 +870,11 @@ DistributedControlPlane::iterateSpoTransport(
     for (const auto &[t, nodes] : affected) {
         ++stats.spoTreesAttempted;
         for (const topo::NodeId node : nodes) {
-            up.push_back(
-                {static_cast<std::uint16_t>(t),
-                 static_cast<std::uint32_t>(node),
-                 racks_[edgeOwner_.at({t, node})].computeMetrics(t, node)});
+            net::MetricsMsg &msg = up.emplace_back();
+            msg.tree = static_cast<std::uint16_t>(t);
+            msg.edgeNode = static_cast<std::uint32_t>(node);
+            racks_[edgeOwner_.at({t, node})].computeMetrics(t, node,
+                                                            msg.metrics);
         }
     }
     stats.spoSummaryMessages += up.size();
@@ -1107,6 +975,7 @@ DistributedControlPlane::iterateSpoTransport(
                      static_cast<double>(committed.size()));
         tracer_->end(spo_budget_span);
     }
+    record(before, stats);
     return committed;
 }
 

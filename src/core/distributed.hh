@@ -5,13 +5,8 @@
  * controllers and the capping controllers beneath them; a room-level
  * worker owns everything above (RPPs, transformers, contractual roots).
  *
- * The two tiers exchange explicit metric/budget messages. In *direct*
- * mode the exchange is an in-process function call and the plane is
- * bit-identical to the monolithic ControlTree (proven by test); direct
- * mode also runs deep core::TreePlan layouts, as the associativity
- * oracle for the deployable runtimes (src/rt). In *message-plane* mode
- * the 2-level exchange travels as encoded frames (net/wire) over any
- * net::Transport, and the plane runs the §4.5 fault-tolerant
+ * The two tiers exchange encoded metric/budget frames (net/wire) over
+ * any net::Transport, and the plane runs the §4.5 fault-tolerant
  * control-period protocol:
  *
  *   - bounded retransmission against per-phase deadlines,
@@ -27,13 +22,14 @@
  * frame decodes, carries this epoch and the phase's type, comes from
  * the edge's owner, and its payload is finite.
  *
- * Under a lossless zero-latency transport the protocol degenerates to
- * the direct exchange, so budgets remain bit-identical to the
- * monolithic tree. Degraded-mode decisions are reported per iteration
- * in MessageStats so callers (e.g., ClosedLoopSim) can log them. Worker
- * death and recovery are the deployable runtime's concern
- * (rt::WorkerRuntime's checkpoint/Rehome); this plane has no failover
- * of its own.
+ * Under a lossless zero-latency transport the protocol sends every
+ * summary and budget verbatim, so budgets are bit-identical to the
+ * monolithic tree (proven by test). Degraded-mode decisions are
+ * reported per iteration in MessageStats so callers (e.g.,
+ * ClosedLoopSim) can log them. Deep plans, worker death and recovery
+ * are the deployable runtime's concern (rt::WorkerHost and
+ * rt::WorkerRuntime, whose aggregators run RoomWorker fragments cut at
+ * core::TreePlan stations); this plane has no failover of its own.
  *
  * Partitioning rule: within each (feed, phase) tree, the i-th leaf-parent
  * node (in pre-order) belongs to rack worker i. Structurally parallel
@@ -51,7 +47,6 @@
 #include "control/allocator.hh"
 #include "control/control_tree.hh"
 #include "control/metrics.hh"
-#include "core/tree_plan.hh"
 #include "net/protocol.hh"
 #include "net/transport.hh"
 #include "net/wire.hh"
@@ -104,10 +99,6 @@ struct MessageStats
     std::size_t metricsMessages = 0;
     /** Room -> rack budget messages (logical, excluding retries). */
     std::size_t budgetMessages = 0;
-    /** Aggregator -> parent summary messages (deep plans only). */
-    std::size_t summaryMessages = 0;
-    /** Parent -> aggregator budget messages (deep plans only). */
-    std::size_t subBudgetMessages = 0;
     /** Total priority classes serialized upstream (payload proxy). */
     std::size_t metricClassesSent = 0;
     /** Retransmissions across both phases. */
@@ -185,11 +176,9 @@ class RackWorker
 
     /**
      * Compute the edge controller's upstream metrics for (@p tree,
-     * @p node) — the rack's half of the metrics-gathering phase.
+     * @p node) into @p out, reusing its storage — the rack's half of
+     * the metrics-gathering phase.
      */
-    ctrl::NodeMetrics computeMetrics(std::size_t tree, topo::NodeId node);
-
-    /** computeMetrics() into @p out, reusing its storage. */
     void computeMetrics(std::size_t tree, topo::NodeId node,
                         ctrl::NodeMetrics &out);
 
@@ -225,11 +214,11 @@ class RackWorker
  * An upper-tier worker: runs the shifting controllers of one connected
  * tree fragment per tree, consuming metric messages from the stations
  * directly below the fragment and producing budget messages for them.
- * The classic room worker is the fragment from the tree root down to
- * the edge (leaf-parent) nodes; a deep plan's aggregator worker is the
- * same machinery cut at interior stations (core::TreePlan), gathering
- * its children's summaries into one summary for its own top station
- * and splitting its received budget back down. Because gatherMetrics /
+ * The room worker is the fragment from each tree root down to the edge
+ * (leaf-parent) nodes; a deep plan's aggregator worker is the same
+ * machinery cut at interior stations (core::TreePlan), gathering its
+ * children's summaries into one summary for its own top station and
+ * splitting its received budget back down. Because gatherMetrics /
  * budgetChildren are associative, chaining fragments over a lossless
  * exchange reproduces the monolithic recursion bit-exactly at any
  * depth. The worker addresses boundary stations by their topology node
@@ -240,26 +229,19 @@ class RoomWorker
 {
   public:
     /**
-     * The root fragment (the classic room worker): from every tree's
-     * root down to the given boundary.
+     * Per tree, the fragment from the top station @p tops (kNoNode =
+     * no fragment in that tree; the tree root for a room or root
+     * worker, see core::TreePlan::topsOf()) down to @p boundaries.
      *
      * @param system      power system (not owned)
-     * @param edge_nodes  per tree: the boundary node set (classically
-     *                    the edge nodes; under a deep plan, the root
-     *                    worker's child stations)
+     * @param tops        per tree: the fragment's top station
+     * @param boundaries  per tree: where the fragment cuts off (the
+     *                    stations of the worker's children)
      * @param policy      priority flags
      */
     RoomWorker(const topo::PowerSystem &system,
-               std::vector<std::set<topo::NodeId>> edge_nodes,
-               ctrl::TreePolicy policy);
-
-    /**
-     * An aggregator fragment: per tree, from the top station @p tops
-     * (kNoNode = no fragment in that tree) down to the boundary.
-     */
-    RoomWorker(const topo::PowerSystem &system,
-               std::vector<topo::NodeId> tops,
-               std::vector<std::set<topo::NodeId>> boundaries,
+               const std::vector<topo::NodeId> &tops,
+               const std::vector<std::set<topo::NodeId>> &boundaries,
                ctrl::TreePolicy policy);
 
     /** Per tree: the boundary stations beneath the fragment top,
@@ -293,24 +275,6 @@ class RoomWorker
      * boundary(@p tree) (valid until the next split() of @p tree).
      */
     const std::vector<Watts> &split(std::size_t tree, Watts top_budget);
-
-    /** gather() with the boundary metrics taken from
-     *  @p boundary_metrics (stations absent from it contribute empty
-     *  metrics). */
-    ctrl::NodeMetrics
-    gatherTop(std::size_t tree,
-              const std::map<topo::NodeId, ctrl::NodeMetrics>
-                  &boundary_metrics);
-
-    /** split(), keyed by boundary station. */
-    std::map<topo::NodeId, Watts> budgetDown(std::size_t tree,
-                                             Watts top_budget);
-
-    /** Both halves back to back (the classic room iteration). */
-    std::map<topo::NodeId, Watts>
-    iterate(std::size_t tree,
-            const std::map<topo::NodeId, ctrl::NodeMetrics> &edge_metrics,
-            Watts root_budget);
 
   private:
     /** One tree's fragment, laid out once at construction. */
@@ -353,34 +317,21 @@ class RoomWorker
 
 /**
  * The in-process control plane: builds the partition, routes messages,
- * and runs complete iterations. In direct mode budgets are bit-identical
- * to a monolithic ControlTree with the same policy, at any plan depth;
- * in message-plane mode the 2-level §4.5 protocol (with the §4.4 SPO
- * round) runs over the given transport. This is what ClosedLoopSim and
- * CapMaestroService run.
+ * and runs complete iterations of the 2-level §4.5 protocol (with the
+ * §4.4 SPO round) over the given transport. On a lossless transport
+ * budgets are bit-identical to a monolithic ControlTree with the same
+ * policy. This is what ClosedLoopSim and CapMaestroService run.
  */
 class DistributedControlPlane
 {
   public:
     /**
-     * Direct (in-process) message exchange. A non-empty @p agg_levels
-     * makes the plane deep (core::TreePlan): aggregator workers sit
-     * between the rack tier and the root, each merging its children's
-     * summaries and splitting its budget — still bit-identical to the
-     * monolithic ControlTree, the reduction being associative.
-     */
-    DistributedControlPlane(const topo::PowerSystem &system,
-                            ctrl::TreePolicy policy,
-                            std::vector<std::uint32_t> agg_levels = {});
-
-    /**
-     * Message-plane mode (2-level: rack workers and one room): frames
-     * travel over @p transport (not owned; must outlive the plane)
-     * under the §4.5 protocol @p protocol. Any Transport backend works —
-     * SimTransport for deterministic simulation, UdpTransport for real
-     * sockets (where advanceTo() paces the protocol's deadline schedule
-     * in wall time). Deep message planes are the deployable runtimes'
-     * (rt::WorkerHost, rt::WorkerRuntime).
+     * Frames travel over @p transport (not owned; must outlive the
+     * plane) under the §4.5 protocol @p protocol. Any Transport backend
+     * works — SimTransport for deterministic simulation, UdpTransport
+     * for real sockets (where advanceTo() paces the protocol's deadline
+     * schedule in wall time). Deep message planes are the deployable
+     * runtimes' (rt::WorkerHost, rt::WorkerRuntime).
      */
     DistributedControlPlane(const topo::PowerSystem &system,
                             ctrl::TreePolicy policy,
@@ -389,9 +340,6 @@ class DistributedControlPlane
 
     /** Number of rack workers discovered by the partitioning rule. */
     std::size_t rackWorkerCount() const { return racks_.size(); }
-
-    /** The worker layout (2-level when built without agg levels). */
-    const TreePlan &plan() const { return plan_; }
 
     /**
      * The partitioning rule, exposed for out-of-process runtimes
@@ -422,16 +370,16 @@ class DistributedControlPlane
      * the affected edges, and re-budget every tree that holds a pin.
      * Non-pinned edges reuse their first-phase metrics (recomputing
      * them would be bit-identical — leaf inputs are unchanged), and
-     * trees without pins are skipped entirely, so in direct mode (or on
-     * a lossless transport) the result is bit-identical to the
-     * monolithic FleetAllocator second pass.
+     * trees without pins are skipped entirely, so on a lossless
+     * transport the result is bit-identical to the monolithic
+     * FleetAllocator second pass.
      *
-     * The round is atomic per tree: in message-plane mode racks buffer
-     * second-pass budgets without applying them, and at the SPO budget
-     * deadline each attempted tree either commits (every edge applies
-     * its new budget) or rolls back wholesale to its first-pass
-     * budgets — never a mix of the two passes. Counters and degraded
-     * decisions accumulate into @p stats.
+     * The round is atomic per tree: racks buffer second-pass budgets
+     * without applying them, and at the SPO budget deadline each
+     * attempted tree either commits (every edge applies its new
+     * budget) or rolls back wholesale to its first-pass budgets —
+     * never a mix of the two passes. Counters and degraded decisions
+     * accumulate into @p stats.
      *
      * @return indices of the trees that committed second-pass budgets
      */
@@ -442,7 +390,7 @@ class DistributedControlPlane
     /** Supply-leaf budget after iterate(). */
     Watts leafBudget(const topo::ServerSupplyRef &ref) const;
 
-    /** Control-period counter (message-plane mode). */
+    /** Control-period counter. */
     std::uint32_t epoch() const { return epoch_; }
 
     /**
@@ -468,15 +416,9 @@ class DistributedControlPlane
 
     const topo::PowerSystem &system_;
     ctrl::TreePolicy policy_;
-    /** Worker layout; 2-level unless direct mode got agg levels.
-     *  Declared before room_ so the root boundary can be derived from
-     *  it. */
-    TreePlan plan_;
     std::vector<RackWorker> racks_;
+    /** The root fragment: every tree from its root to its edges. */
     RoomWorker room_;
-    /** Aggregator fragments (deep direct plans), indexed
-     *  ep - leafWorkers. */
-    std::vector<RoomWorker> aggs_;
     /** (server, supply) -> (tree, edge node) of the edge above it. */
     std::map<std::pair<std::int32_t, std::int32_t>,
              std::pair<std::size_t, topo::NodeId>>
@@ -486,7 +428,7 @@ class DistributedControlPlane
         edgeOwner_;
 
     // -------- message-plane state
-    net::Transport *transport_ = nullptr;
+    net::Transport &transport_;
     net::ProtocolConfig protocol_;
     std::uint32_t epoch_ = 0;
     std::vector<std::uint32_t> rackSeq_;
@@ -514,29 +456,15 @@ class DistributedControlPlane
     /** Add what @p after holds beyond @p before to the counters. */
     void record(const MessageStats &before, const MessageStats &after);
 
-    void buildWorkers();
     /** The edge a supply leaf hangs from (panics on an unknown one). */
     const std::pair<std::size_t, topo::NodeId> &
     edgeOfLeaf(const topo::ServerSupplyRef &ref) const;
-    MessageStats iterateTransport(const std::vector<Watts> &root_budgets);
     /** The room's budgets for @p tree's edges in @p view; the others
      *  enter the merge as their Pcap_min floors and get none. */
     std::vector<net::BudgetMsg>
     split(std::size_t tree,
           const std::map<topo::NodeId, ctrl::NodeMetrics> &view,
           Watts root_budget);
-    /** Direct iteration at any plan depth, the 2-level plan included
-     *  (src/core/distributed_deep.cc). */
-    MessageStats
-    iterateDirectDeep(const std::vector<Watts> &root_budgets);
-    std::set<std::size_t>
-    iterateSpoDirect(const std::vector<Watts> &root_budgets,
-                     const std::vector<ctrl::SpoPin> &pins,
-                     MessageStats &stats);
-    std::set<std::size_t>
-    iterateSpoTransport(const std::vector<Watts> &root_budgets,
-                        const std::vector<ctrl::SpoPin> &pins,
-                        MessageStats &stats);
     /** Affected edges per attempted tree (edges holding >= 1 pin). */
     std::map<std::size_t, std::set<topo::NodeId>>
     pinnedEdges(const std::vector<ctrl::SpoPin> &pins) const;

@@ -33,6 +33,12 @@
  * the plan is rejected as not structurally parallel. Unbalanced trees
  * may therefore skip tiers: a shallow branch's leaf worker can report
  * straight to the root.
+ *
+ * The deployable engines (rt::WorkerHost, rt::WorkerRuntime) run a plan
+ * of any depth: each internal worker is one core::RoomWorker fragment,
+ * built from topsOf() and boundariesOf(). core::DistributedControlPlane
+ * runs only the 2-level plan, and takes just its root worker's fragment
+ * from it.
  */
 
 #ifndef CAPMAESTRO_CORE_TREE_PLAN_HH
@@ -101,8 +107,8 @@ struct TreePlan
     std::vector<std::uint32_t> tierEndpoints(std::uint32_t tier) const;
 
     /**
-     * Fragment tops per tree for internal worker @p endpoint, in the
-     * RoomWorker subtree format (kNoNode for trees without a
+     * Fragment tops per tree for internal worker @p endpoint, as the
+     * RoomWorker constructor takes them (kNoNode for trees without a
      * fragment). For the root worker: every tree's root.
      */
     std::vector<topo::NodeId> topsOf(std::uint32_t endpoint) const;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tunables for the fault-tolerant control-period protocol (paper §4.5)
- * that DistributedControlPlane's message plane and the multi-process
- * runtimes (src/rt) run over a net::Transport.
+ * that core::DistributedControlPlane (2-level, in process) and the
+ * deployable runtimes (src/rt, any depth) run over a net::Transport.
  *
  * Each control period is a two-phase exchange with per-message
  * deadlines and bounded retransmission:

@@ -54,35 +54,37 @@ AggregatorRole::AggregatorRole(
     // Per child station: the summed nominal floor of the edges beneath
     // it — what the subtree unilaterally enforces when budgets stop
     // flowing to it, and therefore what it enters the merge as while
-    // the station is excluded.
-    for (const auto &[key, floor] : nominal_floor) {
-        const auto [tree, edge] = key;
-        topo::NodeId node = edge;
-        while (node != topo::kNoNode) {
-            const std::size_t slot = slotOf(tree, node);
-            if (slot != kNoSlot) {
-                slots_[slot].floor += floor;
-                break;
+    // the station is excluded. Only the station's own subtree is
+    // walked, and its edges are added in ascending node order.
+    std::vector<topo::NodeId> stack;
+    std::vector<std::pair<topo::NodeId, Watts>> edges;
+    for (ChildStation &st : childStations_) {
+        const topo::PowerTree &tree = system_.tree(st.tree);
+        edges.clear();
+        stack.assign(1, st.node);
+        while (!stack.empty()) {
+            const topo::NodeId node = stack.back();
+            stack.pop_back();
+            const auto floor = nominal_floor.find({st.tree, node});
+            if (floor != nominal_floor.end())
+                edges.emplace_back(node, floor->second);
+            for (const topo::NodeId c : tree.node(node).children) {
+                if (tree.node(c).kind != topo::NodeKind::SupplyPort)
+                    stack.push_back(c);
             }
-            node = system_.tree(tree).node(node).parent;
         }
+        std::sort(edges.begin(), edges.end());
+        for (const auto &[edge, floor] : edges)
+            st.floor += floor;
     }
 
-    if (root_) {
-        std::vector<std::set<topo::NodeId>> boundaries =
-            plan.boundariesOf(endpoint);
-        frag_ = std::make_unique<core::RoomWorker>(
-            system_, std::move(boundaries), policy);
-        if (rootBudgets_.size() != system_.trees().size()) {
-            util::fatal("rt: root worker needs %zu root budgets, got "
-                        "%zu",
-                        system_.trees().size(), rootBudgets_.size());
-        }
-    } else {
-        frag_ = std::make_unique<core::RoomWorker>(
-            system_, plan.topsOf(endpoint), plan.boundariesOf(endpoint),
-            policy);
+    if (root_ && rootBudgets_.size() != system_.trees().size()) {
+        util::fatal("rt: root worker needs %zu root budgets, got %zu",
+                    system_.trees().size(), rootBudgets_.size());
     }
+    frag_ = std::make_unique<core::RoomWorker>(
+        system_, plan.topsOf(endpoint), plan.boundariesOf(endpoint),
+        policy);
 
     // The fragment's boundary is exactly the child stations
     // (core::TreePlan::boundariesOf()), so every slot gets its index.
@@ -256,7 +258,7 @@ AggregatorRole::closeGather(RuntimeStats &stats, core::EventLog &events)
         const auto floorOnly = [&] {
             slot.excluded = true;
             slot.inBoundary = true;
-            boundary.setFloorOnly(slot.floor); // 0 W: no edge beneath
+            boundary.setFloorOnly(st.floor); // 0 W: no edge beneath
         };
         const auto view = views_.find(st.child);
         const ChildView seen =
@@ -388,7 +390,7 @@ AggregatorRole::computeDown(RuntimeStats &stats)
             // An excluded station gets no grant: its subtree rides its
             // floor, which is what the station applies.
             if (slot.excluded) {
-                applied[i] = slot.floor;
+                applied[i] = childStations_[k].floor;
                 continue;
             }
             if (!slot.inBoundary)

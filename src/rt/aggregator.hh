@@ -17,7 +17,7 @@
  *
  * Degraded-mode contract: a child station with no usable metrics
  * (nothing fresh, stale cache expired) enters the boundary as a
- * floor-only summary (ctrl::NodeMetrics::floorOnly) of the *nominal
+ * floor-only summary (ctrl::NodeMetrics::setFloorOnly) of the *nominal
  * Pcap_min floor of the edges beneath it* and gets no grant: the
  * subtree is riding exactly those unilateral floors. The floors take
  * part in the §4.3 merge like any child, so every station of the
@@ -209,6 +209,10 @@ class AggregatorRole
         topo::NodeId node = topo::kNoNode;
         /** The child worker owning it. */
         std::uint32_t child = 0;
+        /** Summed nominal floor of the edges beneath it (never clamped
+         *  by interior limits — the subtree's unilateral fallbacks are
+         *  per-edge). */
+        Watts floor = 0.0;
         /** This epoch's §4.5 gather outcome (Live: fresh metrics;
          *  Stale; Lost), when gathered. */
         telemetry::UnitHealth health = telemetry::UnitHealth::Live;
@@ -263,10 +267,6 @@ class AggregatorRole
         std::uint32_t childIndex = 0;
         /** Index into frag_->boundary(tree). */
         std::uint32_t boundaryIndex = 0;
-        /** Summed nominal floor of the edges beneath it (never clamped
-         *  by interior limits — the subtree's unilateral fallbacks are
-         *  per-edge). */
-        Watts floor = 0.0;
         /** Stale-metrics cache. */
         ctrl::NodeMetrics cached;
         std::uint32_t cachedEpoch = 0;

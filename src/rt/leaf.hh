@@ -111,6 +111,10 @@ class LeafRole
     /** Plants homed on this leaf. */
     const std::vector<Plant> &plants() const { return plants_; }
 
+    /** The rack's edge controllers: the leaf inputs advance() set and
+     *  the leaf budgets close() applied. */
+    const core::RackWorker &rack() const { return rack_; }
+
     /** Simulated plant time, seconds. */
     Seconds simNow() const { return simNow_; }
 

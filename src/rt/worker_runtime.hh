@@ -2,8 +2,9 @@
  * @file
  * Process-level worker runtime (the deployment shape of paper §5): one
  * worker's half of the §4.5 control protocol, driven by wall-clock
- * deadlines over a real transport instead of by the in-process
- * DistributedControlPlane loop.
+ * deadlines over a real transport. Where core::DistributedControlPlane
+ * runs a whole 2-level plane in one loop, each runtime runs one role
+ * (rt::LeafRole or rt::AggregatorRole) of a plan of any depth.
  *
  * A deployment is a core::TreePlan: leaf (rack) workers 0..N-1, any
  * interior aggregator workers, and the root at the last endpoint, all

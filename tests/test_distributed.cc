@@ -78,7 +78,8 @@ TEST(Distributed, EquivalentToMonolithicOnFig2)
           ctrl::TreePolicy::localPriority(),
           ctrl::TreePolicy::noPriority()}) {
         ctrl::ControlTree mono(sys->tree(0), policy);
-        DistributedControlPlane dist(*sys, policy);
+        net::SimTransport transport; // lossless, instantaneous
+        DistributedControlPlane dist(*sys, policy, transport);
 
         for (int trial = 0; trial < 20; ++trial) {
             const auto inputs = randomInputs(*sys, rng);
@@ -107,7 +108,8 @@ TEST(Distributed, EquivalentToMonolithicOnDataCenter)
     const auto dc = sim::buildDataCenter(params);
 
     const auto policy = ctrl::TreePolicy::globalPriority();
-    DistributedControlPlane dist(*dc.system, policy);
+    net::SimTransport transport;
+    DistributedControlPlane dist(*dc.system, policy, transport);
     std::vector<std::unique_ptr<ctrl::ControlTree>> monos;
     for (const auto &tree : dc.system->trees())
         monos.push_back(
@@ -155,7 +157,8 @@ TEST(Distributed, EquivalentOnDataCenterUnderEveryPolicy)
     for (const auto policy :
          {ctrl::TreePolicy::localPriority(),
           ctrl::TreePolicy::noPriority()}) {
-        DistributedControlPlane dist(*dc.system, policy);
+        net::SimTransport transport;
+        DistributedControlPlane dist(*dc.system, policy, transport);
         std::vector<std::unique_ptr<ctrl::ControlTree>> monos;
         for (const auto &tree : dc.system->trees())
             monos.push_back(
@@ -187,8 +190,10 @@ TEST(Distributed, MessageAccounting)
     params.phases = 1;
     params.serversPerRackPerPhase = 2;
     const auto dc = sim::buildDataCenter(params);
+    net::SimTransport transport;
     DistributedControlPlane dist(*dc.system,
-                                 ctrl::TreePolicy::globalPriority());
+                                 ctrl::TreePolicy::globalPriority(),
+                                 transport);
 
     util::Rng rng(7);
     for (const auto &[ref, in] : randomInputs(*dc.system, rng))
@@ -209,8 +214,10 @@ TEST(Distributed, FailedFeedSkipped)
     params.serversPerRackPerPhase = 2;
     auto dc = sim::buildDataCenter(params);
     dc.system->failFeed(1);
+    net::SimTransport transport;
     DistributedControlPlane dist(*dc.system,
-                                 ctrl::TreePolicy::globalPriority());
+                                 ctrl::TreePolicy::globalPriority(),
+                                 transport);
     util::Rng rng(7);
     for (const auto &[ref, in] : randomInputs(*dc.system, rng))
         dist.setLeafInput(ref, in);
@@ -223,7 +230,7 @@ TEST(Distributed, FailedFeedSkipped)
 TEST(MessagePlane, LosslessTransportBitIdenticalToMonolithic)
 {
     // Under a lossless zero-latency transport the §4.5 protocol must
-    // degenerate to the direct exchange: every budget bit-identical to
+    // send every summary and budget verbatim: every budget bit-identical to
     // the monolithic ControlTree, no degraded decisions.
     util::Rng rng(808);
     auto sys = sim::fig2System();
@@ -446,9 +453,11 @@ TEST(Distributed, NonFiniteLeafInputKeepsTheLastFiniteOne)
 {
     // One +inf demand would make its edge's waterfill weight infinite
     // and every budget of that edge NaN. The rack refuses it, so the
-    // direct plane keeps allocating from the leaf's last finite input.
+    // plane keeps allocating from the leaf's last finite input.
     auto sys = sim::fig2System();
-    DistributedControlPlane dist(*sys, ctrl::TreePolicy::globalPriority());
+    net::SimTransport transport;
+    DistributedControlPlane dist(*sys, ctrl::TreePolicy::globalPriority(),
+                                 transport);
     util::Rng rng(31);
     auto inputs = randomInputs(*sys, rng);
     for (auto &[ref, in] : inputs) {
@@ -767,8 +776,9 @@ TEST(Distributed, CompactSummariesIndependentOfServerCount)
         params.phases = 1;
         params.serversPerRackPerPhase = per_phase;
         const auto dc = sim::buildDataCenter(params);
+        net::SimTransport transport;
         DistributedControlPlane dist(
-            *dc.system, ctrl::TreePolicy::globalPriority());
+            *dc.system, ctrl::TreePolicy::globalPriority(), transport);
         util::Rng rng(11);
         for (const auto &[ref, in] : randomInputs(*dc.system, rng))
             dist.setLeafInput(ref, in);

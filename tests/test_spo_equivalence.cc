@@ -1,8 +1,8 @@
 /**
  * @file
  * Equivalence suite for the distributed §4.4 stranded-power
- * optimization: on a lossless SimTransport (and in direct mode) the
- * message-plane SPO second pass must produce budgets bit-identical to
+ * optimization: on a lossless SimTransport the message-plane SPO
+ * second pass must produce budgets bit-identical to
  * the monolithic FleetAllocator path — per supply, per period — across
  * the multi-supply / load-split scenarios in configs/. Also pins the
  * SPO counter semantics for the lossless case (every attempted tree
@@ -227,8 +227,8 @@ TEST(SpoEquivalence, Fig2ScenarioLosslessPlane)
 TEST(SpoEquivalence, PlaneMatchesAllocatorAtEveryLeaf)
 {
     // Plane-level check on the dual-feed topology: monolithic
-    // FleetAllocator vs direct plane vs lossless transport plane, every
-    // supply leaf bit-identical after the SPO second pass.
+    // FleetAllocator vs the lossless transport plane, every supply leaf
+    // bit-identical after the SPO second pass.
     auto scenario =
         config::loadScenarioFile(configPath("configs/dual_feed_spo.json"));
     const topo::PowerSystem &system = *scenario.system;
@@ -242,11 +242,6 @@ TEST(SpoEquivalence, PlaneMatchesAllocatorAtEveryLeaf)
     ASSERT_GT(mono.strandedReclaimed, 0.0)
         << "scenario no longer strands power; the test lost its teeth";
 
-    core::DistributedControlPlane direct(system, policy);
-    core::MessageStats direct_stats;
-    const auto direct_alloc = runPlaneWithSpo(
-        direct, system, inputs, root_budgets, 2, direct_stats);
-
     net::SimTransport lossless{net::TransportConfig{}};
     core::DistributedControlPlane transport(system, policy, lossless);
     core::MessageStats transport_stats;
@@ -259,28 +254,21 @@ TEST(SpoEquivalence, PlaneMatchesAllocatorAtEveryLeaf)
             const auto expected = std::bit_cast<std::uint64_t>(
                 allocator.tree(t).leafBudget(ref));
             EXPECT_EQ(expected, std::bit_cast<std::uint64_t>(
-                                    direct.leafBudget(ref)))
-                << "direct plane, tree " << t << " server " << ref.server
-                << " supply " << ref.supply;
-            EXPECT_EQ(expected, std::bit_cast<std::uint64_t>(
                                     transport.leafBudget(ref)))
                 << "transport plane, tree " << t << " server "
                 << ref.server << " supply " << ref.supply;
         }
     }
-    expectBudgetsBitIdentical(mono, direct_alloc, -1);
     expectBudgetsBitIdentical(mono, transport_alloc, -1);
 
     // Counter semantics for a clean round.
-    for (const auto *stats : {&direct_stats, &transport_stats}) {
-        EXPECT_EQ(stats->spoRounds, 1u);
-        EXPECT_GT(stats->spoTreesAttempted, 0u);
-        EXPECT_EQ(stats->spoTreesAttempted, stats->spoCommittedTrees);
-        EXPECT_EQ(stats->spoFallbackTrees, 0u);
-        EXPECT_GT(stats->spoSummaryMessages, 0u);
-        EXPECT_GT(stats->spoBudgetMessages, 0u);
-    }
-    EXPECT_EQ(direct_stats.spoBytesOnWire, 0u);
+    EXPECT_EQ(transport_stats.spoRounds, 1u);
+    EXPECT_GT(transport_stats.spoTreesAttempted, 0u);
+    EXPECT_EQ(transport_stats.spoTreesAttempted,
+              transport_stats.spoCommittedTrees);
+    EXPECT_EQ(transport_stats.spoFallbackTrees, 0u);
+    EXPECT_GT(transport_stats.spoSummaryMessages, 0u);
+    EXPECT_GT(transport_stats.spoBudgetMessages, 0u);
     EXPECT_GT(transport_stats.spoBytesOnWire, 0u);
     EXPECT_EQ(transport_stats.spoRetries, 0u);
 }

@@ -4,9 +4,9 @@
  * scenario driven once over a lossless SimTransport and once over real
  * 127.0.0.1 UDP sockets (the single-process loopback mode behind
  * `capmaestro_run --transport=udp`) must produce bit-identical budget,
- * power, and throughput traces — the §4.5 protocol degenerates to the
- * direct exchange whenever every frame makes its deadline, and on
- * loopback every frame does. Also locks in the issue's acceptance
+ * power, and throughput traces — the §4.5 protocol hands every summary
+ * and budget over verbatim whenever every frame makes its deadline, and
+ * on loopback every frame does. Also locks in the issue's acceptance
  * criterion directly: a UDP-backed run completes with zero
  * protocol-degraded periods.
  *

@@ -1275,6 +1275,51 @@ TEST(AggregatorRole, NonFiniteMetricsOrSummaryIsNotFresh)
     }
 }
 
+TEST(AggregatorRole, ChildStationFloorsSumTheEdgesBeneath)
+{
+    // A child station enters the merge at the summed nominal Pcap_min
+    // floor of the edges beneath it. Checked at every aggregator and
+    // the root of the depth-3 and depth-4 plans, against the floor map
+    // walked in (tree, edge) order.
+    const auto scenario = loadDepth4();
+    const auto &system = *scenario.system;
+    const auto policy = policy::treePolicy(scenario.service.policy);
+    const auto floors = rt::nominalEdgeFloors(system, scenario);
+    for (const std::vector<std::uint32_t> &levels :
+         {std::vector<std::uint32_t>{1}, std::vector<std::uint32_t>{1, 2}}) {
+        const auto plan = core::TreePlan::build(system, levels);
+        SCOPED_TRACE("depth " + std::to_string(plan.tiers()));
+        for (auto ep = static_cast<std::uint32_t>(plan.leafWorkers);
+             ep < plan.workers.size(); ++ep) {
+            const rt::AggregatorRole role(
+                system, plan, ep, policy, floors, scenario.service.protocol,
+                plan.workers[ep].isRoot() ? scenario.rootBudgets
+                                          : std::vector<Watts>{});
+            ASSERT_FALSE(role.childStations().empty());
+            for (const auto &st : role.childStations()) {
+                Watts expect = 0.0;
+                std::size_t edges = 0;
+                for (const auto &[key, floor] : floors) {
+                    const auto &tree = system.tree(key.first);
+                    for (topo::NodeId n = key.second;
+                         key.first == st.tree && n != topo::kNoNode;
+                         n = tree.node(n).parent) {
+                        if (n == st.node) {
+                            expect += floor;
+                            ++edges;
+                            break;
+                        }
+                    }
+                }
+                EXPECT_GT(edges, 0u);
+                EXPECT_EQ(st.floor, expect)
+                    << "worker " << ep << " tree " << st.tree << " station "
+                    << system.tree(st.tree).node(st.node).name;
+            }
+        }
+    }
+}
+
 TEST(WorkerRuntime, RootGrantsNothingToAChildWhoseMetricsWereLost)
 {
     // Epoch 1: rack 1's tree-Y Metrics frame never reaches the root.
