@@ -170,11 +170,12 @@ echo "== sanitizers: ASan+UBSan run of the net + udp + tree tiers =="
 # codec fuzzers, transport fault model, distributed protocol, closed
 # loop, the message-plane soak, and the SPO equivalence suite. The
 # "udp" tier adds the real-socket backend and the worker runtime, the
-# "failover" tier the checkpoint/re-homing chaos suite plus the
+# "failover" tier the checkpoint/re-homing chaos suite (both engines
+# on the discrete-event harness, the stall replay included) plus the
 # supervisor smoke, the "tree" tier the deep-control-tree equivalence
 # tests (test_tree_depth: one-process WorkerHosts at depths 2-4 checked
-# against the flat ControlTree every period, and against the lockstep
-# WorkerRuntime), and the "membership" tier the elasticity table unit
+# against the flat ControlTree every period, and against WorkerRuntimes
+# on the chaos harness), and the "membership" tier the elasticity table unit
 # suite plus the live join/drain smoke (the socket-bound members skip
 # via CAPMAESTRO_NO_NET=1). All are fast enough to run under sanitizers
 # on every check.

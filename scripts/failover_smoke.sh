@@ -31,6 +31,20 @@ done
 DIR="$(mktemp -d "${TMPDIR:-/tmp}/capmaestro_failover.XXXXXX")"
 trap 'rm -rf "$DIR"' EXIT
 
+# dump_logs: print what a failed pass leaves behind before the trap
+# removes it — the supervisor log and the parent's and the victim's
+# stdout/stderr.
+dump_logs() {
+    echo "--- $NAME supervisor log" >&2
+    cat "$PASS/supervisor.log" >&2
+    for role in "$PARENT" "$VICTIM"; do
+        for ext in out err; do
+            echo "--- $NAME role$role.$ext" >&2
+            cat "$PASS/logs/role$role.$ext" >&2 2> /dev/null
+        done
+    done
+}
+
 # run_pass NAME CONFIG PERIOD_MS VICTIM PARENT SURVIVOR [template flags]
 run_pass() {
     NAME="$1" CONFIG="$2" PERIOD="$3" VICTIM="$4" PARENT="$5"
@@ -83,6 +97,7 @@ run_pass() {
     RESPAWNS="$(grep -c "^spawn role=$VICTIM " "$PASS/supervisor.log")"
     if [ "$RESPAWNS" -lt 2 ]; then
         echo "failover_smoke[$NAME]: rack $VICTIM was never restarted" >&2
+        dump_logs
         return 1
     fi
     # ...its parent must have detected the dead rack and re-homed the
@@ -91,7 +106,7 @@ run_pass() {
         grep -q "$event" "$PASS/logs/role$PARENT.out" || {
             echo "failover_smoke[$NAME]: no $event event in the" \
                 "output of parent role $PARENT" >&2
-            cat "$PASS/logs/role$PARENT.out"
+            dump_logs
             return 1
         }
     done
@@ -99,14 +114,15 @@ run_pass() {
     grep -q 'checkpoint-replayed' "$PASS/logs/role$VICTIM.out" || {
         echo "failover_smoke[$NAME]: restarted rack never replayed" \
             "a checkpoint" >&2
-        cat "$PASS/logs/role$VICTIM.out"
+        dump_logs
         return 1
     }
     # ...and the survivor rack stayed on real budgets throughout.
     grep -q ' 0 defaults' "$PASS/logs/role$SURVIVOR.err" || {
         echo "failover_smoke[$NAME]: rack $SURVIVOR fell back to" \
             "default budgets" >&2
-        cat "$PASS/logs/role$SURVIVOR.err"
+        cat "$PASS/logs/role$SURVIVOR.err" >&2
+        dump_logs
         return 1
     }
     echo "failover_smoke[$NAME]: restart + checkpoint re-home verified"

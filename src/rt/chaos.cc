@@ -1,8 +1,10 @@
 #include "rt/chaos.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "rt/plant.hh"
 #include "util/json.hh"
@@ -76,19 +78,26 @@ ChaosScheduler::eventsAt(std::uint32_t epoch) const
 LockstepDeployment::LockstepDeployment(
     std::string scenario_json, ChaosBackend backend,
     net::TransportConfig sim_faults, std::uint64_t seed,
-    std::vector<std::uint32_t> agg_levels)
+    std::vector<std::uint32_t> agg_levels,
+    std::map<std::uint32_t, std::uint32_t> process_of)
     : scenarioJson_(std::move(scenario_json)), backend_(backend),
       seed_(seed), scenario_(makeScenario()),
-      aggLevels_(std::move(agg_levels)), chaos_(seed)
+      aggLevels_(std::move(agg_levels)), hosts_(!process_of.empty()),
+      chaos_(seed)
 {
     plan_ = core::TreePlan::build(*scenario_.system, aggLevels_);
     floors_ = nominalEdgeFloors(*scenario_.system, scenario_);
     const auto workers =
         static_cast<std::uint32_t>(plan_.workers.size());
 
-    peers_.periodMs = 1000.0;
-    peers_.originMs = 1; // unused in lockstep, but kept well-formed
+    // The period is the deadline cascade plus one gather window.
+    const auto &proto = scenario_.service.protocol;
+    peers_.periodMs = std::ceil(
+        static_cast<double>(plan_.tiers() - 1)
+            * (proto.gatherDeadlineMs + proto.budgetDeadlineMs)
+        + proto.gatherDeadlineMs);
     peers_.aggLevels = aggLevels_;
+    peers_.processOf = std::move(process_of);
     for (std::uint32_t e = 0; e < workers; ++e)
         peers_.peers[e] = net::UdpPeer{"127.0.0.1", 0};
 
@@ -97,17 +106,21 @@ LockstepDeployment::LockstepDeployment(
     } else {
         // One shared socket set for the whole deployment: every
         // endpoint binds an ephemeral loopback port, and the shared
-        // peer table resolves them — a restarted runtime reuses the
-        // role's socket, so no re-advertising dance is needed.
+        // peer table resolves them — a restarted engine reuses the
+        // endpoint's socket, so no re-advertising dance is needed.
         inner_ = std::make_unique<net::UdpTransport>(
             net::UdpConfig::loopback(workers));
     }
     chaosNet_ = std::make_unique<net::ChaosTransport>(
         *inner_,
         static_cast<net::Transport::Endpoint>(plan_.rootEndpoint()));
+    // Epoch 1 begins one period after construction, on both clocks.
+    peers_.originMs = static_cast<std::uint64_t>(
+        std::floor(chaosNet_->nowMs()) + peers_.periodMs);
 
-    for (std::uint32_t e = 0; e < workers; ++e)
-        units_.push_back(makeRuntime(e));
+    units_.resize(hosts_ ? peers_.processCount() : workers);
+    for (std::uint32_t u = 0; u < units_.size(); ++u)
+        start(u);
 }
 
 LockstepDeployment::~LockstepDeployment() = default;
@@ -118,64 +131,124 @@ LockstepDeployment::makeScenario() const
     return config::loadScenario(util::parseJson(scenarioJson_));
 }
 
-std::unique_ptr<WorkerRuntime>
-LockstepDeployment::makeRuntime(std::uint32_t role)
+std::unique_ptr<Engine>
+LockstepDeployment::makeEngine(std::uint32_t unit)
 {
-    auto runtime = std::make_unique<WorkerRuntime>(
-        makeScenario(), peers_, role, seed_, *chaosNet_,
-        Pacing::Lockstep);
+    if (hosts_) {
+        auto host = std::make_unique<WorkerHost>(makeScenario(), peers_,
+                                                 unit, seed_, *chaosNet_);
+        host->setTelemetry(&registry_, nullptr);
+        return host;
+    }
+    auto runtime = std::make_unique<WorkerRuntime>(makeScenario(), peers_,
+                                                   unit, seed_, *chaosNet_);
     runtime->setTelemetry(&registry_);
-    const auto v = wireVersionOf_.find(role);
-    if (v != wireVersionOf_.end())
-        runtime->setWireVersion(v->second);
     return runtime;
+}
+
+void
+LockstepDeployment::start(std::uint32_t unit)
+{
+    Unit &slot = units_.at(unit);
+    slot.engine = makeEngine(unit);
+    slot.wake = chaosNet_->nowMs();
+    const auto v = wireVersionOf_.find(unit);
+    if (v != wireVersionOf_.end())
+        slot.engine->setWireVersion(v->second);
+}
+
+std::uint32_t
+LockstepDeployment::unitOf(std::uint32_t ep) const
+{
+    if (!hosts_)
+        return ep;
+    const auto found = peers_.processOf.find(ep);
+    return found == peers_.processOf.end() ? 0 : found->second;
+}
+
+WorkerRuntime *
+LockstepDeployment::unit(std::uint32_t endpoint)
+{
+    if (hosts_)
+        return nullptr;
+    return static_cast<WorkerRuntime *>(units_.at(endpoint).engine.get());
+}
+
+WorkerRuntime &
+LockstepDeployment::room()
+{
+    if (hosts_)
+        util::fatal("chaos: room() names a runtime deployment's root");
+    return *unit(plan_.rootEndpoint());
+}
+
+Engine &
+LockstepDeployment::rootEngine()
+{
+    return *units_[unitOf(plan_.rootEndpoint())].engine;
+}
+
+double
+LockstepDeployment::epochStartMs(std::uint32_t epoch) const
+{
+    return static_cast<double>(peers_.originMs)
+           + static_cast<double>(epoch - 1) * peers_.periodMs;
 }
 
 void
 LockstepDeployment::scriptJoiner(std::uint32_t rack)
 {
-    if (nextEpoch_ != 1)
+    if (nextEpoch_ != 1 || faultsApplied_ != 0)
         util::fatal("chaos: scriptJoiner() must precede run()");
-    if (rack >= rackCount())
-        util::fatal("chaos: joiner %u is not a rack role", rack);
-    units_[rack].reset();
+    if (hosts_ || rack >= rackCount())
+        util::fatal("chaos: joiner %u is not a rack runtime", rack);
+    units_[rack].engine.reset();
     // The peer table lists the slot absent: a runtime (re)started
     // later reads that at construction, the running ones mark it now.
     peers_.membership.absent.push_back(rack);
-    for (auto &unit : units_) {
-        if (unit)
-            unit->membership().markAbsent(rack);
+    for (Unit &unit : units_) {
+        if (unit.engine)
+            unit.engine->membership().markAbsent(rack);
     }
 }
 
 void
-LockstepDeployment::setWorkerWireVersion(std::uint32_t role,
+LockstepDeployment::setWorkerWireVersion(std::uint32_t unit,
                                          std::uint8_t version)
 {
-    wireVersionOf_[role] = version;
-    if (units_.at(role))
-        units_[role]->setWireVersion(version);
+    wireVersionOf_[unit] = version;
+    if (units_.at(unit).engine)
+        units_[unit].engine->setWireVersion(version);
 }
 
 void
 LockstepDeployment::apply(const ChaosEvent &event, std::uint32_t epoch)
 {
+    // The root's unit is never killed.
+    const bool root = event.a == unitOf(plan_.rootEndpoint());
     switch (event.kind) {
     case ChaosEvent::Kind::Kill:
-        if (event.a < rackCount() && units_[event.a])
-            killed_.insert(event.a);
-        if (event.a < plan_.rootEndpoint()) // the root is never killed
-            units_[event.a].reset();
+        if (root || event.a >= units_.size() || !units_[event.a].engine)
+            break;
+        for (std::uint32_t r = 0; r < rackCount(); ++r) {
+            if (unitOf(r) == event.a)
+                killed_.insert(r);
+        }
+        units_[event.a].engine.reset();
         break;
     case ChaosEvent::Kind::Restart:
-        if (event.a >= plan_.rootEndpoint() || units_[event.a])
+        if (root || event.a >= units_.size() || units_[event.a].engine)
             break;
-        killed_.erase(event.a);
-        units_[event.a] = makeRuntime(event.a);
-        // Recovery latency is measured for racks whose parent
-        // supervises them: the parent re-homes them.
-        if (event.a < rackCount() && rackState(event.a))
-            pendingRecovery_[event.a] = epoch;
+        start(event.a);
+        for (std::uint32_t r = 0; r < rackCount(); ++r) {
+            if (unitOf(r) != event.a)
+                continue;
+            killed_.erase(r);
+            // Recovery latency is measured for racks whose parent
+            // supervises them: the parent re-homes them.
+            if (rackState(r))
+                pendingRecovery_[r] = epoch;
+        }
         break;
     case ChaosEvent::Kind::Partition:
         chaosNet_->setPartition(event.a, event.b, true);
@@ -184,23 +257,42 @@ LockstepDeployment::apply(const ChaosEvent &event, std::uint32_t epoch)
         chaosNet_->heal();
         break;
     case ChaosEvent::Kind::Join:
-        if (event.a < rackCount() && !units_[event.a]) {
+        if (!hosts_ && event.a < rackCount() && !units_[event.a].engine) {
             // The process boots shadowed (empty replica, clamped to
             // its floor) and the root announces it Joining; the
             // protocol's own broadcast/ack/commit takes it Live.
             std::erase(peers_.membership.absent, event.a);
-            units_[event.a] = makeRuntime(event.a);
-            units_[event.a]->membership().beginShadow();
-            room().membership().beginJoin(event.a);
+            start(event.a);
+            units_[event.a].engine->membership().beginShadow();
+            rootEngine().membership().beginJoin(event.a);
         }
         break;
     case ChaosEvent::Kind::Drain:
-        room().membership().beginDrain(event.a);
+        rootEngine().membership().beginDrain(event.a);
         break;
     case ChaosEvent::Kind::Upgrade:
         setWorkerWireVersion(event.a, net::kWireVersion);
         break;
+    case ChaosEvent::Kind::Stall:
+        units_.at(event.a).stallUntil =
+            (hosts_ ? chaosNet_->nowMs() : epochStartMs(epoch)) + event.b;
+        break;
     }
+}
+
+std::map<std::pair<std::size_t, topo::NodeId>, Watts>
+LockstepDeployment::budgetsOf(std::size_t r) const
+{
+    auto all = engineOf(static_cast<std::uint32_t>(r))->lastEdgeBudgets();
+    if (!hosts_)
+        return all;
+    std::map<std::pair<std::size_t, topo::NodeId>, Watts> out;
+    for (const auto &station : plan_.workers[r].stations) {
+        const auto found = all.find(station);
+        if (found != all.end())
+            out.insert(*found);
+    }
+    return out;
 }
 
 std::vector<std::string>
@@ -214,8 +306,8 @@ LockstepDeployment::auditSafety() const
     std::vector<std::map<topo::NodeId, Watts>> applied(
         system.trees().size());
     for (std::size_t r = 0; r < rackCount(); ++r) {
-        if (units_[r]) {
-            for (const auto &[key, budget] : units_[r]->lastEdgeBudgets())
+        if (engineOf(static_cast<std::uint32_t>(r))) {
+            for (const auto &[key, budget] : budgetsOf(r))
                 applied[key.first][key.second] = budget;
         } else if (killed_.count(r)) {
             for (const auto &[tree, node] : plan_.workers[r].stations)
@@ -240,7 +332,8 @@ LockstepDeployment::auditSafety() const
 std::optional<RackState>
 LockstepDeployment::rackState(std::size_t r) const
 {
-    const WorkerRuntime *parent = units_.at(plan_.workers.at(r).parent).get();
+    const auto *parent = dynamic_cast<const WorkerRuntime *>(
+        engineOf(plan_.workers.at(r).parent));
     if (parent == nullptr || parent->supervisor() == nullptr)
         return std::nullopt;
     return parent->supervisor()->state(static_cast<std::uint32_t>(r));
@@ -249,10 +342,11 @@ LockstepDeployment::rackState(std::size_t r) const
 std::string
 LockstepDeployment::logLine(std::uint32_t epoch) const
 {
-    const WorkerRuntime &root = *units_.back();
+    const MembershipPlane &table =
+        engineOf(plan_.rootEndpoint())->membership();
     std::string line = "e=" + std::to_string(epoch) + " st=";
     for (std::size_t r = 0; r < rackCount(); ++r) {
-        if (!units_[r]) {
+        if (!engineOf(static_cast<std::uint32_t>(r))) {
             line += 'K';
             continue;
         }
@@ -264,7 +358,7 @@ LockstepDeployment::logLine(std::uint32_t epoch) const
         // member, so the line stays bit-identical to a pre-elasticity
         // run.
         const membership::UnitState member =
-            root.membership().state(static_cast<std::uint32_t>(r));
+            table.state(static_cast<std::uint32_t>(r));
         line += member == membership::UnitState::Live
                     ? "LDR"[static_cast<int>(
                           rackState(r).value_or(RackState::Live))]
@@ -272,18 +366,19 @@ LockstepDeployment::logLine(std::uint32_t epoch) const
     }
     if (rackCount() < plan_.rootEndpoint()) {
         line += " ag=";
-        for (std::size_t e = rackCount(); e < plan_.rootEndpoint(); ++e)
-            line += units_[e] ? 'L' : 'K';
+        for (std::uint32_t e = plan_.leafWorkers; e < plan_.rootEndpoint();
+             ++e)
+            line += engineOf(e) ? 'L' : 'K';
     }
     // Generation suffix only when the table ever moved, so static
     // runs keep their exact pre-elasticity log format.
-    if (root.membership().generation() > 1)
-        line += " g=" + std::to_string(root.membership().generation());
+    if (table.generation() > 1)
+        line += " g=" + std::to_string(table.generation());
     // Supervision runs in every parent of leaves: sum the live units.
     const auto total = [this](std::size_t RuntimeStats::*field) {
         std::size_t sum = 0;
-        for (const auto &unit : units_)
-            sum += unit ? unit->stats().*field : 0;
+        for (const Unit &unit : units_)
+            sum += unit.engine ? unit.engine->stats().*field : 0;
         return std::to_string(sum);
     };
     line += " fo=" + total(&RuntimeStats::failovers)
@@ -291,12 +386,12 @@ LockstepDeployment::logLine(std::uint32_t epoch) const
             + " rh=" + total(&RuntimeStats::rehomed);
     for (std::size_t r = 0; r < rackCount(); ++r) {
         line += " | r" + std::to_string(r);
-        if (!units_[r]) {
+        if (!engineOf(static_cast<std::uint32_t>(r))) {
             line += " killed";
             continue;
         }
         const auto &system = *scenario_.system;
-        for (const auto &[key, budget] : units_[r]->lastEdgeBudgets()) {
+        for (const auto &[key, budget] : budgetsOf(r)) {
             const auto [tree, node] = key;
             line += " " + system.tree(tree).name() + "."
                     + system.tree(tree).node(node).name + "="
@@ -306,80 +401,132 @@ LockstepDeployment::logLine(std::uint32_t epoch) const
     return line;
 }
 
+std::size_t
+LockstepDeployment::onlineViolations() const
+{
+    double total = 0.0;
+    for (const auto &series : registry_.snapshot()) {
+        if (series.name == "capmaestro_safety_violations_total")
+            total += series.value;
+    }
+    return static_cast<std::size_t>(total);
+}
+
+bool
+LockstepDeployment::closed(std::uint32_t epoch) const
+{
+    const double now = chaosNet_->nowMs();
+    for (const Unit &unit : units_) {
+        if (unit.engine && !unit.engine->stopped() && now >= unit.stallUntil
+            && unit.engine->lastEpoch() < epoch)
+            return false;
+    }
+    return true;
+}
+
+void
+LockstepDeployment::closeEpoch(std::uint32_t epoch)
+{
+    ChaosRunReport &report = report_;
+    // Reap drained racks: a runtime whose replica shows itself committed
+    // Left has already sent the Left-generation ack and applied zero
+    // watts, and it stopped — the process exits.
+    for (std::uint32_t r = 0; r < rackCount() && !hosts_; ++r) {
+        if (units_[r].engine && units_[r].engine->membership().left(r)) {
+            units_[r].engine.reset();
+            ++report.drained;
+        }
+    }
+
+    for (auto it = pendingRecovery_.begin(); it != pendingRecovery_.end();) {
+        if (engineOf(static_cast<std::uint32_t>(it->first))
+            && rackState(it->first) == RackState::Live) {
+            const std::uint32_t took = epoch - it->second + 1;
+            report.maxRecoveryPeriods =
+                std::max(report.maxRecoveryPeriods, took);
+            ++report.recoveries;
+            it = pendingRecovery_.erase(it);
+        } else {
+            ++it;
+        }
+    }
+
+    const std::vector<std::string> over = auditSafety();
+    report.violations += over.size();
+    if (!over.empty() && report.firstViolation.empty()) {
+        report.firstViolation =
+            "epoch " + std::to_string(epoch) + ": " + over.front();
+    }
+    report.log.push_back(logLine(epoch));
+    ++report.epochsRun;
+}
+
+void
+LockstepDeployment::stepUntil(std::uint32_t target, double until)
+{
+    for (;;) {
+        while (nextEpoch_ <= target && closed(nextEpoch_))
+            closeEpoch(nextEpoch_++);
+        if (nextEpoch_ > target)
+            return;
+        // A host deployment free-runs: an epoch starts once the one
+        // before it closed everywhere.
+        if (hosts_ && faultsApplied_ < nextEpoch_) {
+            ++faultsApplied_;
+            for (const ChaosEvent &event : chaos_.eventsAt(faultsApplied_))
+                apply(event, faultsApplied_);
+            continue;
+        }
+        // The engine due first, ties in ascending unit order; one that
+        // closed the target epoch waits for the next run().
+        std::size_t next = units_.size();
+        double at = Engine::kNever;
+        for (std::size_t u = 0; u < units_.size(); ++u) {
+            const Unit &unit = units_[u];
+            if (!unit.engine || unit.engine->stopped()
+                || (!unit.engine->periodOpen()
+                    && unit.engine->lastEpoch() >= target))
+                continue;
+            const double due = std::max(unit.wake, unit.stallUntil);
+            if (due < at) {
+                at = due;
+                next = u;
+            }
+        }
+        if (next == units_.size() || at >= until)
+            return;
+        // A runtime deployment's faults apply at their window start.
+        if (!hosts_ && faultsApplied_ < target
+            && epochStartMs(faultsApplied_ + 1) <= at) {
+            ++faultsApplied_;
+            for (const ChaosEvent &event : chaos_.eventsAt(faultsApplied_))
+                apply(event, faultsApplied_);
+            continue;
+        }
+        chaosNet_->advanceTo(at);
+        Unit &unit = units_[next];
+        unit.wake = unit.engine->advance(chaosNet_->nowMs());
+    }
+}
+
 ChaosRunReport
 LockstepDeployment::run(std::uint32_t epochs)
 {
-    ChaosRunReport report;
-    const auto online = [this] {
-        double total = 0.0;
-        for (const auto &series : registry_.snapshot()) {
-            if (series.name == "capmaestro_safety_violations_total")
-                total += series.value;
-        }
-        return static_cast<std::size_t>(total);
-    };
-    const std::size_t online_before = online();
-    for (std::uint32_t i = 0; i < epochs; ++i) {
-        const std::uint32_t epoch = nextEpoch_++;
-        for (const ChaosEvent &event : chaos_.eventsAt(epoch))
-            apply(event, epoch);
-
-        // One lockstep period in tier order: metrics climb from the
-        // leaves through the aggregators to the root (endpoint order
-        // is tier order), budgets descend tier by tier. A killed
-        // runtime simply stays silent; its parent rides the stale ->
-        // floor ladder.
-        for (auto &unit : units_) {
-            if (unit)
-                unit->stepUp(epoch);
-        }
-        for (std::size_t e = units_.size(); e-- > rackCount();) {
-            if (units_[e])
-                units_[e]->stepDown(epoch);
-        }
-        for (std::size_t r = 0; r < rackCount(); ++r) {
-            if (units_[r])
-                units_[r]->stepDown(epoch);
-        }
-
-        // Reap drained racks: a runtime whose replica shows itself
-        // committed Left has already sent the Left-generation ack (the
-        // adopt path acks before this step returns) and applies zero
-        // watts — the process exits. Matches a Wall-paced worker's
-        // requestStop() on the same condition.
-        for (std::size_t r = 0; r < rackCount(); ++r) {
-            if (units_[r] && units_[r]->membership().left(r)) {
-                units_[r].reset();
-                ++report.drained;
-            }
-        }
-
-        for (auto it = pendingRecovery_.begin();
-             it != pendingRecovery_.end();) {
-            if (units_[it->first]
-                && rackState(it->first) == RackState::Live) {
-                const std::uint32_t took = epoch - it->second + 1;
-                report.maxRecoveryPeriods =
-                    std::max(report.maxRecoveryPeriods, took);
-                ++report.recoveries;
-                it = pendingRecovery_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-
-        const std::vector<std::string> over = auditSafety();
-        report.violations += over.size();
-        if (!over.empty() && report.firstViolation.empty()) {
-            report.firstViolation =
-                "epoch " + std::to_string(epoch) + ": " + over.front();
-        }
-        report.log.push_back(logLine(epoch));
-        ++report.epochsRun;
-    }
+    stepUntil(nextEpoch_ + epochs - 1, Engine::kNever);
+    ChaosRunReport report = std::move(report_);
+    report_ = ChaosRunReport{};
     report.unrecovered = pendingRecovery_.size();
-    report.onlineViolations = online() - online_before;
+    const std::size_t online = onlineViolations();
+    report.onlineViolations = online - onlineMark_;
+    onlineMark_ = online;
     return report;
+}
+
+void
+LockstepDeployment::runUntil(double ms)
+{
+    stepUntil(std::numeric_limits<std::uint32_t>::max(), ms);
+    chaosNet_->advanceTo(ms);
 }
 
 } // namespace capmaestro::rt

@@ -1,23 +1,28 @@
 /**
  * @file
- * Deterministic chaos harness for the multi-process worker runtime.
+ * Deterministic chaos harness for the multi-process worker runtime: a
+ * discrete-event simulation of a whole deployment.
  *
- * A LockstepDeployment hosts a full worker deployment — one runtime
- * per plan endpoint: every rack, any aggregators, the root — inside one
+ * A LockstepDeployment holds one rt::Engine per process inside one
  * process, all speaking through a single shared Transport wrapped in a
- * ChaosTransport. The runtimes run in Lockstep pacing, so the harness
- * owns the epoch schedule and can interleave scripted faults at exact
- * period boundaries:
+ * ChaosTransport: a WorkerRuntime per plan endpoint (every rack, any
+ * aggregators, the root), or WorkerHosts placed by a processOf map.
+ * Every engine runs the period the daemons run (Engine::advance(): the
+ * tier-staggered rt::Cascade deadlines, retransmission, holdback,
+ * catch-up). Each step runs the engine with the earliest wake time,
+ * ties in ascending process order, after moving the transport clock to
+ * it; on SimTransport that is an instant jump, so a run is a pure
+ * function of its inputs. Scripted faults apply at epoch starts:
  *
- *   Kill      — destroy a rack or aggregator runtime (the process dies
- *               mid-flight; whatever frames it queued stay in the
- *               network)
- *   Restart   — construct a fresh runtime for the role on the same
- *               endpoint (sequence numbers restart at zero, plant
- *               state is lost — exactly what the checkpoint/Rehome
- *               machinery must repair)
+ *   Kill      — destroy a unit's engine (the process dies mid-flight;
+ *               whatever frames it queued stay in the network)
+ *   Restart   — construct a fresh engine for the unit (sequence
+ *               numbers restart at zero, plant state is lost — exactly
+ *               what the checkpoint/Rehome machinery must repair)
  *   Partition — block one endpoint pair symmetrically
  *   Heal      — clear every partition
+ *   Stall     — step a unit not at all for a while, as CPU load or a
+ *               descheduled process does; its frames queue meanwhile
  *
  * The script comes from a ChaosScheduler: either explicit at() calls
  * or a seeded random kill/restart schedule. Nothing in the harness
@@ -28,17 +33,20 @@
  *
  * Both Transport backends are supported: SimTransport (virtual clock,
  * seeded loss/reorder/duplication — fully deterministic) and a single
- * shared UdpTransport in loopback mode (real sockets and the real
- * kernel; deterministic in behavior-level properties, not bits).
+ * shared UdpTransport in loopback mode (real sockets, the real kernel
+ * and the real clock; deterministic in behavior-level properties, not
+ * bits). The period is the scenario's deadline cascade plus one gather
+ * window.
  *
- * After every epoch the harness audits the §4.5 safety claim with
+ * Once every live unit has closed an epoch (a stalled one does not
+ * hold it back), the harness audits the §4.5 safety claim with
  * topo::overloads() from each tree's root budget: no station, edge or
  * interior, may carry more than its derated limit, nor a tree more
- * than its root budget — even while racks are dead, re-homing, or
- * partitioned. A killed rack counts at its nominal floors. It also
- * tracks recovery time (a rack's Restart to its Live promotion by its
- * parent's supervisor, at any tier) so tests can bound re-homing
- * latency in periods.
+ * than its root budget — even while racks are dead, stalled,
+ * re-homing, or partitioned. A killed rack counts at its nominal
+ * floors. It also tracks recovery time (a rack's Restart to its Live
+ * promotion by its parent's supervisor, at any tier) so tests can bound
+ * re-homing latency in periods.
  */
 
 #ifndef CAPMAESTRO_RT_CHAOS_HH
@@ -55,6 +63,7 @@
 #include "net/chaos_transport.hh"
 #include "net/transport.hh"
 #include "net/udp_transport.hh"
+#include "rt/host.hh"
 #include "rt/worker_runtime.hh"
 #include "telemetry/registry.hh"
 #include "util/random.hh"
@@ -63,8 +72,11 @@ namespace capmaestro::rt {
 
 /**
  * One scripted fault or elasticity action, applied at the start of its
- * epoch. Beyond the fault kinds, the scheduler scripts the membership
- * plane:
+ * epoch: a runtime deployment's window start, or once a host
+ * deployment's live units have all closed the epoch before. A unit is
+ * a plan endpoint in a runtime deployment and a process in a host
+ * deployment. Beyond the fault kinds, the scheduler scripts the
+ * membership plane (runtime deployments):
  *
  *   Join      — start the rack runtime for a slot scripted absent via
  *               scriptJoiner() and announce it Joining at the root;
@@ -81,14 +93,15 @@ namespace capmaestro::rt {
 struct ChaosEvent
 {
     enum class Kind { Kill, Restart, Partition, Heal, Join, Drain,
-                      Upgrade };
+                      Upgrade, Stall };
 
     std::uint32_t epoch = 0;
     Kind kind = Kind::Kill;
-    /** Rack role (Kill/Restart/Join/Drain), worker endpoint (Upgrade),
-     *  or first endpoint (Partition). */
+    /** Unit (Kill/Restart/Upgrade/Stall), rack (Join/Drain), or first
+     *  endpoint (Partition). */
     std::uint32_t a = 0;
-    /** Second endpoint (Partition only). */
+    /** Second endpoint (Partition), or how long the unit is not
+     *  stepped, in transport-clock ms from its epoch's start (Stall). */
     std::uint32_t b = 0;
 };
 
@@ -165,12 +178,13 @@ struct ChaosRunReport
     std::vector<std::string> log;
 };
 
-/** A whole worker deployment in one process, driven in lockstep. */
+/** A whole worker deployment in one process, one engine per process,
+ *  stepped in transport-clock order. */
 class LockstepDeployment
 {
   public:
     /**
-     * @param scenario_json  scenario document (parsed once per runtime
+     * @param scenario_json  scenario document (parsed once per engine
      *                       construction, so restarts get fresh plants)
      * @param backend        Sim (deterministic faults) or Udp (real
      *                       loopback sockets)
@@ -180,14 +194,19 @@ class LockstepDeployment
      * @param seed           sensor-noise seed shared by every worker
      * @param agg_levels     aggregation levels of the worker plan
      *                       (empty = the classic 2-level deployment);
-     *                       deep plans add interior aggregator
-     *                       runtimes, driven tier by tier, and Kill/
-     *                       Restart events may target their endpoints
+     *                       deep plans add interior aggregators, and
+     *                       Kill/Restart events may target them
+     * @param process_of     empty: one WorkerRuntime per plan endpoint;
+     *                       otherwise the peer table's processOf (absent
+     *                       endpoints in process 0), one WorkerHost per
+     *                       process
      */
     LockstepDeployment(std::string scenario_json, ChaosBackend backend,
                        net::TransportConfig sim_faults,
                        std::uint64_t seed,
-                       std::vector<std::uint32_t> agg_levels = {});
+                       std::vector<std::uint32_t> agg_levels = {},
+                       std::map<std::uint32_t, std::uint32_t> process_of =
+                           {});
 
     ~LockstepDeployment();
 
@@ -199,41 +218,56 @@ class LockstepDeployment
      * constructed and every unit marks the slot absent (the root
      * counts no floor and sends no broadcast; its parent supervises
      * nothing there). A Join event later brings it in
-     * through the two-phase adopt. Pre-run configuration only.
+     * through the two-phase adopt. Pre-run configuration of a runtime
+     * deployment only.
      */
     void scriptJoiner(std::uint32_t rack);
 
     /**
-     * Stamp worker @p role's frames with wire version @p version
+     * Stamp unit @p unit's frames with wire version @p version
      * (kWireVersion or kWireCompatVersion) — the not-yet-upgraded
-     * worker of a rolling upgrade. Applies to the live runtime and
-     * sticks across Kill/Restart; an Upgrade event flips the slot
+     * worker of a rolling upgrade. Applies to the live engine and
+     * sticks across Kill/Restart; an Upgrade event flips the unit
      * back to the current version.
      */
-    void setWorkerWireVersion(std::uint32_t role, std::uint8_t version);
+    void setWorkerWireVersion(std::uint32_t unit, std::uint8_t version);
 
     /**
-     * Run @p epochs control periods from where the previous run()
-     * stopped, applying scheduled faults at their epoch boundaries and
-     * auditing safety after every period.
+     * Run until every live unit has closed @p epochs more epochs,
+     * applying scheduled faults at their epoch starts and auditing
+     * safety after every epoch. Reports what was observed since the
+     * previous run() (runUntil() steps included).
      */
     ChaosRunReport run(std::uint32_t epochs);
+
+    /**
+     * Step every engine due before transport-clock time @p ms, then move
+     * the clock to @p ms: a test can slip a frame in at a chosen time.
+     */
+    void runUntil(double ms);
+
+    /** Transport-clock start of epoch @p epoch's window (a runtime
+     *  deployment's schedule; a host deployment free-runs). */
+    double epochStartMs(std::uint32_t epoch) const;
 
     /** Rack runtimes in the deployment. */
     std::size_t rackCount() const { return plan_.leafWorkers; }
 
-    /** The runtime at plan endpoint @p endpoint, or nullptr while
-     *  killed (or not yet joined, or drained). */
-    WorkerRuntime *unit(std::uint32_t endpoint)
-    {
-        return units_.at(endpoint).get();
-    }
+    /** The engine of unit @p unit, or nullptr while killed (or not yet
+     *  joined, or drained). */
+    Engine *engine(std::uint32_t unit) { return units_.at(unit).engine.get(); }
 
-    /** The room (root) runtime; never killed. */
-    WorkerRuntime &room() { return *units_.back(); }
+    /** The runtime at plan endpoint @p endpoint, or nullptr while
+     *  killed (or not yet joined, or drained), and in a host
+     *  deployment. */
+    WorkerRuntime *unit(std::uint32_t endpoint);
+
+    /** The room (root) runtime of a runtime deployment; never
+     *  killed. */
+    WorkerRuntime &room();
 
     /** Rack runtime @p r, or nullptr while killed. */
-    WorkerRuntime *rack(std::size_t r) { return units_.at(r).get(); }
+    WorkerRuntime *rack(std::size_t r) { return unit(static_cast<std::uint32_t>(r)); }
 
     /** Liveness of rack @p r as its parent's supervisor sees it, or
      *  nullopt when its parent supervises nothing or is killed. */
@@ -245,17 +279,47 @@ class LockstepDeployment
     /** The partition-capable wrapper every frame passes through. */
     net::ChaosTransport &net() { return *chaosNet_; }
 
-    /** Shared metrics registry all runtimes report into. */
+    /** Shared metrics registry all engines report into. */
     telemetry::Registry &registry() { return registry_; }
 
   private:
+    /** One process: its engine and when it must run next. */
+    struct Unit
+    {
+        std::unique_ptr<Engine> engine;
+        double wake = 0.0;
+        /** A Stall holds the unit until this transport-clock time. */
+        double stallUntil = 0.0;
+    };
+
     config::LoadedScenario makeScenario() const;
-    std::unique_ptr<WorkerRuntime> makeRuntime(std::uint32_t role);
+    std::unique_ptr<Engine> makeEngine(std::uint32_t unit);
+    /** Construct unit @p unit's engine, due now. */
+    void start(std::uint32_t unit);
+    /** The unit running plan endpoint @p ep. */
+    std::uint32_t unitOf(std::uint32_t ep) const;
+    const Engine *engineOf(std::uint32_t ep) const
+    {
+        return units_[unitOf(ep)].engine.get();
+    }
+    Engine &rootEngine();
+    /** Rack @p r's applied edge budgets (its engine must be live). */
+    std::map<std::pair<std::size_t, topo::NodeId>, Watts>
+    budgetsOf(std::size_t r) const;
+    /** Step engines in wake order until epoch @p target is audited or
+     *  the next wake is past @p until. */
+    void stepUntil(std::uint32_t target, double until);
     void apply(const ChaosEvent &event, std::uint32_t epoch);
+    /** Every live, unstalled unit has closed @p epoch. */
+    bool closed(std::uint32_t epoch) const;
+    /** Reap, track recovery, audit and log epoch @p epoch. */
+    void closeEpoch(std::uint32_t epoch);
     /** Audit this epoch's applied watts: one line per station over
      *  its bound (empty when safe). */
     std::vector<std::string> auditSafety() const;
     std::string logLine(std::uint32_t epoch) const;
+    /** Safety violations the online auditors counted so far. */
+    std::size_t onlineViolations() const;
 
     std::string scenarioJson_;
     ChaosBackend backend_;
@@ -265,23 +329,32 @@ class LockstepDeployment
     std::vector<std::uint32_t> aggLevels_;
     core::TreePlan plan_;
     config::WorkerPeers peers_;
+    /** WorkerHosts placed by peers_.processOf (else WorkerRuntimes). */
+    bool hosts_ = false;
 
     std::unique_ptr<net::Transport> inner_;
     std::unique_ptr<net::ChaosTransport> chaosNet_;
     telemetry::Registry registry_;
 
-    /** Every worker, indexed by plan endpoint (the root last). */
-    std::vector<std::unique_ptr<WorkerRuntime>> units_;
+    /** Every unit: plan endpoints (the root last) or processes. */
+    std::vector<Unit> units_;
 
     ChaosScheduler chaos_;
+    /** The first epoch not yet audited. */
     std::uint32_t nextEpoch_ = 1;
+    /** The last epoch whose faults were applied. */
+    std::uint32_t faultsApplied_ = 0;
+    /** What the audits found since the last run() returned. */
+    ChaosRunReport report_;
+    /** onlineViolations() when the last run() returned. */
+    std::size_t onlineMark_ = 0;
     /** (tree, edge) -> nominal Pcap_min floor (nominalEdgeFloors). */
     std::map<std::pair<std::size_t, topo::NodeId>, Watts> floors_;
     /** Racks killed and not restarted: they ride their floors. */
     std::set<std::size_t> killed_;
     /** Rack -> epoch of its pending Restart (recovery tracking). */
     std::map<std::size_t, std::uint32_t> pendingRecovery_;
-    /** Role -> stamped wire version (absent = current). */
+    /** Unit -> stamped wire version (absent = current). */
     std::map<std::uint32_t, std::uint8_t> wireVersionOf_;
 };
 

@@ -1,6 +1,15 @@
 #include "rt/engine.hh"
 
+#include <algorithm>
+
 namespace capmaestro::rt {
+
+namespace {
+
+/** Longest one sleep of runPeriods(): stop-flag and scrape latency. */
+constexpr double kSleepSliceMs = 25.0;
+
+} // namespace
 
 Engine::Engine(config::LoadedScenario scenario,
                const config::WorkerPeers &peers,
@@ -35,9 +44,33 @@ Engine::lastEdgeBudgets() const
     return out;
 }
 
+std::size_t
+Engine::runPeriods(std::size_t max_periods)
+{
+    mapClock();
+    net::Transport &tp = *transport_;
+    const std::size_t first = stats_.periodsRun;
+    while (stats_.periodsRun - first < max_periods && !stopped()) {
+        const double wake = advance(tp.nowMs());
+        obs_.poll();
+        const double now = tp.nowMs();
+        if (stats_.periodsRun - first < max_periods && wake > now)
+            tp.advanceTo(std::min(wake, now + kSleepSliceMs));
+    }
+    return stats_.periodsRun - first;
+}
+
+void
+Engine::openPeriod(std::uint32_t epoch, std::string who)
+{
+    open_ = true;
+    obs_.beginPeriod(epoch, roles_.simNow(), std::move(who));
+}
+
 void
 Engine::finishPeriod(std::uint32_t epoch)
 {
+    open_ = false;
     lastEpoch_ = epoch;
     ++stats_.periodsRun;
     obs_.publishStats();

@@ -6,8 +6,16 @@
  * owned UdpTransport bound to the hosted endpoints, or an injected
  * one), their RuntimeStats and EventLog, the observability plane
  * (rt/observe.hh) and the rt::RoleTable (rt/roles.hh) with its
- * membership plane. The engines add only their pacing, and their own
- * telemetry labels and /healthz identity.
+ * membership plane.
+ *
+ * Each engine's period is one non-blocking step over the transport
+ * clock, advance(now): it does what the period owes at @p now and
+ * returns when it must run next. It never sleeps and never moves the
+ * clock, so the same step runs on real time (runPeriods(), the one
+ * thin loop: advance, answer scrapes, advanceTo the wake; on UDP that
+ * is a real sleep) or on virtual time (rt::LockstepDeployment, where
+ * advancing a SimTransport is an instant jump). The engines add only
+ * their period, and their own telemetry labels and /healthz identity.
  */
 
 #ifndef CAPMAESTRO_RT_ENGINE_HH
@@ -15,6 +23,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -35,9 +44,41 @@ class Engine
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
 
-    /** Ask the period loop to exit at the next check (async-signal-
-     *  safe: only stores an atomic flag). */
+    /** The wake time of an engine that will run nothing more. */
+    static constexpr double kNever = std::numeric_limits<double>::infinity();
+
+    virtual ~Engine();
+
+    /**
+     * Do whatever the period owes at transport-clock time @p now: take
+     * the frames that are due and route them, close a phase on
+     * completeness or on its rt::Cascade deadline, fire the
+     * retransmissions that are due, begin the next period once its
+     * start has come. Returns the next transport-clock time it must run
+     * (kNever once stopped). Never blocks, sleeps or moves the clock.
+     */
+    virtual double advance(double now) = 0;
+
+    /**
+     * Run up to @p max_periods control periods on the transport clock,
+     * until stopped: advance(), answer scrapes, advanceTo() the wake
+     * (at most kSleepSliceMs at a time, so a stop or a scrape waits no
+     * longer). Returns periods completed.
+     */
+    std::size_t runPeriods(std::size_t max_periods);
+
+    /** Ask the period loop to exit once the open period closes (async-
+     *  signal-safe: only stores an atomic flag). */
     void requestStop() { stop_.store(true, std::memory_order_relaxed); }
+
+    /** A period is open (begun and not yet closed). */
+    bool periodOpen() const { return open_; }
+
+    /** Stop was asked and no period is open: nothing more will run. */
+    bool stopped() const
+    {
+        return stop_.load(std::memory_order_relaxed) && !open_;
+    }
 
     /** The worker layout this deployment runs. */
     const core::TreePlan &plan() const { return roles_.plan(); }
@@ -103,7 +144,13 @@ class Engine
     Engine(config::LoadedScenario scenario, const config::WorkerPeers &peers,
            std::vector<net::Transport::Endpoint> locals, std::uint64_t seed,
            net::Transport *transport, int udp_buffer = 0);
-    ~Engine();
+
+    /** Map the peer table's schedule onto the transport clock before
+     *  runPeriods() paces (a WorkerRuntime's owned UDP clock). */
+    virtual void mapClock() {}
+
+    /** Open period @p epoch and its trace, named @p who. */
+    void openPeriod(std::uint32_t epoch, std::string who);
 
     /** Close period @p epoch: count it, publish the stats mirrors and
      *  end its trace. */
@@ -117,6 +164,8 @@ class Engine
     RuntimeStats stats_;
     core::EventLog events_;
     std::uint32_t lastEpoch_ = 0;
+    /** A period is open: between openPeriod() and finishPeriod(). */
+    bool open_ = false;
     Observability obs_{stats_, events_};
     /** The roles and the send/receive path (last: it refers to the
      *  scenario, stats, events and observability above). */

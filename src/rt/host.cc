@@ -218,19 +218,40 @@ WorkerHost::aggSendDown(std::size_t slot, std::uint32_t epoch)
     }
 }
 
-void
-WorkerHost::runPeriod(std::uint32_t epoch)
+double
+WorkerHost::advance(double now)
 {
-    net::Transport &tp = *transport_;
-    const Cascade cascade{scenario_.service.protocol, roles_.plan().tiers(),
-                          tp.nowMs()};
-    const double leaf_close = cascade.downClose(0);
+    if (!open_) {
+        if (stop_.load(std::memory_order_relaxed))
+            return kNever;
+        begin(lastEpoch_ + 1, now);
+    }
+    bool progressed = false;
+    if (pass(now, progressed)) {
+        finishPeriod(epoch_);
+        return now;
+    }
+    // Run again at once after a pass that changed something: a phase it
+    // closed may have posted to the inbox, and the frames it delivered
+    // may have more right behind them. Otherwise one poll slice, capped
+    // at the leaves' budget deadline.
+    if (progressed)
+        return now;
+    const double remaining = cascade().downClose(0) - now;
+    return now + (remaining > 0.0 ? std::min(remaining, kPollSliceMs)
+                                  : kPollSliceMs);
+}
+
+void
+WorkerHost::begin(std::uint32_t epoch, double now)
+{
+    epoch_ = epoch;
+    start_ = now;
     auto &aggs = roles_.aggregators();
     auto &leaves = roles_.leaves();
 
+    openPeriod(epoch, "host" + std::to_string(process_));
     telemetry::PeriodTracer *tracer = obs_.tracer();
-    obs_.beginPeriod(epoch, roles_.simNow(),
-                     "host" + std::to_string(process_));
     if (tracer)
         tracer->periodNum("process", static_cast<double>(process_));
 
@@ -282,112 +303,89 @@ WorkerHost::runPeriod(std::uint32_t epoch)
         }
     }
     held_ = kept;
-
-    // ---- the event loop: one pass takes the in-memory inbox, then one
-    // transport drain, and services every hosted role; each role
-    // advances on completeness, with the tier-staggered §4.5 deadline
-    // cascade as the degraded-mode timeout. Frames a pass posts to
-    // co-hosted roles wait in inbox_ for the next pass.
-    for (;;) {
-        batch_.clear();
-        batch_.swap(inbox_);
-        for (auto &delivery : tp.drain(roles_.locals()))
-            batch_.push_back(std::move(delivery));
-        bool progressed = !batch_.empty();
-        for (auto &delivery : batch_) {
-            const Routed routed =
-                roles_.receive(delivery.to, delivery.frame, epoch, sends_);
-            if (routed != Routed::Corrupt) {
-                maxSeenEpoch_ =
-                    std::max(maxSeenEpoch_, roles_.frame().epoch);
-                settle(delivery.to, routed, epoch);
-            }
-            roles_.recycle(std::move(delivery.frame));
-        }
-        postAll();
-        const double now = tp.nowMs();
-        // Lagging detection: lossless pipelining runs at most one
-        // epoch ahead, so any frame from epoch+2 proves the fleet
-        // already degraded past this whole host — close the period
-        // immediately with the usual fallbacks and burn forward
-        // instead of riding deadlines ever further behind. A parent
-        // beacon at or past the current epoch does the same for the
-        // one role it targets: the beacon and the budget are mutually
-        // exclusive per epoch (the parent sends one or the other at
-        // gather close), so this role's phases are already closed
-        // upstream and waiting longer buys nothing — closing now puts
-        // its next-epoch frames ahead of the parent, where holdback
-        // replays them fresh and the chase converges.
-        const bool lagging = maxSeenEpoch_ > epoch + 1;
-        bool all_done = true;
-        for (std::size_t i = 0; i < aggs.size(); ++i) {
-            const RoleTable::Aggregator &agg = aggs[i];
-            const AggProgress &progress = aggProgress_[i];
-            const bool expired = lagging || agg.beaconEpoch >= epoch;
-            if (!progress.upDone
-                && (agg.role.upComplete() || expired
-                    || now >= cascade.gatherClose(agg.tier))) {
-                aggSendUp(i, epoch);
-                progressed = true;
-            }
-            if (progress.upDone && !progress.downDone
-                && (agg.role.downComplete() || expired
-                    || now >= cascade.downClose(agg.tier))) {
-                aggSendDown(i, epoch);
-                progressed = true;
-            }
-            all_done = all_done && progress.upDone && progress.downDone;
-        }
-        bool leaves_done = true;
-        for (std::size_t i = 0; i < leaves.size(); ++i) {
-            RoleTable::Leaf &leaf = leaves[i];
-            if (!leafDone_[i]
-                && (leaf.role.complete() || lagging
-                    || leaf.beaconEpoch >= epoch || now >= leaf_close)) {
-                roles_.closeLeaf(leaf);
-                leafDone_[i] = true;
-            }
-            leaves_done = leaves_done && leafDone_[i];
-        }
-        all_done = all_done && leaves_done;
-        if (leaves_done
-            && leafSpan_ != telemetry::PeriodTracer::kNoSpan) {
-            tracer->end(leafSpan_);
-            leafSpan_ = telemetry::PeriodTracer::kNoSpan;
-        }
-        obs_.poll();
-        if (all_done) {
-            if (lagging) {
-                ++stats_.catchUpPeriods;
-                if (tracer)
-                    tracer->periodNum("catchUp", 1.0);
-            }
-            break;
-        }
-        // Sleep only after a pass that changed nothing: a phase it
-        // closed may have posted to the inbox, and the frames it
-        // delivered may have more right behind them.
-        if (progressed)
-            continue;
-        const double remaining = leaf_close - tp.nowMs();
-        tp.advanceBy(remaining > 0.0
-                         ? std::min(remaining, kPollSliceMs)
-                         : kPollSliceMs);
-    }
-
-    finishPeriod(epoch);
 }
 
-std::size_t
-WorkerHost::runPeriods(std::size_t max_periods)
+bool
+WorkerHost::pass(double now, bool &progressed)
 {
-    std::size_t done = 0;
-    while (done < max_periods
-           && !stop_.load(std::memory_order_relaxed)) {
-        runPeriod(lastEpoch_ + 1);
-        ++done;
+    // One pass takes the in-memory inbox, then one transport drain, and
+    // services every hosted role; each role advances on completeness,
+    // with the tier-staggered §4.5 deadline cascade as the degraded-mode
+    // timeout. Frames a pass posts to co-hosted roles wait in inbox_ for
+    // the next pass.
+    const std::uint32_t epoch = epoch_;
+    const Cascade cascade = this->cascade();
+    auto &aggs = roles_.aggregators();
+    auto &leaves = roles_.leaves();
+    batch_.clear();
+    batch_.swap(inbox_);
+    for (auto &delivery : transport_->drain(roles_.locals()))
+        batch_.push_back(std::move(delivery));
+    progressed = !batch_.empty();
+    for (auto &delivery : batch_) {
+        const Routed routed =
+            roles_.receive(delivery.to, delivery.frame, epoch, sends_);
+        if (routed != Routed::Corrupt) {
+            maxSeenEpoch_ = std::max(maxSeenEpoch_, roles_.frame().epoch);
+            settle(delivery.to, routed, epoch);
+        }
+        roles_.recycle(std::move(delivery.frame));
     }
-    return done;
+    postAll();
+    // Lagging detection: lossless pipelining runs at most one epoch
+    // ahead, so any frame from epoch+2 proves the fleet already degraded
+    // past this whole host — close the period immediately with the
+    // usual fallbacks and burn forward instead of riding deadlines ever
+    // further behind. A parent beacon at or past the current epoch does
+    // the same for the one role it targets: the beacon and the budget
+    // are mutually exclusive per epoch (the parent sends one or the
+    // other at gather close), so this role's phases are already closed
+    // upstream and waiting longer buys nothing — closing now puts its
+    // next-epoch frames ahead of the parent, where holdback replays
+    // them fresh and the chase converges.
+    const bool lagging = maxSeenEpoch_ > epoch + 1;
+    bool all_done = true;
+    for (std::size_t i = 0; i < aggs.size(); ++i) {
+        const RoleTable::Aggregator &agg = aggs[i];
+        const AggProgress &progress = aggProgress_[i];
+        const bool expired = lagging || agg.beaconEpoch >= epoch;
+        if (!progress.upDone
+            && (agg.role.upComplete() || expired
+                || now >= cascade.gatherClose(agg.tier))) {
+            aggSendUp(i, epoch);
+            progressed = true;
+        }
+        if (progress.upDone && !progress.downDone
+            && (agg.role.downComplete() || expired
+                || now >= cascade.downClose(agg.tier))) {
+            aggSendDown(i, epoch);
+            progressed = true;
+        }
+        all_done = all_done && progress.upDone && progress.downDone;
+    }
+    bool leaves_done = true;
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+        RoleTable::Leaf &leaf = leaves[i];
+        if (!leafDone_[i]
+            && (leaf.role.complete() || lagging || leaf.beaconEpoch >= epoch
+                || now >= cascade.downClose(0))) {
+            roles_.closeLeaf(leaf);
+            leafDone_[i] = true;
+        }
+        leaves_done = leaves_done && leafDone_[i];
+    }
+    all_done = all_done && leaves_done;
+    telemetry::PeriodTracer *tracer = obs_.tracer();
+    if (leaves_done && leafSpan_ != telemetry::PeriodTracer::kNoSpan) {
+        tracer->end(leafSpan_);
+        leafSpan_ = telemetry::PeriodTracer::kNoSpan;
+    }
+    if (all_done && lagging) {
+        ++stats_.catchUpPeriods;
+        if (tracer)
+            tracer->periodNum("catchUp", 1.0);
+    }
+    return all_done;
 }
 
 } // namespace capmaestro::rt

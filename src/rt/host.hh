@@ -12,20 +12,22 @@
  * ready sockets, not hosted endpoints. This is what makes a
  * 100k-leaf deployment runnable on a handful of processes.
  *
- * Pacing is completeness-driven rather than wall-anchored: each period
- * every hosted role advances as soon as its inputs are complete (all
- * child stations fresh; the SubBudget received; all budgets applied),
- * with the §4.5 deadline cascade — tier-k gather closes
+ * The period is completeness-driven rather than wall-anchored: each
+ * advance() is one pass of the event loop, and every hosted role
+ * advances as soon as its inputs are complete (all child stations
+ * fresh; the SubBudget received; all budgets applied), with the §4.5
+ * deadline cascade (rt::Cascade) — tier-k gather closes
  * k x gatherDeadlineMs after the period began, SubBudget collection
  * and the leaf budget deadline a symmetric budget cascade later — as
- * the degraded-mode timeout. On a lossless transport the whole tree
- * therefore free-runs flow-controlled by its own frames (the property
- * the scalability bench measures as periods/sec); under loss each hop
- * degrades exactly like the wall-paced runtime (stale reuse, floors
- * in the merge, Pcap_min defaults). Because a finished process can run
- * at most one epoch ahead of a neighbor still collecting, frames from
- * epoch e+1 are held back and replayed when the host enters e+1
- * instead of being dropped as orphans.
+ * the degraded-mode timeout. The next period begins as soon as one
+ * closes. On a lossless transport the whole tree therefore free-runs
+ * flow-controlled by its own frames (the property the scalability
+ * bench measures as periods/sec); under loss each hop degrades
+ * exactly like a WorkerRuntime (stale reuse, floors in the merge,
+ * Pcap_min defaults). Because a finished process can run at most one
+ * epoch ahead of a neighbor still collecting, frames from epoch e+1
+ * are held back and replayed when the host enters e+1 instead of
+ * being dropped as orphans.
  *
  * Free-running epochs need a resync story: a process that starts late
  * or stalls past a deadline window would otherwise stay behind the
@@ -54,10 +56,10 @@
  * only holdback, so where a role lives never changes what it decides.
  * The transport (and any fault injection on it) carries only the
  * frames whose destination lives in another process;
- * RuntimeStats::coHostedFrames counts the rest. The loop sleeps one
- * poll slice only after a pass that neither delivered a frame nor
- * closed a gather or budget phase, so a tier hop inside one process
- * costs no sleep.
+ * RuntimeStats::coHostedFrames counts the rest. advance() asks for
+ * one poll slice of wait only after a pass that neither delivered a
+ * frame nor closed a gather or budget phase, so a tier hop inside one
+ * process costs no sleep.
  *
  * Roles, stamping, framing and routing are the RoleTable's
  * (rt/roles.hh): a hosted leaf is a LeafRole, the state machine every
@@ -138,8 +140,7 @@ class WorkerHost : public Engine
 
     ~WorkerHost();
 
-    /** Run up to @p max_periods periods; returns periods completed. */
-    std::size_t runPeriods(std::size_t max_periods);
+    double advance(double now) override;
 
     /** Endpoints hosted by this process, ascending. */
     const std::vector<net::Transport::Endpoint> &endpoints() const
@@ -194,7 +195,17 @@ class WorkerHost : public Engine
                std::uint32_t process, std::uint64_t seed,
                net::Transport *transport);
 
-    void runPeriod(std::uint32_t epoch);
+    /** Open @p epoch at @p now: reset the roles, advance the plants and
+     *  send their Metrics, replay the frames held back for it. */
+    void begin(std::uint32_t epoch, double now);
+    /** One event-loop pass at @p now; @p progressed when it delivered a
+     *  frame or closed a phase. True once every hosted role closed the
+     *  period. */
+    bool pass(double now, bool &progressed);
+    Cascade cascade() const
+    {
+        return {scenario_.service.protocol, roles_.plan().tiers(), start_};
+    }
     /** Act on what the RoleTable handed back for one received frame. */
     void settle(net::Transport::Endpoint to, Routed routed,
                 std::uint32_t epoch);
@@ -208,6 +219,10 @@ class WorkerHost : public Engine
     void aggSendDown(std::size_t slot, std::uint32_t epoch);
 
     std::uint32_t process_ = 0;
+    /** The open (or last) period's epoch. */
+    std::uint32_t epoch_ = 0;
+    /** When the open period began (its cascade's anchor). */
+    double start_ = 0.0;
     /** Highest epoch carried by any received frame. */
     std::uint32_t maxSeenEpoch_ = 0;
 

@@ -136,14 +136,6 @@ static_assert(sizeof(RuntimeStats)
                   == std::size(kStatFields) * sizeof(std::size_t),
               "kStatFields must list every RuntimeStats field");
 
-/** How the period schedule is driven. */
-enum class Pacing {
-    /** Sleep to wall-clock windows; runPeriods() drives (daemons). */
-    Wall,
-    /** The caller drives phases explicitly via step*() (harnesses). */
-    Lockstep,
-};
-
 } // namespace capmaestro::rt
 
 #endif // CAPMAESTRO_RT_STATS_HH

@@ -1,8 +1,6 @@
 #include "rt/worker_runtime.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "net/wire.hh"
 #include "policy/policy.hh"
@@ -12,20 +10,8 @@ namespace capmaestro::rt {
 
 namespace {
 
-/** Stop-flag poll granularity while waiting for a period boundary. */
-constexpr std::uint64_t kSleepSliceMs = 25;
-
 /** Receive-poll granularity inside a protocol phase, milliseconds. */
 constexpr double kPollSliceMs = 2.0;
-
-/**
- * Lockstep pacing: longest a collect loop waits (transport-clock ms)
- * for frames that may never come. Virtual (instant) on SimTransport;
- * a real bounded sleep on UdpTransport. Generous against loopback
- * latency, short enough that a chaos script with losses still runs in
- * test time.
- */
-constexpr double kLockstepWaitMs = 150.0;
 
 /** This runtime's capmaestro_rt_* and membership counters, each the
  *  mirror of one RuntimeStats field. */
@@ -83,9 +69,9 @@ WorkerRuntime::WorkerRuntime(config::LoadedScenario scenario,
 WorkerRuntime::WorkerRuntime(config::LoadedScenario scenario,
                              config::WorkerPeers peers,
                              std::uint32_t role, std::uint64_t seed,
-                             net::Transport &transport, Pacing pacing)
+                             net::Transport &transport)
     : Engine(std::move(scenario), peers, {role}, seed, &transport),
-      role_(role), pacing_(pacing)
+      role_(role)
 {
     init();
 }
@@ -93,30 +79,20 @@ WorkerRuntime::WorkerRuntime(config::LoadedScenario scenario,
 void
 WorkerRuntime::init()
 {
-    if (pacing_ == Pacing::Wall) {
-        // Lockstep runtimes have no wall-clock schedule: the harness
-        // owns the epochs, so the origin/deadline checks do not apply.
-        if (peers_.originMs == 0) {
-            util::fatal(
-                "rt: peers.originMs must be set (shared epoch origin)");
-        }
-        const auto &proto = scenario_.service.protocol;
-        // One gather + one budget window per tier hop: the tier-k
-        // receiver's gather closes at start + k x gather, and the leaf
-        // budget deadline sits a symmetric cascade later.
-        const auto hops = static_cast<double>(plan().tiers() - 1);
-        if (peers_.periodMs
-            <= hops * (proto.gatherDeadlineMs + proto.budgetDeadlineMs)) {
-            util::fatal("rt: periodMs %.0f must exceed the %u-tier "
-                        "gather+budget cascade (%.0f ms)",
-                        peers_.periodMs, plan().tiers(),
-                        hops * (proto.gatherDeadlineMs
-                                + proto.budgetDeadlineMs));
-        }
-        if (epochAt(static_cast<std::uint64_t>(unixNowMs())) > 1000000) {
-            util::fatal("rt: peers.originMs is too far in the past; "
-                        "regenerate the peer table");
-        }
+    if (peers_.originMs == 0)
+        util::fatal("rt: peers.originMs must be set (shared epoch origin)");
+    originMs_ = static_cast<double>(peers_.originMs);
+    const auto &proto = scenario_.service.protocol;
+    // One gather + one budget window per tier hop: the tier-k receiver's
+    // gather closes at start + k x gather, and the leaf budget deadline
+    // sits a symmetric cascade later.
+    const auto hops = static_cast<double>(plan().tiers() - 1);
+    if (peers_.periodMs
+        <= hops * (proto.gatherDeadlineMs + proto.budgetDeadlineMs)) {
+        util::fatal("rt: periodMs %.0f must exceed the %u-tier "
+                    "gather+budget cascade (%.0f ms)",
+                    peers_.periodMs, plan().tiers(),
+                    hops * (proto.gatherDeadlineMs + proto.budgetDeadlineMs));
     }
     if (isLeaf())
         return;
@@ -128,6 +104,22 @@ WorkerRuntime::init()
     if (leaf_children) {
         supervisor_.emplace(plan(), role_,
                             scenario_.service.protocol.heartbeatFailAfter);
+    }
+}
+
+void
+WorkerRuntime::mapClock()
+{
+    // An owned UDP clock counts from its socket setup; the peer table's
+    // origin is wall-clock time. One reading maps one onto the other.
+    if (!ownedTransport_)
+        return;
+    const double wall = unixNowMs();
+    originMs_ = transport_->nowMs() + static_cast<double>(peers_.originMs)
+                - wall;
+    if (epochAt(transport_->nowMs()) > 1000000) {
+        util::fatal("rt: peers.originMs is too far in the past; "
+                    "regenerate the peer table");
     }
 }
 
@@ -144,62 +136,18 @@ WorkerRuntime::roleName() const
 }
 
 std::uint32_t
-WorkerRuntime::epochAt(std::uint64_t unix_ms) const
+WorkerRuntime::epochAt(double ms) const
 {
-    if (unix_ms < peers_.originMs)
+    if (ms < originMs_)
         return 0;
-    return static_cast<std::uint32_t>(
-               static_cast<double>(unix_ms - peers_.originMs)
-               / peers_.periodMs)
+    return static_cast<std::uint32_t>((ms - originMs_) / peers_.periodMs)
            + 1;
 }
 
-bool
-WorkerRuntime::sleepUntil(std::uint64_t unix_ms)
+double
+WorkerRuntime::windowStart(std::uint32_t epoch) const
 {
-    for (;;) {
-        if (stop_.load(std::memory_order_relaxed))
-            return false;
-        // Scrapes are answered from the idle slice between period
-        // windows — the bulk of a wall-paced daemon's time.
-        obs_.poll();
-        const auto now = static_cast<std::uint64_t>(unixNowMs());
-        if (now >= unix_ms)
-            return true;
-        const std::uint64_t wait =
-            std::min<std::uint64_t>(unix_ms - now, kSleepSliceMs);
-        std::this_thread::sleep_for(std::chrono::milliseconds(wait));
-    }
-}
-
-std::size_t
-WorkerRuntime::runPeriods(std::size_t max_periods)
-{
-    if (pacing_ != Pacing::Wall) {
-        util::fatal("rt: runPeriods() needs Wall pacing; lockstep "
-                    "runtimes are driven via step*()");
-    }
-    std::size_t done = 0;
-    while (done < max_periods
-           && !stop_.load(std::memory_order_relaxed)) {
-        // The next epoch that has not yet begun; its window start is
-        // the shared wall-clock boundary every process sleeps to.
-        const std::uint32_t epoch =
-            epochAt(static_cast<std::uint64_t>(unixNowMs())) + 1;
-        const std::uint64_t start =
-            peers_.originMs
-            + static_cast<std::uint64_t>(
-                  static_cast<double>(epoch - 1) * peers_.periodMs);
-        if (!sleepUntil(start))
-            break;
-        // Wall mode owns its period traces (lockstep harnesses drive
-        // the tracer themselves).
-        obs_.beginPeriod(epoch, roles_.simNow(), roleName());
-        runPeriod(epoch);
-        finishPeriod(epoch);
-        ++done;
-    }
-    return done;
+    return originMs_ + static_cast<double>(epoch - 1) * peers_.periodMs;
 }
 
 // ===================================================================
@@ -226,7 +174,7 @@ WorkerRuntime::healthJson() const
 }
 
 // ===================================================================
-// Send and receive
+// The period
 // ===================================================================
 
 void
@@ -237,212 +185,210 @@ WorkerRuntime::sendAll(const Sends &batch)
 }
 
 void
-WorkerRuntime::retransmit(const Sends &batch, double sent_at, double until)
+WorkerRuntime::sendWithRetry(Sends batch, double now, double until)
 {
-    const auto &proto = scenario_.service.protocol;
-    for (int attempt = 1; attempt < proto.maxAttempts; ++attempt) {
-        const double next = sent_at + attempt * proto.retryTimeoutMs;
-        if (next >= until)
-            break;
-        transport_->advanceTo(next);
-        sendAll(batch);
-        stats_.retries += batch.size();
+    sendAll(batch);
+    resends_.push_back({std::move(batch), now, 1, until});
+}
+
+double
+WorkerRuntime::advance(double now)
+{
+    if (phase_ == Phase::Idle) {
+        if (stop_.load(std::memory_order_relaxed))
+            return kNever;
+        // The first epoch is the first window not yet begun; a period
+        // that starts late runs the epoch whose window holds now.
+        if (epoch_ == 0) {
+            epoch_ = epochAt(now);
+            if (epoch_ == 0 || windowStart(epoch_) < now)
+                ++epoch_;
+        }
+        if (now < windowStart(epoch_))
+            return windowStart(epoch_);
+        begin(std::max(epoch_, epochAt(now)), now);
     }
+
+    const Cascade cascade = this->cascade();
+    const std::uint32_t tier = plan().workers[role_].tier;
+    const std::uint32_t parent_tier =
+        isRoom() ? tier : plan().workers[parentEp()].tier;
+    if (phase_ == Phase::Gather || phase_ == Phase::Down) {
+        const bool rehome = receive();
+        if (phase_ == Phase::Gather
+            && (agg().upComplete() || now >= cascade.gatherClose(tier))) {
+            // Blind bounded retransmission until the parent's gather
+            // closes (the root sends nothing up).
+            Sends up = aggCloseGather();
+            if (!isRoom()) {
+                sendWithRetry(std::move(up), now,
+                              cascade.gatherClose(parent_tier));
+            }
+            phase_ = Phase::Down;
+        }
+        // A budget's arrival is the implicit end of that edge's
+        // exchange; the root collects nothing.
+        if (phase_ == Phase::Down
+            && (isRoom()
+                || (isLeaf() ? rehome || leafSlot().role.complete()
+                             : agg().downComplete())
+                || now >= cascade.downClose(tier))) {
+            closeDown(now);
+            phase_ = Phase::Tail;
+        }
+    }
+    const auto &proto = scenario_.service.protocol;
+    double wake = kNever;
+    for (Resend &resend : resends_) {
+        for (;;) {
+            const double next = resend.sentAt + resend.sends
+                                                    * proto.retryTimeoutMs;
+            if (resend.sends >= proto.maxAttempts || next >= resend.until)
+                break;
+            if (next > now) {
+                wake = std::min(wake, next);
+                break;
+            }
+            sendAll(resend.batch);
+            stats_.retries += resend.batch.size();
+            ++resend.sends;
+        }
+    }
+
+    if (phase_ != Phase::Tail) {
+        const double close = phase_ == Phase::Gather
+                                 ? cascade.gatherClose(tier)
+                                 : cascade.downClose(tier);
+        return std::min({wake, now + kPollSliceMs, close});
+    }
+    if (wake != kNever)
+        return wake;
+    // The period ends with its last retransmission; one that overran
+    // its window skips to the next window not yet begun.
+    resends_.clear();
+    phase_ = Phase::Idle;
+    finishPeriod(epoch_);
+    epoch_ = epochAt(now) + 1;
+    return stop_.load(std::memory_order_relaxed) ? kNever
+                                                 : windowStart(epoch_);
 }
 
 void
-WorkerRuntime::collect(std::uint32_t epoch, Until until, double close)
+WorkerRuntime::begin(std::uint32_t epoch, double now)
 {
-    net::Transport &tp = *transport_;
-    Sends acks;
-    for (;;) {
-        bool rehome = false;
-        for (const auto &bytes : tp.poll(role_)) {
-            switch (roles_.receive(role_, bytes, epoch, acks)) {
-            case Routed::Rehome:
-                rehome = true;
-                break;
-            case Routed::Up:
-                if (supervisor_) {
-                    supervisor_->noteFrame(roles_.frame(), epoch,
-                                           roles_.membership().table(),
-                                           stats_, events_);
-                }
-                break;
-            case Routed::Adopted:
-                events_.record(static_cast<Seconds>(roles_.frame().epoch),
-                               core::EventKind::MembershipAdopted,
-                               roleName(),
-                               static_cast<double>(
-                                   roles_.membership().generation()));
-                // Committed out: this period applies zero watts (see
-                // LeafRole::close), the ack is the promise, and a
-                // wall-paced daemon exits so the supervisor can
-                // retire it.
-                if (roles_.membership().left(role_)
-                    && pacing_ == Pacing::Wall)
-                    requestStop();
-                break;
-            case Routed::Later:
-                ++stats_.orphanFrames; // no holdback in these pacings
-                break;
-            default:
-                break;
-            }
-            sendAll(acks);
-            acks.clear();
-        }
-        const bool done = until == Until::Gather ? agg().upComplete()
-                          : isLeaf() ? rehome || leafSlot().role.complete()
-                                     : agg().downComplete();
-        if (done)
-            break;
-        const double remaining = close - tp.nowMs();
-        if (remaining <= 0.0)
-            break;
-        tp.advanceBy(std::min(remaining, kPollSliceMs));
+    epoch_ = epoch;
+    start_ = now;
+    openPeriod(epoch, roleName());
+    if (!isLeaf()) {
+        agg().beginEpoch(epoch);
+        if (supervisor_)
+            supervisor_->beginEpoch();
+        roles_.membership().openGather(agg(), supervisor());
+        phase_ = Phase::Gather;
+        return;
     }
-}
-
-// ===================================================================
-// The two halves of a period
-// ===================================================================
-
-WorkerRuntime::Sends
-WorkerRuntime::upFrames(std::uint32_t epoch, double close)
-{
+    RoleTable::Leaf &leaf = leafSlot();
+    leaf.role.advance(epoch);
     Sends up;
-    if (isLeaf()) {
-        RoleTable::Leaf &leaf = leafSlot();
-        leaf.role.advance(epoch);
-        roles_.frameMetrics(leaf, epoch, up);
-        // The parent's Supervisor stores it (rt/supervisor.hh).
-        up.push_back({role_, parentEp(),
-                      net::encodeCheckpoint(roles_.stamp(role_, epoch),
-                                            leaf.role.checkpoint())});
-        ++stats_.checkpointsSent;
-        return up;
+    roles_.frameMetrics(leaf, epoch, up);
+    // The parent's Supervisor stores it (rt/supervisor.hh).
+    up.push_back({role_, parentEp(),
+                  net::encodeCheckpoint(roles_.stamp(role_, epoch),
+                                        leaf.role.checkpoint())});
+    ++stats_.checkpointsSent;
+    sendWithRetry(std::move(up), now,
+                  cascade().gatherClose(plan().workers[parentEp()].tier));
+    phase_ = Phase::Down;
+}
+
+bool
+WorkerRuntime::receive()
+{
+    Sends acks;
+    bool rehome = false;
+    for (const auto &bytes : transport_->poll(role_)) {
+        switch (roles_.receive(role_, bytes, epoch_, acks)) {
+        case Routed::Rehome:
+            rehome = true;
+            break;
+        case Routed::Up:
+            if (supervisor_) {
+                supervisor_->noteFrame(roles_.frame(), epoch_,
+                                       roles_.membership().table(), stats_,
+                                       events_);
+            }
+            break;
+        case Routed::Adopted:
+            events_.record(static_cast<Seconds>(roles_.frame().epoch),
+                           core::EventKind::MembershipAdopted, roleName(),
+                           static_cast<double>(
+                               roles_.membership().generation()));
+            // A leaf committed out: this period applies zero watts (see
+            // LeafRole::close), the ack is the promise, and the worker
+            // exits once the period closes so the supervisor can retire
+            // it. Membership is a rack-level idea: an aggregator keeps
+            // running.
+            if (isLeaf() && roles_.membership().left(role_))
+                requestStop();
+            break;
+        case Routed::Later:
+            ++stats_.orphanFrames; // no holdback in this engine
+            break;
+        default:
+            break;
+        }
+        sendAll(acks);
+        acks.clear();
     }
-    agg().beginEpoch(epoch);
-    if (supervisor_)
-        supervisor_->beginEpoch();
-    roles_.membership().openGather(agg(), supervisor());
-    collect(epoch, Until::Gather, close);
-    return aggCloseGather(epoch);
+    return rehome;
 }
 
 WorkerRuntime::Sends
-WorkerRuntime::aggCloseGather(std::uint32_t epoch)
+WorkerRuntime::aggCloseGather()
 {
     // Liveness from this gather, then the root's commit gate and the
     // child view both imply.
     if (supervisor_)
-        supervisor_->closeGather(epoch, roles_.membership().table(), stats_,
+        supervisor_->closeGather(epoch_, roles_.membership().table(), stats_,
                                  events_);
-    roles_.membership().closeGather(agg(), epoch, supervisor());
+    roles_.membership().closeGather(agg(), epoch_, supervisor());
     std::map<std::uint32_t, telemetry::UnitHealth> overrides;
     if (supervisor_) {
         overrides = supervisor_->overrides();
         deadRacks_.set(static_cast<double>(overrides.size()));
     }
     const auto &summaries = agg().closeGather(stats_, events_);
-    obs_.reportChildren(agg(), epoch, overrides);
+    obs_.reportChildren(agg(), epoch_, overrides);
     Sends up;
     if (!isRoom())
-        roles_.frameSummaries(aggSlot(), summaries, epoch, up);
+        roles_.frameSummaries(aggSlot(), summaries, epoch_, up);
     return up;
 }
 
-WorkerRuntime::Sends
-WorkerRuntime::aggDownFrames(std::uint32_t epoch)
-{
-    Sends down;
-    roles_.frameDown(aggSlot(), epoch, down);
-    if (!supervisor_)
-        return down;
-    for (const Supervisor::Rehome &rehome :
-         supervisor_->rehomes(epoch, roles_.membership().table(), stats_)) {
-        down.push_back({role_, rehome.child,
-                        net::encodeRehome(roles_.stamp(role_, epoch),
-                                          rehome.checkpoint)});
-    }
-    return down;
-}
-
 void
-WorkerRuntime::runPeriod(std::uint32_t epoch)
+WorkerRuntime::closeDown(double now)
 {
-    net::Transport &tp = *transport_;
-    // With two tiers the cascade is the flat schedule: the root gathers
-    // for one window and retransmits budgets until the leaves' budget
-    // deadline.
-    const Cascade cascade{scenario_.service.protocol, plan().tiers(),
-                          tp.nowMs()};
-    const std::uint32_t tier = plan().workers[role_].tier;
-
-    // ---- up: blind bounded retransmission until the parent's gather
-    // closes (the root sends nothing up).
-    const auto up = upFrames(epoch, cascade.gatherClose(tier));
-    if (!isRoom()) {
-        const double sent_at = tp.nowMs();
-        sendAll(up);
-        retransmit(up, sent_at,
-                   cascade.gatherClose(plan().workers[parentEp()].tier));
-    }
-
-    // ---- down: collect until this tier's down deadline (a budget's
-    // arrival is the implicit end of that edge's exchange); an
-    // aggregator's split then goes out with blind bounded
-    // retransmission until its children's own down deadline.
-    const auto down = downHalf(epoch, cascade.downClose(tier));
-    if (!isLeaf())
-        retransmit(down, tp.nowMs(), cascade.downClose(tier - 1));
-}
-
-WorkerRuntime::Sends
-WorkerRuntime::downHalf(std::uint32_t epoch, double close)
-{
-    if (!isRoom())
-        collect(epoch, Until::Down, close);
     if (isLeaf()) {
         roles_.closeLeaf(leafSlot());
-        return {};
+        return;
     }
-    const auto down = aggDownFrames(epoch);
-    sendAll(down);
+    Sends down;
+    roles_.frameDown(aggSlot(), epoch_, down);
+    if (supervisor_) {
+        for (const Supervisor::Rehome &rehome : supervisor_->rehomes(
+                 epoch_, roles_.membership().table(), stats_)) {
+            down.push_back({role_, rehome.child,
+                            net::encodeRehome(roles_.stamp(role_, epoch_),
+                                              rehome.checkpoint)});
+        }
+    }
+    const std::uint32_t tier = plan().workers[role_].tier;
+    sendWithRetry(std::move(down), now, cascade().downClose(tier - 1));
     // Membership snapshots ride the same down window, single-shot per
     // period (ack-gated: a lost broadcast is repaired next period).
     Sends snapshots;
-    roles_.frameMembership(epoch, snapshots);
+    roles_.frameMembership(epoch_, snapshots);
     sendAll(snapshots);
-    return down;
-}
-
-void
-WorkerRuntime::stepUp(std::uint32_t epoch)
-{
-    if (pacing_ != Pacing::Lockstep)
-        util::fatal("rt: stepUp() needs a lockstep runtime");
-    telemetry::PeriodTracer *tracer = obs_.tracer();
-    if (isRoom() && tracer) {
-        roomSpan_ = tracer->begin("rt.room");
-        tracer->num(roomSpan_, "epoch", static_cast<double>(epoch));
-    }
-    // Single-shot sends: lockstep has no deadline schedule to pace
-    // retransmissions against, and a chaos harness wants injected loss
-    // to actually cost a frame.
-    sendAll(upFrames(epoch, transport_->nowMs() + kLockstepWaitMs));
-}
-
-void
-WorkerRuntime::stepDown(std::uint32_t epoch)
-{
-    if (pacing_ != Pacing::Lockstep)
-        util::fatal("rt: stepDown() needs a lockstep runtime");
-    downHalf(epoch, transport_->nowMs() + kLockstepWaitMs);
-    if (isRoom() && obs_.tracer())
-        obs_.tracer()->end(roomSpan_);
-    finishPeriod(epoch);
 }
 
 // ===================================================================

@@ -51,23 +51,27 @@
  * the root's split, and overlays its supervisor's liveness on the
  * views; callers drive membership() directly.
  *
- * Pacing: Wall mode (daemons, runPeriods()) sleeps to window
- * boundaries and runs a tier-staggered deadline cascade (rt::Cascade):
- * a tier-k receiver's gather closes at window start + k x
- * gatherDeadlineMs, and budgets cascade back down symmetrically.
- * Lockstep mode (chaos harness) hands the schedule to the caller:
- * stepUp() on every worker in ascending endpoint order, then stepDown()
- * tier by tier descending, one explicit epoch at a time over any injected
- * Transport, with single-shot sends, so kill/restart/partition scripts
- * are deterministic.
+ * The period: window starts come from one mapping of the peer table's
+ * originMs onto the transport clock (runPeriods() maps an owned UDP
+ * clock from the wall clock; an injected transport's clock is read as
+ * the table's own). advance() waits for the window start, then runs
+ * the phases of one resumable period on the tier-staggered deadline
+ * cascade (rt::Cascade), anchored where the period began: a tier-k
+ * receiver's gather closes at start + k x gatherDeadlineMs, and
+ * budgets cascade back down symmetrically. A phase closes on
+ * completeness or on its deadline, receives are polled every
+ * kPollSliceMs, and a period that overran its window skips to the
+ * next one not yet begun. The daemon paces it on real time and
+ * rt::LockstepDeployment on virtual time, so every chaos test runs
+ * the schedule the daemons run.
  *
  * Roles, stamping, framing and routing are the rt::RoleTable's
  * (rt/roles.hh), the one send/receive path WorkerHost runs too, and
  * what both engines own and show is their rt::Engine base
- * (rt/engine.hh). The runtime keeps what differs: the two pacings,
- * retransmission and its supervisor. A frame the table hands
- * back from a later epoch is an orphan here: these pacings keep no
- * holdback.
+ * (rt/engine.hh). The runtime keeps what differs: its period,
+ * retransmission and its supervisor. A frame the table hands back
+ * from a later epoch is an orphan here: the runtime keeps no holdback.
+ * A unit committed Left stops once that period closes.
  *
  * Every degraded decision lands in the runtime's EventLog with the
  * epoch as its timestamp, mirroring ClosedLoopSim's audit trail.
@@ -99,7 +103,7 @@
 namespace capmaestro::rt {
 
 /**
- * One worker process's runtime: its role, pacing and retransmission,
+ * One worker process's runtime: its role, period and retransmission,
  * and its supervisor. Construct with any
  * endpoint of the plan: 0..N-1 for a leaf, the root last.
  */
@@ -107,8 +111,8 @@ class WorkerRuntime : public Engine
 {
   public:
     /**
-     * Wall-paced runtime over an internally owned UdpTransport (the
-     * daemon shape).
+     * Runtime over an internally owned UdpTransport (the daemon
+     * shape).
      *
      * @param scenario  loaded scenario (ownership taken; every worker
      *                  process loads the same file)
@@ -124,13 +128,12 @@ class WorkerRuntime : public Engine
 
     /**
      * Runtime over an injected transport (not owned; must outlive the
-     * runtime). Lockstep pacing skips every wall-clock validation —
-     * the harness owns the epoch schedule.
+     * runtime), whose clock reads the peer table's originMs at epoch
+     * 1's window start.
      */
     WorkerRuntime(config::LoadedScenario scenario,
                   config::WorkerPeers peers, std::uint32_t role,
-                  std::uint64_t seed, net::Transport &transport,
-                  Pacing pacing);
+                  std::uint64_t seed, net::Transport &transport);
 
     ~WorkerRuntime();
 
@@ -147,28 +150,7 @@ class WorkerRuntime : public Engine
     /** "room", "aggN", or "rackN" — log labels. */
     std::string roleName() const;
 
-    /**
-     * Wall pacing only: run up to @p max_periods control periods, each
-     * aligned to its wall-clock window, until requestStop(). Returns
-     * periods run.
-     */
-    std::size_t runPeriods(std::size_t max_periods);
-
-    // ---- Lockstep pacing: the caller drives one epoch as stepUp() on
-    // every live worker in ascending endpoint order (leaves, then the
-    // aggregators tier by tier, then the root), then stepDown() tier by
-    // tier descending. Every send is single-shot.
-
-    /** Lockstep up half: a leaf advances its plant and sends its
-     *  Metrics and Checkpoint; an aggregator gathers, closes the
-     *  gather and forwards its Summaries (the root keeps them). */
-    void stepUp(std::uint32_t epoch);
-
-    /** Lockstep down half: a leaf collects its Budgets (or a Rehome)
-     *  and closes its period; an aggregator collects its SubBudgets
-     *  (not the root) and sends its split, its Rehomes and (root) the
-     *  membership broadcast. */
-    void stepDown(std::uint32_t epoch);
+    double advance(double now) override;
 
     /**
      * Rack only: per-supply AC budgets applied to server @p server_id
@@ -228,24 +210,44 @@ class WorkerRuntime : public Engine
     using Routed = RoleTable::Routed;
     using Sends = RoleTable::Sends;
 
-    /** What a collect() loop waits for. */
-    enum class Until : std::uint8_t
+    /** Where the open period stands. */
+    enum class Phase : std::uint8_t
     {
-        /** Aggregator: every awaited child station fresh. */
+        /** Between periods: waiting for the next window start. */
+        Idle,
+        /** Aggregator: gathering until every awaited child station is
+         *  fresh or the gather deadline. */
         Gather,
-        /** Aggregator: every SubBudget received. Leaf: every edge
-         *  budgeted, or a Rehome (its parent withholds budgets from a
-         *  re-homing child). */
+        /** Collecting until the down deadline: an aggregator every
+         *  SubBudget (the root none), a leaf every edge's Budget or a
+         *  Rehome (its parent withholds budgets from a re-homing
+         *  child). */
         Down,
+        /** Phases closed; the period ends with its last
+         *  retransmission. */
+        Tail,
     };
 
-    /** Shared ctor body: validate the pacing schedule and build the
-     *  supervisor. */
-    void init();
+    /** A batch under blind bounded retransmission: re-sent every
+     *  retryTimeoutMs after @p sentAt, up to maxAttempts sends, while
+     *  before @p until (no ACK channel exists; receivers dedup). */
+    struct Resend
+    {
+        Sends batch;
+        double sentAt = 0.0;
+        int sends = 1;
+        double until = 0.0;
+    };
 
-    std::uint32_t epochAt(std::uint64_t unix_ms) const;
-    /** Sleep until @p unix_ms, checking stop_; false when stopped. */
-    bool sleepUntil(std::uint64_t unix_ms);
+    /** Validate the schedule and build the supervisor. */
+    void init();
+    void mapClock() override;
+
+    /** Epoch whose window holds transport-clock time @p ms (0 before
+     *  epoch 1). */
+    std::uint32_t epochAt(double ms) const;
+    /** Transport-clock start of epoch @p epoch's window. */
+    double windowStart(std::uint32_t epoch) const;
 
     bool isLeaf() const { return role_ < rackCount(); }
     RoleTable::Leaf &leafSlot() { return roles_.leaves().front(); }
@@ -253,46 +255,45 @@ class WorkerRuntime : public Engine
     AggregatorRole &agg() { return aggSlot().role; }
     /** The plan parent (leaf and aggregator roles). */
     std::uint32_t parentEp() const { return plan().workers[role_].parent; }
+    Cascade cascade() const
+    {
+        return {scenario_.service.protocol, plan().tiers(), start_};
+    }
 
     /** Send every frame of @p batch once (copied: it may be resent). */
     void sendAll(const Sends &batch);
-    /** Blind bounded retransmission of @p batch, first sent at
-     *  @p sent_at: every retryTimeoutMs up to maxAttempts sends, while
-     *  before @p until (no ACK channel exists; receivers dedup). */
-    void retransmit(const Sends &batch, double sent_at, double until);
-    /** Receive into the RoleTable until @p until holds or the
-     *  transport clock reaches @p close; act on what it hands back. */
-    void collect(std::uint32_t epoch, Until until, double close);
-
-    /** Wall pacing: one period on the tier-staggered deadline
-     *  schedule. */
-    void runPeriod(std::uint32_t epoch);
-
-    /** The up half until its sends: a leaf advances and frames its
-     *  Metrics and Checkpoint; an aggregator opens the epoch (and its
-     *  supervisor's child view), gathers until @p close and frames its
-     *  Summaries (none at the root). */
-    Sends upFrames(std::uint32_t epoch, double close);
-    /** The down half: collect until @p close (not the root); then a
-     *  leaf closes its period, and an aggregator sends its split and
-     *  its Rehomes, which it returns for retransmission, and (root) the
-     *  membership broadcast once. */
-    Sends downHalf(std::uint32_t epoch, double close);
+    /** Send @p batch at @p now and retransmit it until @p until. */
+    void sendWithRetry(Sends batch, double now, double until);
+    /** Open @p epoch at @p now: a leaf advances and sends its Metrics
+     *  and Checkpoint; an aggregator opens the epoch (and its
+     *  supervisor's child view) and gathers. */
+    void begin(std::uint32_t epoch, double now);
+    /** Take every due frame into the RoleTable and act on what it hands
+     *  back; true when a leaf took a Rehome. */
+    bool receive();
     /** Close the gather (the supervisor's liveness, then the root's
      *  commit gate and the child view both imply), roll the outcome up
      *  into fleet health, and frame the Summaries. */
-    Sends aggCloseGather(std::uint32_t epoch);
-    /** The split as Budget/SubBudget frames, plus the Rehomes the
-     *  supervisor owes. */
-    Sends aggDownFrames(std::uint32_t epoch);
+    Sends aggCloseGather();
+    /** Close the down phase: a leaf closes its period; an aggregator
+     *  sends its split and its Rehomes, retransmitted until its
+     *  children's down deadline, and (root) the membership broadcast
+     *  once. */
+    void closeDown(double now);
 
     std::uint32_t role_ = 0;
-    Pacing pacing_ = Pacing::Wall;
     /** Supervision of this worker's leaf children (none: empty). */
     std::optional<Supervisor> supervisor_;
-    /** Root, lockstep: the rt.room span from stepUp() to stepDown(). */
-    telemetry::PeriodTracer::SpanId roomSpan_ =
-        telemetry::PeriodTracer::kNoSpan;
+    /** Transport-clock start of epoch 1's window. */
+    double originMs_ = 0.0;
+    Phase phase_ = Phase::Idle;
+    /** The open period's epoch; while Idle, the next one to run (0:
+     *  chosen at the first advance()). */
+    std::uint32_t epoch_ = 0;
+    /** When the open period began (its cascade's anchor). */
+    double start_ = 0.0;
+    /** The open period's batches under retransmission. */
+    std::vector<Resend> resends_;
     /** capmaestro_rt_degraded_racks (a no-op handle while
      *  detached). */
     telemetry::Gauge deadRacks_;

@@ -24,7 +24,8 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -36,6 +37,7 @@
 #include "net/transport.hh"
 #include "net/wire.hh"
 #include "rt/chaos.hh"
+#include "rt/plant.hh"
 #include "test_support.hh"
 #include "telemetry/health.hh"
 #include "util/json.hh"
@@ -118,6 +120,17 @@ scriptStandardChaos(rt::ChaosScheduler &chaos, std::size_t racks)
     chaos.at(18, rt::ChaosEvent::Kind::Heal);
     chaos.at(23, rt::ChaosEvent::Kind::Kill, 1);
     chaos.at(27, rt::ChaosEvent::Kind::Restart, 1);
+}
+
+/** Scenario @p json with §4.5 deadlines short enough that a Udp run,
+ *  paced on the real clock, takes seconds rather than tens of them. */
+std::string
+withUdpDeadlines(std::string json)
+{
+    json.insert(json.rfind('}'),
+                R"(, "transport": {"backend": "udp", "gatherDeadlineMs": 25,
+                   "budgetDeadlineMs": 25, "retryTimeoutMs": 6})");
+    return json;
 }
 
 } // namespace
@@ -261,7 +274,7 @@ TEST(Failover, UdpChaosNeverViolatesBudgetsAndRehomesEveryRestart)
     // set for the whole deployment, a restarted runtime reusing its
     // role's port. The kernel owns delivery timing, so assertions are
     // behavior-level (states and counters), not bit-level.
-    rt::LockstepDeployment dep(kScenario, rt::ChaosBackend::Udp,
+    rt::LockstepDeployment dep(withUdpDeadlines(kScenario), rt::ChaosBackend::Udp,
                                net::TransportConfig{}, /*seed=*/11);
     scriptStandardChaos(dep.chaos(), dep.rackCount());
     const auto report = dep.run(35);
@@ -487,7 +500,7 @@ TEST(DeepChaos, MidTierAggregatorKillStaysSafeOnUdp)
     SKIP_WITHOUT_NET();
     // The same aggregator outage over real loopback sockets:
     // behavior-level assertions only.
-    rt::LockstepDeployment dep(deepScenario(), rt::ChaosBackend::Udp,
+    rt::LockstepDeployment dep(withUdpDeadlines(deepScenario()), rt::ChaosBackend::Udp,
                                net::TransportConfig{}, /*seed=*/311,
                                /*agg_levels=*/{1});
     dep.chaos().at(5, rt::ChaosEvent::Kind::Kill, 4);
@@ -617,7 +630,7 @@ TEST(Elasticity, UdpJoinDrainRollingUpgradeStaysSafe)
     // kernel owns delivery, so assertions are behavior-level — but
     // the safety audit and the end-state membership table are the
     // same hard bar.
-    rt::LockstepDeployment dep(deepScenario(), rt::ChaosBackend::Udp,
+    rt::LockstepDeployment dep(withUdpDeadlines(deepScenario()), rt::ChaosBackend::Udp,
                                net::TransportConfig{}, /*seed=*/88,
                                /*agg_levels=*/{1});
     scriptElasticUpgrade(dep);
@@ -899,6 +912,9 @@ digestOf(rt::LockstepDeployment &dep, const rt::ChaosRunReport &report)
 // hashes the per-epoch log, every surviving unit's final RuntimeStats
 // and applied edge budgets (bit patterns), and each unit's event log.
 // They change only with an intended protocol change (docs/testing.md).
+// Last re-pinned when the harness began running the daemons' schedule
+// (Engine::advance: retransmission and the rt::Cascade deadlines)
+// instead of single-shot lockstep phases.
 
 TEST(LockstepGolden, TwoLevelKillRestartUnderLoss)
 {
@@ -912,7 +928,7 @@ TEST(LockstepGolden, TwoLevelKillRestartUnderLoss)
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
     EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_EQ(report.recoveries, 2u);
-    EXPECT_DIGEST(dep, report, 0xf4df0127cb91f085);
+    EXPECT_DIGEST(dep, report, 0xdb4025eb9763662c);
 }
 
 TEST(LockstepGolden, PartitionHealDeclinedReplay)
@@ -926,7 +942,7 @@ TEST(LockstepGolden, PartitionHealDeclinedReplay)
     EXPECT_EQ(report.onlineViolations, report.violations);
     ASSERT_NE(dep.rack(0), nullptr);
     EXPECT_EQ(dep.rack(0)->stats().rehomesDeclined, 1u);
-    EXPECT_DIGEST(dep, report, 0x57e2bbf729bd7659);
+    EXPECT_DIGEST(dep, report, 0xa75575cdcf101683);
 }
 
 TEST(LockstepGolden, Depth4MidTierAggregatorKill)
@@ -946,7 +962,7 @@ TEST(LockstepGolden, Depth4MidTierAggregatorKill)
     EXPECT_EQ(report.violations, 0u) << report.firstViolation;
     EXPECT_EQ(report.onlineViolations, report.violations);
     EXPECT_GE(dep.room().stats().staleReuses, 1u);
-    EXPECT_DIGEST(dep, report, 0x1773cc9cd913e042);
+    EXPECT_DIGEST(dep, report, 0x370134ec4107c11b);
 }
 
 TEST(LockstepGolden, Depth4ElasticJoinDrainAggKill)
@@ -974,7 +990,150 @@ TEST(LockstepGolden, Depth4ElasticJoinDrainAggKill)
     // No rack dies: the absent joiners (rack 7 also across the
     // restart of its row aggregator 11) are never failed over.
     EXPECT_EQ(fleetTotal(dep, &rt::RuntimeStats::failovers), 0u);
-    EXPECT_DIGEST(dep, report, 0x2490e5bf59a7e23b);
+    EXPECT_DIGEST(dep, report, 0x22a9c32b72d663ac);
+}
+
+// ------------------------------------ the daemons' schedule, replayed
+
+namespace {
+
+/** configs/tree_depth3.json: 4 racks, row aggregators 4 (racks 0-1)
+ *  and 5 (racks 2-3), the root 6 at --agg-levels=1. */
+std::string
+treeDepth3Json()
+{
+    std::ifstream in(std::string(CAPMAESTRO_SOURCE_DIR)
+                     + "/configs/tree_depth3.json");
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+} // namespace
+
+// The load failure of the depth-3 failover smoke, replayed on virtual
+// time: rack 1 is killed long enough to be declared dead and restarted,
+// and its row aggregator 4 is stalled from that epoch's start until
+// rack 1 has closed heartbeatFailAfter periods on its own, as a loaded
+// box delays the aggregator's process. The Rehome it sends on waking
+// then lands too late: the leaf takes itself for an instance that rode
+// out a partition and declines it. Safety holds throughout, with both
+// of row 4's racks on their Pcap_min floors while it stalls. Pinned as
+// today's outcome: deciding replay by instance identity flips it to an
+// applied Rehome.
+TEST(DeepChaos, StalledRowAggregatorsRehomeLandsLateAndIsDeclined)
+{
+    const auto run_once = [](std::uint64_t &digest) {
+        rt::LockstepDeployment dep(treeDepth3Json(), rt::ChaosBackend::Sim,
+                                   net::TransportConfig{}, /*seed=*/41,
+                                   /*agg_levels=*/{1});
+        ASSERT_EQ(dep.plan().workers.size(), 7u);
+        ASSERT_EQ(dep.plan().workers[1].parent, 4u);
+        const auto scenario =
+            config::loadScenario(util::parseJson(treeDepth3Json()));
+        const auto fail_after = static_cast<std::uint32_t>(
+            scenario.service.protocol.heartbeatFailAfter);
+        const double period = dep.epochStartMs(2) - dep.epochStartMs(1);
+        constexpr std::uint32_t kRestart = 10;
+        dep.chaos().at(4, rt::ChaosEvent::Kind::Kill, 1);
+        dep.chaos().at(kRestart, rt::ChaosEvent::Kind::Restart, 1);
+        dep.chaos().at(kRestart, rt::ChaosEvent::Kind::Stall, 4,
+                       static_cast<std::uint32_t>(fail_after * period)
+                           + 10);
+        rt::ChaosRunReport report = dep.run(kRestart - 1);
+        ASSERT_EQ(dep.rackState(1), rt::RackState::Dead);
+
+        const auto floors =
+            rt::nominalEdgeFloors(*scenario.system, scenario);
+        for (std::uint32_t e = 0; e < fail_after; ++e) {
+            const rt::ChaosRunReport stalled = dep.run(1);
+            report.violations += stalled.violations;
+            report.onlineViolations += stalled.onlineViolations;
+            report.log.push_back(stalled.log.front());
+            for (const std::uint32_t r : {0u, 1u}) {
+                for (const auto &[edge, watts] :
+                     dep.rack(r)->lastEdgeBudgets()) {
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(watts),
+                              std::bit_cast<std::uint64_t>(
+                                  floors.at(edge)))
+                        << "rack " << r << " epoch " << kRestart + e;
+                }
+            }
+        }
+        const rt::ChaosRunReport rest = dep.run(10);
+        report.violations += rest.violations;
+        report.onlineViolations += rest.onlineViolations;
+        report.log.insert(report.log.end(), rest.log.begin(),
+                          rest.log.end());
+
+        EXPECT_EQ(report.violations, 0u) << report.firstViolation;
+        EXPECT_EQ(report.onlineViolations, 0u);
+        ASSERT_NE(dep.rack(1), nullptr);
+        EXPECT_EQ(dep.rack(1)->stats().rehomesDeclined, 1u);
+        EXPECT_EQ(dep.rack(1)->stats().rehomesApplied, 0u);
+        EXPECT_EQ(dep.unit(4)->stats().restartsDetected, 1u);
+        EXPECT_EQ(dep.rackState(1), rt::RackState::Live);
+        digest = digestOf(dep, report);
+    };
+    std::uint64_t first = 0, second = 0;
+    run_once(first);
+    run_once(second);
+    EXPECT_EQ(first, second);
+}
+
+// Chaos on the other engine: three WorkerHost processes on the harness
+// (the root and row 5; racks 0-1 alone; row 4 with racks 2-3, so
+// frames cross processes both up and down) under 5 % loss. The
+// leaf-only process and the one holding row 4 are each killed and
+// restarted; a restarted host starts from epoch 1 and catches up on
+// its parents' beacons. Hosts send every frame once and run no
+// supervision, so under loss a lost budget is a default: real budgets
+// flowing again means most edge-periods after the catch-up apply one.
+TEST(DeepChaos, HostDeploymentSurvivesLossAndProcessRestarts)
+{
+    net::TransportConfig faults;
+    faults.dropRate = 0.05;
+    faults.seed = 2718;
+    rt::LockstepDeployment dep(treeDepth3Json(), rt::ChaosBackend::Sim,
+                               faults, /*seed=*/17, /*agg_levels=*/{1},
+                               {{0, 1}, {1, 1}, {4, 2}, {2, 2}, {3, 2}});
+    ASSERT_EQ(dep.unit(0), nullptr);
+    constexpr std::uint32_t kLeafOnly = 1;
+    constexpr std::uint32_t kRowHost = 2;
+    const std::pair<std::uint32_t, std::uint32_t> outages[] = {
+        {kLeafOnly, 10}, {kRowHost, 40}};
+    for (const auto &[process, kill] : outages) {
+        dep.chaos().at(kill, rt::ChaosEvent::Kind::Kill, process);
+        dep.chaos().at(kill + 5, rt::ChaosEvent::Kind::Restart, process);
+    }
+
+    rt::ChaosRunReport report = dep.run(9);
+    std::size_t violations = report.violations;
+    std::size_t online = report.onlineViolations;
+    for (const auto &[process, kill] : outages) {
+        // Down for five epochs, then three to catch up and settle.
+        report = dep.run(kill + 8 - dep.engine(0)->lastEpoch());
+        violations += report.violations;
+        online += report.onlineViolations;
+        const rt::Engine *host = dep.engine(process);
+        ASSERT_NE(host, nullptr);
+        const std::size_t edges = host->lastEdgeBudgets().size();
+        ASSERT_GT(edges, 0u);
+        const rt::RuntimeStats before = host->stats();
+        constexpr std::uint32_t kWindow = 20;
+        report = dep.run(kWindow);
+        violations += report.violations;
+        online += report.onlineViolations;
+        const rt::RuntimeStats after = host->stats();
+        EXPECT_GE(after.budgetsApplied - before.budgetsApplied,
+                  kWindow * edges * 3 / 4)
+            << "process " << process;
+        EXPECT_LE(after.defaultBudgets - before.defaultBudgets,
+                  kWindow * edges / 4)
+            << "process " << process;
+        EXPECT_GT(after.catchUpPeriods, 0u) << "process " << process;
+    }
+    EXPECT_EQ(violations, 0u) << report.firstViolation;
+    EXPECT_EQ(online, 0u);
 }
 
 // ------------------------------------ floors in the merge (§4.5)
@@ -1061,60 +1220,15 @@ TEST(FloorsInTheMerge, PartitionedRackUntilDeadKeepsTheRppInsideItsLimit)
 
 // ------------------------------------------- hostile upstream frames
 
-namespace {
-
-/** The 2-level testbed as three lockstep runtimes over one lossless
- *  SimTransport, stepped by hand so a test can slip frames in between
- *  the racks' upstream sends and the root's gather. */
-class ManualFleet
-{
-  public:
-    ManualFleet()
-    {
-        config::WorkerPeers peers;
-        peers.periodMs = 1000.0;
-        peers.originMs = 1;
-        for (std::uint32_t e = 0; e < 3; ++e)
-            peers.peers[e] = net::UdpPeer{"127.0.0.1", 0};
-        for (std::uint32_t e = 0; e < 3; ++e) {
-            units_.push_back(std::make_unique<rt::WorkerRuntime>(
-                config::loadScenario(util::parseJson(kScenario)), peers,
-                e, /*seed=*/5, net_, rt::Pacing::Lockstep));
-        }
-    }
-
-    /** One epoch; @p inject runs after the racks sent upstream. */
-    void step(const std::function<void(net::Transport &,
-                                       std::uint32_t)> &inject = {})
-    {
-        const std::uint32_t epoch = ++epoch_;
-        units_[0]->stepUp(epoch);
-        units_[1]->stepUp(epoch);
-        if (inject)
-            inject(net_, epoch);
-        units_[2]->stepUp(epoch);
-        units_[2]->stepDown(epoch);
-        units_[0]->stepDown(epoch);
-        units_[1]->stepDown(epoch);
-    }
-
-    rt::WorkerRuntime &unit(std::size_t e) { return *units_[e]; }
-
-  private:
-    net::SimTransport net_;
-    std::vector<std::unique_ptr<rt::WorkerRuntime>> units_;
-    std::uint32_t epoch_ = 0;
-};
-
-} // namespace
-
 TEST(Failover, ForgedMetricsForAnotherRacksEdgeAreOrphaned)
 {
-    // Rack 0 claims rack 1's edge on tree X with empty metrics, after
-    // rack 1's own report. The root must drop it as an orphan: the
-    // allocation stays bit-identical to a clean run.
-    ManualFleet clean;
-    ManualFleet forged;
+    // Rack 0 claims rack 1's edge on tree X with empty metrics, slipped
+    // in at each epoch's window start. The root must drop it as an
+    // orphan: the allocation stays bit-identical to a clean run.
+    rt::LockstepDeployment clean(kScenario, rt::ChaosBackend::Sim,
+                                 net::TransportConfig{}, /*seed=*/5);
+    rt::LockstepDeployment forged(kScenario, rt::ChaosBackend::Sim,
+                                  net::TransportConfig{}, /*seed=*/5);
     const auto scenario = config::loadScenario(util::parseJson(kScenario));
     topo::NodeId right = topo::kNoNode;
     scenario.system->tree(0).forEach([&](const topo::TopoNode &n) {
@@ -1123,23 +1237,24 @@ TEST(Failover, ForgedMetricsForAnotherRacksEdgeAreOrphaned)
     });
     ASSERT_NE(right, topo::kNoNode);
 
-    for (int i = 0; i < 6; ++i) {
-        clean.step();
-        forged.step([&](net::Transport &tp, std::uint32_t epoch) {
-            net::MetricsMsg msg;
-            msg.tree = 0;
-            msg.edgeNode = static_cast<std::uint32_t>(right);
-            // A sequence number inside rack 0's current batch (two
-            // Metrics and a Checkpoint), so the root's restart
-            // detection sees nothing unusual.
-            tp.send(0, 2,
-                    net::encodeMetrics(
-                        net::FrameMeta(0, epoch, 3 * (epoch - 1)), msg));
-        });
+    for (std::uint32_t epoch = 1; epoch <= 6; ++epoch) {
+        clean.run(1);
+        forged.runUntil(forged.epochStartMs(epoch));
+        net::MetricsMsg msg;
+        msg.tree = 0;
+        msg.edgeNode = static_cast<std::uint32_t>(right);
+        // A sequence number inside rack 0's current batch (two Metrics
+        // and a Checkpoint), so the root's restart detection sees
+        // nothing unusual.
+        forged.net().send(0, 2,
+                          net::encodeMetrics(
+                              net::FrameMeta(0, epoch, 3 * (epoch - 1)),
+                              msg));
+        forged.run(1);
     }
-    for (std::size_t r = 0; r < 2; ++r) {
-        const auto &a = clean.unit(r).lastEdgeBudgets();
-        const auto &b = forged.unit(r).lastEdgeBudgets();
+    for (std::uint32_t r = 0; r < 2; ++r) {
+        const auto &a = clean.unit(r)->lastEdgeBudgets();
+        const auto &b = forged.unit(r)->lastEdgeBudgets();
         ASSERT_EQ(a.size(), b.size());
         for (const auto &[edge, watts] : a) {
             ASSERT_TRUE(b.count(edge));
@@ -1147,11 +1262,11 @@ TEST(Failover, ForgedMetricsForAnotherRacksEdgeAreOrphaned)
                       std::bit_cast<std::uint64_t>(b.at(edge)))
                 << "rack " << r << " node " << edge.second;
         }
-        EXPECT_EQ(clean.unit(r).stats().budgetsApplied,
-                  forged.unit(r).stats().budgetsApplied);
+        EXPECT_EQ(clean.unit(r)->stats().budgetsApplied,
+                  forged.unit(r)->stats().budgetsApplied);
     }
-    EXPECT_EQ(forged.unit(2).stats().orphanFrames,
-              clean.unit(2).stats().orphanFrames + 6u);
+    EXPECT_EQ(forged.room().stats().orphanFrames,
+              clean.room().stats().orphanFrames + 6u);
 }
 
 TEST(Failover, RootFleetRollupFollowsRackLiveness)

@@ -34,6 +34,7 @@
 #include "config/loader.hh"
 #include "net/http_endpoint.hh"
 #include "net/transport.hh"
+#include "rt/chaos.hh"
 #include "rt/host.hh"
 #include "rt/worker_runtime.hh"
 #include "telemetry/health.hh"
@@ -531,92 +532,20 @@ constexpr const char *kSimTransport =
     R"({"backend":"sim","gatherDeadlineMs":40,
         "budgetDeadlineMs":40,"retryTimeoutMs":10})";
 
-/** Peer table for the depth-3 scenario's plan at @p agg_levels. */
-config::WorkerPeers
-lockstepPeers(std::vector<std::uint32_t> agg_levels)
+/** depth3Scenario() carrying kSimTransport's deadlines. */
+std::string
+simDepth3Scenario()
 {
-    config::WorkerPeers peers;
-    peers.aggLevels = std::move(agg_levels);
-    const std::uint32_t workers = peers.aggLevels.empty() ? 5 : 7;
-    for (std::uint32_t e = 0; e < workers; ++e)
-        peers.peers[e] = net::UdpPeer{"127.0.0.1", 0};
-    return peers;
+    std::string json = depth3Scenario();
+    json.insert(json.rfind('}'),
+                std::string(R"(, "transport": )") + kSimTransport);
+    return json;
 }
 
 } // namespace
 
 // The rigs live outside the anonymous namespace so the typed tests are
 // named SharedObservability.<test><HostRig|RuntimeRig>.
-
-/**
- * One lockstep WorkerRuntime per endpoint of the depth-3 scenario's
- * plan, sharing one lossless SimTransport and driven in tier order:
- * leaves up, aggregators up (ascending), root, aggregators down
- * (descending), leaves down. With a tracer attached, the rig opens
- * and closes one trace period per epoch, as a lockstep harness does.
- */
-class LockstepFleet
-{
-  public:
-    explicit LockstepFleet(std::vector<std::uint32_t> agg_levels = {1})
-    {
-        const config::WorkerPeers peers = lockstepPeers(agg_levels);
-        for (std::uint32_t e = 0; e < peers.peers.size(); ++e) {
-            runtimes_.push_back(std::make_unique<rt::WorkerRuntime>(
-                loadDepth3(kSimTransport), peers, e, /*seed=*/7, net_,
-                rt::Pacing::Lockstep));
-        }
-    }
-
-    void setTelemetry(telemetry::Registry *registry,
-                      telemetry::PeriodTracer *tracer)
-    {
-        tracer_ = tracer;
-        for (auto &runtime : runtimes_)
-            runtime->setTelemetry(registry, tracer);
-    }
-
-    void run(std::size_t periods)
-    {
-        const std::size_t leaves = runtimes_.front()->rackCount();
-        for (std::size_t i = 0; i < periods; ++i) {
-            const std::uint32_t epoch = ++epoch_;
-            if (tracer_)
-                tracer_->beginPeriod(epoch);
-            for (auto &runtime : runtimes_)
-                runtime->stepUp(epoch);
-            for (std::size_t e = runtimes_.size(); e-- > leaves;)
-                runtimes_[e]->stepDown(epoch);
-            for (std::size_t e = 0; e < leaves; ++e)
-                runtimes_[e]->stepDown(epoch);
-            if (tracer_)
-                tracer_->endPeriod();
-        }
-    }
-
-    const std::vector<std::unique_ptr<rt::WorkerRuntime>> &runtimes() const
-    {
-        return runtimes_;
-    }
-
-    /** Every leaf's applied budgets, merged. */
-    std::map<std::pair<std::size_t, topo::NodeId>, Watts>
-    edgeBudgets() const
-    {
-        std::map<std::pair<std::size_t, topo::NodeId>, Watts> all;
-        for (const auto &runtime : runtimes_) {
-            for (const auto &[edge, budget] : runtime->lastEdgeBudgets())
-                all.emplace(edge, budget);
-        }
-        return all;
-    }
-
-  private:
-    net::SimTransport net_;
-    std::vector<std::unique_ptr<rt::WorkerRuntime>> runtimes_;
-    telemetry::PeriodTracer *tracer_ = nullptr;
-    std::uint32_t epoch_ = 0;
-};
 
 /** The depth-3 plan as one WorkerHost over a lossless SimTransport. */
 struct HostRig
@@ -638,27 +567,60 @@ struct HostRig
     }
 };
 
-/** The depth-3 plan as lockstep WorkerRuntimes, one per endpoint. */
+/**
+ * The depth-3 plan (or, with no aggregation levels, the 2-level one) as
+ * one WorkerRuntime per endpoint on the chaos harness over a lossless
+ * SimTransport. A tracer follows the root's periods: one tracer per
+ * process, as in a deployment.
+ */
 struct RuntimeRig
 {
-    LockstepFleet fleet;
+    explicit RuntimeRig(std::vector<std::uint32_t> agg_levels = {1})
+        : dep(simDepth3Scenario(), rt::ChaosBackend::Sim,
+              net::TransportConfig{}, /*seed=*/7, std::move(agg_levels))
+    {
+    }
 
+    std::vector<rt::WorkerRuntime *> runtimes()
+    {
+        std::vector<rt::WorkerRuntime *> out;
+        for (std::uint32_t e = 0; e < dep.plan().workers.size(); ++e)
+            out.push_back(dep.unit(e));
+        return out;
+    }
     void setTelemetry(telemetry::Registry *registry,
                       telemetry::PeriodTracer *tracer)
     {
-        fleet.setTelemetry(registry, tracer);
+        for (rt::WorkerRuntime *runtime : runtimes())
+            runtime->setTelemetry(registry,
+                                  runtime->isRoom() ? tracer : nullptr);
     }
-    void run(std::size_t periods) { fleet.run(periods); }
-    std::vector<std::pair<util::Json, bool>> health() const
+    void run(std::size_t periods)
+    {
+        dep.run(static_cast<std::uint32_t>(periods));
+    }
+    std::vector<std::pair<util::Json, bool>> health()
     {
         std::vector<std::pair<util::Json, bool>> docs;
-        for (const auto &runtime : fleet.runtimes()) {
+        for (const rt::WorkerRuntime *runtime : runtimes()) {
             docs.emplace_back(runtime->healthJson(),
                               runtime->isRoom()
                                   || runtime->isAggregator());
         }
         return docs;
     }
+    /** Every leaf's applied budgets, merged. */
+    std::map<std::pair<std::size_t, topo::NodeId>, Watts> edgeBudgets()
+    {
+        std::map<std::pair<std::size_t, topo::NodeId>, Watts> all;
+        for (const rt::WorkerRuntime *runtime : runtimes()) {
+            for (const auto &[edge, budget] : runtime->lastEdgeBudgets())
+                all.emplace(edge, budget);
+        }
+        return all;
+    }
+
+    rt::LockstepDeployment dep;
 };
 
 namespace {
@@ -761,8 +723,8 @@ TEST(RuntimeObservability, LockstepRuntimesExportHopsHealthAndAudits)
     for (const std::vector<std::uint32_t> &levels :
          {std::vector<std::uint32_t>{}, std::vector<std::uint32_t>{1}}) {
         SCOPED_TRACE(levels.empty() ? "2-level" : "depth-3");
-        LockstepFleet dark(levels);
-        LockstepFleet lit(levels);
+        RuntimeRig dark(levels);
+        RuntimeRig lit(levels);
         telemetry::Registry registry;
         telemetry::PeriodTracer tracer;
         lit.setTelemetry(&registry, &tracer);
