@@ -182,12 +182,6 @@ LockstepDeployment::room()
     return *unit(plan_.rootEndpoint());
 }
 
-Engine &
-LockstepDeployment::rootEngine()
-{
-    return *units_[unitOf(plan_.rootEndpoint())].engine;
-}
-
 double
 LockstepDeployment::epochStartMs(std::uint32_t epoch) const
 {
@@ -264,11 +258,11 @@ LockstepDeployment::apply(const ChaosEvent &event, std::uint32_t epoch)
             std::erase(peers_.membership.absent, event.a);
             start(event.a);
             units_[event.a].engine->membership().beginShadow();
-            rootEngine().membership().beginJoin(event.a);
+            engineOf(plan_.rootEndpoint())->membership().beginJoin(event.a);
         }
         break;
     case ChaosEvent::Kind::Drain:
-        rootEngine().membership().beginDrain(event.a);
+        engineOf(plan_.rootEndpoint())->membership().beginDrain(event.a);
         break;
     case ChaosEvent::Kind::Upgrade:
         setWorkerWireVersion(event.a, net::kWireVersion);
@@ -278,21 +272,6 @@ LockstepDeployment::apply(const ChaosEvent &event, std::uint32_t epoch)
             (hosts_ ? chaosNet_->nowMs() : epochStartMs(epoch)) + event.b;
         break;
     }
-}
-
-std::map<std::pair<std::size_t, topo::NodeId>, Watts>
-LockstepDeployment::budgetsOf(std::size_t r) const
-{
-    auto all = engineOf(static_cast<std::uint32_t>(r))->lastEdgeBudgets();
-    if (!hosts_)
-        return all;
-    std::map<std::pair<std::size_t, topo::NodeId>, Watts> out;
-    for (const auto &station : plan_.workers[r].stations) {
-        const auto found = all.find(station);
-        if (found != all.end())
-            out.insert(*found);
-    }
-    return out;
 }
 
 std::vector<std::string>
@@ -305,9 +284,9 @@ LockstepDeployment::auditSafety() const
     const auto &system = *scenario_.system;
     std::vector<std::map<topo::NodeId, Watts>> applied(
         system.trees().size());
-    for (std::size_t r = 0; r < rackCount(); ++r) {
-        if (engineOf(static_cast<std::uint32_t>(r))) {
-            for (const auto &[key, budget] : budgetsOf(r))
+    for (std::uint32_t r = 0; r < rackCount(); ++r) {
+        if (const Engine *engine = engineOf(r)) {
+            for (const auto &[key, budget] : engine->lastEdgeBudgets(r))
                 applied[key.first][key.second] = budget;
         } else if (killed_.count(r)) {
             for (const auto &[tree, node] : plan_.workers[r].stations)
@@ -384,14 +363,15 @@ LockstepDeployment::logLine(std::uint32_t epoch) const
     line += " fo=" + total(&RuntimeStats::failovers)
             + " rd=" + total(&RuntimeStats::restartsDetected)
             + " rh=" + total(&RuntimeStats::rehomed);
-    for (std::size_t r = 0; r < rackCount(); ++r) {
+    for (std::uint32_t r = 0; r < rackCount(); ++r) {
         line += " | r" + std::to_string(r);
-        if (!engineOf(static_cast<std::uint32_t>(r))) {
+        const Engine *engine = engineOf(r);
+        if (!engine) {
             line += " killed";
             continue;
         }
         const auto &system = *scenario_.system;
-        for (const auto &[key, budget] : budgetsOf(r)) {
+        for (const auto &[key, budget] : engine->lastEdgeBudgets(r)) {
             const auto [tree, node] = key;
             line += " " + system.tree(tree).name() + "."
                     + system.tree(tree).node(node).name + "="

@@ -267,7 +267,10 @@ class LockstepDeployment
     WorkerRuntime &room();
 
     /** Rack runtime @p r, or nullptr while killed. */
-    WorkerRuntime *rack(std::size_t r) { return unit(static_cast<std::uint32_t>(r)); }
+    WorkerRuntime *rack(std::size_t r)
+    {
+        return unit(static_cast<std::uint32_t>(r));
+    }
 
     /** Liveness of rack @p r as its parent's supervisor sees it, or
      *  nullopt when its parent supervises nothing or is killed. */
@@ -298,14 +301,12 @@ class LockstepDeployment
     void start(std::uint32_t unit);
     /** The unit running plan endpoint @p ep. */
     std::uint32_t unitOf(std::uint32_t ep) const;
-    const Engine *engineOf(std::uint32_t ep) const
+    /** The engine running plan endpoint @p ep (nullptr while its unit
+     *  is killed). */
+    Engine *engineOf(std::uint32_t ep) const
     {
         return units_[unitOf(ep)].engine.get();
     }
-    Engine &rootEngine();
-    /** Rack @p r's applied edge budgets (its engine must be live). */
-    std::map<std::pair<std::size_t, topo::NodeId>, Watts>
-    budgetsOf(std::size_t r) const;
     /** Step engines in wake order until epoch @p target is audited or
      *  the next wake is past @p until. */
     void stepUntil(std::uint32_t target, double until);

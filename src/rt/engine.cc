@@ -32,13 +32,15 @@ Engine::Engine(config::LoadedScenario scenario,
 Engine::~Engine() = default;
 
 std::map<std::pair<std::size_t, topo::NodeId>, Watts>
-Engine::lastEdgeBudgets() const
+Engine::lastEdgeBudgets(std::optional<std::uint32_t> leaf) const
 {
     std::map<std::pair<std::size_t, topo::NodeId>, Watts> out;
     if (stats_.periodsRun == 0)
         return out;
-    for (const RoleTable::Leaf &leaf : roles_.leaves()) {
-        for (const LeafRole::Edge &edge : leaf.role.edges())
+    for (const RoleTable::Leaf &hosted : roles_.leaves()) {
+        if (leaf && hosted.role.endpoint() != *leaf)
+            continue;
+        for (const LeafRole::Edge &edge : hosted.role.edges())
             out[{edge.tree, edge.node}] = edge.budget;
     }
     return out;
@@ -51,19 +53,25 @@ Engine::runPeriods(std::size_t max_periods)
     net::Transport &tp = *transport_;
     const std::size_t first = stats_.periodsRun;
     while (stats_.periodsRun - first < max_periods && !stopped()) {
-        const double wake = advance(tp.nowMs());
+        const double t = tp.nowMs();
+        const double wake = advance(t);
         obs_.poll();
+        // The clock is read again only when advance() asked to wait.
+        if (wake <= t || stopped() || stats_.periodsRun - first >= max_periods)
+            continue;
         const double now = tp.nowMs();
-        if (stats_.periodsRun - first < max_periods && wake > now)
-            tp.advanceTo(std::min(wake, now + kSleepSliceMs));
+        if (wake > now)
+            tp.advanceBy(std::min(wake - now, kSleepSliceMs));
     }
     return stats_.periodsRun - first;
 }
 
 void
-Engine::openPeriod(std::uint32_t epoch, std::string who)
+Engine::openPeriod(std::uint32_t epoch, double now, std::string who)
 {
     open_ = true;
+    epoch_ = epoch;
+    start_ = now;
     obs_.beginPeriod(epoch, roles_.simNow(), std::move(who));
 }
 

@@ -12,8 +12,8 @@
  * clock, advance(now): it does what the period owes at @p now and
  * returns when it must run next. It never sleeps and never moves the
  * clock, so the same step runs on real time (runPeriods(), the one
- * thin loop: advance, answer scrapes, advanceTo the wake; on UDP that
- * is a real sleep) or on virtual time (rt::LockstepDeployment, where
+ * thin loop: advance, answer scrapes, move the clock to the wake; on
+ * UDP that is a real sleep) or on virtual time (rt::LockstepDeployment, where
  * advancing a SimTransport is an instant jump). The engines add only
  * their period, and their own telemetry labels and /healthz identity.
  */
@@ -26,6 +26,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "config/loader.hh"
@@ -34,6 +35,7 @@
 #include "rt/observe.hh"
 #include "rt/roles.hh"
 #include "rt/stats.hh"
+#include "util/json.hh"
 
 namespace capmaestro::rt {
 
@@ -61,9 +63,10 @@ class Engine
 
     /**
      * Run up to @p max_periods control periods on the transport clock,
-     * until stopped: advance(), answer scrapes, advanceTo() the wake
-     * (at most kSleepSliceMs at a time, so a stop or a scrape waits no
-     * longer). Returns periods completed.
+     * until stopped: advance(), answer scrapes, and when it asked to
+     * wait, advance the clock toward the wake (at most kSleepSliceMs at
+     * a time, so a stop or a scrape waits no longer; the clock is read
+     * again only then). Returns periods completed.
      */
     std::size_t runPeriods(std::size_t max_periods);
 
@@ -99,10 +102,11 @@ class Engine
     /** Epoch of the most recently completed period (0 before any). */
     std::uint32_t lastEpoch() const { return lastEpoch_; }
 
-    /** Hosted leaves: (tree, edge) -> budget applied last period
-     *  (empty before the first period). */
+    /** Hosted leaves (only plan endpoint @p leaf when given): (tree,
+     *  edge) -> budget applied last period (empty before the first
+     *  period). */
     std::map<std::pair<std::size_t, topo::NodeId>, Watts>
-    lastEdgeBudgets() const;
+    lastEdgeBudgets(std::optional<std::uint32_t> leaf = std::nullopt) const;
 
     /** The membership plane (rt/membership_plane.hh): the table of
      *  record where the root is hosted, a replica elsewhere. */
@@ -120,8 +124,22 @@ class Engine
     void setWireVersion(std::uint8_t v) { roles_.setWireVersion(v); }
     std::uint8_t wireVersion() const { return roles_.wireVersion(); }
 
+    /**
+     * Serve the observability endpoints (/metrics, /healthz, /tracez)
+     * on 127.0.0.1:@p port (0 = ephemeral), polled from the period
+     * loop — no extra thread. Returns the bound port, or 0 when the
+     * bind failed.
+     */
+    std::uint16_t serveHttp(std::uint16_t port)
+    {
+        return obs_.serveHttp(port, [this] { return healthJson(); });
+    }
+
     /** Bound scrape port (0 when not serving). */
     std::uint16_t httpPort() const { return obs_.httpPort(); }
+
+    /** The /healthz document (valid any time). */
+    virtual util::Json healthJson() const = 0;
 
     /** Health rollup over the child workers this engine observes. */
     const telemetry::FleetHealthRegistry &fleetHealth() const
@@ -149,8 +167,15 @@ class Engine
      *  runPeriods() paces (a WorkerRuntime's owned UDP clock). */
     virtual void mapClock() {}
 
-    /** Open period @p epoch and its trace, named @p who. */
-    void openPeriod(std::uint32_t epoch, std::string who);
+    /** Open period @p epoch at transport-clock time @p now (its
+     *  cascade's anchor) and its trace, named @p who. */
+    void openPeriod(std::uint32_t epoch, double now, std::string who);
+
+    /** The open period's deadline cascade, anchored where it began. */
+    Cascade cascade() const
+    {
+        return {scenario_.service.protocol, roles_.plan().tiers(), start_};
+    }
 
     /** Close period @p epoch: count it, publish the stats mirrors and
      *  end its trace. */
@@ -166,6 +191,12 @@ class Engine
     std::uint32_t lastEpoch_ = 0;
     /** A period is open: between openPeriod() and finishPeriod(). */
     bool open_ = false;
+    /** The open (or last) period's epoch; a WorkerRuntime between
+     *  periods keeps the next one here (0 until its first advance()
+     *  picks it). */
+    std::uint32_t epoch_ = 0;
+    /** When the open period began (its cascade's anchor). */
+    double start_ = 0.0;
     Observability obs_{stats_, events_};
     /** The roles and the send/receive path (last: it refers to the
      *  scenario, stats, events and observability above). */

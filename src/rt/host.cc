@@ -95,12 +95,6 @@ WorkerHost::setTelemetry(telemetry::Registry *registry,
     }
 }
 
-std::uint16_t
-WorkerHost::serveHttp(std::uint16_t port)
-{
-    return obs_.serveHttp(port, [this] { return healthJson(); });
-}
-
 util::Json
 WorkerHost::healthJson() const
 {
@@ -245,12 +239,10 @@ WorkerHost::advance(double now)
 void
 WorkerHost::begin(std::uint32_t epoch, double now)
 {
-    epoch_ = epoch;
-    start_ = now;
     auto &aggs = roles_.aggregators();
     auto &leaves = roles_.leaves();
 
-    openPeriod(epoch, "host" + std::to_string(process_));
+    openPeriod(epoch, now, "host" + std::to_string(process_));
     telemetry::PeriodTracer *tracer = obs_.tracer();
     if (tracer)
         tracer->periodNum("process", static_cast<double>(process_));

@@ -162,16 +162,8 @@ class WorkerHost : public Engine
     void setTelemetry(telemetry::Registry *registry,
                       telemetry::PeriodTracer *tracer);
 
-    /**
-     * Serve the observability endpoints (/metrics, /healthz, /tracez)
-     * on 127.0.0.1:@p port (0 = ephemeral), polled from the period
-     * loop — no extra thread. Returns the bound port, or 0 when the
-     * bind failed.
-     */
-    std::uint16_t serveHttp(std::uint16_t port);
-
     /** /healthz document (process, epoch, stats, fleet, safety). */
-    util::Json healthJson() const;
+    util::Json healthJson() const override;
 
   private:
     using Routed = RoleTable::Routed;
@@ -202,10 +194,6 @@ class WorkerHost : public Engine
      *  frame or closed a phase. True once every hosted role closed the
      *  period. */
     bool pass(double now, bool &progressed);
-    Cascade cascade() const
-    {
-        return {scenario_.service.protocol, roles_.plan().tiers(), start_};
-    }
     /** Act on what the RoleTable handed back for one received frame. */
     void settle(net::Transport::Endpoint to, Routed routed,
                 std::uint32_t epoch);
@@ -219,10 +207,6 @@ class WorkerHost : public Engine
     void aggSendDown(std::size_t slot, std::uint32_t epoch);
 
     std::uint32_t process_ = 0;
-    /** The open (or last) period's epoch. */
-    std::uint32_t epoch_ = 0;
-    /** When the open period began (its cascade's anchor). */
-    double start_ = 0.0;
     /** Highest epoch carried by any received frame. */
     std::uint32_t maxSeenEpoch_ = 0;
 

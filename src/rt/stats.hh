@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared runtime-layer accounting and mode types: the cumulative
- * protocol counters every rt worker keeps (one-role WorkerRuntime
- * daemons, AggregatorRole fragments, and the multi-role WorkerHost all
- * report into the same struct) and the pacing modes.
+ * Shared runtime-layer accounting: the cumulative protocol counters
+ * every rt worker keeps (one-role WorkerRuntime daemons, AggregatorRole
+ * fragments, and the multi-role WorkerHost all report into the same
+ * struct).
  */
 
 #ifndef CAPMAESTRO_RT_STATS_HH

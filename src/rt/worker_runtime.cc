@@ -154,12 +154,6 @@ WorkerRuntime::windowStart(std::uint32_t epoch) const
 // Observability plane
 // ===================================================================
 
-std::uint16_t
-WorkerRuntime::serveHttp(std::uint16_t port)
-{
-    return obs_.serveHttp(port, [this] { return healthJson(); });
-}
-
 util::Json
 WorkerRuntime::healthJson() const
 {
@@ -276,9 +270,7 @@ WorkerRuntime::advance(double now)
 void
 WorkerRuntime::begin(std::uint32_t epoch, double now)
 {
-    epoch_ = epoch;
-    start_ = now;
-    openPeriod(epoch, roleName());
+    openPeriod(epoch, now, roleName());
     if (!isLeaf()) {
         agg().beginEpoch(epoch);
         if (supervisor_)

@@ -77,8 +77,8 @@
  * epoch as its timestamp, mirroring ClosedLoopSim's audit trail.
  * Observability is the shared rt::Observability (rt/observe.hh), the
  * same plane a WorkerHost owns; the runtime adds only its
- * capmaestro_rt_* and membership counters, its supervisor's liveness
- * override of the fleet rollup, and the root's rt.room span.
+ * capmaestro_rt_* and membership counters and its supervisor's
+ * liveness override of the fleet rollup.
  */
 
 #ifndef CAPMAESTRO_RT_WORKER_RUNTIME_HH
@@ -186,16 +186,9 @@ class WorkerRuntime : public Engine
     void setTelemetry(telemetry::Registry *registry,
                       telemetry::PeriodTracer *tracer = nullptr);
 
-    /**
-     * Open the scrape endpoint on 127.0.0.1:@p port (0 = ephemeral):
-     * /metrics (Prometheus text), /healthz (JSON), /tracez (last
-     * period traces). Serviced from the runtime's own pacing loop — no
-     * threads. Returns the bound port, or 0 when the bind failed.
-     */
-    std::uint16_t serveHttp(std::uint16_t port);
-
-    /** The /healthz document (valid any time). */
-    util::Json healthJson() const;
+    /** /healthz document (role, tier, epoch, stats, membership; fleet
+     *  and safety on aggregating roles). */
+    util::Json healthJson() const override;
 
     /**
      * Supervising workers only (supervisor() != nullptr; fatal
@@ -255,10 +248,6 @@ class WorkerRuntime : public Engine
     AggregatorRole &agg() { return aggSlot().role; }
     /** The plan parent (leaf and aggregator roles). */
     std::uint32_t parentEp() const { return plan().workers[role_].parent; }
-    Cascade cascade() const
-    {
-        return {scenario_.service.protocol, plan().tiers(), start_};
-    }
 
     /** Send every frame of @p batch once (copied: it may be resent). */
     void sendAll(const Sends &batch);
@@ -287,11 +276,6 @@ class WorkerRuntime : public Engine
     /** Transport-clock start of epoch 1's window. */
     double originMs_ = 0.0;
     Phase phase_ = Phase::Idle;
-    /** The open period's epoch; while Idle, the next one to run (0:
-     *  chosen at the first advance()). */
-    std::uint32_t epoch_ = 0;
-    /** When the open period began (its cascade's anchor). */
-    double start_ = 0.0;
     /** The open period's batches under retransmission. */
     std::vector<Resend> resends_;
     /** capmaestro_rt_degraded_racks (a no-op handle while
