@@ -92,10 +92,8 @@ LockstepDeployment::LockstepDeployment(
 
     // The period is the deadline cascade plus one gather window.
     const auto &proto = scenario_.service.protocol;
-    peers_.periodMs = std::ceil(
-        static_cast<double>(plan_.tiers() - 1)
-            * (proto.gatherDeadlineMs + proto.budgetDeadlineMs)
-        + proto.gatherDeadlineMs);
+    peers_.periodMs = std::ceil(Cascade{proto, plan_.tiers(), 0.0}.span()
+                                + proto.gatherDeadlineMs);
     peers_.aggLevels = aggLevels_;
     peers_.processOf = std::move(process_of);
     for (std::uint32_t e = 0; e < workers; ++e)
@@ -131,26 +129,21 @@ LockstepDeployment::makeScenario() const
     return config::loadScenario(util::parseJson(scenarioJson_));
 }
 
-std::unique_ptr<Engine>
-LockstepDeployment::makeEngine(std::uint32_t unit)
-{
-    if (hosts_) {
-        auto host = std::make_unique<WorkerHost>(makeScenario(), peers_,
-                                                 unit, seed_, *chaosNet_);
-        host->setTelemetry(&registry_, nullptr);
-        return host;
-    }
-    auto runtime = std::make_unique<WorkerRuntime>(makeScenario(), peers_,
-                                                   unit, seed_, *chaosNet_);
-    runtime->setTelemetry(&registry_);
-    return runtime;
-}
-
 void
 LockstepDeployment::start(std::uint32_t unit)
 {
     Unit &slot = units_.at(unit);
-    slot.engine = makeEngine(unit);
+    if (hosts_) {
+        auto host = std::make_unique<WorkerHost>(makeScenario(), peers_,
+                                                 unit, seed_, *chaosNet_);
+        host->setTelemetry(&registry_, nullptr);
+        slot.engine = std::move(host);
+    } else {
+        auto runtime = std::make_unique<WorkerRuntime>(
+            makeScenario(), peers_, unit, seed_, *chaosNet_);
+        runtime->setTelemetry(&registry_);
+        slot.engine = std::move(runtime);
+    }
     slot.wake = chaosNet_->nowMs();
     const auto v = wireVersionOf_.find(unit);
     if (v != wireVersionOf_.end())

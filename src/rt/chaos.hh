@@ -296,7 +296,6 @@ class LockstepDeployment
     };
 
     config::LoadedScenario makeScenario() const;
-    std::unique_ptr<Engine> makeEngine(std::uint32_t unit);
     /** Construct unit @p unit's engine, due now. */
     void start(std::uint32_t unit);
     /** The unit running plan endpoint @p ep. */

@@ -32,34 +32,25 @@ hostedEndpoints(const config::WorkerPeers &peers, std::uint32_t process)
 
 } // namespace
 
+// An aggregator's fan-in arrives as one burst per period; an owned
+// transport's sockets fit a full burst (plus one held-back epoch) while
+// this process is descheduled on a loaded box.
 WorkerHost::WorkerHost(config::LoadedScenario scenario,
                        config::WorkerPeers peers, std::uint32_t process,
                        std::uint64_t seed)
-    : WorkerHost(std::move(scenario), std::move(peers), process, seed,
-                 nullptr)
+    : Engine(std::move(scenario), peers, hostedEndpoints(peers, process),
+             seed, nullptr, 4 << 20),
+      process_(process)
 {
 }
 
 WorkerHost::WorkerHost(config::LoadedScenario scenario,
                        config::WorkerPeers peers, std::uint32_t process,
                        std::uint64_t seed, net::Transport &transport)
-    : WorkerHost(std::move(scenario), std::move(peers), process, seed,
-                 &transport)
-{
-}
-
-WorkerHost::WorkerHost(config::LoadedScenario scenario,
-                       config::WorkerPeers peers, std::uint32_t process,
-                       std::uint64_t seed, net::Transport *transport)
-    // An aggregator's fan-in arrives as one burst per period; an owned
-    // transport's sockets fit a full burst (plus one held-back epoch)
-    // while this process is descheduled on a loaded box.
     : Engine(std::move(scenario), peers, hostedEndpoints(peers, process),
-             seed, transport, 4 << 20),
+             seed, &transport),
       process_(process)
 {
-    aggProgress_.resize(roles_.aggregators().size());
-    leafDone_.resize(roles_.leaves().size());
 }
 
 WorkerHost::~WorkerHost() = default;
@@ -142,14 +133,12 @@ WorkerHost::settle(net::Transport::Endpoint to, Routed routed,
         // Slots past held_ keep their storage for the next copy.
         if (held_ == kHoldbackCap) {
             ++stats_.orphanFrames;
-        } else if (held_ < holdback_.size()) {
-            holdback_[held_].to = to;
-            holdback_[held_].frame = roles_.frame();
-            ++held_;
-        } else {
-            holdback_.push_back({to, roles_.frame()});
-            ++held_;
+            break;
         }
+        if (held_ == holdback_.size())
+            holdback_.emplace_back();
+        holdback_[held_].to = to;
+        holdback_[held_++].frame = roles_.frame();
         break;
     case Routed::Adopted:
         events_.record(static_cast<Seconds>(epoch),
@@ -249,11 +238,12 @@ WorkerHost::begin(std::uint32_t epoch, double now)
 
     // ---- reset the per-epoch role state before any frame (including
     // a held-back one) can land.
+    aggProgress_.assign(aggs.size(), AggProgress{});
+    leafDone_.assign(leaves.size(), false);
     for (std::size_t i = 0; i < aggs.size(); ++i) {
         aggs[i].role.beginEpoch(epoch);
         roles_.membership().openGather(aggs[i].role);
         AggProgress &progress = aggProgress_[i];
-        progress = AggProgress{};
         if (tracer) {
             progress.gatherSpan = tracer->begin("gather");
             tracer->num(progress.gatherSpan, "tier",
@@ -262,7 +252,6 @@ WorkerHost::begin(std::uint32_t epoch, double now)
                         static_cast<double>(aggs[i].ep));
         }
     }
-    std::fill(leafDone_.begin(), leafDone_.end(), false);
     leafSpan_ = telemetry::PeriodTracer::kNoSpan;
     if (tracer && !leaves.empty()) {
         leafSpan_ = tracer->begin("leaf_budget_wait");

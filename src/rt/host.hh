@@ -181,12 +181,6 @@ class WorkerHost : public Engine
             telemetry::PeriodTracer::kNoSpan;
     };
 
-    /** Delegated-to by both public constructors; @p transport null
-     *  means an owned UdpTransport. */
-    WorkerHost(config::LoadedScenario scenario, config::WorkerPeers peers,
-               std::uint32_t process, std::uint64_t seed,
-               net::Transport *transport);
-
     /** Open @p epoch at @p now: reset the roles, advance the plants and
      *  send their Metrics, replay the frames held back for it. */
     void begin(std::uint32_t epoch, double now);

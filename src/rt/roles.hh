@@ -98,6 +98,9 @@ struct Cascade
                + static_cast<double>(tiers - 1 - tier)
                      * proto.budgetDeadlineMs;
     }
+
+    /** From the period's start to the leaves' budget deadline. */
+    double span() const { return downClose(0) - start; }
 };
 
 /** The roles of one process and their send/receive path. */

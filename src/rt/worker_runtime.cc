@@ -82,17 +82,15 @@ WorkerRuntime::init()
     if (peers_.originMs == 0)
         util::fatal("rt: peers.originMs must be set (shared epoch origin)");
     originMs_ = static_cast<double>(peers_.originMs);
-    const auto &proto = scenario_.service.protocol;
     // One gather + one budget window per tier hop: the tier-k receiver's
     // gather closes at start + k x gather, and the leaf budget deadline
     // sits a symmetric cascade later.
-    const auto hops = static_cast<double>(plan().tiers() - 1);
-    if (peers_.periodMs
-        <= hops * (proto.gatherDeadlineMs + proto.budgetDeadlineMs)) {
+    const double span =
+        Cascade{scenario_.service.protocol, plan().tiers(), 0.0}.span();
+    if (peers_.periodMs <= span) {
         util::fatal("rt: periodMs %.0f must exceed the %u-tier "
                     "gather+budget cascade (%.0f ms)",
-                    peers_.periodMs, plan().tiers(),
-                    hops * (proto.gatherDeadlineMs + proto.budgetDeadlineMs));
+                    peers_.periodMs, plan().tiers(), span);
     }
     if (isLeaf())
         return;
